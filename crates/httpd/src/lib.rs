@@ -35,7 +35,7 @@ mod request;
 mod response;
 mod server;
 
-pub use request::{parse_request, HttpError, HttpRequest, Method};
+pub use request::{parse_request, scan_request, HttpError, HttpRequest, Method, RequestView};
 pub use response::{HttpResponse, Status};
 pub use server::{
     decode_chunked_in_domain, decode_chunked_unprotected, HttpServer, HttpSession, HttpStats,

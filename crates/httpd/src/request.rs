@@ -98,12 +98,48 @@ impl HttpRequest {
     /// First value of header `name` (case-insensitive), if present.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == lower)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
+
+    /// The borrowed view of this request — what the serving paths take.
+    #[must_use]
+    pub fn view(&self) -> RequestView<'_> {
+        RequestView {
+            method: self.method,
+            path: &self.path,
+            chunked: self.chunked,
+            body: &self.body,
+        }
+    }
+}
+
+/// One scanned request, borrowing the input it was scanned from: what
+/// routing and serving need, with nothing copied out of the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    /// Request method.
+    pub method: Method,
+    /// Request target.
+    pub path: &'a str,
+    /// Whether the body is a raw chunked stream.
+    pub chunked: bool,
+    /// Body bytes, as in [`HttpRequest::body`].
+    pub body: &'a [u8],
+}
+
+/// Scans one complete request from the front of `input` without
+/// allocating, returning its borrowed view and the bytes consumed. The
+/// grammar, limits and error precedence are [`parse_request`]'s — that
+/// function is this scan plus owned copies.
+///
+/// # Errors
+///
+/// As [`parse_request`].
+pub fn scan_request(input: &[u8]) -> Result<(RequestView<'_>, usize), HttpError> {
+    scan(input, |_, _| {})
 }
 
 /// Parses one complete request from the front of `input`, returning it and
@@ -114,10 +150,30 @@ impl HttpRequest {
 /// [`HttpError::Incomplete`] until a full request is buffered;
 /// [`HttpError::Malformed`] / [`HttpError::TooLarge`] for invalid input.
 pub fn parse_request(input: &[u8]) -> Result<(HttpRequest, usize), HttpError> {
+    let mut headers = Vec::new();
+    let (view, consumed) = scan(input, |name, value| {
+        headers.push((name.to_ascii_lowercase(), value.to_string()));
+    })?;
+    let request = HttpRequest {
+        method: view.method,
+        path: view.path.to_string(),
+        headers,
+        body: view.body.to_vec(),
+        chunked: view.chunked,
+    };
+    Ok((request, consumed))
+}
+
+/// The one request grammar: validates the head, reports every header
+/// (name as sent, value trimmed) to `on_header`, then frames the body.
+fn scan(
+    input: &[u8],
+    mut on_header: impl FnMut(&str, &str),
+) -> Result<(RequestView<'_>, usize), HttpError> {
     let head_end = find_head_end(input)?;
     let head = std::str::from_utf8(&input[..head_end])
         .map_err(|_| HttpError::Malformed("head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
+    let mut lines = Lines(Some(head));
 
     let request_line = lines.next().ok_or(HttpError::Malformed("empty head"))?;
     let mut parts = request_line.split(' ');
@@ -139,7 +195,9 @@ pub fn parse_request(input: &[u8]) -> Result<(HttpRequest, usize), HttpError> {
         return Err(HttpError::Malformed("garbage after HTTP version"));
     }
 
-    let mut headers = Vec::new();
+    // Only the first occurrence of a framing header counts.
+    let mut transfer_encoding = None;
+    let mut content_length = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -150,53 +208,117 @@ pub fn parse_request(input: &[u8]) -> Result<(HttpRequest, usize), HttpError> {
         if name.is_empty() || name.contains(' ') {
             return Err(HttpError::Malformed("invalid header name"));
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            transfer_encoding.get_or_insert(value);
+        } else if name.eq_ignore_ascii_case("content-length") {
+            content_length.get_or_insert(value);
+        }
+        on_header(name, value);
     }
 
-    let request_so_far = HttpRequest {
-        method,
-        path: path.to_string(),
-        headers,
-        body: Vec::new(),
-        chunked: false,
-    };
     let body_start = head_end + 4;
-
-    let chunked = request_so_far
-        .header("transfer-encoding")
-        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-    if chunked {
+    let chunked = transfer_encoding.is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
+    let body_len = if chunked {
         // Capture the raw chunk stream up to the terminating 0-chunk.
-        let raw = &input[body_start.min(input.len())..];
-        let chunked_len = raw_chunked_len(raw)?;
-        let mut request = request_so_far;
-        request.body = raw[..chunked_len].to_vec();
-        request.chunked = true;
-        return Ok((request, body_start + chunked_len));
-    }
-
-    let content_length = match request_so_far.header("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed("content-length is not a number"))?,
-        None => 0,
+        raw_chunked_len(&input[body_start..])?
+    } else {
+        let declared = match content_length {
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| HttpError::Malformed("content-length is not a number"))?,
+            None => 0,
+        };
+        if declared > MAX_BODY {
+            return Err(HttpError::TooLarge);
+        }
+        if input.len() < body_start + declared {
+            return Err(HttpError::Incomplete);
+        }
+        declared
     };
-    if content_length > MAX_BODY {
-        return Err(HttpError::TooLarge);
+    let view = RequestView {
+        method,
+        path,
+        chunked,
+        body: &input[body_start..body_start + body_len],
+    };
+    Ok((view, body_start + body_len))
+}
+
+/// The `\r\n`-separated lines of a request head.
+struct Lines<'a>(Option<&'a str>);
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        match find_crlf(rest.as_bytes()) {
+            Some(end) => {
+                self.0 = Some(&rest[end + 2..]);
+                Some(&rest[..end])
+            }
+            None => self.0.take(),
+        }
     }
-    if input.len() < body_start + content_length {
-        return Err(HttpError::Incomplete);
+}
+
+/// Offset of the first `needle` in `haystack`. Whole 32-byte blocks
+/// without a match are skipped with one branch-free test each (a shape
+/// the compiler turns into vector compares); the block that holds the
+/// match, and any tail, go eight bytes per step.
+fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut offset = 0;
+    for block in haystack.chunks_exact(32) {
+        if block.iter().fold(false, |hit, &b| hit | (b == needle)) {
+            break;
+        }
+        offset += 32;
     }
-    let mut request = request_so_far;
-    request.body = input[body_start..body_start + content_length].to_vec();
-    Ok((request, body_start + content_length))
+    let pattern = u64::from_le_bytes([needle; 8]);
+    for word in haystack[offset..].chunks_exact(8) {
+        // Zero exactly where a byte equals `needle`; the classic
+        // has-zero-byte test then flags the lowest such byte exactly
+        // (borrow artefacts only ever appear above a true match).
+        let diff = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")) ^ pattern;
+        let hits = diff.wrapping_sub(LOW) & !diff & HIGH;
+        if hits != 0 {
+            return Some(offset + hits.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    haystack[offset..]
+        .iter()
+        .position(|&b| b == needle)
+        .map(|pos| offset + pos)
+}
+
+/// Offset of the first `\r\n` in `bytes` — the one CRLF finder the head
+/// scan, the chunk framing and the chunk decoder's walk all share.
+pub(crate) fn find_crlf(bytes: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    loop {
+        let cr = from + find_byte(&bytes[from..], b'\r')?;
+        if bytes.get(cr + 1) == Some(&b'\n') {
+            return Some(cr);
+        }
+        from = cr + 1;
+    }
 }
 
 /// Finds the end of the head (`\r\n\r\n`), enforcing the size limit.
 fn find_head_end(input: &[u8]) -> Result<usize, HttpError> {
-    let limit = input.len().min(MAX_HEAD);
-    if let Some(pos) = input[..limit].windows(4).position(|w| w == b"\r\n\r\n") {
-        return Ok(pos);
+    let window = &input[..input.len().min(MAX_HEAD)];
+    let mut from = 0;
+    while let Some(pos) = find_crlf(&window[from..]) {
+        let line_end = from + pos;
+        if window[line_end + 2..].starts_with(b"\r\n") {
+            return Ok(line_end);
+        }
+        from = line_end + 2;
     }
     if input.len() >= MAX_HEAD {
         return Err(HttpError::TooLarge);
@@ -211,10 +333,7 @@ fn find_head_end(input: &[u8]) -> Result<usize, HttpError> {
 fn raw_chunked_len(raw: &[u8]) -> Result<usize, HttpError> {
     let mut pos = 0;
     loop {
-        let line_end = raw[pos..]
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or(HttpError::Incomplete)?;
+        let line_end = find_crlf(&raw[pos..]).ok_or(HttpError::Incomplete)?;
         let size_text = std::str::from_utf8(&raw[pos..pos + line_end])
             .map_err(|_| HttpError::Malformed("chunk size is not UTF-8"))?;
         let size = usize::from_str_radix(size_text.trim(), 16)
@@ -236,10 +355,7 @@ fn raw_chunked_len(raw: &[u8]) -> Result<usize, HttpError> {
         // — so the exploit payload reaches the vulnerable decoder, where
         // trusting the declared size is the planted bug. (Simplification:
         // chunk payloads containing literal CRLF are not supported.)
-        let until_crlf = raw[pos..]
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or(HttpError::Incomplete)?;
+        let until_crlf = find_crlf(&raw[pos..]).ok_or(HttpError::Incomplete)?;
         pos += size.min(until_crlf);
         if raw.len() < pos + 2 {
             return Err(HttpError::Incomplete);
@@ -248,10 +364,7 @@ fn raw_chunked_len(raw: &[u8]) -> Result<usize, HttpError> {
             pos += 2;
         } else {
             // Declared size smaller than the data line: resynchronise.
-            let next = raw[pos..]
-                .windows(2)
-                .position(|w| w == b"\r\n")
-                .ok_or(HttpError::Incomplete)?;
+            let next = find_crlf(&raw[pos..]).ok_or(HttpError::Incomplete)?;
             pos += next + 2;
         }
     }
@@ -358,6 +471,35 @@ mod tests {
     fn bad_chunk_size_is_malformed() {
         let input = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nhi\r\n0\r\n\r\n";
         assert!(matches!(parse_request(input), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn crlf_finder_matches_a_naive_scan_at_every_offset() {
+        let naive = |bytes: &[u8]| bytes.windows(2).position(|w| w == b"\r\n");
+        // Lengths on both sides of the 32-byte block and 8-byte word
+        // steps; lone CRs ahead of the real terminator; 0x8d/0x0c sit one
+        // bit away from CR in the word test.
+        for len in 0..100 {
+            let filler: Vec<u8> = (0..len).map(|i| [b'a', 0x8d, 0x0c, 0xff][i % 4]).collect();
+            assert_eq!(find_crlf(&filler), None);
+            for at in 0..len.saturating_sub(1) {
+                let mut bytes = filler.clone();
+                bytes[at] = b'\r';
+                bytes[at + 1] = b'\n';
+                bytes[at / 2] = b'\r';
+                assert_eq!(find_crlf(&bytes), naive(&bytes), "len {len} crlf at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_borrows_what_parse_copies() {
+        let input = b"POST /echo HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyNEXT";
+        let (view, used) = scan_request(input).unwrap();
+        let (request, parsed) = parse_request(input).unwrap();
+        assert_eq!(used, parsed);
+        assert_eq!(view, request.view());
+        assert_eq!((view.path, view.body), ("/echo", &b"body"[..]));
     }
 
     #[test]

@@ -4,7 +4,8 @@ use std::collections::HashMap;
 
 use sdrad::{DomainConfig, DomainEnv, DomainError, DomainId, DomainManager, DomainPolicy};
 
-use crate::{parse_request, HttpError, HttpRequest, HttpResponse, Method, Status};
+use crate::request::find_crlf;
+use crate::{scan_request, HttpError, HttpRequest, HttpResponse, Method, RequestView, Status};
 
 /// How request processing is isolated (mirrors `sdrad-kvstore`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,8 +114,8 @@ impl HttpServer {
         if self.crashed {
             return Vec::new();
         }
-        match parse_request(raw) {
-            Ok((request, _consumed)) => self.respond(&request).to_bytes(),
+        match scan_request(raw) {
+            Ok((request, _consumed)) => self.respond_view(&request).to_bytes(),
             Err(HttpError::Incomplete) => Vec::new(),
             Err(HttpError::TooLarge) => {
                 self.stats.client_errors += 1;
@@ -129,8 +130,13 @@ impl HttpServer {
 
     /// Serves a parsed request.
     pub fn respond(&mut self, request: &HttpRequest) -> HttpResponse {
+        self.respond_view(&request.view())
+    }
+
+    /// Serves a scanned request straight from the buffer it arrived in.
+    pub fn respond_view(&mut self, request: &RequestView<'_>) -> HttpResponse {
         self.stats.requests += 1;
-        let response = match (request.method, request.path.as_str()) {
+        let response = match (request.method, request.path) {
             (Method::Get | Method::Head, path) => match self.content.get(path) {
                 Some((content_type, body)) => {
                     let body = if request.method == Method::Head {
@@ -146,8 +152,8 @@ impl HttpServer {
             },
             (Method::Post, "/echo") => HttpResponse::new(Status::Ok)
                 .header("Content-Type", "application/octet-stream")
-                .body(request.body.clone()),
-            (Method::Post, "/upload") if request.chunked => self.decode_upload(&request.body),
+                .body(request.body.to_vec()),
+            (Method::Post, "/upload") if request.chunked => self.decode_upload(request.body),
             (Method::Post, "/upload") => HttpResponse::new(Status::Created)
                 .body(format!("{} bytes", request.body.len()).into_bytes()),
             _ => HttpResponse::text(Status::MethodNotAllowed, "unsupported"),
@@ -175,8 +181,7 @@ impl HttpServer {
             Isolation::Domain => {
                 let mgr = self.mgr.as_mut().expect("domain mode has a manager");
                 let domain = self.domain.expect("domain mode has a domain");
-                let raw = raw_chunks.to_vec();
-                match mgr.call(domain, move |env| decode_chunked_in_domain(env, &raw)) {
+                match mgr.call(domain, |env| decode_chunked_in_domain(env, raw_chunks)) {
                     Ok(decoded_len) => HttpResponse::new(Status::Created)
                         .body(format!("{decoded_len} bytes").into_bytes()),
                     Err(DomainError::Violation { fault, .. }) => {
@@ -219,28 +224,30 @@ impl HttpSession {
     /// ones get a 400 and the connection buffer is dropped (HTTP framing
     /// cannot be resynchronised reliably).
     pub fn poll(&mut self, server: &mut HttpServer) -> usize {
-        self.buffer.extend(self.endpoint.read_available());
+        self.endpoint.read_available_into(&mut self.buffer);
         let mut completed = 0;
-        loop {
-            if !server.is_alive() {
-                return completed;
-            }
-            match parse_request(&self.buffer) {
+        // Requests are served in place; the served prefix is dropped once
+        // per poll, not once per request.
+        let mut served = 0;
+        while server.is_alive() {
+            match scan_request(&self.buffer[served..]) {
                 Ok((request, consumed)) => {
-                    self.buffer.drain(..consumed);
-                    let response = server.respond(&request);
+                    let response = server.respond_view(&request);
                     self.endpoint.write(&response.to_bytes());
+                    served += consumed;
                     completed += 1;
                 }
-                Err(HttpError::Incomplete) => return completed,
+                Err(HttpError::Incomplete) => break,
                 Err(HttpError::TooLarge) | Err(HttpError::Malformed(_)) => {
-                    self.buffer.clear();
+                    served = self.buffer.len();
                     self.endpoint
                         .write(&HttpResponse::text(Status::BadRequest, "bad request").to_bytes());
                     completed += 1;
                 }
             }
         }
+        self.buffer.drain(..served);
+        completed
     }
 
     /// The underlying endpoint.
@@ -255,7 +262,7 @@ impl HttpSession {
 fn chunks(raw: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
     let mut pos = 0;
     std::iter::from_fn(move || {
-        let line_end = raw[pos..].windows(2).position(|w| w == b"\r\n")?;
+        let line_end = find_crlf(&raw[pos..])?;
         let size = usize::from_str_radix(
             std::str::from_utf8(&raw[pos..pos + line_end]).ok()?.trim(),
             16,
@@ -268,10 +275,7 @@ fn chunks(raw: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
         let data_start = pos;
         // Data runs to the next CRLF (actual bytes present, which may be
         // fewer than declared).
-        let data_len = raw[pos..]
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .unwrap_or(raw.len() - pos);
+        let data_len = find_crlf(&raw[pos..]).unwrap_or(raw.len() - pos);
         pos += data_len + 2.min(raw.len() - pos - data_len);
         Some((size, &raw[data_start..data_start + data_len]))
     })

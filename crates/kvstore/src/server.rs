@@ -477,7 +477,7 @@ impl Session {
     /// Pumps pending requests through `server`; returns how many were
     /// completed this call.
     pub fn poll(&mut self, server: &mut Server) -> usize {
-        self.buffer.extend(self.endpoint.read_available());
+        self.endpoint.read_available_into(&mut self.buffer);
         let mut completed = 0;
         loop {
             if !server.is_alive() {

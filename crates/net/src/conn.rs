@@ -24,6 +24,38 @@ struct Pipe {
     waker: Option<ReadyCallback>,
 }
 
+impl Pipe {
+    /// Removes the first `n` buffered bytes, handing them to `sink` as
+    /// the (at most two) contiguous runs the ring stores them in — every
+    /// read path moves bytes with slice copies, never one at a time.
+    /// Emptying the pipe rewinds the ring, so a reader that keeps up
+    /// always sees one contiguous run.
+    fn take_front(&mut self, n: usize, mut sink: impl FnMut(&[u8])) {
+        let (front, back) = self.buffer.as_slices();
+        let from_front = n.min(front.len());
+        sink(&front[..from_front]);
+        sink(&back[..n - from_front]);
+        if n == self.buffer.len() {
+            self.buffer.clear();
+        } else {
+            self.buffer.drain(..n);
+        }
+    }
+
+    /// [`take_front`](Self::take_front) appending to a vector.
+    fn take_front_into(&mut self, n: usize, out: &mut Vec<u8>) {
+        out.reserve(n);
+        self.take_front(n, |run| out.extend_from_slice(run));
+    }
+
+    /// Offset of the first `\n` buffered, if any.
+    fn newline_pos(&self) -> Option<usize> {
+        let (front, back) = self.buffer.as_slices();
+        let find = |run: &[u8]| run.iter().position(|&b| b == b'\n');
+        find(front).or_else(|| find(back).map(|pos| front.len() + pos))
+    }
+}
+
 impl std::fmt::Debug for Pipe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipe")
@@ -88,7 +120,7 @@ impl StreamHandle {
     pub fn drain_pending_into(&self, out: &mut Vec<u8>) -> usize {
         let mut pipe = self.incoming.lock();
         let n = pipe.buffer.len();
-        out.extend(pipe.buffer.drain(..));
+        pipe.take_front_into(n, out);
         n
     }
 
@@ -195,9 +227,11 @@ impl Endpoint {
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let mut pipe = self.incoming.lock();
         let n = buf.len().min(pipe.buffer.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = pipe.buffer.pop_front().expect("length checked");
-        }
+        let mut filled = 0;
+        pipe.take_front(n, |run| {
+            buf[filled..filled + run.len()].copy_from_slice(run);
+            filled += run.len();
+        });
         if n > 0 {
             self.stats.bytes_received += n as u64;
             self.stats.reads += 1;
@@ -219,7 +253,7 @@ impl Endpoint {
     pub fn read_available_into(&mut self, out: &mut Vec<u8>) -> usize {
         let mut pipe = self.incoming.lock();
         let n = pipe.buffer.len();
-        out.extend(pipe.buffer.drain(..));
+        pipe.take_front_into(n, out);
         if n > 0 {
             self.stats.bytes_received += n as u64;
             self.stats.reads += 1;
@@ -232,8 +266,9 @@ impl Endpoint {
     /// (Text-protocol helper for the memcached-style server.)
     pub fn read_line(&mut self) -> Option<Vec<u8>> {
         let mut pipe = self.incoming.lock();
-        let newline_pos = pipe.buffer.iter().position(|&b| b == b'\n')?;
-        let line: Vec<u8> = pipe.buffer.drain(..=newline_pos).collect();
+        let len = pipe.newline_pos()? + 1;
+        let mut line = Vec::new();
+        pipe.take_front_into(len, &mut line);
         self.stats.bytes_received += line.len() as u64;
         self.stats.reads += 1;
         Some(line)
@@ -245,7 +280,8 @@ impl Endpoint {
         if pipe.buffer.len() < n {
             return None;
         }
-        let bytes: Vec<u8> = pipe.buffer.drain(..n).collect();
+        let mut bytes = Vec::new();
+        pipe.take_front_into(n, &mut bytes);
         self.stats.bytes_received += n as u64;
         self.stats.reads += 1;
         Some(bytes)

@@ -414,28 +414,26 @@ fn render_http(response: &sdrad_httpd::HttpResponse) -> FrameBuf {
 impl SessionHandler for HttpHandler {
     fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply {
         use sdrad_httpd::{
-            decode_chunked_in_domain, decode_chunked_unprotected, parse_request, HttpResponse,
+            decode_chunked_in_domain, decode_chunked_unprotected, scan_request, HttpResponse,
             Method, Status,
         };
 
-        let parsed = match parse_request(request) {
-            Ok((parsed, _consumed)) => parsed,
-            Err(_) => {
-                return Reply {
-                    response: HttpResponse::text(Status::BadRequest, "bad request")
-                        .to_bytes()
-                        .into(),
-                    disposition: Disposition::ProtocolError,
-                }
-            }
+        // A borrowed view: path and body stay in the frame buffer.
+        let Ok((parsed, _consumed)) = scan_request(request) else {
+            return Reply {
+                response: HttpResponse::text(Status::BadRequest, "bad request")
+                    .to_bytes()
+                    .into(),
+                disposition: Disposition::ProtocolError,
+            };
         };
 
         // The vulnerable path: chunked uploads. Everything else is plain
         // content serving with no memory-unsafe surface. The domain call
-        // borrows the parsed body directly — no defensive copy.
+        // borrows the body straight out of the frame buffer — no copy.
         if parsed.method == Method::Post && parsed.path == "/upload" && parsed.chunked {
             return if iso.is_isolated() {
-                match iso.call_for(client, |env| decode_chunked_in_domain(env, &parsed.body)) {
+                match iso.call_for(client, |env| decode_chunked_in_domain(env, parsed.body)) {
                     Ok(decoded) => Reply::ok(render_http(
                         &HttpResponse::new(Status::Created)
                             .body(format!("{decoded} bytes").into_bytes()),
@@ -462,7 +460,7 @@ impl SessionHandler for HttpHandler {
                     },
                 }
             } else {
-                match decode_chunked_unprotected(&parsed.body) {
+                match decode_chunked_unprotected(parsed.body) {
                     Some(decoded) => Reply::ok(render_http(
                         &HttpResponse::new(Status::Created)
                             .body(format!("{} bytes", decoded.len()).into_bytes()),
@@ -477,7 +475,7 @@ impl SessionHandler for HttpHandler {
             };
         }
 
-        let response = self.server.respond(&parsed);
+        let response = self.server.respond_view(&parsed);
         let disposition = match response.status().code() {
             200..=399 => Disposition::Ok,
             _ => Disposition::ProtocolError,
@@ -489,8 +487,8 @@ impl SessionHandler for HttpHandler {
     }
 
     fn frame(&self, buffer: &[u8]) -> Framing {
-        use sdrad_httpd::{parse_request, HttpError, HttpResponse, Status};
-        match parse_request(buffer) {
+        use sdrad_httpd::{scan_request, HttpError, HttpResponse, Status};
+        match scan_request(buffer) {
             Ok((_request, consumed)) => Framing::Complete(consumed),
             Err(HttpError::Incomplete) => Framing::Incomplete,
             Err(HttpError::TooLarge) | Err(HttpError::Malformed(_)) => {
@@ -504,8 +502,8 @@ impl SessionHandler for HttpHandler {
     }
 
     fn steal_class(&self, request: &[u8]) -> StealClass {
-        use sdrad_httpd::{parse_request, Method};
-        match parse_request(request) {
+        use sdrad_httpd::{scan_request, Method};
+        match scan_request(request) {
             // Static content is published identically on every shard by
             // the factory, so a GET answers the same bytes anywhere.
             Ok((parsed, _consumed)) if parsed.method == Method::Get => StealClass::ReadOnly,

@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 
 use sdrad::ClientId;
 use sdrad_net::{Endpoint, Listener, StreamHandle};
-use sdrad_nolock::MpscQueue;
+use sdrad_nolock::{FrameBuf, MpscQueue};
 
 use crate::handler::SessionHandler;
 use crate::runtime::{Runtime, RuntimeConfig};
@@ -87,12 +87,85 @@ impl Connection {
     }
 }
 
+/// A connection's staging bytes: a buffer consumed through a head
+/// cursor. Taking a frame off the front moves the cursor — O(1), however
+/// much is pipelined behind it — and the consumed prefix is reclaimed
+/// once per refill (or for free when the buffer runs empty), not once
+/// per frame. The owner's pump and a deep-steal thief share this one
+/// type, so both see the same head.
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    bytes: Vec<u8>,
+    /// Offset of the first unserved byte in `bytes`.
+    head: usize,
+}
+
+impl Staged {
+    /// The unserved bytes, oldest first.
+    pub(crate) fn pending(&self) -> &[u8] {
+        &self.bytes[self.head..]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len() - self.head
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops the first `n` pending bytes.
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.head += n;
+        debug_assert!(self.head <= self.bytes.len(), "consumed past the end");
+        if self.head >= self.bytes.len() {
+            self.clear();
+        }
+    }
+
+    /// Drops everything pending.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.head = 0;
+    }
+
+    /// Compacts the consumed prefix away, then lets `fill` append fresh
+    /// bytes (returning how many, which is passed through).
+    pub(crate) fn refill(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> usize) -> usize {
+        if self.head > 0 {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+        fill(&mut self.bytes)
+    }
+
+    /// Copies the first `n` pending bytes into a pooled frame buffer
+    /// (from the calling thread's arena) and consumes them.
+    pub(crate) fn take_frame(&mut self, n: usize) -> FrameBuf {
+        let mut frame = FrameBuf::acquire(n);
+        frame.extend_from_slice(&self.pending()[..n]);
+        self.consume(n);
+        frame
+    }
+
+    /// Puts `frames` back in front of whatever is pending, in order.
+    pub(crate) fn restore_front<'a>(&mut self, frames: impl IntoIterator<Item = &'a [u8]>) {
+        let mut restored = Vec::new();
+        for frame in frames {
+            restored.extend_from_slice(frame);
+        }
+        restored.extend_from_slice(self.pending());
+        self.bytes = restored;
+        self.head = 0;
+    }
+}
+
 /// The lockable inside of a [`ConnTray`].
 #[derive(Debug, Default)]
 pub(crate) struct TrayState {
     /// Bytes received (off the endpoint) but not yet served. The head
     /// is always a frame boundary.
-    pub(crate) staged: Vec<u8>,
+    pub(crate) staged: Staged,
     /// Frames lifted off this buffer whose responses are not yet
     /// written: owner-routed mutations queued on the owner, plus
     /// read-only runs a thief extracted and is serving lock-free.

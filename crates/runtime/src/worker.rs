@@ -665,7 +665,10 @@ impl<H: SessionHandler> Worker<H> {
             let tray = conn.tray.lock();
             tray.routed_inflight > 0
                 || (!tray.staged.is_empty()
-                    && !matches!(self.handler.frame(&tray.staged), Framing::Incomplete))
+                    && !matches!(
+                        self.handler.frame(tray.staged.pending()),
+                        Framing::Incomplete
+                    ))
         })
     }
 
@@ -990,22 +993,18 @@ impl<H: SessionHandler> Worker<H> {
             if st.retired || st.routed_inflight > 0 {
                 return 0;
             }
-            tray.stream().drain_pending_into(&mut st.staged);
+            st.staged
+                .refill(|bytes| tray.stream().drain_pending_into(bytes));
             while batch.len() < limit {
-                let Framing::Complete(n) = self.handler.frame(&st.staged) else {
+                let Framing::Complete(n) = self.handler.frame(st.staged.pending()) else {
                     // Incomplete, malformed or fatal heads are the
                     // owner's business (only the owner may close the
                     // endpoint).
                     break;
                 };
                 let n = n.clamp(1, st.staged.len());
-                match self.handler.steal_class(&st.staged[..n]) {
-                    StealClass::ReadOnly => {
-                        let mut frame = FrameBuf::acquire(n);
-                        frame.extend_from_slice(&st.staged[..n]);
-                        st.staged.drain(..n);
-                        batch.push(frame);
-                    }
+                match self.handler.steal_class(&st.staged.pending()[..n]) {
+                    StealClass::ReadOnly => batch.push(st.staged.take_frame(n)),
                     StealClass::Mutation => {
                         if batch.is_empty() && !self.peers[victim].is_stopped() {
                             // Mutations at the head: batch the whole
@@ -1018,15 +1017,14 @@ impl<H: SessionHandler> Worker<H> {
                             let mut run: Vec<FrameBuf> = Vec::new();
                             let mut take = n;
                             loop {
-                                let mut frame = FrameBuf::acquire(take);
-                                frame.extend_from_slice(&st.staged[..take]);
-                                st.staged.drain(..take);
-                                run.push(frame);
-                                let Framing::Complete(next) = self.handler.frame(&st.staged) else {
+                                run.push(st.staged.take_frame(take));
+                                let Framing::Complete(next) =
+                                    self.handler.frame(st.staged.pending())
+                                else {
                                     break;
                                 };
                                 let next = next.clamp(1, st.staged.len());
-                                if self.handler.steal_class(&st.staged[..next])
+                                if self.handler.steal_class(&st.staged.pending()[..next])
                                     != StealClass::Mutation
                                 {
                                     break;
@@ -1072,12 +1070,9 @@ impl<H: SessionHandler> Worker<H> {
                                     // as routed on this path. Both
                                     // exits below end in wake_owner.
                                     st.routed_inflight -= routed;
-                                    let mut restored: Vec<u8> = Vec::new();
-                                    for request in requests {
-                                        restored.extend_from_slice(&request.payload);
-                                    }
-                                    restored.extend_from_slice(&st.staged);
-                                    st.staged = restored;
+                                    st.staged.restore_front(
+                                        requests.iter().map(|request| &request.payload[..]),
+                                    );
                                 }
                             }
                         }
@@ -1236,7 +1231,9 @@ impl<H: SessionHandler> Worker<H> {
         let arrived = Instant::now();
         let mut tray = conn.tray.lock();
         // Stage straight into the tray buffer — no intermediate Vec.
-        let fresh = conn.endpoint.read_available_into(&mut tray.staged);
+        let fresh = tray
+            .staged
+            .refill(|bytes| conn.endpoint.read_available_into(bytes));
         let mut progressed = fresh > 0;
         if std::mem::take(&mut tray.thief_progress) {
             // A thief served frames since our last pass: this
@@ -1256,6 +1253,9 @@ impl<H: SessionHandler> Worker<H> {
                     more: false,
                 };
             }
+            // The one framing scan of this head: it decides what is
+            // served next and, at the budget, what is reported.
+            let framing = self.handler.frame(tray.staged.pending());
             if served_this_pass >= self.conn_budget {
                 // Budget exhausted: report whether *any* actionable
                 // frame is still buffered — complete, malformed or
@@ -1263,24 +1263,21 @@ impl<H: SessionHandler> Worker<H> {
                 // `Incomplete` may wait for a readiness edge: the
                 // buffered bytes are already off the endpoint, so no
                 // future edge would ever resurface them.)
-                let more = !matches!(self.handler.frame(&tray.staged), Framing::Incomplete);
                 return PumpOutcome {
                     progressed,
                     keep: true,
-                    more,
+                    more: !matches!(framing, Framing::Incomplete),
                 };
             }
-            match self.handler.frame(&tray.staged) {
+            match framing {
                 Framing::Complete(n) => {
                     let serve_started = Instant::now();
                     let n = n.clamp(1, tray.staged.len());
-                    // Recycled extraction: copy the frame into a pooled
-                    // buffer instead of `drain().collect()`-ing a fresh
-                    // Vec per request; the buffer returns to this
-                    // thread's pool when the reply is written.
-                    let mut payload = FrameBuf::acquire(n);
-                    payload.extend_from_slice(&tray.staged[..n]);
-                    tray.staged.drain(..n);
+                    // Recycled extraction: the frame rides in a pooled
+                    // buffer that returns to this thread's pool when
+                    // the reply is written; the staged bytes behind it
+                    // stay where they are.
+                    let payload = tray.staged.take_frame(n);
                     let reply = self.handler.handle(&mut self.iso, conn.client, &payload);
                     conn.endpoint.write(&reply.response);
                     self.account(conn.client, &reply.disposition, elapsed_ns(arrived));
@@ -1294,7 +1291,7 @@ impl<H: SessionHandler> Worker<H> {
                     // Guard against a zero-consumption parser bug looping
                     // forever: always make progress.
                     let consumed = consumed.clamp(1, tray.staged.len());
-                    tray.staged.drain(..consumed);
+                    tray.staged.consume(consumed);
                     conn.endpoint.write(&response);
                     self.account(
                         conn.client,
@@ -1610,8 +1607,8 @@ mod tests {
             // Stage the pending bytes, as a pump or steal pass would.
             {
                 let mut st = conn.tray.lock();
-                let fresh = conn.tray.stream().drain_pending();
-                st.staged.extend(fresh);
+                st.staged
+                    .refill(|bytes| conn.tray.stream().drain_pending_into(bytes));
             }
             conns.push(conn);
         }
