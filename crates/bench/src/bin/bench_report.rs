@@ -11,8 +11,7 @@
 //! [`sdrad_bench::Report`] formatter, and emits one schema-versioned
 //! JSON artifact. Three metric classes:
 //!
-//! * **exact** — invariants (crash counts, containment, poll counts,
-//!   precision). Any drift vs the committed baseline fails CI.
+//! * **exact** — invariants (crash counts, containment, precision). Any drift vs the committed baseline fails CI.
 //! * **guarded** — dimensionless performance ratios. A degradation
 //!   beyond 10 % vs the baseline fails CI; absolute timings are never
 //!   gated (they belong to the host, not the code).
@@ -42,8 +41,8 @@ use sdrad_bench::{
 };
 use sdrad_nolock::{arena, CountingAlloc};
 use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, RebuildMode, Runtime, RuntimeConfig, RuntimeStats,
-    Scheduling, StealPolicy, TelemetryConfig,
+    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, StealPolicy,
+    TelemetryConfig,
 };
 use sdrad_telemetry::{EventKind, Json, LogicalClock, Recorder, Source, TraceRing};
 
@@ -180,14 +179,13 @@ fn scenario_isolation() -> Report {
 fn conn_cell(telemetry: TelemetryConfig, requests: usize) -> RuntimeStats {
     const CONNS: usize = 8;
     let mut config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
     config.telemetry = telemetry;
     let server = ConnectionServer::start(config, |_| KvHandler::default());
     let mut clients: Vec<_> = (0..CONNS).map(|_| server.connect()).collect();
     for i in 0..requests {
         let c = i % CONNS;
         clients[c].write(&benign(i));
-        let _ = server.await_response(&mut clients[c], 1);
+        let _ = server.await_response(&mut clients[c]);
     }
     server.shutdown()
 }
@@ -211,7 +209,6 @@ fn scenario_conn_and_overhead() -> Report {
     let (on, on_p99) = best(TelemetryConfig::enabled());
 
     assert!(off.reconciles() && on.reconciles());
-    assert_eq!(off.polls(), 0, "event-driven serving must never poll");
     assert!(
         off.telemetry.is_none(),
         "TelemetryConfig::Off must leave no trace apparatus behind"
@@ -254,7 +251,7 @@ fn scenario_conn_and_overhead() -> Report {
         format!(
             "{REQUESTS} closed-loop round trips over 8 conns, 4 workers, best of 3 runs per cell"
         ),
-        &["recorder", "conn-served", "ok p99", "polls", "trace events"],
+        &["recorder", "conn-served", "ok p99", "trace events"],
     );
     for (label, stats, p99, traced) in [
         ("off", &off, off_p99, 0),
@@ -264,12 +261,10 @@ fn scenario_conn_and_overhead() -> Report {
             label.into(),
             stats.conn_served().to_string(),
             format!("{:.1}us", p99.as_nanos() as f64 / 1e3),
-            stats.polls().to_string(),
             traced.to_string(),
         ]);
     }
-    r.exact("polls_event", off.polls() as f64, "count")
-        .exact("crashes", (off.crashes() + on.crashes()) as f64, "count")
+    r.exact("crashes", (off.crashes() + on.crashes()) as f64, "count")
         .info("p99_ns", off_p99.as_nanos() as f64, "ns");
     // Telemetry contract metrics live under their own id prefix.
     let mut t = Report::new("telemetry", "flight-recorder cost contract");
@@ -303,8 +298,7 @@ fn scenario_conn_and_overhead() -> Report {
 fn scenario_stealing() -> Report {
     const BURST: usize = 4_000;
     let mut config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.work_stealing = StealPolicy::Queue;
+    config.work_stealing = StealPolicy::Deep;
     config.batch = 16;
     let runtime = Runtime::start(config, |_| KvHandler::default());
     // Warm every worker up (domain-pool setup is serialized) so thieves
@@ -334,9 +328,9 @@ fn scenario_stealing() -> Report {
     assert_eq!(stats.thief_mutations(), 0, "thieves never mutate");
 
     let steal_share = stats.steals() as f64 / stats.served().max(1) as f64;
-    let mut r = Report::new("e18", "hot-shard burst spread by queue stealing");
+    let mut r = Report::new("e18", "hot-shard burst spread by work stealing");
     r.begin_table(
-        format!("{BURST} paced submits, all to shard 0; 3 idle siblings, StealPolicy::Queue"),
+        format!("{BURST} paced submits, all to shard 0; 3 idle siblings, StealPolicy::Deep"),
         &["served", "steals", "steal share", "thief mutations"],
     );
     r.row(&[
@@ -476,7 +470,6 @@ fn lockfree_cell(workers: usize) -> (RuntimeStats, Duration, Duration) {
     const BURST: usize = 2_000;
     const PROBES: usize = 256;
     let mut config = RuntimeConfig::new(workers, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
     config.work_stealing = StealPolicy::Deep;
     config.batch = 16;
     config.queue_capacity = BURST.max(4096);
@@ -521,7 +514,6 @@ fn lockfree_cell(workers: usize) -> (RuntimeStats, Duration, Duration) {
     let stats = runtime.shutdown();
     assert!(stats.reconciles());
     assert_eq!(stats.thief_mutations(), 0);
-    assert_eq!(stats.polls(), 0);
     (stats, submit.p99(), rtt.p99())
 }
 
@@ -628,9 +620,12 @@ fn scenario_lockfree() -> Report {
 }
 
 /// E22-style: allocation discipline on the e17 closed-loop hot path.
-/// One cell per `frame_pooling` setting — the code path is identical;
-/// the config bit only decides whether `FrameBuf::acquire` recycles
-/// worker-local storage or falls through to a fresh heap allocation.
+/// One cell per pooling setting — the code path is identical; the
+/// thread-local switch only decides whether `FrameBuf::acquire`
+/// recycles worker-local storage or falls through to a fresh heap
+/// allocation. The runtime always pools; the unpooled cell's handler
+/// factory switches its worker's arena off again (it runs on the
+/// worker thread, after the runtime armed it).
 /// Workers opt into the counting allocator from their handler factory,
 /// so allocs-per-request charges the serving path, not the load
 /// generator; counting spans only the post-warm-up window (domain-pool
@@ -647,12 +642,11 @@ fn scenario_alloc_discipline() -> Report {
     const P99_BAND: f64 = 2.0;
 
     let cell = |pooling: bool| -> (RuntimeStats, u64) {
-        let mut config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
-        config.scheduling = Scheduling::EventDriven;
-        config.frame_pooling = pooling;
-        let server = ConnectionServer::start(config, |_| {
+        let config = RuntimeConfig::new(4, IsolationMode::PerClientDomain);
+        let server = ConnectionServer::start(config, move |_| {
             // Runs on the worker's own thread: its allocations are
             // counted from here on.
+            arena::set_thread_pooling(pooling);
             arena::count_allocs_on_this_thread(true);
             KvHandler::default()
         });
@@ -661,7 +655,7 @@ fn scenario_alloc_discipline() -> Report {
             for i in from..from + count {
                 let c = i % CONNS;
                 clients[c].write(&benign(i));
-                let _ = server.await_response(&mut clients[c], 1);
+                let _ = server.await_response(&mut clients[c]);
             }
         };
         drive(0, WARMUP);
@@ -750,14 +744,15 @@ fn scenario_alloc_discipline() -> Report {
 }
 
 /// E23-style: the zero-pause rebuild contract. A ladder-driven rebuild
-/// storm runs on the benign probe's own shard under the deferred
-/// (publish-and-retire) and synchronous (stop-the-world) lifecycles;
+/// storm runs on the benign probe's own shard under the runtime's
+/// deferred (publish-and-retire) lifecycle and under the bench-side
+/// stop-the-world shim (`rebuild::StopTheWorld`);
 /// the storm-over-steady p99 ratio is the trajectory metric. Both
 /// sides of the ratio are floored at one modeled pause quantum
 /// (`rebuild::TAIL_FLOOR`) and the guarded value is clamped at the 1.1
 /// acceptance band — anything inside the band collapses to the band
 /// edge, so the guard fires only when the deferred path actually grows
-/// a pause past the quantum the synchronous rung cannot get under.
+/// a pause past the quantum a stop-the-world rung cannot get under.
 /// The reclamation conservation law is exact: every
 /// cell must close `retired == reclaimed + pending` with pending
 /// drained to zero and the shared-view hazard domain conserving.
@@ -767,14 +762,14 @@ fn scenario_zero_pause() -> Report {
     /// The acceptance band on the deferred storm ratio: within it, the
     /// rebuild rung is invisible to the benign tail.
     const BAND: f64 = 1.1;
-    let deferred = rebuild::best_cell(RebuildMode::Deferred, RUNS, PROBES);
-    let synchronous = rebuild::best_cell(RebuildMode::Synchronous, RUNS, PROBES);
+    let deferred = rebuild::best_cell(rebuild::Lifecycle::ZeroPause, RUNS, PROBES);
+    let synchronous = rebuild::best_cell(rebuild::Lifecycle::StopTheWorld, RUNS, PROBES);
     let conserves = deferred.reclaim_conserves() && synchronous.reclaim_conserves();
     let deferred_ratio = deferred.storm_ratio().max(BAND);
     let sync_ratio = synchronous.storm_ratio();
     assert!(
         synchronous.storm_p99 >= rebuild::TAIL_FLOOR && synchronous.storm_p99 > deferred.storm_p99,
-        "the synchronous pause must show in the storm tail: sync {:?} vs deferred {:?}",
+        "the stop-the-world pause must show in the storm tail: {:?} vs deferred {:?}",
         synchronous.storm_p99,
         deferred.storm_p99
     );
@@ -787,7 +782,7 @@ fn scenario_zero_pause() -> Report {
         ),
         &["rebuild", "steady p99", "storm p99", "ratio", "rebuilds"],
     );
-    for (label, cell) in [("deferred", &deferred), ("synchronous", &synchronous)] {
+    for (label, cell) in [("deferred", &deferred), ("stop-the-world", &synchronous)] {
         r.row(&[
             label.into(),
             format!("{:.1}us", cell.steady_p99.as_nanos() as f64 / 1e3),

@@ -3,13 +3,16 @@
 //!
 //! The paper prices resilience mechanisms by the joules they burn; the
 //! allocator is a tax every mechanism pays on every frame. This
-//! experiment runs the e17 closed-loop kvstore mix twice through the
-//! **identical** code path — `RuntimeConfig::frame_pooling` toggles
-//! only whether `FrameBuf::acquire` recycles worker-local storage or
-//! falls through to a fresh heap allocation — and counts worker-thread
-//! heap allocations per served request with the [`CountingAlloc`]
-//! harness (workers opt in from their handler factory, so the load
-//! generator's allocations are never charged to the serving path).
+//! experiment runs the closed-loop kvstore mix twice through the
+//! **identical** code path — the per-thread
+//! [`arena::set_thread_pooling`] switch toggles only whether
+//! `FrameBuf::acquire` recycles worker-local storage or falls through
+//! to a fresh heap allocation; the runtime always pools, so the
+//! unpooled cell's handler factory switches its worker's arena off
+//! again — and counts worker-thread heap allocations per served request
+//! with the [`CountingAlloc`] harness (workers opt in from the same
+//! factory, so the load generator's allocations are never charged to
+//! the serving path).
 //!
 //! A second cell replays the e18 hot-shard skew under
 //! [`StealPolicy::Deep`] with pooling on: stolen frames carry pooled
@@ -33,8 +36,8 @@ use sdrad::ClientId;
 use sdrad_bench::{banner, Report};
 use sdrad_nolock::{arena, CountingAlloc};
 use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, Scheduling,
-    StealPolicy, SubmitOutcome,
+    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, StealPolicy,
+    SubmitOutcome,
 };
 
 #[global_allocator]
@@ -98,12 +101,13 @@ impl Cell {
 /// allocations. Only the post-warm-up window is counted.
 fn conn_cell(pooling: bool) -> Cell {
     let measured = requests_per_cell();
-    let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
-    config.frame_pooling = pooling;
-    let server = ConnectionServer::start(config, |_| {
-        // Runs on the worker's own thread: every allocation this worker
-        // makes from here on is charged to the serving path.
+    let config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
+    let server = ConnectionServer::start(config, move |_| {
+        // Runs on the worker's own thread, after the runtime armed its
+        // arena: the unpooled cell disarms it again, and every
+        // allocation this worker makes from here on is charged to the
+        // serving path.
+        arena::set_thread_pooling(pooling);
         arena::count_allocs_on_this_thread(true);
         KvHandler::default()
     });
@@ -112,7 +116,7 @@ fn conn_cell(pooling: bool) -> Cell {
         for i in from..from + count {
             let c = i % CONNS;
             clients[c].write(&benign(i));
-            let _ = server.await_response(&mut clients[c], 1);
+            let _ = server.await_response(&mut clients[c]);
         }
     };
     drive(0, WARMUP);
@@ -135,7 +139,6 @@ fn conn_cell(pooling: bool) -> Cell {
 fn steal_cell() -> RuntimeStats {
     const BURST: usize = 4_000;
     let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.scheduling = Scheduling::EventDriven;
     config.work_stealing = StealPolicy::Deep;
     config.batch = 16;
     config.queue_capacity = BURST.max(4096);

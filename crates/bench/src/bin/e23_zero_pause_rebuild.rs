@@ -1,45 +1,45 @@
 //! E23 — zero-pause pool rebuilds: publish-and-retire vs
 //! stop-the-world.
 //!
-//! The escalation ladder's pool-rebuild rung used to be synchronous:
-//! the faulting worker tore down its whole domain pool inside the
-//! serving path, and every request queued behind the fault waited out
-//! the modeled teardown window (20 µs per pooled domain — 160 µs per
-//! rebuild at the default pool size). The hazard-pointer lifecycle
-//! replaces that with publish-and-retire: a fresh pool is published in
-//! pointer-scale time, the old one is retired into a deferred queue,
-//! and its domains are torn down a couple per pump pass, off the
-//! serving path.
+//! A stop-the-world pool-rebuild rung tears down the faulting worker's
+//! whole domain pool inside the serving path, and every request queued
+//! behind the fault waits out the modeled teardown window (20 µs per
+//! pooled domain — 160 µs per rebuild at the default pool size). The
+//! runtime's one rebuild path is publish-and-retire instead: a fresh
+//! pool is published in pointer-scale time, the old one is retired
+//! into a deferred queue, and its domains are torn down a couple per
+//! pump pass, off the serving path.
 //!
 //! This harness prices the difference where it matters — the benign
 //! neighbour's tail. One offender drives a rebuild every third fault
 //! on the shard where a benign closed-loop probe is served; the
 //! probe's ticket-RTT p99 is measured against the quiet runtime and
-//! then inside the storm, under both [`RebuildMode`]s. Acceptance:
+//! then inside the storm, under both [`Lifecycle`]s — the
+//! stop-the-world one produced by the bench-side
+//! [`StopTheWorld`](sdrad_bench::rebuild::StopTheWorld) handler
+//! wrapper, not by the runtime. Acceptance:
 //!
 //! * the deferred storm p99 stays within a generous single-host band
 //!   of steady state (the committed 1.1-band trajectory guard on
 //!   `e23.rebuild_p99_ratio` lives in `bench_report --check`);
-//! * the synchronous storm p99 shows the physical pause — at least
-//!   the modeled teardown window, and at least twice the deferred
-//!   storm tail;
+//! * the stop-the-world storm p99 shows the physical pause — at least
+//!   the modeled teardown window, and above the deferred storm tail;
 //! * the reclamation books reconcile exactly in every cell —
 //!   `retired == reclaimed + pending` with pending drained to zero,
 //!   the shared-view hazard domain conserving, zero crashes, zero
-//!   thief mutations — and the energy bill prices whichever lifecycle
-//!   ran (pause joules vs publish + amortized reclamation joules).
+//!   thief mutations — and the energy bill prices the lifecycle the
+//!   runtime ran (publish + amortized reclamation joules, no pause).
 
 use std::time::Duration;
 
-use sdrad_bench::rebuild::{best_cell, RebuildCell};
+use sdrad_bench::rebuild::{best_cell, Lifecycle, RebuildCell};
 use sdrad_bench::{banner, fmt_duration, Report};
-use sdrad_runtime::RebuildMode;
 
 /// In-binary acceptance slack on the deferred storm ratio: generous,
 /// because a single run on a loaded host carries scheduler noise the
 /// committed trajectory guard (1.1 band, best-of-N) does not.
 const DEFERRED_SLACK: f64 = 3.0;
-/// The synchronous pause must be visible in the storm tail: the
+/// The stop-the-world pause must be visible in the storm tail: the
 /// modeled window is 160 µs per rebuild at the default pool size, and
 /// a deterministic third of the storm probes queue behind one.
 const PAUSE_VISIBLE: Duration = Duration::from_micros(100);
@@ -76,8 +76,8 @@ fn main() {
     );
     let probes = probes();
 
-    let deferred = best_cell(RebuildMode::Deferred, RUNS, probes);
-    let synchronous = best_cell(RebuildMode::Synchronous, RUNS, probes);
+    let deferred = best_cell(Lifecycle::ZeroPause, RUNS, probes);
+    let synchronous = best_cell(Lifecycle::StopTheWorld, RUNS, probes);
 
     let deferred_ratio = deferred.storm_ratio();
     let sync_ratio = synchronous.storm_ratio();
@@ -92,13 +92,13 @@ fn main() {
     );
     assert!(
         synchronous.storm_p99 >= PAUSE_VISIBLE,
-        "the synchronous stop-the-world window never showed in the tail: {:?}",
+        "the stop-the-world window never showed in the tail: {:?}",
         synchronous.storm_p99
     );
     assert!(
         synchronous.storm_p99 > deferred.storm_p99,
-        "the pause the deferred path deletes must be measurable on the synchronous one: \
-         sync {:?} vs deferred {:?}",
+        "the pause the deferred path deletes must be measurable on the stop-the-world one: \
+         stop-the-world {:?} vs deferred {:?}",
         synchronous.storm_p99,
         deferred.storm_p99
     );
@@ -124,7 +124,7 @@ fn main() {
         ],
     );
     cell_row(&mut r, "deferred (publish+retire)", &deferred);
-    cell_row(&mut r, "synchronous (stop-the-world)", &synchronous);
+    cell_row(&mut r, "stop-the-world (bench shim)", &synchronous);
 
     r.exact(
         "reclaim_conserves",
@@ -148,7 +148,7 @@ fn main() {
     .info("storm_p99_ns", deferred.storm_p99.as_nanos() as f64, "ns")
     .note(format!(
         "deferred rebuilds hold the benign storm p99 at {deferred_ratio:.2}x steady state \
-         while the synchronous path spikes to {sync_ratio:.2}x; the same teardown work is \
+         while a stop-the-world rebuild spikes to {sync_ratio:.2}x; the same teardown work is \
          billed as {} of amortized reclamation instead of a serving-path pause",
         fmt_duration(
             deferred

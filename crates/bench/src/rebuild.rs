@@ -2,32 +2,34 @@
 //! `e23_zero_pause_rebuild` harness and `bench_report`'s trajectory
 //! cut.
 //!
-//! One cell runs the same campaign under a chosen
-//! [`RebuildMode`]: a control plane tuned so an offender's every third
-//! consecutive fault climbs the escalation ladder to the pool-rebuild
-//! rung on the serving shard, while a benign closed-loop probe on that
-//! same shard measures its ticket round-trip p99 — first against a
-//! quiet runtime (steady state), then with the rebuild storm running
-//! (one attack ahead of every probe). The deferred mode publishes a
-//! fresh pool and retires the old one behind hazard pointers; the
-//! synchronous mode tears the pool down in place and physically waits
-//! out the modeled stop-the-world window, so the probe behind it
+//! One cell runs the same campaign under a chosen [`Lifecycle`]: a
+//! control plane tuned so an offender's every third consecutive fault
+//! climbs the escalation ladder to the pool-rebuild rung on the serving
+//! shard, while a benign closed-loop probe on that same shard measures
+//! its ticket round-trip p99 — first against a quiet runtime (steady
+//! state), then with the rebuild storm running (one attack ahead of
+//! every probe). The runtime has one rebuild path: publish a fresh pool
+//! and retire the old one behind hazard pointers. The stop-the-world
+//! counterfactual lives here, as the [`StopTheWorld`] handler wrapper:
+//! the request behind a rebuild tears the retired pool down at once and
+//! physically waits out the modeled stop-the-world window, so the probe
 //! really pays the pause.
 //!
 //! Every cell closes its books before returning: runtime stats
 //! reconcile, zero crashes, zero thief mutations, the reclamation
 //! ledger balances (`retired == reclaimed + pending` with pending
 //! drained to zero), the shared-view hazard domain conserves, and the
-//! energy bill prices whichever lifecycle actually ran (pause time on
-//! the synchronous path, publish + amortized reclamation time on the
-//! deferred one).
+//! energy bill prices the lifecycle the runtime ran (publish +
+//! amortized reclamation time, no pause time).
 
 use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
+use sdrad_energy::decisions::RungModels;
 use sdrad_runtime::{
-    ControlConfig, IsolationMode, KvHandler, LadderParams, LatencyHistogram, RebuildMode,
-    ReputationParams, Runtime, RuntimeConfig, RuntimeStats, StealPolicy, SubmitOutcome,
+    ControlConfig, Framing, IsolationMode, KvHandler, LadderParams, LatencyHistogram, ReadView,
+    RecoveryRung, Reply, ReputationParams, Runtime, RuntimeConfig, RuntimeStats, SessionHandler,
+    StealClass, StealPolicy, SubmitOutcome, WorkerIsolation,
 };
 
 /// The planted out-of-bounds fault every isolated build contains. The
@@ -35,15 +37,15 @@ use sdrad_runtime::{
 /// bytes past it faults either way.
 pub const ATTACK: &[u8] = b"xstat 4096 4\r\nboom\r\n";
 
-/// One modeled stop-the-world pause quantum, less a small margin: the
-/// synchronous rung spins 20 µs × 8 pooled domains = 160 µs per
+/// One modeled stop-the-world pause quantum, less a small margin:
+/// [`StopTheWorld`] spins 20 µs × 8 pooled domains = 160 µs per
 /// rebuild, so a deterministic third of its storm probes wait at
 /// least that long and its storm p99 can never come under this floor.
 /// Both sides of the storm ratio are floored here — the trajectory
 /// metric asks whether the storm tail stays under one pause quantum,
-/// which the deferred path must (its serving-path residue is a pointer
+/// which the runtime's path must (its serving-path residue is a pointer
 /// swap, a µs-scale rewind and the lazy refill of a small fresh pool)
-/// and the synchronous path physically cannot. Flooring also keeps
+/// and the stop-the-world path physically cannot. Flooring also keeps
 /// µs-scale host jitter from moving the committed ratio.
 pub const TAIL_FLOOR: Duration = Duration::from_micros(150);
 
@@ -72,20 +74,95 @@ pub fn rebuild_happy_control() -> ControlConfig {
     }
 }
 
-/// The cell's runtime: two deep-stealing workers, per-client domains,
-/// the rebuild-happy control plane, and the rebuild mode under test.
+/// Which rebuild lifecycle a storm cell's probes experience.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lifecycle {
+    /// The runtime as it ships: publish-and-retire, teardown amortized
+    /// over later pump passes.
+    ZeroPause,
+    /// The counterfactual: [`StopTheWorld`] makes the request behind
+    /// every rebuild pay the whole teardown.
+    StopTheWorld,
+}
+
+/// Prices what publish-and-retire deletes: a [`SessionHandler`] wrapper
+/// under which the first request a worker serves after a pool rebuild
+/// (its isolation context's pool generation advanced) tears every
+/// retired domain down on the spot and spins out the modeled
+/// stop-the-world window. Everything else forwards to the wrapped
+/// handler.
+#[derive(Debug)]
+pub struct StopTheWorld<H> {
+    inner: H,
+    pause: Duration,
+    seen_generation: u64,
+}
+
+impl<H> StopTheWorld<H> {
+    /// Wraps `inner` for a worker pooling `domains` domains (the
+    /// modeled window is per pooled domain).
+    pub fn new(inner: H, domains: usize) -> Self {
+        let domains = u32::try_from(domains).unwrap_or(u32::MAX);
+        StopTheWorld {
+            inner,
+            pause: RungModels::calibrated().time_of(RecoveryRung::PoolRebuild, 0, domains),
+            seen_generation: 0,
+        }
+    }
+}
+
+impl<H: SessionHandler> SessionHandler for StopTheWorld<H> {
+    fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply {
+        let generation = iso.pool_generation();
+        if generation != self.seen_generation {
+            self.seen_generation = generation;
+            while iso.reclaim_step(16) > 0 {}
+            let started = Instant::now();
+            while started.elapsed() < self.pause {
+                std::hint::spin_loop();
+            }
+        }
+        self.inner.handle(iso, client, request)
+    }
+
+    fn steal_class(&self, request: &[u8]) -> StealClass {
+        self.inner.steal_class(request)
+    }
+
+    fn frame(&self, buffer: &[u8]) -> Framing {
+        self.inner.frame(buffer)
+    }
+
+    fn state_version(&self) -> u64 {
+        self.inner.state_version()
+    }
+
+    fn read_view(&self) -> Option<Box<dyn ReadView>> {
+        self.inner.read_view()
+    }
+
+    fn state_bytes(&self) -> u64 {
+        self.inner.state_bytes()
+    }
+
+    fn restart(&mut self) {
+        self.inner.restart();
+    }
+}
+
+/// The cell's runtime: two deep-stealing workers, per-client domains
+/// and the rebuild-happy control plane.
 #[must_use]
-pub fn cell_config(rebuild: RebuildMode) -> RuntimeConfig {
+pub fn cell_config() -> RuntimeConfig {
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
     config.work_stealing = StealPolicy::Deep;
-    config.rebuild = rebuild;
     config.control = Some(rebuild_happy_control());
     config.queue_capacity = 4096;
     config.batch = 16;
     // Small domain heaps so the per-domain *byte* costs the storm pays
     // either way (rewind restores, zeroed re-creation after a rebuild)
     // stay µs-scale: what separates the two cells is then the rebuild
-    // lifecycle itself, not megabytes of heap churn. The synchronous
+    // lifecycle itself, not megabytes of heap churn. The stop-the-world
     // pause is modeled per domain (20 µs × 8), independent of heap
     // size, so shrinking the heap does not shrink the spike under test.
     config.domain_heap = 64 * 1024;
@@ -139,7 +216,7 @@ fn round_trip(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHistog
     }
 }
 
-/// Runs one storm cell under `rebuild` with `probes` round trips per
+/// Runs one storm cell under `lifecycle` with `probes` round trips per
 /// phase, asserts every book it can close, and returns the tails.
 ///
 /// # Panics
@@ -148,8 +225,14 @@ fn round_trip(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHistog
 /// energy books, a crash, a thief-side mutation, or a storm that never
 /// reached the pool-rebuild rung.
 #[must_use]
-pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
-    let runtime = Runtime::start(cell_config(rebuild), |_| KvHandler::default());
+pub fn run_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
+    let config = cell_config();
+    let runtime = match lifecycle {
+        Lifecycle::ZeroPause => Runtime::start(config, |_| KvHandler::default()),
+        Lifecycle::StopTheWorld => Runtime::start(config, move |_| {
+            StopTheWorld::new(KvHandler::default(), config.domains_per_worker)
+        }),
+    };
     // Warm every worker (domain-pool setup is serialized) and find the
     // probe and offender on the same shard, so the storm's rebuilds
     // land exactly where the benign probe is served.
@@ -196,7 +279,7 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     let stats = runtime.shutdown();
     if std::env::var("SDRAD_E23_DEBUG").is_ok() {
         eprintln!(
-            "debug {rebuild:?}: steady p50 {:?} p99 {:?} | storm p50 {:?} p99 {:?} | rebuilds {} retired {}",
+            "debug {lifecycle:?}: steady p50 {:?} p99 {:?} | storm p50 {:?} p99 {:?} | rebuilds {} retired {}",
             steady.p50(), steady.p99(), storm.p50(), storm.p99(),
             stats.pool_rebuilds(), stats.domains_retired()
         );
@@ -229,30 +312,19 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     assert!(stats.views_published() > 0, "owners published read views");
     let ctl = stats.control.as_ref().expect("control books");
     assert!(ctl.reconciles(), "decisions counted == billed == executed");
-    match rebuild {
-        RebuildMode::Deferred => {
-            assert_eq!(
-                ctl.bill.deferred_rebuilds, ctl.bill.pool_rebuilds,
-                "every rebuild went down the publish-and-retire path"
-            );
-            assert!(
-                ctl.bill.reclaim_time > Duration::ZERO,
-                "deferral moves the teardown joules, it does not delete them"
-            );
-            assert_eq!(
-                ctl.bill.pool_time,
-                Duration::ZERO,
-                "no stop-the-world window was billed on the deferred path"
-            );
-        }
-        RebuildMode::Synchronous => {
-            assert_eq!(ctl.bill.deferred_rebuilds, 0);
-            assert!(
-                ctl.bill.pool_time > Duration::ZERO,
-                "synchronous rebuilds bill their pause"
-            );
-        }
-    }
+    assert_eq!(
+        ctl.bill.deferred_rebuilds, ctl.bill.pool_rebuilds,
+        "every rebuild went down the publish-and-retire path"
+    );
+    assert!(
+        ctl.bill.reclaim_time > Duration::ZERO,
+        "deferral moves the teardown joules, it does not delete them"
+    );
+    assert_eq!(
+        ctl.bill.pool_time,
+        Duration::ZERO,
+        "no stop-the-world window was billed"
+    );
 
     RebuildCell {
         stats,
@@ -261,14 +333,14 @@ pub fn run_cell(rebuild: RebuildMode, probes: usize) -> RebuildCell {
     }
 }
 
-/// Runs `runs` cells under `rebuild` and returns the one with the
+/// Runs `runs` cells under `lifecycle` and returns the one with the
 /// smallest storm ratio — the least host-noise-contaminated estimate
 /// of what the rebuild path itself costs. Book invariants are asserted
 /// inside every run, not just the chosen one.
 #[must_use]
-pub fn best_cell(rebuild: RebuildMode, runs: usize, probes: usize) -> RebuildCell {
+pub fn best_cell(lifecycle: Lifecycle, runs: usize, probes: usize) -> RebuildCell {
     (0..runs.max(1))
-        .map(|_| run_cell(rebuild, probes))
+        .map(|_| run_cell(lifecycle, probes))
         .min_by(|a, b| a.storm_ratio().total_cmp(&b.storm_ratio()))
         .expect("at least one run")
 }

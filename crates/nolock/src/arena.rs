@@ -158,10 +158,9 @@ thread_local! {
 
 /// Enables or disables frame-buffer pooling for the *current* thread.
 ///
-/// Workers call this at startup from their own thread
-/// (`RuntimeConfig::frame_pooling`); threads that never opt in get
-/// plain detached buffers from [`FrameBuf::acquire`], so library code
-/// can acquire unconditionally.
+/// Runtime workers enable it at startup from their own thread; threads
+/// that never opt in get plain detached buffers from
+/// [`FrameBuf::acquire`], so library code can acquire unconditionally.
 pub fn set_thread_pooling(enabled: bool) {
     POOLING.with(|p| p.set(enabled));
 }

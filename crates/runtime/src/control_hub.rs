@@ -94,13 +94,6 @@ impl ControlHub {
         self.blast_pit
     }
 
-    /// The rung cost models the plane bills with — workers consult them
-    /// to make the synchronous rebuild's modeled pause *physical* (the
-    /// e23 contrast run) without a second source of truth for its size.
-    pub(crate) fn rung_models(&self) -> RungModels {
-        self.plane.lock().expect("control lock").models()
-    }
-
     /// Admission control for one request/connection from `client`.
     pub(crate) fn admit(&self, client: ClientId) -> Routing {
         let now = self.now_ns();

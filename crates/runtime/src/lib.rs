@@ -9,23 +9,20 @@
 //!   [`DomainPool`] (protection keys and PKRU are per-thread state on
 //!   real MPK hardware, so managers stay thread-confined and the request
 //!   hot path takes no locks), draining its shard's queue **and pumping
-//!   the connections assigned to its shard**. Under the default
-//!   **readiness-driven scheduling** ([`Scheduling::EventDriven`]) the
-//!   worker parks indefinitely on a per-shard wake set fed by queue
-//!   pushes, `sdrad-net` readiness callbacks and sibling steal hints —
-//!   an idle runtime performs **zero** periodic connection polls (the
-//!   legacy poll loop survives as [`Scheduling::Polling`], the
-//!   measurable baseline). Pump passes are bounded by a per-connection
+//!   the connections assigned to its shard**. Scheduling is
+//!   **readiness-driven**: the worker parks indefinitely on a per-shard
+//!   wake set fed by queue pushes, `sdrad-net` readiness callbacks and
+//!   sibling steal hints — an idle runtime performs **zero** periodic
+//!   connection polls. Pump passes are bounded by a per-connection
 //!   **read budget** (fairness against noisy pipeliners), silent
 //!   connections can be **reaped** (`RuntimeConfig::idle_reap_after`),
 //!   and [`RuntimeConfig::work_stealing`] selects a [`StealPolicy`]:
-//!   [`Queue`](StealPolicy::Queue) lets an idle worker steal pre-framed
-//!   requests off the most-loaded sibling queue, and
-//!   [`Deep`](StealPolicy::Deep) additionally lifts framing-complete
-//!   requests off sibling **connection buffers** — read-only frames
-//!   (per [`SessionHandler::steal_class`]) execute on the thief,
-//!   shard-state **mutations are routed back to the owner** with
-//!   responses written in frame order, so stealing is safe for
+//!   under [`Deep`](StealPolicy::Deep) an idle worker steals pre-framed
+//!   requests off the most-loaded sibling queue and lifts
+//!   framing-complete requests off sibling **connection buffers** —
+//!   read-only frames (per [`SessionHandler::steal_class`]) execute on
+//!   the thief, shard-state **mutations are routed back to the owner**
+//!   with responses written in frame order, so stealing is safe for
 //!   shard-stateful handlers. Connections themselves never move: they
 //!   stay sticky for domain affinity;
 //! * [`Runtime`] — a shard-by-[`ClientId`] dispatcher with **bounded**
@@ -51,7 +48,7 @@
 //!   in isolated mode, secret-leaking responses flagged
 //!   [`Disposition::SecretLeak`] in the baseline);
 //! * [`RuntimeStats`] — per-worker and aggregate throughput, contained
-//!   faults, rewind time, crashes, leaks, shed counts, park/wakeup/poll
+//!   faults, rewind time, crashes, leaks, shed counts, park/wakeup
 //!   counters, steal and reap counts, plus **streaming latency
 //!   histograms** ([`LatencyHistogram`]) giving p50/p99/p999 per
 //!   disposition (ok / contained / shed), with a reconciliation
@@ -64,13 +61,10 @@
 //!
 //! The experiment harnesses `e15_concurrent_throughput` (pre-framed
 //! submits), `e16_connection_serving` (full connection path, all three
-//! workloads, `sdrad-faultsim`-scheduled attacks), `e17_event_driven`
-//! (readiness vs polling scheduling: wakeups, polls avoided, steal
-//! rate, client-observed RTT, fleet energy delta) and `e18_deep_steal`
-//! (queue-only vs connection-buffer stealing under a hot-shard skew:
-//! steal depth, owner-routed mutation rate, stranded stalls, fleet
-//! energy of stranded capacity) sweep this runtime baseline vs
-//! isolated.
+//! workloads, `sdrad-faultsim`-scheduled attacks) and `e18_deep_steal`
+//! (no stealing vs deep stealing under a hot-shard skew: steal depth,
+//! owner-routed mutation rate, stranded stalls, fleet energy of
+//! stranded capacity) sweep this runtime baseline vs isolated.
 //!
 //! ## Example
 //!
@@ -130,9 +124,7 @@ pub use handler::{
 };
 pub use isolation::{IsolationMode, WorkerIsolation};
 pub use queue::{Completion, Disposition, Request, ShardQueue, Ticket, WorkBatch};
-pub use runtime::{
-    Dispatcher, RebuildMode, Runtime, RuntimeConfig, Scheduling, StealPolicy, SubmitOutcome,
-};
+pub use runtime::{Dispatcher, Runtime, RuntimeConfig, StealPolicy, SubmitOutcome};
 // The control-plane vocabulary a runtime embedder needs, re-exported so
 // harnesses configure admission control and read the closed books
 // without a direct `sdrad-control` dependency.

@@ -18,8 +18,8 @@
 //! * a bounded **MPMC steal buffer** the owner *publishes* surplus work
 //!   into. Thieves pop the buffer and never touch the owner's pump
 //!   loop, which is what makes a steal storm unable to stall the
-//!   owner's drain: [`steal`](ShardQueue::steal) and
-//!   [`steal_where`](ShardQueue::steal_where) read only the buffer.
+//!   owner's drain: [`steal_where`](ShardQueue::steal_where) reads
+//!   only the buffer.
 //!
 //! Capacity admission is a CAS on a depth counter, **reserved before**
 //! the push and released when a worker claims the request, so the bound
@@ -27,18 +27,15 @@
 //! condvar the producers only touch when a sleeper has registered.
 //!
 //! Since connection-level serving, the queue is also the worker's
-//! *wakeup channel*: [`ShardQueue::kick`] rouses a worker blocked in
-//! [`ShardQueue::wait_work`] without enqueueing anything (used when a
-//! new connection is assigned to the shard), and `wait_work` takes an
-//! optional timeout so a worker that owns connections can poll them
-//! between queue drains.
+//! *wakeup channel*: [`ShardQueue::kick`] rouses the worker without
+//! enqueueing anything (used when a new connection is assigned to the
+//! shard).
 //!
-//! Under event-driven scheduling
-//! ([`Scheduling::EventDriven`](crate::Scheduling)), the queue is
-//! additionally **bound** to its shard's [`WakeSet`](crate::wake::WakeSet):
-//! pushes, kicks and stop all signal the set (after the state change is
-//! observable), so a worker parked on the set — not on this queue's own
-//! condvar — still sees every edge. When work stealing is enabled the
+//! Inside a runtime the queue is **bound** to its shard's
+//! [`WakeSet`](crate::wake::WakeSet): pushes, kicks and stop all signal
+//! the set (after the state change is observable), so a worker parked
+//! on the set — not on this queue's own condvar — still sees every
+//! edge. When work stealing is enabled the
 //! queue rings sibling *steal bells* whenever its backlog crosses the
 //! high-water mark and again whenever the owner publishes surplus, and
 //! the steal-at-most-half policy is enforced twice: the owner publishes
@@ -232,8 +229,8 @@ impl std::fmt::Debug for Ticket {
 /// One wakeup's worth of work handed to a worker.
 #[derive(Debug)]
 pub struct WorkBatch {
-    /// Requests popped from the queue (possibly empty on a kick, a
-    /// timeout, or shutdown).
+    /// Requests popped from the queue (possibly empty on a kick or
+    /// shutdown).
     pub requests: Vec<Request>,
     /// Whether the queue has been stopped (the worker exits once it has
     /// also drained its connections).
@@ -241,7 +238,7 @@ pub struct WorkBatch {
 }
 
 /// A bounded MPSC queue feeding exactly one worker, with a lock-free
-/// steal buffer idle siblings [`steal`](Self::steal) from.
+/// steal buffer idle siblings [steal](Self::steal_where) from.
 pub struct ShardQueue {
     /// Lock-free submission inbox: external submits and routed batches.
     inbox: MpscQueue<Request>,
@@ -272,8 +269,8 @@ pub struct ShardQueue {
     sleeper: Mutex<()>,
     available: Condvar,
     sleepers: AtomicUsize,
-    /// The shard's wake set, bound once at runtime start under
-    /// event-driven scheduling; empty under polling.
+    /// The shard's wake set, bound once at runtime start (empty for a
+    /// queue used standalone).
     wakes: OnceLock<Arc<WakeSet>>,
     /// Sibling wake sets to ring when the backlog crosses
     /// `steal_watermark` or surplus is published; wired only when work
@@ -435,25 +432,20 @@ impl ShardQueue {
         self.shed_request(&request)
     }
 
-    /// Takes up to `max` published requests for an **idle sibling**
-    /// worker — at most half the steal buffer per call, so concurrent
-    /// thieves (and the owner's reclaim) share the surplus. Thieves
-    /// never touch the owner's inbox: only work the owner explicitly
-    /// [published](Self::drain_publishing) is reachable, which is what
-    /// makes a steal storm unable to stall the owner's drain. The count
-    /// is recorded in [`stolen`](Self::stolen) for reconciliation.
-    pub fn steal(&self, max: usize) -> Vec<Request> {
-        self.steal_where(max, |_| true)
-    }
-
-    /// [`steal`](Self::steal) with a predicate: only requests for which
-    /// `stealable` holds are lifted. The publisher applies the same
-    /// classification when it publishes, so in steady state every
-    /// buffered request passes; a request that does not (e.g. a policy
-    /// raced a reconfiguration) is returned to the shard — to the inbox
-    /// when it is open, else back into the buffer — never dropped.
-    /// Owner-routed frames are never published and therefore never
-    /// stealable.
+    /// Takes up to `max` published requests passing `stealable` for an
+    /// **idle sibling** worker — at most half the steal buffer per
+    /// call, so concurrent thieves (and the owner's reclaim) share the
+    /// surplus. Thieves never touch the owner's inbox: only work the
+    /// owner explicitly [published](Self::drain_publishing) is
+    /// reachable, which is what makes a steal storm unable to stall the
+    /// owner's drain. The count is recorded in [`stolen`](Self::stolen)
+    /// for reconciliation.
+    ///
+    /// The publisher applies the same classification when it publishes,
+    /// so in steady state every buffered request passes; a request that
+    /// does not is returned to the shard — to the inbox when it is
+    /// open, else back into the buffer — never dropped. Owner-routed
+    /// frames are never published and therefore never stealable.
     pub fn steal_where(&self, max: usize, stealable: impl Fn(&Request) -> bool) -> Vec<Request> {
         let occupancy = self.buffer.len();
         if occupancy == 0 {
@@ -653,13 +645,11 @@ impl ShardQueue {
         batch
     }
 
-    /// Waits for work: returns when requests are available, the queue is
-    /// [kicked](Self::kick) or [stopped](Self::stop), or `timeout` (if
-    /// any) elapses. The batch may be empty — the caller distinguishes
-    /// "work", "go look at your connections" and "shutting down" via the
-    /// [`WorkBatch`] fields.
-    pub fn wait_work(&self, max: usize, timeout: Option<Duration>) -> WorkBatch {
-        let deadline = timeout.map(|limit| Instant::now() + limit);
+    /// Waits for work: returns when requests are available or the queue
+    /// is [kicked](Self::kick) or [stopped](Self::stop). The batch may
+    /// be empty — the caller distinguishes "work", "go look at your
+    /// connections" and "shutting down" via the [`WorkBatch`] fields.
+    pub fn wait_work(&self, max: usize) -> WorkBatch {
         let max = max.max(1);
         loop {
             let kicked = self.kicked.swap(false, Ordering::SeqCst);
@@ -686,35 +676,8 @@ impl ShardQueue {
                 self.sleepers.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
-            match deadline {
-                None => {
-                    let _guard = self.available.wait(guard).expect("queue wait");
-                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                        self.kicked.store(false, Ordering::SeqCst);
-                        return WorkBatch {
-                            requests: Vec::new(),
-                            stopped: self.stopped.load(Ordering::SeqCst),
-                        };
-                    }
-                    let (_guard, result) = self
-                        .available
-                        .wait_timeout(guard, deadline - now)
-                        .expect("queue wait");
-                    self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                    if result.timed_out() {
-                        self.kicked.store(false, Ordering::SeqCst);
-                        return WorkBatch {
-                            requests: Vec::new(),
-                            stopped: self.stopped.load(Ordering::SeqCst),
-                        };
-                    }
-                }
-            }
+            let _guard = self.available.wait(guard).expect("queue wait");
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -730,7 +693,7 @@ impl ShardQueue {
     /// drained — the signal to exit for workers with no connections.
     pub fn pop_batch(&self, max: usize) -> Option<Vec<Request>> {
         loop {
-            let batch = self.wait_work(max, None);
+            let batch = self.wait_work(max);
             if !batch.requests.is_empty() {
                 return Some(batch.requests);
             }
@@ -877,22 +840,12 @@ mod tests {
     fn kick_wakes_an_empty_wait() {
         let queue = Arc::new(ShardQueue::new(4));
         let waiter = Arc::clone(&queue);
-        let handle = std::thread::spawn(move || waiter.wait_work(8, None));
+        let handle = std::thread::spawn(move || waiter.wait_work(8));
         std::thread::sleep(Duration::from_millis(5));
         queue.kick();
         let batch = handle.join().unwrap();
         assert!(batch.requests.is_empty());
         assert!(!batch.stopped, "kick is not shutdown");
-    }
-
-    #[test]
-    fn wait_work_times_out_with_empty_batch() {
-        let queue = ShardQueue::new(4);
-        let started = Instant::now();
-        let batch = queue.wait_work(8, Some(Duration::from_millis(2)));
-        assert!(batch.requests.is_empty());
-        assert!(!batch.stopped);
-        assert!(started.elapsed() >= Duration::from_millis(2));
     }
 
     #[test]
@@ -916,12 +869,15 @@ mod tests {
 
         // Surplus was 8 → at most 4 published; a thief takes at most
         // half the buffer per call.
-        let first = queue.steal(64);
+        let first = queue.steal_where(64, |_| true);
         let clients: Vec<u64> = first.iter().map(|r| r.client.0).collect();
         assert_eq!(clients, vec![2, 3], "half of the published surplus");
-        assert_eq!(queue.steal(64).len(), 1, "ceil(2/2)");
-        assert_eq!(queue.steal(64).len(), 1);
-        assert!(queue.steal(64).is_empty(), "buffer exhausted");
+        assert_eq!(queue.steal_where(64, |_| true).len(), 1, "ceil(2/2)");
+        assert_eq!(queue.steal_where(64, |_| true).len(), 1);
+        assert!(
+            queue.steal_where(64, |_| true).is_empty(),
+            "buffer exhausted"
+        );
         assert_eq!(queue.stolen(), 4);
 
         // What was never published stays with the owner, in order.
@@ -957,7 +913,7 @@ mod tests {
         // Only even clients are "read-only" in this toy classification:
         // odd ones must stay in the owner's batch, never the buffer.
         let own = queue.drain_publishing(2, |r| r.client.0 % 2 == 0);
-        let stolen = queue.steal(64);
+        let stolen = queue.steal_where(64, |_| true);
         assert!(stolen.iter().all(|r| r.client.0 % 2 == 0));
         assert!(own.iter().chain(stolen.iter()).count() <= 10);
         // Everything is eventually claimed exactly once.

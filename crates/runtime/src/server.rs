@@ -349,7 +349,7 @@ impl fmt::Debug for ConnInbox {
 /// client.write(b"set k 2\r\nhi\r\nget ");
 /// client.write(b"k\r\n");
 ///
-/// let response = server.await_response(&mut client, 2);
+/// let response = server.await_response(&mut client);
 /// assert_eq!(response, b"STORED\r\nVALUE k 2\r\nhi\r\nEND\r\n".to_vec());
 ///
 /// let stats = server.shutdown();
@@ -425,51 +425,21 @@ impl ConnectionServer {
     /// traffic written so far has been served. Returns all bytes
     /// received.
     ///
-    /// Under event-driven scheduling this is **deterministic**: it
-    /// [quiesces](Self::quiesce) the runtime — every accepted
-    /// connection adopted, every shard's worker parked with empty
-    /// queues and no pending readiness — and then reads. No sleeps, no
-    /// "stream looks quiet" heuristics. Under the legacy polling
-    /// scheduler (which has no park state to observe) it falls back to
-    /// the old quiet-stream heuristic; `expected_responses` is only
-    /// consulted there.
-    pub fn await_response(&self, client: &mut Endpoint, expected_responses: usize) -> Vec<u8> {
-        if self.runtime.scheduling() == crate::Scheduling::EventDriven {
-            self.quiesce();
-            return client.read_available();
-        }
-        // Heuristic windows: ~150 ms waiting for first bytes, ~10 ms of
-        // silence after data before declaring the stream quiet. Wide
-        // enough to ride out a contained-fault rewind plus a scheduler
-        // preemption between two pipelined responses; callers that need
-        // a hard guarantee assert after `shutdown`, which drains
-        // deterministically.
-        let mut received = Vec::new();
-        let mut quiet_polls = 0u32;
-        while quiet_polls < 600 {
-            let fresh = client.read_available();
-            if fresh.is_empty() {
-                quiet_polls += 1;
-                // Responses take at least one worker poll interval.
-                std::thread::sleep(std::time::Duration::from_micros(250));
-            } else {
-                quiet_polls = 0;
-                received.extend(fresh);
-            }
-            if expected_responses > 0 && !received.is_empty() && quiet_polls >= 40 {
-                break;
-            }
-        }
-        received
+    /// This is **deterministic**: it [quiesces](Self::quiesce) the
+    /// runtime — every accepted connection adopted, every shard's
+    /// worker parked with empty queues and no pending readiness — and
+    /// then reads. No sleeps, no "stream looks quiet" heuristics.
+    pub fn await_response(&self, client: &mut Endpoint) -> Vec<u8> {
+        self.quiesce();
+        client.read_available()
     }
 
     /// Blocks until every connection admitted so far has been handed to
     /// its shard **and** every worker is parked with nothing pending
     /// (empty queue, empty inbox, no ready connections). At that
     /// instant, all traffic written before the call has been fully
-    /// served and its responses are readable. Event-driven scheduling
-    /// only (polling workers have no observable park state); concurrent
-    /// writers can of course re-busy the runtime afterwards.
+    /// served and its responses are readable. Concurrent writers can of
+    /// course re-busy the runtime afterwards.
     ///
     /// Returns whether quiescence was actually observed; `false` means
     /// a failsafe deadline fired (acceptor wedged, or a worker never
@@ -547,9 +517,9 @@ mod tests {
             bob.write(&[byte]);
         }
 
-        let alice_bytes = server.await_response(&mut alice, 2);
+        let alice_bytes = server.await_response(&mut alice);
         assert_eq!(alice_bytes, b"STORED\r\nVALUE a 1\r\nx\r\nEND\r\n".to_vec());
-        let bob_bytes = server.await_response(&mut bob, 1);
+        let bob_bytes = server.await_response(&mut bob);
         assert_eq!(bob_bytes, b"STORED\r\n");
 
         let stats = server.shutdown();
@@ -584,7 +554,7 @@ mod tests {
         );
         let mut client = server.connect();
         client.write(b"get done\r\nset k 9\r\nhal"); // second request cut short
-        let _ = server.await_response(&mut client, 1);
+        let _ = server.await_response(&mut client);
         client.close();
         let stats = server.shutdown();
         assert_eq!(stats.served(), 1, "only the complete request ran");
@@ -603,7 +573,7 @@ mod tests {
             client.write(b"stats\r\n");
         }
         for client in &mut clients {
-            assert!(!server.await_response(client, 1).is_empty());
+            assert!(!server.await_response(client).is_empty());
         }
         let stats = server.shutdown();
         assert_eq!(stats.connections(), 12);

@@ -218,24 +218,16 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.aborted_requests).sum()
     }
 
-    /// Times workers parked with nothing to do (event-driven mode).
+    /// Times workers parked with nothing to do.
     #[must_use]
     pub fn parks(&self) -> u64 {
         self.workers.iter().map(|w| w.parks).sum()
     }
 
-    /// Times parked workers were woken by a signal (event-driven mode).
+    /// Times parked workers were woken by a signal.
     #[must_use]
     pub fn wakeups(&self) -> u64 {
         self.workers.iter().map(|w| w.wakeups).sum()
-    }
-
-    /// Empty periodic connection polls across all workers — the wasted
-    /// passes the polling scheduler burns and the event-driven one
-    /// eliminates (zero by construction).
-    #[must_use]
-    pub fn polls(&self) -> u64 {
-        self.workers.iter().map(|w| w.polls).sum()
     }
 
     /// Requests served by a worker other than their shard's (work
@@ -264,10 +256,9 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.routed_served).sum()
     }
 
-    /// Stolen shard-state mutations executed on a thief — the
-    /// state-confinement violations classification-blind stealing
-    /// risks; always zero under
-    /// [`StealPolicy::Deep`](crate::StealPolicy).
+    /// Stolen shard-state mutations executed on a thief —
+    /// state-confinement violations; zero unless a steal
+    /// classification filter failed.
     #[must_use]
     pub fn thief_mutations(&self) -> u64 {
         self.workers.iter().map(|w| w.thief_mutations).sum()
@@ -308,8 +299,8 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.domains_retired).sum()
     }
 
-    /// Domains actually torn down (synchronously or by amortized
-    /// reclaim steps) across all workers.
+    /// Domains actually torn down (by amortized reclaim steps, or
+    /// with their manager on a worker restart) across all workers.
     #[must_use]
     pub fn domains_reclaimed(&self) -> u64 {
         self.workers.iter().map(|w| w.domains_reclaimed).sum()

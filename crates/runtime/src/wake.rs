@@ -98,7 +98,7 @@ impl WakeState {
 }
 
 /// One shard's condvar-backed signal register: the unified wake source
-/// behind [`Scheduling::EventDriven`](crate::Scheduling::EventDriven).
+/// behind the runtime's readiness-driven scheduling.
 ///
 /// Workers park on their shard's set; queue pushes, connection
 /// readiness callbacks and sibling steal hints wake them. The public

@@ -15,42 +15,34 @@
 //!
 //! ## Scheduling
 //!
-//! Under [`Scheduling::EventDriven`] (the default) the worker parks
-//! indefinitely on its shard's [`WakeSet`]; queue pushes, connection
-//! readiness callbacks and sibling steal hints wake it. An idle worker
-//! burns **zero** CPU — no periodic connection polls — which is the
-//! whole point of judging resilience mechanisms by their energy
-//! footprint. Under [`Scheduling::Polling`] (kept as the measurable
-//! baseline and for single-threaded determinism) the worker re-polls
-//! its connections at the legacy [`CONN_POLL`] cadence, counting every
-//! empty pass in [`WorkerStats::polls`].
+//! The worker parks indefinitely on its shard's [`WakeSet`]; queue
+//! pushes, connection readiness callbacks and sibling steal hints wake
+//! it. An idle worker burns **zero** CPU — no periodic connection
+//! polls — which is the whole point of judging resilience mechanisms by
+//! their energy footprint.
 //!
-//! Either way, each pump pass is bounded by the per-connection **read
-//! budget** (`RuntimeConfig::conn_read_budget`): one noisy pipelining
-//! client gets at most that many framed requests served per rotation
-//! before the worker moves to the next ready connection.
+//! Each pump pass is bounded by the per-connection **read budget**
+//! (`RuntimeConfig::conn_read_budget`): one noisy pipelining client
+//! gets at most that many framed requests served per rotation before
+//! the worker moves to the next ready connection.
 //!
 //! ## Work stealing
 //!
-//! With [`StealPolicy::Queue`] an otherwise-idle worker takes
-//! pre-framed requests (never connections, which stay sticky for domain
-//! affinity) off the most-loaded sibling queue. [`StealPolicy::Deep`]
-//! goes further: after the queues, a thief lifts **framing-complete
-//! requests off sibling connection buffers** (through the shared
-//! [`ConnTray`], never the endpoint itself), serving read-only frames
-//! with its own handler and routing shard-state **mutations back to the
-//! owner** as owner-routed queue submissions — the state-confinement
-//! rule that makes stealing safe for shard-stateful handlers. Response
-//! order per connection is preserved by the tray lock plus the
-//! routed-inflight gate. Every budget deferral that leaves complete
-//! frames behind while a sibling sits parked is counted as a
-//! **stranded-request stall** ([`WorkerStats::stranded_stalls`]), the
-//! capacity waste deep stealing exists to eliminate.
+//! With [`StealPolicy::Deep`] an otherwise-idle worker takes read-only
+//! pre-framed requests off the most-loaded sibling queue, then lifts
+//! **framing-complete requests off sibling connection buffers**
+//! (through the shared [`ConnTray`], never the endpoint itself — a
+//! connection stays sticky for domain affinity), serving read-only
+//! frames with its own handler and routing shard-state **mutations back
+//! to the owner** as owner-routed queue submissions — the
+//! state-confinement rule that makes stealing safe for shard-stateful
+//! handlers. Response order per connection is preserved by the tray
+//! lock plus the routed-inflight gate. Every budget deferral that
+//! leaves complete frames behind while a sibling sits parked is counted
+//! as a **stranded-request stall** ([`WorkerStats::stranded_stalls`]),
+//! the capacity waste deep stealing exists to eliminate.
 //!
-//! [`Scheduling::EventDriven`]: crate::Scheduling::EventDriven
-//! [`Scheduling::Polling`]: crate::Scheduling::Polling
 //! [`WakeSet`]: crate::wake::WakeSet
-//! [`StealPolicy::Queue`]: crate::StealPolicy::Queue
 //! [`StealPolicy::Deep`]: crate::StealPolicy::Deep
 //! [`ConnTray`]: crate::server::ConnTray
 
@@ -69,15 +61,10 @@ use crate::control_hub::ControlHub;
 use crate::handler::{Framing, ReadView, Reply, SessionHandler, StealClass};
 use crate::isolation::WorkerIsolation;
 use crate::queue::{Completion, Disposition, Request, ShardQueue};
-use crate::runtime::{RebuildMode, RuntimeConfig, Scheduling, StealPolicy};
+use crate::runtime::RuntimeConfig;
 use crate::server::{ConnInbox, ConnRegistry, ConnTray, Connection, RoutedFrame};
 use crate::stats::LiveCounters;
 use crate::wake::WakeSet;
-
-/// How often a polling-mode worker that owns connections re-polls them
-/// while its queue is idle. Event-driven workers never use this: they
-/// park until a readiness callback fires.
-pub(crate) const CONN_POLL: Duration = Duration::from_micros(200);
 
 /// Per-worker counters, returned when the worker exits.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -115,14 +102,10 @@ pub struct WorkerStats {
     /// Connections that disconnected with a half-received request still
     /// buffered (the bytes are discarded, the request never ran).
     pub aborted_requests: u64,
-    /// Times the worker parked with nothing to do (event-driven mode).
+    /// Times the worker parked with nothing to do.
     pub parks: u64,
-    /// Times a parked worker was woken by a signal (event-driven mode).
+    /// Times a parked worker was woken by a signal.
     pub wakeups: u64,
-    /// Empty periodic connection polls: passes over live connections
-    /// that found no bytes and no queue work (polling mode only — the
-    /// pure-waste CPU burn readiness scheduling eliminates).
-    pub polls: u64,
     /// Pre-framed requests this worker stole from sibling queues.
     pub steals: u64,
     /// Framing-complete requests this worker lifted off sibling
@@ -136,10 +119,10 @@ pub struct WorkerStats {
     /// off its queue, writing the response back to the connection.
     pub routed_served: u64,
     /// Stolen requests classified as shard-state mutations that this
-    /// worker executed anyway — the state-confinement violation
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep) drives to zero
-    /// (under [`StealPolicy::Queue`](crate::StealPolicy::Queue) it
-    /// counts the hazard of classification-blind stealing).
+    /// worker executed anyway — a state-confinement violation. The
+    /// classification filters on publication and on stealing keep it
+    /// at zero; a nonzero count means one of them let a mutation
+    /// through.
     pub thief_mutations: u64,
     /// Stolen reads this worker (as a thief) answered from a victim's
     /// hazard-protected read view — i.e. against the **owner's live
@@ -154,8 +137,8 @@ pub struct WorkerStats {
     /// Domains this worker's rebuild/restart rungs handed to teardown —
     /// the retire side of the reclamation books.
     pub domains_retired: u64,
-    /// Domains actually torn down, synchronously or by amortized
-    /// reclaim steps.
+    /// Domains actually torn down: by amortized reclaim steps, or with
+    /// their manager on a worker restart.
     pub domains_reclaimed: u64,
     /// Domains still awaiting reclaim steps when the worker exited
     /// (zero after a clean shutdown drain).
@@ -366,9 +349,6 @@ pub struct Worker<H: SessionHandler> {
     /// read landed on a retired (reclaimed-and-stale) view — the
     /// use-after-free the hazard protocol exists to prevent.
     view_stamps: Vec<(u64, u64)>,
-    /// How the pool-rebuild rung executes: stop-the-world teardown or
-    /// publish-new/retire-old.
-    rebuild: RebuildMode,
     /// This worker's shard index as the event-field width.
     shard_u16: u16,
     /// Token-addressed connection slab; `None` slots are free.
@@ -379,8 +359,6 @@ pub struct Worker<H: SessionHandler> {
     restart_model: RestartModel,
     batch: usize,
     conn_budget: usize,
-    scheduling: Scheduling,
-    steal_policy: StealPolicy,
     idle_reap_after: Option<u64>,
     /// Pooled domains per worker (sizes the control plane's
     /// pool-rebuild bills).
@@ -390,8 +368,8 @@ pub struct Worker<H: SessionHandler> {
     pass_generation: u64,
     /// Round-robin cursor over `peer_wakes` for deferred-frame bells.
     next_bell: usize,
-    /// Monotonic pump-pass counter (one per wake / poll tick); the
-    /// reaper measures connection idleness in these.
+    /// Monotonic pump-pass counter (one per wake); the reaper measures
+    /// connection idleness in these.
     pass: u64,
     stats: WorkerStats,
 }
@@ -432,7 +410,6 @@ impl<H: SessionHandler> Worker<H> {
             flush_seq: 0,
             collector: channels.collector,
             published: None,
-            rebuild: config.rebuild,
             shard_u16: u16::try_from(index).unwrap_or(u16::MAX),
             conns: Vec::new(),
             free_tokens: Vec::new(),
@@ -441,8 +418,6 @@ impl<H: SessionHandler> Worker<H> {
             restart_model: config.restart,
             batch: config.batch.max(1),
             conn_budget: config.conn_read_budget.max(1),
-            scheduling: config.scheduling,
-            steal_policy: config.work_stealing,
             idle_reap_after: config.idle_reap_after,
             domains_per_worker: u32::try_from(config.domains_per_worker).unwrap_or(u32::MAX),
             pass_generation: 0,
@@ -458,10 +433,7 @@ impl<H: SessionHandler> Worker<H> {
     /// Runs until the queue is stopped and drained and every connection
     /// byte that arrived has been served; returns the counters.
     pub fn run(mut self) -> WorkerStats {
-        match self.scheduling {
-            Scheduling::EventDriven => self.run_event(),
-            Scheduling::Polling => self.run_polling(),
-        }
+        self.run_event();
         self.drain();
         // Close the reclamation books: drain the deferred teardown
         // queue so a clean exit leaves nothing pending.
@@ -483,8 +455,8 @@ impl<H: SessionHandler> Worker<H> {
         self.stats
     }
 
-    /// Event-driven serving: park on the wake set, run one pass per
-    /// wake. No timeouts anywhere — an idle shard costs nothing.
+    /// Serving: park on the wake set, run one pass per wake. No
+    /// timeouts anywhere — an idle shard costs nothing.
     fn run_event(&mut self) {
         loop {
             self.flush_live();
@@ -564,64 +536,6 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// Legacy polling loop: the measurable baseline e17 compares
-    /// against. Workers with live connections re-poll at [`CONN_POLL`];
-    /// every empty pass is counted in [`WorkerStats::polls`].
-    fn run_polling(&mut self) {
-        loop {
-            self.flush_live();
-            self.pass += 1;
-            self.maybe_flush_telemetry();
-            self.iso.reclaim_step(2);
-            self.maybe_publish_view();
-            self.adopt_connections();
-            let pumped = self.pump_live_connections();
-            self.reap_idle();
-            // Workers with live connections poll; workers without park on
-            // the queue until a submit, a kick (new connection) or stop.
-            let timeout = if self.live_connections() == 0 {
-                None
-            } else {
-                Some(CONN_POLL)
-            };
-            let polling_conns = timeout.is_some();
-            let work = self.queue.wait_work(self.batch, timeout);
-            let mut had_queue_work = !work.requests.is_empty();
-            if had_queue_work {
-                let started = Instant::now();
-                for request in work.requests {
-                    self.serve(request);
-                }
-                self.note_busy(started);
-            }
-            if self.steal_policy != StealPolicy::Disabled && !self.queue.is_empty() {
-                // `wait_work` pops without publishing; a backlogged
-                // polling owner publishes its surplus here so siblings
-                // have a buffer to steal from.
-                let extra = self.drain_own_queue();
-                if !extra.is_empty() {
-                    had_queue_work = true;
-                    let started = Instant::now();
-                    for request in extra {
-                        self.serve(request);
-                    }
-                    self.note_busy(started);
-                }
-            }
-            if polling_conns && !pumped && !had_queue_work {
-                // The pure-waste tick: connections re-polled, nothing
-                // there, queue empty. This is what e17 prices.
-                self.stats.polls += 1;
-            }
-            if !pumped && !had_queue_work && !work.stopped {
-                self.try_steal();
-            }
-            if work.stopped {
-                break;
-            }
-        }
-    }
-
     /// Shutdown drain: the queue sheds new submits now, but everything
     /// already accepted — queued requests, connection bytes already
     /// received, connections still in the inbox — is served before the
@@ -673,10 +587,10 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Moves connections newly assigned to this shard into the pump
-    /// set, allocating a token per connection. In event-driven mode the
-    /// endpoint's readiness callback is pointed at the shard's wake set
-    /// (firing immediately if bytes or a close already arrived, so no
-    /// pre-adoption edge is lost). Returns the new tokens.
+    /// set, allocating a token per connection. The endpoint's readiness
+    /// callback is pointed at the shard's wake set (firing immediately
+    /// if bytes or a close already arrived, so no pre-adoption edge is
+    /// lost). Returns the new tokens.
     fn adopt_connections(&mut self) -> Vec<usize> {
         let adopted = self.inbox.drain();
         self.stats.connections += adopted.len() as u64;
@@ -693,25 +607,18 @@ impl<H: SessionHandler> Worker<H> {
             // Thieves and routed completions re-wake this worker
             // through the tray once the owner is known.
             conn.tray.bind_owner(Arc::clone(&self.wakes), token);
-            if self.scheduling == Scheduling::EventDriven {
-                let wakes = Arc::clone(&self.wakes);
-                conn.endpoint
-                    .set_ready_callback(Arc::new(move || wakes.mark_conn(token)));
-            }
+            let wakes = Arc::clone(&self.wakes);
+            conn.endpoint
+                .set_ready_callback(Arc::new(move || wakes.mark_conn(token)));
             self.conns[token] = Some(conn);
             tokens.push(token);
         }
         tokens
     }
 
-    /// Live (adopted, not yet retired) connections.
-    fn live_connections(&self) -> usize {
-        self.conns.iter().flatten().count()
-    }
-
     /// Pumps every live connection until no budget round leaves a
     /// complete frame behind; returns whether any made progress. (The
-    /// polling and drain paths, which have no readiness tokens.)
+    /// shutdown drain, which has no readiness tokens.)
     fn pump_live_connections(&mut self) -> bool {
         let mut progressed = false;
         let mut pending: Vec<usize> = (0..self.conns.len())
@@ -802,42 +709,36 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// Steals work from loaded siblings: first a batch of pre-framed
-    /// requests off the most-loaded sibling queue, then — under
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep) — framing-complete
-    /// requests directly off sibling connection buffers. Connections
-    /// never move; under the deep policy queue steals are filtered to
-    /// read-only requests so shard-state mutations stay with the state
-    /// they touch.
     /// Drains up to one batch from the owned queue, publishing surplus
-    /// into the shard's steal buffer when stealing is enabled. Under
-    /// the deep policy only read-only requests are published — the
-    /// same classification `steal_where` enforces — so thieves popping
-    /// the buffer never race the owner's inbox cursor.
+    /// read-only requests into the shard's steal buffer when stealing
+    /// is enabled (there are peers) — the same classification
+    /// `steal_where` enforces — so thieves popping the buffer never
+    /// race the owner's inbox cursor.
     fn drain_own_queue(&mut self) -> Vec<Request> {
-        match self.steal_policy {
-            StealPolicy::Disabled => self.queue.try_drain(self.batch),
-            StealPolicy::Queue => self.queue.drain_publishing(self.batch, |_| true),
-            StealPolicy::Deep => {
-                let handler = &self.handler;
-                self.queue.drain_publishing(self.batch, |request| {
-                    handler.steal_class(&request.payload) == StealClass::ReadOnly
-                })
-            }
+        if self.peers.is_empty() {
+            return self.queue.try_drain(self.batch);
         }
+        let handler = &self.handler;
+        self.queue.drain_publishing(self.batch, |request| {
+            handler.steal_class(&request.payload) == StealClass::ReadOnly
+        })
     }
 
+    /// Steals work from loaded siblings: first a batch of read-only
+    /// pre-framed requests off the most-loaded sibling queue, then
+    /// framing-complete requests directly off sibling connection
+    /// buffers. Connections never move, and only read-only requests
+    /// leave their owner, so shard-state mutations stay with the state
+    /// they touch.
     fn try_steal(&mut self) {
-        if self.steal_policy == StealPolicy::Disabled || self.peers.is_empty() {
+        if self.peers.is_empty() {
             return;
         }
         self.steal_queue_items();
-        if self.steal_policy == StealPolicy::Deep {
-            self.steal_conn_buffers();
-        }
+        self.steal_conn_buffers();
     }
 
-    /// The queue half of stealing (both policies).
+    /// The queue half of stealing.
     fn steal_queue_items(&mut self) {
         let victim = self
             .peers
@@ -852,19 +753,12 @@ impl<H: SessionHandler> Worker<H> {
         if backlog == 0 {
             return;
         }
-        // `try_steal` guards `Disabled`, so only two policies reach here.
-        let stolen = if self.steal_policy == StealPolicy::Deep {
-            // Classification-aware: only read-only requests leave the
-            // owner; mutations keep their queue positions.
-            let handler = &self.handler;
-            victim.steal_where(self.batch, |request| {
-                handler.steal_class(&request.payload) == StealClass::ReadOnly
-            })
-        } else {
-            // Classification-blind: the PR3 contract — the caller
-            // promised a shard-agnostic queue mix.
-            victim.steal(self.batch)
-        };
+        // Classification-aware: only read-only requests leave the
+        // owner; mutations keep their queue positions.
+        let handler = &self.handler;
+        let stolen = victim.steal_where(self.batch, |request| {
+            handler.steal_class(&request.payload) == StealClass::ReadOnly
+        });
         if stolen.is_empty() {
             return;
         }
@@ -880,8 +774,8 @@ impl<H: SessionHandler> Worker<H> {
         let started = Instant::now();
         for request in stolen {
             if self.handler.steal_class(&request.payload) == StealClass::Mutation {
-                // Only reachable under the classification-blind policy:
-                // the hazard counter e18 contrasts against Deep's zero.
+                // The filter above should make this unreachable; the
+                // counter is how e18/e21/e23 would see it fail.
                 self.stats.thief_mutations += 1;
             }
             self.serve(request);
@@ -1188,9 +1082,9 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Counts a budget deferral that stranded complete frames while a
-    /// sibling sat parked, and — under the deep policy — rings a
-    /// sibling's bell so the stranded frames get stolen instead of
-    /// waiting for this worker to come back around.
+    /// sibling sat parked, and rings a sibling's bell so the stranded
+    /// frames get stolen instead of waiting for this worker to come
+    /// back around. No-op without stealing (no sibling wake sets).
     ///
     /// The stall accounting is exact: a sibling counts only if
     /// [`WakeSet::parked_since`] proves it parked at a generation no
@@ -1211,11 +1105,9 @@ impl<H: SessionHandler> Worker<H> {
         }) {
             self.stats.stranded_stalls += 1;
         }
-        if self.steal_policy == StealPolicy::Deep {
-            let pick = self.next_bell % self.peer_wakes.len();
-            self.next_bell = self.next_bell.wrapping_add(1);
-            self.peer_wakes[pick].hint_steal();
-        }
+        let pick = self.next_bell % self.peer_wakes.len();
+        self.next_bell = self.next_bell.wrapping_add(1);
+        self.peer_wakes[pick].hint_steal();
     }
 
     /// Pumps one connection: reads pending bytes into the shared tray,
@@ -1517,29 +1409,11 @@ impl<H: SessionHandler> Worker<H> {
                 self.stats.ladder_rewinds += 1;
             }
             Some(RecoveryRung::PoolRebuild) => {
-                match self.rebuild {
-                    // Zero-pause rung: publish a fresh pool, retire the
-                    // old one; teardown is amortized over later passes
-                    // by `reclaim_step` and billed as reclamation time
-                    // by the (deferred) rung models.
-                    RebuildMode::Deferred => self.iso.rebuild_pool_deferred(),
-                    RebuildMode::Synchronous => {
-                        self.iso.rebuild_pool();
-                        // Make the modeled stop-the-world window
-                        // physical: every request behind this one on
-                        // the shard really waits it out — the pause
-                        // e23 prices against publish-and-retire.
-                        let pause = hub.rung_models().time_of(
-                            RecoveryRung::PoolRebuild,
-                            0,
-                            self.domains_per_worker,
-                        );
-                        let started = Instant::now();
-                        while started.elapsed() < pause {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
+                // Zero-pause rung: publish a fresh pool, retire the old
+                // one; teardown is amortized over later passes by
+                // `reclaim_step` and billed as reclamation time by the
+                // (deferred) rung models.
+                self.iso.rebuild_pool_deferred();
                 self.stats.pool_rebuilds += 1;
             }
             Some(RecoveryRung::WorkerRestart) => {

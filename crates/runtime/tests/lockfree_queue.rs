@@ -52,7 +52,7 @@ fn a_steal_storm_cannot_stall_the_owner() {
             gate.wait();
             // Spin as hot as possible: no sleeps, no yields on hits.
             while !stop.load(Ordering::Relaxed) {
-                let got = queue.steal(8);
+                let got = queue.steal_where(8, |_| true);
                 if got.is_empty() {
                     thread::yield_now();
                 } else {
@@ -277,7 +277,7 @@ proptest! {
                 gate.wait();
                 let mut mine = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    let got = queue.steal(chunk);
+                    let got = queue.steal_where(chunk, |_| true);
                     if got.is_empty() {
                         thread::yield_now();
                     }

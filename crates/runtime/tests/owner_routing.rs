@@ -300,21 +300,3 @@ fn consecutive_mutations_travel_home_in_one_batch() {
     }
     panic!("the batched hand-off path never engaged across attempts");
 }
-
-#[test]
-fn queue_policy_never_touches_connection_buffers() {
-    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Queue;
-    config.conn_read_budget = 2;
-    let runtime = Runtime::start(config, |_| KvHandler::default());
-    let mut conns = attach_hot_pipelines(&runtime, 3, 32);
-    assert!(runtime.quiesce());
-    for (client, expected) in &mut conns {
-        assert_eq!(client.read_available(), *expected);
-    }
-    let stats = runtime.shutdown();
-    assert_eq!(stats.served(), 3 * 32);
-    assert_eq!(stats.conn_steals(), 0, "queue policy lifts no frames");
-    assert_eq!(stats.owner_routed(), 0);
-    assert!(stats.reconciles());
-}

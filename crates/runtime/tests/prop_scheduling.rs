@@ -1,6 +1,6 @@
-//! Property: readiness scheduling, work stealing (queue-only *and*
-//! connection-buffer) and read budgets never bend the conservation
-//! laws.
+//! Property: readiness scheduling, work stealing (off sibling queues
+//! *and* connection buffers) and read budgets never bend the
+//! conservation laws.
 //!
 //! For **any** client mix, queue bound, worker count, steal policy and
 //! per-connection read budget:
@@ -25,8 +25,7 @@
 use proptest::prelude::*;
 use sdrad::ClientId;
 use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, Scheduling, StealPolicy,
-    SubmitOutcome,
+    ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, StealPolicy, SubmitOutcome,
 };
 
 /// One offered request: which client, and whether it is an exploit
@@ -36,11 +35,7 @@ fn arb_offer() -> impl Strategy<Value = (u64, bool)> {
 }
 
 fn arb_policy() -> impl Strategy<Value = StealPolicy> {
-    prop_oneof![
-        Just(StealPolicy::Disabled),
-        Just(StealPolicy::Queue),
-        Just(StealPolicy::Deep),
-    ]
+    prop_oneof![Just(StealPolicy::Disabled), Just(StealPolicy::Deep)]
 }
 
 proptest! {
@@ -57,7 +52,6 @@ proptest! {
         config.queue_capacity = capacity;
         config.work_stealing = policy;
         config.conn_read_budget = budget;
-        config.scheduling = Scheduling::EventDriven;
         let server = ConnectionServer::start(config, |_| KvHandler::default());
         let runtime = server.runtime();
 
@@ -140,10 +134,6 @@ proptest! {
                 prop_assert_eq!(stats.conn_steals(), 0);
                 prop_assert_eq!(stats.owner_routed(), 0);
             }
-            StealPolicy::Queue => {
-                prop_assert_eq!(stats.conn_steals(), 0, "queue policy never lifts frames");
-                prop_assert_eq!(stats.owner_routed(), 0);
-            }
             StealPolicy::Deep => {
                 // The whole point: stealing, however deep, never runs a
                 // mutation off its owner shard.
@@ -152,7 +142,6 @@ proptest! {
         }
 
         // Stolen work balanced, histograms per-request, managers agree.
-        prop_assert!(stats.polls() == 0, "event-driven runs never poll");
         prop_assert!(stats.reconciles());
     }
 }

@@ -1,5 +1,5 @@
 //! Zero-pause pool rebuilds under live traffic: the escalation ladder
-//! fires `PoolRebuild` rungs mid-campaign, the deferred path publishes
+//! fires `PoolRebuild` rungs mid-campaign, the rung publishes
 //! a fresh pool and retires the old one behind hazard pointers instead
 //! of stopping the world, thief reads keep serving off published shard
 //! views, and the reclamation books close exactly at shutdown.
@@ -7,7 +7,7 @@
 use sdrad::ClientId;
 use sdrad_net::{duplex, Endpoint};
 use sdrad_runtime::{
-    ControlConfig, IsolationMode, KvHandler, LadderParams, RebuildMode, ReputationParams, Runtime,
+    ControlConfig, IsolationMode, KvHandler, LadderParams, ReputationParams, Runtime,
     RuntimeConfig, RuntimeStats, StealPolicy, SubmitOutcome,
 };
 
@@ -37,10 +37,9 @@ fn rebuild_happy_control() -> ControlConfig {
     }
 }
 
-fn config(rebuild: RebuildMode) -> RuntimeConfig {
+fn config() -> RuntimeConfig {
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
     config.work_stealing = StealPolicy::Deep;
-    config.rebuild = rebuild;
     config.control = Some(rebuild_happy_control());
     config.queue_capacity = 4096;
     config.batch = 16;
@@ -52,8 +51,8 @@ fn config(rebuild: RebuildMode) -> RuntimeConfig {
 /// with an attack every 50 frames (each third consecutive fault is a
 /// pool rebuild), while get-only pipelines sit in shard 0's connection
 /// buffers for the idle sibling to lift. Returns the closed books.
-fn run_campaign(rebuild: RebuildMode) -> RuntimeStats {
-    let runtime = Runtime::start(config(rebuild), |_| KvHandler::default());
+fn run_campaign() -> RuntimeStats {
+    let runtime = Runtime::start(config(), |_| KvHandler::default());
     let shard0: Vec<ClientId> = (0u64..)
         .map(ClientId)
         .filter(|c| runtime.shard_of(*c) == 0)
@@ -108,10 +107,10 @@ fn deferred_rebuilds_never_pause_thief_reads_and_the_books_close() {
     // Steal engagement is inherently racy; the invariants are checked
     // on every attempt, the engagement criterion gets a few tries.
     for attempt in 0..8 {
-        let stats = run_campaign(RebuildMode::Deferred);
+        let stats = run_campaign();
 
         // The ladder climbed to the pool rung mid-campaign, and every
-        // rebuild went down the deferred path: old pools were retired
+        // rebuild published-and-retired: old pools were retired
         // into the hazard queue, then fully reclaimed by shutdown.
         assert!(stats.pool_rebuilds() > 0, "pool rung engaged: {stats:?}");
         assert!(
@@ -149,39 +148,11 @@ fn deferred_rebuilds_never_pause_thief_reads_and_the_books_close() {
 }
 
 #[test]
-fn synchronous_rebuilds_balance_the_ledger_in_place() {
-    // The contrast rung: same storm, but every rebuild pays its modeled
-    // stop-the-world pause and tears the old pool down inside the
-    // serving path — the reclamation ledger books retire and reclaim in
-    // the same instant, so it is balanced at every point, never just at
-    // shutdown.
-    let stats = run_campaign(RebuildMode::Synchronous);
-    assert!(stats.pool_rebuilds() > 0, "pool rung engaged: {stats:?}");
-    assert!(
-        stats.domains_retired() > 0,
-        "rebuilds tore down live domains"
-    );
-    assert_eq!(
-        stats.domains_retired(),
-        stats.domains_reclaimed(),
-        "synchronous teardown books retire and reclaim together"
-    );
-    assert_eq!(stats.thief_mutations(), 0);
-    let hazard = stats
-        .hazard
-        .as_ref()
-        .expect("deep stealing runs a hazard domain");
-    assert!(hazard.conserves(), "hazard books: {hazard:?}");
-    assert_eq!(hazard.pending, 0);
-    assert!(stats.reconciles(), "books balance: {stats:?}");
-}
-
-#[test]
-fn queue_policy_runs_no_hazard_domain() {
+fn disabled_policy_runs_no_hazard_domain() {
     // Without deep stealing there are no shared views to protect: the
     // runtime must not spin up hazard machinery it cannot use.
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Queue;
+    config.work_stealing = StealPolicy::Disabled;
     let runtime = Runtime::start(config, |_| KvHandler::default());
     let SubmitOutcome::Enqueued(ticket) = runtime.submit(ClientId(1), b"get k\r\n".to_vec()) else {
         panic!("empty runtime shed");
@@ -192,12 +163,6 @@ fn queue_policy_runs_no_hazard_domain() {
     assert_eq!(stats.shared_reads(), 0);
     assert_eq!(stats.views_published(), 0);
     assert!(stats.reconciles());
-}
-
-#[test]
-fn deferred_is_the_default_rebuild_mode() {
-    let config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    assert_eq!(config.rebuild, RebuildMode::Deferred);
 }
 
 mod schedules {
@@ -215,10 +180,8 @@ mod schedules {
     enum IsoOp {
         /// Serve one request for a client (creates its domain lazily).
         Serve(u64),
-        /// The zero-pause rung: publish fresh, retire old.
-        RebuildDeferred,
-        /// The stop-the-world rung: tear down in place.
-        RebuildSync,
+        /// The rebuild rung: publish fresh, retire old.
+        Rebuild,
         /// An amortized teardown pass with a small budget.
         ReclaimStep(usize),
         /// The restart rung: everything discarded, books closed.
@@ -228,8 +191,7 @@ mod schedules {
     fn iso_op() -> impl Strategy<Value = IsoOp> {
         prop_oneof![
             (0u64..4).prop_map(IsoOp::Serve),
-            Just(IsoOp::RebuildDeferred),
-            Just(IsoOp::RebuildSync),
+            Just(IsoOp::Rebuild),
             (0usize..4).prop_map(IsoOp::ReclaimStep),
             Just(IsoOp::Restart),
         ]
@@ -252,8 +214,7 @@ mod schedules {
                         });
                         prop_assert!(served.is_ok(), "serving survives any schedule");
                     }
-                    IsoOp::RebuildDeferred => iso.rebuild_pool_deferred(),
-                    IsoOp::RebuildSync => iso.rebuild_pool(),
+                    IsoOp::Rebuild => iso.rebuild_pool_deferred(),
                     IsoOp::ReclaimStep(budget) => {
                         iso.reclaim_step(budget);
                     }
@@ -263,10 +224,7 @@ mod schedules {
                     iso.pool_generation() >= generation,
                     "the pool generation never rolls back"
                 );
-                if matches!(
-                    op,
-                    IsoOp::RebuildDeferred | IsoOp::RebuildSync | IsoOp::Restart
-                ) {
+                if matches!(op, IsoOp::Rebuild | IsoOp::Restart) {
                     prop_assert_eq!(
                         iso.pool_generation(),
                         generation + 1,

@@ -39,18 +39,18 @@ fn main() {
     // resynchronises.
     carol.write(b"gibberish\r\nstats\r\n");
 
-    let alice_bytes = server.await_response(&mut alice, 2);
+    let alice_bytes = server.await_response(&mut alice);
     assert_eq!(
         alice_bytes,
         b"STORED\r\nVALUE motd 5\r\nhello\r\nEND\r\n".to_vec()
     );
-    let bob_bytes = server.await_response(&mut bob, 1);
+    let bob_bytes = server.await_response(&mut bob);
     assert_eq!(bob_bytes, b"STORED\r\n");
-    let mallory_bytes = server.await_response(&mut mallory, 2);
+    let mallory_bytes = server.await_response(&mut mallory);
     let mallory_text = String::from_utf8_lossy(&mallory_bytes);
     assert!(mallory_text.starts_with("SERVER_ERROR contained"));
     assert!(mallory_text.contains("END"), "served after containment");
-    let carol_bytes = server.await_response(&mut carol, 2);
+    let carol_bytes = server.await_response(&mut carol);
     assert!(carol_bytes.starts_with(b"ERROR\r\n"));
     println!(
         "attacker answered with: {}",

@@ -104,13 +104,10 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
     // produces, responses stay complete and in frame order, mutations
     // stay on the owner, and the reclamation books reconcile exactly.
     use sdrad_repro::net::{duplex, Endpoint};
-    use sdrad_repro::runtime::{
-        ControlConfig, LadderParams, RebuildMode, ReputationParams, StealPolicy,
-    };
+    use sdrad_repro::runtime::{ControlConfig, LadderParams, ReputationParams, StealPolicy};
 
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
     config.work_stealing = StealPolicy::Deep;
-    config.rebuild = RebuildMode::Deferred;
     config.queue_capacity = 4096;
     config.batch = 16;
     config.conn_read_budget = 4;
