@@ -1,217 +1,6 @@
-//! E15 — concurrent throughput under attack: the sharded runtime.
-//!
-//! Paper claim (§II/§IV): a service that answers memory-safety faults
-//! with process restarts loses *minutes* of service per fault — under a
-//! steady attack rate its delivered throughput collapses — while SDRaD
-//! rewinds the attacked client's domain in microseconds and keeps
-//! serving everyone. The single-shot experiments (E1–E14) measure the
-//! primitive costs; this experiment puts the workloads under genuinely
-//! concurrent load: `sdrad-runtime` workers (each owning its own
-//! `DomainManager`) drain sharded bounded queues while a fraction of the
-//! traffic is malicious `xstat` exploits.
-//!
-//! The sweep: worker counts × attack rates, baseline (unprotected,
-//! restart per crash) vs isolated (per-client domains). Delivered
-//! throughput charges each worker its modeled restart downtime — the
-//! calibrated "10 GB ≈ 2 minutes" cost scaled to the shard's actual
-//! state, exactly what a crashed shard's clients experience.
-//!
-//! The final table feeds the *measured* rewind latency and isolation
-//! overhead into `sdrad-energy`'s fleet models for the telecom case
-//! study — the bridge from this machine's microbenchmarks to the
-//! paper's sustainability argument.
-
-use sdrad::ClientId;
-use sdrad_bench::{banner, Report};
-use sdrad_energy::FleetScenario;
-use sdrad_runtime::{
-    fleet_lineup_from_runs, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats,
-};
-
-/// Requests per cell (override with `SDRAD_E15_REQUESTS`).
-fn requests_per_cell() -> u64 {
-    std::env::var("SDRAD_E15_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8_000)
-}
-
-/// Drives one configuration to completion and returns its measurements.
-fn run_cell(workers: usize, attack_per_10k: u64, mode: IsolationMode) -> RuntimeStats {
-    let requests = requests_per_cell();
-    let clients = (workers as u64 * 8).max(16);
-
-    let runtime = Runtime::start(RuntimeConfig::new(workers, mode), |_worker| {
-        KvHandler::default()
-    });
-
-    // One dedicated attacker per shard: under a real attack no worker is
-    // conveniently spared, so the fleet-level throughput numbers are not
-    // propped up by lucky unattacked shards.
-    let attackers: Vec<ClientId> = (0..runtime.workers())
-        .map(|shard| {
-            (1_000_000u64..)
-                .map(ClientId)
-                .find(|c| runtime.shard_of(*c) == shard)
-                .expect("some id maps to every shard")
-        })
-        .collect();
-
-    // Interleaved deterministic attack schedule: one exploit every
-    // `period` requests gives exactly `attack_per_10k`/10 000 of the
-    // traffic regardless of the cell's request count, spread evenly (a
-    // steady rate, not a front-loaded burst).
-    let attack_period = 10_000u64.checked_div(attack_per_10k).unwrap_or(0);
-    let mut attacks_sent = 0u64;
-    for i in 0..requests {
-        let attack = attack_period > 0 && i % attack_period == 0;
-        let (client, payload) = if attack {
-            // Rotate by attack count, not by `i` (which is always a
-            // period multiple and would pin one attacker/shard).
-            attacks_sent += 1;
-            (
-                attackers[(attacks_sent % attackers.len() as u64) as usize],
-                b"xstat 65536 4\r\nboom\r\n".to_vec(),
-            )
-        } else {
-            let client = ClientId(i % clients);
-            let payload = if i % 4 == 0 {
-                format!("set key-{} 8\r\nabcdefgh\r\n", i % 512).into_bytes()
-            } else {
-                format!("get key-{}\r\n", i % 512).into_bytes()
-            };
-            (client, payload)
-        };
-        // A well-behaved client under backpressure: retry when shed.
-        while !runtime.submit_detached(client, payload.clone()) {
-            std::thread::yield_now();
-        }
-    }
-
-    runtime.shutdown()
-}
+//! E15 — concurrent throughput under attack: runs
+//! [`sdrad_bench::scenarios::e15`] at its full size.
 
 fn main() {
-    banner(
-        "E15",
-        "concurrent throughput under attack (sharded multi-worker runtime)",
-        "restart recovery collapses delivered throughput under attack; SDRaD keeps serving",
-    );
-
-    let attack_rates = [(0u64, "0%"), (100, "1%"), (500, "5%")];
-    let worker_counts = [1usize, 2, 4, 8];
-    let mut acceptance: Option<(RuntimeStats, RuntimeStats)> = None;
-    let mut clean_pair: Option<(RuntimeStats, RuntimeStats)> = None;
-    let mut report = Report::new("e15", "concurrent throughput under attack");
-
-    for (attack_per_10k, attack_label) in attack_rates {
-        report.begin_table(
-            format!(
-                "attack rate {attack_label}, {} requests/cell, kvstore workload",
-                requests_per_cell()
-            ),
-            &[
-                "workers",
-                "mode",
-                "raw req/s",
-                "delivered req/s",
-                "contained",
-                "crashes",
-                "downtime",
-                "reconciles",
-            ],
-        );
-        for &workers in &worker_counts {
-            let isolated = run_cell(workers, attack_per_10k, IsolationMode::PerClientDomain);
-            let baseline = run_cell(workers, attack_per_10k, IsolationMode::Baseline);
-            for (label, stats) in [("sdrad", &isolated), ("baseline", &baseline)] {
-                report.row(&[
-                    workers.to_string(),
-                    label.into(),
-                    format!("{:.0}", stats.throughput_rps()),
-                    format!("{:.0}", stats.effective_throughput_rps()),
-                    stats.contained_faults().to_string(),
-                    stats.crashes().to_string(),
-                    format!("{:.1?}", stats.modeled_downtime()),
-                    if stats.reconciles() { "yes" } else { "NO" }.into(),
-                ]);
-            }
-            if workers == 4 && attack_per_10k == 100 {
-                acceptance = Some((isolated, baseline));
-            } else if workers == 4 && attack_per_10k == 0 {
-                // The attack-free pair: the honest source for measured
-                // isolation overhead (no crash-handling wall time in it).
-                clean_pair = Some((isolated, baseline));
-            }
-        }
-    }
-
-    let (isolated, baseline) = acceptance.expect("the 4-worker/1% cell ran");
-    let collapse = baseline.effective_throughput_rps() / isolated.effective_throughput_rps();
-    report.note(format!(
-        "acceptance cell (4 workers, 1% attack): sdrad crashes = {} (zero required), \
-         contained faults = {}, mean rewind = {:?}; baseline crashes = {} costing {:.1?} of \
-         modeled restart downtime. Delivered throughput: sdrad {:.0} req/s vs baseline {:.0} \
-         req/s ({:.1}x collapse).",
-        isolated.crashes(),
-        isolated.contained_faults(),
-        isolated.mean_rewind(),
-        baseline.crashes(),
-        baseline.modeled_downtime(),
-        isolated.effective_throughput_rps(),
-        baseline.effective_throughput_rps(),
-        1.0 / collapse.max(f64::EPSILON),
-    ));
-    assert_eq!(
-        isolated.crashes(),
-        0,
-        "isolation must keep the process alive"
-    );
-    assert!(isolated.reconciles() && baseline.reconciles());
-
-    // Fleet-level sustainability report from the measured runs: rewind
-    // latency from the attacked isolated run, isolation overhead from
-    // the attack-free pair (so crash handling doesn't contaminate it).
-    let (clean_isolated, clean_baseline) = clean_pair.expect("the 4-worker/0% cell ran");
-    let lineup = fleet_lineup_from_runs(
-        &isolated,
-        &clean_isolated,
-        &clean_baseline,
-        FleetScenario::telecom_ran(),
-    );
-    report.begin_table(
-        "telecom RAN fleet (1000 sites), measured rewind & overhead substituted",
-        &[
-            "strategy",
-            "servers",
-            "availability",
-            "kWh/yr",
-            "kgCO2e/yr",
-            "TCO EUR/yr",
-            "meets 5 nines",
-        ],
-    );
-    for fleet in &lineup {
-        report.row(&[
-            fleet.strategy.clone(),
-            format!("{:.0}", fleet.servers),
-            format!("{:.6}", fleet.availability),
-            format!("{:.0}", fleet.annual_kwh),
-            format!("{:.0}", fleet.annual_kgco2),
-            format!("{:.0}", fleet.annual_tco_eur()),
-            if fleet.meets_target { "yes" } else { "no" }.into(),
-        ]);
-    }
-    let sdrad = lineup
-        .iter()
-        .find(|r| r.strategy == "1N-sdrad")
-        .expect("lineup includes sdrad");
-    report.note(format!(
-        "fleet conclusion: with this build's measured {:?} rewind, 1N-sdrad meets the \
-         five-nines target on {:.0} servers — the measured-runtime version of the paper's \
-         energy argument.",
-        isolated.mean_rewind(),
-        sdrad.servers,
-    ));
-    report.print();
+    sdrad_bench::scenarios::run_full("e15");
 }

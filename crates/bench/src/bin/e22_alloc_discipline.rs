@@ -1,314 +1,10 @@
-//! E22 — allocation discipline on the serving hot path: thread-local
-//! frame-buffer arenas vs malloc-per-frame.
-//!
-//! The paper prices resilience mechanisms by the joules they burn; the
-//! allocator is a tax every mechanism pays on every frame. This
-//! experiment runs the closed-loop kvstore mix twice through the
-//! **identical** code path — the per-thread
-//! [`arena::set_thread_pooling`] switch toggles only whether
-//! `FrameBuf::acquire` recycles worker-local storage or falls through
-//! to a fresh heap allocation; the runtime always pools, so the
-//! unpooled cell's handler factory switches its worker's arena off
-//! again — and counts worker-thread heap allocations per served request
-//! with the [`CountingAlloc`] harness (workers opt in from the same
-//! factory, so the load generator's allocations are never charged to
-//! the serving path).
-//!
-//! A second cell replays the e18 hot-shard skew under
-//! [`StealPolicy::Deep`] with pooling on: stolen frames carry pooled
-//! storage to thief threads and their buffers flow home over the MPSC
-//! return channel, so the steal path must keep the arena's books
-//! balanced (`acquires == reuses + fresh`) while actually engaging.
-//!
-//! Hard assertions encode the regression guard CI relies on: pooled
-//! allocs-per-request under half the unpooled figure, a majority of
-//! acquires served from recycled storage, balanced arena books on both
-//! the closed-loop and the deep-steal cell, and a pooled p99 inside a
-//! generous band of the unpooled tail (allocation discipline must not
-//! buy its savings with latency).
-//!
-//! [`CountingAlloc`]: sdrad_nolock::CountingAlloc
-//! [`StealPolicy::Deep`]: sdrad_runtime::StealPolicy::Deep
+//! E22 — allocation discipline on the serving hot path: runs
+//! [`sdrad_bench::scenarios::e22`] at its full size.
 
-use std::time::Duration;
-
-use sdrad::ClientId;
-use sdrad_bench::{banner, Report};
-use sdrad_nolock::{arena, CountingAlloc};
-use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats, StealPolicy,
-    SubmitOutcome,
-};
-
+/// The scenario counts worker-thread heap allocations.
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Client connections per closed-loop cell.
-const CONNS: usize = 8;
-/// Workers (= shards) per cell.
-const WORKERS: usize = 4;
-/// Closed-loop round trips before the measured window: domain-pool
-/// setup, kv-store growth and arena prefill all land here, so the
-/// measured window sees the steady state both cells claim to compare.
-const WARMUP: usize = 1_000;
-/// The acceptance bound: pooled allocs/request must be under half the
-/// unpooled figure.
-const RATIO_BOUND: f64 = 0.5;
-/// Generous latency band: the pooled p99 may not exceed this multiple
-/// of the unpooled p99 (closed-loop µs-scale tails are noisy on a
-/// loaded host; this guards against collapse, not jitter).
-const P99_BAND: f64 = 3.0;
-/// Re-runs allowed before a racy outcome (engagement, host-noise tail)
-/// is declared a real failure.
-const RETRIES: usize = 3;
-
-/// Measured round trips per cell (override with `SDRAD_E22_REQUESTS`).
-fn requests_per_cell() -> usize {
-    std::env::var("SDRAD_E22_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000)
-}
-
-fn benign(i: usize) -> Vec<u8> {
-    if i.is_multiple_of(4) {
-        format!("set key-{} 8\r\nabcdefgh\r\n", i % 512).into_bytes()
-    } else {
-        format!("get key-{}\r\n", i % 512).into_bytes()
-    }
-}
-
-struct Cell {
-    stats: RuntimeStats,
-    /// Worker-thread heap allocations during the measured window.
-    allocs: u64,
-    /// Requests in the measured window.
-    measured: usize,
-}
-
-impl Cell {
-    fn allocs_per_request(&self) -> f64 {
-        self.allocs as f64 / self.measured.max(1) as f64
-    }
-
-    fn reuse_ratio(&self) -> f64 {
-        self.stats.arena_reuses() as f64 / self.stats.arena_acquires().max(1) as f64
-    }
-}
-
-/// One closed-loop cell: the e17 benign mix over `CONNS` connections,
-/// one request in flight per connection, workers counting their own
-/// allocations. Only the post-warm-up window is counted.
-fn conn_cell(pooling: bool) -> Cell {
-    let measured = requests_per_cell();
-    let config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    let server = ConnectionServer::start(config, move |_| {
-        // Runs on the worker's own thread, after the runtime armed its
-        // arena: the unpooled cell disarms it again, and every
-        // allocation this worker makes from here on is charged to the
-        // serving path.
-        arena::set_thread_pooling(pooling);
-        arena::count_allocs_on_this_thread(true);
-        KvHandler::default()
-    });
-    let mut clients: Vec<_> = (0..CONNS).map(|_| server.connect()).collect();
-    let mut drive = |from: usize, count: usize| {
-        for i in from..from + count {
-            let c = i % CONNS;
-            clients[c].write(&benign(i));
-            let _ = server.await_response(&mut clients[c]);
-        }
-    };
-    drive(0, WARMUP);
-    let before = arena::counted_allocs();
-    drive(WARMUP, measured);
-    let allocs = arena::counted_allocs() - before;
-    let stats = server.shutdown();
-    assert!(stats.reconciles(), "books must balance (pooling={pooling})");
-    assert_eq!(stats.crashes(), 0);
-    Cell {
-        stats,
-        allocs,
-        measured,
-    }
-}
-
-/// The e18 skew with pooling on: a read-only burst pinned to shard 0
-/// under deep stealing, so thieves lift pooled frames off the hot
-/// shard and their storage returns home cross-thread.
-fn steal_cell() -> RuntimeStats {
-    const BURST: usize = 4_000;
-    let mut config = RuntimeConfig::new(WORKERS, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
-    config.batch = 16;
-    config.queue_capacity = BURST.max(4096);
-    let runtime = Runtime::start(config, |_| KvHandler::default());
-    for shard in 0..WORKERS {
-        let client = (0u64..)
-            .map(ClientId)
-            .find(|c| runtime.shard_of(*c) == shard)
-            .expect("some id maps to every shard");
-        if let SubmitOutcome::Enqueued(ticket) = runtime.submit(client, b"get warm-up\r\n".to_vec())
-        {
-            let _ = ticket.wait();
-        }
-    }
-    let hot = (10_000_000u64..)
-        .map(ClientId)
-        .find(|c| runtime.shard_of(*c) == 0)
-        .expect("some id maps to shard 0");
-    for _ in 0..BURST {
-        assert!(
-            runtime.submit_detached(hot, b"get hot-key\r\n".to_vec()),
-            "the burst fits the queue bound"
-        );
-    }
-    assert!(runtime.quiesce(), "drain must settle");
-    let stats = runtime.shutdown();
-    assert!(stats.reconciles());
-    assert_eq!(stats.thief_mutations(), 0, "thieves never mutate");
-    stats
-}
-
-fn fmt_us(d: Duration) -> String {
-    format!("{:.1}us", d.as_nanos() as f64 / 1_000.0)
-}
+static ALLOC: sdrad_nolock::CountingAlloc = sdrad_nolock::CountingAlloc::new();
 
 fn main() {
-    banner(
-        "E22",
-        "frame-buffer arena vs malloc-per-frame on the closed-loop kv hot path",
-        "the allocator is a per-frame tax every resilience mechanism pays — recycle the \
-         storage and the tax (and its joules) disappears from the bill",
-    );
-
-    // Engagement of the ratio bound is statistical on a loaded host
-    // (allocator background noise, steal interleavings); books are
-    // asserted on every attempt, only the racy outcome is retried.
-    let mut pooled = conn_cell(true);
-    let mut unpooled = conn_cell(false);
-    for _ in 0..RETRIES {
-        let ratio = pooled.allocs_per_request() / unpooled.allocs_per_request().max(f64::EPSILON);
-        let tail_ok = pooled.stats.ok_latency().p99().as_secs_f64()
-            <= unpooled.stats.ok_latency().p99().as_secs_f64() * P99_BAND;
-        if ratio < RATIO_BOUND && tail_ok {
-            break;
-        }
-        pooled = conn_cell(true);
-        unpooled = conn_cell(false);
-    }
-    let ratio = pooled.allocs_per_request() / unpooled.allocs_per_request().max(f64::EPSILON);
-
-    let mut report = Report::new("e22", "allocation discipline on the serving path");
-    report.begin_table(
-        format!(
-            "{} measured round trips after {WARMUP} warm-up, {CONNS} conns, {WORKERS} workers",
-            pooled.measured
-        ),
-        &[
-            "arena",
-            "allocs/req",
-            "acquires",
-            "reuses",
-            "fresh",
-            "returns",
-            "ok p99",
-        ],
-    );
-    for (label, cell) in [("pooled", &pooled), ("malloc", &unpooled)] {
-        report.row(&[
-            label.into(),
-            format!("{:.2}", cell.allocs_per_request()),
-            cell.stats.arena_acquires().to_string(),
-            cell.stats.arena_reuses().to_string(),
-            cell.stats.arena_fresh_allocs().to_string(),
-            cell.stats.arena_returns().to_string(),
-            fmt_us(cell.stats.ok_latency().p99()),
-        ]);
-    }
-
-    // --- the regression guards CI smokes ---------------------------------
-    assert!(
-        ratio < RATIO_BOUND,
-        "allocation discipline regressed: pooled {:.2} vs unpooled {:.2} allocs/request \
-         ({ratio:.2}x, bound {RATIO_BOUND})",
-        pooled.allocs_per_request(),
-        unpooled.allocs_per_request()
-    );
-    assert!(
-        pooled.reuse_ratio() > 0.5,
-        "a warmed arena must serve most acquires from recycled storage, got {:.0}%",
-        pooled.reuse_ratio() * 100.0
-    );
-    for cell in [&pooled, &unpooled] {
-        assert_eq!(
-            cell.stats.arena_acquires(),
-            cell.stats.arena_reuses() + cell.stats.arena_fresh_allocs(),
-            "arena books must balance"
-        );
-    }
-    assert_eq!(
-        unpooled.stats.arena_reuses(),
-        0,
-        "pooling off must never recycle"
-    );
-    let tail_ratio = pooled.stats.ok_latency().p99().as_secs_f64()
-        / unpooled
-            .stats
-            .ok_latency()
-            .p99()
-            .as_secs_f64()
-            .max(f64::MIN_POSITIVE);
-    assert!(
-        tail_ratio <= P99_BAND,
-        "pooling may not tax the tail: pooled p99 {tail_ratio:.2}x the unpooled p99 \
-         (band {P99_BAND})"
-    );
-
-    // --- pooled deep-steal skew: the arena under cross-thread returns ----
-    let mut steal = steal_cell();
-    for _ in 0..RETRIES {
-        if steal.steals() + steal.conn_steals() > 0 {
-            break;
-        }
-        steal = steal_cell();
-    }
-    assert!(
-        steal.steals() + steal.conn_steals() > 0,
-        "the skewed burst never engaged a thief"
-    );
-    assert_eq!(
-        steal.arena_acquires(),
-        steal.arena_reuses() + steal.arena_fresh_allocs(),
-        "arena books must balance under deep stealing"
-    );
-
-    report.note(format!(
-        "pooled path makes {:.2} allocs/request vs {:.2} unpooled ({ratio:.2}x, bound \
-         {RATIO_BOUND}); {:.0}% of pooled acquires reused recycled storage",
-        pooled.allocs_per_request(),
-        unpooled.allocs_per_request(),
-        pooled.reuse_ratio() * 100.0
-    ));
-    report.note(format!(
-        "pooled p99 {} vs unpooled {} ({tail_ratio:.2}x, band {P99_BAND})",
-        fmt_us(pooled.stats.ok_latency().p99()),
-        fmt_us(unpooled.stats.ok_latency().p99()),
-    ));
-    report.note(format!(
-        "deep-steal skew with pooling on: {} queue + {} conn-buffer steals, arena books \
-         balanced ({} acquires = {} reuses + {} fresh) with {} returns retained",
-        steal.steals(),
-        steal.conn_steals(),
-        steal.arena_acquires(),
-        steal.arena_reuses(),
-        steal.arena_fresh_allocs(),
-        steal.arena_returns(),
-    ));
-    report.note(format!(
-        "conclusion: identical code path, one config bit — recycling worker-local frame \
-         storage removes {:.0}% of serving-path heap allocations on the e17 mix",
-        (1.0 - ratio) * 100.0
-    ));
-    report.print();
+    sdrad_bench::scenarios::run_full("e22");
 }

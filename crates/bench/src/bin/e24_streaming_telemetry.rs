@@ -1,245 +1,6 @@
-//! E24 — streaming telemetry: delta frames into the in-process
-//! collector, overload-adaptive trace sampling, and windowed
-//! aggregations feeding admission as evidence.
-//!
-//! E20 proved the flight recorder answers post-mortem questions after
-//! a run. This experiment makes the telemetry *operational*: workers
-//! ship periodic delta frames (cumulative totals plus the events they
-//! just drained) to a collector riding the existing wake machinery, a
-//! sampler sheds low-value trace events under ring pressure without
-//! ever touching the books, and the collector's sliding-window fault
-//! rollups reach the control plane as evidence — so admission reacts
-//! to a fault *rate* while the reputation integrator is still
-//! climbing.
-//!
-//! Three claims, each hard-asserted:
-//!
-//! * **earlier bans** — replaying the E19 campaign with windowed spike
-//!   evidence feeding admission, each banned offender absorbs fewer
-//!   fault rewinds before its ban crossing than the books-only plane
-//!   needs (measured from trace data, same discipline as E20);
-//! * **bounded cost** — the whole streaming apparatus (recorder +
-//!   sampler + per-pass collector flush) stays within the E17
-//!   flight-recorder budget on the closed-loop hot path p99;
-//! * **exact books under pressure** — on deliberately tiny rings the
-//!   extended conservation law still closes: `recorded == drained +
-//!   dropped + sampled_out + in_ring` per ring, with overflow drops
-//!   and deliberate sampler refusals reported separately, zero lost
-//!   frames and zero delta regressions.
-
-use std::time::Duration;
-
-use sdrad_bench::{banner, streaming, Report};
-use sdrad_runtime::{EventKind, StreamingConfig, TelemetryConfig};
-
-/// Campaign length (override with `SDRAD_E24_REQUESTS`); same 6 000
-/// floor as E19/E20 — below it an offender may not live long enough
-/// to be banned in the books-only arm.
-fn requests() -> usize {
-    std::env::var("SDRAD_E24_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12_000)
-        .max(6_000)
-}
-
-/// Same tail-noise epsilon as the E17 overhead contract: at µs-scale
-/// service times, single-digit-µs p99 deltas belong to the host
-/// scheduler, not the streaming apparatus.
-const OVERHEAD_EPSILON: Duration = Duration::from_micros(2);
-const OVERHEAD_BUDGET: f64 = 0.05;
+//! E24 — streaming telemetry: runs
+//! [`sdrad_bench::scenarios::e24`] at its full size.
 
 fn main() {
-    banner(
-        "E24",
-        "streaming telemetry: collector delta frames, overload-adaptive sampling, and \
-         windowed fault rollups feeding admission as evidence",
-        "observability that only answers post-mortems wastes its freshest signal; a \
-         resilience controller should consume its own telemetry, at a cost the hot path \
-         does not notice and without corrupting the books it audits",
-    );
-
-    let events = requests();
-    let mut report = Report::new("e24", "streaming telemetry end to end");
-
-    // --- 1. windowed spike evidence bans offenders earlier ---------------
-    let early = streaming::early_ban_cells(events);
-    let offenders = sdrad_bench::campaign::offender_ids();
-    for (label, cell) in [("books-only", &early.books_only), ("fed", &early.fed)] {
-        let ctl = cell.stats.control.as_ref().expect("control books");
-        assert!(
-            ctl.banned_clients.iter().all(|c| offenders.contains(c)),
-            "{label}: zero benign clients banned: {:?}",
-            ctl.banned_clients
-        );
-    }
-    let advantage = early.advantage();
-    assert!(
-        advantage > 1.0,
-        "evidence-fed admission must ban on fewer absorbed faults: books-only \
-         {:.1} vs fed {:.1} mean pre-ban rewinds",
-        early.books_only_faults,
-        early.fed_faults
-    );
-    let fed_ctl = early.fed.stats.control.as_ref().expect("control books");
-    report.begin_table(
-        format!(
-            "{events} campaign events per arm, seed {:#x}; both arms stream frames, only \
-             the fed arm's spikes reach admission (threshold {} windowed faults)",
-            sdrad_bench::campaign::SEED,
-            streaming::SPIKE_FAULTS
-        ),
-        &[
-            "arm",
-            "banned",
-            "pre-ban rewinds (mean)",
-            "evidence decisions",
-            "benign-ok",
-        ],
-    );
-    for (label, cell, faults) in [
-        ("books-only", &early.books_only, early.books_only_faults),
-        ("telemetry-fed", &early.fed, early.fed_faults),
-    ] {
-        let ctl = cell.stats.control.as_ref().expect("control books");
-        report.row(&[
-            label.into(),
-            ctl.banned_clients.len().to_string(),
-            format!("{faults:.1}"),
-            ctl.counts.evidence.to_string(),
-            cell.stats.ok().to_string(),
-        ]);
-    }
-
-    // The windowed view the spikes are computed from, reconstructed
-    // post-hoc over logical time: fault rewinds arrive in bursts, which
-    // is exactly what a rate detector sees and an integrator smooths.
-    let fed_log = &early.fed.stats.telemetry.as_ref().expect("recorder on").log;
-    let rewinds = fed_log.query().kind(EventKind::Rewind).run();
-    let span = rewinds.last().map_or(0, |l| l.stamp) - rewinds.first().map_or(0, |f| f.stamp);
-    let fault_windows = fed_log
-        .query()
-        .kind(EventKind::Rewind)
-        .windowed((span / 8).max(1));
-    let busiest = fault_windows.iter().map(|w| w.count).max().unwrap_or(0);
-    report.note(format!(
-        "fault-rate burstiness over {} logical-clock windows: busiest window holds {} of \
-         {} rewinds — rate evidence fires on the burst, the score integrator only later",
-        fault_windows.len(),
-        busiest,
-        fed_log.query().kind(EventKind::Rewind).count()
-    ));
-
-    // --- 2. the streaming apparatus stays inside the E17 budget ----------
-    const HOT_REQUESTS: usize = 2_000;
-    let best = |telemetry: TelemetryConfig, streaming_cfg: Option<StreamingConfig>| {
-        (0..3)
-            .map(|_| {
-                let stats = streaming::closed_loop_cell(telemetry, streaming_cfg, HOT_REQUESTS);
-                let p99 = stats.ok_latency().p99();
-                (stats, p99)
-            })
-            .min_by_key(|(_, p99)| *p99)
-            .expect("three runs")
-    };
-    let (off, off_p99) = best(TelemetryConfig::Off, None);
-    let (on, on_p99) = best(TelemetryConfig::enabled(), Some(StreamingConfig::enabled()));
-    assert!(off.reconciles() && on.reconciles());
-    let on_books = on.telemetry.as_ref().expect("recorder was on");
-    let on_streaming = on_books.streaming.expect("streaming books present");
-    assert!(on_streaming.frames > 0, "the hot path must ship frames");
-    assert_eq!(on_streaming.lost_frames, 0);
-    assert_eq!(on_streaming.regressions, 0);
-    let overhead_ok = on_p99 <= off_p99 + OVERHEAD_EPSILON
-        || on_p99.as_secs_f64() <= off_p99.as_secs_f64() * (1.0 + OVERHEAD_BUDGET);
-    assert!(
-        overhead_ok,
-        "streaming overhead breached the recorder budget: p99 {off_p99:?} -> {on_p99:?}"
-    );
-    report.begin_table(
-        format!("{HOT_REQUESTS} closed-loop round trips over 8 conns, best of 3 per cell"),
-        &["cell", "ok p99", "frames", "events streamed"],
-    );
-    report.row(&[
-        "recorder off".into(),
-        format!("{:.1}us", off_p99.as_nanos() as f64 / 1e3),
-        "-".into(),
-        "-".into(),
-    ]);
-    report.row(&[
-        "recorder + sampler + flush".into(),
-        format!("{:.1}us", on_p99.as_nanos() as f64 / 1e3),
-        on_streaming.frames.to_string(),
-        on_streaming.events_streamed.to_string(),
-    ]);
-
-    // --- 3. exact books under forced ring pressure ------------------------
-    let pressure = streaming::pressure_cell(events.min(6_000));
-    assert!(pressure.stats.reconciles(), "books must balance");
-    let telemetry = pressure.stats.telemetry.as_ref().expect("recorder was on");
-    assert!(
-        telemetry.snapshot.conserves(),
-        "conservation must survive overflow AND sampling"
-    );
-    assert!(
-        telemetry.snapshot.total_sampled_out() > 0,
-        "tiny rings must drive the sampler into refusals"
-    );
-    assert!(
-        telemetry.snapshot.total_dropped() > 0,
-        "the undrained dispatcher ring must overflow at this size"
-    );
-    let books = telemetry.streaming.expect("streaming books present");
-    assert!(books.frames > 0);
-    assert_eq!(books.lost_frames, 0, "in-process delivery loses nothing");
-    assert_eq!(books.regressions, 0);
-    report.begin_table(
-        format!(
-            "conservation under pressure: {}-event rings, {} campaign events — overflow \
-             `dropped` and deliberate `sampled_out` reported separately, both conserved",
-            streaming::PRESSURE_RING,
-            events.min(6_000)
-        ),
-        &[
-            "ring",
-            "emitted",
-            "dropped",
-            "sampled_out",
-            "drained",
-            "in-ring",
-        ],
-    );
-    for (name, stat) in &telemetry.snapshot.rings {
-        report.row(&[
-            name.clone(),
-            stat.counters.emitted.to_string(),
-            stat.counters.dropped.to_string(),
-            stat.counters.sampled_out.to_string(),
-            stat.counters.drained.to_string(),
-            stat.in_ring.to_string(),
-        ]);
-    }
-
-    report.note(format!(
-        "telemetry-fed admission banned on {:.1} mean absorbed faults vs {:.1} books-only \
-         ({advantage:.2}x earlier); {} evidence decisions reached the plane",
-        early.fed_faults, early.books_only_faults, fed_ctl.counts.evidence
-    ));
-    report.note(format!(
-        "streaming apparatus p99 {:.1}us vs {:.1}us bare (budget {:.0}% or {OVERHEAD_EPSILON:?}); \
-         {} frames shipped on the hot path, zero lost",
-        on_p99.as_nanos() as f64 / 1e3,
-        off_p99.as_nanos() as f64 / 1e3,
-        OVERHEAD_BUDGET * 100.0,
-        on_streaming.frames
-    ));
-    report.note(format!(
-        "under pressure: {} overflow drops + {} sampler refusals across {} rings, books \
-         exact, {} frames with zero losses and zero delta regressions",
-        telemetry.snapshot.total_dropped(),
-        telemetry.snapshot.total_sampled_out(),
-        telemetry.snapshot.rings.len(),
-        books.frames
-    ));
-    report.print();
+    sdrad_bench::scenarios::run_full("e24");
 }

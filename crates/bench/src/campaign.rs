@@ -1,14 +1,12 @@
-//! The shared hostile/benign campaign behind E19, E20 and
-//! `bench_report`.
+//! The shared hostile/benign campaign behind E19, E20 and E24.
 //!
 //! E19 established the adaptive-control experiment: a seeded
 //! `sdrad-faultsim` mix of repeat offenders and benign flash crowds
 //! driven through a KV runtime. E20 replays *the same campaign* with
 //! the flight recorder enabled and reconstructs the control plane's
-//! decisions from trace data alone, and `bench_report` distills the
-//! same run into committed trajectory metrics — so the configuration
-//! lives here once, and all three harnesses provably talk about the
-//! same workload.
+//! decisions from trace data alone, and E24 layers the streaming
+//! collector on top — so the configuration lives here once, and all
+//! three scenarios provably talk about the same workload.
 
 use std::time::Duration;
 
@@ -18,6 +16,8 @@ use sdrad_runtime::{
     ControlConfig, IsolationMode, LadderParams, ReputationParams, Runtime, RuntimeConfig,
     RuntimeStats, TelemetryConfig,
 };
+
+use crate::cells::{benign, KV_ATTACK};
 
 /// Regular shards per cell (the adaptive cell adds its blast pit).
 pub const WORKERS: usize = 4;
@@ -89,7 +89,7 @@ pub struct Cell {
 
 /// The campaign cell's runtime configuration. Split out from
 /// [`run_cell`] so variants that layer extra config on top (the
-/// streaming-telemetry cells in [`crate::streaming`]) provably start
+/// streaming-telemetry cells in [`crate::scenarios::e24`]) provably start
 /// from the same runtime as every other harness.
 #[must_use]
 pub fn cell_config(control: Option<ControlConfig>, telemetry: TelemetryConfig) -> RuntimeConfig {
@@ -130,14 +130,10 @@ pub fn drive_campaign(config: RuntimeConfig, events: usize) -> Cell {
     for i in 0..events {
         let event = mix.next_event();
         let payload = match event.kind {
-            TrafficKind::Attack => b"xstat 65536 4\r\nboom\r\n".to_vec(),
+            TrafficKind::Attack => KV_ATTACK.to_vec(),
             TrafficKind::Benign => {
                 benign_offered += 1;
-                if i % 4 == 0 {
-                    format!("set key-{} 8\r\nabcdefgh\r\n", i % 512).into_bytes()
-                } else {
-                    format!("get key-{}\r\n", i % 512).into_bytes()
-                }
+                benign(i)
             }
         };
         offered += 1;

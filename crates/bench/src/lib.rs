@@ -1,14 +1,18 @@
 //! # sdrad-bench — experiment harnesses
 //!
-//! One binary per experiment (`e1_overhead` … `e20_decision_timeline`),
-//! each regenerating one table or figure from the paper — or one of the
-//! paper's §IV proposals (E10–E14) — and printing paper-vs-measured rows.
-//! See `DESIGN.md` §5 for the experiment index.
+//! One binary per experiment (`e1_overhead` … `e24_streaming_telemetry`;
+//! e17 has none), each regenerating one table or figure from the paper
+//! — or one of the paper's §IV proposals (E10–E14) — and printing
+//! paper-vs-measured rows. See `DESIGN.md` §5 for the experiment index.
 //!
-//! Every harness routes its summary through [`report::Report`], so the
-//! human tables and the machine-readable metrics are one data structure;
-//! the `bench_report` binary distills the key metrics into the committed
-//! `BENCH_runtime.json` trajectory file and `--check`s it in CI.
+//! The experiments on the serving runtime (e15–e24) are library
+//! functions registered in [`scenarios`], built from the shared
+//! [`cells`]; their binaries are one-call `main`s, and the
+//! `bench_report` binary loops the same registry at its smaller
+//! trajectory sizes, writes the metrics to the committed
+//! `BENCH_runtime.json` and `--check`s it in CI. Every harness routes
+//! its summary through [`report::Report`], so the human tables and the
+//! machine-readable metrics are one data structure.
 //!
 //! Criterion microbenches (`cargo bench -p sdrad-bench`) cover the hot
 //! paths behind the same experiments.
@@ -17,9 +21,9 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod rebuild;
+pub mod cells;
 pub mod report;
-pub mod streaming;
+pub mod scenarios;
 
 use std::time::{Duration, Instant};
 

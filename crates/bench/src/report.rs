@@ -413,6 +413,10 @@ impl CheckOutcome {
 ///
 /// * Every baseline metric must still exist — a vanished metric is a
 ///   coverage loss and fails.
+/// * A metric whose class or guarded direction differs from the
+///   baseline's fails: gating follows the baseline, so a demotion or a
+///   flipped direction in code would otherwise silently drop or invert
+///   a guard.
 /// * `exact` metrics must match the baseline bit-for-bit.
 /// * `guarded` metrics fail on a relative degradation beyond
 ///   `tolerance` (direction given by `higher_is_better`); improvements
@@ -432,6 +436,21 @@ pub fn check(current: &[Metric], baseline: &[Metric], tolerance: f64) -> CheckOu
             continue;
         };
         outcome.compared += 1;
+        if cur.class != base.class
+            || (base.class == MetricClass::Guarded && cur.higher_is_better != base.higher_is_better)
+        {
+            outcome.failures.push(format!(
+                "{}: class/direction changed ({}, higher_is_better={}) vs baseline ({}, \
+                 higher_is_better={}) — regenerate BENCH_runtime.json deliberately if this is \
+                 intended",
+                base.name,
+                cur.class.as_str(),
+                cur.higher_is_better,
+                base.class.as_str(),
+                base.higher_is_better
+            ));
+            continue;
+        }
         match base.class {
             MetricClass::Exact => {
                 if cur.value != base.value {
@@ -483,18 +502,19 @@ pub fn check(current: &[Metric], baseline: &[Metric], tolerance: f64) -> CheckOu
 }
 
 /// Relative degradation of `cur` vs `base` in the metric's *worse*
-/// direction; improvements come back negative. A zero baseline can only
-/// degrade when lower-is-better and the value became positive.
+/// direction (the baseline's, which [`check`] has already verified the
+/// run shares); improvements come back negative. A zero baseline can
+/// only degrade when lower-is-better and the value became positive.
 fn relative_degradation(cur: &Metric, base: &Metric) -> f64 {
     let scale = base.value.abs();
     if scale <= f64::MIN_POSITIVE {
-        return if !cur.higher_is_better && cur.value > 0.0 {
+        return if !base.higher_is_better && cur.value > 0.0 {
             f64::INFINITY
         } else {
             0.0
         };
     }
-    if cur.higher_is_better {
+    if base.higher_is_better {
         (base.value - cur.value) / scale
     } else {
         (cur.value - base.value) / scale
@@ -607,6 +627,34 @@ mod tests {
         assert!(check(
             &[metric("a.overhead", 1.0, MetricClass::Guarded, false)],
             &base_low,
+            0.10
+        )
+        .passed());
+    }
+
+    #[test]
+    fn class_or_direction_change_vs_baseline_fails() {
+        let base = vec![metric("a.overhead", 2.0, MetricClass::Guarded, false)];
+        // Flipped direction: 3.0 would read as an improvement.
+        let flipped = check(
+            &[metric("a.overhead", 3.0, MetricClass::Guarded, true)],
+            &base,
+            0.10,
+        );
+        assert_eq!(flipped.failures.len(), 1);
+        assert!(flipped.failures[0].contains("regenerate"));
+        // Demoted to info: the guard would silently stop gating.
+        let demoted = check(
+            &[metric("a.overhead", 3.0, MetricClass::Info, false)],
+            &base,
+            0.10,
+        );
+        assert_eq!(demoted.failures.len(), 1);
+        // Direction is meaningless outside guarded metrics.
+        let exact = vec![metric("a.crashes", 0.0, MetricClass::Exact, false)];
+        assert!(check(
+            &[metric("a.crashes", 0.0, MetricClass::Exact, true)],
+            &exact,
             0.10
         )
         .passed());

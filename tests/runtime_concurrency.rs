@@ -104,7 +104,9 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
     // produces, responses stay complete and in frame order, mutations
     // stay on the owner, and the reclamation books reconcile exactly.
     use sdrad_repro::net::{duplex, Endpoint};
-    use sdrad_repro::runtime::{ControlConfig, LadderParams, ReputationParams, StealPolicy};
+    use sdrad_repro::runtime::{
+        ControlConfig, LadderParams, ReputationParams, ShedParams, StealPolicy,
+    };
 
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
     config.work_stealing = StealPolicy::Deep;
@@ -113,8 +115,15 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
     config.conn_read_budget = 4;
     // Scores the offender can never reach: it is neither quarantined
     // nor banned, so every third consecutive fault rebuilds the pool
-    // right on the shard the thief is stealing from.
+    // right on the shard the thief is stealing from. The benign CoDel
+    // target is parked at 1 s: this test is about rebuild x steal, and
+    // the default 50 ms target sheds the 1500-deep backlog below on a
+    // CPU-starved host.
     config.control = Some(ControlConfig {
+        benign_shed: ShedParams {
+            target_ns: 1_000_000_000,
+            ..ControlConfig::default().benign_shed
+        },
         reputation: ReputationParams {
             half_life_ns: 60_000_000_000,
             throttle_score: 1e12,
