@@ -70,7 +70,6 @@ pub const PRESSURE_RING: usize = 64;
 pub fn spikes_off() -> StreamingConfig {
     StreamingConfig {
         spike_faults: u64::MAX,
-        ..StreamingConfig::enabled()
     }
 }
 
@@ -79,7 +78,6 @@ pub fn spikes_off() -> StreamingConfig {
 pub fn spikes_on() -> StreamingConfig {
     StreamingConfig {
         spike_faults: SPIKE_FAULTS,
-        ..StreamingConfig::enabled()
     }
 }
 

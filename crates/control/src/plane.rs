@@ -185,14 +185,6 @@ impl ControlPlane {
         }
     }
 
-    /// The rung cost models this plane bills decisions through — what
-    /// the runtime reads to make a modeled rung window physical (the
-    /// synchronous rebuild pause) or to size amortized reclamation.
-    #[must_use]
-    pub fn models(&self) -> RungModels {
-        self.models
-    }
-
     fn log(&mut self, now_ns: u64, client: u64, decision: Decision) {
         if self.log.len() >= LOG_RETAIN {
             // Drop the oldest half in one move instead of shifting per

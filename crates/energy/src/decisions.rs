@@ -53,18 +53,12 @@ pub struct RungModels {
     /// via [`RestartModel::sdrad_rewind_measured`]).
     pub rewind: RestartModel,
     /// Per-domain teardown + re-create cost of a pool rebuild (the pool
-    /// rung bills `domains ×` this).
+    /// rung bills `domains ×` this as amortized reclamation).
     pub pool_domain_rebuild: Duration,
-    /// Serving-visible pause of a *deferred* pool rebuild: swap the
-    /// pool pointer, push the old pool onto the retire list. Pointer-
-    /// scale work, independent of how many domains the old pool held.
+    /// Serving-visible pause of a pool rebuild: swap the pool pointer,
+    /// push the old pool onto the retire list. Pointer-scale work,
+    /// independent of how many domains the old pool held.
     pub pool_publish: Duration,
-    /// Whether pool rebuilds run deferred (hazard-pointer lifecycle:
-    /// publish new, retire old, reclaim amortized off the serving path)
-    /// rather than as a synchronous stop-the-world teardown. Changes
-    /// how [`RecoveryBill::bill`] splits the pool rung's cost, not how
-    /// much total work the rung does.
-    pub deferred_rebuild: bool,
     /// The restart rung (and the cost a restart-only policy pays for
     /// *every* fault).
     pub restart: RestartModel,
@@ -73,26 +67,15 @@ pub struct RungModels {
 impl RungModels {
     /// Paper-calibrated defaults: 3.5 µs rewinds, 20 µs per re-created
     /// domain (allocation + key assignment, the `e10` lifecycle scale),
-    /// a 2 µs deferred-publish pause, and the Memcached-calibrated
-    /// process restart. Rebuilds bill synchronously by default.
+    /// a 2 µs publish pause, and the Memcached-calibrated process
+    /// restart.
     #[must_use]
     pub fn calibrated() -> Self {
         RungModels {
             rewind: RestartModel::sdrad_rewind(),
             pool_domain_rebuild: Duration::from_micros(20),
             pool_publish: Duration::from_micros(2),
-            deferred_rebuild: false,
             restart: RestartModel::process_restart(),
-        }
-    }
-
-    /// The same models with the pool rung billed as a deferred
-    /// (publish-new/retire-old) rebuild.
-    #[must_use]
-    pub fn deferred(self) -> Self {
-        RungModels {
-            deferred_rebuild: true,
-            ..self
         }
     }
 
@@ -138,22 +121,15 @@ pub struct RecoveryBill {
     pub worker_restarts: u64,
     /// Modeled time spent in the rewind rung.
     pub rewind_time: Duration,
-    /// Modeled time spent in the pool-rebuild rung.
-    pub pool_time: Duration,
     /// Modeled time spent in the restart rung.
     pub restart_time: Duration,
-    /// Pool rebuilds billed on the deferred (publish/retire) path — a
-    /// subset of `pool_rebuilds`, split out so the books can show how
-    /// the same rung count moved from `pool_time` (a serving-visible
-    /// pause) to `publish_time + reclaim_time`.
-    pub deferred_rebuilds: u64,
-    /// Serving-visible pause of deferred rebuilds: the pointer swap
-    /// that publishes the fresh pool and retires the old one.
+    /// Serving-visible pause of the pool rung: the pointer swap that
+    /// publishes the fresh pool and retires the old one.
     pub publish_time: Duration,
-    /// Amortized reclamation cost of deferred rebuilds: the retired
-    /// pool's domains torn down off the serving path. Same per-domain
-    /// model as a synchronous rebuild — deferral moves the joules, it
-    /// does not delete them.
+    /// Amortized reclamation cost of the pool rung: the retired pool's
+    /// domains torn down off the serving path, `domains ×` the
+    /// per-domain model — deferral moves the joules, it does not
+    /// delete them.
     pub reclaim_time: Duration,
     /// What a restart-only policy would have spent on the same faults:
     /// one full worker restart per billed decision, any rung.
@@ -176,19 +152,13 @@ impl RecoveryBill {
                 self.rewinds += 1;
                 self.rewind_time += time;
             }
-            RecoveryRung::PoolRebuild if models.deferred_rebuild => {
-                // The deferred lifecycle splits the same total work:
-                // a pointer-swap pause now, the per-domain teardown
-                // amortized behind it. `pool_rebuilds` still counts the
-                // decision, so counted == billed survives the split.
+            RecoveryRung::PoolRebuild => {
+                // The publish-and-retire lifecycle splits the rung's
+                // work: a pointer-swap pause now, the per-domain
+                // teardown amortized behind it.
                 self.pool_rebuilds += 1;
-                self.deferred_rebuilds += 1;
                 self.publish_time += models.pool_publish;
                 self.reclaim_time += time;
-            }
-            RecoveryRung::PoolRebuild => {
-                self.pool_rebuilds += 1;
-                self.pool_time += time;
             }
             RecoveryRung::WorkerRestart => {
                 self.worker_restarts += 1;
@@ -214,24 +184,11 @@ impl RecoveryBill {
         }
     }
 
-    /// Total modeled recovery time of the ladder policy — deferred
-    /// rebuilds included in full (pause plus amortized reclamation), so
-    /// the energy totals stay comparable across rebuild modes.
+    /// Total modeled recovery time of the ladder policy — pool
+    /// rebuilds included in full (pause plus amortized reclamation).
     #[must_use]
     pub fn ladder_time(&self) -> Duration {
-        self.rewind_time
-            + self.pool_time
-            + self.restart_time
-            + self.publish_time
-            + self.reclaim_time
-    }
-
-    /// The serving-visible portion of the pool rung's bill: the whole
-    /// `pool_time` when rebuilds are synchronous, only `publish_time`
-    /// when deferred — the pause contrast `e23` measures.
-    #[must_use]
-    pub fn rebuild_pause_time(&self) -> Duration {
-        self.pool_time + self.publish_time
+        self.rewind_time + self.restart_time + self.publish_time + self.reclaim_time
     }
 
     /// Modeled recovery time the ladder saved versus restart-only
@@ -276,9 +233,6 @@ impl RecoveryBill {
         registry
             .counter("energy.bill.worker_restarts")
             .add(self.worker_restarts);
-        registry
-            .counter("energy.bill.deferred_rebuilds")
-            .add(self.deferred_rebuilds);
         let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         registry
             .counter("energy.recovery_ns.publish")
@@ -331,7 +285,12 @@ mod tests {
         assert_eq!(bill.pool_rebuilds, 1);
         assert_eq!(bill.worker_restarts, 1);
         assert_eq!(bill.rewind_time, Duration::from_nanos(3_500) * 10);
-        assert_eq!(bill.pool_time, Duration::from_micros(160));
+        assert_eq!(bill.reclaim_time, Duration::from_micros(160));
+        assert_eq!(
+            bill.publish_time,
+            Duration::from_micros(2),
+            "the pause is the pointer swap, not the teardown"
+        );
         assert!(bill.restart_time >= Duration::from_secs(1));
     }
 
@@ -365,40 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn deferred_rebuilds_split_pause_from_reclamation() {
-        let sync_models = RungModels::calibrated();
-        let deferred_models = sync_models.deferred();
-        let mut sync_bill = RecoveryBill::default();
-        let mut deferred_bill = RecoveryBill::default();
-        for _ in 0..5 {
-            sync_bill.bill(&sync_models, RecoveryRung::PoolRebuild, 1 << 20, 8);
-            deferred_bill.bill(&deferred_models, RecoveryRung::PoolRebuild, 1 << 20, 8);
-        }
-        // Same decision count, same total work: deferral moves the
-        // joules off the serving path, it does not delete them.
-        assert_eq!(sync_bill.pool_rebuilds, deferred_bill.pool_rebuilds);
-        assert_eq!(sync_bill.deferred_rebuilds, 0);
-        assert_eq!(deferred_bill.deferred_rebuilds, 5);
-        assert_eq!(deferred_bill.pool_time, Duration::ZERO);
-        assert_eq!(deferred_bill.reclaim_time, sync_bill.pool_time);
-        assert_eq!(
-            deferred_bill.publish_time,
-            Duration::from_micros(2) * 5,
-            "the pause is the pointer swap, not the teardown"
-        );
-        // The e23 contrast: the serving-visible pause collapses by the
-        // domains-per-publish ratio (20 µs × 8 vs 2 µs per rebuild).
-        assert!(deferred_bill.rebuild_pause_time() * 10 < sync_bill.rebuild_pause_time());
-        // And the full energy books stay comparable across modes.
-        assert_eq!(
-            deferred_bill.ladder_time() - deferred_bill.publish_time,
-            sync_bill.ladder_time()
-        );
-    }
-
-    #[test]
-    fn deferred_billing_preserves_counted_equals_billed() {
-        let models = RungModels::calibrated().deferred();
+    fn split_pool_billing_preserves_counted_equals_billed() {
+        let models = RungModels::calibrated();
         let mut bill = RecoveryBill::default();
         bill.bill(&models, RecoveryRung::Rewind, 1 << 20, 8);
         bill.bill(&models, RecoveryRung::PoolRebuild, 1 << 20, 8);

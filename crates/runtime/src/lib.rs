@@ -133,17 +133,16 @@ pub use sdrad_control::{
     ShedParams, Standing,
 };
 pub use server::ConnectionServer;
-pub use stats::{
-    fleet_lineup_from_runs, RuntimeStats, StatsSnapshot, StreamingReport, TelemetryReport,
-};
+pub use stats::{fleet_lineup_from_runs, RuntimeStats, StatsSnapshot, TelemetryReport};
 // Observability vocabulary, re-exported for the same reason — the
 // histogram moved to `sdrad-telemetry` (the registry serves it too) but
 // stays available under its historical `sdrad_runtime` path. The
 // streaming types ride along so harnesses configure the collector sink
 // and read its books without a direct `sdrad-telemetry` dependency.
 pub use sdrad_telemetry::{
-    Collector, DeltaFrame, EventKind, LatencyHistogram, ShedReason, Spike, StreamingConfig,
-    TelemetryConfig, TelemetrySink, TelemetrySnapshot, TraceEvent, TraceLog, WindowRollup,
+    Collector, DeltaFrame, EventKind, LatencyHistogram, LiveTotals, ShedReason, Source, Spike,
+    StreamingConfig, StreamingReport, TelemetryConfig, TelemetrySnapshot, TraceEvent, TraceLog,
+    WindowRollup,
 };
 pub use wake::WakeSet;
 pub use worker::{Worker, WorkerStats};

@@ -13,8 +13,8 @@ use sdrad_energy::restart::RestartModel;
 use sdrad_net::Endpoint;
 use sdrad_nolock::{HazardDomain, Shared};
 use sdrad_telemetry::{
-    Collector, EventKind, LatencyHistogram, LogicalClock, MetricsRegistry, Recorder, ShedReason,
-    Source, StreamingConfig, TelemetryConfig, TelemetrySnapshot, TraceLog, TraceRing,
+    Collector, EventKind, LatencyHistogram, LiveTotals, LogicalClock, MetricsRegistry, Recorder,
+    ShedReason, Source, StreamingConfig, TelemetryConfig, TelemetrySnapshot, TraceLog, TraceRing,
 };
 
 use crate::control_hub::{ControlHub, Routing};
@@ -410,25 +410,20 @@ impl Runtime {
         // merge into a total order.
         let clock = LogicalClock::new();
         let mut rings: Option<Vec<(String, Arc<TraceRing>)>> = None;
-        let mut recorder_for = |name: String, source: Source| -> Recorder {
+        let mut recorder_for = |source: Source| -> Recorder {
             let TelemetryConfig::Enabled { ring_capacity } = config.telemetry else {
                 return Recorder::Off;
             };
             let ring = Arc::new(TraceRing::new(ring_capacity));
             rings
                 .get_or_insert_with(Vec::new)
-                .push((name, Arc::clone(&ring)));
+                .push((source.name(), Arc::clone(&ring)));
             Recorder::on(ring, clock.clone(), source)
         };
-        let control_recorder = recorder_for("control".to_string(), Source::Control);
-        let dispatcher_recorder = recorder_for("dispatcher".to_string(), Source::Dispatcher);
+        let control_recorder = recorder_for(Source::Control);
+        let dispatcher_recorder = recorder_for(Source::Dispatcher);
         let worker_recorders: Vec<Recorder> = (0..workers)
-            .map(|index| {
-                recorder_for(
-                    format!("worker-{index}"),
-                    Source::Worker(u16::try_from(index).unwrap_or(u16::MAX)),
-                )
-            })
+            .map(|index| recorder_for(Source::Worker(u16::try_from(index).unwrap_or(u16::MAX))))
             .collect();
         // The streaming collector (one per runtime): only built when the
         // flight recorder is on too — without rings there are no events
@@ -443,7 +438,7 @@ impl Runtime {
         let hub = config.control.map(|control| {
             Arc::new(ControlHub::new(
                 control,
-                RungModels::calibrated().deferred(),
+                RungModels::calibrated(),
                 workers - 1,
                 control_recorder,
             ))
@@ -708,18 +703,22 @@ impl Runtime {
     /// [`shutdown`](Self::shutdown).
     #[must_use]
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
+        let mut totals = [0u64; LiveTotals::COUNTERS];
         for live in &self.live {
-            live.add_into(&mut snap);
+            for (sum, counter) in totals.iter_mut().zip(live.load().to_array()) {
+                *sum += counter;
+            }
         }
-        snap.pending = self.pending();
-        snap.attached = self.attached();
-        snap.refused = self
-            .dispatcher
-            .control
-            .as_ref()
-            .map_or(0, |hub| hub.refused());
-        snap
+        StatsSnapshot {
+            totals: LiveTotals::from_array(totals),
+            pending: self.pending(),
+            attached: self.attached(),
+            refused: self
+                .dispatcher
+                .control
+                .as_ref()
+                .map_or(0, |hub| hub.refused()),
+        }
     }
 
     /// Stops accepting requests, drains every shard (queued requests
@@ -811,7 +810,7 @@ impl Runtime {
 /// *before* the final ring drains, so the log still carries every
 /// drained event exactly once, and the collector's delivery books
 /// (frames, losses, regressions) close into `streaming.*` counters and
-/// [`TelemetryReport::streaming`].
+/// [`TelemetryReport::streaming`] — one [`Collector::close`] call.
 fn close_telemetry(
     stats: &RuntimeStats,
     rings: &[(String, Arc<TraceRing>)],
@@ -888,29 +887,22 @@ fn close_telemetry(
     if let Some(report) = &stats.control {
         report.register_metrics(&registry, &PowerModel::rack_server());
     }
-    let mut events = Vec::new();
-    let mut streaming = None;
-    if let Some(collector) = collector {
-        registry.counter("streaming.frames").add(collector.frames());
+    // Events the workers already streamed were booked `drained` when
+    // their flush tick drained them; taking them back here (by move —
+    // this Vec becomes the log) keeps `log.len() == Σ drained` exact.
+    let (streaming, events) = collector.map(Collector::close).unzip();
+    let mut events: Vec<_> = events.unwrap_or_default();
+    if let Some(books) = &streaming {
+        registry.counter("streaming.frames").add(books.frames);
         registry
             .counter("streaming.lost_frames")
-            .add(collector.lost_frames());
+            .add(books.lost_frames);
         registry
             .counter("streaming.regressions")
-            .add(collector.regressions());
+            .add(books.regressions);
         registry
             .counter("streaming.events_streamed")
-            .add(collector.events_received());
-        streaming = Some(crate::stats::StreamingReport {
-            frames: collector.frames(),
-            lost_frames: collector.lost_frames(),
-            regressions: collector.regressions(),
-            events_streamed: collector.events_received(),
-        });
-        // Events the workers already streamed were booked `drained` when
-        // their flush tick drained them; pulling them back here keeps
-        // `log.len() == Σ drained` exact.
-        events.extend(collector.drain_events());
+            .add(books.events_streamed);
     }
     let mut snapshot = TelemetrySnapshot::from_metrics(registry.read());
     for (name, ring) in rings {
@@ -1087,8 +1079,8 @@ mod tests {
         // snapshot has converged to the truth.
         assert!(runtime.quiesce());
         let snap = runtime.stats_snapshot();
-        assert_eq!(snap.served, 32);
-        assert_eq!(snap.ok, 32);
+        assert_eq!(snap.totals.served, 32);
+        assert_eq!(snap.totals.ok, 32);
         assert_eq!(snap.pending, 0);
         assert_eq!(runtime.shutdown().served(), 32);
     }

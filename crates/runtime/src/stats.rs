@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use sdrad_control::ControlReport;
 use sdrad_energy::casestudy::{fleet_lineup, FleetReport, FleetScenario};
-use sdrad_telemetry::{LatencyHistogram, TelemetrySnapshot, TraceLog};
+use sdrad_telemetry::{LatencyHistogram, LiveTotals, StreamingReport, TelemetrySnapshot, TraceLog};
 
 use crate::worker::WorkerStats;
 
@@ -30,27 +30,6 @@ pub struct TelemetryReport {
     pub streaming: Option<StreamingReport>,
 }
 
-/// What the in-process streaming collector saw over the run: the
-/// delta-frame delivery books, closed at shutdown. Mirrored into the
-/// metrics registry as `streaming.*` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamingReport {
-    /// Delta frames delivered (all sources).
-    pub frames: u64,
-    /// Frames detected lost by per-source sequence gaps. Losses are
-    /// recoverable — frames carry cumulative totals, so the next
-    /// delivery resynchronizes the books — but each gap is counted.
-    pub lost_frames: u64,
-    /// Counter regressions observed (a source's cumulative total moved
-    /// backwards — only a restarted source that lost its baseline would
-    /// do this, and the runtime retains baselines across worker
-    /// restarts, so any nonzero value is a bug surfaced).
-    pub regressions: u64,
-    /// Trace events that arrived inside delta frames (drained by their
-    /// source's flush tick rather than at shutdown).
-    pub events_streamed: u64,
-}
-
 /// A cheap, **non-quiescing** live view of a running runtime
 /// ([`Runtime::stats_snapshot`](crate::Runtime::stats_snapshot)).
 ///
@@ -68,18 +47,8 @@ pub struct StreamingReport {
 /// must not perturb the measurement by quiescing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Requests completed (any disposition), as last flushed.
-    pub served: u64,
-    /// Requests served normally, as last flushed.
-    pub ok: u64,
-    /// Contained faults, as last flushed.
-    pub contained_faults: u64,
-    /// Baseline crashes, as last flushed.
-    pub crashes: u64,
-    /// Requests served off connection streams, as last flushed.
-    pub conn_served: u64,
-    /// Requests stolen from sibling queues, as last flushed.
-    pub steals: u64,
+    /// The per-pass counters summed across workers, as last flushed.
+    pub totals: LiveTotals,
     /// Requests currently queued across all shards (a live read, not a
     /// flushed counter — exact at the instant each queue was polled).
     pub pending: usize,
@@ -91,28 +60,23 @@ pub struct StatsSnapshot {
 }
 
 /// The per-worker atomics behind [`StatsSnapshot`]: each worker stores
-/// its counters here once per pump pass (plain `store`s — no RMW on the
-/// hot path), and `stats_snapshot()` sums across workers without
+/// its [`LiveTotals`] here once per pump pass (plain `store`s — no RMW
+/// on the hot path), and `stats_snapshot()` sums across workers without
 /// quiescing anything.
 #[derive(Debug, Default)]
-pub(crate) struct LiveCounters {
-    pub(crate) served: AtomicU64,
-    pub(crate) ok: AtomicU64,
-    pub(crate) contained_faults: AtomicU64,
-    pub(crate) crashes: AtomicU64,
-    pub(crate) conn_served: AtomicU64,
-    pub(crate) steals: AtomicU64,
-}
+pub(crate) struct LiveCounters([AtomicU64; LiveTotals::COUNTERS]);
 
 impl LiveCounters {
-    /// Adds this worker's last-flushed counters into `snap`.
-    pub(crate) fn add_into(&self, snap: &mut StatsSnapshot) {
-        snap.served += self.served.load(Ordering::Relaxed);
-        snap.ok += self.ok.load(Ordering::Relaxed);
-        snap.contained_faults += self.contained_faults.load(Ordering::Relaxed);
-        snap.crashes += self.crashes.load(Ordering::Relaxed);
-        snap.conn_served += self.conn_served.load(Ordering::Relaxed);
-        snap.steals += self.steals.load(Ordering::Relaxed);
+    /// Publishes the worker's counters as of this pass.
+    pub(crate) fn store(&self, totals: LiveTotals) {
+        for (cell, total) in self.0.iter().zip(totals.to_array()) {
+            cell.store(total, Ordering::Relaxed);
+        }
+    }
+
+    /// This worker's last-flushed counters.
+    pub(crate) fn load(&self) -> LiveTotals {
+        LiveTotals::from_array(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
     }
 }
 

@@ -54,7 +54,7 @@ use sdrad_control::RecoveryRung;
 use sdrad_energy::restart::RestartModel;
 use sdrad_nolock::{FrameBuf, HazardDomain, Shared};
 use sdrad_telemetry::{
-    Collector, DeltaFrame, EventKind, LatencyHistogram, Recorder, TelemetrySink,
+    Collector, DeltaFrame, EventKind, LatencyHistogram, LiveTotals, Recorder, Source,
 };
 
 use crate::control_hub::ControlHub;
@@ -332,12 +332,10 @@ pub struct Worker<H: SessionHandler> {
     hazard: Option<Arc<HazardDomain>>,
     /// See [`ShardChannels::view_cells`].
     view_cells: Vec<Arc<Shared<ShardView>>>,
-    /// See [`ShardChannels::collector`]. Frames ride the pump passes —
-    /// no flush thread, no timer: an idle shard ships nothing.
+    /// See [`ShardChannels::collector`]. Frames ride the pump passes,
+    /// one each — no flush thread, no timer: an idle shard ships
+    /// nothing.
     collector: Option<Arc<Collector>>,
-    /// Ship a delta frame every this many pump passes (0 = never, when
-    /// no collector is wired).
-    flush_every: u64,
     /// This worker's monotonic frame sequence (the collector's
     /// loss-detection key).
     flush_seq: u64,
@@ -403,10 +401,6 @@ impl<H: SessionHandler> Worker<H> {
             hazard: channels.hazard,
             view_stamps: vec![(0, 0); channels.view_cells.len()],
             view_cells: channels.view_cells,
-            flush_every: match (&channels.collector, config.streaming) {
-                (Some(_), Some(streaming)) => streaming.flush_every_passes.max(1),
-                _ => 0,
-            },
             flush_seq: 0,
             collector: channels.collector,
             published: None,
@@ -459,7 +453,10 @@ impl<H: SessionHandler> Worker<H> {
     /// timeouts anywhere — an idle shard costs nothing.
     fn run_event(&mut self) {
         loop {
-            self.flush_live();
+            // The pass's counters, built once: published before
+            // parking and shipped in the delta frame after the wake —
+            // nothing in between serves a request.
+            let totals = self.flush_live();
             self.recorder
                 .emit(EventKind::Park, self.shard_u16, 0, self.pass);
             let signals = self.wakes.wait();
@@ -477,8 +474,8 @@ impl<H: SessionHandler> Worker<H> {
                 hub.tick();
             }
             // The streaming flush rides the same machinery: one delta
-            // frame per `flush_every` passes, zero while idle.
-            self.maybe_flush_telemetry();
+            // frame per pass, zero while idle.
+            self.flush_telemetry(totals);
             // Amortized teardown: a couple of retired domains go per
             // pass, so a deferred rebuild's cost never lands on one
             // request. Cheap no-op when nothing is pending.
@@ -1269,41 +1266,31 @@ impl<H: SessionHandler> Worker<H> {
         self.stats.busy_ns = self.stats.busy_ns.saturating_add(elapsed_ns(since));
     }
 
-    /// Ships one delta frame to the streaming collector when the pass
-    /// counter hits the flush cadence: this worker's **cumulative**
-    /// counter totals (the collector owns the diffing, so a lost frame
-    /// never desynchronizes the books) plus everything drained from its
-    /// own trace ring — the drain is booked on the ring's `drained`
-    /// counter right here, which is what keeps the shutdown log merge
-    /// exact. Any windowed fault spikes the collector has accumulated
-    /// are fed straight back into admission as corroborating evidence.
-    fn maybe_flush_telemetry(&mut self) {
-        if self.flush_every == 0 || !self.pass.is_multiple_of(self.flush_every) {
-            return;
-        }
-        let Some(collector) = self.collector.clone() else {
+    /// Ships this pass's delta frame to the streaming collector: the
+    /// worker's **cumulative** counters (the collector owns the
+    /// diffing, so a lost frame never desynchronizes the books) plus
+    /// everything drained from its own trace ring — the drain is booked
+    /// on the ring's `drained` counter right here, which is what keeps
+    /// the shutdown log merge exact. The delivery answers with the
+    /// windowed fault spikes this frame caused, which are fed straight
+    /// back into admission as corroborating evidence.
+    fn flush_telemetry(&mut self, totals: LiveTotals) {
+        let Some(collector) = &self.collector else {
             return;
         };
         let events = self
             .recorder
             .ring()
             .map_or_else(Vec::new, |ring| ring.drain());
-        collector.deliver(DeltaFrame {
-            source: format!("worker-{}", self.index),
+        let spikes = collector.deliver(DeltaFrame {
+            source: Source::Worker(self.shard_u16),
             seq: self.flush_seq,
-            totals: vec![
-                ("served".to_string(), self.stats.served),
-                ("ok".to_string(), self.stats.ok),
-                ("contained_faults".to_string(), self.stats.contained_faults),
-                ("crashes".to_string(), self.stats.crashes),
-                ("conn_served".to_string(), self.stats.conn_served),
-                ("steals".to_string(), self.stats.steals),
-            ],
+            totals,
             events,
         });
         self.flush_seq += 1;
         if let Some(hub) = &self.control {
-            for spike in collector.take_spikes() {
+            for spike in spikes {
                 hub.observe_evidence(
                     usize::from(spike.shard),
                     sdrad::ClientId(spike.client),
@@ -1314,22 +1301,21 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Publishes the pass's counters to the live mailbox
-    /// (`Runtime::stats_snapshot` reads them without quiescing). Plain
-    /// relaxed stores — no RMW, no fence — called once per pump pass,
-    /// so the hot path pays a handful of uncontended cache writes.
-    fn flush_live(&self) {
-        self.live.served.store(self.stats.served, Ordering::Relaxed);
-        self.live.ok.store(self.stats.ok, Ordering::Relaxed);
-        self.live
-            .contained_faults
-            .store(self.stats.contained_faults, Ordering::Relaxed);
-        self.live
-            .crashes
-            .store(self.stats.crashes, Ordering::Relaxed);
-        self.live
-            .conn_served
-            .store(self.stats.conn_served, Ordering::Relaxed);
-        self.live.steals.store(self.stats.steals, Ordering::Relaxed);
+    /// (`Runtime::stats_snapshot` reads them without quiescing) and
+    /// returns them. Plain relaxed stores — no RMW, no fence — called
+    /// once per pump pass, so the hot path pays a handful of
+    /// uncontended cache writes.
+    fn flush_live(&self) -> LiveTotals {
+        let totals = LiveTotals {
+            served: self.stats.served,
+            ok: self.stats.ok,
+            contained_faults: self.stats.contained_faults,
+            crashes: self.stats.crashes,
+            conn_served: self.stats.conn_served,
+            steals: self.stats.steals,
+        };
+        self.live.store(totals);
+        totals
     }
 
     fn account(&mut self, client: sdrad::ClientId, disposition: &Disposition, latency_ns: u64) {
@@ -1412,7 +1398,7 @@ impl<H: SessionHandler> Worker<H> {
                 // Zero-pause rung: publish a fresh pool, retire the old
                 // one; teardown is amortized over later passes by
                 // `reclaim_step` and billed as reclamation time by the
-                // (deferred) rung models.
+                // rung models.
                 self.iso.rebuild_pool_deferred();
                 self.stats.pool_rebuilds += 1;
             }

@@ -67,8 +67,8 @@ fn streamed_frames_reach_the_collector_and_the_books_conserve() {
     // they can lag the final truth (the last frame predates the final
     // requests) but never exceed it.
     let totals = collector.totals();
-    assert!(totals.get("served").copied().unwrap_or(0) <= stats.served());
-    assert!(totals.get("ok").copied().unwrap_or(0) <= stats.ok());
+    assert!(totals.served <= stats.served());
+    assert!(totals.ok <= stats.ok());
     // Streamed events plus the shutdown ring drains land in ONE log —
     // `reconciles` already checked log.len == Σ drained; spot-check the
     // merged log still answers post-mortem queries.
@@ -98,7 +98,6 @@ fn worker_restarts_never_regress_the_delta_books() {
     // needs the restarts themselves.
     config.streaming = Some(StreamingConfig {
         spike_faults: u64::MAX,
-        ..StreamingConfig::enabled()
     });
     let runtime = Runtime::start(config, |_| sdrad_runtime::KvHandler::default());
     let offender = ClientId(666);
@@ -133,10 +132,7 @@ fn worker_restarts_never_regress_the_delta_books() {
 fn windowed_fault_spikes_feed_the_admission_evidence_channel() {
     let mut config = streaming_config();
     config.control = Some(fast_control());
-    config.streaming = Some(StreamingConfig {
-        spike_faults: 4,
-        ..StreamingConfig::enabled()
-    });
+    config.streaming = Some(StreamingConfig { spike_faults: 4 });
     let runtime = Runtime::start(config, |_| sdrad_runtime::KvHandler::default());
     let offender = ClientId(666);
     let mut admitted = 0u64;

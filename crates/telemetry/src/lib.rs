@@ -23,11 +23,12 @@
 //!   drained log by client/shard/kind/stamp, bucket matches into stamp
 //!   windows ([`TraceQuery::windowed`]) and reconstruct a client's
 //!   escalation ladder ([`BanPath`]) from trace data alone.
-//! * **Streaming** ([`TelemetrySink`], [`Collector`], [`Sampler`],
-//!   [`WindowBook`]) — periodic cumulative-total delta frames shipped
-//!   from the runtime's pump passes into an in-process collector that
-//!   maintains incremental sliding-window rollups and feeds windowed
-//!   fault spikes back to admission; an overload-adaptive head sampler
+//! * **Streaming** ([`DeltaFrame`], [`Collector`], [`Sampler`],
+//!   [`WindowBook`]) — one cumulative-total ([`LiveTotals`]) delta
+//!   frame per pump pass shipped into an in-process collector that
+//!   maintains incremental sliding-window rollups and answers each
+//!   delivery with the windowed fault spikes it caused, which the
+//!   runtime feeds back to admission; an overload-adaptive head sampler
 //!   thins high-volume chatter under ring pressure with exact per-kind
 //!   `sampled_out` books (the extended conservation law
 //!   `recorded == drained + dropped + sampled_out + in_ring`).
@@ -82,6 +83,9 @@ pub use query::{BanPath, TraceLog, TraceQuery, WindowCounts};
 pub use recorder::{LogicalClock, Recorder, Sampler, TelemetryConfig};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, RegistryReading};
 pub use ring::{RingCounters, TraceRing};
-pub use sink::{Collector, DeltaFrame, Spike, StreamingConfig, TelemetrySink};
+pub use sink::{
+    Collector, DeltaFrame, LiveTotals, Spike, StreamingConfig, StreamingReport, WINDOW_BUCKETS,
+    WINDOW_NS,
+};
 pub use snapshot::{RingStat, TelemetrySnapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use window::{recompute_rollup, WindowBook, WindowRollup};

@@ -20,10 +20,14 @@ pub struct TraceLog {
 impl TraceLog {
     /// Builds a log from drained ring contents (any order); events are
     /// merged into logical-clock order, which is total across rings
-    /// because every recorder shares one clock.
+    /// because every recorder shares one clock. Sorted in place — a
+    /// stable sort's scratch buffer would be a second copy of the
+    /// process's largest allocation — on the whole encoded event, so
+    /// stamps decide every drained log (they are unique) and hand-built
+    /// ties still order deterministically.
     #[must_use]
     pub fn new(mut events: Vec<TraceEvent>) -> Self {
-        events.sort_by_key(|e| e.stamp);
+        events.sort_unstable_by_key(TraceEvent::encode);
         TraceLog { events }
     }
 
@@ -431,6 +435,11 @@ mod tests {
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].count, 3);
         assert_eq!(windows[0].start, 5);
+        // Ties order by the rest of the event, whatever order the
+        // rings were drained in.
+        let mut reversed = log.events().to_vec();
+        reversed.reverse();
+        assert_eq!(TraceLog::new(reversed), log);
     }
 
     #[test]

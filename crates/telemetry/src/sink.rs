@@ -1,45 +1,45 @@
-//! The streaming side of the flight recorder: periodic delta frames
-//! shipped from the runtime's wake machinery into an in-process
+//! The streaming side of the flight recorder: one delta frame per pump
+//! pass shipped from the runtime's wake machinery into an in-process
 //! collector.
 //!
 //! The protocol is deliberately loss-tolerant. Each source (one per
 //! worker) ships [`DeltaFrame`]s carrying **cumulative totals**, not
 //! diffs, keyed by a per-source monotonic sequence number. The
 //! collector diffs each frame against the baseline it retained from the
-//! last frame of the *same source name* — so a lost frame is detectable
+//! last frame of the *same [`Source`]* — so a lost frame is detectable
 //! (a gap in `seq`, counted in [`Collector::lost_frames`]) and
 //! automatically recovered by the next frame, whose totals subsume
-//! everything the lost one carried. Baselines are keyed by source
-//! *name* and retained forever, which is what makes a ladder
-//! `restart_worker` rung safe: the restarted worker keeps its stats
-//! (worker books survive restarts by design), and even if a future
-//! change reset them, the collector clamps with a saturating subtract
-//! and books the anomaly in [`Collector::regressions`] rather than
-//! producing a negative delta.
+//! everything the lost one carried. Baselines are keyed by source and
+//! retained forever, which is what makes a ladder `restart_worker` rung
+//! safe: the restarted worker keeps its stats (worker books survive
+//! restarts by design), and even if a future change reset them, the
+//! collector clamps with a saturating subtract and books the anomaly in
+//! [`Collector::regressions`] rather than producing a negative delta.
 //!
 //! The collector also maintains the incremental
 //! [`WindowBook`](crate::WindowBook) rollups and the spike watermarks
-//! that feed the control plane's telemetry evidence channel — see
-//! [`Collector::take_spikes`].
+//! that feed the control plane's telemetry evidence channel: a delivery
+//! returns the [`Spike`]s its own frame caused — see
+//! [`Collector::deliver`].
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{EventKind, Source, TraceEvent};
 use crate::window::{WindowBook, WindowRollup};
 
-/// Streaming-telemetry tuning: how often workers flush, how wide the
-/// collector's rollup window is, and when a client's windowed fault
-/// count counts as a spike worth reporting to admission.
+/// Sliding-window span of the collector's rollups, in nanoseconds.
+pub const WINDOW_NS: u64 = 50_000_000;
+/// Number of buckets the window is quantized into.
+pub const WINDOW_BUCKETS: usize = 16;
+
+/// Streaming-telemetry tuning. Workers ship one frame per pump pass and
+/// the collector rolls up over [`WINDOW_NS`] in [`WINDOW_BUCKETS`]
+/// buckets; the one value callers do set differently is when a client's
+/// windowed fault count counts as a spike worth reporting to admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingConfig {
-    /// Ship a delta frame every this many pump passes (floored at 1).
-    pub flush_every_passes: u64,
-    /// Sliding-window span for collector rollups, in nanoseconds.
-    pub window_ns: u64,
-    /// Number of buckets the window is quantized into.
-    pub window_buckets: usize,
     /// Windowed per-client fault count at or above which the collector
     /// reports a spike to the admission evidence channel.
     pub spike_faults: u64,
@@ -52,15 +52,63 @@ impl Default for StreamingConfig {
 }
 
 impl StreamingConfig {
-    /// The conventional streaming configuration: flush every pass, a
-    /// 50 ms window in 16 buckets, spike at 8 windowed faults.
+    /// The conventional streaming configuration: spike at 8 windowed
+    /// faults.
     #[must_use]
     pub fn enabled() -> Self {
-        StreamingConfig {
-            flush_every_passes: 1,
-            window_ns: 50_000_000,
-            window_buckets: 16,
-            spike_faults: 8,
+        StreamingConfig { spike_faults: 8 }
+    }
+}
+
+/// The six counters a worker publishes once per pump pass, declared
+/// once: the runtime's live-counter mailbox, its `StatsSnapshot` and
+/// the [`DeltaFrame`] all carry this struct, so the three views cannot
+/// name different sets.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LiveTotals {
+    /// Requests completed (any disposition).
+    pub served: u64,
+    /// Requests served normally.
+    pub ok: u64,
+    /// Contained faults (rewinds).
+    pub contained_faults: u64,
+    /// Baseline crashes.
+    pub crashes: u64,
+    /// Requests served off connection streams.
+    pub conn_served: u64,
+    /// Requests stolen from sibling queues.
+    pub steals: u64,
+}
+
+impl LiveTotals {
+    /// How many counters the struct carries.
+    pub const COUNTERS: usize = 6;
+
+    /// The counters in declaration order — the one place per-counter
+    /// arithmetic (diffing, summing, atomic mailboxes) loops over.
+    #[must_use]
+    pub fn to_array(self) -> [u64; Self::COUNTERS] {
+        [
+            self.served,
+            self.ok,
+            self.contained_faults,
+            self.crashes,
+            self.conn_served,
+            self.steals,
+        ]
+    }
+
+    /// The inverse of [`to_array`](Self::to_array).
+    #[must_use]
+    pub fn from_array(counters: [u64; Self::COUNTERS]) -> Self {
+        let [served, ok, contained_faults, crashes, conn_served, steals] = counters;
+        LiveTotals {
+            served,
+            ok,
+            contained_faults,
+            crashes,
+            conn_served,
+            steals,
         }
     }
 }
@@ -69,28 +117,19 @@ impl StreamingConfig {
 /// the events drained from the source's ring since the last frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaFrame {
-    /// Stable source name ("worker-0", …) — the baseline key.
-    pub source: String,
+    /// Who shipped the frame — the baseline key.
+    pub source: Source,
     /// Per-source monotonic frame sequence, starting at 0. A gap means
     /// frames were lost; totals make the loss recoverable.
     pub seq: u64,
-    /// Cumulative (name, total) counter pairs as of this frame. Totals,
-    /// not diffs: the collector owns the diffing so a lost frame never
-    /// desynchronizes the books.
-    pub totals: Vec<(String, u64)>,
+    /// Cumulative counters as of this frame. Totals, not diffs: the
+    /// collector owns the diffing so a lost frame never desynchronizes
+    /// the books.
+    pub totals: LiveTotals,
     /// Events drained from the source's ring for this frame. These were
     /// already counted `drained` on the ring at drain time, so the
     /// conservation law stays exact end to end.
     pub events: Vec<TraceEvent>,
-}
-
-/// Where delta frames go. The in-process [`Collector`] is the only
-/// implementation in-tree; the trait is the seam a network exporter
-/// would implement.
-pub trait TelemetrySink: Send + Sync {
-    /// Accepts one frame. Must not block the caller meaningfully — the
-    /// runtime ships frames from worker pump passes.
-    fn deliver(&self, frame: DeltaFrame);
 }
 
 /// One client's windowed fault spike, reported at most once per fault
@@ -105,33 +144,120 @@ pub struct Spike {
     pub new_faults: u64,
 }
 
+/// What the collector saw over the run: the delta-frame delivery books
+/// ([`Collector::close`] hands them over with the event log at
+/// shutdown; the runtime mirrors them into the metrics registry as
+/// `streaming.*` counters).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamingReport {
+    /// Delta frames delivered (all sources).
+    pub frames: u64,
+    /// Frames detected lost by per-source sequence gaps. Losses are
+    /// recoverable — frames carry cumulative totals, so the next
+    /// delivery resynchronizes the books — but each gap is counted.
+    pub lost_frames: u64,
+    /// Counter regressions observed (a source's cumulative total moved
+    /// backwards — only a restarted source that lost its baseline would
+    /// do this, and the runtime retains baselines across worker
+    /// restarts, so any nonzero value is a bug surfaced).
+    pub regressions: u64,
+    /// Trace events that arrived inside delta frames (drained by their
+    /// source's flush tick rather than at shutdown).
+    pub events_streamed: u64,
+}
+
 /// Per-source reception state: last sequence seen and the cumulative
-/// baselines totals are diffed against. Keyed by source *name* and
-/// never discarded, so worker restarts cannot produce negative deltas.
+/// baseline totals are diffed against. Keyed by [`Source`] and never
+/// discarded, so worker restarts cannot produce negative deltas.
 #[derive(Debug, Default)]
 struct SourceState {
     last_seq: Option<u64>,
-    baseline: BTreeMap<String, u64>,
+    baseline: LiveTotals,
+}
+
+/// One client's cumulative fault books.
+#[derive(Debug, Default)]
+struct ClientFaults {
+    /// Faults (rewinds) observed, ever.
+    total: u64,
+    /// Faults already reported as [`Spike`]s — the watermark.
+    reported: u64,
+    /// The shard that last absorbed one.
+    shard: u16,
 }
 
 #[derive(Debug)]
 struct CollectorInner {
-    sources: BTreeMap<String, SourceState>,
-    /// Aggregate per-counter deltas accumulated across all sources.
-    totals: BTreeMap<String, u64>,
+    sources: HashMap<Source, SourceState>,
+    /// Aggregate counter deltas accumulated across all sources.
+    totals: LiveTotals,
     /// Every event received, retained for the shutdown log merge.
     events: Vec<TraceEvent>,
     /// Incremental sliding-window rollups.
     window: WindowBook,
-    /// Cumulative fault (rewind) count per client, ever.
-    faults_by_client: BTreeMap<u64, u64>,
-    /// The shard that last absorbed a fault per client.
-    fault_shard: BTreeMap<u64, u16>,
-    /// Faults already reported through [`Collector::take_spikes`].
-    reported: BTreeMap<u64, u64>,
-    frames: u64,
-    lost_frames: u64,
-    regressions: u64,
+    /// Per-client cumulative fault books and spike watermarks.
+    faults: BTreeMap<u64, ClientFaults>,
+    /// [`StreamingConfig::spike_faults`].
+    spike_faults: u64,
+    books: StreamingReport,
+}
+
+impl CollectorInner {
+    /// Books one frame at collector time `now_ns` and returns the
+    /// spikes it caused.
+    fn book(&mut self, frame: DeltaFrame, now_ns: u64) -> Vec<Spike> {
+        self.books.frames += 1;
+        // Per-source bookkeeping: sequence-gap detection (a jump of k
+        // past the expected next seq means k frames were lost — their
+        // counter content is recovered by this frame's totals) and
+        // per-counter deltas against the retained baseline, clamping
+        // regressions to a zero delta.
+        let state = self.sources.entry(frame.source).or_default();
+        let expected = state.last_seq.map_or(0, |last| last.wrapping_add(1));
+        self.books.lost_frames += frame.seq.saturating_sub(expected);
+        state.last_seq = Some(frame.seq);
+        let baseline = std::mem::replace(&mut state.baseline, frame.totals).to_array();
+        let mut totals = self.totals.to_array();
+        for ((total, current), baseline) in
+            totals.iter_mut().zip(frame.totals.to_array()).zip(baseline)
+        {
+            self.books.regressions += u64::from(current < baseline);
+            *total += current.saturating_sub(baseline);
+        }
+        self.totals = LiveTotals::from_array(totals);
+        for event in &frame.events {
+            self.window.observe(now_ns, event);
+            if event.kind == EventKind::Rewind {
+                let faults = self.faults.entry(event.client).or_default();
+                faults.total += 1;
+                faults.shard = event.shard;
+            }
+        }
+        // A client's windowed count rises only when one of its rewinds
+        // is observed, and a spike reports only unreported faults — so
+        // judging just the clients this frame faulted, at the time it
+        // was booked, is the decision a scan of the whole window here
+        // would reach (the `window_rollups` proptest checks it against
+        // `recompute_rollup`). A client repeated in the frame is judged
+        // once: its first spike moves the watermark to its total.
+        let mut spikes = Vec::new();
+        for event in frame.events.iter().filter(|e| e.kind == EventKind::Rewind) {
+            let faults = self.faults.get_mut(&event.client).expect("booked above");
+            if faults.total > faults.reported
+                && self.window.client_faults(now_ns, event.client) >= self.spike_faults
+            {
+                spikes.push(Spike {
+                    client: event.client,
+                    shard: faults.shard,
+                    new_faults: faults.total - faults.reported,
+                });
+                faults.reported = faults.total;
+            }
+        }
+        self.books.events_streamed += frame.events.len() as u64;
+        self.events.extend(frame.events);
+        spikes
+    }
 }
 
 /// The in-process streaming collector: receives [`DeltaFrame`]s,
@@ -140,7 +266,6 @@ struct CollectorInner {
 pub struct Collector {
     inner: Mutex<CollectorInner>,
     epoch: Instant,
-    config: StreamingConfig,
 }
 
 impl Collector {
@@ -149,81 +274,52 @@ impl Collector {
     pub fn new(config: StreamingConfig) -> Self {
         Collector {
             inner: Mutex::new(CollectorInner {
-                sources: BTreeMap::new(),
-                totals: BTreeMap::new(),
+                sources: HashMap::new(),
+                totals: LiveTotals::default(),
                 events: Vec::new(),
-                window: WindowBook::new(config.window_ns, config.window_buckets),
-                faults_by_client: BTreeMap::new(),
-                fault_shard: BTreeMap::new(),
-                reported: BTreeMap::new(),
-                frames: 0,
-                lost_frames: 0,
-                regressions: 0,
+                window: WindowBook::new(WINDOW_NS, WINDOW_BUCKETS),
+                faults: BTreeMap::new(),
+                spike_faults: config.spike_faults,
+                books: StreamingReport::default(),
             }),
             epoch: Instant::now(),
-            config,
         }
     }
 
-    /// The configuration this collector was built with.
-    #[must_use]
-    pub fn config(&self) -> StreamingConfig {
-        self.config
+    fn lock(&self) -> MutexGuard<'_, CollectorInner> {
+        self.inner.lock().expect("collector poisoned")
     }
 
-    /// [`deliver`](TelemetrySink::deliver) with an explicit collector
-    /// timestamp — the deterministic entry tests use.
-    pub fn deliver_at(&self, frame: DeltaFrame, now_ns: u64) {
-        let mut inner = self.inner.lock().expect("collector poisoned");
-        inner.frames += 1;
-        // Per-source bookkeeping: sequence-gap detection (a jump of k
-        // past the expected next seq means k frames were lost — their
-        // counter content is recovered by this frame's totals) and
-        // per-counter deltas against the retained baseline, clamping
-        // regressions to a zero delta.
-        let mut lost = 0u64;
-        let mut regressions = 0u64;
-        let mut deltas: Vec<(String, u64)> = Vec::with_capacity(frame.totals.len());
-        {
-            let state = inner.sources.entry(frame.source.clone()).or_default();
-            match state.last_seq {
-                Some(last) => {
-                    let expected = last.wrapping_add(1);
-                    if frame.seq > expected {
-                        lost = frame.seq - expected;
-                    }
-                }
-                None => lost = frame.seq,
-            }
-            state.last_seq = Some(frame.seq);
-            for (name, total) in &frame.totals {
-                let baseline = state.baseline.get(name).copied().unwrap_or(0);
-                if *total < baseline {
-                    regressions += 1;
-                }
-                deltas.push((name.clone(), total.saturating_sub(baseline)));
-                state.baseline.insert(name.clone(), *total);
-            }
-        }
-        inner.lost_frames += lost;
-        inner.regressions += regressions;
-        for (name, delta) in deltas {
-            *inner.totals.entry(name).or_insert(0) += delta;
-        }
-        for event in &frame.events {
-            inner.window.observe(now_ns, event);
-            if event.kind == EventKind::Rewind {
-                *inner.faults_by_client.entry(event.client).or_insert(0) += 1;
-                inner.fault_shard.insert(event.client, event.shard);
-            }
-        }
-        inner.events.extend(frame.events);
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Accepts one frame and returns the windowed fault spikes it
+    /// caused: every client with a rewind in the frame whose *windowed*
+    /// fault count is now at or above the spike threshold, each
+    /// reporting the faults accumulated since its last report
+    /// (watermarked, so every fault is reported at most once). Booking
+    /// and judging share one lock hold, and the collector clock is read
+    /// under it, so collector time never runs backwards across frames.
+    /// Must not block the caller meaningfully — the runtime ships
+    /// frames from worker pump passes.
+    pub fn deliver(&self, frame: DeltaFrame) -> Vec<Spike> {
+        let mut inner = self.lock();
+        let now_ns = self.now_ns();
+        inner.book(frame, now_ns)
+    }
+
+    /// [`deliver`](Self::deliver) with an explicit collector timestamp
+    /// — the deterministic entry tests use. Times must not decrease
+    /// across calls, as the collector's own clock guarantees.
+    pub fn deliver_at(&self, frame: DeltaFrame, now_ns: u64) -> Vec<Spike> {
+        self.lock().book(frame, now_ns)
     }
 
     /// Frames received so far.
     #[must_use]
     pub fn frames(&self) -> u64 {
-        self.inner.lock().expect("collector poisoned").frames
+        self.lock().books.frames
     }
 
     /// Frames detected as lost via sequence gaps (their counter content
@@ -231,30 +327,20 @@ impl Collector {
     /// not, which is why events ride the frame that drained them).
     #[must_use]
     pub fn lost_frames(&self) -> u64 {
-        self.inner.lock().expect("collector poisoned").lost_frames
+        self.lock().books.lost_frames
     }
 
     /// Counter regressions observed (a total below its retained
     /// baseline — clamped to a zero delta rather than underflowing).
     #[must_use]
     pub fn regressions(&self) -> u64 {
-        self.inner.lock().expect("collector poisoned").regressions
-    }
-
-    /// Events received across all frames so far.
-    #[must_use]
-    pub fn events_received(&self) -> u64 {
-        self.inner.lock().expect("collector poisoned").events.len() as u64
+        self.lock().books.regressions
     }
 
     /// The aggregate counter deltas accumulated across all sources.
     #[must_use]
-    pub fn totals(&self) -> BTreeMap<String, u64> {
-        self.inner
-            .lock()
-            .expect("collector poisoned")
-            .totals
-            .clone()
+    pub fn totals(&self) -> LiveTotals {
+        self.lock().totals
     }
 
     /// The windowed rollup as of now.
@@ -266,78 +352,32 @@ impl Collector {
     /// The windowed rollup at an explicit collector time.
     #[must_use]
     pub fn rollup_at(&self, now_ns: u64) -> WindowRollup {
-        self.inner
-            .lock()
-            .expect("collector poisoned")
-            .window
-            .rollup(now_ns)
+        self.lock().window.rollup(now_ns)
     }
 
-    /// Clients whose *windowed* fault count is at or above the spike
-    /// threshold, each reporting the faults accumulated since its last
-    /// report (watermarked, so every fault is reported at most once).
-    pub fn take_spikes(&self) -> Vec<Spike> {
-        self.take_spikes_at(self.now_ns())
-    }
-
-    /// [`take_spikes`](Self::take_spikes) at an explicit collector
-    /// time — the deterministic entry tests use.
-    pub fn take_spikes_at(&self, now_ns: u64) -> Vec<Spike> {
-        let mut inner = self.inner.lock().expect("collector poisoned");
-        let rollup = inner.window.rollup(now_ns);
-        let spike_clients: Vec<u64> = rollup
-            .faults_by_client
-            .iter()
-            .filter(|&(_, &count)| count >= self.config.spike_faults)
-            .map(|(&client, _)| client)
-            .collect();
-        let mut spikes = Vec::with_capacity(spike_clients.len());
-        for client in spike_clients {
-            let total = inner.faults_by_client.get(&client).copied().unwrap_or(0);
-            let reported = inner.reported.get(&client).copied().unwrap_or(0);
-            let new_faults = total.saturating_sub(reported);
-            if new_faults == 0 {
-                continue; // already fully reported
-            }
-            inner.reported.insert(client, total);
-            spikes.push(Spike {
-                client,
-                shard: inner.fault_shard.get(&client).copied().unwrap_or(0),
-                new_faults,
-            });
-        }
-        spikes
-    }
-
-    /// Takes every event received so far (the shutdown log merge).
-    pub fn drain_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.inner.lock().expect("collector poisoned").events)
-    }
-
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-impl TelemetrySink for Collector {
-    fn deliver(&self, frame: DeltaFrame) {
-        self.deliver_at(frame, self.now_ns());
+    /// Closes the books for the shutdown log merge: the delivery
+    /// counters and, **by move**, every event received (the log is the
+    /// process's largest allocation; it is never copied). The counters
+    /// stay readable afterwards; the events are handed off exactly
+    /// once.
+    pub fn close(&self) -> (StreamingReport, Vec<TraceEvent>) {
+        let mut inner = self.lock();
+        (inner.books, std::mem::take(&mut inner.events))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Source;
 
-    fn frame(source: &str, seq: u64, totals: &[(&str, u64)]) -> DeltaFrame {
+    fn frame(worker: u16, seq: u64, served: u64) -> DeltaFrame {
         DeltaFrame {
-            source: source.to_string(),
+            source: Source::Worker(worker),
             seq,
-            totals: totals
-                .iter()
-                .map(|(name, total)| ((*name).to_string(), *total))
-                .collect(),
+            totals: LiveTotals {
+                served,
+                ..LiveTotals::default()
+            },
             events: Vec::new(),
         }
     }
@@ -356,10 +396,10 @@ mod tests {
     #[test]
     fn totals_diff_against_retained_baselines() {
         let collector = Collector::new(StreamingConfig::enabled());
-        collector.deliver_at(frame("worker-0", 0, &[("served", 10)]), 0);
-        collector.deliver_at(frame("worker-0", 1, &[("served", 25)]), 1);
-        collector.deliver_at(frame("worker-1", 0, &[("served", 5)]), 2);
-        assert_eq!(collector.totals().get("served"), Some(&30));
+        collector.deliver_at(frame(0, 0, 10), 0);
+        collector.deliver_at(frame(0, 1, 25), 1);
+        collector.deliver_at(frame(1, 0, 5), 2);
+        assert_eq!(collector.totals().served, 30);
         assert_eq!(collector.frames(), 3);
         assert_eq!(collector.lost_frames(), 0);
         assert_eq!(collector.regressions(), 0);
@@ -368,12 +408,12 @@ mod tests {
     #[test]
     fn a_lost_frame_is_detected_and_its_counters_recovered() {
         let collector = Collector::new(StreamingConfig::enabled());
-        collector.deliver_at(frame("worker-0", 0, &[("served", 10)]), 0);
+        collector.deliver_at(frame(0, 0, 10), 0);
         // Frames 1 and 2 are lost; frame 3's cumulative total subsumes
         // everything they carried.
-        collector.deliver_at(frame("worker-0", 3, &[("served", 40)]), 1);
+        collector.deliver_at(frame(0, 3, 40), 1);
         assert_eq!(collector.lost_frames(), 2);
-        assert_eq!(collector.totals().get("served"), Some(&40));
+        assert_eq!(collector.totals().served, 40);
     }
 
     #[test]
@@ -384,65 +424,90 @@ mod tests {
         // underflow into a giant bogus delta — and the anomaly must be
         // visible in the books.
         let collector = Collector::new(StreamingConfig::enabled());
-        collector.deliver_at(frame("worker-0", 0, &[("served", 100)]), 0);
-        collector.deliver_at(frame("worker-0", 1, &[("served", 3)]), 1);
+        collector.deliver_at(frame(0, 0, 100), 0);
+        collector.deliver_at(frame(0, 1, 3), 1);
         assert_eq!(collector.regressions(), 1);
-        assert_eq!(collector.totals().get("served"), Some(&100), "clamped");
+        assert_eq!(collector.totals().served, 100, "clamped");
         // The shrunken total becomes the new baseline, so growth from
         // there is credited normally.
-        collector.deliver_at(frame("worker-0", 2, &[("served", 10)]), 2);
-        assert_eq!(collector.totals().get("served"), Some(&107));
+        collector.deliver_at(frame(0, 2, 10), 2);
+        assert_eq!(collector.totals().served, 107);
     }
 
     #[test]
     fn spikes_are_windowed_thresholded_and_watermarked() {
-        let config = StreamingConfig {
-            flush_every_passes: 1,
-            window_ns: 1_000,
-            window_buckets: 4,
-            spike_faults: 3,
+        let collector = Collector::new(StreamingConfig { spike_faults: 3 });
+        let deliver = |seq: u64, events: Vec<TraceEvent>, now_ns: u64| {
+            collector.deliver_at(
+                DeltaFrame {
+                    events,
+                    ..frame(0, seq, 0)
+                },
+                now_ns,
+            )
         };
-        let collector = Collector::new(config);
         // Two faults: below the threshold, no spike.
-        let mut f = frame("worker-0", 0, &[]);
-        f.events = vec![rewind(666, 1), rewind(666, 1)];
-        collector.deliver_at(f, 100);
-        assert!(collector.take_spikes_at(100).is_empty());
+        assert!(deliver(0, vec![rewind(666, 1), rewind(666, 1)], 100).is_empty());
         // A third fault crosses the threshold: one spike carrying all
         // three unreported faults.
-        let mut f = frame("worker-0", 1, &[]);
-        f.events = vec![rewind(666, 2)];
-        collector.deliver_at(f, 200);
-        let spikes = collector.take_spikes_at(200);
         assert_eq!(
-            spikes,
+            deliver(1, vec![rewind(666, 2)], 200),
             vec![Spike {
                 client: 666,
                 shard: 2,
                 new_faults: 3
             }]
         );
-        // Watermarked: the same faults are never reported twice.
-        assert!(collector.take_spikes_at(250).is_empty());
-        // Window expiry: faults far in the past no longer spike even
-        // though the cumulative books remember them.
-        let mut f = frame("worker-0", 2, &[]);
-        f.events = vec![rewind(666, 2)];
-        collector.deliver_at(f, 300);
+        // Watermarked: the same faults are never reported twice — a
+        // frame without a new fault of the client reports nothing, and
+        // the next fault reports only itself.
+        assert!(deliver(2, vec![rewind(7, 0)], 250).is_empty());
+        assert_eq!(
+            deliver(3, vec![rewind(666, 2)], 300),
+            vec![Spike {
+                client: 666,
+                shard: 2,
+                new_faults: 1
+            }]
+        );
+        // Window expiry: a fault one full window later stands alone in
+        // it, so it does not spike even though the cumulative books
+        // remember four earlier ones.
         assert!(
-            collector.take_spikes_at(10_000).is_empty(),
+            deliver(4, vec![rewind(666, 2)], 300 + WINDOW_NS).is_empty(),
             "expired window must not spike"
+        );
+        // Once the window refills to the threshold, the spike carries
+        // every fault the quiet spell left unreported.
+        assert_eq!(
+            deliver(5, vec![rewind(666, 1), rewind(666, 1)], 400 + WINDOW_NS),
+            vec![Spike {
+                client: 666,
+                shard: 1,
+                new_faults: 3
+            }]
         );
     }
 
     #[test]
-    fn drained_events_hand_off_exactly_once() {
+    fn closing_hands_the_events_off_exactly_once() {
         let collector = Collector::new(StreamingConfig::enabled());
-        let mut f = frame("worker-0", 0, &[]);
+        let mut f = frame(0, 0, 0);
         f.events = vec![rewind(1, 0), rewind(2, 0)];
         collector.deliver_at(f, 0);
-        assert_eq!(collector.events_received(), 2);
-        assert_eq!(collector.drain_events().len(), 2);
-        assert!(collector.drain_events().is_empty());
+        let (books, events) = collector.close();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            books,
+            StreamingReport {
+                frames: 1,
+                lost_frames: 0,
+                regressions: 0,
+                events_streamed: 2
+            }
+        );
+        let (books_again, events_again) = collector.close();
+        assert!(events_again.is_empty());
+        assert_eq!(books_again, books, "the counters stay readable");
     }
 }

@@ -152,20 +152,35 @@ impl WindowBook {
         }
     }
 
-    /// The rollup over the window ending at `now_ns`: the last
+    /// The buckets inside the window ending at `now_ns`: the last
     /// `buckets` bucket indices, expired buckets excluded.
-    #[must_use]
-    pub fn rollup(&self, now_ns: u64) -> WindowRollup {
+    fn live(&self, now_ns: u64) -> impl Iterator<Item = &Bucket> {
         let end = now_ns / self.bucket_ns;
         let start = end.saturating_sub(self.buckets.len() as u64 - 1);
+        self.buckets
+            .iter()
+            .filter(move |slot| (start..=end).contains(&slot.index))
+    }
+
+    /// One client's contained faults over the window ending at
+    /// `now_ns` — [`rollup`](Self::rollup)`.faults_by_client[client]`
+    /// without building the rollup (the collector's per-frame spike
+    /// check).
+    #[must_use]
+    pub fn client_faults(&self, now_ns: u64, client: u64) -> u64 {
+        self.live(now_ns)
+            .filter_map(|slot| slot.faults_by_client.get(&client))
+            .sum()
+    }
+
+    /// The rollup over the window ending at `now_ns`.
+    #[must_use]
+    pub fn rollup(&self, now_ns: u64) -> WindowRollup {
         let mut rollup = WindowRollup {
             span_ns: self.window_ns(),
             ..WindowRollup::default()
         };
-        for slot in &self.buckets {
-            if slot.index < start || slot.index > end {
-                continue;
-            }
+        for slot in self.live(now_ns) {
             for (&client, &count) in &slot.events_by_client {
                 *rollup.events_by_client.entry(client).or_insert(0) += count;
             }
@@ -255,6 +270,8 @@ mod tests {
         let rollup = book.rollup(140);
         assert_eq!(rollup.events_by_client.get(&7), Some(&1));
         assert_eq!(rollup.faults_by_client.get(&7), Some(&1));
+        assert_eq!(book.client_faults(140, 7), 1);
+        assert_eq!(book.client_faults(200, 7), 0, "expired");
     }
 
     #[test]

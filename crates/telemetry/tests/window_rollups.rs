@@ -6,12 +6,18 @@
 //!   ([`recompute_rollup`]), at every query time;
 //! * **Collector delta books** — for any frame schedule (including
 //!   lost frames), cumulative-total diffing reproduces the true totals
-//!   and never undercounts after a loss.
+//!   and never undercounts after a loss;
+//! * **Spikes at delivery == whole-window scan** — the spikes a
+//!   delivery returns (judged only for the clients its own frame
+//!   faulted) are the spikes a from-scratch scan of every client in
+//!   the window, run after the same frame, would report.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sdrad_telemetry::{
-    recompute_rollup, Collector, DeltaFrame, EventKind, Source, StreamingConfig, TraceEvent,
-    WindowBook,
+    recompute_rollup, Collector, DeltaFrame, EventKind, LiveTotals, Source, Spike, StreamingConfig,
+    TraceEvent, WindowBook, WINDOW_BUCKETS, WINDOW_NS,
 };
 
 /// Deterministic event stream: seeded xorshift over kinds/clients with
@@ -70,10 +76,14 @@ proptest! {
             // bucket-recycling bug mid-stream cannot hide behind a
             // correct final answer.
             if i % 50 == 0 {
-                prop_assert_eq!(
-                    book.rollup(*at_ns),
-                    recompute_rollup(window_ns, buckets, &observations[..=i], *at_ns)
-                );
+                let oracle = recompute_rollup(window_ns, buckets, &observations[..=i], *at_ns);
+                for client in 0..6 {
+                    prop_assert_eq!(
+                        book.client_faults(*at_ns, client),
+                        oracle.faults_by_client.get(&client).copied().unwrap_or(0)
+                    );
+                }
+                prop_assert_eq!(book.rollup(*at_ns), oracle);
             }
         }
         let last = observations.last().unwrap().0;
@@ -109,9 +119,9 @@ proptest! {
             }
             collector.deliver_at(
                 DeltaFrame {
-                    source: "worker-0".to_string(),
+                    source: Source::Worker(0),
                     seq,
-                    totals: vec![("served".to_string(), total)],
+                    totals: LiveTotals { served: total, ..LiveTotals::default() },
                     events: Vec::new(),
                 },
                 seq,
@@ -119,12 +129,85 @@ proptest! {
             delivered += 1;
             last_delivered_total = total;
         }
-        prop_assert_eq!(
-            collector.totals().get("served").copied().unwrap_or(0),
-            last_delivered_total
-        );
+        prop_assert_eq!(collector.totals().served, last_delivered_total);
         prop_assert_eq!(collector.frames(), delivered);
         prop_assert_eq!(collector.lost_frames() + delivered, frames);
         prop_assert_eq!(collector.regressions(), 0);
+    }
+
+    /// Arbitrary multi-source frame schedules at nondecreasing collector
+    /// times (gaps up to several windows, so expiry and bucket recycling
+    /// both occur): the spikes `deliver_at` returns equal the spikes a
+    /// whole-window oracle — `recompute_rollup` over every observation
+    /// so far, every client at or above the threshold, per-client
+    /// watermarks — reports after the same frame.
+    #[test]
+    fn delivered_spikes_equal_the_whole_window_scan(
+        seed in 1u64..u64::MAX,
+        frames in 1usize..60,
+        spike_faults in 1u64..6,
+    ) {
+        let collector = Collector::new(StreamingConfig { spike_faults });
+        let mut observations: Vec<(u64, TraceEvent)> = Vec::new();
+        let mut total: BTreeMap<u64, (u64, u16)> = BTreeMap::new();
+        let mut reported: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut seqs = [0u64; 3];
+        let mut x = seed | 1;
+        let mut now = 0u64;
+        let mut stamp = 0u64;
+        for _ in 0..frames {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Mostly sub-bucket steps, sometimes a jump past the window.
+            now += if x % 11 == 0 { x % (3 * WINDOW_NS) } else { x % (WINDOW_NS / 8) };
+            #[allow(clippy::cast_possible_truncation)]
+            let worker = (x % 3) as u16;
+            let events: Vec<TraceEvent> = (0..(x >> 8) % 7)
+                .map(|i| {
+                    let roll = x.rotate_left(7 * (i as u32 + 1));
+                    stamp += 1;
+                    TraceEvent {
+                        stamp,
+                        kind: if roll % 3 == 0 { EventKind::Submit } else { EventKind::Rewind },
+                        source: Source::Worker(worker),
+                        shard: worker,
+                        client: roll % 4,
+                        detail: 0,
+                    }
+                })
+                .collect();
+            for event in &events {
+                observations.push((now, *event));
+                if event.kind == EventKind::Rewind {
+                    let books = total.entry(event.client).or_insert((0, 0));
+                    books.0 += 1;
+                    books.1 = event.shard;
+                }
+            }
+            let mut delivered = collector.deliver_at(
+                DeltaFrame {
+                    source: Source::Worker(worker),
+                    seq: seqs[usize::from(worker)],
+                    totals: LiveTotals::default(),
+                    events,
+                },
+                now,
+            );
+            seqs[usize::from(worker)] += 1;
+            let window = recompute_rollup(WINDOW_NS, WINDOW_BUCKETS, &observations, now);
+            let mut expected = Vec::new();
+            for (&client, &count) in &window.faults_by_client {
+                let (faults, shard) = total[&client];
+                let watermark = reported.entry(client).or_insert(0);
+                if count >= spike_faults && faults > *watermark {
+                    expected.push(Spike { client, shard, new_faults: faults - *watermark });
+                    *watermark = faults;
+                }
+            }
+            delivered.sort_by_key(|spike| spike.client);
+            prop_assert_eq!(delivered, expected, "at {}", now);
+        }
+        prop_assert_eq!(collector.lost_frames(), 0);
     }
 }
