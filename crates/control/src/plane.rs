@@ -2,6 +2,7 @@
 //! latency-target shedding, and the recovery-escalation ladder — every
 //! decision logged, counted and billed at the moment it is made.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use sdrad_energy::decisions::{RecoveryBill, RecoveryRung, RungModels};
@@ -143,10 +144,10 @@ pub struct ControlPlane {
     models: RungModels,
     bill: RecoveryBill,
     counts: DecisionCounts,
-    /// The retained tail of the decision log (bounded at
+    /// The retained tail of the decision log (a ring bounded at
     /// [`LOG_RETAIN`]; `logged` keeps the total so the books still
     /// balance on long runs).
-    log: Vec<DecisionRecord>,
+    log: VecDeque<DecisionRecord>,
     /// Decisions logged over the plane's lifetime.
     logged: u64,
     /// Last tick that ran the (O(tracked clients)) prune.
@@ -179,7 +180,7 @@ impl ControlPlane {
             models,
             bill: RecoveryBill::default(),
             counts: DecisionCounts::default(),
-            log: Vec::new(),
+            log: VecDeque::new(),
             logged: 0,
             pruned_at_ns: 0,
         }
@@ -187,11 +188,9 @@ impl ControlPlane {
 
     fn log(&mut self, now_ns: u64, client: u64, decision: Decision) {
         if self.log.len() >= LOG_RETAIN {
-            // Drop the oldest half in one move instead of shifting per
-            // push — amortised O(1), keeps at least half the window.
-            self.log.drain(..LOG_RETAIN / 2);
+            self.log.pop_front();
         }
-        self.log.push(DecisionRecord {
+        self.log.push_back(DecisionRecord {
             now_ns,
             client,
             decision,
@@ -333,11 +332,12 @@ impl ControlPlane {
         &self.config
     }
 
-    /// The retained tail of the decision log (the determinism oracle;
-    /// bounded — long runs keep the most recent window).
+    /// The retained tail of the decision log, oldest first (the
+    /// determinism oracle; bounded — long runs keep the most recent
+    /// 65 536 decisions).
     #[must_use]
-    pub fn decision_log(&self) -> &[DecisionRecord] {
-        &self.log
+    pub fn decision_log(&self) -> Vec<DecisionRecord> {
+        self.log.iter().copied().collect()
     }
 
     /// Closes the books: counts, bill, quarantine/ban history and the
@@ -525,7 +525,7 @@ mod tests {
                 }
                 plane.tick(now);
             }
-            plane.decision_log().to_vec()
+            plane.decision_log()
         };
         assert_eq!(drive(), drive(), "identical inputs, identical decisions");
     }

@@ -57,13 +57,16 @@ impl LatencyWindow {
         }
     }
 
-    /// Records one nanosecond sample.
-    pub fn record(&mut self, ns: u64) {
+    /// Records one nanosecond sample and returns the sample it pushed
+    /// out of a full window (`None` while the window is still filling).
+    pub fn record(&mut self, ns: u64) -> Option<u64> {
         let capacity = self.ring.len();
+        let evicted = (self.filled == capacity).then(|| self.ring[self.next]);
         self.ring[self.next] = ns;
         self.next = (self.next + 1) % capacity;
         self.filled = (self.filled + 1).min(capacity);
         self.total += 1;
+        evicted
     }
 
     /// Samples recorded over the window's lifetime (not just retained)
@@ -86,8 +89,18 @@ impl LatencyWindow {
         self.filled == 0
     }
 
-    /// The p99 over the retained samples (`None` while empty). O(n log
-    /// n) over the window — called on control ticks, not per request.
+    /// 0-indexed floor rank of the p99 among `filled` samples in
+    /// ascending order: with 100 samples the single worst one IS the
+    /// p99 — a tail controller must see a 1-in-100 spike.
+    fn p99_rank(filled: usize) -> usize {
+        (((filled as f64) * 0.99) as usize).min(filled.saturating_sub(1))
+    }
+
+    /// The p99 over the retained samples (`None` while empty). Copies
+    /// and sorts the window, O(n log n): for the shutdown report and as
+    /// the test oracle. The per-request shed decision never calls it —
+    /// [`CodelShedder`] keeps a count that answers "is the p99 above
+    /// target" in O(1).
     #[must_use]
     pub fn p99(&self) -> Option<u64> {
         if self.filled == 0 {
@@ -95,10 +108,7 @@ impl LatencyWindow {
         }
         let mut sorted: Vec<u64> = self.ring[..self.filled].to_vec();
         sorted.sort_unstable();
-        // 0-indexed floor rank: with 100 samples the single worst one
-        // IS the p99 — a tail controller must see a 1-in-100 spike.
-        let rank = ((self.filled as f64) * 0.99) as usize;
-        Some(sorted[rank.min(self.filled - 1)])
+        Some(sorted[Self::p99_rank(self.filled)])
     }
 }
 
@@ -107,6 +117,12 @@ impl LatencyWindow {
 pub struct CodelShedder {
     params: ShedParams,
     window: LatencyWindow,
+    /// Retained samples strictly above `target_ns`, kept in step with
+    /// the ring by `record`. The p99 is the sample at ascending rank
+    /// `r`, so it is above target exactly when the `filled - r` samples
+    /// from rank `r` up all are, i.e. when this count reaches
+    /// `filled - r`.
+    over_target: usize,
     /// When the window p99 first went above target (None = at/below).
     above_since_ns: Option<u64>,
     /// In the shedding state?
@@ -132,6 +148,7 @@ impl CodelShedder {
         CodelShedder {
             params,
             window: LatencyWindow::new(params.window),
+            over_target: 0,
             above_since_ns: None,
             shedding: false,
             sheds_in_state: 0,
@@ -143,7 +160,18 @@ impl CodelShedder {
 
     /// Feeds one served-request latency into the class's window.
     pub fn record(&mut self, latency_ns: u64) {
-        self.window.record(latency_ns);
+        let target = self.params.target_ns;
+        let evicted = self.window.record(latency_ns);
+        self.over_target += usize::from(latency_ns > target);
+        self.over_target -= usize::from(evicted.is_some_and(|ns| ns > target));
+    }
+
+    /// Is the window's p99 above the target? O(1), no allocation: the
+    /// same bit as `p99() > Some(target_ns)` (an empty window is never
+    /// above), decided from the running count.
+    fn p99_over_target(&self) -> bool {
+        let filled = self.window.len();
+        filled > 0 && self.over_target >= filled - LatencyWindow::p99_rank(filled)
     }
 
     /// The class's current window p99.
@@ -172,11 +200,7 @@ impl CodelShedder {
         // request shed, or the congestion resolved) must not stay
         // condemned by a frozen window.
         let fresh = self.window.total_recorded() > self.total_at_last_shed;
-        let above = fresh
-            && match self.window.p99() {
-                Some(p99) => p99 > self.params.target_ns,
-                None => false,
-            };
+        let above = fresh && self.p99_over_target();
         if !above {
             // Tail back under target: leave the shedding state and
             // forget the exceedance clock.
