@@ -53,6 +53,10 @@ pub fn run(size: usize) -> Report {
         telemetry.snapshot.conserves(),
         "emitted == drained + dropped + in-ring, every ring"
     );
+    assert!(
+        telemetry.streaming.is_none_or(|s| s.truncated == 0),
+        "a timeline needs the complete log"
+    );
     let log = &telemetry.log;
     assert!(!log.is_empty(), "the campaign must leave a trace");
 

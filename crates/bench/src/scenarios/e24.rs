@@ -197,6 +197,11 @@ pub fn early_ban_cells(events: usize) -> EarlyBan {
                 0,
                 "early-ban cells must run on rings big enough not to drop"
             );
+            assert_eq!(
+                telemetry.streaming.map(|s| s.truncated),
+                Some(0),
+                "the collector must retain the whole log"
+            );
             mean_faults_before_ban(&telemetry.log)
         };
         if let (Some(books_only_faults), Some(fed_faults)) = (faults(&books_only), faults(&fed)) {
@@ -305,6 +310,7 @@ pub fn run(size: usize) -> Report {
     assert!(on_streaming.frames > 0, "the hot path must ship frames");
     assert_eq!(on_streaming.lost_frames, 0);
     assert_eq!(on_streaming.regressions, 0);
+    assert_eq!(on_streaming.truncated, 0);
     assert!(
         cells::within_recorder_budget(off_p99, on_p99),
         "streaming overhead breached the recorder budget: p99 {off_p99:?} -> {on_p99:?}"
@@ -349,6 +355,7 @@ pub fn run(size: usize) -> Report {
     assert!(books.frames > 0);
     assert_eq!(books.lost_frames, 0, "in-process delivery loses nothing");
     assert_eq!(books.regressions, 0);
+    assert_eq!(books.truncated, 0, "the exact books cover the complete log");
     report.begin_table(
         format!(
             "conservation under pressure: {PRESSURE_RING}-event rings, {pressure_events} \

@@ -1,14 +1,22 @@
 //! Hot-path micro-timings (host-dependent, `info` only).
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sdrad_control::{ControlConfig, ControlPlane};
+use sdrad_runtime::{KvHandler, SessionHandler};
 
 use crate::{measured_rewind_latency, Report};
 
 /// Admissions timed by [`admit_warm_ns`].
 const ADMITS: u64 = 100_000;
+/// Restarts timed by [`restart_ns`].
+const RESTARTS: u32 = 200;
+/// The hostile benchmark's shard: 1 000 keys of 64-byte values.
+const SHARD_KEYS: u32 = 1_000;
+/// Reads served between two timed restarts, scattering the recency
+/// order the way a hostile run's traffic does.
+const READS_PER_RESTART: u32 = 64;
 
 /// Mean cost of `ControlPlane::admit` for a good-standing client on a
 /// plane in the state a hostile run keeps it in: the benign latency
@@ -38,8 +46,31 @@ fn admit_warm_ns() -> f64 {
     started.elapsed().as_nanos() as f64 / ADMITS as f64
 }
 
-/// Times `size` contained-fault rewinds in a scratch domain, and one
-/// admission on a warm control plane.
+/// Mean cost of `SessionHandler::restart` — the worker-restart rung's
+/// state effect — on a preloaded kv shard whose recency order reads
+/// have scattered since its last restart.
+fn restart_ns() -> f64 {
+    let key = |k: u32| format!("key-{k}");
+    let mut handler = KvHandler::default();
+    for k in 0..SHARD_KEYS {
+        handler.store_mut().set(key(k), vec![(k % 251) as u8; 64]);
+    }
+    handler.restart();
+    let mut spent = Duration::ZERO;
+    for round in 0..RESTARTS {
+        for i in 0..READS_PER_RESTART {
+            let k = (round * READS_PER_RESTART + i).wrapping_mul(2_654_435_761) % SHARD_KEYS;
+            black_box(handler.store_mut().get(&key(k)));
+        }
+        let started = Instant::now();
+        handler.restart();
+        spent += started.elapsed();
+    }
+    spent.as_nanos() as f64 / f64::from(RESTARTS)
+}
+
+/// Times `size` contained-fault rewinds in a scratch domain, one
+/// admission on a warm control plane and one kv shard restart.
 #[must_use]
 pub fn run(size: usize) -> Report {
     let rewind_ns = measured_rewind_latency(size as u32).as_nanos() as f64;
@@ -52,6 +83,12 @@ pub fn run(size: usize) -> Report {
     r.info("admit_warm_ns", admit_ns, "ns").note(format!(
         "mean admission on a warm plane (full benign window, 16384 tracked offenders): \
          {admit_ns:.0}ns over {ADMITS} admits"
+    ));
+    let restart_ns = restart_ns();
+    r.info("restart_ns", restart_ns, "ns").note(format!(
+        "mean kv shard restart ({SHARD_KEYS} keys x 64 B, {READS_PER_RESTART} reads between \
+         restarts): {:.1}us over {RESTARTS} restarts",
+        restart_ns / 1e3
     ));
     r
 }

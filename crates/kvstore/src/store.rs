@@ -1,4 +1,5 @@
-//! The sharded LRU store and its snapshot/restore (restart) path.
+//! The sharded LRU store, its snapshot/restore (restart) path and the
+//! in-place equivalent, [`Store::reload`].
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -138,6 +139,30 @@ impl Shard {
         self.order.remove(&entry.tick);
         self.bytes -= key.len() + entry.value.len();
         Some(entry.value)
+    }
+
+    /// Renumbers the shard as re-inserting its entries in map order
+    /// would: ticks `0..n` in iteration order, every TTL dropped. The
+    /// recency index keeps its key strings — moved, never cloned or
+    /// re-hashed.
+    fn reload(&mut self) {
+        // (old tick, new tick) per entry, in the order `Store::snapshot`
+        // emits the entries and `Store::restore` re-inserts them.
+        let mut ticks = Vec::with_capacity(self.entries.len());
+        for (new, entry) in (0u64..).zip(self.entries.values_mut()) {
+            ticks.push((entry.tick, new));
+            entry.tick = new;
+            entry.expires_at = u64::MAX;
+        }
+        self.next_tick = ticks.len() as u64;
+        // The old index iterates by old tick; sorted the same way, the
+        // pairs line every key up with its new tick.
+        ticks.sort_unstable();
+        self.order = ticks
+            .into_iter()
+            .zip(std::mem::take(&mut self.order).into_values())
+            .map(|((_, new), key)| (new, key))
+            .collect();
     }
 }
 
@@ -328,15 +353,31 @@ impl Store {
         for (key, value) in &snapshot.entries {
             store.set(key.clone(), value.clone());
         }
-        // Rebuilding is not client traffic: reset the activity counters.
-        let preserved_entries = store.stats.entries;
-        let preserved_bytes = store.stats.bytes;
-        store.stats = StoreStats {
-            entries: preserved_entries,
-            bytes: preserved_bytes,
+        store.reset_activity();
+        store
+    }
+
+    /// The restart path in place: leaves exactly the store
+    /// `Store::restore(config, &self.snapshot())` would build — same
+    /// entries, recency renumbered in snapshot order, no TTLs, the clock
+    /// and the activity counters reset — without copying a key or a
+    /// value. Nothing is evicted: every shard already fits its budget.
+    pub fn reload(&mut self) {
+        for shard in &mut self.shards {
+            shard.reload();
+        }
+        self.now = 0;
+        self.reset_activity();
+    }
+
+    /// Rebuilding is not client traffic: zero the activity counters,
+    /// keep `entries` and `bytes`.
+    fn reset_activity(&mut self) {
+        self.stats = StoreStats {
+            entries: self.stats.entries,
+            bytes: self.stats.bytes,
             ..StoreStats::default()
         };
-        store
     }
 }
 
@@ -514,5 +555,121 @@ mod tests {
             .filter(|s| !s.entries.is_empty())
             .count();
         assert!(populated >= 6, "only {populated}/8 shards used");
+    }
+
+    /// `reload` is `restore` of the store's own snapshot, checked on the
+    /// private state both leave behind and on how that state behaves.
+    mod reload_equals_restore {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Set(u8, usize),
+            SetWithTtl(u8, usize, u64),
+            Get(u8),
+            Delete(u8),
+            Advance(u64),
+            Flush,
+        }
+
+        /// Sixteen keys, values up to 23 bytes: against shard budgets
+        /// of 16–95 bytes, sets evict and some entries alone overflow.
+        fn arb_op() -> impl Strategy<Value = Op> {
+            (0u8..20, 0u8..16, 0usize..24, 0u64..8).prop_map(|(kind, key, len, n)| match kind {
+                0..=5 => Op::Set(key, len),
+                6..=9 => Op::SetWithTtl(key, len, n),
+                10..=14 => Op::Get(key),
+                15..=16 => Op::Delete(key),
+                17..=18 => Op::Advance(n),
+                _ => Op::Flush,
+            })
+        }
+
+        fn apply(store: &mut Store, op: &Op) {
+            let key = |k: u8| format!("k{k}");
+            let value = |k: u8, len: usize| vec![k.wrapping_add(len as u8); len];
+            match *op {
+                Op::Set(k, len) => store.set(key(k), value(k, len)),
+                Op::SetWithTtl(k, len, ttl) => store.set_with_ttl(key(k), value(k, len), Some(ttl)),
+                Op::Get(k) => {
+                    let _ = store.get(&key(k));
+                }
+                Op::Delete(k) => {
+                    let _ = store.delete(&key(k));
+                }
+                Op::Advance(ticks) => store.advance(ticks),
+                Op::Flush => store.flush(),
+            }
+        }
+
+        /// Per shard: key → (value, tick, `expires_at`), `bytes` and
+        /// `next_tick`.
+        type ShardState = (BTreeMap<String, (Vec<u8>, u64, u64)>, usize, u64);
+
+        /// Everything `restore` defines, independent of map iteration
+        /// order: the shards, the counters and the clock.
+        fn state(store: &Store) -> (Vec<ShardState>, StoreStats, u64) {
+            let shards = store
+                .shards
+                .iter()
+                .map(|shard| {
+                    let entries = shard
+                        .entries
+                        .iter()
+                        .map(|(k, e)| (k.clone(), (e.value.clone(), e.tick, e.expires_at)))
+                        .collect();
+                    (entries, shard.bytes, shard.next_tick)
+                })
+                .collect();
+            (shards, store.stats, store.now)
+        }
+
+        /// The recency index names every entry under its own tick.
+        fn assert_index_consistent(store: &Store) {
+            for shard in &store.shards {
+                assert_eq!(shard.order.len(), shard.entries.len());
+                for (tick, key) in &shard.order {
+                    assert_eq!(shard.entries[key].tick, *tick, "order[{tick}] = {key}");
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn reload_leaves_the_store_restore_builds_from_the_snapshot(
+                shards in 1usize..=4,
+                shard_capacity in 16usize..96,
+                tape in proptest::collection::vec(arb_op(), 0..160),
+                follow_up in proptest::collection::vec(arb_op(), 0..80),
+            ) {
+                let config = StoreConfig { shards, shard_capacity };
+                let mut reloaded = Store::new(config);
+                for op in &tape {
+                    apply(&mut reloaded, op);
+                }
+                let mut restored = Store::restore(config, &reloaded.snapshot());
+                reloaded.reload();
+
+                prop_assert_eq!(state(&reloaded), state(&restored));
+                assert_index_consistent(&reloaded);
+                assert_index_consistent(&restored);
+                for shard in &reloaded.shards {
+                    let n = shard.entries.len() as u64;
+                    prop_assert!(
+                        shard.entries.values().map(|e| e.tick).eq(0..n),
+                        "ticks run 0..n in the map's iteration order"
+                    );
+                }
+
+                // Same state, same behaviour: the follow-up tape evicts,
+                // expires and misses the same keys in both.
+                for op in &follow_up {
+                    apply(&mut reloaded, op);
+                    apply(&mut restored, op);
+                }
+                prop_assert_eq!(state(&reloaded), state(&restored));
+            }
+        }
     }
 }

@@ -888,8 +888,9 @@ fn close_telemetry(
         report.register_metrics(&registry, &PowerModel::rack_server());
     }
     // Events the workers already streamed were booked `drained` when
-    // their flush tick drained them; taking them back here (by move —
-    // this Vec becomes the log) keeps `log.len() == Σ drained` exact.
+    // their flush tick drained them; taking the retained ones back here
+    // (by move — this Vec becomes the log) keeps `log.len() + truncated
+    // == Σ drained` exact.
     let (streaming, events) = collector.map(Collector::close).unzip();
     let mut events: Vec<_> = events.unwrap_or_default();
     if let Some(books) = &streaming {
@@ -903,6 +904,7 @@ fn close_telemetry(
         registry
             .counter("streaming.events_streamed")
             .add(books.events_streamed);
+        registry.counter("streaming.truncated").add(books.truncated);
     }
     let mut snapshot = TelemetrySnapshot::from_metrics(registry.read());
     for (name, ring) in rings {

@@ -435,23 +435,24 @@ impl RuntimeStats {
             })
             // The flight recorder's own books, when it ran: every ring
             // obeys `recorded == drained + dropped + sampled_out +
-            // in_ring`, and the drained log holds exactly what the rings
-            // say was drained — whether an event reached the log through
-            // a streamed delta frame or the final shutdown drain. The
-            // streaming books, when a collector ran, are a subset of the
-            // drained total and must show zero counter regressions (the
+            // in_ring`, and the drained log plus what the collector's
+            // bounded log evicted is exactly what the rings say was
+            // drained — whether an event reached the log through a
+            // streamed delta frame or the final shutdown drain. The
+            // streaming books, when a collector ran, are a subset of
+            // that total and must show zero counter regressions (the
             // runtime retains per-source baselines across restarts).
             && self.telemetry.as_ref().is_none_or(|t| {
+                let logged = t.log.len() as u64 + t.streaming.map_or(0, |s| s.truncated);
                 t.snapshot.conserves()
-                    && t.log.len() as u64
+                    && logged
                         == t.snapshot
                             .rings
                             .values()
                             .map(|r| r.counters.drained)
                             .sum::<u64>()
-                    && t.streaming.is_none_or(|s| {
-                        s.events_streamed <= t.log.len() as u64 && s.regressions == 0
-                    })
+                    && t.streaming
+                        .is_none_or(|s| s.events_streamed <= logged && s.regressions == 0)
             })
     }
 

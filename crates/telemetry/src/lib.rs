@@ -84,8 +84,8 @@ pub use recorder::{LogicalClock, Recorder, Sampler, TelemetryConfig};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, RegistryReading};
 pub use ring::{RingCounters, TraceRing};
 pub use sink::{
-    Collector, DeltaFrame, LiveTotals, Spike, StreamingConfig, StreamingReport, WINDOW_BUCKETS,
-    WINDOW_NS,
+    Collector, DeltaFrame, LiveTotals, Spike, StreamingConfig, StreamingReport, LOG_RETAIN,
+    WINDOW_BUCKETS, WINDOW_NS,
 };
 pub use snapshot::{RingStat, TelemetrySnapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use window::{recompute_rollup, WindowBook, WindowRollup};

@@ -22,7 +22,7 @@
 //! returns the [`Spike`]s its own frame caused — see
 //! [`Collector::deliver`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -33,6 +33,11 @@ use crate::window::{WindowBook, WindowRollup};
 pub const WINDOW_NS: u64 = 50_000_000;
 /// Number of buckets the window is quantized into.
 pub const WINDOW_BUCKETS: usize = 16;
+/// Streamed events the collector retains for the shutdown log merge
+/// (32 B each: 32 MiB). Past it the oldest is evicted and counted in
+/// [`StreamingReport::truncated`], so a long run's memory stays bounded
+/// and its books stay exact.
+pub const LOG_RETAIN: usize = 1 << 20;
 
 /// Streaming-telemetry tuning. Workers ship one frame per pump pass and
 /// the collector rolls up over [`WINDOW_NS`] in [`WINDOW_BUCKETS`]
@@ -164,6 +169,10 @@ pub struct StreamingReport {
     /// Trace events that arrived inside delta frames (drained by their
     /// source's flush tick rather than at shutdown).
     pub events_streamed: u64,
+    /// Streamed events evicted from the retained log past
+    /// [`LOG_RETAIN`], oldest first. Zero means the closed log holds
+    /// every drained event.
+    pub truncated: u64,
 }
 
 /// Per-source reception state: last sequence seen and the cumulative
@@ -191,8 +200,9 @@ struct CollectorInner {
     sources: HashMap<Source, SourceState>,
     /// Aggregate counter deltas accumulated across all sources.
     totals: LiveTotals,
-    /// Every event received, retained for the shutdown log merge.
-    events: Vec<TraceEvent>,
+    /// The newest [`LOG_RETAIN`] events received, retained for the
+    /// shutdown log merge.
+    events: VecDeque<TraceEvent>,
     /// Incremental sliding-window rollups.
     window: WindowBook,
     /// Per-client cumulative fault books and spike watermarks.
@@ -255,7 +265,13 @@ impl CollectorInner {
             }
         }
         self.books.events_streamed += frame.events.len() as u64;
-        self.events.extend(frame.events);
+        for event in frame.events {
+            if self.events.len() == LOG_RETAIN {
+                self.events.pop_front();
+                self.books.truncated += 1;
+            }
+            self.events.push_back(event);
+        }
         spikes
     }
 }
@@ -276,7 +292,7 @@ impl Collector {
             inner: Mutex::new(CollectorInner {
                 sources: HashMap::new(),
                 totals: LiveTotals::default(),
-                events: Vec::new(),
+                events: VecDeque::new(),
                 window: WindowBook::new(WINDOW_NS, WINDOW_BUCKETS),
                 faults: BTreeMap::new(),
                 spike_faults: config.spike_faults,
@@ -356,13 +372,14 @@ impl Collector {
     }
 
     /// Closes the books for the shutdown log merge: the delivery
-    /// counters and, **by move**, every event received (the log is the
-    /// process's largest allocation; it is never copied). The counters
-    /// stay readable afterwards; the events are handed off exactly
-    /// once.
+    /// counters and, **by move**, every retained event, oldest first
+    /// (the log is the process's largest allocation; it is never
+    /// copied — turning the ring into a `Vec` keeps its buffer). The
+    /// counters stay readable afterwards; the events are handed off
+    /// exactly once.
     pub fn close(&self) -> (StreamingReport, Vec<TraceEvent>) {
         let mut inner = self.lock();
-        (inner.books, std::mem::take(&mut inner.events))
+        (inner.books, std::mem::take(&mut inner.events).into())
     }
 }
 
@@ -503,11 +520,40 @@ mod tests {
                 frames: 1,
                 lost_frames: 0,
                 regressions: 0,
-                events_streamed: 2
+                events_streamed: 2,
+                truncated: 0,
             }
         );
         let (books_again, events_again) = collector.close();
         assert!(events_again.is_empty());
         assert_eq!(books_again, books, "the counters stay readable");
+    }
+
+    #[test]
+    fn the_retained_log_evicts_its_oldest_events_and_counts_them() {
+        let collector = Collector::new(StreamingConfig::enabled());
+        let wakes = |stamps: std::ops::Range<u64>| {
+            stamps
+                .map(|stamp| TraceEvent {
+                    stamp,
+                    kind: EventKind::Wake,
+                    ..rewind(0, 0)
+                })
+                .collect()
+        };
+        let past = 3;
+        let total = (LOG_RETAIN + past) as u64;
+        let per_frame = 1 << 16;
+        for (seq, start) in (0..).zip((0..total).step_by(per_frame)) {
+            let mut f = frame(0, seq, 0);
+            f.events = wakes(start..total.min(start + per_frame as u64));
+            collector.deliver_at(f, 0);
+        }
+        let (books, events) = collector.close();
+        assert_eq!(books.events_streamed, total);
+        assert_eq!(books.truncated, past as u64);
+        assert_eq!(events.len(), LOG_RETAIN, "the log stops at its bound");
+        assert_eq!(events[0].stamp, past as u64, "the oldest went first");
+        assert_eq!(events[LOG_RETAIN - 1].stamp, total - 1);
     }
 }

@@ -49,7 +49,9 @@ pub struct TelemetrySnapshot {
     /// Flight-recorder ring accounting by ring name
     /// (`worker-N` / `dispatcher` / `control`).
     pub rings: BTreeMap<String, RingStat>,
-    /// Drained-event tallies by [`EventKind`](crate::EventKind) name.
+    /// Tallies of the drained log by [`EventKind`](crate::EventKind)
+    /// name (without what a bounded streaming log evicted — see
+    /// [`StreamingReport::truncated`](crate::StreamingReport::truncated)).
     pub events_by_kind: BTreeMap<String, u64>,
     /// Sampler refusals by [`EventKind`](crate::EventKind) name —
     /// what the overload-adaptive sampler deliberately hid, so query
