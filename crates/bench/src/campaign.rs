@@ -47,6 +47,15 @@ pub fn campaign_config() -> HostileMixConfig {
 /// graduated response, decay slow enough that a ban holds for the rest
 /// of the campaign, and a ladder that escalates inside an offender's
 /// career. (See E19's doc comment for the full rationale.)
+///
+/// The throttle trickle is the evidence channel from throttle (4) to
+/// quarantine (28), and it is paced in wall-clock time while the
+/// campaign is a fixed event count. The adaptive cell replays 6 000
+/// events in ~3 ms, so the trickle must carry 24 faults in well under
+/// that: at 20 000/s it takes 1.2 ms. A slower trickle leaves recall to
+/// a race — whether the workers lag far enough behind the producer to
+/// admit a whole attack run before scoring it — that a faster server
+/// loses (at 1 000/s an offender escaped in 7 of 9 attempts).
 #[must_use]
 pub fn control_config() -> ControlConfig {
     ControlConfig {
@@ -55,7 +64,7 @@ pub fn control_config() -> ControlConfig {
             throttle_score: 4.0,
             quarantine_score: 28.0,
             ban_score: 64.0,
-            throttle_rate_per_sec: 1_000.0,
+            throttle_rate_per_sec: 20_000.0,
             throttle_burst: 4.0,
         },
         ladder: LadderParams {

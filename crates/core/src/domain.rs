@@ -70,7 +70,7 @@ impl fmt::Display for DomainPolicy {
 /// Configuration for creating a domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainConfig {
-    /// Human-readable name used in events and diagnostics.
+    /// Human-readable name used in diagnostics.
     pub name: String,
     /// Capacity (and quota) of the domain's private heap, in bytes.
     pub heap_capacity: usize,

@@ -57,20 +57,24 @@
 //! frees, allocation-quota exhaustion, explicit aborts, and any Rust panic
 //! escaping the domain closure. Simulated stack-canary frames live in the
 //! `sdrad-faultsim` crate.
+//!
+//! A detected fault reaches the boundary one of two ways: as a value,
+//! when the closure given to [`DomainManager::try_call`] passes the
+//! `Err` of a `DomainEnv::try_*` method up with `?`; or as a trap, when
+//! a plain [`DomainEnv`] method unwinds to [`DomainManager::call`]. Both
+//! end in the same rewind; the value form costs no unwind.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod domain;
 mod error;
-mod events;
 mod manager;
 mod pool;
 
 pub(crate) use domain::Domain;
 pub use domain::{DomainConfig, DomainId, DomainInfo, DomainPolicy, DomainState};
 pub use error::DomainError;
-pub use events::{DomainEvent, EventLog};
 pub use manager::{quiet_fault_traps, DomainEnv, DomainManager};
 pub use pool::{ClientId, DomainPool};
 

@@ -10,9 +10,7 @@ use sdrad_mpk::{
     Region, SpaceStats, VirtAddr,
 };
 
-use crate::{
-    Domain, DomainConfig, DomainError, DomainEvent, DomainId, DomainInfo, DomainState, EventLog,
-};
+use crate::{Domain, DomainConfig, DomainError, DomainId, DomainInfo, DomainState};
 
 /// Panic payload used to carry a [`Fault`] from the fault site to the
 /// domain boundary — the software analogue of the hardware trap +
@@ -44,13 +42,15 @@ impl Drop for DepthGuard {
 
 /// Installs a panic hook that silences panics contained by domains.
 ///
-/// Faults travel from the fault site to the domain boundary as panics,
-/// which the default panic hook prints as scary backtraces even though
-/// they are caught and recovered. This hook suppresses output for the
-/// runtime's own trap payloads and for any panic raised while executing
-/// inside a domain (both are contained by [`DomainManager::call`]); every
-/// other panic still reaches the previously installed hook. Call once at
-/// program start (binaries, benches); safe to call multiple times.
+/// Code using the trapping [`DomainEnv`] methods sends faults to the
+/// domain boundary as panics, which the default panic hook prints as
+/// scary backtraces even though they are caught and recovered. This hook
+/// suppresses output for the runtime's own trap payloads and for any
+/// panic raised while executing inside a domain (both are contained by
+/// [`DomainManager::try_call`]); every other panic still reaches the
+/// previously installed hook. Code on the `try_*` path raises no panic
+/// and needs no hook. Call once at program start (binaries, benches);
+/// safe to call multiple times.
 pub fn quiet_fault_traps() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -70,9 +70,10 @@ pub fn quiet_fault_traps() {
 ///
 /// One manager models one process. Domains are created with
 /// [`create_domain`](Self::create_domain) and executed with
-/// [`call`](Self::call); a fault detected during a call **rewinds** the
-/// domain (execution returns to the call site as an `Err`) and **discards**
-/// its heap, leaving the process fully operational.
+/// [`try_call`](Self::try_call) (or its trapping form [`call`](Self::call));
+/// a fault detected during a call **rewinds** the domain (execution
+/// returns to the call site as an `Err`) and **discards** its heap,
+/// leaving the process fully operational.
 ///
 /// # Example
 ///
@@ -107,7 +108,6 @@ pub struct DomainManager {
     domains: BTreeMap<DomainId, Domain>,
     stack: Vec<DomainId>,
     next_id: u64,
-    events: EventLog,
     cost: CostReport,
     rewinds: u64,
 }
@@ -127,7 +127,6 @@ impl DomainManager {
             domains: BTreeMap::new(),
             stack: Vec::new(),
             next_id: 1,
-            events: EventLog::new(),
             cost: CostReport::new(model),
             rewinds: 0,
         }
@@ -149,10 +148,6 @@ impl DomainManager {
         )?;
         let id = DomainId::new(self.next_id);
         self.next_id += 1;
-        self.events.push(DomainEvent::Created {
-            domain: id,
-            name: config.name.clone(),
-        });
         self.domains.insert(
             id,
             Domain {
@@ -188,19 +183,37 @@ impl DomainManager {
         let domain = self.domains.remove(&id).expect("checked above");
         self.space.unmap(domain.heap.region().id())?;
         self.space.pkey_free(domain.key)?;
-        self.events.push(DomainEvent::Destroyed { domain: id });
         Ok(())
     }
 
     /// Executes `f` inside the domain, with rewind-and-discard on fault.
     ///
+    /// The trapping form of [`try_call`](Self::try_call): faults raised
+    /// through [`DomainEnv::trap`] and the trapping memory methods unwind
+    /// to the boundary as panics.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_call`](Self::try_call).
+    pub fn call<R>(
+        &mut self,
+        id: DomainId,
+        f: impl FnOnce(&mut DomainEnv<'_>) -> R,
+    ) -> Result<R, DomainError> {
+        self.try_call(id, |env| Ok(f(env)))
+    }
+
+    /// Executes `f` inside the domain; a fault `f` returns as `Err`
+    /// rewinds it.
+    ///
     /// While `f` runs, the thread's PKRU grants read-write access to the
     /// domain's own heap and policy-dependent access to root memory;
-    /// everything else is inaccessible. Faults raised through
-    /// [`DomainEnv::trap`], by checked memory accesses, or by a panic
-    /// inside `f` unwind to this boundary, where the domain's heap is
-    /// discarded and the fault is returned as
-    /// [`DomainError::Violation`]. The domain is immediately reusable.
+    /// everything else is inaccessible. A detected fault reaches this
+    /// boundary as the `Err` that `f` returns (the `try_*` methods of
+    /// [`DomainEnv`] with `?`), as a trap from the trapping methods, or
+    /// as any other panic inside `f`; the domain's heap is then discarded
+    /// and the fault is returned as [`DomainError::Violation`]. The
+    /// domain is immediately reusable.
     ///
     /// On successful return, the domain's live heap blocks are canary-swept
     /// (SDRaD's exit-time detection); corruption found then also triggers
@@ -210,10 +223,10 @@ impl DomainManager {
     ///
     /// [`DomainError::NotFound`], [`DomainError::ReentrantCall`], or
     /// [`DomainError::Violation`] as described above.
-    pub fn call<R>(
+    pub fn try_call<R>(
         &mut self,
         id: DomainId,
-        f: impl FnOnce(&mut DomainEnv<'_>) -> R,
+        f: impl FnOnce(&mut DomainEnv<'_>) -> Result<R, Fault>,
     ) -> Result<R, DomainError> {
         let (key, policy) = {
             let domain = self.domains.get_mut(&id).ok_or(DomainError::NotFound(id))?;
@@ -225,10 +238,6 @@ impl DomainManager {
             (domain.key, domain.policy)
         };
         self.stack.push(id);
-        self.events.push(DomainEvent::Entered {
-            domain: id,
-            depth: self.stack.len(),
-        });
 
         // Domain rights: own heap read-write, root memory per policy,
         // every other domain inaccessible.
@@ -240,70 +249,56 @@ impl DomainManager {
 
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _depth = DepthGuard::enter();
-            let mut env = DomainEnv { mgr: self, id };
-            f(&mut env)
+            f(&mut DomainEnv { mgr: self, id })
         }));
 
         // Still under the domain's PKRU: exit sweep / discard both need
         // access to the domain's heap region.
-        let outcome = match result {
-            Ok(value) => match self.sweep_domain(id) {
-                Ok(()) => Ok(value),
-                Err(fault) => Err(fault),
+        let fault = match result {
+            Ok(Ok(value)) => match self.sweep_domain(id) {
+                Ok(()) => {
+                    drop(guard);
+                    self.cost.charge_wrpkru();
+                    self.stack.pop();
+                    let domain = self.domains.get_mut(&id).expect("domain exists");
+                    domain.state = DomainState::Ready;
+                    domain.calls += 1;
+                    return Ok(value);
+                }
+                Err(fault) => fault,
             },
-            Err(payload) => Err(classify_panic(payload)),
+            Ok(Err(fault)) => fault,
+            Err(payload) => classify_panic(payload),
         };
 
-        match outcome {
-            Ok(value) => {
-                drop(guard);
-                self.cost.charge_wrpkru();
-                self.stack.pop();
-                let domain = self.domains.get_mut(&id).expect("domain exists");
-                domain.state = DomainState::Ready;
-                domain.calls += 1;
-                self.events.push(DomainEvent::Exited { domain: id });
-                Ok(value)
-            }
-            Err(fault) => {
-                // REWIND: discard the domain heap (under the domain PKRU),
-                // restore the caller's rights, and surface the fault.
-                let rewind_start = Instant::now();
-                {
-                    let Self { space, domains, .. } = self;
-                    let domain = domains.get_mut(&id).expect("domain exists");
-                    domain
-                        .heap
-                        .discard(space)
-                        .expect("discard under domain rights cannot fault");
-                }
-                drop(guard);
-                self.cost.charge_wrpkru();
-                let rewind_ns =
-                    u64::try_from(rewind_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.stack.pop();
-                self.rewinds += 1;
-                let domain = self.domains.get_mut(&id).expect("domain exists");
-                domain.state = DomainState::Ready;
-                domain.calls += 1;
-                domain.violations += 1;
-                domain.total_rewind_ns += rewind_ns;
-                domain.last_fault = Some(fault.clone());
-                self.events.push(DomainEvent::Faulted {
-                    domain: id,
-                    fault: fault.clone(),
-                });
-                self.events.push(DomainEvent::Rewound {
-                    domain: id,
-                    rewind_ns,
-                });
-                Err(DomainError::Violation {
-                    domain: id,
-                    fault,
-                    rewind_ns,
-                })
-            }
+        // REWIND: the boundary has the fault. Discard the domain heap
+        // (under the domain PKRU), restore the caller's rights, and
+        // surface the fault; `rewind_ns` spans exactly this.
+        let received = Instant::now();
+        {
+            let Self { space, domains, .. } = self;
+            let domain = domains.get_mut(&id).expect("domain exists");
+            domain
+                .heap
+                .discard(space)
+                .expect("discard under domain rights cannot fault");
         }
+        drop(guard);
+        self.cost.charge_wrpkru();
+        let rewind_ns = u64::try_from(received.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.stack.pop();
+        self.rewinds += 1;
+        let domain = self.domains.get_mut(&id).expect("domain exists");
+        domain.state = DomainState::Ready;
+        domain.calls += 1;
+        domain.violations += 1;
+        domain.total_rewind_ns += rewind_ns;
+        domain.last_fault = Some(fault.clone());
+        Err(DomainError::Violation {
+            domain: id,
+            fault,
+            rewind_ns,
+        })
     }
 
     /// Canary-sweeps the domain's live heap blocks.
@@ -362,17 +357,6 @@ impl DomainManager {
     #[must_use]
     pub fn domains(&self) -> Vec<DomainInfo> {
         self.domains.values().map(Domain::info).collect()
-    }
-
-    /// The event log.
-    #[must_use]
-    pub fn events(&self) -> &EventLog {
-        &self.events
-    }
-
-    /// Drains the event log.
-    pub fn take_events(&mut self) -> Vec<DomainEvent> {
-        self.events.take()
     }
 
     /// Accumulated isolation-primitive cost account.
@@ -434,11 +418,13 @@ fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> Fault {
 /// subject to the domain's PKRU rights. Two flavours exist for each
 /// operation:
 ///
+/// * the `try_*` methods return the [`Fault`] as a value; code run by
+///   [`DomainManager::try_call`] passes it to the boundary with `?`,
+///   where the rewind happens — the serving path's form;
 /// * the plain methods (`alloc`, `free`, `read`, `write`, …) **trap** on
 ///   fault — they model compiled code hitting a hardware fault, unwinding
-///   to the domain boundary where the rewind happens;
-/// * the `try_*` methods return `Result` for code that wants to handle
-///   faults locally (rare in application code, useful in tests).
+///   to the domain boundary as a panic. Each is its `try_*` twin with
+///   the `Err` passed to [`trap`](Self::trap).
 #[derive(Debug)]
 pub struct DomainEnv<'a> {
     mgr: &'a mut DomainManager,
@@ -468,10 +454,7 @@ impl DomainEnv<'_> {
 
     /// Allocates `len` bytes on the domain heap, trapping on fault.
     pub fn alloc(&mut self, len: usize) -> VirtAddr {
-        match self.try_alloc(len) {
-            Ok(addr) => addr,
-            Err(fault) => self.trap(fault),
-        }
+        self.try_alloc(len).unwrap_or_else(|fault| self.trap(fault))
     }
 
     /// Allocates `len` bytes on the domain heap.
@@ -488,9 +471,7 @@ impl DomainEnv<'_> {
     /// Frees a domain-heap block, trapping on fault (double free, canary
     /// corruption).
     pub fn free(&mut self, addr: VirtAddr) {
-        if let Err(fault) = self.try_free(addr) {
-            self.trap(fault)
-        }
+        self.try_free(addr).unwrap_or_else(|fault| self.trap(fault));
     }
 
     /// Frees a domain-heap block.
@@ -506,9 +487,8 @@ impl DomainEnv<'_> {
 
     /// Reads memory, trapping on fault (PKU violation, out of bounds, …).
     pub fn read(&mut self, addr: VirtAddr, buf: &mut [u8]) {
-        if let Err(fault) = self.try_read(addr, buf) {
-            self.trap(fault)
-        }
+        self.try_read(addr, buf)
+            .unwrap_or_else(|fault| self.trap(fault));
     }
 
     /// Reads memory under the domain's rights.
@@ -522,9 +502,8 @@ impl DomainEnv<'_> {
 
     /// Writes memory, trapping on fault.
     pub fn write(&mut self, addr: VirtAddr, data: &[u8]) {
-        if let Err(fault) = self.try_write(addr, data) {
-            self.trap(fault)
-        }
+        self.try_write(addr, data)
+            .unwrap_or_else(|fault| self.trap(fault));
     }
 
     /// Writes memory under the domain's rights.
@@ -536,19 +515,56 @@ impl DomainEnv<'_> {
         self.mgr.space.write(addr, data)
     }
 
+    /// Fills `len` bytes at `addr` with `byte`, trapping on fault.
+    pub fn fill(&mut self, addr: VirtAddr, len: usize, byte: u8) {
+        self.try_fill(addr, len, byte)
+            .unwrap_or_else(|fault| self.trap(fault));
+    }
+
+    /// Fills `len` bytes at `addr` with `byte` under the domain's rights —
+    /// the same checked store as a [`try_write`](Self::try_write) of `len`
+    /// bytes, without a host buffer to copy from.
+    ///
+    /// # Errors
+    ///
+    /// Any [`Fault`] the access check raises.
+    pub fn try_fill(&mut self, addr: VirtAddr, len: usize, byte: u8) -> Result<(), Fault> {
+        self.mgr.space.fill(addr, len, byte)
+    }
+
     /// Allocates a block and copies `data` into it, returning its address.
     /// Traps on fault.
     pub fn push_bytes(&mut self, data: &[u8]) -> VirtAddr {
-        let addr = self.alloc(data.len());
-        self.write(addr, data);
-        addr
+        self.try_push_bytes(data)
+            .unwrap_or_else(|fault| self.trap(fault))
+    }
+
+    /// Allocates a block and copies `data` into it, returning its address.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_alloc`](Self::try_alloc) and [`try_write`](Self::try_write).
+    pub fn try_push_bytes(&mut self, data: &[u8]) -> Result<VirtAddr, Fault> {
+        let addr = self.try_alloc(data.len())?;
+        self.try_write(addr, data)?;
+        Ok(addr)
     }
 
     /// Reads `len` bytes at `addr` into a fresh vector. Traps on fault.
     pub fn read_bytes(&mut self, addr: VirtAddr, len: usize) -> Vec<u8> {
+        self.try_read_bytes(addr, len)
+            .unwrap_or_else(|fault| self.trap(fault))
+    }
+
+    /// Reads `len` bytes at `addr` into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_read`](Self::try_read).
+    pub fn try_read_bytes(&mut self, addr: VirtAddr, len: usize) -> Result<Vec<u8>, Fault> {
         let mut buf = vec![0u8; len];
-        self.read(addr, &mut buf);
-        buf
+        self.try_read(addr, &mut buf)?;
+        Ok(buf)
     }
 
     /// Reads a little-endian `u64`. Traps on fault.
@@ -883,15 +899,56 @@ mod tests {
     }
 
     #[test]
-    fn events_record_the_rewind_sequence() {
+    fn domain_info_records_the_rewind_sequence() {
         let (mut mgr, id) = manager_with_domain();
-        let _ = mgr.call(id, |env| {
-            let a = env.push_bytes(b"z");
-            env.free(a);
-            env.free(a);
+        let err = mgr
+            .try_call(id, |env| {
+                let a = env.try_push_bytes(b"z")?;
+                env.try_free(a)?;
+                env.try_free(a)
+            })
+            .unwrap_err();
+        assert_eq!(err.fault().map(Fault::kind), Some("double-free"));
+        let info = mgr.domain_info(id).unwrap();
+        assert_eq!((info.calls, info.violations), (1, 1));
+        assert_eq!(info.last_fault.as_ref(), err.fault());
+        assert_eq!(info.state, DomainState::Ready, "rewound, not left active");
+        assert_eq!(info.heap.live_blocks, 0, "heap discarded");
+    }
+
+    #[test]
+    fn returned_faults_rewind_like_trapped_ones() {
+        let (mut mgr, id) = manager_with_domain();
+        let err = mgr
+            .try_call(id, |env| -> Result<(), Fault> {
+                let a = env.try_push_bytes(b"abc")?;
+                env.try_fill(a, 64, 0xA5)?; // past the payload, over the canary
+                env.try_free(a)
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            DomainError::Violation {
+                fault: Fault::CanaryCorruption { .. },
+                ..
+            }
+        ));
+        // A fault the closure swallows is no fault; an `Ok` still gets the
+        // exit sweep.
+        assert!(mgr
+            .try_call(id, |env| Ok(env.try_free(VirtAddr::new(1)).is_err()))
+            .unwrap());
+        let smashed = mgr.try_call(id, |env| {
+            let a = env.try_alloc(16)?;
+            env.try_write(a.offset(16), &[0xAA; 8])
         });
-        let kinds: Vec<_> = mgr.events().for_domain(id).map(DomainEvent::kind).collect();
-        assert_eq!(kinds, vec!["created", "entered", "faulted", "rewound"]);
+        assert!(matches!(
+            smashed.unwrap_err().fault(),
+            Some(Fault::CanaryCorruption { .. })
+        ));
+        let info = mgr.domain_info(id).unwrap();
+        assert_eq!((info.calls, info.violations), (3, 2));
+        assert_eq!(mgr.total_rewinds(), 2);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property tests for the domain runtime: whatever a domain does, the
 //! process survives and isolation invariants hold.
 
+use std::cell::Cell;
+use std::sync::Once;
+
 use proptest::prelude::*;
-use sdrad::{DomainConfig, DomainManager, Fault, VirtAddr};
+use sdrad::{DomainConfig, DomainEnv, DomainError, DomainManager, Fault, VirtAddr};
 
 /// One attack/benign action a domain may perform.
 #[derive(Debug, Clone)]
@@ -17,17 +20,138 @@ enum Action {
     HugeAlloc,
 }
 
-fn arb_action() -> impl Strategy<Value = Action> {
+/// The actions that build, free and overflow heap blocks.
+fn arb_heap_action() -> impl Strategy<Value = Action> {
     prop_oneof![
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(Action::PushBytes),
         (0usize..8).prop_map(Action::FreeLive),
         (0usize..8).prop_map(Action::DoubleFree),
         (0usize..8).prop_map(Action::OverflowBlock),
+    ]
+}
+
+fn arb_action() -> impl Strategy<Value = Action> {
+    prop_oneof![
+        arb_heap_action(),
+        arb_heap_action(),
+        arb_heap_action(),
+        arb_heap_action(),
         (0u64..0x10_0000).prop_map(Action::WildRead),
         (0u64..0x10_0000).prop_map(Action::WildWrite),
         "[a-z]{1,12}".prop_map(Action::Abort),
         Just(Action::HugeAlloc),
     ]
+}
+
+/// Runs `script` with the trapping methods: the first fault unwinds to
+/// the domain boundary.
+fn run_trapping(env: &mut DomainEnv<'_>, script: &[Action]) {
+    let mut live: Vec<VirtAddr> = Vec::new();
+    let mut freed: Vec<VirtAddr> = Vec::new();
+    for action in script {
+        match action {
+            Action::PushBytes(data) => live.push(env.push_bytes(data)),
+            Action::FreeLive(i) => {
+                if !live.is_empty() {
+                    let addr = live.remove(i % live.len());
+                    env.free(addr);
+                    freed.push(addr);
+                }
+            }
+            Action::DoubleFree(i) => {
+                if !freed.is_empty() {
+                    env.free(freed[i % freed.len()]); // traps
+                }
+            }
+            Action::OverflowBlock(i) => {
+                if !live.is_empty() {
+                    let addr = live[i % live.len()];
+                    let size = env.block_size(addr).unwrap_or(0);
+                    // Write well past the payload: smashes the canary or
+                    // leaves the region (both fault paths are valid
+                    // detections).
+                    env.write(addr.offset(size), &[0x41; 24]);
+                }
+            }
+            Action::WildRead(a) => env.read(VirtAddr::new(*a), &mut [0u8; 4]), // traps
+            Action::WildWrite(a) => env.write(VirtAddr::new(*a), &[0xFF; 4]),  // traps
+            Action::Abort(reason) => env.abort(reason.as_str()),
+            Action::HugeAlloc => {
+                let _ = env.alloc(1 << 30); // quota trap
+            }
+        }
+    }
+}
+
+/// [`run_trapping`] with the `try_*` methods: each fault goes to the
+/// boundary as a value, through `?`.
+fn run_try(env: &mut DomainEnv<'_>, script: &[Action]) -> Result<(), Fault> {
+    let mut live: Vec<VirtAddr> = Vec::new();
+    let mut freed: Vec<VirtAddr> = Vec::new();
+    for action in script {
+        match action {
+            Action::PushBytes(data) => live.push(env.try_push_bytes(data)?),
+            Action::FreeLive(i) => {
+                if !live.is_empty() {
+                    let addr = live.remove(i % live.len());
+                    env.try_free(addr)?;
+                    freed.push(addr);
+                }
+            }
+            Action::DoubleFree(i) => {
+                if !freed.is_empty() {
+                    env.try_free(freed[i % freed.len()])?;
+                }
+            }
+            Action::OverflowBlock(i) => {
+                if !live.is_empty() {
+                    let addr = live[i % live.len()];
+                    let size = env.block_size(addr).unwrap_or(0);
+                    env.try_write(addr.offset(size), &[0x41; 24])?;
+                }
+            }
+            Action::WildRead(a) => env.try_read(VirtAddr::new(*a), &mut [0u8; 4])?,
+            Action::WildWrite(a) => env.try_write(VirtAddr::new(*a), &[0xFF; 4])?,
+            Action::Abort(reason) => {
+                return Err(Fault::ExplicitAbort {
+                    reason: reason.clone(),
+                })
+            }
+            Action::HugeAlloc => {
+                env.try_alloc(1 << 30)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+thread_local! {
+    /// Whether this thread's panics are being counted (and silenced).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Panics raised on this thread while counting.
+    static PANICS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Runs `f`, returning its value and the panics it raised on this
+/// thread — caught ones included. Other threads' panics, and this
+/// thread's outside `f`, reach the previous hook untouched.
+fn count_panics<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if COUNTING.with(Cell::get) {
+                PANICS.with(|p| p.set(p.get() + 1));
+            } else {
+                previous(info);
+            }
+        }));
+    });
+    let before = PANICS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let value = f();
+    COUNTING.with(|c| c.set(false));
+    (value, PANICS.with(Cell::get) - before)
 }
 
 proptest! {
@@ -50,49 +174,7 @@ proptest! {
             .unwrap();
 
         for script in &scripts {
-            let script = script.clone();
-            let _ = mgr.call(id, move |env| {
-                let mut live: Vec<VirtAddr> = Vec::new();
-                let mut freed: Vec<VirtAddr> = Vec::new();
-                for action in script {
-                    match action {
-                        Action::PushBytes(data) => live.push(env.push_bytes(&data)),
-                        Action::FreeLive(i) => {
-                            if !live.is_empty() {
-                                let addr = live.remove(i % live.len());
-                                env.free(addr);
-                                freed.push(addr);
-                            }
-                        }
-                        Action::DoubleFree(i) => {
-                            if !freed.is_empty() {
-                                let addr = freed[i % freed.len()];
-                                env.free(addr); // traps
-                            }
-                        }
-                        Action::OverflowBlock(i) => {
-                            if !live.is_empty() {
-                                let addr = live[i % live.len()];
-                                let size = env.block_size(addr).unwrap_or(0);
-                                // Write well past the payload: smashes the
-                                // canary or leaves the region (both fault
-                                // paths are valid detections).
-                                env.write(addr.offset(size), &[0x41; 24]);
-                            }
-                        }
-                        Action::WildRead(a) => {
-                            env.read(VirtAddr::new(a), &mut [0u8; 4]); // traps
-                        }
-                        Action::WildWrite(a) => {
-                            env.write(VirtAddr::new(a), &[0xFF; 4]); // traps
-                        }
-                        Action::Abort(reason) => env.abort(reason),
-                        Action::HugeAlloc => {
-                            let _ = env.alloc(1 << 30); // quota trap
-                        }
-                    }
-                }
-            });
+            let _ = mgr.call(id, |env| run_trapping(env, script));
 
             // THE invariant: after any outcome, a fresh benign call works.
             let probe = mgr.call(id, |env| {
@@ -100,6 +182,56 @@ proptest! {
                 env.read_bytes(addr, 5)
             });
             prop_assert_eq!(probe.unwrap(), b"probe".to_vec());
+        }
+    }
+
+    /// Faults travel as values: a script run through `call` with the
+    /// trapping methods and through `try_call` with `try_*` + `?` ends in
+    /// the same fault, the same domain counters and the same heap. Only
+    /// the trapping run panics — once per fault raised inside the
+    /// closure (a corruption the exit sweep finds raises none on
+    /// either path). Scripts lean on heap actions, so most build and
+    /// free blocks before they fault, or reach the exit sweep.
+    #[test]
+    fn returned_faults_match_trapped_faults(
+        scripts in proptest::collection::vec(
+            proptest::collection::vec(
+                prop_oneof![arb_heap_action(), arb_heap_action(), arb_heap_action(), arb_action()],
+                1..12,
+            ),
+            1..8,
+        )
+    ) {
+        let config = DomainConfig::new("fuzzed").heap_capacity(32 * 1024);
+        let mut trapping = DomainManager::new();
+        let mut valued = DomainManager::new();
+        let trapping_id = trapping.create_domain(config.clone()).unwrap();
+        let valued_id = valued.create_domain(config).unwrap();
+
+        for script in &scripts {
+            let mut closure_faulted = false;
+            let (valued_result, valued_panics) = count_panics(|| {
+                valued.try_call(valued_id, |env| {
+                    let outcome = run_try(env, script);
+                    closure_faulted = outcome.is_err();
+                    outcome
+                })
+            });
+            let (trapped_result, trapped_panics) =
+                count_panics(|| trapping.call(trapping_id, |env| run_trapping(env, script)));
+
+            prop_assert_eq!(valued_panics, 0);
+            prop_assert_eq!(trapped_panics, u64::from(closure_faulted));
+            prop_assert_eq!(
+                valued_result.as_ref().err().and_then(DomainError::fault),
+                trapped_result.as_ref().err().and_then(DomainError::fault)
+            );
+            let valued_info = valued.domain_info(valued_id).unwrap();
+            let trapped_info = trapping.domain_info(trapping_id).unwrap();
+            prop_assert_eq!(valued_info.calls, trapped_info.calls);
+            prop_assert_eq!(valued_info.violations, trapped_info.violations);
+            prop_assert_eq!(valued_info.last_fault, trapped_info.last_fault);
+            prop_assert_eq!(valued_info.heap, trapped_info.heap);
         }
     }
 

@@ -38,6 +38,6 @@ mod server;
 pub use request::{parse_request, scan_request, HttpError, HttpRequest, Method, RequestView};
 pub use response::{HttpResponse, Status};
 pub use server::{
-    decode_chunked_in_domain, decode_chunked_unprotected, HttpServer, HttpSession, HttpStats,
-    Isolation,
+    decode_chunked_in_domain, decode_chunked_unprotected, try_decode_chunked_in_domain, HttpServer,
+    HttpSession, HttpStats, Isolation,
 };

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use sdrad::{DomainConfig, DomainEnv, DomainError, DomainId, DomainManager, DomainPolicy};
+use sdrad::{DomainConfig, DomainEnv, DomainError, DomainId, DomainManager, DomainPolicy, Fault};
 
 use crate::request::find_crlf;
 use crate::{scan_request, HttpError, HttpRequest, HttpResponse, Method, RequestView, Status};
@@ -181,7 +181,7 @@ impl HttpServer {
             Isolation::Domain => {
                 let mgr = self.mgr.as_mut().expect("domain mode has a manager");
                 let domain = self.domain.expect("domain mode has a domain");
-                match mgr.call(domain, |env| decode_chunked_in_domain(env, raw_chunks)) {
+                match mgr.try_call(domain, |env| try_decode_chunked_in_domain(env, raw_chunks)) {
                     Ok(decoded_len) => HttpResponse::new(Status::Created)
                         .body(format!("{decoded_len} bytes").into_bytes()),
                     Err(DomainError::Violation { fault, .. }) => {
@@ -297,21 +297,31 @@ pub fn decode_chunked_unprotected(raw: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// The same decoder running on domain memory: the oversized copy smashes
-/// heap canaries or leaves the heap region, faults, and is rewound.
-/// Public so executors that own their own `DomainManager` (per-worker
-/// managers in `sdrad-runtime`) run the identical vulnerable workload.
-pub fn decode_chunked_in_domain(env: &mut DomainEnv<'_>, raw: &[u8]) -> usize {
+/// heap canaries or leaves the heap region, and the fault is returned for
+/// the boundary ([`DomainManager::try_call`]) to rewind. Public so
+/// executors that own their own `DomainManager` (per-worker managers in
+/// `sdrad-runtime`) run the identical vulnerable workload.
+///
+/// # Errors
+///
+/// The planted overflow's [`Fault`] when a chunk declares more bytes
+/// than it carries (beyond the allocator's rounding slack).
+pub fn try_decode_chunked_in_domain(env: &mut DomainEnv<'_>, raw: &[u8]) -> Result<usize, Fault> {
     let mut total = 0usize;
     for (declared, data) in chunks(raw) {
-        let buffer = env.push_bytes(data);
+        let buffer = env.try_push_bytes(data)?;
         // BUG: writes `declared` bytes into a buffer sized for the actual
         // data received.
-        let staging = vec![0x5Au8; declared];
-        env.write(buffer, &staging);
-        env.free(buffer); // free() re-verifies the canaries
+        env.try_fill(buffer, declared, 0x5A)?;
+        env.try_free(buffer)?; // free() re-verifies the canaries
         total += declared;
     }
-    total
+    Ok(total)
+}
+
+/// [`try_decode_chunked_in_domain`] with the fault trapped to the boundary.
+pub fn decode_chunked_in_domain(env: &mut DomainEnv<'_>, raw: &[u8]) -> usize {
+    try_decode_chunked_in_domain(env, raw).unwrap_or_else(|fault| env.trap(fault))
 }
 
 #[cfg(test)]

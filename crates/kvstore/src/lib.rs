@@ -43,7 +43,7 @@ mod store;
 
 pub use protocol::{parse_command, Command, ProtocolError, Response};
 pub use server::{
-    apply_op, process_unprotected_command, stage_command, Isolation, Server, ServerConfig,
-    ServerStats, Session, StoreOp,
+    apply_op, process_unprotected_command, stage_command, try_stage_command, Isolation, Server,
+    ServerConfig, ServerStats, Session, StoreOp,
 };
 pub use store::{Snapshot, Store, StoreConfig, StoreStats};

@@ -1,7 +1,8 @@
 //! The request-processing server, with and without SDRaD isolation.
 
 use sdrad::{
-    ClientId, DomainConfig, DomainError, DomainId, DomainManager, DomainPolicy, DomainPool,
+    ClientId, DomainConfig, DomainEnv, DomainError, DomainId, DomainManager, DomainPolicy,
+    DomainPool, Fault,
 };
 use sdrad_net::Endpoint;
 
@@ -80,25 +81,31 @@ pub enum StoreOp {
 
 /// Runs one parsed command **inside** an SDRaD domain: request data is
 /// staged on the domain heap and processed there, and only the resulting
-/// intent leaves the domain. This is the exact processing
-/// [`Server::execute_for`] performs; it is exposed so executors that own
-/// their own `DomainManager` (per-worker managers in `sdrad-runtime`)
-/// run the identical workload, planted bug included.
-pub fn stage_command(env: &mut sdrad::DomainEnv<'_>, cmd: Command<'_>) -> StoreOp {
-    match cmd {
+/// intent leaves the domain; a detected fault is returned for the
+/// boundary ([`DomainManager::try_call`]) to rewind. This is the exact
+/// processing [`Server::execute_for`] performs; it is exposed so
+/// executors that own their own `DomainManager` (per-worker managers in
+/// `sdrad-runtime`) run the identical workload, planted bug included.
+///
+/// # Errors
+///
+/// The [`Fault`] a staged access raises — for a malicious `xstat`, the
+/// planted overflow's.
+pub fn try_stage_command(env: &mut DomainEnv<'_>, cmd: Command<'_>) -> Result<StoreOp, Fault> {
+    Ok(match cmd {
         Command::Get(key) => {
-            let staged = env.push_bytes(key.as_bytes());
-            let back = env.read_bytes(staged, key.len());
-            env.free(staged);
+            let staged = env.try_push_bytes(key.as_bytes())?;
+            let back = env.try_read_bytes(staged, key.len())?;
+            env.try_free(staged)?;
             StoreOp::Get(string_from_copy_out(back))
         }
         Command::Set { key, value, ttl } => {
-            let k = env.push_bytes(key.as_bytes());
-            let v = env.push_bytes(value);
-            let key_back = env.read_bytes(k, key.len());
-            let value_back = env.read_bytes(v, value.len());
-            env.free(v);
-            env.free(k);
+            let k = env.try_push_bytes(key.as_bytes())?;
+            let v = env.try_push_bytes(value)?;
+            let key_back = env.try_read_bytes(k, key.len())?;
+            let value_back = env.try_read_bytes(v, value.len())?;
+            env.try_free(v)?;
+            env.try_free(k)?;
             StoreOp::Set {
                 key: string_from_copy_out(key_back),
                 value: value_back,
@@ -109,10 +116,15 @@ pub fn stage_command(env: &mut sdrad::DomainEnv<'_>, cmd: Command<'_>) -> StoreO
         Command::Stats => StoreOp::Stats,
         Command::Flush => StoreOp::Flush,
         Command::XStat { declared, data } => {
-            StoreOp::XStat(vulnerable_xstat_in_domain(env, declared, data))
+            StoreOp::XStat(vulnerable_xstat_in_domain(env, declared, data)?)
         }
         Command::Quit => StoreOp::Quit,
-    }
+    })
+}
+
+/// [`try_stage_command`] with the fault trapped to the boundary.
+pub fn stage_command(env: &mut DomainEnv<'_>, cmd: Command<'_>) -> StoreOp {
+    try_stage_command(env, cmd).unwrap_or_else(|fault| env.trap(fault))
 }
 
 /// Turns a domain copy-out buffer into a `String`, reusing its storage
@@ -128,7 +140,7 @@ fn string_from_copy_out(bytes: Vec<u8>) -> String {
 /// Runs one parsed command on the **unprotected** path. `None` models a
 /// fatal memory fault (`SIGSEGV`) in the host process — the baseline the
 /// paper restarts from. Exposed for external executors (see
-/// [`stage_command`]).
+/// [`try_stage_command`]).
 #[must_use]
 pub fn process_unprotected_command(cmd: Command<'_>) -> Option<StoreOp> {
     Server::process_unprotected(cmd)
@@ -350,7 +362,7 @@ impl Server {
                     }
                     Isolation::None => unreachable!("handled above"),
                 };
-                match mgr.call(domain, move |env| stage_command(env, cmd)) {
+                match mgr.try_call(domain, move |env| try_stage_command(env, cmd)) {
                     Ok(op) => op,
                     Err(DomainError::Violation {
                         fault, rewind_ns, ..
@@ -420,19 +432,23 @@ impl Server {
 }
 
 /// The same planted bug, executed inside the domain on domain memory: the
-/// handler writes its "normalized" blob over a buffer sized for the
-/// *actual* data but trusting the *declared* length. The overflow smashes
-/// heap canaries (or leaves the heap region entirely) and is detected —
-/// the fault unwinds to the domain boundary and the server rewinds.
-fn vulnerable_xstat_in_domain(env: &mut sdrad::DomainEnv<'_>, declared: usize, data: &[u8]) -> u64 {
-    let buffer = env.push_bytes(data);
-    let processed = env.read_bytes(buffer, declared.min(data.len()));
+/// handler scrubs a buffer sized for the *actual* data but trusting the
+/// *declared* length. The overflow smashes heap canaries (or leaves the
+/// heap region entirely) and is detected — the fault returns to the
+/// domain boundary and the server rewinds.
+fn vulnerable_xstat_in_domain(
+    env: &mut DomainEnv<'_>,
+    declared: usize,
+    data: &[u8],
+) -> Result<u64, Fault> {
+    let buffer = env.try_push_bytes(data)?;
+    let processed = env.try_read_bytes(buffer, declared.min(data.len()))?;
     let checksum = fnv_checksum(&processed);
     // BUG (same trust as the baseline path): scrub the scratch buffer
     // using the *declared* length before releasing it.
-    env.write(buffer, &vec![0xA5u8; declared]); // overflow -> canary smash
-    env.free(buffer); // free() also re-verifies the canaries
-    checksum
+    env.try_fill(buffer, declared, 0xA5)?; // overflow -> canary smash
+    env.try_free(buffer)?; // free() also re-verifies the canaries
+    Ok(checksum)
 }
 
 /// FNV-1a, the blob "statistic" xstat computes.

@@ -8,10 +8,6 @@ use crate::{current_pkru, Access, Fault, PkeyAllocator, ProtectionKey};
 /// Page size used for region alignment, matching x86-64.
 pub(crate) const PAGE_SIZE: u64 = 4096;
 
-/// Byte written over the contents of unmapped regions, so stale data can
-/// never be silently read back even if a check were bypassed.
-const POISON_BYTE: u8 = 0xDD;
-
 /// A virtual address inside a [`MemorySpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VirtAddr(u64);
@@ -128,11 +124,15 @@ impl Region {
     }
 }
 
-/// Backing storage and metadata of a region.
+/// Backing storage and metadata of a region. An unmapped region stays
+/// as a *tombstone* — its extent, so later accesses inside it fault
+/// [`Fault::UseAfterFree`] rather than [`Fault::Unmapped`], but no bytes.
 #[derive(Debug)]
 struct RegionData {
     id: RegionId,
     base: VirtAddr,
+    /// The mapped length; kept apart from `data`, which a tombstone drops.
+    len: usize,
     key: ProtectionKey,
     live: bool,
     data: Vec<u8>,
@@ -143,9 +143,14 @@ impl RegionData {
         Region {
             id: self.id,
             base: self.base,
-            len: self.data.len(),
+            len: self.len,
             key: self.key,
         }
+    }
+
+    /// One past the region's last address.
+    fn end(&self) -> u64 {
+        self.base.raw() + self.len as u64
     }
 }
 
@@ -182,6 +187,9 @@ pub struct SpaceStats {
 #[derive(Debug)]
 pub struct MemorySpace {
     regions: BTreeMap<u64, RegionData>,
+    /// Base address of every region ever mapped, indexed by id − 1 (ids
+    /// are dense from 1), so lookups by id need no scan.
+    bases: Vec<u64>,
     keys: PkeyAllocator,
     next_base: u64,
     next_id: u64,
@@ -194,6 +202,7 @@ impl MemorySpace {
     pub fn new() -> Self {
         MemorySpace {
             regions: BTreeMap::new(),
+            bases: Vec::new(),
             keys: PkeyAllocator::new(),
             // Start well above zero so that "small integer" addresses are
             // always unmapped, like the real zero page.
@@ -247,37 +256,33 @@ impl MemorySpace {
         let data = RegionData {
             id,
             base,
+            len,
             key,
             live: true,
             data: vec![0u8; len],
         };
         let handle = data.handle();
         self.regions.insert(base.raw(), data);
+        self.bases.push(base.raw());
         self.stats.live_regions += 1;
         self.stats.live_bytes += len as u64;
         Ok(handle)
     }
 
-    /// Unmaps a region, poisoning its contents. Later accesses fault with
-    /// [`Fault::UseAfterFree`].
+    /// Unmaps a region and releases its bytes, leaving a tombstone: later
+    /// accesses inside its extent fault with [`Fault::UseAfterFree`].
     ///
     /// # Errors
     ///
     /// Returns [`Fault::UseAfterFree`] if the region was already unmapped.
     pub fn unmap(&mut self, region: RegionId) -> Result<(), Fault> {
-        let data = self
-            .regions
-            .values_mut()
-            .find(|r| r.id == region)
-            .filter(|r| r.live);
-        match data {
+        match self.live_region_mut(region) {
             Some(r) => {
                 r.live = false;
+                r.data = Vec::new();
+                let len = r.len as u64;
                 self.stats.live_regions -= 1;
-                self.stats.live_bytes -= r.data.len() as u64;
-                let base = r.base;
-                r.data.fill(POISON_BYTE);
-                let _ = base;
+                self.stats.live_bytes -= len;
                 Ok(())
             }
             None => Err(self.fault(Fault::UseAfterFree {
@@ -296,7 +301,7 @@ impl MemorySpace {
         if !self.keys.is_allocated(key) {
             return Err(self.fault(Fault::InvalidKey { index: key.index() }));
         }
-        match self.regions.values_mut().find(|r| r.id == region && r.live) {
+        match self.live_region_mut(region) {
             Some(r) => {
                 r.key = key;
                 Ok(())
@@ -307,15 +312,17 @@ impl MemorySpace {
         }
     }
 
+    /// The live region with id `region`, found through `bases`.
+    fn live_region_mut(&mut self, region: RegionId) -> Option<&mut RegionData> {
+        let index = usize::try_from(region.0.checked_sub(1)?).ok()?;
+        let base = *self.bases.get(index)?;
+        self.regions.get_mut(&base).filter(|r| r.live)
+    }
+
     /// Looks up the live region containing `addr`.
     fn resolve(&self, addr: VirtAddr) -> Result<&RegionData, Fault> {
-        let candidate = self
-            .regions
-            .range(..=addr.raw())
-            .next_back()
-            .map(|(_, r)| r);
-        match candidate {
-            Some(r) if addr.raw() < r.base.raw() + r.data.len() as u64 => {
+        match self.regions.range(..=addr.raw()).next_back() {
+            Some((_, r)) if addr.raw() < r.end() => {
                 if r.live {
                     Ok(r)
                 } else {
@@ -326,6 +333,47 @@ impl MemorySpace {
         }
     }
 
+    /// The region an access of `len` bytes at `addr` may touch under the
+    /// current PKRU, with the offset of `addr` in it: one probe of the
+    /// region map serves both the check and the access. Faults in
+    /// precedence order — [`Fault::Unmapped`], [`Fault::UseAfterFree`],
+    /// [`Fault::OutOfBounds`], [`Fault::PkuViolation`] — and counted.
+    fn checked(
+        &mut self,
+        addr: VirtAddr,
+        len: usize,
+        access: Access,
+    ) -> Result<(&mut RegionData, usize), Fault> {
+        let pkru = current_pkru();
+        let Self { regions, stats, .. } = self;
+        let fault = match regions.range_mut(..=addr.raw()).next_back() {
+            Some((_, r)) if addr.raw() < r.end() => {
+                if !r.live {
+                    Fault::UseAfterFree { addr }
+                } else if addr.raw() + len as u64 > r.end() {
+                    Fault::OutOfBounds {
+                        addr: VirtAddr::new(r.end()),
+                        region_base: r.base,
+                        region_len: r.len,
+                    }
+                } else if !pkru.permits(r.key, access) {
+                    Fault::PkuViolation {
+                        addr,
+                        key: r.key,
+                        access,
+                        pkru,
+                    }
+                } else {
+                    let start = addr.offset_from(r.base);
+                    return Ok((r, start));
+                }
+            }
+            _ => Fault::Unmapped { addr },
+        };
+        stats.faults += 1;
+        Err(fault)
+    }
+
     /// Checks that an access of `len` bytes at `addr` is permitted under
     /// the current PKRU, without performing it.
     ///
@@ -333,43 +381,7 @@ impl MemorySpace {
     ///
     /// The same faults [`read`](Self::read)/[`write`](Self::write) raise.
     pub fn check(&mut self, addr: VirtAddr, len: usize, access: Access) -> Result<Region, Fault> {
-        let pkru = current_pkru();
-        let (handle, fault) = {
-            let region = match self.resolve(addr) {
-                Ok(r) => r,
-                Err(f) => {
-                    return Err(self.fault(f));
-                }
-            };
-            let handle = region.handle();
-            let end = addr.raw() + len as u64;
-            if end > region.base.raw() + region.data.len() as u64 {
-                (
-                    handle,
-                    Some(Fault::OutOfBounds {
-                        addr: VirtAddr::new(region.base.raw() + region.data.len() as u64),
-                        region_base: region.base,
-                        region_len: region.data.len(),
-                    }),
-                )
-            } else if !pkru.permits(region.key, access) {
-                (
-                    handle,
-                    Some(Fault::PkuViolation {
-                        addr,
-                        key: region.key,
-                        access,
-                        pkru,
-                    }),
-                )
-            } else {
-                (handle, None)
-            }
-        };
-        match fault {
-            Some(f) => Err(self.fault(f)),
-            None => Ok(handle),
-        }
+        self.checked(addr, len, access).map(|(r, _)| r.handle())
     }
 
     /// Reads `buf.len()` bytes starting at `addr` under the current PKRU.
@@ -379,9 +391,7 @@ impl MemorySpace {
     /// [`Fault::Unmapped`], [`Fault::UseAfterFree`],
     /// [`Fault::OutOfBounds`], or [`Fault::PkuViolation`].
     pub fn read(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Fault> {
-        self.check(addr, buf.len(), Access::Read)?;
-        let region = self.resolve(addr).expect("checked above");
-        let start = addr.offset_from(region.base);
+        let (region, start) = self.checked(addr, buf.len(), Access::Read)?;
         buf.copy_from_slice(&region.data[start..start + buf.len()]);
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
@@ -395,16 +405,7 @@ impl MemorySpace {
     /// [`Fault::Unmapped`], [`Fault::UseAfterFree`],
     /// [`Fault::OutOfBounds`], or [`Fault::PkuViolation`].
     pub fn write(&mut self, addr: VirtAddr, buf: &[u8]) -> Result<(), Fault> {
-        self.check(addr, buf.len(), Access::Write)?;
-        let base = {
-            let region = self.resolve(addr).expect("checked above");
-            region.base
-        };
-        let start = addr.offset_from(base);
-        let region = self
-            .regions
-            .get_mut(&base.raw())
-            .expect("resolved region exists");
+        let (region, start) = self.checked(addr, buf.len(), Access::Write)?;
         region.data[start..start + buf.len()].copy_from_slice(buf);
         self.stats.writes += 1;
         self.stats.bytes_written += buf.len() as u64;
@@ -417,13 +418,7 @@ impl MemorySpace {
     ///
     /// Same as [`write`](Self::write).
     pub fn fill(&mut self, addr: VirtAddr, len: usize, byte: u8) -> Result<(), Fault> {
-        self.check(addr, len, Access::Write)?;
-        let base = self.resolve(addr).expect("checked above").base;
-        let start = addr.offset_from(base);
-        let region = self
-            .regions
-            .get_mut(&base.raw())
-            .expect("resolved region exists");
+        let (region, start) = self.checked(addr, len, Access::Write)?;
         region.data[start..start + len].fill(byte);
         self.stats.writes += 1;
         self.stats.bytes_written += len as u64;
@@ -562,6 +557,26 @@ mod tests {
         space.unmap(region.id()).unwrap();
         let err = space.read(region.base(), &mut [0u8; 1]).unwrap_err();
         assert!(matches!(err, Fault::UseAfterFree { .. }));
+    }
+
+    #[test]
+    fn unmapped_region_is_a_tombstone_without_bytes() {
+        let (mut space, region, _g) = rw_space_with_region(4096);
+        space.unmap(region.id()).unwrap();
+        let tombstone = &space.regions[&region.base().raw()];
+        assert!(!tombstone.live);
+        assert_eq!(tombstone.len, 4096, "the extent survives");
+        assert_eq!(tombstone.data.capacity(), 0, "the bytes do not");
+        assert_eq!(space.stats().live_bytes, 0);
+        for offset in [0, 2048, 4095] {
+            let err = space.read(region.base().offset(offset), &mut [0u8; 1]);
+            assert!(
+                matches!(err, Err(Fault::UseAfterFree { .. })),
+                "offset {offset}: {err:?}"
+            );
+        }
+        let past = space.read(region.base().offset(4096), &mut [0u8; 1]);
+        assert!(matches!(past, Err(Fault::Unmapped { .. })), "{past:?}");
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! request at a time. The worker passes in its [`WorkerIsolation`]; the
 //! adapter decides what runs inside a domain — reusing the *identical*
 //! staged pipelines the single-threaded servers use
-//! (`sdrad_kvstore::stage_command`,
-//! `sdrad_httpd::decode_chunked_in_domain`,
+//! (`sdrad_kvstore::try_stage_command`,
+//! `sdrad_httpd::try_decode_chunked_in_domain`,
 //! `sdrad_tls::respond_in_domain`), planted bugs included, so the
-//! concurrent harness measures the same workload the paper does.
+//! concurrent harness measures the same workload the paper does. Each
+//! returns a detected fault as a value that
+//! [`WorkerIsolation::try_call_for`] rewinds: nothing on the serving
+//! path unwinds.
 //!
 //! Since connection-level serving, a handler also owns its protocol's
 //! **framing**: [`SessionHandler::frame`] tells the worker where one
@@ -243,7 +246,8 @@ impl Default for KvHandler {
 impl SessionHandler for KvHandler {
     fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply {
         use sdrad_kvstore::{
-            apply_op, parse_command, process_unprotected_command, stage_command, Command, Response,
+            apply_op, parse_command, process_unprotected_command, try_stage_command, Command,
+            Response,
         };
 
         let cmd = match parse_command(request) {
@@ -272,7 +276,7 @@ impl SessionHandler for KvHandler {
         };
 
         if iso.is_isolated() {
-            match iso.call_for(client, move |env| stage_command(env, cmd)) {
+            match iso.try_call_for(client, move |env| try_stage_command(env, cmd)) {
                 Ok(op) => Reply::ok(render(apply_op(&mut self.store, op))),
                 Err(DomainError::Violation {
                     fault, rewind_ns, ..
@@ -413,7 +417,7 @@ fn render_http(response: &sdrad_httpd::HttpResponse) -> FrameBuf {
 impl SessionHandler for HttpHandler {
     fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply {
         use sdrad_httpd::{
-            decode_chunked_in_domain, decode_chunked_unprotected, scan_request, HttpResponse,
+            decode_chunked_unprotected, scan_request, try_decode_chunked_in_domain, HttpResponse,
             Method, Status,
         };
 
@@ -432,7 +436,8 @@ impl SessionHandler for HttpHandler {
         // borrows the body straight out of the frame buffer — no copy.
         if parsed.method == Method::Post && parsed.path == "/upload" && parsed.chunked {
             return if iso.is_isolated() {
-                match iso.call_for(client, |env| decode_chunked_in_domain(env, parsed.body)) {
+                match iso.try_call_for(client, |env| try_decode_chunked_in_domain(env, parsed.body))
+                {
                     Ok(decoded) => Reply::ok(render_http(
                         &HttpResponse::new(Status::Created)
                             .body(format!("{decoded} bytes").into_bytes()),
@@ -633,7 +638,7 @@ impl TlsHandler {
             // staging copy into the domain heap happens inside
             // `respond_in_domain`, so a defensive clone here would be a
             // second copy of the same bytes.
-            return match iso.call_for(client, |env| respond_in_domain(env, declared, data)) {
+            return match iso.try_call_for(client, |env| respond_in_domain(env, declared, data)) {
                 Ok(echo) => Reply::ok(Self::record_reply(
                     ContentType::Heartbeat,
                     heartbeat_response(&echo),

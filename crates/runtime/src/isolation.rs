@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 
 use sdrad::{
-    ClientId, DomainConfig, DomainEnv, DomainError, DomainManager, DomainPolicy, DomainPool,
+    ClientId, DomainConfig, DomainEnv, DomainError, DomainManager, DomainPolicy, DomainPool, Fault,
 };
 
 /// Whether a worker contains faults with per-client domains or runs the
@@ -163,21 +163,34 @@ impl WorkerIsolation {
         self.mode == IsolationMode::PerClientDomain
     }
 
-    /// Runs `f` inside `client`'s domain (creating or multiplexing one
-    /// via the pool). Faults inside `f` rewind the domain and surface as
-    /// [`DomainError::Violation`].
+    /// The trapping form of [`try_call_for`](Self::try_call_for).
     ///
     /// # Errors
     ///
-    /// [`DomainError::Setup`] if no domain can be provided,
-    /// [`DomainError::Violation`] when `f` faults and is rewound.
+    /// As [`try_call_for`](Self::try_call_for).
     pub fn call_for<R>(
         &mut self,
         client: ClientId,
         f: impl FnOnce(&mut DomainEnv<'_>) -> R,
     ) -> Result<R, DomainError> {
+        self.try_call_for(client, |env| Ok(f(env)))
+    }
+
+    /// Runs `f` inside `client`'s domain (creating or multiplexing one
+    /// via the pool). A fault `f` returns (or traps) rewinds the domain
+    /// and surfaces as [`DomainError::Violation`].
+    ///
+    /// # Errors
+    ///
+    /// [`DomainError::Setup`] if no domain can be provided,
+    /// [`DomainError::Violation`] when `f` faults and is rewound.
+    pub fn try_call_for<R>(
+        &mut self,
+        client: ClientId,
+        f: impl FnOnce(&mut DomainEnv<'_>) -> Result<R, Fault>,
+    ) -> Result<R, DomainError> {
         let domain = self.pool.domain_for(&mut self.mgr, client)?;
-        self.mgr.call(domain, f)
+        self.mgr.try_call(domain, f)
     }
 
     /// Total rewinds this worker's managers have performed — current
@@ -237,7 +250,7 @@ impl WorkerIsolation {
         self.hz_retired == self.hz_reclaimed + self.pending_domains() as u64
     }
 
-    /// Read access to the manager (violation counters, event log).
+    /// Read access to the manager (violation counters, domain status).
     #[must_use]
     pub fn manager(&self) -> &DomainManager {
         &self.mgr

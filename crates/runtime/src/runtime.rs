@@ -396,7 +396,6 @@ impl Runtime {
         H: SessionHandler,
         F: Fn(usize) -> H + Send + Sync + 'static,
     {
-        sdrad::quiet_fault_traps();
         // With a control plane enabled the runtime spawns one extra,
         // sacrificial shard — the blast pit. Regular clients never hash
         // to it (`hash_shards` excludes it); only admission-quarantined

@@ -117,17 +117,10 @@ impl HeartbeatEngine {
                 HeartbeatOutcome::Response(arena[..end].to_vec())
             }
             Mode::Isolated { mgr, domain, .. } => {
-                let request = payload.to_vec();
-                let result = mgr.call(*domain, move |env| {
-                    let buffer = env.push_bytes(&request);
-                    // The SAME bug: trusts `declared`. But the domain's
-                    // region holds nothing except this request, and the
-                    // protection key stops the read at the region edge.
-                    let response = env.read_bytes(buffer, declared);
-                    env.free(buffer); // request-scoped, like the C code's
-                    response
-                });
-                match result {
+                // The SAME bug: trusts `declared`. But the domain's region
+                // holds nothing except this request, and the protection
+                // key stops the read at the region edge.
+                match mgr.try_call(*domain, |env| respond_in_domain(env, declared, payload)) {
                     Ok(bytes) => HeartbeatOutcome::Response(bytes),
                     Err(DomainError::Violation { fault, .. }) => {
                         self.contained_faults += 1;
@@ -151,21 +144,29 @@ impl HeartbeatEngine {
     }
 }
 
-/// The isolated engine's trusting copy, runnable inside an **external**
-/// domain — e.g. an `sdrad-runtime` worker's per-client domain, whose
-/// `DomainManager` the worker owns. Stages the request on the domain heap
-/// and reads `declared` bytes back; the same bug as
-/// [`HeartbeatEngine::respond`], with the same containment story: the
-/// domain holds nothing but this request, so an over-read either returns
-/// only domain bytes or faults at the region edge and is rewound by the
-/// caller's manager.
-pub fn respond_in_domain(env: &mut DomainEnv<'_>, declared: usize, payload: &[u8]) -> Vec<u8> {
+/// The isolated engine's trusting copy, the body of
+/// [`HeartbeatEngine::respond`]'s domain call and runnable inside an
+/// **external** domain too — e.g. an `sdrad-runtime` worker's per-client
+/// domain, whose `DomainManager` the worker owns. Stages the request on
+/// the domain heap and reads `declared` bytes back; the domain holds
+/// nothing but this request, so an over-read either returns only domain
+/// bytes or faults at the region edge, and the fault is returned for the
+/// caller's manager ([`DomainManager::try_call`]) to rewind.
+///
+/// # Errors
+///
+/// The over-read's [`Fault`] when `declared` runs past the domain heap.
+pub fn respond_in_domain(
+    env: &mut DomainEnv<'_>,
+    declared: usize,
+    payload: &[u8],
+) -> Result<Vec<u8>, Fault> {
     let declared = declared.min(MAX_DECLARED);
-    let buffer = env.push_bytes(payload);
+    let buffer = env.try_push_bytes(payload)?;
     // BUG: trusts `declared` (CVE-2014-0160's shape).
-    let response = env.read_bytes(buffer, declared);
-    env.free(buffer); // request-scoped, like the C code's
-    response
+    let response = env.try_read_bytes(buffer, declared)?;
+    env.try_free(buffer)?; // request-scoped, like the C code's
+    Ok(response)
 }
 
 /// Classifies an over-read fault kind for reporting.

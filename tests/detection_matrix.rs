@@ -1,7 +1,7 @@
-//! The detection matrix: every attack class × every policy, with event
-//! and cost accounting checked.
+//! The detection matrix: every attack class × every policy, with fault
+//! history and cost accounting checked.
 
-use sdrad_repro::core::{DomainConfig, DomainManager, DomainPolicy};
+use sdrad_repro::core::{DomainConfig, DomainManager, DomainPolicy, Fault};
 use sdrad_repro::faultsim::{inject, Attack, StackFrame};
 
 #[test]
@@ -36,25 +36,29 @@ fn event_log_reconstructs_the_attack_history() {
     let _victim = mgr.create_domain(DomainConfig::new("victim")).unwrap();
     let attacker = mgr.create_domain(DomainConfig::new("attacker")).unwrap();
 
-    for attack in [Attack::HeapOverflow, Attack::WildRead, Attack::DoubleFree] {
-        let _ = mgr.call(attacker, move |env| inject(env, attack));
-    }
-    let events = mgr.events();
-    assert_eq!(events.count_kind("faulted"), 3);
-    assert_eq!(events.count_kind("rewound"), 3);
-    // Entered/exited pair only for successful calls; all three faulted.
-    assert_eq!(events.count_kind("entered"), 3);
-    assert_eq!(events.count_kind("exited"), 0);
-
-    let kinds: Vec<&str> = events
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            sdrad_repro::core::DomainEvent::Faulted { fault, .. } => Some(fault.kind()),
-            _ => None,
+    // The history is what the boundary returned, in order, plus the
+    // domain's own counters.
+    let kinds: Vec<&str> = [Attack::HeapOverflow, Attack::WildRead, Attack::DoubleFree]
+        .into_iter()
+        .map(|attack| {
+            let err = mgr
+                .call(attacker, move |env| inject(env, attack))
+                .unwrap_err();
+            err.fault().expect("a contained violation").kind()
         })
         .collect();
     assert_eq!(kinds, vec!["canary-corruption", "unmapped", "double-free"]);
+
+    let info = mgr.domain_info(attacker).unwrap();
+    assert_eq!(info.violations, 3);
+    assert_eq!(
+        info.calls, 3,
+        "every call ended in a rewind, none in a crash"
+    );
+    assert_eq!(
+        info.last_fault.as_ref().map(Fault::kind),
+        Some("double-free")
+    );
 }
 
 #[test]
