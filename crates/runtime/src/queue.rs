@@ -354,7 +354,10 @@ impl ShardQueue {
 
     /// Wakes a `wait_work` sleeper, if one has registered. Producers pay
     /// one atomic load on the fast path; the lock round-trip happens
-    /// only when somebody is actually asleep.
+    /// only when somebody is actually asleep. Callers make their change
+    /// (push, `kicked`, `stopped`) visible first, and a sleeper
+    /// registers before re-checking all three — both `SeqCst`, so at
+    /// least one side sees the other.
     fn notify_sleeper(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self.sleeper.lock().expect("sleeper lock");
@@ -715,9 +718,7 @@ impl ShardQueue {
     /// was just assigned to this shard).
     pub fn kick(&self) {
         self.kicked.store(true, Ordering::SeqCst);
-        let _guard = self.sleeper.lock().expect("sleeper lock");
-        self.available.notify_all();
-        drop(_guard);
+        self.notify_sleeper();
         self.signal_wakeset();
     }
 
@@ -726,9 +727,7 @@ impl ShardQueue {
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.inbox.close();
-        let guard = self.sleeper.lock().expect("sleeper lock");
-        self.available.notify_all();
-        drop(guard);
+        self.notify_sleeper();
         if let Some(wakes) = self.wakes.get() {
             wakes.stop();
         }

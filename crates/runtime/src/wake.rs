@@ -15,6 +15,27 @@
 //! level-latched (a signal posted while the worker is mid-pass is
 //! consumed by the next `wait`), so no wakeup can be lost.
 //!
+//! ## Notifying only sleepers
+//!
+//! A condvar notify is a futex syscall even when nobody waits, so a
+//! signal notifies only when a thread can be blocked on the set: the
+//! worker's `parked` flag, or a quiescer counted in `watchers` (inside
+//! [`WakeSet::wait_idle`]). A signal reads both under the same mutex
+//! it latches its bit under, and the worker sets `parked` and re-checks
+//! `pending()` before every `cv.wait` under that mutex too — it holds
+//! the lock from the check into the wait. So a signal that reads
+//! `parked == false` has latched its bit before the worker's next
+//! check, which returns it without blocking; a signal that reads
+//! `parked == true` notifies and clears the flag. A notified worker
+//! leaves `cv.wait` and re-checks under the same mutex, where the bit
+//! is already latched, so the signals that land before it runs skip
+//! the notify too: one syscall per park, however many edges arrive
+//! while the woken thread waits for a CPU. The flag is cleared only
+//! together with a latched bit, and only the worker consumes bits, so
+//! it never blocks with `parked == false`. Likewise the park
+//! transition notifies only when a quiescer is watching. No skip can
+//! lose a wakeup.
+//!
 //! The set also exposes the park state to [`Runtime::quiesce`]
 //! (`wait_idle`): a shard is quiescent exactly when its worker is parked
 //! with no pending signals and its queue and inbox are empty — which is
@@ -69,13 +90,21 @@ struct WakeState {
     /// returned empty via [`WakeSet::recycle_conns`] so steady-state
     /// passes allocate nothing.
     spare: Vec<usize>,
+    /// The worker is blocked (or about to block) in `cv.wait` and has
+    /// not been notified since: set by [`WakeSet::wait`], cleared by the
+    /// first signal that notifies it or by the worker itself on waking.
     parked: bool,
+    /// Quiescers blocked in (or about to block in)
+    /// [`WakeSet::wait_idle`]: while nonzero, signals and park
+    /// transitions notify even when the worker is awake.
+    watchers: usize,
     /// Runtime generation at the moment the worker parked (0 when no
     /// generation counter is bound) — the witness
     /// [`WakeSet::parked_since`] exposes for exact stall accounting.
     parked_generation: u64,
     parks: u64,
     wakeups: u64,
+    notifies: u64,
 }
 
 impl WakeState {
@@ -105,8 +134,9 @@ impl WakeState {
 /// surface is observational — [`parks`](Self::parks),
 /// [`wakeups`](Self::wakeups), [`is_parked`](Self::is_parked) — the
 /// counters [`WorkerStats`](crate::WorkerStats) snapshots and the park
-/// state [`Runtime::quiesce`](crate::Runtime::quiesce) observes; only
-/// the runtime itself posts signals.
+/// state [`Runtime::quiesce`](crate::Runtime::quiesce) observes, plus
+/// [`notifies`](Self::notifies), the condvar notifies actually paid;
+/// only the runtime itself posts signals.
 #[derive(Debug, Default)]
 pub struct WakeSet {
     state: Mutex<WakeState>,
@@ -134,6 +164,13 @@ impl WakeSet {
     fn signal(&self, set: impl FnOnce(&mut WakeState)) {
         let mut state = self.state.lock().expect("wakeset lock");
         set(&mut state);
+        // Read under the lock the bit was latched under: an awake
+        // worker sees the bit at its next check, so only a parked
+        // worker or a watching quiescer needs the notify. The notify
+        // also unparks the worker: it is runnable from here on, so the
+        // signals that land before it runs latch without a syscall.
+        let notify = std::mem::take(&mut state.parked) || state.watchers > 0;
+        state.notifies += u64::from(notify);
         drop(state);
         // The bump is ordered after the state change and before the
         // notify: a quiescer that re-reads an unchanged generation has
@@ -141,8 +178,10 @@ impl WakeSet {
         if let Some(generation) = self.generation.get() {
             generation.fetch_add(1, Ordering::SeqCst);
         }
-        // notify_all: the worker *and* any quiescer share the condvar.
-        self.cv.notify_all();
+        if notify {
+            // notify_all: the worker *and* any quiescer share the condvar.
+            self.cv.notify_all();
+        }
     }
 
     /// The shard queue has (or may have) work: pushed, kicked, or the
@@ -170,6 +209,11 @@ impl WakeSet {
     /// cycles back into the next [`wait`](Self::wait) instead of being
     /// reallocated every pass. Keeps whichever buffer is larger.
     pub(crate) fn recycle_conns(&self, mut conns: Vec<usize>) {
+        if conns.capacity() == 0 {
+            // Never allocated (a pass with no connection tokens):
+            // nothing to hand back, so skip the lock.
+            return;
+        }
         conns.clear();
         let mut state = self.state.lock().expect("wakeset lock");
         if state.spare.capacity() < conns.capacity() {
@@ -197,10 +241,11 @@ impl WakeSet {
             .generation
             .get()
             .map_or(0, |generation| generation.load(Ordering::SeqCst));
-        drop(state);
-        // The park transition is observable to quiescers.
-        self.cv.notify_all();
-        let mut state = self.state.lock().expect("wakeset lock");
+        if state.watchers > 0 {
+            // The park transition is what a quiescer waits for.
+            state.notifies += 1;
+            self.cv.notify_all();
+        }
         loop {
             if state.pending() {
                 state.parked = false;
@@ -221,6 +266,13 @@ impl WakeSet {
     #[must_use]
     pub fn wakeups(&self) -> u64 {
         self.state.lock().expect("wakeset lock").wakeups
+    }
+
+    /// Condvar notifies actually paid: signals that found the worker
+    /// parked or a quiescer watching, and parks while one watched.
+    #[must_use]
+    pub fn notifies(&self) -> u64 {
+        self.state.lock().expect("wakeset lock").notifies
     }
 
     /// Whether the worker is currently parked with nothing pending —
@@ -258,20 +310,25 @@ impl WakeSet {
     pub(crate) fn wait_idle(&self, extra: impl Fn() -> bool, failsafe: Duration) -> bool {
         let deadline = Instant::now() + failsafe;
         let mut state = self.state.lock().expect("wakeset lock");
-        loop {
+        // Counted before the first check: every signal and park from
+        // here on notifies, so the transition this waits for is seen.
+        state.watchers += 1;
+        let idle = loop {
             if state.parked && !state.pending() && extra() {
-                return true;
+                break true;
             }
             let now = Instant::now();
             if now >= deadline {
-                return false;
+                break false;
             }
             let (next, _result) = self
                 .cv
                 .wait_timeout(state, deadline - now)
                 .expect("wakeset wait");
             state = next;
-        }
+        };
+        state.watchers -= 1;
+        idle
     }
 }
 
@@ -410,5 +467,133 @@ mod tests {
         assert!(!wakes.wait_idle(|| false, Duration::from_millis(20)));
         wakes.stop();
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn signals_to_an_awake_worker_pay_no_notify() {
+        let wakes = WakeSet::new();
+        wakes.signal_queue();
+        wakes.mark_conn(2);
+        wakes.hint_steal();
+        assert_eq!(wakes.notifies(), 0, "nobody parked, nobody watching");
+        let signals = wakes.wait();
+        assert!(signals.queue && signals.steal);
+        wakes.recycle_conns(signals.conns);
+        wakes.stop();
+        assert_eq!(wakes.notifies(), 0);
+    }
+
+    #[test]
+    fn a_parked_worker_costs_one_notify_per_park_and_its_park_none() {
+        let wakes = Arc::new(WakeSet::new());
+        let remote = Arc::clone(&wakes);
+        let worker = std::thread::spawn(move || remote.wait());
+        // `parks` moves under the lock the worker holds into its wait.
+        while wakes.parks() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            wakes.notifies(),
+            0,
+            "a park with no quiescer notifies nobody"
+        );
+        wakes.signal_queue();
+        assert_eq!(wakes.notifies(), 1, "the parked worker is notified once");
+        // Whether or not the woken worker has run yet, it is no longer
+        // parked: these latch without a second notify.
+        wakes.mark_conn(4);
+        wakes.hint_steal();
+        assert_eq!(wakes.notifies(), 1, "one notify per park");
+        assert!(worker.join().unwrap().queue);
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_in_a_signal_storm() {
+        const PRODUCERS: usize = 4;
+        const EDGES: usize = 50_000;
+        let wakes = Arc::new(WakeSet::new());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let remote = Arc::clone(&wakes);
+        let worker = std::thread::spawn(move || {
+            // Token `PRODUCERS + p` is producer p's final edge; the
+            // worker parks whenever nothing is pending, so a skipped
+            // notify leaves it parked on a latched final token.
+            let mut finals = [false; PRODUCERS];
+            while !finals.iter().all(|&seen| seen) {
+                let signals = remote.wait();
+                for &token in &signals.conns {
+                    if let Some(p) = token.checked_sub(PRODUCERS) {
+                        finals[p] = true;
+                    }
+                }
+                remote.recycle_conns(signals.conns);
+            }
+            done_tx.send(()).unwrap();
+        });
+        // The storm opens on a parked worker, so the parked branch runs.
+        while wakes.parks() == 0 {
+            std::thread::yield_now();
+        }
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let wakes = Arc::clone(&wakes);
+                std::thread::spawn(move || {
+                    for i in 0..EDGES - 1 {
+                        if i % 2 == 0 {
+                            wakes.signal_queue();
+                        } else {
+                            wakes.mark_conn(p);
+                        }
+                        if i % 300 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    wakes.mark_conn(PRODUCERS + p);
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker saw every producer's final token (no lost wakeup)");
+        worker.join().unwrap();
+        assert!(wakes.wakeups() > 0, "the parked branch must have run");
+    }
+
+    #[test]
+    fn a_watching_quiescer_is_notified_by_the_park_alone() {
+        let wakes = Arc::new(WakeSet::new());
+        wakes.signal_queue();
+        let (busy_tx, busy_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let remote = Arc::clone(&wakes);
+        let worker = std::thread::spawn(move || {
+            assert!(remote.wait().queue, "latched signal, no park");
+            busy_tx.send(()).unwrap();
+            // Busy until the quiescer is watching, then park with no
+            // signal posted in between.
+            go_rx.recv().unwrap();
+            remote.wait()
+        });
+        busy_rx.recv().unwrap();
+        let remote = Arc::clone(&wakes);
+        let quiescer =
+            std::thread::spawn(move || remote.wait_idle(|| true, Duration::from_secs(5)));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while wakes.state.lock().unwrap().watchers == 0 {
+            assert!(Instant::now() < deadline, "wait_idle must count itself");
+            std::thread::yield_now();
+        }
+        go_tx.send(()).unwrap();
+        assert!(
+            quiescer.join().unwrap(),
+            "the park alone must wake the quiescer"
+        );
+        assert_eq!(wakes.notifies(), 1, "one notify: the park transition");
+        assert_eq!(wakes.state.lock().unwrap().watchers, 0, "watcher left");
+        wakes.stop();
+        assert!(worker.join().unwrap().stopped);
     }
 }

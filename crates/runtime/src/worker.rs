@@ -506,6 +506,7 @@ impl<H: SessionHandler> Worker<H> {
             }
 
             let mut pumped = false;
+            let mut deferred = false;
             for &token in &ready {
                 let outcome = self.pump_token(token);
                 pumped |= outcome.progressed;
@@ -517,7 +518,18 @@ impl<H: SessionHandler> Worker<H> {
                     // could be serving.
                     self.note_deferred_frames();
                     self.wakes.mark_conn(token);
+                    deferred = true;
                 }
+            }
+            if deferred {
+                // The same fairness across threads: the deferred frames
+                // are latched, so the next wait returns at once, and a
+                // thread sharing this CPU — an in-process client whose
+                // writes feed these connections — runs first instead of
+                // waiting out the scheduler's slice. Without it such a
+                // client flips between refilling promptly and stalling
+                // behind whole budget rounds (DESIGN.md §2).
+                std::thread::yield_now();
             }
             // The token vector's capacity cycles back into the wake set
             // rather than being reallocated next pass.

@@ -4,8 +4,13 @@
 //! workers steal queued requests from a loaded sibling, and the
 //! idle-connection reaper closes silent connections.
 
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+use common::{await_flag, ClaimGate};
 use sdrad::ClientId;
 use sdrad_runtime::{
     ConnectionServer, Disposition, IsolationMode, KvHandler, Reply, Runtime, RuntimeConfig,
@@ -42,48 +47,58 @@ fn idle_event_driven_runtime_performs_zero_connection_polls() {
 const OFFERED: u64 = 4000;
 
 /// Offers `OFFERED` copies of `payload` to one client pinned to shard 0
-/// of a two-worker deep-stealing runtime and returns the books of the
-/// first attempt in which the idle sibling stole. Engagement is
-/// inherently racy, so it gets a few tries; conservation, state
-/// confinement and reconciliation are checked on every attempt.
+/// of a two-worker deep-stealing runtime and returns the books, in
+/// which the idle sibling has stolen. Engagement is made certain, not
+/// raced: shard 0's worker starts only once the whole burst is queued,
+/// so its first drain publishes surplus, and [`ClaimGate`] holds its
+/// first request until the sibling has claimed a published one.
 fn hot_shard_burst<H: SessionHandler + 'static>(
     queue_capacity: usize,
     factory: fn(usize) -> H,
     payload: &[u8],
 ) -> RuntimeStats {
-    for attempt in 0..5 {
-        let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
-        config.queue_capacity = queue_capacity;
-        config.batch = 16;
-        let runtime = Runtime::start(config, factory);
-        let hot = (0u64..)
-            .map(ClientId)
-            .find(|c| runtime.shard_of(*c) == 0)
-            .expect("some client maps to shard 0");
-        for _ in 0..OFFERED {
-            let _ = runtime.submit_detached(hot, payload.to_vec());
-        }
-        let stats = runtime.shutdown();
-        assert_eq!(stats.served() + stats.shed, OFFERED, "nothing lost");
-        assert_eq!(stats.thief_mutations(), 0);
-        assert!(stats.reconciles(), "stolen work must balance: {stats:?}");
-        let thief = &stats.workers[1];
-        if thief.steals > 0 {
-            assert_eq!(
-                stats.steals(),
-                stats.stolen_submits,
-                "thief and queue agree"
-            );
-            assert!(
-                thief.served >= thief.steals,
-                "stolen requests are served by the thief"
-            );
-            return stats;
-        }
-        eprintln!("attempt {attempt}: worker 0 drained before the thief woke; retrying");
+    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
+    config.work_stealing = StealPolicy::Deep;
+    config.queue_capacity = queue_capacity;
+    config.batch = 16;
+    let offered = Arc::new(AtomicBool::new(false));
+    let claimed = Arc::new(AtomicBool::new(false));
+    let runtime = {
+        let (offered, claimed) = (Arc::clone(&offered), Arc::clone(&claimed));
+        // The factory runs on the worker thread, before its first wait.
+        Runtime::start(config, move |shard| {
+            if shard == 0 {
+                await_flag(&offered, "the burst was never offered");
+            }
+            ClaimGate::new(factory(shard), shard, Arc::clone(&claimed))
+        })
+    };
+    let hot = (0u64..)
+        .map(ClientId)
+        .find(|c| runtime.shard_of(*c) == 0)
+        .expect("some client maps to shard 0");
+    for _ in 0..OFFERED {
+        let _ = runtime.submit_detached(hot, payload.to_vec());
     }
-    panic!("stealing never engaged across attempts");
+    offered.store(true, Ordering::SeqCst);
+    // Stopping first could retire the thief with the steal still ahead.
+    await_flag(&claimed, "the idle sibling never claimed a request");
+    let stats = runtime.shutdown();
+    assert_eq!(stats.served() + stats.shed, OFFERED, "nothing lost");
+    assert_eq!(stats.thief_mutations(), 0);
+    assert!(stats.reconciles(), "stolen work must balance: {stats:?}");
+    let thief = &stats.workers[1];
+    assert!(thief.steals > 0, "the claimed request was stolen");
+    assert_eq!(
+        stats.steals(),
+        stats.stolen_submits,
+        "thief and queue agree"
+    );
+    assert!(
+        thief.served >= thief.steals,
+        "stolen requests are served by the thief"
+    );
+    stats
 }
 
 #[test]

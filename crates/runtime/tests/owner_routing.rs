@@ -4,8 +4,12 @@
 //! as owner-routed submissions, and pipelined responses stay in frame
 //! order throughout.
 
+mod common;
+
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
+use common::ClaimGate;
 use sdrad::ClientId;
 use sdrad_net::{duplex, Endpoint};
 use sdrad_runtime::{
@@ -60,8 +64,10 @@ fn hot_clients(runtime: &Runtime, count: usize) -> Vec<ClientId> {
 }
 
 /// Attaches `count` connections pinned to shard 0, each pipelining
-/// `frames` alternating get/set requests in one write. Returns the
-/// client endpoints with their exact expected response bytes.
+/// `frames` alternating set/get requests in one write — a set first, so
+/// a thief's first visit to a buffer meets a mutation at its head.
+/// Returns the client endpoints with their exact expected response
+/// bytes.
 fn attach_hot_pipelines(
     runtime: &Runtime,
     count: usize,
@@ -75,13 +81,13 @@ fn attach_hot_pipelines(
         let mut expected = Vec::new();
         for i in 0..frames {
             if i % 2 == 0 {
+                burst.extend_from_slice(format!("set c{c}-k{i} 2\r\nok\r\n").as_bytes());
+                expected.extend_from_slice(b"STORED\r\n");
+            } else {
                 // Keys nothing ever sets: a thief serving this from its
                 // own store shard answers the same miss the owner would.
                 burst.extend_from_slice(format!("get miss-{i}\r\n").as_bytes());
                 expected.extend_from_slice(b"END\r\n");
-            } else {
-                burst.extend_from_slice(format!("set c{c}-k{i} 2\r\nok\r\n").as_bytes());
-                expected.extend_from_slice(b"STORED\r\n");
             }
         }
         client.write(&burst);
@@ -137,99 +143,95 @@ fn state_never_mutates_on_a_thief_shard() {
     assert!(stats.reconciles(), "books balance: {stats:?}");
 }
 
+/// A two-worker deep-stealing runtime whose shard 0 holds its first
+/// request until shard 1 claims one (see [`ClaimGate`]).
+fn gated_runtime() -> Runtime {
+    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
+    config.work_stealing = StealPolicy::Deep;
+    config.queue_capacity = 4096;
+    config.batch = 16;
+    config.conn_read_budget = 4;
+    let claimed = Arc::new(AtomicBool::new(false));
+    Runtime::start(config, move |shard| {
+        ClaimGate::new(KvHandler::default(), shard, Arc::clone(&claimed))
+    })
+}
+
+/// Pins the owner down with a queue backlog of (unstealable)
+/// mutations. Offered *after* the pipelines are attached, every push
+/// past one batch of backlog rings the sibling's steal bell while the
+/// buffers hold complete frames — the owner, held by the gate, drains
+/// at most one batch first.
+fn pin_the_owner(runtime: &Runtime) {
+    let hot = hot_clients(runtime, 1)[0];
+    for _ in 0..2000 {
+        assert!(runtime.submit_detached(hot, b"set pin 2\r\nok\r\n".to_vec()));
+    }
+}
+
 #[test]
 fn read_only_frames_are_stolen_off_connection_buffers() {
-    // The steal must actually engage: pin the owner down with a queue
-    // backlog of (unstealable) mutations while get-only pipelines sit
-    // in its connection buffers. The inherently racy timing gets a few
-    // attempts; the books are checked on every one.
-    for attempt in 0..5 {
-        let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
-        config.queue_capacity = 4096;
-        config.batch = 16;
-        config.conn_read_budget = 4;
-        let runtime = Runtime::start(config, |_| KvHandler::default());
-        let hot = hot_clients(&runtime, 1)[0];
-        for _ in 0..2000 {
-            assert!(runtime.submit_detached(hot, b"set pin 2\r\nok\r\n".to_vec()));
+    // Get-only pipelines sit in the owner's connection buffers while the
+    // owner is pinned; the gate makes the steal certain, not raced.
+    let runtime = gated_runtime();
+    let mut conns: Vec<(Endpoint, Vec<u8>)> = Vec::new();
+    for client_id in hot_clients(&runtime, 3) {
+        let (mut client, server) = duplex();
+        runtime.attach(client_id, server);
+        let mut burst = Vec::new();
+        let mut expected = Vec::new();
+        for i in 0..128 {
+            burst.extend_from_slice(format!("get miss-{i}\r\n").as_bytes());
+            expected.extend_from_slice(b"END\r\n");
         }
-        let mut conns: Vec<(Endpoint, Vec<u8>)> = Vec::new();
-        for client_id in hot_clients(&runtime, 3) {
-            let (mut client, server) = duplex();
-            runtime.attach(client_id, server);
-            let mut burst = Vec::new();
-            let mut expected = Vec::new();
-            for i in 0..128 {
-                burst.extend_from_slice(format!("get miss-{i}\r\n").as_bytes());
-                expected.extend_from_slice(b"END\r\n");
-            }
-            client.write(&burst);
-            conns.push((client, expected));
-        }
-        assert!(runtime.quiesce());
-        for (client, expected) in &mut conns {
-            assert_eq!(client.read_available(), *expected);
-        }
-        let stats = runtime.shutdown();
-        assert_eq!(stats.served(), 2000 + 3 * 128);
-        assert_eq!(stats.thief_mutations(), 0);
-        assert!(stats.reconciles(), "books balance: {stats:?}");
-        if stats.conn_steals() > 0 {
-            assert_eq!(
-                stats.conn_steals(),
-                stats.workers[1].conn_steals,
-                "only the idle sibling lifts frames"
-            );
-            return;
-        }
-        eprintln!("attempt {attempt}: owner drained before the thief engaged; retrying");
+        client.write(&burst);
+        conns.push((client, expected));
     }
-    panic!("connection-buffer stealing never engaged across attempts");
+    pin_the_owner(&runtime);
+    assert!(runtime.quiesce());
+    for (client, expected) in &mut conns {
+        assert_eq!(client.read_available(), *expected);
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.served(), 2000 + 3 * 128);
+    assert_eq!(stats.thief_mutations(), 0);
+    assert!(stats.reconciles(), "books balance: {stats:?}");
+    assert!(stats.conn_steals() > 0, "the claimed frame was stolen");
+    assert_eq!(
+        stats.conn_steals(),
+        stats.workers[1].conn_steals,
+        "only the idle sibling lifts frames"
+    );
 }
 
 #[test]
 fn mutations_are_routed_home_when_a_thief_meets_them() {
-    // Same pin-the-owner shape, but the pipelines alternate get/set: a
-    // thief walking the buffer serves the gets and must hand every set
-    // back. Engagement is racy; routing accounting is checked whenever
-    // it happens.
-    for attempt in 0..5 {
-        let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-        config.work_stealing = StealPolicy::Deep;
-        config.queue_capacity = 4096;
-        config.batch = 16;
-        config.conn_read_budget = 4;
-        let runtime = Runtime::start(config, |_| KvHandler::default());
-        let hot = hot_clients(&runtime, 1)[0];
-        for _ in 0..2000 {
-            assert!(runtime.submit_detached(hot, b"set pin 2\r\nok\r\n".to_vec()));
-        }
-        let mut conns = attach_hot_pipelines(&runtime, 3, 128);
-        assert!(runtime.quiesce());
-        for (client, expected) in &mut conns {
-            assert_eq!(
-                client.read_available(),
-                *expected,
-                "owner-routed sets must answer in frame order"
-            );
-        }
-        let stats = runtime.shutdown();
-        assert_eq!(stats.served(), 2000 + 3 * 128);
-        assert_eq!(stats.thief_mutations(), 0);
-        assert!(stats.reconciles(), "books balance: {stats:?}");
-        if stats.owner_routed() > 0 {
-            assert_eq!(stats.owner_routed(), stats.routed_served());
-            assert_eq!(
-                stats.workers[0].routed_served,
-                stats.routed_served(),
-                "routed mutations are served by the owner shard"
-            );
-            return;
-        }
-        eprintln!("attempt {attempt}: no mutation was routed; retrying");
+    // Same pin-the-owner shape, but the pipelines alternate set/get: a
+    // thief walking a buffer serves the gets and must hand every set
+    // back. Each buffer opens with a set, so the frame the gate waits
+    // for is a mutation at a buffer's head — routed home for certain.
+    let runtime = gated_runtime();
+    let mut conns = attach_hot_pipelines(&runtime, 3, 128);
+    pin_the_owner(&runtime);
+    assert!(runtime.quiesce());
+    for (client, expected) in &mut conns {
+        assert_eq!(
+            client.read_available(),
+            *expected,
+            "owner-routed sets must answer in frame order"
+        );
     }
-    panic!("owner routing never engaged across attempts");
+    let stats = runtime.shutdown();
+    assert_eq!(stats.served(), 2000 + 3 * 128);
+    assert_eq!(stats.thief_mutations(), 0);
+    assert!(stats.reconciles(), "books balance: {stats:?}");
+    assert!(stats.owner_routed() > 0, "the claimed set was routed home");
+    assert_eq!(stats.owner_routed(), stats.routed_served());
+    assert_eq!(
+        stats.workers[0].routed_served,
+        stats.routed_served(),
+        "routed mutations are served by the owner shard"
+    );
 }
 
 #[test]
