@@ -4,6 +4,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use sdrad_control::{ControlConfig, ControlPlane};
+use sdrad_kvstore::{Store, StoreConfig};
 use sdrad_runtime::{KvHandler, SessionHandler};
 
 use crate::{rewind_latencies, Report};
@@ -17,6 +18,14 @@ const SHARD_KEYS: u32 = 1_000;
 /// Reads served between two timed restarts, scattering the recency
 /// order the way a hostile run's traffic does.
 const READS_PER_RESTART: u32 = 64;
+/// The benchmark's kv key space, 64-byte values, for [`get_hit_ns`].
+const STORE_KEYS: usize = 10_000;
+/// Hits timed by [`get_hit_ns`]: twenty passes over the key space.
+const GETS: usize = 200_000;
+/// Step between consecutive keys, coprime with [`STORE_KEYS`]: every
+/// pass visits each key once, and neighbours land far apart in the map
+/// and the recency list.
+const STRIDE: usize = 7_919;
 
 /// Mean cost of `ControlPlane::admit` for a good-standing client on a
 /// plane in the state a hostile run keeps it in: the benign latency
@@ -69,8 +78,27 @@ fn restart_ns() -> f64 {
     spent.as_nanos() as f64 / f64::from(RESTARTS)
 }
 
+/// Mean cost of a `Store::get` hit on a store preloaded like the
+/// benchmark's, keys visited in stride order. A sequential loop, or a
+/// small store, stays in cache and under-reads the store.
+fn get_hit_ns() -> f64 {
+    let keys: Vec<String> = (0..STORE_KEYS).map(|k| format!("key-{k}")).collect();
+    let mut store = Store::new(StoreConfig::default());
+    for (k, key) in keys.iter().enumerate() {
+        store.set(key.clone(), vec![(k % 251) as u8; 64]);
+    }
+    let started = Instant::now();
+    for i in 0..GETS {
+        black_box(store.get(&keys[i * STRIDE % STORE_KEYS]));
+    }
+    let spent = started.elapsed();
+    assert_eq!(store.stats().hits, GETS as u64, "every timed get hits");
+    spent.as_nanos() as f64 / GETS as f64
+}
+
 /// Times `size` contained-fault rewinds in a scratch domain, one
-/// admission on a warm control plane and one kv shard restart.
+/// admission on a warm control plane, one kv shard restart and one
+/// store `get` hit.
 #[must_use]
 pub fn run(size: usize) -> Report {
     let (wall, manager) = rewind_latencies(size as u32);
@@ -92,6 +120,11 @@ pub fn run(size: usize) -> Report {
         "mean kv shard restart ({SHARD_KEYS} keys x 64 B, {READS_PER_RESTART} reads between \
          restarts): {:.1}us over {RESTARTS} restarts",
         restart_ns / 1e3
+    ));
+    let get_ns = get_hit_ns();
+    r.info("get_hit_ns", get_ns, "ns").note(format!(
+        "mean Store::get hit ({STORE_KEYS} keys x 64 B, stride order): {get_ns:.0}ns over \
+         {GETS} gets"
     ));
     r
 }

@@ -41,7 +41,7 @@ mod protocol;
 mod server;
 mod store;
 
-pub use protocol::{parse_command, Command, ProtocolError, Response};
+pub use protocol::{parse_command, write_value, Command, ProtocolError, Response};
 pub use server::{
     apply_op, process_unprotected_command, stage_command, try_stage_command, Isolation, Server,
     ServerConfig, ServerStats, Session, StoreOp,

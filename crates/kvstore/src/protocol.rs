@@ -121,12 +121,7 @@ impl Response {
     pub fn write_to(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
         match self {
-            Response::Value { key, value } => {
-                // Writing into a Vec<u8> is infallible.
-                let _ = write!(out, "VALUE {key} {len}\r\n", len = value.len());
-                out.extend_from_slice(value);
-                out.extend_from_slice(b"\r\nEND\r\n");
-            }
+            Response::Value { key, value } => write_value(out, key, value),
             Response::Miss => out.extend_from_slice(b"END\r\n"),
             Response::Stored => out.extend_from_slice(b"STORED\r\n"),
             Response::Deleted => out.extend_from_slice(b"DELETED\r\n"),
@@ -144,6 +139,18 @@ impl Response {
             }
         }
     }
+}
+
+/// Renders a `get` hit, `VALUE <key> <len>\r\n<data>\r\nEND\r\n`, into
+/// `out` — the one `VALUE` renderer. [`Response::write_to`] calls it for
+/// an owned value; serving paths call it with bytes borrowed straight
+/// from the store, so a hit copies its value once, into the reply.
+pub fn write_value(out: &mut Vec<u8>, key: &str, value: &[u8]) {
+    use std::io::Write as _;
+    // Writing into a Vec<u8> is infallible.
+    let _ = write!(out, "VALUE {key} {}\r\n", value.len());
+    out.extend_from_slice(value);
+    out.extend_from_slice(b"\r\nEND\r\n");
 }
 
 /// Parses one complete request from the front of `input`.

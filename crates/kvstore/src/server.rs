@@ -149,9 +149,13 @@ pub fn process_unprotected_command(cmd: Command<'_>) -> Option<StoreOp> {
 /// Applies a store intent, returning the protocol response. `StoreOp::
 /// Stats` renders store-level counters only; [`Server`] overlays its own
 /// request counters on top.
+///
+/// The owning adapter: a `get` hit copies its value out of the store
+/// into the `Response`. A serving path that renders right away borrows
+/// instead — [`Store::get`] then [`write_value`](crate::write_value).
 pub fn apply_op(store: &mut Store, op: StoreOp) -> Response {
     match op {
-        StoreOp::Get(key) => match store.get(&key) {
+        StoreOp::Get(key) => match store.get(&key).map(<[u8]>::to_vec) {
             Some(value) => Response::Value { key, value },
             None => Response::Miss,
         },

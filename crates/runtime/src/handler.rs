@@ -220,20 +220,46 @@ struct KvReadView {
 
 impl ReadView for KvReadView {
     fn serve_read(&self, _client: ClientId, request: &[u8]) -> Option<Reply> {
-        use sdrad_kvstore::{parse_command, Command, Response};
+        use sdrad_kvstore::{parse_command, Command};
         let (Command::Get(key), _) = parse_command(request).ok()? else {
             return None;
         };
-        let response = match self.entries.get(key) {
-            Some(value) => Response::Value {
-                key: key.to_string(),
-                value: value.clone(),
-            },
-            None => Response::Miss,
-        };
-        let mut out = FrameBuf::acquire(64);
-        response.write_to(&mut out);
-        Some(Reply::ok(out))
+        let value = self.entries.get(key).map(Vec::as_slice);
+        Some(Reply::ok(render_get(key, value)))
+    }
+}
+
+/// Renders a `get`'s answer into a recycled frame buffer: a hit straight
+/// from the borrowed value, into a buffer sized for the whole `VALUE`
+/// frame so a recycled small buffer never regrows.
+fn render_get(key: &str, value: Option<&[u8]>) -> FrameBuf {
+    use sdrad_kvstore::{write_value, Response};
+    match value {
+        Some(value) => {
+            let mut out = FrameBuf::acquire(key.len() + value.len() + 64);
+            write_value(&mut out, key, value);
+            out
+        }
+        None => render_kv(&Response::Miss),
+    }
+}
+
+/// Renders a kv response into a recycled frame buffer instead of a fresh
+/// `Vec` per request.
+fn render_kv(response: &sdrad_kvstore::Response) -> FrameBuf {
+    let mut out = FrameBuf::acquire(64);
+    response.write_to(&mut out);
+    out
+}
+
+/// Applies a staged intent to the shard's store and renders the reply.
+/// A `get` borrows its value from the store; everything else goes
+/// through the owning [`apply_op`](sdrad_kvstore::apply_op).
+fn serve_kv(store: &mut sdrad_kvstore::Store, op: sdrad_kvstore::StoreOp) -> FrameBuf {
+    use sdrad_kvstore::{apply_op, StoreOp};
+    match op {
+        StoreOp::Get(key) => render_get(&key, store.get(&key)),
+        op => render_kv(&apply_op(store, op)),
     }
 }
 
@@ -246,8 +272,7 @@ impl Default for KvHandler {
 impl SessionHandler for KvHandler {
     fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply {
         use sdrad_kvstore::{
-            apply_op, parse_command, process_unprotected_command, try_stage_command, Command,
-            Response,
+            parse_command, process_unprotected_command, try_stage_command, Command, Response,
         };
 
         let cmd = match parse_command(request) {
@@ -267,17 +292,9 @@ impl SessionHandler for KvHandler {
         }
         self.store.advance(1);
 
-        // Hot-path responses render straight into a recycled frame buffer
-        // instead of allocating a fresh Vec per request.
-        let render = |response: Response| -> FrameBuf {
-            let mut out = FrameBuf::acquire(64);
-            response.write_to(&mut out);
-            out
-        };
-
         if iso.is_isolated() {
             match iso.try_call_for(client, move |env| try_stage_command(env, cmd)) {
-                Ok(op) => Reply::ok(render(apply_op(&mut self.store, op))),
+                Ok(op) => Reply::ok(serve_kv(&mut self.store, op)),
                 Err(DomainError::Violation {
                     fault, rewind_ns, ..
                 }) => Reply {
@@ -295,7 +312,7 @@ impl SessionHandler for KvHandler {
             }
         } else {
             match process_unprotected_command(cmd) {
-                Some(op) => Reply::ok(render(apply_op(&mut self.store, op))),
+                Some(op) => Reply::ok(serve_kv(&mut self.store, op)),
                 None => Reply {
                     response: Response::ServerError("server crashed".into())
                         .to_bytes()
@@ -346,10 +363,10 @@ impl SessionHandler for KvHandler {
     }
 
     fn read_view(&self) -> Option<Box<dyn ReadView>> {
-        let snapshot = self.store.snapshot();
-        let entries = snapshot
+        let entries = self
+            .store
             .entries()
-            .map(|(key, value)| (key.to_string(), value.to_vec()))
+            .map(|(key, value)| (key.to_owned(), value.to_vec()))
             .collect();
         Some(Box::new(KvReadView { entries }))
     }
