@@ -409,39 +409,6 @@ impl ControlReport {
     pub fn time_saved(&self) -> Duration {
         self.bill.time_saved()
     }
-
-    /// Registers the report under `control.*` (decision counts per
-    /// family, escalation outcomes) and — through the bill — `energy.*`
-    /// in a telemetry registry. Counters only: everything here is an
-    /// integer total, so the resulting snapshot is deterministic for a
-    /// deterministic decision stream.
-    pub fn register_metrics(
-        &self,
-        registry: &sdrad_telemetry::MetricsRegistry,
-        power: &PowerModel,
-    ) {
-        registry.counter("control.admits").add(self.counts.admits);
-        registry
-            .counter("control.throttle_sheds")
-            .add(self.counts.throttle_sheds);
-        registry
-            .counter("control.overload_sheds")
-            .add(self.counts.overload_sheds);
-        registry
-            .counter("control.quarantines")
-            .add(self.counts.quarantines);
-        registry.counter("control.denies").add(self.counts.denies);
-        registry
-            .counter("control.evidence_reports")
-            .add(self.counts.evidence);
-        registry
-            .counter("control.clients_quarantined")
-            .add(self.quarantined_clients.len() as u64);
-        registry
-            .counter("control.clients_banned")
-            .add(self.banned_clients.len() as u64);
-        self.bill.register_metrics(registry, power);
-    }
 }
 
 #[cfg(test)]

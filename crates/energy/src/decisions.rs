@@ -216,45 +216,6 @@ impl RecoveryBill {
     pub fn energy_saved_joules(&self, power: &PowerModel) -> f64 {
         power.watts_at(1.0) * self.time_saved().as_secs_f64()
     }
-
-    /// Registers the bill under `energy.*` in a telemetry registry:
-    /// per-rung decision counts, modeled recovery nanoseconds, and the
-    /// microjoule totals at `power`'s peak draw (integers, so the
-    /// resulting snapshot serializes deterministically).
-    pub fn register_metrics(
-        &self,
-        registry: &sdrad_telemetry::MetricsRegistry,
-        power: &PowerModel,
-    ) {
-        registry.counter("energy.bill.rewinds").add(self.rewinds);
-        registry
-            .counter("energy.bill.pool_rebuilds")
-            .add(self.pool_rebuilds);
-        registry
-            .counter("energy.bill.worker_restarts")
-            .add(self.worker_restarts);
-        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        registry
-            .counter("energy.recovery_ns.publish")
-            .add(ns(self.publish_time));
-        registry
-            .counter("energy.recovery_ns.reclaim")
-            .add(ns(self.reclaim_time));
-        registry
-            .counter("energy.recovery_ns.ladder")
-            .add(ns(self.ladder_time()));
-        registry
-            .counter("energy.recovery_ns.restart_only")
-            .add(ns(self.restart_only_time));
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let uj = |j: f64| (j.max(0.0) * 1e6) as u64;
-        registry
-            .counter("energy.recovery_uj.ladder")
-            .add(uj(self.energy_joules(power)));
-        registry
-            .counter("energy.recovery_uj.saved")
-            .add(uj(self.energy_saved_joules(power)));
-    }
 }
 
 #[cfg(test)]

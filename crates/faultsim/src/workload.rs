@@ -102,17 +102,23 @@ pub fn http_upload_request(chunks: usize, chunk_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdrad_kvstore_check::check_parses;
+    use sdrad_httpd::{scan_request, Method, RequestView};
+    use sdrad_kvstore::{parse_command, Command};
 
-    /// Tiny shim so the workload tests validate against the real parsers
-    /// without a circular dev-dependency: the requests must *parse*, which
-    /// the protocol crates' own tests already guarantee structurally.
-    mod sdrad_kvstore_check {
-        pub fn check_parses(request: &[u8]) {
-            // Structural checks: line-terminated, ASCII verb.
-            assert!(request.ends_with(b"\r\n"), "no terminator");
-            assert!(request[0].is_ascii_alphabetic(), "no verb");
-        }
+    /// Parses `request` with the kvstore's own parser, which must
+    /// consume all of it.
+    fn kv_parse(request: &[u8]) -> Command<'_> {
+        let (command, consumed) = parse_command(request).expect("kv request parses");
+        assert_eq!(consumed, request.len(), "kv request parses whole");
+        command
+    }
+
+    /// Frames `request` with the httpd's own scanner, which must
+    /// consume all of it.
+    fn http_frame(request: &[u8]) -> RequestView<'_> {
+        let (view, consumed) = scan_request(request).expect("http request frames");
+        assert_eq!(consumed, request.len(), "http request frames whole");
+        view
     }
 
     #[test]
@@ -140,13 +146,39 @@ mod tests {
     fn requests_are_well_formed() {
         let mut workload = KvWorkload::new(2, 10, 16, 0.5);
         for _ in 0..100 {
-            check_parses(&workload.next_request());
+            let request = workload.next_request();
+            assert!(matches!(
+                kv_parse(&request),
+                Command::Get(_) | Command::Set { .. }
+            ));
         }
-        check_parses(&kv_exploit_request(4096));
-        check_parses(&kv_preload_request(3, 100));
-        check_parses(&http_get_request("/x"));
-        check_parses(&http_exploit_request(0xfff));
-        check_parses(&http_upload_request(3, 10));
+        let preload = kv_preload_request(3, 100);
+        assert!(matches!(
+            kv_parse(&preload),
+            Command::Set { key: "key-3", value, ttl: None } if value.len() == 100
+        ));
+        let get = http_get_request("/x");
+        let view = http_frame(&get);
+        assert_eq!((view.method, view.path), (Method::Get, "/x"));
+        let upload = http_upload_request(3, 10);
+        assert!(http_frame(&upload).chunked);
+
+        // The exploits are well-formed requests that lie about a length:
+        // both parsers accept them whole, and the lie reaches the
+        // vulnerable handler intact.
+        let exploit = kv_exploit_request(4096);
+        assert_eq!(
+            kv_parse(&exploit),
+            Command::XStat {
+                declared: 4096,
+                data: b"pwnd"
+            }
+        );
+        let exploit = http_exploit_request(0xfff);
+        let view = http_frame(&exploit);
+        assert_eq!((view.method, view.path), (Method::Post, "/upload"));
+        assert!(view.chunked);
+        assert_eq!(view.body, b"fff\r\nhi\r\n0\r\n\r\n");
     }
 
     #[test]

@@ -210,10 +210,10 @@ impl ControlHub {
         self.plane.lock().expect("control lock").tick(now);
     }
 
-    /// Requests refused at admission (throttle/overload sheds + bans).
-    /// Observability only (the `Debug` impl): harness-level
-    /// conservation checks read the same quantity from the closed
-    /// books as `ControlReport::counts.refused()`.
+    /// Requests refused at admission (throttle/overload sheds + bans),
+    /// read live by `Runtime::stats_snapshot` and the `Debug` impl.
+    /// Harness-level conservation checks read the same quantity from
+    /// the closed books as `ControlReport::counts.refused()`.
     pub(crate) fn refused(&self) -> u64 {
         self.control_shed.load(Ordering::Relaxed) + self.denied.load(Ordering::Relaxed)
     }

@@ -135,8 +135,8 @@ pub use sdrad_control::{
 pub use server::ConnectionServer;
 pub use stats::{fleet_lineup_from_runs, RuntimeStats, StatsSnapshot, TelemetryReport};
 // Observability vocabulary, re-exported for the same reason — the
-// histogram moved to `sdrad-telemetry` (the registry serves it too) but
-// stays available under its historical `sdrad_runtime` path. The
+// histogram moved to `sdrad-telemetry` but stays available under its
+// historical `sdrad_runtime` path. The
 // streaming types ride along so harnesses configure the collector sink
 // and read its books without a direct `sdrad-telemetry` dependency.
 pub use sdrad_telemetry::{

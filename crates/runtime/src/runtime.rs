@@ -8,13 +8,12 @@ use std::time::{Duration, Instant};
 use sdrad::ClientId;
 use sdrad_control::ControlConfig;
 use sdrad_energy::decisions::RungModels;
-use sdrad_energy::power::PowerModel;
 use sdrad_energy::restart::RestartModel;
 use sdrad_net::Endpoint;
 use sdrad_nolock::{HazardDomain, Shared};
 use sdrad_telemetry::{
-    Collector, EventKind, LatencyHistogram, LiveTotals, LogicalClock, MetricsRegistry, Recorder,
-    ShedReason, Source, StreamingConfig, TelemetryConfig, TelemetrySnapshot, TraceLog, TraceRing,
+    Collector, EventKind, LatencyHistogram, LiveTotals, LogicalClock, Recorder, ShedReason, Source,
+    StreamingConfig, TelemetryConfig, TelemetrySnapshot, TraceLog, TraceRing,
 };
 
 use crate::control_hub::{ControlHub, Routing};
@@ -113,8 +112,8 @@ pub struct RuntimeConfig {
     /// enabled, every worker records structured trace events into its
     /// own lock-free SPSC ring (the dispatcher and control plane get
     /// shared rings), all stamped by one logical clock; shutdown drains
-    /// them into [`RuntimeStats::telemetry`] — a serializable
-    /// [`TelemetrySnapshot`] plus the merged
+    /// them into [`RuntimeStats::telemetry`] — the ring books
+    /// ([`TelemetrySnapshot`]) plus the merged
     /// [`TraceLog`](sdrad_telemetry::TraceLog) post-mortem queries run
     /// over. When off, every emit point is a single discriminant test.
     ///
@@ -789,129 +788,38 @@ impl Runtime {
             wall: self.started.elapsed(),
         };
         if let Some(rings) = self.rings {
-            stats.telemetry = Some(close_telemetry(&stats, &rings, self.collector.as_deref()));
+            stats.telemetry = Some(close_telemetry(&rings, self.collector.as_deref()));
         }
         stats
     }
 }
 
-/// Closes the telemetry books at shutdown: populates a fresh
-/// [`MetricsRegistry`] from the finished run (runtime counters and
-/// latency histograms under `runtime.*`, the control plane's decision
-/// counts under `control.*` and its energy bill under `energy.*`),
-/// drains every flight-recorder ring into one stamp-merged
-/// [`TraceLog`], and cuts the serializable [`TelemetrySnapshot`] —
-/// ring conservation counters included, read *after* the drain so
+/// Closes the telemetry books at shutdown: drains every
+/// flight-recorder ring into one stamp-merged [`TraceLog`] and cuts the
+/// ring books ([`TelemetrySnapshot`]) *after* the drain, so
 /// `recorded == drained + dropped + sampled_out` is checkable.
 ///
 /// With a streaming collector, events the workers already shipped in
 /// delta frames (booked as `drained` at flush time) are merged back in
 /// *before* the final ring drains, so the log still carries every
 /// drained event exactly once, and the collector's delivery books
-/// (frames, losses, regressions) close into `streaming.*` counters and
+/// (frames, losses, regressions) close into
 /// [`TelemetryReport::streaming`] — one [`Collector::close`] call.
 fn close_telemetry(
-    stats: &RuntimeStats,
     rings: &[(String, Arc<TraceRing>)],
     collector: Option<&Collector>,
 ) -> TelemetryReport {
-    let registry = MetricsRegistry::default();
-    registry.counter("runtime.served").add(stats.served());
-    registry.counter("runtime.ok").add(stats.ok());
-    registry
-        .counter("runtime.contained_faults")
-        .add(stats.contained_faults());
-    registry.counter("runtime.crashes").add(stats.crashes());
-    registry.counter("runtime.leaks").add(stats.leaks());
-    registry.counter("runtime.shed").add(stats.shed);
-    registry.counter("runtime.submitted").add(stats.submitted);
-    registry
-        .counter("runtime.conn_served")
-        .add(stats.conn_served());
-    registry
-        .counter("runtime.connections")
-        .add(stats.connections());
-    registry.counter("runtime.steals").add(stats.steals());
-    registry
-        .counter("runtime.conn_steals")
-        .add(stats.conn_steals());
-    registry
-        .counter("runtime.owner_routed")
-        .add(stats.owner_routed());
-    registry
-        .counter("runtime.thief_mutations")
-        .add(stats.thief_mutations());
-    registry
-        .counter("runtime.stranded_stalls")
-        .add(stats.stranded_stalls());
-    registry
-        .counter("runtime.shared_reads")
-        .add(stats.shared_reads());
-    registry
-        .counter("runtime.views_published")
-        .add(stats.views_published());
-    registry
-        .counter("runtime.domains_retired")
-        .add(stats.domains_retired());
-    registry
-        .counter("runtime.domains_reclaimed")
-        .add(stats.domains_reclaimed());
-    registry.counter("runtime.parks").add(stats.parks());
-    registry.counter("runtime.wakeups").add(stats.wakeups());
-    registry.counter("runtime.reaped").add(stats.reaped());
-    registry.counter("runtime.rewind_ns").add(stats.rewind_ns());
-    registry
-        .counter("arena.acquires")
-        .add(stats.arena_acquires());
-    registry.counter("arena.reuses").add(stats.arena_reuses());
-    registry.counter("arena.returns").add(stats.arena_returns());
-    registry
-        .counter("arena.fresh_allocs")
-        .add(stats.arena_fresh_allocs());
-    registry
-        .gauge("runtime.workers")
-        .set(stats.workers.len() as u64);
-    registry
-        .histogram("runtime.latency.ok_ns")
-        .merge(&stats.ok_latency());
-    registry
-        .histogram("runtime.latency.contained_ns")
-        .merge(&stats.contained_latency());
-    registry
-        .histogram("runtime.latency.rewind_ns")
-        .merge(&stats.rewind_latency());
-    registry
-        .histogram("runtime.latency.shed_ns")
-        .merge(&stats.shed_latency);
-    if let Some(report) = &stats.control {
-        report.register_metrics(&registry, &PowerModel::rack_server());
-    }
     // Events the workers already streamed were booked `drained` when
     // their flush tick drained them; taking the retained ones back here
     // (by move — this Vec becomes the log) keeps `log.len() + truncated
     // == Σ drained` exact.
     let (streaming, events) = collector.map(Collector::close).unzip();
     let mut events: Vec<_> = events.unwrap_or_default();
-    if let Some(books) = &streaming {
-        registry.counter("streaming.frames").add(books.frames);
-        registry
-            .counter("streaming.lost_frames")
-            .add(books.lost_frames);
-        registry
-            .counter("streaming.regressions")
-            .add(books.regressions);
-        registry
-            .counter("streaming.events_streamed")
-            .add(books.events_streamed);
-        registry.counter("streaming.truncated").add(books.truncated);
-    }
-    let mut snapshot = TelemetrySnapshot::from_metrics(registry.read());
+    let mut snapshot = TelemetrySnapshot::default();
     for (name, ring) in rings {
         events.extend(ring.drain());
         snapshot.add_ring(name, ring.counters(), ring.len());
-        snapshot.tally_sampled_out(ring.sampled_out_by_kind());
     }
-    snapshot.tally_events(&events);
     TelemetryReport {
         snapshot,
         log: TraceLog::new(events),
@@ -1033,25 +941,6 @@ mod tests {
         assert!(
             rewinds[0].detail > 0,
             "rewind_ns travels in the detail word"
-        );
-        // The registry's counters mirror the aggregate stats exactly.
-        assert_eq!(
-            telemetry
-                .snapshot
-                .metrics
-                .counters
-                .get("runtime.served")
-                .copied(),
-            Some(stats.served())
-        );
-        assert_eq!(
-            telemetry
-                .snapshot
-                .metrics
-                .histograms
-                .get("runtime.latency.ok_ns")
-                .map(sdrad_telemetry::LatencyHistogram::len),
-            Some(stats.ok())
         );
     }
 

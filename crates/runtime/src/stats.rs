@@ -10,16 +10,16 @@ use sdrad_telemetry::{LatencyHistogram, LiveTotals, StreamingReport, TelemetrySn
 
 use crate::worker::WorkerStats;
 
-/// The telemetry layer's closed books: the serializable
-/// [`TelemetrySnapshot`] (registry metrics, ring conservation counters,
-/// event tallies) plus the merged, stamp-ordered flight-recorder
-/// [`TraceLog`] every post-mortem query runs over. Attached to
+/// The telemetry layer's closed books: each flight-recorder ring's
+/// conservation counters ([`TelemetrySnapshot`]) plus the merged,
+/// stamp-ordered [`TraceLog`] every post-mortem query runs over. The
+/// run's own counts stay in [`RuntimeStats`] and its
+/// [`ControlReport`]; nothing here copies them. Attached to
 /// [`RuntimeStats::telemetry`] when the runtime ran with
 /// [`TelemetryConfig::Enabled`](crate::TelemetryConfig).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
-    /// The serializable point-in-time picture, cut at shutdown after
-    /// every ring was drained.
+    /// The ring books, cut at shutdown after every ring was drained.
     pub snapshot: TelemetrySnapshot,
     /// Every drained trace event, merged on the shared logical clock.
     pub log: TraceLog,
@@ -123,7 +123,7 @@ pub struct RuntimeStats {
     /// (pending zero) must hold: the runtime drained the domain with
     /// no guards left alive.
     pub hazard: Option<sdrad_nolock::HazardStats>,
-    /// The telemetry layer's closed books — snapshot plus drained
+    /// The telemetry layer's closed books — ring books plus drained
     /// flight-recorder log — `None` when the runtime ran with
     /// [`TelemetryConfig::Off`](crate::TelemetryConfig).
     pub telemetry: Option<TelemetryReport>,

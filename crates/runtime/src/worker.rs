@@ -284,7 +284,11 @@ pub(crate) struct ShardChannels {
     /// every disposition and executes the escalation rungs it returns.
     pub(crate) control: Option<Arc<ControlHub>>,
     /// This worker's flight-recorder handle, bound to its own SPSC
-    /// ring ([`Recorder::Off`] when telemetry is disabled).
+    /// ring ([`Recorder::Off`] when telemetry is disabled). Emission is
+    /// deliberately economical on the hot path: no per-ok-request
+    /// events — park/wake per pass, rewind/rung per fault,
+    /// steal/owner-route per batch (the `detail` word carries the
+    /// count).
     pub(crate) recorder: Recorder,
     /// The live-counter mailbox `Runtime::stats_snapshot` reads; the
     /// worker flushes its counters here once per pump pass.
@@ -299,7 +303,8 @@ pub(crate) struct ShardChannels {
     pub(crate) view_cells: Vec<Arc<Shared<ShardView>>>,
     /// The streaming collector this worker ships delta frames to
     /// (`None` unless [`RuntimeConfig::streaming`] and the flight
-    /// recorder are both enabled).
+    /// recorder are both enabled). Frames ride the pump passes, one
+    /// each — no flush thread, no timer: an idle shard ships nothing.
     pub(crate) collector: Option<Arc<Collector>>,
 }
 
@@ -307,35 +312,7 @@ pub(crate) struct ShardChannels {
 /// the queue stops, then reports its counters.
 pub struct Worker<H: SessionHandler> {
     index: usize,
-    queue: Arc<ShardQueue>,
-    inbox: Arc<ConnInbox>,
-    wakes: Arc<WakeSet>,
-    registry: Arc<ConnRegistry>,
-    /// See [`ShardChannels::peers`].
-    peers: Vec<Arc<ShardQueue>>,
-    /// See [`ShardChannels::peer_registries`].
-    peer_registries: Vec<Arc<ConnRegistry>>,
-    /// See [`ShardChannels::peer_wakes`].
-    peer_wakes: Vec<Arc<WakeSet>>,
-    /// See [`ShardChannels::generation`].
-    generation: Arc<AtomicU64>,
-    /// See [`ShardChannels::control`].
-    control: Option<Arc<ControlHub>>,
-    /// See [`ShardChannels::recorder`]. Emission is deliberately
-    /// economical on the hot path: no per-ok-request events — park/wake
-    /// per pass, rewind/rung per fault, steal/owner-route per batch
-    /// (the `detail` word carries the count).
-    recorder: Recorder,
-    /// See [`ShardChannels::live`].
-    live: Arc<LiveCounters>,
-    /// See [`ShardChannels::hazard`].
-    hazard: Option<Arc<HazardDomain>>,
-    /// See [`ShardChannels::view_cells`].
-    view_cells: Vec<Arc<Shared<ShardView>>>,
-    /// See [`ShardChannels::collector`]. Frames ride the pump passes,
-    /// one each — no flush thread, no timer: an idle shard ships
-    /// nothing.
-    collector: Option<Arc<Collector>>,
+    channels: ShardChannels,
     /// This worker's monotonic frame sequence (the collector's
     /// loss-detection key).
     flush_seq: u64,
@@ -387,22 +364,9 @@ impl<H: SessionHandler> Worker<H> {
     ) -> Self {
         Worker {
             index,
-            queue: channels.queue,
-            inbox: channels.inbox,
-            wakes: channels.wakes,
-            registry: channels.registry,
-            peers: channels.peers,
-            peer_registries: channels.peer_registries,
-            peer_wakes: channels.peer_wakes,
-            generation: channels.generation,
-            control: channels.control,
-            recorder: channels.recorder,
-            live: channels.live,
-            hazard: channels.hazard,
             view_stamps: vec![(0, 0); channels.view_cells.len()],
-            view_cells: channels.view_cells,
+            channels,
             flush_seq: 0,
-            collector: channels.collector,
             published: None,
             shard_u16: u16::try_from(index).unwrap_or(u16::MAX),
             conns: Vec::new(),
@@ -432,14 +396,14 @@ impl<H: SessionHandler> Worker<H> {
         // Close the reclamation books: drain the deferred teardown
         // queue so a clean exit leaves nothing pending.
         while self.iso.reclaim_step(16) > 0 {}
-        self.stats.shed = self.queue.shed();
+        self.stats.shed = self.channels.queue.shed();
         self.stats.domains_created = self.iso.domains_created();
         self.stats.manager_rewinds = self.iso.rewinds();
         self.stats.domains_retired = self.iso.domains_retired();
         self.stats.domains_reclaimed = self.iso.domains_reclaimed();
         self.stats.domains_pending = self.iso.pending_domains() as u64;
-        self.stats.parks = self.wakes.parks();
-        self.stats.wakeups = self.wakes.wakeups();
+        self.stats.parks = self.channels.wakes.parks();
+        self.stats.wakeups = self.channels.wakes.wakeups();
         let arena = sdrad_nolock::arena::thread_stats();
         self.stats.arena_acquires = arena.acquires;
         self.stats.arena_reuses = arena.reuses;
@@ -457,18 +421,20 @@ impl<H: SessionHandler> Worker<H> {
             // parking and shipped in the delta frame after the wake —
             // nothing in between serves a request.
             let totals = self.flush_live();
-            self.recorder
+            self.channels
+                .recorder
                 .emit(EventKind::Park, self.shard_u16, 0, self.pass);
-            let signals = self.wakes.wait();
+            let signals = self.channels.wakes.wait();
             self.pass += 1;
-            self.recorder
+            self.channels
+                .recorder
                 .emit(EventKind::Wake, self.shard_u16, 0, self.pass);
             // The stall-accounting witness: any sibling still parked at
             // a generation ≤ this snapshot has provably sat idle for
             // the whole pass (its park predates everything the pass
             // serves or defers).
-            self.pass_generation = self.generation.load(Ordering::SeqCst);
-            if let Some(hub) = &self.control {
+            self.pass_generation = self.channels.generation.load(Ordering::SeqCst);
+            if let Some(hub) = &self.channels.control {
                 // The control loop's tick rides the wake machinery: one
                 // tick per pass, zero ticks while the shard is idle.
                 hub.tick();
@@ -500,8 +466,8 @@ impl<H: SessionHandler> Worker<H> {
                 self.note_busy(started);
                 // A partial drain leaves a remainder: come straight
                 // back (after this pass) instead of parking on it.
-                if !self.queue.is_empty() {
-                    self.queue.kick();
+                if !self.channels.queue.is_empty() {
+                    self.channels.queue.kick();
                 }
             }
 
@@ -517,7 +483,7 @@ impl<H: SessionHandler> Worker<H> {
                     // stranded in this buffer, which an idle sibling
                     // could be serving.
                     self.note_deferred_frames();
-                    self.wakes.mark_conn(token);
+                    self.channels.wakes.mark_conn(token);
                     deferred = true;
                 }
             }
@@ -533,7 +499,7 @@ impl<H: SessionHandler> Worker<H> {
             }
             // The token vector's capacity cycles back into the wake set
             // rather than being reallocated next pass.
-            self.wakes.recycle_conns(ready);
+            self.channels.wakes.recycle_conns(ready);
             self.reap_idle();
 
             if signals.steal || (!had_queue_work && !pumped && !signals.stopped) {
@@ -555,7 +521,7 @@ impl<H: SessionHandler> Worker<H> {
             self.pass += 1;
             self.iso.reclaim_step(2);
             self.adopt_connections();
-            let queued = self.queue.try_drain(self.batch);
+            let queued = self.channels.queue.try_drain(self.batch);
             let drained_queue = !queued.is_empty();
             let started = Instant::now();
             for request in queued {
@@ -565,7 +531,11 @@ impl<H: SessionHandler> Worker<H> {
                 self.note_busy(started);
             }
             let pumped = self.pump_live_connections();
-            if !drained_queue && !pumped && self.queue.is_empty() && self.inbox.is_empty() {
+            if !drained_queue
+                && !pumped
+                && self.channels.queue.is_empty()
+                && self.channels.inbox.is_empty()
+            {
                 if self.any_tray_gated() {
                     // A thief is still serving an extracted run (or a
                     // routed response is still owed): the frames behind
@@ -601,7 +571,7 @@ impl<H: SessionHandler> Worker<H> {
     /// if bytes or a close already arrived, so no pre-adoption edge is
     /// lost). Returns the new tokens.
     fn adopt_connections(&mut self) -> Vec<usize> {
-        let adopted = self.inbox.drain();
+        let adopted = self.channels.inbox.drain();
         self.stats.connections += adopted.len() as u64;
         let mut tokens = Vec::with_capacity(adopted.len());
         for mut conn in adopted {
@@ -615,8 +585,9 @@ impl<H: SessionHandler> Worker<H> {
             };
             // Thieves and routed completions re-wake this worker
             // through the tray once the owner is known.
-            conn.tray.bind_owner(Arc::clone(&self.wakes), token);
-            let wakes = Arc::clone(&self.wakes);
+            conn.tray
+                .bind_owner(Arc::clone(&self.channels.wakes), token);
+            let wakes = Arc::clone(&self.channels.wakes);
             conn.endpoint
                 .set_ready_callback(Arc::new(move || wakes.mark_conn(token)));
             self.conns[token] = Some(conn);
@@ -680,7 +651,7 @@ impl<H: SessionHandler> Worker<H> {
             tray.retired = true;
             !tray.staged.is_empty()
         };
-        self.registry.deregister(&conn.tray);
+        self.channels.registry.deregister(&conn.tray);
         if half_request {
             // Mid-request disconnect: the half-request is discarded.
             self.stats.aborted_requests += 1;
@@ -724,11 +695,11 @@ impl<H: SessionHandler> Worker<H> {
     /// `steal_where` enforces — so thieves popping the buffer never
     /// race the owner's inbox cursor.
     fn drain_own_queue(&mut self) -> Vec<Request> {
-        if self.peers.is_empty() {
-            return self.queue.try_drain(self.batch);
+        if self.channels.peers.is_empty() {
+            return self.channels.queue.try_drain(self.batch);
         }
         let handler = &self.handler;
-        self.queue.drain_publishing(self.batch, |request| {
+        self.channels.queue.drain_publishing(self.batch, |request| {
             handler.steal_class(&request.payload) == StealClass::ReadOnly
         })
     }
@@ -740,7 +711,7 @@ impl<H: SessionHandler> Worker<H> {
     /// leave their owner, so shard-state mutations stay with the state
     /// they touch.
     fn try_steal(&mut self) {
-        if self.peers.is_empty() {
+        if self.channels.peers.is_empty() {
             return;
         }
         self.steal_queue_items();
@@ -750,6 +721,7 @@ impl<H: SessionHandler> Worker<H> {
     /// The queue half of stealing.
     fn steal_queue_items(&mut self) {
         let victim = self
+            .channels
             .peers
             .iter()
             .enumerate()
@@ -774,7 +746,7 @@ impl<H: SessionHandler> Worker<H> {
         self.stats.steals += stolen.len() as u64;
         // One event per stolen batch (not per request): the shard field
         // names the victim, the detail word carries the count.
-        self.recorder.emit(
+        self.channels.recorder.emit(
             EventKind::Steal,
             u16::try_from(victim_index).unwrap_or(u16::MAX),
             0,
@@ -793,7 +765,7 @@ impl<H: SessionHandler> Worker<H> {
         // The victim may still be loaded; keep helping without letting
         // our own queue and connections starve in between.
         if !victim.is_empty() {
-            self.wakes.hint_steal();
+            self.channels.wakes.hint_steal();
         }
     }
 
@@ -808,17 +780,18 @@ impl<H: SessionHandler> Worker<H> {
         // unserved: staged bytes (already read off the endpoint — where
         // stranded framing-complete requests actually live) plus bytes
         // still pending on the endpoint.
-        let mut victims: Vec<(usize, usize, Vec<Arc<ConnTray>>)> = (0..self.peer_registries.len())
-            .filter(|&shard| shard != self.index)
-            .map(|shard| {
-                let trays = self.peer_registries[shard].snapshot();
-                let unserved: usize = trays
-                    .iter()
-                    .map(|tray| tray.staged_len() + tray.stream().pending())
-                    .sum();
-                (unserved, shard, trays)
-            })
-            .collect();
+        let mut victims: Vec<(usize, usize, Vec<Arc<ConnTray>>)> =
+            (0..self.channels.peer_registries.len())
+                .filter(|&shard| shard != self.index)
+                .map(|shard| {
+                    let trays = self.channels.peer_registries[shard].snapshot();
+                    let unserved: usize = trays
+                        .iter()
+                        .map(|tray| tray.staged_len() + tray.stream().pending())
+                        .sum();
+                    (unserved, shard, trays)
+                })
+                .collect();
         victims.sort_unstable_by_key(|&(unserved, _, _)| std::cmp::Reverse(unserved));
         let started = Instant::now();
         let mut lifted = 0usize;
@@ -851,7 +824,7 @@ impl<H: SessionHandler> Worker<H> {
             // spinning (on an oversubscribed host a spinning thief
             // steals *CPU time* from the owner it meant to help); the
             // owner's next deferral bell re-recruits us.
-            self.wakes.hint_steal();
+            self.channels.wakes.hint_steal();
         }
     }
 
@@ -909,7 +882,7 @@ impl<H: SessionHandler> Worker<H> {
                 match self.handler.steal_class(&st.staged.pending()[..n]) {
                     StealClass::ReadOnly => batch.push(st.staged.take_frame(n)),
                     StealClass::Mutation => {
-                        if batch.is_empty() && !self.peers[victim].is_stopped() {
+                        if batch.is_empty() && !self.channels.peers[victim].is_stopped() {
                             // Mutations at the head: batch the whole
                             // consecutive run into ONE owner hand-off.
                             // A write-heavy skew pays one queue
@@ -948,14 +921,14 @@ impl<H: SessionHandler> Worker<H> {
                                     )
                                 })
                                 .collect();
-                            match self.peers[victim].push_routed_batch(requests) {
+                            match self.channels.peers[victim].push_routed_batch(requests) {
                                 Ok(count) => {
                                     self.stats.owner_routed += count;
                                     self.stats.routed_batches += 1;
                                     // One event per hand-off batch: the
                                     // shard field names the owner the
                                     // run went home to.
-                                    self.recorder.emit(
+                                    self.channels.recorder.emit(
                                         EventKind::OwnerRoute,
                                         u16::try_from(victim).unwrap_or(u16::MAX),
                                         client.0,
@@ -1013,10 +986,10 @@ impl<H: SessionHandler> Worker<H> {
             self.stats.conn_served += 1;
             self.stats.conn_steals += 1;
         }
-        self.peer_registries[victim].note_stolen(served as u64);
+        self.channels.peer_registries[victim].note_stolen(served as u64);
         // Conn-buffer steals are batched into one event too — same
         // shape as queue steals, distinguished by a nonzero client.
-        self.recorder.emit(
+        self.channels.recorder.emit(
             EventKind::Steal,
             u16::try_from(victim).unwrap_or(u16::MAX),
             client.0,
@@ -1041,7 +1014,7 @@ impl<H: SessionHandler> Worker<H> {
     /// publishes once and serves thieves for free; no-op without deep
     /// stealing (no cells exist).
     fn maybe_publish_view(&mut self) {
-        let Some(cell) = self.view_cells.get(self.index) else {
+        let Some(cell) = self.channels.view_cells.get(self.index) else {
             return;
         };
         let stamp = (self.iso.pool_generation(), self.handler.state_version());
@@ -1070,8 +1043,8 @@ impl<H: SessionHandler> Worker<H> {
         client: sdrad::ClientId,
         request: &[u8],
     ) -> Option<Reply> {
-        let cell = self.view_cells.get(victim)?;
-        let domain = self.hazard.as_ref()?;
+        let cell = self.channels.view_cells.get(victim)?;
+        let domain = self.channels.hazard.as_ref()?;
         let mut guard = domain.guard();
         let view = cell.load(&mut guard);
         // Publishes only move a shard's stamp forward; observing a
@@ -1104,19 +1077,19 @@ impl<H: SessionHandler> Worker<H> {
     /// `is_parked()` read could both over- and under-count such
     /// windows.
     fn note_deferred_frames(&mut self) {
-        if self.peer_wakes.is_empty() {
+        if self.channels.peer_wakes.is_empty() {
             return;
         }
-        if self.peer_wakes.iter().any(|wakes| {
+        if self.channels.peer_wakes.iter().any(|wakes| {
             wakes
                 .parked_since()
                 .is_some_and(|g| g <= self.pass_generation)
         }) {
             self.stats.stranded_stalls += 1;
         }
-        let pick = self.next_bell % self.peer_wakes.len();
+        let pick = self.next_bell % self.channels.peer_wakes.len();
         self.next_bell = self.next_bell.wrapping_add(1);
-        self.peer_wakes[pick].hint_steal();
+        self.channels.peer_wakes[pick].hint_steal();
     }
 
     /// Pumps one connection: reads pending bytes into the shared tray,
@@ -1287,10 +1260,11 @@ impl<H: SessionHandler> Worker<H> {
     /// windowed fault spikes this frame caused, which are fed straight
     /// back into admission as corroborating evidence.
     fn flush_telemetry(&mut self, totals: LiveTotals) {
-        let Some(collector) = &self.collector else {
+        let Some(collector) = &self.channels.collector else {
             return;
         };
         let events = self
+            .channels
             .recorder
             .ring()
             .map_or_else(Vec::new, |ring| ring.drain());
@@ -1301,7 +1275,7 @@ impl<H: SessionHandler> Worker<H> {
             events,
         });
         self.flush_seq += 1;
-        if let Some(hub) = &self.control {
+        if let Some(hub) = &self.channels.control {
             for spike in spikes {
                 hub.observe_evidence(
                     usize::from(spike.shard),
@@ -1326,7 +1300,7 @@ impl<H: SessionHandler> Worker<H> {
             conn_served: self.stats.conn_served,
             steals: self.stats.steals,
         };
-        self.live.store(totals);
+        self.channels.live.store(totals);
         totals
     }
 
@@ -1343,28 +1317,38 @@ impl<H: SessionHandler> Worker<H> {
                 self.stats.rewind_ns += rewind_ns;
                 self.stats.contained_latency.record(latency_ns);
                 self.stats.rewind_latency.record(*rewind_ns);
-                self.recorder
-                    .emit(EventKind::Rewind, self.shard_u16, client.0, *rewind_ns);
+                self.channels.recorder.emit(
+                    EventKind::Rewind,
+                    self.shard_u16,
+                    client.0,
+                    *rewind_ns,
+                );
             }
             Disposition::Crashed => {
                 // The baseline pays for its crash: the shard is down for
                 // the calibrated restart duration (state reload included)
-                // before the handler serves again. The worker restarts
-                // the handler's state and charges the downtime to its
-                // account instead of actually sleeping, keeping the
-                // harness fast and deterministic.
+                // before the handler serves again.
                 self.stats.crashes += 1;
-                let downtime = self.restart_model.recovery_time(self.handler.state_bytes());
-                self.stats.modeled_downtime_ns = self
-                    .stats
-                    .modeled_downtime_ns
-                    .saturating_add(u64::try_from(downtime.as_nanos()).unwrap_or(u64::MAX));
-                self.handler.restart();
+                self.restart_handler();
             }
             Disposition::SecretLeak => self.stats.leaks += 1,
             Disposition::InternalError => self.stats.internal_errors += 1,
         }
         self.observe_control(client, disposition, latency_ns);
+    }
+
+    /// Brings the handler's state back up and charges the calibrated
+    /// restart downtime for the state it held to this worker's account,
+    /// instead of actually sleeping — keeping the harness fast and
+    /// deterministic. The baseline's crash and the ladder's restart rung
+    /// both pay here.
+    fn restart_handler(&mut self) {
+        let downtime = self.restart_model.recovery_time(self.handler.state_bytes());
+        self.stats.modeled_downtime_ns = self
+            .stats
+            .modeled_downtime_ns
+            .saturating_add(u64::try_from(downtime.as_nanos()).unwrap_or(u64::MAX));
+        self.handler.restart();
     }
 
     /// Reports one disposition to the control plane (when enabled) and
@@ -1378,7 +1362,7 @@ impl<H: SessionHandler> Worker<H> {
         disposition: &Disposition,
         latency_ns: u64,
     ) {
-        let Some(hub) = &self.control else {
+        let Some(hub) = &self.channels.control else {
             return;
         };
         let rung = hub.observe(
@@ -1395,7 +1379,8 @@ impl<H: SessionHandler> Worker<H> {
                 RecoveryRung::PoolRebuild => 1,
                 RecoveryRung::WorkerRestart => 2,
             };
-            self.recorder
+            self.channels
+                .recorder
                 .emit(EventKind::Rung, self.shard_u16, client.0, detail);
         }
         match rung {
@@ -1422,12 +1407,7 @@ impl<H: SessionHandler> Worker<H> {
                 // calibrated restart downtime is charged to this
                 // worker's account exactly like a baseline crash.
                 self.iso.restart_worker();
-                self.handler.restart();
-                let downtime = self.restart_model.recovery_time(self.handler.state_bytes());
-                self.stats.modeled_downtime_ns = self
-                    .stats
-                    .modeled_downtime_ns
-                    .saturating_add(u64::try_from(downtime.as_nanos()).unwrap_or(u64::MAX));
+                self.restart_handler();
                 self.stats.worker_restarts += 1;
             }
         }

@@ -1,18 +1,18 @@
 //! A minimal, dependency-free JSON tree: deterministic writer and a
 //! strict parser.
 //!
-//! The workspace builds offline (no `serde_json`), yet the telemetry
-//! pipeline needs machine-readable artifacts: `TelemetrySnapshot`
-//! serialization and the committed `BENCH_runtime.json` the CI
-//! regression guard re-reads. This module supplies exactly that —
-//! nothing more.
+//! The workspace builds offline (no `serde_json`), yet the measurement
+//! pipeline needs machine-readable artifacts: the committed
+//! `BENCH_runtime.json` the CI regression guard re-reads, and the
+//! result lines of the end-to-end benchmark. This module supplies
+//! exactly that — nothing more.
 //!
 //! **Determinism contract**: objects are [`std::collections::BTreeMap`]s
 //! (key-sorted), integers are emitted as integers (never through `f64`,
 //! so no 2^53 precision loss), floats are emitted via Rust's shortest
 //! round-trip formatting, and the writer inserts no machine-dependent
 //! whitespace. Identical trees therefore serialize to byte-identical
-//! text — the property the snapshot proptests pin down.
+//! text.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

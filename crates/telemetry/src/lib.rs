@@ -15,10 +15,10 @@
 //!   by one injected [`LogicalClock`] so merged drains have a total
 //!   order. Overflow sheds and counts; a drain is checked against the
 //!   conservation law `emitted == drained + dropped + in_ring`.
-//! * **Metrics registry** ([`MetricsRegistry`]) — named counters,
-//!   gauges and [`LatencyHistogram`] handles registered once by
-//!   runtime/control/energy components, read into one serializable
-//!   [`TelemetrySnapshot`] with byte-deterministic JSON output.
+//! * **Ring books** ([`TelemetrySnapshot`]) — every ring's conservation
+//!   counters and occupancy, cut after the final drain. The numbers the
+//!   run itself counts (requests, latencies, decisions, joules) live in
+//!   the typed books of the crates that count them, not here.
 //! * **Post-mortem queries** ([`TraceLog`], [`TraceQuery`]) — filter a
 //!   drained log by client/shard/kind/stamp, bucket matches into stamp
 //!   windows ([`TraceQuery::windowed`]) and reconstruct a client's
@@ -70,7 +70,6 @@ mod histogram;
 mod json;
 mod query;
 mod recorder;
-mod registry;
 mod ring;
 mod sink;
 mod snapshot;
@@ -81,11 +80,10 @@ pub use histogram::LatencyHistogram;
 pub use json::{Json, JsonError};
 pub use query::{BanPath, TraceLog, TraceQuery, WindowCounts};
 pub use recorder::{LogicalClock, Recorder, Sampler, TelemetryConfig};
-pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, RegistryReading};
 pub use ring::{RingCounters, TraceRing};
 pub use sink::{
     Collector, DeltaFrame, LiveTotals, Spike, StreamingConfig, StreamingReport, LOG_RETAIN,
     WINDOW_BUCKETS, WINDOW_NS,
 };
-pub use snapshot::{RingStat, TelemetrySnapshot, SNAPSHOT_SCHEMA_VERSION};
+pub use snapshot::{RingStat, TelemetrySnapshot};
 pub use window::{recompute_rollup, WindowBook, WindowRollup};

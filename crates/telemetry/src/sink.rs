@@ -151,8 +151,7 @@ pub struct Spike {
 
 /// What the collector saw over the run: the delta-frame delivery books
 /// ([`Collector::close`] hands them over with the event log at
-/// shutdown; the runtime mirrors them into the metrics registry as
-/// `streaming.*` counters).
+/// shutdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamingReport {
     /// Delta frames delivered (all sources).
