@@ -123,7 +123,7 @@ pub use handler::{
     Framing, HttpHandler, KvHandler, ReadView, Reply, SessionHandler, StealClass, TlsHandler,
 };
 pub use isolation::{IsolationMode, WorkerIsolation};
-pub use queue::{Completion, Disposition, Request, ShardQueue, Ticket, WorkBatch};
+pub use queue::{Completion, Disposition, Request, ShardQueue, Ticket};
 pub use runtime::{Dispatcher, Runtime, RuntimeConfig, StealPolicy, SubmitOutcome};
 // The control-plane vocabulary a runtime embedder needs, re-exported so
 // harnesses configure admission control and read the closed books

@@ -23,34 +23,28 @@
 //!
 //! Capacity admission is a CAS on a depth counter, **reserved before**
 //! the push and released when a worker claims the request, so the bound
-//! is exact without any lock. Blocking ([`wait_work`]) is a cold-path
-//! condvar the producers only touch when a sleeper has registered.
+//! is exact without any lock.
 //!
-//! Since connection-level serving, the queue is also the worker's
-//! *wakeup channel*: [`ShardQueue::kick`] rouses the worker without
-//! enqueueing anything (used when a new connection is assigned to the
-//! shard).
-//!
-//! Inside a runtime the queue is **bound** to its shard's
-//! [`WakeSet`](crate::wake::WakeSet): pushes, kicks and stop all signal
-//! the set (after the state change is observable), so a worker parked
-//! on the set — not on this queue's own condvar — still sees every
-//! edge. When work stealing is enabled the
+//! Each queue owns its shard's [`WakeSet`](crate::wake::WakeSet), the
+//! one place anything in the runtime blocks: pushes, kicks and stop
+//! signal it after the state change is observable. A runtime worker
+//! parks on that set; a standalone consumer parks on it inside
+//! [`pop_batch`](ShardQueue::pop_batch). [`ShardQueue::kick`] rouses the
+//! worker without enqueueing anything (used when a new connection is
+//! assigned to the shard). When work stealing is enabled the
 //! queue rings sibling *steal bells* whenever its backlog crosses the
 //! high-water mark and again whenever the owner publishes surplus, and
 //! the steal-at-most-half policy is enforced twice: the owner publishes
 //! at most half its backlog, and one steal call takes at most half the
 //! published buffer. The `stolen` counter feeds the reconciliation
 //! invariant that cross-checks against the thieves' own accounting.
-//!
-//! [`wait_work`]: ShardQueue::wait_work
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sdrad::ClientId;
-use sdrad_nolock::{Bounded, FrameBuf, MpscQueue, SpscRing, WaitSlot};
+use sdrad_nolock::{Bounded, FrameBuf, MpscQueue};
 
 use crate::wake::WakeSet;
 use sdrad_telemetry::LatencyHistogram;
@@ -153,88 +147,93 @@ pub struct Completion {
 
 /// A handle on one submitted request's eventual completion.
 ///
-/// The hand-off is a single-slot SPSC ring (the worker is the producer,
-/// the submitter the consumer) plus a park/unpark [`WaitSlot`]:
-/// [`wait`](Ticket::wait) re-checks the ring after registering as a
-/// waiter (no lost-wakeup window) and every park is time-sliced, so even
-/// a lost notification costs one bounded stall, never a hang.
-/// [`wait_deadline`](Ticket::wait_deadline) bounds the wait outright.
+/// A one-value latch under [`WakeSet`]'s rule: the slot and the
+/// waiter's `parked` flag share one mutex. [`wait`](Ticket::wait) sets
+/// `parked` and re-checks the slot under that mutex before every
+/// condvar wait; `complete` stores the value and takes `parked` under
+/// it, and notifies only when it took `true`. So a completion either
+/// lands before the waiter's check, which returns it, or finds the
+/// waiter parked and wakes it: no wakeup is lost, no park is timed, and
+/// a completion nobody waits for costs no syscall. One waiter at a
+/// time.
 #[derive(Clone)]
 pub struct Ticket {
     inner: Arc<TicketInner>,
 }
 
 struct TicketInner {
-    ring: SpscRing<Completion>,
-    waiter: WaitSlot,
+    state: Mutex<TicketState>,
+    ready: Condvar,
+}
+
+struct TicketState {
+    completion: Option<Completion>,
+    /// The waiter is blocked (or about to block) in `ready.wait` and has
+    /// not been notified since.
+    parked: bool,
 }
 
 impl Ticket {
     pub(crate) fn new() -> Self {
         Ticket {
             inner: Arc::new(TicketInner {
-                ring: SpscRing::new(1),
-                waiter: WaitSlot::new(),
+                state: Mutex::new(TicketState {
+                    completion: None,
+                    parked: false,
+                }),
+                ready: Condvar::new(),
             }),
         }
     }
 
     pub(crate) fn complete(&self, completion: Completion) {
+        let mut state = self.inner.state.lock().expect("ticket lock");
         // A second complete on the same ticket would be a worker bug;
-        // the ring is full then and the duplicate is dropped.
-        let _ = self.inner.ring.push(completion);
-        self.inner.waiter.notify();
+        // while the first is unclaimed the duplicate is dropped.
+        state.completion.get_or_insert(completion);
+        let notify = std::mem::take(&mut state.parked);
+        drop(state);
+        if notify {
+            self.inner.ready.notify_one();
+        }
     }
 
     /// Blocks until the worker completes the request.
     #[must_use]
     pub fn wait(&self) -> Completion {
+        let mut state = self.inner.state.lock().expect("ticket lock");
         loop {
-            if let Some(completion) = self.inner.ring.pop() {
+            if let Some(completion) = state.completion.take() {
                 return completion;
             }
-            self.inner
-                .waiter
-                .wait_until(None, || !self.inner.ring.is_empty());
+            state.parked = true;
+            state = self.inner.ready.wait(state).expect("ticket wait");
         }
-    }
-
-    /// Blocks until the worker completes the request or `timeout`
-    /// elapses — the bounded-wait escape hatch for callers that must
-    /// not hang on a completion that will never come.
-    #[must_use]
-    pub fn wait_deadline(&self, timeout: Duration) -> Option<Completion> {
-        let deadline = Instant::now() + timeout;
-        self.inner
-            .waiter
-            .wait_until(Some(deadline), || !self.inner.ring.is_empty());
-        self.inner.ring.pop()
     }
 
     /// Non-blocking check.
     #[must_use]
     pub fn try_take(&self) -> Option<Completion> {
-        self.inner.ring.pop()
+        self.inner
+            .state
+            .lock()
+            .expect("ticket lock")
+            .completion
+            .take()
     }
 }
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket")
-            .field("ready", &!self.inner.ring.is_empty())
-            .finish()
+        let ready = self
+            .inner
+            .state
+            .lock()
+            .expect("ticket lock")
+            .completion
+            .is_some();
+        f.debug_struct("Ticket").field("ready", &ready).finish()
     }
-}
-
-/// One wakeup's worth of work handed to a worker.
-#[derive(Debug)]
-pub struct WorkBatch {
-    /// Requests popped from the queue (possibly empty on a kick or
-    /// shutdown).
-    pub requests: Vec<Request>,
-    /// Whether the queue has been stopped (the worker exits once it has
-    /// also drained its connections).
-    pub stopped: bool,
 }
 
 /// A bounded MPSC queue feeding exactly one worker, with a lock-free
@@ -255,23 +254,15 @@ pub struct ShardQueue {
     routed_pending: AtomicUsize,
     routed_cap: usize,
     stopped: AtomicBool,
-    /// Set by [`ShardQueue::kick`]: wake the worker once even with an
-    /// empty queue (new connection assigned, go adopt it).
-    kicked: AtomicBool,
     shed: AtomicU64,
     submitted: AtomicU64,
     stolen: AtomicU64,
     routed: AtomicU64,
     routed_rejections: AtomicU64,
     shed_latency: Mutex<LatencyHistogram>,
-    /// Cold-path blocking for [`wait_work`](Self::wait_work): producers
-    /// take this lock only when `sleepers` says somebody registered.
-    sleeper: Mutex<()>,
-    available: Condvar,
-    sleepers: AtomicUsize,
-    /// The shard's wake set, bound once at runtime start (empty for a
-    /// queue used standalone).
-    wakes: OnceLock<Arc<WakeSet>>,
+    /// The shard's wake set: signalled by every push, kick and stop;
+    /// the one thing this queue's consumer parks on.
+    wakes: Arc<WakeSet>,
     /// Sibling wake sets to ring when the backlog crosses
     /// `steal_watermark` or surplus is published; wired only when work
     /// stealing is enabled.
@@ -293,28 +284,23 @@ impl ShardQueue {
             routed_pending: AtomicUsize::new(0),
             routed_cap: capacity.saturating_mul(4).max(16),
             stopped: AtomicBool::new(false),
-            kicked: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             routed_rejections: AtomicU64::new(0),
             shed_latency: Mutex::new(LatencyHistogram::new()),
-            sleeper: Mutex::new(()),
-            available: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            wakes: OnceLock::new(),
+            wakes: Arc::new(WakeSet::new()),
             steal_bells: OnceLock::new(),
             steal_watermark: AtomicUsize::new(usize::MAX),
             next_bell: AtomicUsize::new(0),
         }
     }
 
-    /// Binds this queue to its shard's wake set: every push/kick/stop
-    /// from now on signals the set (after the queue state is
-    /// observable). Called once, before the runtime starts accepting.
-    pub(crate) fn bind_wakeset(&self, wakes: Arc<WakeSet>) {
-        assert!(self.wakes.set(wakes).is_ok(), "wakeset bound once");
+    /// The shard's wake set this queue signals: the runtime hands it to
+    /// the shard's worker, its connections and its siblings' bells.
+    pub(crate) fn wakes(&self) -> &Arc<WakeSet> {
+        &self.wakes
     }
 
     /// Wires the sibling wake sets this queue rings when its backlog
@@ -324,12 +310,6 @@ impl ShardQueue {
         self.steal_watermark
             .store(watermark.max(1), Ordering::Relaxed);
         assert!(self.steal_bells.set(bells).is_ok(), "bells wired once");
-    }
-
-    fn signal_wakeset(&self) {
-        if let Some(wakes) = self.wakes.get() {
-            wakes.signal_queue();
-        }
     }
 
     /// Rings the next sibling's steal bell, round-robin.
@@ -350,19 +330,6 @@ impl ShardQueue {
             return;
         }
         self.ring_steal_bell();
-    }
-
-    /// Wakes a `wait_work` sleeper, if one has registered. Producers pay
-    /// one atomic load on the fast path; the lock round-trip happens
-    /// only when somebody is actually asleep. Callers make their change
-    /// (push, `kicked`, `stopped`) visible first, and a sleeper
-    /// registers before re-checking all three — both `SeqCst`, so at
-    /// least one side sees the other.
-    fn notify_sleeper(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sleeper.lock().expect("sleeper lock");
-            self.available.notify_all();
-        }
     }
 
     fn shed_request(&self, request: &Request) -> bool {
@@ -390,7 +357,7 @@ impl ShardQueue {
     /// already shut down). Returns whether the request was accepted.
     /// Lock-free: a CAS to reserve depth, one `XCHG` to link the node.
     pub fn try_push(&self, request: Request) -> bool {
-        if self.stopped.load(Ordering::SeqCst) {
+        if self.is_stopped() {
             return self.shed_request(&request);
         }
         // Reserve a depth slot; the bound stays exact because the slot
@@ -415,7 +382,7 @@ impl ShardQueue {
         // stopping drainer uses to decide "still work coming", so a
         // push that raced with stop either lands before the final
         // drain's empty check or observes `stopped` here and backs out.
-        if self.stopped.load(Ordering::SeqCst) {
+        if self.is_stopped() {
             self.admitted.fetch_sub(1, Ordering::SeqCst);
             return self.shed_request(&request);
         }
@@ -423,8 +390,7 @@ impl ShardQueue {
             Ok(()) => {
                 self.submitted.fetch_add(1, Ordering::Relaxed);
                 let backlog = self.len();
-                self.notify_sleeper();
-                self.signal_wakeset();
+                self.wakes.signal_queue();
                 self.maybe_ring_steal_bell(backlog);
                 return true;
             }
@@ -485,8 +451,7 @@ impl ShardQueue {
                     std::thread::yield_now();
                 }
             }
-            self.notify_sleeper();
-            self.signal_wakeset();
+            self.wakes.signal_queue();
         }
         batch
     }
@@ -521,7 +486,7 @@ impl ShardQueue {
         if requests.is_empty() {
             return Ok(0);
         }
-        if self.stopped.load(Ordering::SeqCst) {
+        if self.is_stopped() {
             return Err(requests);
         }
         let count = requests.len();
@@ -542,15 +507,14 @@ impl ShardQueue {
                 Err(current) => pending = current,
             }
         }
-        if self.stopped.load(Ordering::SeqCst) {
+        if self.is_stopped() {
             self.routed_pending.fetch_sub(count, Ordering::SeqCst);
             return Err(requests);
         }
         match self.inbox.push_batch(requests) {
             Ok(()) => {
                 self.routed.fetch_add(count as u64, Ordering::Relaxed);
-                self.notify_sleeper();
-                self.signal_wakeset();
+                self.wakes.signal_queue();
                 Ok(count as u64)
             }
             Err(requests) => {
@@ -648,42 +612,6 @@ impl ShardQueue {
         batch
     }
 
-    /// Waits for work: returns when requests are available or the queue
-    /// is [kicked](Self::kick) or [stopped](Self::stop). The batch may
-    /// be empty — the caller distinguishes "work", "go look at your
-    /// connections" and "shutting down" via the [`WorkBatch`] fields.
-    pub fn wait_work(&self, max: usize) -> WorkBatch {
-        let max = max.max(1);
-        loop {
-            let kicked = self.kicked.swap(false, Ordering::SeqCst);
-            let mut requests = Vec::new();
-            self.fill(&mut requests, max);
-            let stopped = self.stopped.load(Ordering::SeqCst);
-            if !requests.is_empty() || kicked || stopped {
-                return WorkBatch { requests, stopped };
-            }
-            if !self.is_empty() {
-                // A producer is mid-push (depth reserved, node not yet
-                // linked): the work is instants away, spin for it.
-                std::thread::yield_now();
-                continue;
-            }
-            let guard = self.sleeper.lock().expect("sleeper lock");
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            // Re-check after registering: a producer that saw no
-            // sleeper has already made one of these true.
-            if !self.is_empty()
-                || self.kicked.load(Ordering::SeqCst)
-                || self.stopped.load(Ordering::SeqCst)
-            {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            let _guard = self.available.wait(guard).expect("queue wait");
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
     /// Pops up to `max` pending requests without blocking.
     pub fn try_drain(&self, max: usize) -> Vec<Request> {
         let mut requests = Vec::new();
@@ -693,33 +621,37 @@ impl ShardQueue {
 
     /// Pops up to `max` requests, blocking while the queue is empty and
     /// running. Returns `None` once the queue is stopped **and** fully
-    /// drained — the signal to exit for workers with no connections.
+    /// drained — the signal to exit for a standalone consumer.
+    ///
+    /// Parks on the queue's own wake set, so it is for a queue no
+    /// runtime worker serves: the set has one waiter. Every push and
+    /// stop signals the set after its change is observable, and the set
+    /// latches the signal until this consumer's next wait, so an empty
+    /// drain followed by a wait cannot miss the push that ends it.
     pub fn pop_batch(&self, max: usize) -> Option<Vec<Request>> {
         loop {
-            let batch = self.wait_work(max);
-            if !batch.requests.is_empty() {
-                return Some(batch.requests);
+            let requests = self.try_drain(max);
+            if !requests.is_empty() {
+                return Some(requests);
             }
-            if batch.stopped {
-                if !self.is_empty() {
-                    // A push that raced the stop is still landing (its
-                    // depth reservation is visible, its node not yet);
-                    // stay and drain it.
-                    std::thread::yield_now();
-                    continue;
-                }
+            if !self.is_empty() {
+                // A producer is mid-push (depth reserved, node not yet
+                // linked): the work is instants away, spin for it.
+                std::thread::yield_now();
+            } else if self.is_stopped() {
                 return None;
+            } else {
+                // Kicks and steal hints wake this too; the loop re-checks.
+                let signals = self.wakes.wait();
+                self.wakes.recycle_conns(signals.conns);
             }
-            // Spurious kick with nothing queued: keep waiting.
         }
     }
 
     /// Wakes the worker without enqueueing a request (e.g. a connection
     /// was just assigned to this shard).
     pub fn kick(&self) {
-        self.kicked.store(true, Ordering::SeqCst);
-        self.notify_sleeper();
-        self.signal_wakeset();
+        self.wakes.signal_queue();
     }
 
     /// Begins shutdown: no new requests are accepted; the worker drains
@@ -727,10 +659,7 @@ impl ShardQueue {
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
         self.inbox.close();
-        self.notify_sleeper();
-        if let Some(wakes) = self.wakes.get() {
-            wakes.stop();
-        }
+        self.wakes.stop();
     }
 
     /// Whether [`stop`](Self::stop) has been called.
@@ -838,13 +767,16 @@ mod tests {
     #[test]
     fn kick_wakes_an_empty_wait() {
         let queue = Arc::new(ShardQueue::new(4));
-        let waiter = Arc::clone(&queue);
-        let handle = std::thread::spawn(move || waiter.wait_work(8));
-        std::thread::sleep(Duration::from_millis(5));
+        let remote = Arc::clone(&queue);
+        let handle = std::thread::spawn(move || remote.wakes().wait());
+        while queue.wakes().parks() == 0 {
+            std::thread::yield_now();
+        }
         queue.kick();
-        let batch = handle.join().unwrap();
-        assert!(batch.requests.is_empty());
-        assert!(!batch.stopped, "kick is not shutdown");
+        let signals = handle.join().unwrap();
+        assert!(signals.queue, "kick signals the queue bit");
+        assert!(!signals.stopped, "kick is not shutdown");
+        assert!(queue.is_empty(), "and enqueues nothing");
     }
 
     #[test]
@@ -989,11 +921,9 @@ mod tests {
     }
 
     #[test]
-    fn bound_wakeset_sees_push_kick_and_stop() {
-        use crate::wake::WakeSet;
+    fn owned_wakeset_sees_push_kick_and_stop() {
         let queue = ShardQueue::new(4);
-        let wakes = Arc::new(WakeSet::new());
-        queue.bind_wakeset(Arc::clone(&wakes));
+        let wakes = queue.wakes();
 
         queue.try_push(request(1));
         assert!(wakes.wait().queue, "push signals");
@@ -1048,18 +978,108 @@ mod tests {
     }
 
     #[test]
-    fn ticket_wait_deadline_bounds_a_completion_that_never_comes() {
-        let ticket = Ticket::new();
-        let started = Instant::now();
-        assert!(ticket.wait_deadline(Duration::from_millis(5)).is_none());
-        assert!(started.elapsed() >= Duration::from_millis(5));
-        // And still delivers if the completion lands later.
-        ticket.complete(Completion {
-            client: ClientId(1),
-            response: FrameBuf::default(),
-            disposition: Disposition::Ok,
+    fn pop_batch_loses_no_wakeup_in_a_push_storm() {
+        const PRODUCERS: u64 = 4;
+        const PUSHES: u64 = 20_000;
+        let queue = Arc::new(ShardQueue::new(256));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let remote = Arc::clone(&queue);
+        let consumer = std::thread::spawn(move || {
+            // The consumer drains whenever it wakes and parks whenever
+            // the queue is empty, so a skipped notify leaves it parked
+            // with requests still queued.
+            let mut seen = vec![false; (PRODUCERS * PUSHES) as usize];
+            let mut popped = 0;
+            while popped < seen.len() {
+                for request in remote.pop_batch(32).expect("queue still running") {
+                    let id = request.client.0 as usize;
+                    assert!(!std::mem::replace(&mut seen[id], true), "{id} popped twice");
+                    popped += 1;
+                }
+            }
+            done_tx.send(()).unwrap();
+            // Blocks again until the stop below.
+            remote.pop_batch(32)
         });
-        assert!(ticket.wait_deadline(Duration::from_millis(5)).is_some());
-        assert!(ticket.try_take().is_none(), "delivered exactly once");
+        // The storm opens on a parked consumer, so the parked branch runs.
+        while queue.wakes().parks() == 0 {
+            std::thread::yield_now();
+        }
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    for i in 0..PUSHES {
+                        // A full queue sheds; offer the same id again.
+                        while !queue.try_push(request(p * PUSHES + i)) {
+                            std::thread::yield_now();
+                        }
+                        if i % 300 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("consumer popped every request exactly once (no lost wakeup)");
+        queue.stop();
+        assert!(
+            consumer.join().unwrap().is_none(),
+            "stopped and drained ends the wait"
+        );
+        assert!(
+            queue.wakes().wakeups() > 0,
+            "the parked branch must have run"
+        );
+    }
+
+    #[test]
+    fn ticket_storm_loses_no_wakeup() {
+        const PAIRS: u64 = 4;
+        const TICKETS: u64 = 20_000;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let mut threads = Vec::new();
+        for p in 0..PAIRS {
+            let (ticket_tx, ticket_rx) = std::sync::mpsc::channel::<(u64, Ticket)>();
+            threads.push(std::thread::spawn(move || {
+                for (id, ticket) in ticket_rx {
+                    ticket.complete(Completion {
+                        client: ClientId(id),
+                        response: FrameBuf::default(),
+                        disposition: Disposition::Ok,
+                    });
+                }
+            }));
+            let done_tx = done_tx.clone();
+            threads.push(std::thread::spawn(move || {
+                for i in 0..TICKETS {
+                    let id = p * TICKETS + i;
+                    let ticket = Ticket::new();
+                    ticket_tx.send((id, ticket.clone())).unwrap();
+                    // Vary who arrives first: the waiter parks on some
+                    // tickets and finds others already complete.
+                    if i % 3 == 0 {
+                        std::thread::yield_now();
+                    }
+                    assert_eq!(ticket.wait().client, ClientId(id));
+                    assert!(ticket.try_take().is_none(), "delivered exactly once");
+                }
+                done_tx.send(()).unwrap();
+            }));
+        }
+        for _ in 0..PAIRS {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("every waiter saw every completion (no lost wakeup)");
+        }
+        // Each completer ends when its waiter drops the sending half.
+        for thread in threads {
+            thread.join().unwrap();
+        }
     }
 }

@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 use sdrad::ClientId;
 use sdrad_control::ControlConfig;
 use sdrad_energy::decisions::RungModels;
-use sdrad_energy::restart::RestartModel;
 use sdrad_net::Endpoint;
 use sdrad_nolock::{HazardDomain, Shared};
 use sdrad_telemetry::{
@@ -75,8 +74,6 @@ pub struct RuntimeConfig {
     pub domains_per_worker: usize,
     /// Heap capacity per pooled domain, bytes.
     pub domain_heap: usize,
-    /// Recovery-cost model charged per baseline crash.
-    pub restart: RestartModel,
     /// Per-connection read budget: at most this many framed requests
     /// are served off one connection per pump rotation before the
     /// worker moves on — one noisy pipelining client cannot monopolise
@@ -146,7 +143,6 @@ impl RuntimeConfig {
             isolation,
             domains_per_worker: 8,
             domain_heap: 1 << 20,
-            restart: RestartModel::process_restart(),
             conn_read_budget: 32,
             work_stealing: StealPolicy::Disabled,
             idle_reap_after: None,
@@ -356,7 +352,6 @@ impl std::fmt::Debug for Dispatcher {
 /// [`shutdown`]: Runtime::shutdown
 pub struct Runtime {
     dispatcher: Dispatcher,
-    wakesets: Vec<Arc<WakeSet>>,
     /// Runtime-wide activity counter, bumped on every wake signal — the
     /// quiesce barrier's evidence that its shard-by-shard idle
     /// observations were simultaneous.
@@ -469,16 +464,15 @@ impl Runtime {
         let registries: Vec<Arc<ConnRegistry>> = (0..workers)
             .map(|_| Arc::new(ConnRegistry::default()))
             .collect();
-        let wakesets: Vec<Arc<WakeSet>> = (0..workers).map(|_| Arc::new(WakeSet::new())).collect();
+        // Each queue owns its shard's wake set.
+        let wakesets: Vec<Arc<WakeSet>> = queues.iter().map(|q| Arc::clone(q.wakes())).collect();
         let generation = Arc::new(AtomicU64::new(0));
-        // Wire every wake source *before* any work can arrive: the
-        // queue signals its own shard's set; with stealing on, it also
-        // rings sibling bells once its backlog reaches one batch; and
-        // every set bumps the runtime-wide generation the quiesce
-        // barrier reads.
+        // Wire every wake source *before* any work can arrive: with
+        // stealing on, a queue also rings sibling bells once its backlog
+        // reaches one batch; and every set bumps the runtime-wide
+        // generation the quiesce barrier reads.
         for (index, queue) in queues.iter().enumerate() {
             wakesets[index].bind_generation(Arc::clone(&generation));
-            queue.bind_wakeset(Arc::clone(&wakesets[index]));
             if config.work_stealing.is_enabled() && workers > 1 {
                 let bells: Vec<Arc<WakeSet>> = (0..workers)
                     .filter(|&peer| peer != index)
@@ -560,7 +554,6 @@ impl Runtime {
                 recorder: dispatcher_recorder,
                 attached: Arc::new(AtomicU64::new(0)),
             },
-            wakesets,
             generation,
             live,
             rings,
@@ -607,15 +600,16 @@ impl Runtime {
         // retries) gets a proportionally larger overall deadline so a
         // long-but-progressing drain is not misreported as wedged.
         const FAILSAFE: Duration = Duration::from_secs(5);
-        let workers = u32::try_from(self.wakesets.len()).unwrap_or(u32::MAX);
+        let workers = u32::try_from(self.workers()).unwrap_or(u32::MAX);
         let deadline = Instant::now() + FAILSAFE.saturating_mul(workers.saturating_add(1));
         loop {
             let before = self.generation.load(Ordering::SeqCst);
-            let all_idle = self.wakesets.iter().enumerate().all(|(shard, wakes)| {
-                let queue = &self.dispatcher.queues[shard];
-                let inbox = &self.dispatcher.inboxes[shard];
+            let mut shards = self.dispatcher.queues.iter().zip(&self.dispatcher.inboxes);
+            let all_idle = shards.all(|(queue, inbox)| {
                 let budget = FAILSAFE.min(deadline.saturating_duration_since(Instant::now()));
-                wakes.wait_idle(|| queue.is_empty() && inbox.is_empty(), budget)
+                queue
+                    .wakes()
+                    .wait_idle(|| queue.is_empty() && inbox.is_empty(), budget)
             });
             if !all_idle {
                 return false; // failsafe fired mid-walk

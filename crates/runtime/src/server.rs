@@ -292,8 +292,9 @@ pub(crate) struct RoutedFrame {
 }
 
 /// Hand-off slot for connections newly assigned to a shard. The acceptor
-/// pushes, the worker drains on its next wakeup (the shard queue is
-/// kicked after every push, so a parked worker wakes promptly). Backed
+/// pushes, the worker drains on its next wakeup (every push is followed
+/// by a [`ShardQueue::kick`](crate::ShardQueue::kick), so a parked
+/// worker wakes promptly). Backed
 /// by the lock-free MPSC inbox, so a burst of accepts never serializes
 /// against the adopting worker.
 #[derive(Default)]

@@ -1,9 +1,10 @@
 //! The unified wake source behind event-driven scheduling.
 //!
-//! Each shard owns one [`WakeSet`]: a condvar-backed signal register fed
-//! by every event source that can create work for the shard's worker —
+//! Each shard's [`ShardQueue`](crate::ShardQueue) owns one [`WakeSet`]: a
+//! condvar-backed signal register fed by every event source that can
+//! create work for the shard's worker —
 //!
-//! * the shard's [`ShardQueue`](crate::ShardQueue) (pushes, kicks, stop),
+//! * the queue itself (pushes, kicks, stop),
 //! * readiness callbacks of the connections the worker pumps
 //!   ([`sdrad_net::Endpoint::set_ready_callback`]),
 //! * steal hints rung by *sibling* queues whose backlog crossed the
@@ -13,9 +14,13 @@
 //! timeout and therefore no periodic poll. Every mutation that creates
 //! work signals the set *after* the work is observable, and signals are
 //! level-latched (a signal posted while the worker is mid-pass is
-//! consumed by the next `wait`), so no wakeup can be lost.
+//! consumed by the next `wait`), so no wakeup can be lost. A standalone
+//! queue's consumer parks the same way inside
+//! [`ShardQueue::pop_batch`](crate::ShardQueue::pop_batch), and a
+//! [`Ticket`](crate::Ticket) applies the handshake below to its one
+//! completion: this is the runtime's only blocking protocol.
 //!
-//! ## Notifying only sleepers
+//! ## Notifying only parked threads
 //!
 //! A condvar notify is a futex syscall even when nobody waits, so a
 //! signal notifies only when a thread can be blocked on the set: the
@@ -64,8 +69,8 @@ use std::time::{Duration, Instant};
 /// Everything one [`WakeSet::wait`] return delivers to the worker.
 #[derive(Debug, Default)]
 pub(crate) struct WakeSignals {
-    /// The shard queue was pushed to, kicked, or stopped: drain it and
-    /// adopt inbox connections.
+    /// A push or a kick reached the shard queue: drain it and adopt
+    /// inbox connections.
     pub queue: bool,
     /// A sibling shard crossed its backlog high-water mark: try to
     /// steal.
@@ -132,9 +137,9 @@ impl WakeState {
 /// Workers park on their shard's set; queue pushes, connection
 /// readiness callbacks and sibling steal hints wake them. The public
 /// surface is observational — [`parks`](Self::parks),
-/// [`wakeups`](Self::wakeups), [`is_parked`](Self::is_parked) — the
-/// counters [`WorkerStats`](crate::WorkerStats) snapshots and the park
-/// state [`Runtime::quiesce`](crate::Runtime::quiesce) observes, plus
+/// [`wakeups`](Self::wakeups), [`parked_since`](Self::parked_since) —
+/// the counters [`WorkerStats`](crate::WorkerStats) snapshots and the
+/// park witness stall accounting reads, plus
 /// [`notifies`](Self::notifies), the condvar notifies actually paid;
 /// only the runtime itself posts signals.
 #[derive(Debug, Default)]
@@ -184,8 +189,8 @@ impl WakeSet {
         }
     }
 
-    /// The shard queue has (or may have) work: pushed, kicked, or the
-    /// partial drain left a remainder.
+    /// The shard queue has (or may have) work: a push, a kick, or a
+    /// partial drain that left a remainder.
     pub(crate) fn signal_queue(&self) {
         self.signal(|s| s.queue = true);
     }
@@ -273,18 +278,6 @@ impl WakeSet {
     #[must_use]
     pub fn notifies(&self) -> u64 {
         self.state.lock().expect("wakeset lock").notifies
-    }
-
-    /// Whether the worker is currently parked with nothing pending —
-    /// the instantaneous idleness a steal heuristic reads. Racy by
-    /// nature (the worker may wake the next instant); exact quiescence
-    /// requires the generation-counted barrier of
-    /// [`Runtime::quiesce`](crate::Runtime::quiesce), and exact stall
-    /// accounting uses [`parked_since`](Self::parked_since).
-    #[must_use]
-    pub fn is_parked(&self) -> bool {
-        let state = self.state.lock().expect("wakeset lock");
-        state.parked && !state.pending()
     }
 
     /// The runtime generation at which the worker parked, while it is
@@ -409,20 +402,6 @@ mod tests {
         assert_eq!(generation.load(Ordering::SeqCst), 4);
         let _ = wakes.wait(); // consuming signals is not activity
         assert_eq!(generation.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn is_parked_tracks_the_park_transition() {
-        let wakes = Arc::new(WakeSet::new());
-        assert!(!wakes.is_parked(), "never waited yet");
-        let remote = Arc::clone(&wakes);
-        let worker = std::thread::spawn(move || remote.wait());
-        while !wakes.is_parked() {
-            std::thread::yield_now();
-        }
-        wakes.signal_queue();
-        worker.join().unwrap();
-        assert!(!wakes.is_parked(), "woken worker is no longer parked");
     }
 
     #[test]

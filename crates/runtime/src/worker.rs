@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdrad_control::RecoveryRung;
-use sdrad_energy::restart::RestartModel;
+use sdrad_energy::decisions::RungModels;
 use sdrad_nolock::{FrameBuf, HazardDomain, Shared};
 use sdrad_telemetry::{
     Collector, DeltaFrame, EventKind, LatencyHistogram, LiveTotals, Recorder, Source,
@@ -331,7 +331,6 @@ pub struct Worker<H: SessionHandler> {
     free_tokens: Vec<usize>,
     iso: WorkerIsolation,
     handler: H,
-    restart_model: RestartModel,
     batch: usize,
     conn_budget: usize,
     idle_reap_after: Option<u64>,
@@ -373,7 +372,6 @@ impl<H: SessionHandler> Worker<H> {
             free_tokens: Vec::new(),
             iso,
             handler,
-            restart_model: config.restart,
             batch: config.batch.max(1),
             conn_budget: config.conn_read_budget.max(1),
             idle_reap_after: config.idle_reap_after,
@@ -1073,8 +1071,8 @@ impl<H: SessionHandler> Worker<H> {
     /// later than this pass's start snapshot and is still parked now —
     /// i.e. it provably sat idle across the entire pass that deferred
     /// the frames. A sibling that woke (or was signalled) anywhere in
-    /// the pass is not stranded capacity, and the old racy
-    /// `is_parked()` read could both over- and under-count such
+    /// the pass is not stranded capacity, and an instantaneous
+    /// parked-or-not read could both over- and under-count such
     /// windows.
     fn note_deferred_frames(&mut self) {
         if self.channels.peer_wakes.is_empty() {
@@ -1343,7 +1341,13 @@ impl<H: SessionHandler> Worker<H> {
     /// deterministic. The baseline's crash and the ladder's restart rung
     /// both pay here.
     fn restart_handler(&mut self) {
-        let downtime = self.restart_model.recovery_time(self.handler.state_bytes());
+        // The ladder's own restart model, so the worker's charge and
+        // the control plane's bill are one definition.
+        let downtime = RungModels::calibrated().time_of(
+            RecoveryRung::WorkerRestart,
+            self.handler.state_bytes(),
+            self.domains_per_worker,
+        );
         self.stats.modeled_downtime_ns = self
             .stats
             .modeled_downtime_ns
