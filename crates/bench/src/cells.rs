@@ -125,10 +125,9 @@ pub fn hot_shard_config(workers: usize, policy: StealPolicy, burst: usize) -> Ru
 /// The books every hot-shard cell must close, whatever its policy or
 /// width: reconciliation, exact conservation (zero lost, zero
 /// double-processed), nothing shed at this depth, no crash, no
-/// mutation off its owner shard, every routed mutation served at home,
-/// and — stolen frames carry pooled storage to thief threads and their
-/// buffers flow home over the MPSC return channel — balanced arena
-/// books.
+/// mutation off its owner shard, and — stolen frames carry pooled
+/// storage to thief threads and their buffers flow home over the MPSC
+/// return channel — balanced arena books.
 pub fn assert_skew_books(label: &str, stats: &RuntimeStats, offered: u64) {
     assert!(stats.reconciles(), "{label}: books must balance");
     assert_eq!(
@@ -142,11 +141,6 @@ pub fn assert_skew_books(label: &str, stats: &RuntimeStats, offered: u64) {
         stats.thief_mutations(),
         0,
         "{label}: stealing never mutates state on a thief shard"
-    );
-    assert_eq!(
-        stats.owner_routed(),
-        stats.routed_served(),
-        "{label}: every routed mutation came home"
     );
     assert_eq!(
         stats.arena_acquires(),

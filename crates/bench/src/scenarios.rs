@@ -96,8 +96,8 @@ pub const ALL: &[Scenario] = &[
     },
     Scenario {
         id: "e18",
-        title: "connection-buffer work stealing with owner-routed mutations under a hot-shard \
-                skew",
+        title: "connection-buffer work stealing under a hot-shard skew, mutations left to their \
+                owner",
         claim: "capacity stranded behind a hot shard is energy spent serving nobody; stealing it \
                 back must not let state mutate off its owner shard",
         full: 4_000,

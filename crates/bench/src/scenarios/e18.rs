@@ -18,25 +18,25 @@
 //!   moves. Queue and connection frames drain at one worker's pace.
 //! * **deep** ([`StealPolicy::Deep`]): thieves take read-only queue
 //!   items and lift framing-complete requests off the hot shard's
-//!   connection buffers — read-only frames execute on the thief,
-//!   **mutations are routed back to the owner** (state confinement, cf.
-//!   the owner-domain routing of "Unlimited Lives"), responses stay in
-//!   frame order. Every budget deferral that still finds a sibling
-//!   parked is a **stranded-request stall**.
+//!   connection buffers — read-only frames execute on the thief, a
+//!   **mutation stops the thief** and stays in the buffer for the
+//!   owner's pump (state confinement, cf. the owner-domain routing of
+//!   "Unlimited Lives"), responses stay in frame order. Every budget
+//!   deferral that still finds a sibling parked is a **stranded-request
+//!   stall**.
 //!
 //! Reported per cell: steal depth (queue items + connection frames),
-//! owner-routed mutation rate, stranded stalls, thief-mutated-state
-//! count, drain wall clock, client-observed RTT percentiles (probed
-//! against the drained server — the steady-state regression guard for
-//! the deep machinery), and the modeled fleet energy delta of absorbing
-//! the same skew with stranded vs recruited capacity. Hard assertions
-//! encode the acceptance criteria against the runtime that does not
-//! steal: both cells close [`cells::assert_skew_books`] (exact
-//! conservation — zero double-processing — zero thief-mutated state,
-//! every routed mutation served at home) and contain the scheduled
-//! attacks; the deep cell actually lifts frames off the hot shard's
-//! buffers; and its steady-state probe p99 is no worse than the sticky
-//! runtime's.
+//! stranded stalls, thief-mutated-state count, drain wall clock,
+//! client-observed RTT percentiles (probed against the drained server —
+//! the steady-state regression guard for the deep machinery), and the
+//! modeled fleet energy delta of absorbing the same skew with stranded
+//! vs recruited capacity. Hard assertions encode the acceptance
+//! criteria against the runtime that does not steal: both cells close
+//! [`cells::assert_skew_books`] (exact conservation — zero
+//! double-processing — zero thief-mutated state) and contain the
+//! scheduled attacks; the deep cell actually lifts frames off the hot
+//! shard's buffers; and its steady-state probe p99 is no worse than the
+//! sticky runtime's.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -263,7 +263,6 @@ pub fn run(size: usize) -> Report {
             "rtt p99",
             "q-steals",
             "conn-steals",
-            "routed",
             "stalls",
             "thief-mut",
             "contained",
@@ -278,7 +277,6 @@ pub fn run(size: usize) -> Report {
             fmt_us(cell.rtt.p99()),
             cell.stats.steals().to_string(),
             cell.stats.conn_steals().to_string(),
-            cell.stats.owner_routed().to_string(),
             cell.stats.stranded_stalls().to_string(),
             cell.stats.thief_mutations().to_string(),
             cell.stats.contained_faults().to_string(),
@@ -299,13 +297,10 @@ pub fn run(size: usize) -> Report {
     let delta_kwh = extra_servers * per_server;
     let moved = deep.stats.steals() + deep.stats.conn_steals();
     report.note(format!(
-        "steal depth: deep moved {} queue items + {} connection frames and routed {} \
-         mutations home ({:.1}% of stolen frames), with zero thief-mutated state",
+        "steal depth: deep moved {} queue items + {} connection frames and left every \
+         mutation to its owner, with zero thief-mutated state",
         deep.stats.steals(),
         deep.stats.conn_steals(),
-        deep.stats.owner_routed(),
-        100.0 * deep.stats.owner_routed() as f64
-            / (deep.stats.conn_steals() + deep.stats.owner_routed()).max(1) as f64,
     ));
     report.note(format!(
         "stranded stalls: deep deferred frames {} times while a sibling still sat \

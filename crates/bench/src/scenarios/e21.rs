@@ -204,7 +204,6 @@ pub fn run(size: usize) -> Report {
             "rtt p99",
             "q-steals",
             "conn-steals",
-            "routed",
             "thief-mut",
             "rec",
         ],
@@ -219,7 +218,6 @@ pub fn run(size: usize) -> Report {
             fmt_us(cell.rtt.p99()),
             cell.stats.steals().to_string(),
             cell.stats.conn_steals().to_string(),
-            cell.stats.owner_routed().to_string(),
             cell.stats.thief_mutations().to_string(),
             if cell.stats.reconciles() { "yes" } else { "NO" }.into(),
         ]);

@@ -6,9 +6,8 @@
 //!
 //! * [`MpscQueue`] — an intrusive node-based multi-producer /
 //!   single-consumer queue (Vyukov's design) for shard submission
-//!   inboxes and owner-routed batches. Producers pay one `XCHG` per
-//!   push; a pre-linked chain lands atomically with the same single
-//!   `XCHG`, which is what makes routed batches all-or-nothing.
+//!   inboxes and connection hand-offs. Producers pay one `XCHG` per
+//!   push.
 //! * [`Bounded`] — a bounded MPMC ring (per-slot sequence numbers,
 //!   CAS claim) used as the steal buffer: the owner publishes surplus
 //!   work into it and thieves pop from it, so thieves never touch the

@@ -6,11 +6,6 @@
 //! after its successor link has been read, which is what makes
 //! consumer-side reclamation safe without epochs or hazard pointers.
 //!
-//! A chain of nodes linked locally by the producer lands with the same
-//! single `swap`, so [`MpscQueue::push_batch`] is atomic: the batch is
-//! either entirely in the queue, in order, or (when the queue is
-//! closed) entirely returned to the caller.
-//!
 //! # The head-blocked window
 //!
 //! Between a producer's head `swap` and its `next` store, the consumer
@@ -89,39 +84,6 @@ impl<T> MpscQueue<T> {
         Ok(())
     }
 
-    /// Append a whole batch atomically, preserving order. Either every
-    /// element is enqueued contiguously or (queue closed) the batch is
-    /// returned untouched.
-    pub fn push_batch(&self, values: Vec<T>) -> Result<(), Vec<T>> {
-        if values.is_empty() {
-            return Ok(());
-        }
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(values);
-        }
-        let count = values.len();
-        // Link the chain locally first; the writes become visible to
-        // the consumer via the release-store that publishes `first`.
-        let mut first: *mut Node<T> = ptr::null_mut();
-        let mut last: *mut Node<T> = ptr::null_mut();
-        for value in values {
-            let node = Node::boxed(Some(value));
-            if first.is_null() {
-                first = node;
-            } else {
-                // SAFETY: `last` is a node we just allocated and still
-                // own exclusively until the publishing swap below.
-                unsafe { (*last).next.store(node, Ordering::Relaxed) };
-            }
-            last = node;
-        }
-        self.len.fetch_add(count, Ordering::SeqCst);
-        let prev = self.head.swap(last, Ordering::AcqRel);
-        // SAFETY: as in `push` — we exclusively own `prev.next`.
-        unsafe { (*prev).next.store(first, Ordering::Release) };
-        Ok(())
-    }
-
     /// Pop the oldest value. `None` when the queue is empty, when a
     /// producer is mid-push (the head-blocked window), or when another
     /// thread currently holds the consumer role.
@@ -173,8 +135,8 @@ impl<T> MpscQueue<T> {
         self.len() == 0
     }
 
-    /// Close the intake: subsequent `push`/`push_batch` calls fail and
-    /// return their values. Values already inside remain poppable.
+    /// Close the intake: subsequent `push` calls fail and return their
+    /// values. Values already inside remain poppable.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
     }

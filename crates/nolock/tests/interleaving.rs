@@ -92,53 +92,6 @@ fn mpsc_preserves_per_producer_fifo_order() {
 }
 
 #[test]
-fn mpsc_batch_push_is_contiguous() {
-    let queue = Arc::new(MpscQueue::new());
-    let gate = Arc::new(Barrier::new(PRODUCERS + 1));
-    let batches = 200usize;
-    let batch_len = 10usize;
-    let mut handles = Vec::new();
-    for producer in 0..PRODUCERS {
-        let queue = Arc::clone(&queue);
-        let gate = Arc::clone(&gate);
-        handles.push(thread::spawn(move || {
-            gate.wait();
-            for batch in 0..batches {
-                let chunk: Vec<u64> = (0..batch_len)
-                    .map(|i| tag(producer, batch * batch_len + i))
-                    .collect();
-                queue.push_batch(chunk).expect("queue is open");
-            }
-        }));
-    }
-    gate.wait();
-    let total = PRODUCERS * batches * batch_len;
-    let mut popped = Vec::with_capacity(total);
-    while popped.len() < total {
-        match queue.pop() {
-            Some(value) => popped.push(value),
-            None => thread::yield_now(),
-        }
-    }
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    // A batch is linked as one chain: its elements must be adjacent in
-    // the consumed stream, never interleaved with another producer's.
-    for window in popped.chunks(batch_len) {
-        let producer = window[0] >> 32;
-        let first = window[0] & u32::MAX as u64;
-        assert!(
-            first.is_multiple_of(batch_len as u64),
-            "batch start misaligned"
-        );
-        for (i, &value) in window.iter().enumerate() {
-            assert_eq!(value, (producer << 32) | (first + i as u64), "batch torn");
-        }
-    }
-}
-
-#[test]
 fn mpsc_drains_after_close() {
     let queue = Arc::new(MpscQueue::new());
     let gate = Arc::new(Barrier::new(PRODUCERS + 1));

@@ -88,9 +88,9 @@ pub enum StealClass {
     ReadOnly,
     /// Mutates shard state: must only ever execute on the shard that
     /// owns the state. Under [`StealPolicy::Deep`](crate::StealPolicy)
-    /// a thief that encounters one on a stolen connection buffer routes
-    /// it **back to the owner** as an owner-routed submission instead
-    /// of executing it.
+    /// a thief that meets one on a stolen connection buffer **stops
+    /// there**: the mutation and every frame behind it stay in the
+    /// buffer for the owner's own pump.
     Mutation,
 }
 
@@ -125,7 +125,7 @@ pub trait SessionHandler {
     ///
     /// The default classifies **everything** as a mutation — the safe
     /// answer for a handler that never opted in: deep stealing then
-    /// routes every stolen frame back to the owner and thieves execute
+    /// leaves every connection frame to its owner and thieves execute
     /// nothing foreign. Protocol adapters override it with their
     /// parser's knowledge.
     fn steal_class(&self, request: &[u8]) -> StealClass {

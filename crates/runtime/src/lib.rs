@@ -21,10 +21,11 @@
 //!   requests off the most-loaded sibling queue and lifts
 //!   framing-complete requests off sibling **connection buffers** —
 //!   read-only frames (per [`SessionHandler::steal_class`]) execute on
-//!   the thief, shard-state **mutations are routed back to the owner**
-//!   with responses written in frame order, so stealing is safe for
-//!   shard-stateful handlers. Connections themselves never move: they
-//!   stay sticky for domain affinity;
+//!   the thief, a shard-state **mutation stops the thief** and stays in
+//!   the buffer for the owner's own pump, and responses keep frame
+//!   order, so stealing is safe for shard-stateful handlers.
+//!   Connections themselves never move: they stay sticky for domain
+//!   affinity;
 //! * [`Runtime`] — a shard-by-[`ClientId`] dispatcher with **bounded**
 //!   per-worker queues and backpressure: a saturated shard sheds
 //!   requests instead of growing without bound. [`Runtime::quiesce`]
@@ -63,8 +64,8 @@
 //! submits), `e16_connection_serving` (full connection path, all three
 //! workloads, `sdrad-faultsim`-scheduled attacks) and `e18_deep_steal`
 //! (no stealing vs deep stealing under a hot-shard skew: steal depth,
-//! owner-routed mutation rate, stranded stalls, fleet energy of
-//! stranded capacity) sweep this runtime baseline vs isolated.
+//! state confinement, stranded stalls, fleet energy of stranded
+//! capacity) sweep this runtime baseline vs isolated.
 //!
 //! ## Example
 //!

@@ -13,8 +13,7 @@
 //! [`sdrad_nolock`]):
 //!
 //! * an intrusive **MPSC inbox** (Vyukov) that producers push into with
-//!   one `XCHG` — external submits and owner-routed batches alike (a
-//!   routed batch lands atomically as one pre-linked chain);
+//!   one `XCHG`;
 //! * a bounded **MPMC steal buffer** the owner *publishes* surplus work
 //!   into. Thieves pop the buffer and never touch the owner's pump
 //!   loop, which is what makes a steal storm unable to stall the
@@ -63,13 +62,6 @@ pub struct Request {
     /// When the request entered the runtime (latency measurements count
     /// queue wait from this instant).
     pub accepted_at: Instant,
-    /// Present when this is an **owner-routed mutation**: a frame a
-    /// work-stealing sibling lifted off a connection buffer and routed
-    /// back to the owner shard because it mutates shard state. The
-    /// serving owner writes the response to the connection (in frame
-    /// order, via the tray) instead of completing a ticket. Never
-    /// stealable.
-    pub(crate) routed: Option<crate::server::RoutedFrame>,
 }
 
 impl Request {
@@ -81,29 +73,7 @@ impl Request {
             payload: payload.into(),
             ticket,
             accepted_at: Instant::now(),
-            routed: None,
         }
-    }
-
-    /// An owner-routed mutation frame (see [`Request::routed`]).
-    pub(crate) fn owner_routed(
-        client: ClientId,
-        payload: impl Into<FrameBuf>,
-        frame: crate::server::RoutedFrame,
-    ) -> Self {
-        Request {
-            client,
-            payload: payload.into(),
-            ticket: None,
-            accepted_at: Instant::now(),
-            routed: Some(frame),
-        }
-    }
-
-    /// Whether this is an owner-routed mutation frame.
-    #[must_use]
-    pub(crate) fn is_routed(&self) -> bool {
-        self.routed.is_some()
     }
 }
 
@@ -239,7 +209,7 @@ impl std::fmt::Debug for Ticket {
 /// A bounded MPSC queue feeding exactly one worker, with a lock-free
 /// steal buffer idle siblings [steal](Self::steal_where) from.
 pub struct ShardQueue {
-    /// Lock-free submission inbox: external submits and routed batches.
+    /// Lock-free submission inbox.
     inbox: MpscQueue<Request>,
     /// The steal buffer: surplus the owner published for thieves.
     buffer: Bounded<Request>,
@@ -248,17 +218,10 @@ pub struct ShardQueue {
     /// by CAS **before** the push, released when a worker claims the
     /// request — the exact capacity bound, without a lock.
     admitted: AtomicUsize,
-    /// Owner-routed frames currently queued. Routed work is exempt from
-    /// `capacity` (its bytes were already accepted on a connection) but
-    /// bounded by `routed_cap` with all-or-nothing reservation.
-    routed_pending: AtomicUsize,
-    routed_cap: usize,
     stopped: AtomicBool,
     shed: AtomicU64,
     submitted: AtomicU64,
     stolen: AtomicU64,
-    routed: AtomicU64,
-    routed_rejections: AtomicU64,
     shed_latency: Mutex<LatencyHistogram>,
     /// The shard's wake set: signalled by every push, kick and stop;
     /// the one thing this queue's consumer parks on.
@@ -281,14 +244,10 @@ impl ShardQueue {
             buffer: Bounded::new(capacity.next_power_of_two().clamp(8, 1024)),
             capacity,
             admitted: AtomicUsize::new(0),
-            routed_pending: AtomicUsize::new(0),
-            routed_cap: capacity.saturating_mul(4).max(16),
             stopped: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
-            routed: AtomicU64::new(0),
-            routed_rejections: AtomicU64::new(0),
             shed_latency: Mutex::new(LatencyHistogram::new()),
             wakes: Arc::new(WakeSet::new()),
             steal_bells: OnceLock::new(),
@@ -345,12 +304,8 @@ impl ShardQueue {
     }
 
     /// Releases the depth reservation of a claimed (popped) request.
-    fn release_claim(&self, request: &Request) {
-        if request.is_routed() {
-            self.routed_pending.fetch_sub(1, Ordering::SeqCst);
-        } else {
-            self.admitted.fetch_sub(1, Ordering::SeqCst);
-        }
+    fn release_claim(&self) {
+        self.admitted.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Enqueues a request, or sheds it when the shard is saturated (or
@@ -413,8 +368,7 @@ impl ShardQueue {
     /// The publisher applies the same classification when it publishes,
     /// so in steady state every buffered request passes; a request that
     /// does not is returned to the shard — to the inbox when it is
-    /// open, else back into the buffer — never dropped. Owner-routed
-    /// frames are never published and therefore never stealable.
+    /// open, else back into the buffer — never dropped.
     pub fn steal_where(&self, max: usize, stealable: impl Fn(&Request) -> bool) -> Vec<Request> {
         let occupancy = self.buffer.len();
         if occupancy == 0 {
@@ -430,9 +384,8 @@ impl ShardQueue {
                 None => break,
             }
         }
-        for request in batch.iter() {
-            debug_assert!(!request.is_routed(), "routed frames are never published");
-            self.release_claim(request);
+        for _ in &batch {
+            self.release_claim();
         }
         self.stolen.fetch_add(batch.len() as u64, Ordering::Relaxed);
         if !rejected.is_empty() {
@@ -462,82 +415,6 @@ impl ShardQueue {
         self.stolen.load(Ordering::Relaxed)
     }
 
-    /// Enqueues a run of **owner-routed mutations** a thief lifted off
-    /// one of this shard's connection buffers — the whole run in **one**
-    /// queue operation (one pre-linked chain, one `XCHG`, one wake
-    /// signal), all-or-nothing by construction, so a write-heavy skew
-    /// pays one owner hand-off per run of consecutive mutations instead
-    /// of one per frame.
-    ///
-    /// Unlike [`try_push`] this is exempt from the capacity bound — the
-    /// bytes were already accepted on a connection, so shedding here
-    /// would un-accept admitted work — but it is still bounded: at most
-    /// `4 × capacity` (min 16) routed frames may be pending, reserved
-    /// all-or-nothing, and it refuses once the queue is stopped. On
-    /// refusal every request comes back and the caller restores the
-    /// frames to the tray, where the owner's pump (or shutdown drain)
-    /// serves every staged byte — re-queued exactly once, never shed,
-    /// never double-counted. Counted in [`routed`](Self::routed), not in
-    /// [`submitted`](Self::submitted): routed frames are connection
-    /// work, not external submits.
-    ///
-    /// [`try_push`]: Self::try_push
-    pub(crate) fn push_routed_batch(&self, requests: Vec<Request>) -> Result<u64, Vec<Request>> {
-        if requests.is_empty() {
-            return Ok(0);
-        }
-        if self.is_stopped() {
-            return Err(requests);
-        }
-        let count = requests.len();
-        // All-or-nothing reservation against the routed bound.
-        let mut pending = self.routed_pending.load(Ordering::SeqCst);
-        loop {
-            if pending + count > self.routed_cap {
-                self.routed_rejections.fetch_add(1, Ordering::Relaxed);
-                return Err(requests);
-            }
-            match self.routed_pending.compare_exchange_weak(
-                pending,
-                pending + count,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(current) => pending = current,
-            }
-        }
-        if self.is_stopped() {
-            self.routed_pending.fetch_sub(count, Ordering::SeqCst);
-            return Err(requests);
-        }
-        match self.inbox.push_batch(requests) {
-            Ok(()) => {
-                self.routed.fetch_add(count as u64, Ordering::Relaxed);
-                self.wakes.signal_queue();
-                Ok(count as u64)
-            }
-            Err(requests) => {
-                // The inbox closed between the checks: back out whole.
-                self.routed_pending.fetch_sub(count, Ordering::SeqCst);
-                Err(requests)
-            }
-        }
-    }
-
-    /// Owner-routed mutation frames accepted by this queue.
-    #[must_use]
-    pub fn routed(&self) -> u64 {
-        self.routed.load(Ordering::Relaxed)
-    }
-
-    /// Routed batches refused because the routed bound was full (each a
-    /// whole batch restored to its tray, not shed).
-    #[must_use]
-    pub fn routed_rejections(&self) -> u64 {
-        self.routed_rejections.load(Ordering::Relaxed)
-    }
-
     /// Pops inbox requests into `batch` up to `max`, releasing their
     /// depth reservations; once the inbox is exhausted, reclaims
     /// published-but-unstolen work from the steal buffer (the owner
@@ -546,7 +423,7 @@ impl ShardQueue {
         while batch.len() < max {
             match self.inbox.pop() {
                 Some(request) => {
-                    self.release_claim(&request);
+                    self.release_claim();
                     batch.push(request);
                 }
                 None => break,
@@ -556,7 +433,7 @@ impl ShardQueue {
             while batch.len() < max {
                 match self.buffer.pop() {
                     Some(request) => {
-                        self.release_claim(&request);
+                        self.release_claim();
                         batch.push(request);
                     }
                     None => break,
@@ -568,9 +445,9 @@ impl ShardQueue {
     /// The owner's drain: pops up to `max` requests for its own batch,
     /// then **publishes** up to half the remaining inbox backlog into
     /// the steal buffer — only requests passing `publishable` (the
-    /// shard's steal classification); mutations and routed frames stay
-    /// in the owner's batch (which may therefore exceed `max` by a
-    /// bounded amount rather than head-block publication). Rings a
+    /// shard's steal classification); mutations stay in the owner's
+    /// batch (which may therefore exceed `max` by a bounded amount
+    /// rather than head-block publication). Rings a
     /// sibling steal bell when anything was published. Reclaims the
     /// buffer when the inbox runs dry, so published work is never
     /// stranded.
@@ -589,17 +466,17 @@ impl ShardQueue {
         while published < quota && batch.len() < max.saturating_mul(2) {
             match self.inbox.pop() {
                 Some(request) => {
-                    if !request.is_routed() && publishable(&request) {
+                    if publishable(&request) {
                         match self.buffer.push(request) {
                             Ok(()) => published += 1,
                             Err(request) => {
-                                self.release_claim(&request);
+                                self.release_claim();
                                 batch.push(request);
                                 break;
                             }
                         }
                     } else {
-                        self.release_claim(&request);
+                        self.release_claim();
                         batch.push(request);
                     }
                 }
@@ -693,7 +570,7 @@ impl ShardQueue {
     /// including published-but-unstolen work in the steal buffer.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.admitted.load(Ordering::SeqCst) + self.routed_pending.load(Ordering::SeqCst)
+        self.admitted.load(Ordering::SeqCst)
     }
 
     /// True when nothing is pending.
@@ -865,59 +742,6 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn routed_batches_are_bounded_all_or_nothing() {
-        use crate::server::{Connection, RoutedFrame};
-        use sdrad_net::Listener;
-
-        let listener = Listener::new();
-        let _client = listener.connect();
-        let endpoint = listener.accept_blocking().expect("loopback accept");
-        let conn = Connection::new(ClientId(1), endpoint);
-
-        let routed_request = || {
-            Request::owner_routed(
-                ClientId(1),
-                b"set k 1\r\nv\r\n".to_vec(),
-                RoutedFrame {
-                    tray: Arc::clone(&conn.tray),
-                },
-            )
-        };
-
-        // capacity 1 → routed bound is the 16 minimum.
-        let queue = ShardQueue::new(1);
-        let batch: Vec<Request> = (0..16).map(|_| routed_request()).collect();
-        assert_eq!(queue.push_routed_batch(batch).expect("fits"), 16);
-        assert_eq!(queue.routed(), 16);
-
-        // The bound is full: the whole batch comes back, nothing is
-        // half-enqueued, and the refusal is counted.
-        let overflow: Vec<Request> = (0..2).map(|_| routed_request()).collect();
-        let returned = queue
-            .push_routed_batch(overflow)
-            .expect_err("routed bound full");
-        assert_eq!(returned.len(), 2);
-        assert_eq!(queue.routed(), 16, "refused batch never counted");
-        assert_eq!(queue.routed_rejections(), 1);
-        assert_eq!(queue.len(), 16);
-
-        // Routed work is exempt from—and does not consume—the external
-        // capacity bound.
-        assert!(queue.try_push(request(7)));
-        assert_eq!(queue.len(), 17);
-
-        // Draining releases routed reservations and frees the bound.
-        let drained = queue.try_drain(32);
-        assert_eq!(drained.len(), 17);
-        assert_eq!(
-            queue
-                .push_routed_batch(vec![routed_request()])
-                .expect("freed"),
-            1
-        );
     }
 
     #[test]

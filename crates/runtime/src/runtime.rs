@@ -39,11 +39,11 @@ pub enum StealPolicy {
     /// callbacks, lifecycle, stats — never moves), made safe for
     /// shard-stateful handlers by classification
     /// ([`SessionHandler::steal_class`]): read-only requests execute on
-    /// the thief, **mutations are routed back to the owner shard** as
-    /// owner-routed submissions whose responses are written to the
-    /// connection in frame order. Queue steals are classification-
-    /// filtered too, so state never mutates off its owner shard; a
-    /// stateless handler that classifies everything
+    /// the thief, while a **mutation stops the thief** — it and every
+    /// frame behind it stay in the connection buffer for the owner's
+    /// own pump, which answers in frame order. Queue steals are
+    /// classification-filtered too, so state never mutates off its
+    /// owner shard; a stateless handler that classifies everything
     /// [`ReadOnly`](crate::StealClass::ReadOnly) gets every queued
     /// request stolen freely.
     ///
@@ -83,8 +83,8 @@ pub struct RuntimeConfig {
     /// siblings. Connections always stay sticky to their owner shard
     /// (domain affinity); what moves depends on the policy: nothing
     /// ([`StealPolicy::Disabled`], the default), or read-only queue
-    /// items plus framing-complete requests off sibling connection
-    /// buffers, with mutations routed back to their owner
+    /// items plus framing-complete read-only requests off sibling
+    /// connection buffers, with mutations left to their owner
     /// ([`StealPolicy::Deep`]).
     pub work_stealing: StealPolicy,
     /// Close connections that made no progress for this many pump
@@ -175,14 +175,6 @@ pub enum SubmitOutcome {
     Shed,
 }
 
-impl SubmitOutcome {
-    /// True when the request was accepted.
-    #[must_use]
-    pub fn is_enqueued(&self) -> bool {
-        matches!(self, SubmitOutcome::Enqueued(_))
-    }
-}
-
 /// A clonable routing handle: shard math plus the per-shard queues and
 /// connection inboxes. The acceptor thread of a
 /// [`ConnectionServer`](crate::ConnectionServer) owns one, so it can
@@ -227,16 +219,39 @@ impl Dispatcher {
         (hash % self.hash_shards as u64) as usize
     }
 
-    /// Admission control: the shard this request/connection goes to, or
-    /// the reason it was refused.
-    fn route(&self, client: ClientId) -> Result<usize, ShedReason> {
-        match &self.control {
-            None => Ok(self.shard_of(client)),
-            Some(hub) => match hub.admit(client) {
-                Routing::Sticky => Ok(self.shard_of(client)),
-                Routing::BlastPit(pit) => Ok(pit),
-                Routing::Refuse(reason) => Err(reason),
-            },
+    /// Admission control: the shard this request/connection goes to,
+    /// or `None` once it was refused (the refusal is recorded).
+    fn admit(&self, client: ClientId) -> Option<usize> {
+        let routing = self
+            .control
+            .as_ref()
+            .map_or(Routing::Sticky, |hub| hub.admit(client));
+        match routing {
+            Routing::Sticky => Some(self.shard_of(client)),
+            Routing::BlastPit(pit) => Some(pit),
+            Routing::Refuse(reason) => {
+                self.emit_shed(client, reason);
+                None
+            }
+        }
+    }
+
+    /// Pushes an admitted request onto `shard`'s queue, recording
+    /// `Submit` when it is accepted and a queue-full shed when not.
+    fn push(&self, shard: usize, request: Request) -> bool {
+        let client = request.client;
+        let bytes = request.payload.len() as u64;
+        if self.queues[shard].try_push(request) {
+            self.recorder.emit(
+                EventKind::Submit,
+                u16::try_from(shard).unwrap_or(u16::MAX),
+                client.0,
+                bytes,
+            );
+            true
+        } else {
+            self.emit_shed(client, ShedReason::QueueFull);
+            false
         }
     }
 
@@ -257,21 +272,16 @@ impl Dispatcher {
     /// is refused visibly: the peer observes a close instead of a
     /// stranded connection.
     pub fn attach(&self, client: ClientId, mut endpoint: Endpoint) {
-        let shard = match self.route(client) {
-            Ok(shard) => shard,
-            Err(reason) => {
-                self.emit_shed(client, reason);
-                endpoint.close();
-                self.attached.fetch_add(1, Ordering::SeqCst);
-                return;
-            }
-        };
-        if self.queues[shard].is_stopped() {
-            // A shutdown race, not a policy decision: no shed event.
+        // A stopped shard is a shutdown race, not a policy decision:
+        // refused like a ban, but with no shed event.
+        let Some(shard) = self
+            .admit(client)
+            .filter(|&shard| !self.queues[shard].is_stopped())
+        else {
             endpoint.close();
             self.attached.fetch_add(1, Ordering::SeqCst);
             return;
-        }
+        };
         let conn = Connection::new(client, endpoint);
         // Published before the inbox push: a deep-steal thief may start
         // draining the tray even before the owner adopts the
@@ -287,26 +297,13 @@ impl Dispatcher {
     /// (a throttled, overloaded or banned client sheds here, before
     /// any queue is touched).
     pub fn submit(&self, client: ClientId, payload: Vec<u8>) -> SubmitOutcome {
-        let shard = match self.route(client) {
-            Ok(shard) => shard,
-            Err(reason) => {
-                self.emit_shed(client, reason);
-                return SubmitOutcome::Shed;
-            }
+        let Some(shard) = self.admit(client) else {
+            return SubmitOutcome::Shed;
         };
-        let bytes = payload.len() as u64;
         let ticket = Ticket::new();
-        let request = Request::new(client, payload, Some(ticket.clone()));
-        if self.queues[shard].try_push(request) {
-            self.recorder.emit(
-                EventKind::Submit,
-                u16::try_from(shard).unwrap_or(u16::MAX),
-                client.0,
-                bytes,
-            );
+        if self.push(shard, Request::new(client, payload, Some(ticket.clone()))) {
             SubmitOutcome::Enqueued(ticket)
         } else {
-            self.emit_shed(client, ShedReason::QueueFull);
             SubmitOutcome::Shed
         }
     }
@@ -314,26 +311,8 @@ impl Dispatcher {
     /// Fire-and-forget submit for load generation (no completion slot to
     /// allocate or fill). Returns whether the request was accepted.
     pub fn submit_detached(&self, client: ClientId, payload: Vec<u8>) -> bool {
-        let shard = match self.route(client) {
-            Ok(shard) => shard,
-            Err(reason) => {
-                self.emit_shed(client, reason);
-                return false;
-            }
-        };
-        let bytes = payload.len() as u64;
-        if self.queues[shard].try_push(Request::new(client, payload, None)) {
-            self.recorder.emit(
-                EventKind::Submit,
-                u16::try_from(shard).unwrap_or(u16::MAX),
-                client.0,
-                bytes,
-            );
-            true
-        } else {
-            self.emit_shed(client, ShedReason::QueueFull);
-            false
-        }
+        self.admit(client)
+            .is_some_and(|shard| self.push(shard, Request::new(client, payload, None)))
     }
 }
 
@@ -578,7 +557,7 @@ impl Runtime {
     ///
     /// 1. snapshot the runtime-wide generation counter (bumped by every
     ///    wake signal anywhere: queue pushes, readiness edges, steal
-    ///    hints, owner-routed submissions);
+    ///    hints, a thief handing a tray back to its owner);
     /// 2. observe every shard idle — worker parked on its wake set with
     ///    an empty queue, an empty connection inbox and no pending
     ///    readiness signals;
@@ -586,14 +565,14 @@ impl Runtime {
     ///    anywhere** while the shards were being walked, so the
     ///    per-shard idle observations were simultaneous, not merely
     ///    sequential — without this, a shard checked early could be
-    ///    re-busied by a sibling (a stolen request completing as an
-    ///    owner-routed submission, a steal bell) behind the walker's
+    ///    re-busied by a sibling (a thief releasing a tray gate with
+    ///    frames left behind it, a steal bell) behind the walker's
     ///    back. Changed means retry.
     ///
     /// On success, every connection byte written before the call has
-    /// been fully served and every cross-shard hand-off (steal or
-    /// routed mutation) in flight at the time has landed. Returns
-    /// `false` only on the (defensive) failsafe timeout.
+    /// been fully served and every steal in flight at the time has
+    /// landed. Returns `false` only on the (defensive) failsafe
+    /// timeout.
     pub fn quiesce(&self) -> bool {
         // Each shard observation keeps the same per-shard failsafe the
         // one-by-one walk had; the whole barrier (walks plus generation
@@ -738,13 +717,6 @@ impl Runtime {
         }
         let submitted = self.dispatcher.queues.iter().map(|q| q.submitted()).sum();
         let stolen_submits = self.dispatcher.queues.iter().map(|q| q.stolen()).sum();
-        let routed_submits = self.dispatcher.queues.iter().map(|q| q.routed()).sum();
-        let routed_rejections = self
-            .dispatcher
-            .queues
-            .iter()
-            .map(|q| q.routed_rejections())
-            .sum();
         let conn_stolen = self
             .dispatcher
             .registries
@@ -772,8 +744,6 @@ impl Runtime {
             workers,
             submitted,
             stolen_submits,
-            routed_submits,
-            routed_rejections,
             conn_stolen,
             shed_latency,
             control: self.dispatcher.control.as_ref().map(|hub| hub.report()),

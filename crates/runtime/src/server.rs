@@ -31,12 +31,12 @@
 //! every shard publishes its live trays in a [`ConnRegistry`] siblings
 //! can scan. An idle thief locks a tray, drains the endpoint's pending
 //! bytes through its [`StreamHandle`] (the endpoint itself — readiness
-//! callbacks, lifecycle, stats — never moves), frames complete requests
-//! off the head, serves read-only ones itself and routes mutations back
-//! to the owner shard as [`RoutedFrame`] queue submissions. Response
-//! order is preserved by construction: all serving of one connection
-//! happens under its tray lock, and a routed mutation gates the tray
-//! (`routed_inflight`) until the owner has written its response.
+//! callbacks, lifecycle, stats — never moves), and lifts the run of
+//! complete read-only frames at the head, stopping at the first
+//! mutation: that frame and everything behind it stay in the tray for
+//! the owner's pump. Response order is preserved by construction: a
+//! thief's extracted run gates the tray (`inflight`) until its last
+//! response is written, and nobody serves frames behind the gate.
 //!
 //! [`Runtime::submit`]: crate::Runtime::submit
 //! [`StealPolicy::Deep`]: crate::StealPolicy::Deep
@@ -147,17 +147,6 @@ impl Staged {
         self.consume(n);
         frame
     }
-
-    /// Puts `frames` back in front of whatever is pending, in order.
-    pub(crate) fn restore_front<'a>(&mut self, frames: impl IntoIterator<Item = &'a [u8]>) {
-        let mut restored = Vec::new();
-        for frame in frames {
-            restored.extend_from_slice(frame);
-        }
-        restored.extend_from_slice(self.pending());
-        self.bytes = restored;
-        self.head = 0;
-    }
 }
 
 /// The lockable inside of a [`ConnTray`].
@@ -166,20 +155,19 @@ pub(crate) struct TrayState {
     /// Bytes received (off the endpoint) but not yet served. The head
     /// is always a frame boundary.
     pub(crate) staged: Staged,
-    /// Frames lifted off this buffer whose responses are not yet
-    /// written: owner-routed mutations queued on the owner, plus
-    /// read-only runs a thief extracted and is serving lock-free.
-    /// While non-zero, **nobody** serves further frames from this
-    /// connection — that is what keeps pipelined responses in order.
-    pub(crate) routed_inflight: u32,
+    /// Read-only frames a thief extracted and is serving lock-free,
+    /// whose responses are not yet written. While non-zero,
+    /// **nobody** serves further frames from this connection — that is
+    /// what keeps pipelined responses in order.
+    pub(crate) inflight: u32,
     /// Set when the owner retires the connection; thieves skip it.
     pub(crate) retired: bool,
     /// Set by a thief that served frames, consumed by the owner's
     /// idle-reaper so rescued connections do not read as idle.
     pub(crate) thief_progress: bool,
     /// The owning worker's wake set and connection token, bound at
-    /// adoption — how a thief (or a routed completion) re-wakes the
-    /// owner when it leaves actionable bytes behind.
+    /// adoption — how a thief re-wakes the owner when it leaves
+    /// actionable bytes behind.
     owner: Option<(Arc<WakeSet>, usize)>,
 }
 
@@ -224,9 +212,9 @@ impl ConnTray {
     }
 
     /// Wakes the owning worker to look at this connection again — used
-    /// by thieves that staged bytes they did not serve, and by routed
-    /// completions to reopen the gate. A no-op before adoption (the
-    /// adoption kick is still pending then).
+    /// by thieves that staged bytes they did not serve or released the
+    /// gate. A no-op before adoption (the adoption kick is still
+    /// pending then).
     pub(crate) fn wake_owner(&self) {
         let owner = self.lock().owner.clone();
         if let Some((wakes, token)) = owner {
@@ -280,15 +268,6 @@ impl ConnRegistry {
     pub(crate) fn stolen_frames(&self) -> u64 {
         self.stolen_frames.load(Ordering::Relaxed)
     }
-}
-
-/// The response path of an owner-routed mutation: the tray whose gate
-/// it holds. The serving owner writes the reply through the tray's
-/// stream (under the tray lock, preserving frame order), releases the
-/// gate and re-wakes itself to continue the connection.
-#[derive(Debug)]
-pub(crate) struct RoutedFrame {
-    pub(crate) tray: Arc<ConnTray>,
 }
 
 /// Hand-off slot for connections newly assigned to a shard. The acceptor

@@ -93,17 +93,6 @@ pub struct RuntimeStats {
     /// own count — reconciled against the thieves'
     /// [`WorkerStats::steals`]).
     pub stolen_submits: u64,
-    /// Owner-routed mutation frames accepted by shard queues (the
-    /// queues' own count — reconciled against both the thieves'
-    /// [`WorkerStats::owner_routed`] and the owners'
-    /// [`WorkerStats::routed_served`]).
-    pub routed_submits: u64,
-    /// Owner-routed hand-off batches **refused** by a full routed bound
-    /// (the queues' own count). A refusal is not loss: the thief
-    /// restores the run to the connection tray and the owner serves it,
-    /// so refused frames reappear in `conn_served`, never in
-    /// `routed_submits`.
-    pub routed_rejections: u64,
     /// Framing-complete requests lifted off connection buffers by
     /// sibling workers (the shard registries' own count — reconciled
     /// against the thieves' [`WorkerStats::conn_steals`]).
@@ -208,18 +197,6 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.conn_steals).sum()
     }
 
-    /// Mutation frames thieves routed back to their owner shard.
-    #[must_use]
-    pub fn owner_routed(&self) -> u64 {
-        self.workers.iter().map(|w| w.owner_routed).sum()
-    }
-
-    /// Owner-routed mutation frames served by their owner shard.
-    #[must_use]
-    pub fn routed_served(&self) -> u64 {
-        self.workers.iter().map(|w| w.routed_served).sum()
-    }
-
     /// Stolen shard-state mutations executed on a thief —
     /// state-confinement violations; zero unless a steal
     /// classification filter failed.
@@ -287,13 +264,6 @@ impl RuntimeStats {
     #[must_use]
     pub fn worker_restarts(&self) -> u64 {
         self.workers.iter().map(|w| w.worker_restarts).sum()
-    }
-
-    /// Owner hand-off batches pushed by thieves (each covers one run of
-    /// consecutive routed mutations; `owner_routed` counts the frames).
-    #[must_use]
-    pub fn routed_batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.routed_batches).sum()
     }
 
     /// Cumulative rewind nanoseconds across all workers.
@@ -402,17 +372,8 @@ impl RuntimeStats {
             // Connection-buffer steals balance between the shard
             // registries' books and the thieves'.
             && self.conn_steals() == self.conn_stolen
-            // Owner-routed mutations are conserved three ways: every
-            // frame a thief routed was accepted by exactly one owner
-            // queue and served by exactly one owner — a lost or
-            // double-served routed frame breaks one of the equalities.
-            && self.owner_routed() == self.routed_submits
-            && self.routed_served() == self.routed_submits
-            // Every conn-stolen or routed frame is connection work, and
-            // every routed frame travelled in exactly one hand-off
-            // batch (a batch carries ≥ 1 frame).
-            && self.conn_steals() + self.routed_served() <= self.conn_served()
-            && self.routed_batches() <= self.owner_routed()
+            // Every conn-stolen frame is connection work.
+            && self.conn_steals() <= self.conn_served()
             // Arena books balance: every acquire was satisfied either by
             // recycled storage or by a fresh heap allocation.
             && self.arena_acquires() == self.arena_reuses() + self.arena_fresh_allocs()
@@ -582,8 +543,6 @@ mod tests {
             shed: 0,
             submitted,
             stolen_submits: 0,
-            routed_submits: 0,
-            routed_rejections: 0,
             conn_stolen: 0,
             shed_latency: LatencyHistogram::new(),
             control: None,
@@ -659,31 +618,21 @@ mod tests {
     }
 
     #[test]
-    fn reconciliation_covers_conn_steals_and_owner_routing() {
+    fn reconciliation_covers_conn_steals() {
         // Balanced: the registries saw 3 frames lifted, the thief
-        // served 3; the thief routed 2 mutations, the owner's queue
-        // accepted 2 and the owner served 2 — all as connection work.
+        // served 3 — all as connection work.
         let mut thief = worker(10, 0, 0);
         thief.conn_steals = 3;
-        thief.owner_routed = 2;
         thief.conn_served = 3;
-        let mut owner = worker(10, 0, 0);
-        owner.routed_served = 2;
-        owner.conn_served = 2;
-        let mut balanced = stats(vec![thief, owner]);
-        balanced.submitted = 15;
+        let mut balanced = stats(vec![thief]);
         balanced.conn_stolen = 3;
-        balanced.routed_submits = 2;
         assert!(balanced.reconciles());
         assert_eq!(balanced.conn_steals(), 3);
-        assert_eq!(balanced.owner_routed(), 2);
-        assert_eq!(balanced.routed_served(), 2);
 
-        // A routed frame the owner never served is drift.
-        let mut lost = balanced.clone();
-        lost.workers[1].routed_served = 1;
-        lost.workers[1].conn_served = 1;
-        assert!(!lost.reconciles());
+        // A conn steal served outside connection work is drift.
+        let mut uncounted = balanced.clone();
+        uncounted.workers[0].conn_served = 2;
+        assert!(!uncounted.reconciles());
 
         // A conn steal the registries never booked is drift too.
         let mut phantom = balanced.clone();

@@ -51,7 +51,7 @@
 //!
 //! Observing shards one by one is not enough once work can *move
 //! between* shards: a shard observed idle can be re-busied by a sibling
-//! (an owner-routed mutation, a steal hint) while later shards are
+//! (a thief handing a tray back, a steal hint) while later shards are
 //! still being checked. Every wake set can therefore be bound to a
 //! runtime-wide **generation counter** bumped on *every* signal; the
 //! quiesce barrier snapshots it, observes every shard idle, and

@@ -33,11 +33,11 @@
 //! **framing-complete requests off sibling connection buffers**
 //! (through the shared [`ConnTray`], never the endpoint itself — a
 //! connection stays sticky for domain affinity), serving read-only
-//! frames with its own handler and routing shard-state **mutations back
-//! to the owner** as owner-routed queue submissions — the
-//! state-confinement rule that makes stealing safe for shard-stateful
-//! handlers. Response order per connection is preserved by the tray
-//! lock plus the routed-inflight gate. Every budget deferral that
+//! frames with its own handler and **leaving shard-state mutations in
+//! the tray** for the owner's pump — the state-confinement rule that
+//! makes stealing safe for shard-stateful handlers. Response order per
+//! connection is preserved by the tray lock plus the in-flight gate.
+//! Every budget deferral that
 //! leaves complete frames behind while a sibling sits parked is counted
 //! as a **stranded-request stall** ([`WorkerStats::stranded_stalls`]),
 //! the capacity waste deep stealing exists to eliminate.
@@ -62,7 +62,7 @@ use crate::handler::{Framing, ReadView, Reply, SessionHandler, StealClass};
 use crate::isolation::WorkerIsolation;
 use crate::queue::{Completion, Disposition, Request, ShardQueue};
 use crate::runtime::RuntimeConfig;
-use crate::server::{ConnInbox, ConnRegistry, ConnTray, Connection, RoutedFrame};
+use crate::server::{ConnInbox, ConnRegistry, ConnTray, Connection};
 use crate::stats::LiveCounters;
 use crate::wake::WakeSet;
 
@@ -112,12 +112,6 @@ pub struct WorkerStats {
     /// **connection buffers** and served itself
     /// ([`StealPolicy::Deep`](crate::StealPolicy::Deep) only).
     pub conn_steals: u64,
-    /// Mutation frames this worker (as a thief) routed back to their
-    /// owner shard instead of executing them.
-    pub owner_routed: u64,
-    /// Owner-routed mutation frames this worker (as the owner) served
-    /// off its queue, writing the response back to the connection.
-    pub routed_served: u64,
     /// Stolen requests classified as shard-state mutations that this
     /// worker executed anyway — a state-confinement violation. The
     /// classification filters on publication and on stealing keep it
@@ -169,10 +163,6 @@ pub struct WorkerStats {
     /// isolation context and handler state rebuilt, the modeled
     /// restart downtime charged to this worker's account.
     pub worker_restarts: u64,
-    /// Owner hand-off batches this worker (as a thief) pushed: runs of
-    /// consecutive mutation frames routed home in one queue operation
-    /// (`owner_routed` counts the frames, this counts the hand-offs).
-    pub routed_batches: u64,
     /// Frame buffers this worker's thread acquired from its arena
     /// (every payload extraction and response render on the hot path).
     pub arena_acquires: u64,
@@ -286,9 +276,8 @@ pub(crate) struct ShardChannels {
     /// This worker's flight-recorder handle, bound to its own SPSC
     /// ring ([`Recorder::Off`] when telemetry is disabled). Emission is
     /// deliberately economical on the hot path: no per-ok-request
-    /// events — park/wake per pass, rewind/rung per fault,
-    /// steal/owner-route per batch (the `detail` word carries the
-    /// count).
+    /// events — park/wake per pass, rewind/rung per fault, steal per
+    /// batch (the `detail` word carries the count).
     pub(crate) recorder: Recorder,
     /// The live-counter mailbox `Runtime::stats_snapshot` reads; the
     /// worker flushes its counters here once per pump pass.
@@ -535,9 +524,9 @@ impl<H: SessionHandler> Worker<H> {
                 && self.channels.inbox.is_empty()
             {
                 if self.any_tray_gated() {
-                    // A thief is still serving an extracted run (or a
-                    // routed response is still owed): the frames behind
-                    // the gate are ours to serve — wait it out.
+                    // A thief is still serving an extracted run: the
+                    // frames behind the gate are ours to serve — wait
+                    // it out.
                     std::thread::yield_now();
                     continue;
                 }
@@ -547,14 +536,14 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Whether any of this worker's connections is gated on in-flight
-    /// stolen or routed frames — or holds actionable staged frames a
-    /// thief restored *after* this pass's pump (a refused routed batch
-    /// drops the gate and puts the frames back in the same lock hold,
-    /// so the only way to observe them here is to look).
+    /// stolen frames — or holds actionable frames a thief staged
+    /// *after* this pass's pump (a thief that meets a mutation at the
+    /// head drains the endpoint into the tray and leaves, so the only
+    /// way to observe those frames here is to look).
     fn any_tray_gated(&self) -> bool {
         self.conns.iter().flatten().any(|conn| {
             let tray = conn.tray.lock();
-            tray.routed_inflight > 0
+            tray.inflight > 0
                 || (!tray.staged.is_empty()
                     && !matches!(
                         self.handler.frame(tray.staged.pending()),
@@ -581,8 +570,8 @@ impl<H: SessionHandler> Worker<H> {
                     self.conns.len() - 1
                 }
             };
-            // Thieves and routed completions re-wake this worker
-            // through the tray once the owner is known.
+            // Thieves re-wake this worker through the tray once the
+            // owner is known.
             conn.tray
                 .bind_owner(Arc::clone(&self.channels.wakes), token);
             let wakes = Arc::clone(&self.channels.wakes);
@@ -660,8 +649,8 @@ impl<H: SessionHandler> Worker<H> {
     /// Closes and retires connections that made no progress for the
     /// configured number of pump passes. Progress a thief made on the
     /// worker's behalf counts (rescued connections are not idle), and a
-    /// connection gated on an owner-routed response is never reaped —
-    /// its answer is still owed.
+    /// connection gated on a thief's in-flight run is never reaped —
+    /// its answers are still owed.
     fn reap_idle(&mut self) {
         let Some(reap_after) = self.idle_reap_after else {
             return;
@@ -670,7 +659,7 @@ impl<H: SessionHandler> Worker<H> {
             let idle_for = match &mut self.conns[token] {
                 Some(conn) => {
                     let mut tray = conn.tray.lock();
-                    if std::mem::take(&mut tray.thief_progress) || tray.routed_inflight > 0 {
+                    if std::mem::take(&mut tray.thief_progress) || tray.inflight > 0 {
                         conn.last_progress_pass = self.pass;
                     }
                     drop(tray);
@@ -831,10 +820,10 @@ impl<H: SessionHandler> Worker<H> {
     /// pump never waits behind a thief's serving:
     ///
     /// 1. **Extract** (under the tray lock): stage pending bytes, split
-    ///    a contiguous run of complete frames off the head — read-only
-    ///    frames into a local batch, stopping at the first mutation,
-    ///    which is routed to the owner's queue instead. The gate
-    ///    (`routed_inflight`) is raised by everything extracted, so
+    ///    the run of complete read-only frames off the head into a
+    ///    local batch, stopping at the first mutation — it and
+    ///    everything behind it stay in the tray for the owner's pump.
+    ///    The gate (`inflight`) is raised by everything extracted, so
     ///    nobody serves frames *behind* the run while it is in flight.
     /// 2. **Serve** (no locks): execute the batch in order with this
     ///    worker's own handler and domains, writing each response
@@ -854,8 +843,7 @@ impl<H: SessionHandler> Worker<H> {
         let arrived = Instant::now();
         // -- phase 1: extract a run under the lock ------------------------
         // Extracted frames ride in pooled buffers from the *thief's*
-        // arena; owner-routed frames drop on the owner's thread and come
-        // home through the MPSC return channel.
+        // arena.
         let mut batch: Vec<FrameBuf> = Vec::new();
         let mut leftovers = false;
         {
@@ -864,102 +852,28 @@ impl<H: SessionHandler> Worker<H> {
                 // stranded here.
                 return 0;
             };
-            if st.retired || st.routed_inflight > 0 {
+            if st.retired || st.inflight > 0 {
                 return 0;
             }
             st.staged
                 .refill(|bytes| tray.stream().drain_pending_into(bytes));
             while batch.len() < limit {
+                // Incomplete, malformed or fatal heads are the owner's
+                // business (only the owner may close the endpoint), and
+                // so is a mutation: state never changes off its shard.
                 let Framing::Complete(n) = self.handler.frame(st.staged.pending()) else {
-                    // Incomplete, malformed or fatal heads are the
-                    // owner's business (only the owner may close the
-                    // endpoint).
                     break;
                 };
                 let n = n.clamp(1, st.staged.len());
-                match self.handler.steal_class(&st.staged.pending()[..n]) {
-                    StealClass::ReadOnly => batch.push(st.staged.take_frame(n)),
-                    StealClass::Mutation => {
-                        if batch.is_empty() && !self.channels.peers[victim].is_stopped() {
-                            // Mutations at the head: batch the whole
-                            // consecutive run into ONE owner hand-off.
-                            // A write-heavy skew pays one queue
-                            // operation and one gate round-trip per
-                            // run, not one per frame — the gate only
-                            // reopens when the *last* routed response
-                            // has been written.
-                            let mut run: Vec<FrameBuf> = Vec::new();
-                            let mut take = n;
-                            loop {
-                                run.push(st.staged.take_frame(take));
-                                let Framing::Complete(next) =
-                                    self.handler.frame(st.staged.pending())
-                                else {
-                                    break;
-                                };
-                                let next = next.clamp(1, st.staged.len());
-                                if self.handler.steal_class(&st.staged.pending()[..next])
-                                    != StealClass::Mutation
-                                {
-                                    break;
-                                }
-                                take = next;
-                            }
-                            let routed = u32::try_from(run.len()).unwrap_or(u32::MAX);
-                            st.routed_inflight += routed;
-                            let requests: Vec<Request> = run
-                                .into_iter()
-                                .map(|payload| {
-                                    Request::owner_routed(
-                                        client,
-                                        payload,
-                                        RoutedFrame {
-                                            tray: Arc::clone(tray),
-                                        },
-                                    )
-                                })
-                                .collect();
-                            match self.channels.peers[victim].push_routed_batch(requests) {
-                                Ok(count) => {
-                                    self.stats.owner_routed += count;
-                                    self.stats.routed_batches += 1;
-                                    // One event per hand-off batch: the
-                                    // shard field names the owner the
-                                    // run went home to.
-                                    self.channels.recorder.emit(
-                                        EventKind::OwnerRoute,
-                                        u16::try_from(victim).unwrap_or(u16::MAX),
-                                        client.0,
-                                        count,
-                                    );
-                                }
-                                Err(requests) => {
-                                    // The owner's routed bound is full
-                                    // (or shutdown raced us): restore
-                                    // the frames at the head (we held
-                                    // the lock across the extraction,
-                                    // so nobody saw the gap) and let
-                                    // the owner serve them — exactly
-                                    // once, since nothing was counted
-                                    // as routed on this path. Both
-                                    // exits below end in wake_owner.
-                                    st.routed_inflight -= routed;
-                                    st.staged.restore_front(
-                                        requests.iter().map(|request| &request.payload[..]),
-                                    );
-                                }
-                            }
-                        }
-                        // A mutation behind extracted reads stays put:
-                        // it waits for the gate like everything else.
-                        break;
-                    }
+                if self.handler.steal_class(&st.staged.pending()[..n]) == StealClass::Mutation {
+                    break;
                 }
+                batch.push(st.staged.take_frame(n));
             }
             if batch.is_empty() {
                 leftovers = !st.staged.is_empty();
             } else {
-                st.routed_inflight += u32::try_from(batch.len()).unwrap_or(u32::MAX);
+                st.inflight += u32::try_from(batch.len()).unwrap_or(u32::MAX);
                 st.thief_progress = true;
             }
         }
@@ -996,8 +910,8 @@ impl<H: SessionHandler> Worker<H> {
         // -- phase 3: release the gate, hand the stream back --------------
         {
             let mut st = tray.lock();
-            st.routed_inflight = st
-                .routed_inflight
+            st.inflight = st
+                .inflight
                 .saturating_sub(u32::try_from(served).unwrap_or(u32::MAX));
         }
         tray.wake_owner();
@@ -1115,10 +1029,10 @@ impl<H: SessionHandler> Worker<H> {
 
         let mut served_this_pass = 0usize;
         loop {
-            if tray.routed_inflight > 0 {
-                // Order gate: a mutation routed to our queue has not
-                // been answered yet; frames behind it must wait. The
-                // routed completion re-marks this token.
+            if tray.inflight > 0 {
+                // Order gate: a thief's extracted run has not been
+                // fully answered yet; frames behind it must wait. The
+                // thief re-marks this token when it releases the gate.
                 return PumpOutcome {
                     progressed,
                     keep: true,
@@ -1210,8 +1124,8 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// Serves one pre-framed request from a shard queue (own, stolen,
-    /// or an owner-routed mutation coming home).
+    /// Serves one pre-framed request from a shard queue (own or
+    /// stolen).
     fn serve(&mut self, request: Request) {
         let reply = self
             .handler
@@ -1221,21 +1135,6 @@ impl<H: SessionHandler> Worker<H> {
             &reply.disposition,
             elapsed_ns(request.accepted_at),
         );
-        if let Some(frame) = request.routed {
-            // An owner-routed mutation: the response goes back to the
-            // connection (under the tray lock, keeping frame order),
-            // the gate reopens, and we re-wake ourselves to continue
-            // the frames queued behind it.
-            {
-                let mut tray = frame.tray.lock();
-                frame.tray.stream().write(&reply.response);
-                tray.routed_inflight = tray.routed_inflight.saturating_sub(1);
-            }
-            self.stats.conn_served += 1;
-            self.stats.routed_served += 1;
-            frame.tray.wake_owner();
-            return;
-        }
         if let Some(ticket) = request.ticket {
             ticket.complete(Completion {
                 client: request.client,

@@ -229,16 +229,16 @@ fn dribbled_pipeline_answers_in_order_and_closes_on_a_fatal_head() {
 }
 
 #[test]
-fn deep_steal_keeps_http_pipelines_byte_identical_through_refused_handoffs() {
+fn deep_steal_keeps_http_pipelines_byte_identical_around_upload_runs() {
     const REQUESTS: usize = 60;
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
     config.work_stealing = StealPolicy::Deep;
     config.conn_read_budget = 1;
     config.batch = 4;
-    // A routed bound at its floor (16 frames): the 24-upload run in each
-    // pipeline is a mutation hand-off too long to route, so a thief that
-    // reaches it is refused whole and restores the frames at the head of
-    // the staging buffer for the owner to serve.
+    // A one-slot queue sheds most of the pinning work. The 24-upload
+    // run in each pipeline is a run of mutations: a thief that reaches
+    // it stops and leaves the whole run in the staging buffer for the
+    // owner to serve, behind whatever reads the thief lifted.
     config.queue_capacity = 1;
     let runtime = Runtime::start(config, |_| handler());
 
@@ -272,7 +272,6 @@ fn deep_steal_keeps_http_pipelines_byte_identical_through_refused_handoffs() {
     let stats = runtime.shutdown();
     assert_eq!(stats.served(), accepted + (owners.len() * REQUESTS) as u64);
     assert_eq!(stats.thief_mutations(), 0);
-    assert_eq!(stats.owner_routed(), stats.routed_served());
     assert_eq!(stats.crashes(), 0);
     assert!(stats.reconciles(), "books drifted: {stats:?}");
 }

@@ -26,9 +26,9 @@ pub fn await_flag(flag: &AtomicBool, what: &str) {
 /// * shard 1 sets `claimed` the first time it classifies a request.
 ///   Shard 1 has no traffic of its own, so that request is one it is
 ///   stealing — a published queue request, or a frame on one of shard
-///   0's connection buffers — and the steal (or, for a mutation at a
-///   buffer's head, the owner-routed hand-off) completes whatever the
-///   owner does next.
+///   0's connection buffers — and, when that request is read-only, the
+///   steal completes whatever the owner does next (a mutation the
+///   thief leaves where it found it).
 pub struct ClaimGate<H> {
     inner: H,
     shard: usize,

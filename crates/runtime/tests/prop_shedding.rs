@@ -7,9 +7,10 @@
 //! * no request is both: a ticket that was `Enqueued` always completes,
 //!   a `Shed` submit never does (there is no ticket to complete);
 //! * the shed histogram carries exactly one sample per shed request;
-//! * an owner-routed hand-off batch refused by a full routed bound is
-//!   restored and served by the owner **exactly once** — never dropped,
-//!   never double-served, never silently counted as shed.
+//! * a run of mutations behind a read a thief lifts off a connection
+//!   buffer is served by the owner **exactly once** and in order —
+//!   never dropped, never double-served, never silently counted as
+//!   shed.
 
 use proptest::prelude::*;
 use sdrad::ClientId;
@@ -70,19 +71,16 @@ proptest! {
 proptest! {
     // Each case starts a threaded runtime with live connections, so a
     // smaller case count keeps the suite inside its time budget while
-    // still sweeping run lengths on both sides of the routed bound.
+    // still sweeping run lengths, connection counts and queue bounds.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Conservation across the **routed-batch overflow** path: a tiny
-    /// `queue_capacity` shrinks the routed bound to its floor of 16
-    /// frames, and mutation runs longer than that guarantee any thief
-    /// hand-off is refused whole (`push_routed_batch` is
-    /// all-or-nothing). The refused run must come home: every pipelined
-    /// response arrives exactly once and in order, whether the frames
-    /// travelled the routed path, the restored-to-tray path, or never
-    /// left the owner.
+    /// Conservation for **mutation runs behind a stolen read**, with
+    /// queues so small they shed most of the pinning work: a thief may
+    /// lift each connection's leading get, but the run of sets behind
+    /// it stays in the buffer for the owner. Every pipelined response
+    /// arrives exactly once and in order, whoever served the read.
     #[test]
-    fn routed_overflow_conserves_every_frame(
+    fn mutation_runs_behind_a_stolen_read_are_conserved(
         run_len in 2usize..40,
         conns in 1usize..4,
         pin in 0usize..1200,
@@ -110,9 +108,7 @@ proptest! {
         }
 
         // Each connection: one stealable get, then one unbroken run of
-        // sets. With `run_len` past the routed bound the whole batch is
-        // refused; below it, it routes — conservation must hold either
-        // way.
+        // sets only the owner may serve.
         let mut endpoints: Vec<(Endpoint, Vec<u8>)> = Vec::new();
         for (c, client_id) in hot.iter().enumerate() {
             let (mut client, server) = duplex();
@@ -142,11 +138,9 @@ proptest! {
             accepted + (conns * (run_len + 1)) as u64
         );
         prop_assert_eq!(stats.thief_mutations(), 0);
-        // A refused batch is restored, not routed: the routed books
-        // still balance, and refusals were never double-counted as shed
-        // (shed tracks only the submit path, which we counted exactly).
+        // Connection frames are never counted as shed: shed tracks
+        // only the submit path, which we counted exactly.
         prop_assert_eq!(stats.shed, pin as u64 - accepted);
-        prop_assert_eq!(stats.owner_routed(), stats.routed_served());
         prop_assert!(stats.reconciles(), "books drifted: {:?}", stats);
     }
 }

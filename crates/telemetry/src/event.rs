@@ -21,8 +21,9 @@ pub enum EventKind {
     /// framing-complete requests off a sibling connection buffer
     /// (detail = count; shard = the victim).
     Steal = 2,
-    /// A thief routed mutation frames back to their owner shard
-    /// (detail = frame count; shard = the owner).
+    /// No longer emitted: deep-steal thieves leave mutation frames in
+    /// the connection buffer for their owner instead of handing them
+    /// over. Kept because the discriminants are the wire encoding.
     OwnerRoute = 3,
     /// A contained fault was rewound (detail = rewind nanoseconds).
     Rewind = 4,
