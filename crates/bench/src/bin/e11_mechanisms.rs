@@ -142,7 +142,7 @@ fn main() {
     // ---------------------------------------------------------------
     // Measured on this build's substrates (simulator wall clock; the
     // *relative* ordering of the simulated work is the reproduction
-    // target, constants are simulator-inflated — see EXPERIMENTS.md).
+    // target, constants are simulator-inflated — see DESIGN.md §5).
     // ---------------------------------------------------------------
     let mut mgr = DomainManager::new();
     let domain = mgr.create_domain(DomainConfig::new("probe")).unwrap();

@@ -8,7 +8,7 @@
 //! cycles for the two `WRPKRU`s per request over the request's work),
 //! which is the number comparable to the paper's hardware measurement —
 //! the software-MMU simulation adds per-byte check costs real PKU does
-//! not pay (see EXPERIMENTS.md).
+//! not pay (see DESIGN.md §5).
 
 use sdrad_bench::{banner, measure, ops_per_sec, overhead_pct, TextTable};
 use sdrad_faultsim::workload::{http_get_request, http_upload_request, KvWorkload};

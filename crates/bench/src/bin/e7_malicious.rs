@@ -12,8 +12,7 @@
 
 use sdrad_bench::{banner, fmt_duration, time_once, TextTable};
 use sdrad_faultsim::workload::{kv_exploit_request, KvWorkload};
-use sdrad_kvstore::{Isolation, Server, ServerConfig, Session};
-use sdrad_net::Listener;
+use sdrad_kvstore::{Isolation, Server, ServerConfig};
 
 const BENIGN_CLIENTS: usize = 8;
 const ROUNDS: usize = 400;
@@ -39,19 +38,13 @@ fn run(isolation: Isolation, attack_every: usize) -> Outcome {
     }
     let snapshot = server.snapshot();
 
-    let listener = Listener::new();
     let mut benign: Vec<_> = (0..BENIGN_CLIENTS)
         .map(|i| {
-            let client = listener.connect();
-            let session =
-                Session::with_client(listener.accept().unwrap(), sdrad::ClientId(1 + i as u64));
-            let workload = KvWorkload::new(100 + i as u64, 20_000, 256, 0.9);
-            (client, session, workload)
+            let client = sdrad::ClientId(1 + i as u64);
+            (client, KvWorkload::new(100 + i as u64, 20_000, 256, 0.9))
         })
         .collect();
-    let mut attacker_client = listener.connect();
-    let mut attacker_session =
-        Session::with_client(listener.accept().unwrap(), sdrad::ClientId(999));
+    let attacker = sdrad::ClientId(999);
 
     let mut outcome = Outcome {
         benign_sent: 0,
@@ -65,24 +58,19 @@ fn run(isolation: Isolation, attack_every: usize) -> Outcome {
     let mut dead_since: Option<usize> = None;
     let ((), elapsed) = time_once(|| {
         for round in 0..ROUNDS {
-            // Benign clients each send one request.
-            for (client, session, workload) in &mut benign {
-                client.write(&workload.next_request());
+            // Benign clients each send one request; a crashed server
+            // answers with silence (an empty response).
+            for (client, workload) in &mut benign {
                 outcome.benign_sent += 1;
-                let before = client.stats().bytes_received;
-                session.poll(&mut server);
-                if client.read_available().len() as u64 > 0
-                    || client.stats().bytes_received > before
-                {
+                let response = server.handle_for(*client, &workload.next_request());
+                if !response.is_empty() {
                     outcome.benign_answered += 1;
                 }
             }
             // The attacker strikes every `attack_every` rounds.
             if attack_every > 0 && round % attack_every == attack_every - 1 {
-                attacker_client.write(&kv_exploit_request(8192));
                 outcome.attacks += 1;
-                attacker_session.poll(&mut server);
-                let _ = attacker_client.read_available();
+                let _ = server.handle_for(attacker, &kv_exploit_request(8192));
             }
             // A crashed server is only noticed by monitoring after a
             // detection delay (health-check interval); then ops restart

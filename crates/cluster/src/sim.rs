@@ -3,8 +3,8 @@
 //! The cluster model needs exactly three things from its engine: a
 //! monotonic virtual clock, a stable-priority event queue, and exponential
 //! inter-arrival sampling for Poisson fault processes. Everything is
-//! deterministic given a seed, so every experiment in `EXPERIMENTS.md` is
-//! exactly reproducible.
+//! deterministic given a seed, so every experiment in the DESIGN.md §5
+//! index is exactly reproducible.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

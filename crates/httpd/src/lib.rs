@@ -39,5 +39,5 @@ pub use request::{parse_request, scan_request, HttpError, HttpRequest, Method, R
 pub use response::{HttpResponse, Status};
 pub use server::{
     decode_chunked_in_domain, decode_chunked_unprotected, try_decode_chunked_in_domain, HttpServer,
-    HttpSession, HttpStats, Isolation,
+    HttpStats, Isolation,
 };

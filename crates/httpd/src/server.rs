@@ -201,62 +201,6 @@ impl HttpServer {
     }
 }
 
-/// A buffered per-connection session pump over an `sdrad-net` endpoint,
-/// mirroring `sdrad_kvstore::Session` for the HTTP side.
-#[derive(Debug)]
-pub struct HttpSession {
-    endpoint: sdrad_net::Endpoint,
-    buffer: Vec<u8>,
-}
-
-impl HttpSession {
-    /// Wraps an accepted connection.
-    #[must_use]
-    pub fn new(endpoint: sdrad_net::Endpoint) -> Self {
-        HttpSession {
-            endpoint,
-            buffer: Vec::new(),
-        }
-    }
-
-    /// Pumps pending requests through `server`; returns how many were
-    /// completed this call. Incomplete requests stay buffered; malformed
-    /// ones get a 400 and the connection buffer is dropped (HTTP framing
-    /// cannot be resynchronised reliably).
-    pub fn poll(&mut self, server: &mut HttpServer) -> usize {
-        self.endpoint.read_available_into(&mut self.buffer);
-        let mut completed = 0;
-        // Requests are served in place; the served prefix is dropped once
-        // per poll, not once per request.
-        let mut served = 0;
-        while server.is_alive() {
-            match scan_request(&self.buffer[served..]) {
-                Ok((request, consumed)) => {
-                    let response = server.respond_view(&request);
-                    self.endpoint.write(&response.to_bytes());
-                    served += consumed;
-                    completed += 1;
-                }
-                Err(HttpError::Incomplete) => break,
-                Err(HttpError::TooLarge) | Err(HttpError::Malformed(_)) => {
-                    served = self.buffer.len();
-                    self.endpoint
-                        .write(&HttpResponse::text(Status::BadRequest, "bad request").to_bytes());
-                    completed += 1;
-                }
-            }
-        }
-        self.buffer.drain(..served);
-        completed
-    }
-
-    /// The underlying endpoint.
-    #[must_use]
-    pub fn endpoint(&self) -> &sdrad_net::Endpoint {
-        &self.endpoint
-    }
-}
-
 /// Walks a raw chunk stream, yielding `(declared_size, actual_data)` per
 /// chunk. Framing only; trusting `declared_size` is the decoder's bug.
 fn chunks(raw: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
@@ -439,50 +383,6 @@ mod tests {
         let mut s = server(Isolation::None);
         let response = s.handle(b"NOPE / HTTP/1.1\r\n\r\n");
         assert!(response.starts_with(b"HTTP/1.1 400"));
-        assert!(s.is_alive());
-    }
-
-    #[test]
-    fn http_session_pumps_pipelined_requests() {
-        let listener = sdrad_net::Listener::new();
-        let mut client = listener.connect();
-        let mut session = HttpSession::new(listener.accept().unwrap());
-        let mut s = server(Isolation::Domain);
-
-        client.write(b"GET / HTTP/1.1\r\nHost: a\r\n\r\nGET /nope HTTP/1.1\r\nHost: a\r\n\r\n");
-        assert_eq!(session.poll(&mut s), 2);
-        let text = String::from_utf8(client.read_available()).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK"));
-        assert!(text.contains("HTTP/1.1 404"));
-    }
-
-    #[test]
-    fn http_session_buffers_partial_heads() {
-        let listener = sdrad_net::Listener::new();
-        let mut client = listener.connect();
-        let mut session = HttpSession::new(listener.accept().unwrap());
-        let mut s = server(Isolation::None);
-
-        client.write(b"GET / HTTP/1.1\r\nHo");
-        assert_eq!(session.poll(&mut s), 0);
-        client.write(b"st: a\r\n\r\n");
-        assert_eq!(session.poll(&mut s), 1);
-        assert!(client.read_available().starts_with(b"HTTP/1.1 200"));
-    }
-
-    #[test]
-    fn http_session_survives_exploit_traffic() {
-        let listener = sdrad_net::Listener::new();
-        let mut client = listener.connect();
-        let mut session = HttpSession::new(listener.accept().unwrap());
-        let mut s = server(Isolation::Domain);
-
-        client.write(EXPLOIT);
-        client.write(b"GET / HTTP/1.1\r\nHost: a\r\n\r\n");
-        assert_eq!(session.poll(&mut s), 2);
-        let text = String::from_utf8(client.read_available()).unwrap();
-        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
-        assert!(text.contains("HTTP/1.1 200 OK"), "{text}");
         assert!(s.is_alive());
     }
 }

@@ -13,8 +13,11 @@
 //! * [`Server`] — a request loop that can run the parser either
 //!   unprotected (a fault "kills the process", requiring a costly
 //!   restart) or inside an SDRaD domain (a fault is rewound in
-//!   microseconds and answered with `SERVER_ERROR`),
-//! * [`Session`] — per-connection buffering over `sdrad-net` endpoints.
+//!   microseconds and answered with `SERVER_ERROR`).
+//!
+//! The crate serves requests, not connections: `sdrad-runtime`'s worker
+//! pump frames each connection's byte stream and runs every complete
+//! request through [`try_stage_command`] and [`apply_op`].
 //!
 //! ## Example
 //!
@@ -44,6 +47,6 @@ mod store;
 pub use protocol::{parse_command, write_value, Command, ProtocolError, Response};
 pub use server::{
     apply_op, process_unprotected_command, stage_command, try_stage_command, Isolation, Server,
-    ServerConfig, ServerStats, Session, StoreOp,
+    ServerConfig, ServerStats, StoreOp,
 };
 pub use store::{Snapshot, Store, StoreConfig, StoreStats};

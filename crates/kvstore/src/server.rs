@@ -4,7 +4,6 @@ use sdrad::{
     ClientId, DomainConfig, DomainEnv, DomainError, DomainId, DomainManager, DomainPolicy,
     DomainPool, Fault,
 };
-use sdrad_net::Endpoint;
 
 use crate::{parse_command, Command, ProtocolError, Response, Snapshot, Store, StoreConfig};
 
@@ -286,7 +285,7 @@ impl Server {
     /// from a snapshot and brings the server back up. The wall-clock cost
     /// of this call scales with the snapshot size (experiments E2/E3).
     pub fn restart_from(&mut self, snapshot: &Snapshot) {
-        self.store = Store::restore(StoreConfig::default(), snapshot);
+        self.store = Store::restore(self.store.config, snapshot);
         self.crashed = false;
     }
 
@@ -465,77 +464,6 @@ fn fnv_checksum(data: &[u8]) -> u64 {
     hash
 }
 
-/// A buffered per-connection session pump.
-///
-/// Reads whatever the client has sent, executes every complete request,
-/// and writes the responses back. Incomplete requests stay buffered.
-#[derive(Debug)]
-pub struct Session {
-    endpoint: Endpoint,
-    client: ClientId,
-    buffer: Vec<u8>,
-}
-
-impl Session {
-    /// Wraps an accepted connection (anonymous client).
-    #[must_use]
-    pub fn new(endpoint: Endpoint) -> Self {
-        Self::with_client(endpoint, ClientId(0))
-    }
-
-    /// Wraps an accepted connection with a client identity, so per-client
-    /// isolation can route requests to the client's own domain.
-    #[must_use]
-    pub fn with_client(endpoint: Endpoint, client: ClientId) -> Self {
-        Session {
-            endpoint,
-            client,
-            buffer: Vec::new(),
-        }
-    }
-
-    /// Pumps pending requests through `server`; returns how many were
-    /// completed this call.
-    pub fn poll(&mut self, server: &mut Server) -> usize {
-        self.endpoint.read_available_into(&mut self.buffer);
-        let mut completed = 0;
-        loop {
-            if !server.is_alive() {
-                // Crashed server: clients get silence.
-                return completed;
-            }
-            match parse_command(&self.buffer) {
-                Ok((cmd, consumed)) => {
-                    // Execute before draining: the command borrows the
-                    // buffer it was parsed from.
-                    let response = server.execute_for(self.client, cmd);
-                    self.buffer.drain(..consumed);
-                    self.endpoint.write(&response.to_bytes());
-                    completed += 1;
-                }
-                Err(ProtocolError::Incomplete) => return completed,
-                Err(_) => {
-                    // Malformed line: answer ERROR and drop through the
-                    // next newline (memcached behaviour).
-                    if let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
-                        self.buffer.drain(..=pos);
-                    } else {
-                        self.buffer.clear();
-                    }
-                    self.endpoint.write(&Response::Error.to_bytes());
-                    completed += 1;
-                }
-            }
-        }
-    }
-
-    /// The underlying endpoint (e.g. to check `is_open`).
-    #[must_use]
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,6 +553,33 @@ mod tests {
     }
 
     #[test]
+    fn restart_keeps_the_configured_store_budget() {
+        const BUDGET: usize = 4 << 10;
+        let config = ServerConfig {
+            store: StoreConfig {
+                shards: 1,
+                shard_capacity: BUDGET,
+            },
+        };
+        let mut s = Server::new(config, Isolation::None).unwrap();
+        s.handle(b"set k 1\r\nv\r\n");
+        let snapshot = s.snapshot();
+        s.handle(b"xstat 999 1\r\nz\r\n");
+        assert!(!s.is_alive());
+
+        s.restart_from(&snapshot);
+        for i in 0..64 {
+            s.handle(format!("set key-{i} 256\r\n{}\r\n", "x".repeat(256)).as_bytes());
+        }
+        let stats = s.store().stats();
+        assert!(
+            stats.evictions > 0,
+            "16 KiB of sets evict at a 4 KiB budget"
+        );
+        assert!(stats.bytes <= BUDGET as u64, "{} bytes held", stats.bytes);
+    }
+
+    #[test]
     fn stats_expose_containment_counters() {
         let mut s = server(Isolation::Domain);
         s.handle(b"xstat 512 1\r\nq\r\n");
@@ -637,37 +592,6 @@ mod tests {
         let mut s = server(Isolation::Domain);
         assert_eq!(s.handle(b"bogus cmd\r\n"), b"ERROR\r\n");
         assert_eq!(s.stats().protocol_errors, 1);
-    }
-
-    #[test]
-    fn session_pumps_pipelined_requests() {
-        let listener = sdrad_net::Listener::new();
-        let mut client = listener.connect();
-        let mut session = Session::new(listener.accept().unwrap());
-        let mut s = server(Isolation::Domain);
-
-        client.write(b"set a 1\r\nx\r\nget a\r\nget missing\r\n");
-        let completed = session.poll(&mut s);
-        assert_eq!(completed, 3);
-        let response = client.read_available();
-        assert_eq!(
-            response,
-            b"STORED\r\nVALUE a 1\r\nx\r\nEND\r\nEND\r\n".to_vec()
-        );
-    }
-
-    #[test]
-    fn session_buffers_partial_requests() {
-        let listener = sdrad_net::Listener::new();
-        let mut client = listener.connect();
-        let mut session = Session::new(listener.accept().unwrap());
-        let mut s = server(Isolation::None);
-
-        client.write(b"set k 4\r\nab");
-        assert_eq!(session.poll(&mut s), 0, "incomplete stays buffered");
-        client.write(b"cd\r\n");
-        assert_eq!(session.poll(&mut s), 1);
-        assert_eq!(client.read_available(), b"STORED\r\n");
     }
 
     #[test]
@@ -721,29 +645,6 @@ mod tests {
         // At most the pool budget of domains exists despite 100 clients.
         let stats = s.stats();
         assert_eq!(stats.requests, 100);
-    }
-
-    #[test]
-    fn per_client_sessions_route_by_identity() {
-        let listener = sdrad_net::Listener::new();
-        let mut alice_conn = listener.connect();
-        let mut alice = Session::with_client(listener.accept().unwrap(), ClientId(10));
-        let mut mallory_conn = listener.connect();
-        let mut mallory = Session::with_client(listener.accept().unwrap(), ClientId(11));
-        let mut s = server(Isolation::PerClient);
-
-        mallory_conn.write(b"xstat 8192 4\r\nboom\r\n");
-        mallory.poll(&mut s);
-        alice_conn.write(b"set k 1\r\nv\r\nget k\r\n");
-        alice.poll(&mut s);
-
-        assert!(String::from_utf8_lossy(&mallory_conn.read_available()).starts_with("SERVER_ERROR"));
-        assert_eq!(
-            alice_conn.read_available(),
-            b"STORED\r\nVALUE k 1\r\nv\r\nEND\r\n".to_vec()
-        );
-        assert_eq!(s.client_domain_info(ClientId(10)).unwrap().violations, 0);
-        assert_eq!(s.client_domain_info(ClientId(11)).unwrap().violations, 1);
     }
 
     #[test]

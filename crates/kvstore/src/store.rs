@@ -322,7 +322,7 @@ fn shard_index(key: &str, shards: usize) -> usize {
 /// The sharded LRU cache.
 #[derive(Debug)]
 pub struct Store {
-    config: StoreConfig,
+    pub(crate) config: StoreConfig,
     shards: Vec<Shard>,
     stats: StoreStats,
     /// Logical clock for TTL expiry, advanced by [`Store::advance`].

@@ -178,6 +178,45 @@ pub fn is_overread_fault(fault: &Fault) -> bool {
     )
 }
 
+/// Wire framing of heartbeat payloads (RFC 6520): `type(1) ||
+/// payload_len(2 BE) || payload || padding`.
+const HB_REQUEST: u8 = 1;
+const HB_RESPONSE: u8 = 2;
+
+/// Builds a heartbeat request payload (client side, for tests/benches).
+#[must_use]
+pub fn heartbeat_request(declared: u16, data: &[u8]) -> Vec<u8> {
+    let mut payload = vec![HB_REQUEST];
+    payload.extend_from_slice(&declared.to_be_bytes());
+    payload.extend_from_slice(data);
+    payload
+}
+
+/// Parses a heartbeat request payload into `(declared_length, data)`.
+/// `None` if the payload is not a well-formed request frame.
+#[must_use]
+pub fn parse_heartbeat_request(payload: &[u8]) -> Option<(usize, &[u8])> {
+    if payload.len() < 3 || payload[0] != HB_REQUEST {
+        return None;
+    }
+    let declared = usize::from(u16::from_be_bytes([payload[1], payload[2]]));
+    Some((declared, &payload[3..]))
+}
+
+/// Builds a heartbeat response payload (server side). The echo is
+/// truncated to what fits in one record after the 3-byte frame header,
+/// and the length field describes the *truncated* body, so the frame
+/// stays self-consistent even for over-read echoes longer than a record.
+#[must_use]
+pub fn heartbeat_response(data: &[u8]) -> Vec<u8> {
+    let cap = (1 << 14) - 3;
+    let body = &data[..data.len().min(cap)];
+    let mut payload = vec![HB_RESPONSE];
+    payload.extend_from_slice(&(body.len() as u16).to_be_bytes());
+    payload.extend_from_slice(body);
+    payload
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

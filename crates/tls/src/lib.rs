@@ -2,11 +2,12 @@
 //!
 //! The third evaluation target. OpenSSL is the paper's confidentiality
 //! use case: per-session secrets must not leak even when a parsing bug is
-//! exploited. This crate provides a *toy* record layer and handshake (no
-//! real cryptography — the experiments measure isolation, not ciphers)
-//! plus the canonical motivating bug: a **Heartbleed-style heartbeat
-//! over-read** (CVE-2014-0160), where the responder trusts the declared
-//! payload length and reads past the request buffer.
+//! exploited. This crate provides a *toy* record layer (no handshake and
+//! no real cryptography — the experiments measure isolation, not key
+//! exchange or ciphers) plus the canonical motivating bug: a
+//! **Heartbleed-style heartbeat over-read** (CVE-2014-0160), where the
+//! responder trusts the declared payload length and reads past the
+//! request buffer.
 //!
 //! Two engines process heartbeats:
 //!
@@ -40,15 +41,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod handshake;
 mod heartbeat;
 mod record;
-mod session;
 
-pub use handshake::{derive_session_key, Handshake, HandshakeError, HandshakeState, NONCE_LEN};
-pub use heartbeat::{is_overread_fault, respond_in_domain, HeartbeatEngine, HeartbeatOutcome};
-pub use record::{ContentType, Record, RecordError, PROTOCOL_VERSION};
-pub use session::{
-    client_hello, finished, heartbeat_request, heartbeat_response, parse_heartbeat_request,
-    SessionError, SessionStats, TlsSession,
+pub use heartbeat::{
+    heartbeat_request, heartbeat_response, is_overread_fault, parse_heartbeat_request,
+    respond_in_domain, HeartbeatEngine, HeartbeatOutcome,
 };
+pub use record::{ContentType, Record, RecordError, PROTOCOL_VERSION};

@@ -12,7 +12,7 @@
 //! | [`alloc`] | `sdrad-alloc` | per-domain heaps with canaries |
 //! | [`serial`] | `sdrad-serial` | cross-domain serialization formats |
 //! | [`ffi`] | `sdrad-ffi` | SDRaD-FFI sandboxing (macro, backends, worker) |
-//! | [`net`] | `sdrad-net` | in-memory transport for the evaluation apps (readiness callbacks for event-driven serving) |
+//! | [`net`] | `sdrad-net` | the runtime's in-memory transport (readiness callbacks for event-driven serving) |
 //! | [`kvstore`] | `sdrad-kvstore` | Memcached-like workload |
 //! | [`httpd`] | `sdrad-httpd` | NGINX-like workload |
 //! | [`tls`] | `sdrad-tls` | OpenSSL-like workload (Heartbleed demo) |
