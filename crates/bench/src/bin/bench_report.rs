@@ -1,5 +1,5 @@
 //! `bench_report` — the perf-trajectory pipeline behind
-//! `BENCH_runtime.json`, and CI's one gate on the runtime scenarios.
+//! `BENCH_runtime.json`, and CI's one gate on every experiment (e1–e24).
 //!
 //! Runs every scenario in [`sdrad_bench::scenarios::ALL`] at its
 //! trajectory size — each asserts its own acceptance criteria, so a
@@ -7,8 +7,8 @@
 //! writes them as the committed baseline or `--check`s them against it.
 //! Three metric classes:
 //!
-//! * **exact** — invariants (crash counts, containment, precision). Any
-//!   drift vs the committed baseline fails.
+//! * **exact** — invariants (crash counts, containment, precision),
+//!   closed forms and seeded simulations. Any drift fails.
 //! * **guarded** — count-type ratios (allocs per request, recall). A
 //!   degradation beyond 10 % vs the baseline fails.
 //! * **info** — timings and host-dependent counts, recorded for trend

@@ -1,93 +1,6 @@
-//! E10 — life-cycle assessment (the paper's proposed follow-up, §IV).
-//!
-//! Paper (§IV): "A thorough analysis of the potential impacts of our
-//! approach requires further life-cycle assessment approaches with a focus
-//! on environmental sustainability through energy efficiency … which would
-//! also consider rebound effects."
-//!
-//! This harness runs the sketched methodology end to end: cumulative
-//! operational + embodied carbon over a multi-year horizon with hardware
-//! refresh cycles, a resilience-driven lifetime extension, and a rebound
-//! parameter sweep.
-
-use sdrad_bench::{banner, TextTable};
-use sdrad_energy::lca::{assess, assess_lineup, embodied_share, LcaScenario};
-use sdrad_energy::redundancy::Strategy;
+//! E10 — life-cycle assessment: runs
+//! [`sdrad_bench::scenarios::e10`] at its full size.
 
 fn main() {
-    banner(
-        "E10",
-        "life-cycle assessment over an 8-year horizon",
-        "SIV: LCA with energy efficiency + rebound effects (proposed future work)",
-    );
-
-    let lca = LcaScenario::default();
-    println!(
-        "horizon {} yrs, refresh every {} yrs, sdrad lifetime extension {:.0}%, rebound {:.0}%\n",
-        lca.years,
-        lca.refresh_years,
-        lca.lifetime_extension * 100.0,
-        lca.rebound * 100.0
-    );
-
-    let mut table = TextTable::new(
-        "cumulative footprint by strategy",
-        &[
-            "strategy",
-            "kWh total",
-            "operational kgCO2e",
-            "embodied kgCO2e",
-            "total kgCO2e",
-            "embodied share",
-        ],
-    );
-    let lineup = assess_lineup(&lca);
-    for report in &lineup {
-        table.row(&[
-            report.strategy.clone(),
-            format!("{:.0}", report.total_kwh),
-            format!("{:.0}", report.operational_kgco2),
-            format!("{:.0}", report.embodied_kgco2),
-            format!("{:.0}", report.total_kgco2()),
-            format!("{:.0}%", embodied_share(report) * 100.0),
-        ]);
-    }
-    println!("{table}");
-
-    let sdrad = lineup.iter().find(|r| r.strategy == "1N-sdrad").unwrap();
-    let dual = lineup
-        .iter()
-        .find(|r| r.strategy == "2N-active-passive")
-        .unwrap();
-    println!(
-        "-> over the horizon, SDRaD saves {:.0} kgCO2e vs 2N ({:.0}% of the 2N footprint)\n",
-        dual.total_kgco2() - sdrad.total_kgco2(),
-        (1.0 - sdrad.total_kgco2() / dual.total_kgco2()) * 100.0
-    );
-
-    // Rebound sweep: how much of the saving survives re-spending?
-    let mut sweep = TextTable::new(
-        "rebound-effect sweep (SDRaD total kgCO2e vs 2N)",
-        &["rebound", "sdrad kgCO2e", "2N kgCO2e", "saving"],
-    );
-    for rebound in [0.0, 0.2, 0.5, 0.8, 1.0] {
-        let scenario = LcaScenario { rebound, ..lca };
-        let sdrad = assess(Strategy::SdradSingle, &scenario);
-        let dual = assess(Strategy::ActivePassive, &scenario);
-        sweep.row(&[
-            format!("{:.0}%", rebound * 100.0),
-            format!("{:.0}", sdrad.total_kgco2()),
-            format!("{:.0}", dual.total_kgco2()),
-            format!(
-                "{:.0}%",
-                (1.0 - sdrad.total_kgco2() / dual.total_kgco2()) * 100.0
-            ),
-        ]);
-    }
-    println!("{sweep}");
-    println!(
-        "shape check: rebound erodes the operational saving but the embodied \
-         saving (half the servers, stretched refresh) survives even full \
-         rebound — the paper's embodied-carbon argument quantified."
-    );
+    sdrad_bench::scenarios::run_full("e10");
 }

@@ -1,101 +1,6 @@
-//! E12 — Monte Carlo validation of the availability math (E4).
-//!
-//! Paper claim (§IV): "a regular restart takes about 2 minutes (which
-//! would violate 99.999 % availability if there were three faults per
-//! year), while our in-process rewinding takes only 3.5 µs."
-//!
-//! E4 computes that claim in closed form. This experiment *simulates* it:
-//! a discrete-event cluster under Poisson fault arrivals, 16 independent
-//! trials per cell, one simulated year each. The closed form should sit
-//! inside the simulation's confidence interval for the single-instance
-//! strategies, and the simulation additionally prices what the closed
-//! form ignores for redundant deployments (failover windows, coincident
-//! faults).
-
-use sdrad_bench::{banner, TextTable};
-use sdrad_cluster::{run_trials, ClusterConfig};
-use sdrad_energy::{nines, Strategy};
-
-const FIVE_NINES: f64 = 0.99999;
-const TRIALS: u32 = 16;
+//! E12 — simulated availability vs the closed form: runs
+//! [`sdrad_bench::scenarios::e12`] at its full size.
 
 fn main() {
-    banner(
-        "E12",
-        "simulated availability vs the closed-form model",
-        "3 faults/yr x 2 min restart violates five nines; SDRaD rewind holds it",
-    );
-
-    let strategies = [
-        Strategy::SingleRestart,
-        Strategy::ActivePassive,
-        Strategy::NPlusOne { n: 3 },
-        Strategy::SdradSingle,
-    ];
-
-    for faults_per_year in [1.0, 3.0, 12.0, 52.0] {
-        let mut table = TextTable::new(
-            format!("{faults_per_year} faults per node-year, 10 GB state, {TRIALS} trials x 1 simulated year"),
-            &[
-                "strategy",
-                "sim nines (mean +/- CI95)",
-                "analytic nines",
-                "downtime s/yr (sim)",
-                "five nines?",
-            ],
-        );
-        for strategy in strategies {
-            let mut config = ClusterConfig::paper_baseline(strategy);
-            config.faults_per_year = faults_per_year;
-            let summary = run_trials(&config, TRIALS);
-
-            let sim_nines = nines(summary.availability.mean);
-            let nine_lo = nines((summary.availability.mean - summary.availability.ci95).min(1.0));
-            let verdict = if summary.availability.mean >= FIVE_NINES {
-                "yes"
-            } else {
-                "VIOLATED"
-            };
-            table.row(&[
-                strategy.name(),
-                format!("{sim_nines:.2} (>= {nine_lo:.2})"),
-                format!("{:.2}", nines(summary.analytic_availability)),
-                format!("{:.1}", summary.downtime_seconds.mean),
-                verdict.into(),
-            ]);
-        }
-        println!("{table}");
-    }
-
-    // The paper's headline cell, spelled out with a larger trial count —
-    // the cell sits almost exactly on the five-nines boundary (analytic
-    // 4.94 nines), so the mean needs tighter confidence than the sweep's.
-    let mut config = ClusterConfig::paper_baseline(Strategy::SingleRestart);
-    config.faults_per_year = 3.0;
-    let restart = run_trials(&config, 96);
-    let mut config = ClusterConfig::paper_baseline(Strategy::SdradSingle);
-    config.faults_per_year = 3.0;
-    let sdrad = run_trials(&config, 96);
-
-    let violated_trials = restart
-        .runs
-        .iter()
-        .filter(|r| r.availability() < FIVE_NINES)
-        .count();
-    println!(
-        "-> paper cell (96 trials): 3 faults/yr restart gives {:.2} simulated nines (analytic 4.94, needs 5); \
-         {}/{} trials violate five nines — a coin flip the operator cannot take, matching the paper's argument. \
-         SDRaD: {:.2} nines on {} server.",
-        nines(restart.availability.mean),
-        violated_trials,
-        restart.trials,
-        nines(sdrad.availability.mean),
-        sdrad.runs[0].servers,
-    );
-    println!(
-        "-> closed form vs simulation: analytic {:.4} vs simulated {:.4} (delta {:.1e}) for 1N-restart — the E4 math is validated by an independent mechanism.",
-        restart.analytic_availability,
-        restart.availability.mean,
-        (restart.analytic_availability - restart.availability.mean).abs(),
-    );
+    sdrad_bench::scenarios::run_full("e12");
 }

@@ -1,130 +1,6 @@
-//! E13 — empirical cluster energy, carbon, and the diversification
-//! ablation.
-//!
-//! Paper claims (§IV): "Replication or diversification of software can
-//! decrease the likelihood of memory-related attacks and increase
-//! software longevity. This can result in over-provisioning hardware
-//! resources and is not environmentally friendly. Our solution supports
-//! fast recovery time without replication or diversification."
-//!
-//! Part 1 re-derives the E5 lineup *empirically*: each strategy runs in
-//! the discrete-event simulator for a simulated year and we integrate the
-//! actual per-node power draw, instead of evaluating the closed form.
-//!
-//! Part 2 is the ablation E5 cannot do: **correlated exploit campaigns**.
-//! A memory-corruption exploit is not an independent hardware fault — it
-//! takes down every replica running the same binary at once. Redundancy
-//! only helps if the replicas are *diversified* (more engineering, more
-//! builds), which is exactly the §IV trade-off. SDRaD sidesteps it: the
-//! single instance rewinds through every campaign.
-
-use sdrad_bench::{banner, TextTable};
-use sdrad_cluster::{ClusterConfig, ClusterSim};
-use sdrad_energy::{nines, Strategy};
+//! E13 — empirical cluster energy and the diversification ablation: runs
+//! [`sdrad_bench::scenarios::e13`] at its full size.
 
 fn main() {
-    banner(
-        "E13",
-        "empirical cluster energy + the diversification ablation",
-        "redundancy over-provisions hardware; SDRaD avoids it; diversification is the costly alternative",
-    );
-
-    // ---------------------------------------------------------------
-    // Part 1: the E5 lineup, measured by simulation.
-    // ---------------------------------------------------------------
-    let strategies = [
-        Strategy::SingleRestart,
-        Strategy::ActivePassive,
-        Strategy::NPlusOne { n: 3 },
-        Strategy::SdradSingle,
-    ];
-
-    let mut lineup = TextTable::new(
-        "one simulated year, 3 faults/node-year, 10 GB state (empirical)",
-        &[
-            "strategy",
-            "servers",
-            "nines",
-            "kWh/yr",
-            "kgCO2e/yr",
-            "vs 1N-sdrad",
-        ],
-    );
-    let sdrad_ref = ClusterSim::new(ClusterConfig::paper_baseline(Strategy::SdradSingle)).run();
-    let mut redundant_premium: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
-    for strategy in strategies {
-        let metrics = ClusterSim::new(ClusterConfig::paper_baseline(strategy)).run();
-        let premium = (metrics.kgco2 / sdrad_ref.kgco2 - 1.0) * 100.0;
-        if metrics.servers > 1 {
-            redundant_premium.0 = redundant_premium.0.min(premium);
-            redundant_premium.1 = redundant_premium.1.max(premium);
-        }
-        lineup.row(&[
-            strategy.name(),
-            metrics.servers.to_string(),
-            format!("{:.2}", metrics.nines()),
-            format!("{:.0}", metrics.kwh),
-            format!("{:.0}", metrics.kgco2),
-            format!("{premium:+.0}%"),
-        ]);
-    }
-    println!("{lineup}");
-    println!(
-        "-> the only strategies reaching five nines are the redundant ones and SDRaD; \
-         SDRaD does it on 1 server — the redundant ones pay {:.0}-{:.0}% more carbon.\n",
-        redundant_premium.0, redundant_premium.1,
-    );
-
-    // ---------------------------------------------------------------
-    // Part 2: correlated exploit campaigns vs diversity.
-    // ---------------------------------------------------------------
-    let mut ablation = TextTable::new(
-        "6 exploit campaigns/year, no independent faults (empirical)",
-        &[
-            "deployment",
-            "variants",
-            "servers",
-            "nines",
-            "downtime s/yr",
-            "kgCO2e/yr",
-        ],
-    );
-
-    let mut cell = |label: &str, strategy: Strategy, variants: u32| {
-        let mut config = ClusterConfig::paper_baseline(strategy);
-        config.faults_per_year = 0.0;
-        config.attacks_per_year = 6.0;
-        config.variants = variants;
-        let metrics = ClusterSim::new(config).run();
-        ablation.row(&[
-            label.into(),
-            variants.to_string(),
-            metrics.servers.to_string(),
-            format!("{:.2}", metrics.nines()),
-            format!("{:.1}", metrics.downtime_seconds),
-            format!("{:.0}", metrics.kgco2),
-        ]);
-        metrics
-    };
-
-    let mono = cell("2N monoculture", Strategy::ActivePassive, 1);
-    let diverse = cell("2N diversified", Strategy::ActivePassive, 2);
-    let single = cell("1N restart", Strategy::SingleRestart, 1);
-    let sdrad = cell("1N SDRaD", Strategy::SdradSingle, 1);
-    println!("{ablation}");
-
-    println!(
-        "-> monoculture redundancy buys almost nothing against exploits: {:.2} vs {:.2} nines for a bare single \
-         (every campaign kills both replicas at once).",
-        nines(mono.availability()),
-        nines(single.availability()),
-    );
-    println!(
-        "-> diversification restores {:.2} nines but doubles hardware AND engineering (two variants to build, test, patch).",
-        nines(diverse.availability()),
-    );
-    println!(
-        "-> SDRaD reaches {:.2} nines on one server, one variant: the \"without replication or diversification\" claim, simulated.",
-        nines(sdrad.availability()),
-    );
+    sdrad_bench::scenarios::run_full("e13");
 }

@@ -1,90 +1,6 @@
-//! E14 — the comprehensive case study §IV proposes as future work.
-//!
-//! Paper (§IV): "Specifically in critical application scenarios, e.g., in
-//! telecommunications or smart grids, high levels of availability are
-//! normally achieved by means of redundancy, which our approach can
-//! alleviate. A thorough analysis … requires further life-cycle assessment
-//! approaches with a focus on environmental sustainability through energy
-//! efficiency, but also economic and social dimensions, to be applied in
-//! a comprehensive case study from the above domains."
-//!
-//! Both named domains, assessed fleet-wide with all three dimensions:
-//! environmental (kWh, CO₂e), economic (energy bill + amortized hardware
-//! capital + engineering, as annual TCO), and social (expected
-//! service-minutes lost per user per year).
-
-use sdrad_bench::{banner, TextTable};
-use sdrad_energy::{fleet_lineup, FleetScenario};
+//! E14 — telecom and smart-grid fleet case study: runs
+//! [`sdrad_bench::scenarios::e14`] at its full size.
 
 fn main() {
-    banner(
-        "E14",
-        "telecom & smart-grid fleet case study (environmental + economic + social)",
-        "\"a comprehensive case study from the above domains\" — §IV's proposed future work",
-    );
-
-    for fleet in [FleetScenario::telecom_ran(), FleetScenario::smart_grid()] {
-        let mut table = TextTable::new(
-            format!(
-                "{} — target {:.3}% availability, {} users/site",
-                fleet.name,
-                fleet.target_availability * 100.0,
-                fleet.users_per_site
-            ),
-            &[
-                "strategy",
-                "servers",
-                "target",
-                "MWh/yr",
-                "tCO2e/yr",
-                "TCO kEUR/yr",
-                "lost min/user/yr",
-            ],
-        );
-        let lineup = fleet_lineup(&fleet);
-        for report in &lineup {
-            table.row(&[
-                report.strategy.clone(),
-                format!("{:.0}", report.servers),
-                if report.meets_target {
-                    "met".into()
-                } else {
-                    "MISSED".to_string()
-                },
-                format!("{:.0}", report.annual_kwh / 1e3),
-                format!("{:.0}", report.annual_kgco2 / 1e3),
-                format!("{:.0}", report.annual_tco_eur() / 1e3),
-                format!("{:.3}", report.lost_minutes_per_user),
-            ]);
-        }
-        println!("{table}");
-
-        let sdrad = lineup.iter().find(|r| r.strategy == "1N-sdrad").unwrap();
-        let cheapest_redundant = lineup
-            .iter()
-            .filter(|r| r.meets_target && r.servers > sdrad.servers)
-            .map(|r| r.annual_tco_eur())
-            .fold(f64::INFINITY, f64::min);
-        if cheapest_redundant.is_finite() {
-            println!(
-                "-> {}: SDRaD meets the target at {:.0} kEUR/yr TCO vs {:.0} kEUR/yr for the cheapest \
-                 redundant strategy that also meets it ({:.0}% saving), with {:.0} fewer servers.\n",
-                fleet.name,
-                sdrad.annual_tco_eur() / 1e3,
-                cheapest_redundant / 1e3,
-                (1.0 - sdrad.annual_tco_eur() / cheapest_redundant) * 100.0,
-                lineup
-                    .iter()
-                    .filter(|r| r.meets_target && r.servers > sdrad.servers)
-                    .map(|r| r.servers - sdrad.servers)
-                    .fold(f64::INFINITY, f64::min),
-            );
-        }
-    }
-
-    println!(
-        "social dimension: the restart fleet loses minutes of service per user per year;\n\
-         SDRaD loses milliseconds — for emergency-call (telecom) or feeder-control (grid)\n\
-         traffic, that difference is the dimension availability percentages hide."
-    );
+    sdrad_bench::scenarios::run_full("e14");
 }

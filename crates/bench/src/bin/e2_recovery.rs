@@ -1,122 +1,6 @@
-//! E2 — recovery latency: restart vs in-process rewind.
-//!
-//! Paper claim (§II): "in our Memcached setup with a 10 GB database, a
-//! regular restart takes about 2 minutes, in-process rewinding takes only
-//! 3.5 µs."
-//!
-//! Restart cost is *measured* on scaled datasets (snapshot replay, the
-//! state-rebuild work a restart pays) and extrapolated linearly to 10 GB;
-//! the linearity itself is validated across the sweep. Rewind cost is
-//! measured directly by triggering contained faults.
-
-use std::time::Duration;
-
-use sdrad_bench::{banner, fmt_bytes, fmt_duration, measured_rewind_latency, time_once, TextTable};
-use sdrad_energy::restart::RestartModel;
-use sdrad_kvstore::{Isolation, Server, ServerConfig, Snapshot, Store, StoreConfig};
-
-/// Builds a server holding `entries` × `value_len` bytes.
-fn preloaded_snapshot(entries: usize, value_len: usize) -> Snapshot {
-    let mut server = Server::new(ServerConfig::default(), Isolation::None).unwrap();
-    for i in 0..entries {
-        server
-            .store_mut()
-            .set(format!("key-{i:08}"), vec![(i % 251) as u8; value_len]);
-    }
-    server.snapshot()
-}
+//! E2 — recovery latency, restart vs rewind: runs
+//! [`sdrad_bench::scenarios::e2`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E2",
-        "recovery latency: process/container restart vs SDRaD rewind",
-        "10 GB restart ~2 min; rewind 3.5 us",
-    );
-
-    let rewind = measured_rewind_latency(500);
-    println!(
-        "measured rewind latency (this build, mean of 500): {}\n",
-        fmt_duration(rewind)
-    );
-
-    let mut table = TextTable::new(
-        "measured restart (snapshot replay) vs rewind",
-        &[
-            "dataset",
-            "entries",
-            "restart (measured)",
-            "rewind (measured)",
-            "ratio",
-        ],
-    );
-
-    let value_len = 1024;
-    let mut per_byte_rates = Vec::new();
-    for &entries in &[1_000usize, 10_000, 50_000, 100_000] {
-        let snapshot = preloaded_snapshot(entries, value_len);
-        let bytes = snapshot.bytes();
-        let (_restored, restart_time) =
-            time_once(|| Store::restore(StoreConfig::default(), &snapshot));
-        per_byte_rates.push(restart_time.as_secs_f64() / bytes as f64);
-        table.row(&[
-            fmt_bytes(bytes),
-            entries.to_string(),
-            fmt_duration(restart_time),
-            fmt_duration(rewind),
-            format!("{:.1e}x", restart_time.as_secs_f64() / rewind.as_secs_f64()),
-        ]);
-    }
-    println!("{table}");
-
-    // Linearity check + 10 GB extrapolation.
-    let max_rate = per_byte_rates.iter().copied().fold(0.0f64, f64::max);
-    let min_rate = per_byte_rates.iter().copied().fold(f64::MAX, f64::min);
-    println!(
-        "restart per-byte rate varies {:.1}x across the sweep (1.0 = perfectly linear)",
-        max_rate / min_rate
-    );
-    let mean_rate = per_byte_rates.iter().sum::<f64>() / per_byte_rates.len() as f64;
-    let extrapolated = Duration::from_secs_f64(mean_rate * 10.0e9);
-
-    let mut headline = TextTable::new(
-        "10 GB headline comparison",
-        &["mechanism", "recovery time", "source"],
-    );
-    headline.row(&[
-        "process restart (paper)".into(),
-        "~2 min".into(),
-        "paper §II".into(),
-    ]);
-    headline.row(&[
-        "process restart (extrapolated)".into(),
-        fmt_duration(extrapolated),
-        "measured replay rate x 10 GB".into(),
-    ]);
-    headline.row(&[
-        "process restart (model)".into(),
-        fmt_duration(RestartModel::process_restart().recovery_time(10_000_000_000)),
-        "calibrated model".into(),
-    ]);
-    headline.row(&[
-        "container restart (model)".into(),
-        fmt_duration(RestartModel::container_restart().recovery_time(10_000_000_000)),
-        "calibrated model".into(),
-    ]);
-    headline.row(&[
-        "SDRaD rewind (paper)".into(),
-        "3.5 us".into(),
-        "paper §II".into(),
-    ]);
-    headline.row(&[
-        "SDRaD rewind (measured)".into(),
-        fmt_duration(rewind),
-        "500 contained faults".into(),
-    ]);
-    println!("{headline}");
-    println!(
-        "shape check: rewind is constant in dataset size; restart scales \
-         linearly; the gap at 10 GB is ~7 orders of magnitude — matching \
-         the paper's 120 s vs 3.5 us."
-    );
+    sdrad_bench::scenarios::run_full("e2");
 }

@@ -1,79 +1,6 @@
-//! E3 — recovery time vs dataset size (the figure behind E2).
-//!
-//! Paper shape: restart cost grows linearly with state size while rewind
-//! stays flat, so the availability advantage of in-process recovery grows
-//! with exactly the deployments that matter (large caches).
-//!
-//! Emits one series row per dataset size for the three mechanisms:
-//! measured replay, calibrated process/container models, measured rewind.
-
-use sdrad_bench::{banner, fmt_bytes, fmt_duration, measured_rewind_latency, time_once, TextTable};
-use sdrad_energy::restart::RestartModel;
-use sdrad_kvstore::{Store, StoreConfig};
+//! E3 — recovery-time scaling with dataset size: runs
+//! [`sdrad_bench::scenarios::e3`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E3",
-        "recovery-time scaling with dataset size",
-        "restart linear in state, rewind constant",
-    );
-
-    let rewind = measured_rewind_latency(200);
-    let process = RestartModel::process_restart();
-    let container = RestartModel::container_restart();
-
-    let mut table = TextTable::new(
-        "recovery time series (figure data)",
-        &[
-            "dataset",
-            "replay (measured)",
-            "process restart (model)",
-            "container restart (model)",
-            "sdrad rewind (measured)",
-        ],
-    );
-
-    let value_len = 1024usize;
-    for exp in 0..=7u32 {
-        let entries = 500usize * 2usize.pow(exp); // 500 .. 64_000
-        let mut store = Store::new(StoreConfig::default());
-        for i in 0..entries {
-            store.set(format!("key-{i:08}"), vec![(i % 251) as u8; value_len]);
-        }
-        let snapshot = store.snapshot();
-        let bytes = snapshot.bytes();
-        let (_restored, replay) = time_once(|| Store::restore(StoreConfig::default(), &snapshot));
-
-        table.row(&[
-            fmt_bytes(bytes),
-            fmt_duration(replay),
-            fmt_duration(process.recovery_time(bytes)),
-            fmt_duration(container.recovery_time(bytes)),
-            fmt_duration(rewind),
-        ]);
-    }
-    println!("{table}");
-
-    // Model projection out to the paper's 10 GB point.
-    let mut projection = TextTable::new(
-        "model projection to paper scale",
-        &[
-            "dataset",
-            "process restart",
-            "container restart",
-            "sdrad rewind",
-        ],
-    );
-    for gb in [1u64, 2, 5, 10, 20] {
-        let bytes = gb * 1_000_000_000;
-        projection.row(&[
-            format!("{gb} GB"),
-            fmt_duration(process.recovery_time(bytes)),
-            fmt_duration(container.recovery_time(bytes)),
-            fmt_duration(rewind),
-        ]);
-    }
-    println!("{projection}");
-    println!("shape check: doubling the dataset ~doubles replay time; the rewind column is flat.");
+    sdrad_bench::scenarios::run_full("e3");
 }

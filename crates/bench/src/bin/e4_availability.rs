@@ -1,112 +1,6 @@
-//! E4 — availability analysis: nines vs fault rate per recovery mechanism.
-//!
-//! Paper claims (§IV): a 2-minute restart "would violate 99.999 %
-//! availability if there were three faults per year, while our in-process
-//! rewinding takes only 3.5 µs, allowing for more than 9·10⁷ recoveries".
-
-use std::time::Duration;
-
-use sdrad_bench::{banner, fmt_duration, measured_rewind_latency, TextTable};
-use sdrad_energy::availability::{availability, max_recoveries_in_budget, nines};
-use sdrad_energy::restart::RestartModel;
-
-const STATE_BYTES: u64 = 10_000_000_000;
+//! E4 — availability per recovery mechanism: runs
+//! [`sdrad_bench::scenarios::e4`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E4",
-        "availability achieved per recovery mechanism",
-        "3 faults/yr x 2 min violates five nines; 3.5 us rewind allows >9e7 recoveries",
-    );
-
-    let rewind_measured = measured_rewind_latency(300);
-    let mechanisms: Vec<(&str, Duration)> = vec![
-        (
-            "process-restart",
-            RestartModel::process_restart().recovery_time(STATE_BYTES),
-        ),
-        (
-            "container-restart",
-            RestartModel::container_restart().recovery_time(STATE_BYTES),
-        ),
-        ("sdrad-rewind (paper 3.5us)", Duration::from_nanos(3_500)),
-        ("sdrad-rewind (measured)", rewind_measured),
-    ];
-
-    let mut table = TextTable::new(
-        "achieved nines by faults/year (10 GB state)",
-        &[
-            "mechanism",
-            "recovery",
-            "1/yr",
-            "3/yr",
-            "10/yr",
-            "100/yr",
-            "10000/yr",
-        ],
-    );
-    for (name, recovery) in &mechanisms {
-        let mut row = vec![(*name).to_string(), fmt_duration(*recovery)];
-        for rate in [1.0, 3.0, 10.0, 100.0, 10_000.0] {
-            let a = availability(rate, *recovery);
-            let n = nines(a);
-            row.push(if n.is_infinite() {
-                "inf".to_string()
-            } else {
-                format!("{n:.1}")
-            });
-        }
-        table.row(&row);
-    }
-    println!("{table}");
-
-    // The paper's two headline checks.
-    let restart_at_3 = availability(
-        3.0,
-        RestartModel::process_restart().recovery_time(STATE_BYTES),
-    );
-    println!(
-        "check 1: three 2-minute restarts/year -> {:.6}% availability ({:.2} nines) {}",
-        restart_at_3 * 100.0,
-        nines(restart_at_3),
-        if nines(restart_at_3) < 5.0 {
-            "-> five nines VIOLATED (matches paper)"
-        } else {
-            "-> unexpected"
-        }
-    );
-    let budget_paper = max_recoveries_in_budget(0.99999, Duration::from_nanos(3_500));
-    let budget_measured = max_recoveries_in_budget(0.99999, rewind_measured);
-    println!(
-        "check 2: recoveries inside a five-nines budget: {budget_paper:.2e} at the paper's \
-         3.5 us (paper says >9e7), {budget_measured:.2e} at this build's measured {}",
-        fmt_duration(rewind_measured)
-    );
-
-    let mut budget_table = TextTable::new(
-        "max recoveries/year inside an availability budget",
-        &[
-            "target",
-            "budget (s/yr)",
-            "process-restart",
-            "sdrad-rewind (measured)",
-        ],
-    );
-    for target in [0.999, 0.9999, 0.99999, 0.999999] {
-        let budget_s = sdrad_energy::availability::downtime_budget(target);
-        budget_table.row(&[
-            format!("{:.4}%", target * 100.0),
-            format!("{budget_s:.1}"),
-            format!(
-                "{:.1}",
-                max_recoveries_in_budget(
-                    target,
-                    RestartModel::process_restart().recovery_time(STATE_BYTES)
-                )
-            ),
-            format!("{:.2e}", max_recoveries_in_budget(target, rewind_measured)),
-        ]);
-    }
-    println!("{budget_table}");
+    sdrad_bench::scenarios::run_full("e4");
 }

@@ -1,100 +1,6 @@
-//! E5 — the sustainability figure: energy and carbon of availability
-//! strategies.
-//!
-//! Paper claims (§IV): replication/diversification for availability
-//! "can result in over-provisioning hardware resources and is not
-//! environmentally friendly"; SDRaD "supports fast recovery time without
-//! replication … with only limited runtime overhead".
-
-use sdrad_bench::{banner, fmt_duration, measured_rewind_latency, TextTable};
-use sdrad_energy::availability::nines;
-use sdrad_energy::redundancy::{evaluate, evaluate_lineup, Scenario, Strategy};
+//! E5 — energy and carbon per availability strategy: runs
+//! [`sdrad_bench::scenarios::e5`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E5",
-        "annual energy & carbon per availability strategy",
-        "redundancy-based availability over-provisions; SDRaD avoids it at 2-4% overhead",
-    );
-
-    let scenario = Scenario {
-        rewind: measured_rewind_latency(300),
-        ..Scenario::default()
-    };
-    println!(
-        "scenario: {} faults/yr, 50% utilization, 10 GB state, 3% sdrad overhead, \
-         measured rewind {}\n",
-        scenario.faults_per_year,
-        fmt_duration(scenario.rewind)
-    );
-
-    let mut table = TextTable::new(
-        "strategy line-up (figure data)",
-        &[
-            "strategy",
-            "servers",
-            "availability",
-            "nines",
-            "kWh/yr",
-            "kgCO2e/yr",
-            "recovery",
-        ],
-    );
-    let lineup = evaluate_lineup(&scenario);
-    let sdrad_kwh = lineup
-        .iter()
-        .find(|r| r.strategy == "1N-sdrad")
-        .expect("lineup contains sdrad")
-        .annual_kwh;
-    for report in &lineup {
-        table.row(&[
-            report.strategy.clone(),
-            format!("{:.0}", report.servers),
-            format!("{:.6}%", report.availability * 100.0),
-            format!("{:.1}", report.nines().min(12.0)),
-            format!("{:.0}", report.annual_kwh),
-            format!("{:.0}", report.annual_kgco2),
-            fmt_duration(report.recovery),
-        ]);
-    }
-    println!("{table}");
-
-    for report in &lineup {
-        if report.strategy != "1N-sdrad" && report.nines() >= 5.0 {
-            println!(
-                "-> {} reaches five nines at {:.1}x the energy of 1N-sdrad",
-                report.strategy,
-                report.annual_kwh / sdrad_kwh
-            );
-        }
-    }
-
-    // Sweep fault rate: where does each strategy lose five nines?
-    let mut sweep = TextTable::new(
-        "nines vs fault rate (crossover series)",
-        &["faults/yr", "1N-restart", "2N-active-passive", "1N-sdrad"],
-    );
-    for rate in [1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0] {
-        let s = Scenario {
-            faults_per_year: rate,
-            ..scenario
-        };
-        let single = evaluate(Strategy::SingleRestart, &s);
-        let dual = evaluate(Strategy::ActivePassive, &s);
-        let sdrad = evaluate(Strategy::SdradSingle, &s);
-        sweep.row(&[
-            format!("{rate:.0}"),
-            format!("{:.2}", nines(single.availability)),
-            format!("{:.2}", nines(dual.availability)),
-            format!("{:.2}", nines(sdrad.availability).min(12.0)),
-        ]);
-    }
-    println!("{sweep}");
-    println!(
-        "shape check: the restart strategy drops below five nines almost \
-         immediately; the 2N pair holds until fault rates reach tens/year \
-         (each failover costs seconds); SDRaD holds across the sweep on a \
-         single server — the energy saving is the 2N row minus the sdrad row."
-    );
+    sdrad_bench::scenarios::run_full("e5");
 }

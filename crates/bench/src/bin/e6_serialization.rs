@@ -1,111 +1,6 @@
-//! E6 — serialization formats for SDRaD-FFI argument passing.
-//!
-//! Paper (§III): "SDRaD-FFI can support arbitrary argument passing between
-//! domains using different Rust serialization crates. We plan to evaluate
-//! different serialization crates…" — this is that evaluation, over the
-//! three formats `sdrad-serial` implements (bincode-like `wire`,
-//! postcard-like `compact`, JSON/CBOR-class `tagged`).
-
-use sdrad_bench::{banner, fmt_bytes, measure, TextTable};
-use sdrad_ffi::Sandbox;
-use sdrad_serial::{from_bytes, to_bytes, Format};
-use serde::{Deserialize, Serialize};
-
-/// A representative FFI argument: an id, options, and a data buffer.
-#[derive(Serialize, Deserialize, Clone, PartialEq, Debug)]
-struct FfiArgs {
-    request_id: u64,
-    flags: Vec<u32>,
-    name: String,
-    payload: Vec<u8>,
-}
-
-fn args_with_payload(len: usize) -> FfiArgs {
-    FfiArgs {
-        request_id: 0xDEAD_BEEF,
-        flags: vec![1, 2, 3, 4],
-        name: "legacy_decode".into(),
-        payload: (0..len).map(|i| (i % 251) as u8).collect(),
-    }
-}
+//! E6 — cross-domain argument serialization formats: runs
+//! [`sdrad_bench::scenarios::e6`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E6",
-        "cross-domain argument serialization: format comparison",
-        "SDRaD-FFI supports arbitrary argument passing via serialization crates",
-    );
-
-    let mut size_table = TextTable::new(
-        "encoded size by format and payload",
-        &["payload", "wire", "compact", "tagged"],
-    );
-    for &len in &[8usize, 64, 512, 4096, 65536] {
-        let args = args_with_payload(len);
-        let mut row = vec![fmt_bytes(len as u64)];
-        for format in Format::ALL {
-            row.push(fmt_bytes(to_bytes(format, &args).unwrap().len() as u64));
-        }
-        size_table.row(&row);
-    }
-    println!("{size_table}");
-
-    let mut speed_table = TextTable::new(
-        "round-trip (encode+decode) latency by format and payload",
-        &["payload", "wire", "compact", "tagged"],
-    );
-    for &len in &[8usize, 64, 512, 4096, 65536] {
-        let args = args_with_payload(len);
-        let mut row = vec![fmt_bytes(len as u64)];
-        for format in Format::ALL {
-            let per_op = measure(500, || {
-                let bytes = to_bytes(format, &args).unwrap();
-                let back: FfiArgs = from_bytes(format, &bytes).unwrap();
-                std::hint::black_box(back);
-            });
-            row.push(format!("{:.1} µs", per_op.as_nanos() as f64 / 1e3));
-        }
-        speed_table.row(&row);
-    }
-    println!("{speed_table}");
-
-    // End-to-end: the full sandboxed invocation (marshal in, run in
-    // domain, marshal out) per format.
-    let mut e2e_table = TextTable::new(
-        "full sandboxed call (4 KiB payload) by format",
-        &["format", "per call", "vs direct"],
-    );
-    let args = args_with_payload(4096);
-    for format in Format::ALL {
-        let mut direct = Sandbox::direct().format(format);
-        let mut isolated = Sandbox::in_process().unwrap().format(format);
-        let args_ref = &args;
-        let direct_time = measure(300, || {
-            let n: usize = direct
-                .invoke("payload_len", args_ref, |a: FfiArgs| a.payload.len())
-                .unwrap();
-            std::hint::black_box(n);
-        });
-        let isolated_time = measure(300, || {
-            let n: usize = isolated
-                .invoke("payload_len", args_ref, |a: FfiArgs| a.payload.len())
-                .unwrap();
-            std::hint::black_box(n);
-        });
-        e2e_table.row(&[
-            format.name().to_string(),
-            format!("{:.1} µs", isolated_time.as_nanos() as f64 / 1e3),
-            format!(
-                "{:.1}x",
-                isolated_time.as_secs_f64() / direct_time.as_secs_f64()
-            ),
-        ]);
-    }
-    println!("{e2e_table}");
-    println!(
-        "shape check: compact produces the smallest payloads, wire the \
-         fastest encode/decode, tagged pays size+time for self-validation \
-         — the trade-off space the paper's planned crate evaluation spans."
-    );
+    sdrad_bench::scenarios::run_full("e6");
 }

@@ -1,150 +1,6 @@
-//! E7 — impact of malicious clients on benign clients.
-//!
-//! Paper claim (§II): "our approach offers significant advantages with
-//! limiting the impact of malicious clients on other clients in a
-//! service-oriented application, without disrupting service."
-//!
-//! Simulation: N benign clients issue a get/set workload against the
-//! kvstore; one attacker periodically sends the `xstat` exploit. Without
-//! isolation each attack crashes the server, which then pays a real
-//! (measured) snapshot-replay restart while benign requests go
-//! unanswered. With SDRaD each attack costs one rewound domain call.
-
-use sdrad_bench::{banner, fmt_duration, time_once, TextTable};
-use sdrad_faultsim::workload::{kv_exploit_request, KvWorkload};
-use sdrad_kvstore::{Isolation, Server, ServerConfig};
-
-const BENIGN_CLIENTS: usize = 8;
-const ROUNDS: usize = 400;
-/// Health-check rounds before a crash is noticed and a restart begins.
-const DETECTION_ROUNDS: usize = 5;
-
-struct Outcome {
-    benign_sent: u64,
-    benign_answered: u64,
-    attacks: u64,
-    restarts: u64,
-    total_time: std::time::Duration,
-    downtime: std::time::Duration,
-}
-
-fn run(isolation: Isolation, attack_every: usize) -> Outcome {
-    let mut server = Server::new(ServerConfig::default(), isolation).unwrap();
-    // Preload a dataset so restarts cost something real.
-    for i in 0..20_000usize {
-        server
-            .store_mut()
-            .set(format!("key-{i}"), vec![(i % 251) as u8; 256]);
-    }
-    let snapshot = server.snapshot();
-
-    let mut benign: Vec<_> = (0..BENIGN_CLIENTS)
-        .map(|i| {
-            let client = sdrad::ClientId(1 + i as u64);
-            (client, KvWorkload::new(100 + i as u64, 20_000, 256, 0.9))
-        })
-        .collect();
-    let attacker = sdrad::ClientId(999);
-
-    let mut outcome = Outcome {
-        benign_sent: 0,
-        benign_answered: 0,
-        attacks: 0,
-        restarts: 0,
-        total_time: std::time::Duration::ZERO,
-        downtime: std::time::Duration::ZERO,
-    };
-
-    let mut dead_since: Option<usize> = None;
-    let ((), elapsed) = time_once(|| {
-        for round in 0..ROUNDS {
-            // Benign clients each send one request; a crashed server
-            // answers with silence (an empty response).
-            for (client, workload) in &mut benign {
-                outcome.benign_sent += 1;
-                let response = server.handle_for(*client, &workload.next_request());
-                if !response.is_empty() {
-                    outcome.benign_answered += 1;
-                }
-            }
-            // The attacker strikes every `attack_every` rounds.
-            if attack_every > 0 && round % attack_every == attack_every - 1 {
-                outcome.attacks += 1;
-                let _ = server.handle_for(attacker, &kv_exploit_request(8192));
-            }
-            // A crashed server is only noticed by monitoring after a
-            // detection delay (health-check interval); then ops restart
-            // it, paying the measured replay cost. Benign requests sent
-            // in between go unanswered.
-            if !server.is_alive() {
-                match dead_since {
-                    None => dead_since = Some(round),
-                    Some(since) if round - since >= DETECTION_ROUNDS => {
-                        let ((), restart_cost) = time_once(|| server.restart_from(&snapshot));
-                        outcome.downtime += restart_cost;
-                        outcome.restarts += 1;
-                        dead_since = None;
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    });
-    outcome.total_time = elapsed;
-    outcome
-}
+//! E7 — malicious-client impact on benign clients: runs
+//! [`sdrad_bench::scenarios::e7`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E7",
-        "malicious-client impact on benign clients",
-        "SDRaD limits malicious clients' impact on other clients without disrupting service",
-    );
-
-    let mut table = TextTable::new(
-        format!("{BENIGN_CLIENTS} benign clients x {ROUNDS} rounds, 20k-entry store"),
-        &[
-            "mode",
-            "attack period",
-            "attacks",
-            "restarts",
-            "benign answered",
-            "success rate",
-            "downtime (restarts)",
-        ],
-    );
-
-    for &attack_every in &[0usize, 40, 10] {
-        for isolation in [Isolation::None, Isolation::Domain, Isolation::PerClient] {
-            let outcome = run(isolation, attack_every);
-            table.row(&[
-                match isolation {
-                    Isolation::None => "baseline".into(),
-                    Isolation::Domain => "sdrad".into(),
-                    Isolation::PerClient => "sdrad-per-client".into(),
-                },
-                if attack_every == 0 {
-                    "never".into()
-                } else {
-                    format!("every {attack_every} rounds")
-                },
-                outcome.attacks.to_string(),
-                outcome.restarts.to_string(),
-                format!("{}/{}", outcome.benign_answered, outcome.benign_sent),
-                format!(
-                    "{:.1}%",
-                    outcome.benign_answered as f64 / outcome.benign_sent as f64 * 100.0
-                ),
-                fmt_duration(outcome.downtime),
-            ]);
-        }
-    }
-    println!("{table}");
-    println!(
-        "shape check: without isolation, every attack crashes the server and \
-         benign success drops with attack frequency while restart downtime \
-         accumulates; with SDRaD, benign success stays at 100% and downtime \
-         stays zero — 'without disrupting service'."
-    );
+    sdrad_bench::scenarios::run_full("e7");
 }

@@ -1,141 +1,6 @@
-//! E8 — the cost of isolation mechanisms (the §IV lightweight-isolation
-//! argument).
-//!
-//! Paper claim (§IV): "conventional process isolation has high
-//! context-switching costs that increase resource utilization.
-//! Hardware-assisted in-process isolation, such as MPK … \[is\] lightweight."
-//!
-//! Measures the same sandboxed call (identical marshalling) under three
-//! real backends — direct, SDRaD domain, worker subprocess — plus the
-//! calibrated hardware cost model for reference.
-
-use std::process::Command;
-
-use sdrad::{DomainConfig, DomainManager};
-use sdrad_bench::{banner, measure, worker_binary, TextTable};
-use sdrad_ffi::Sandbox;
-use sdrad_mpk::CostModel;
+//! E8 — isolation-mechanism round-trip costs: runs
+//! [`sdrad_bench::scenarios::e8`] at its full size.
 
 fn main() {
-    sdrad::quiet_fault_traps();
-    banner(
-        "E8",
-        "isolation-mechanism round-trip costs",
-        "MPK domain switches are lightweight; process isolation pays context switches",
-    );
-
-    let model = CostModel::calibrated();
-    let mut table = TextTable::new(
-        "modeled hardware costs (calibrated; see sdrad-mpk::cost for sources)",
-        &["primitive", "cycles", "time @3GHz"],
-    );
-    table.row(&[
-        "WRPKRU (domain switch)".into(),
-        model.wrpkru_cycles.to_string(),
-        format!("{:.1} ns", model.wrpkru_ns()),
-    ]);
-    table.row(&[
-        "pkey_mprotect".into(),
-        model.pkey_mprotect_cycles.to_string(),
-        format!(
-            "{:.1} µs",
-            model.cpu.cycles_to_ns(model.pkey_mprotect_cycles) / 1e3
-        ),
-    ]);
-    table.row(&[
-        "process context switch".into(),
-        model.process_switch_cycles.to_string(),
-        format!("{:.1} µs", model.process_switch_ns() / 1e3),
-    ]);
-    table.row(&[
-        "process spawn".into(),
-        model.process_spawn_cycles.to_string(),
-        format!("{:.0} µs", model.process_spawn_ns() / 1e3),
-    ]);
-    println!("{table}");
-    println!(
-        "-> modeled ratio: process switch / WRPKRU = {:.0}x\n",
-        model.process_switch_ns() / model.wrpkru_ns()
-    );
-
-    // Measured: raw domain enter/exit (no marshalling).
-    let mut mgr = DomainManager::new();
-    let domain = mgr.create_domain(DomainConfig::new("probe")).unwrap();
-    let raw_call = measure(5_000, || {
-        mgr.call(domain, |_env| std::hint::black_box(1u64)).unwrap();
-    });
-
-    let mut measured = TextTable::new(
-        "measured sandboxed call round-trips (this build)",
-        &["mechanism", "per call", "notes"],
-    );
-    measured.row(&[
-        "raw domain call (no args)".into(),
-        format!("{:.2} µs", raw_call.as_nanos() as f64 / 1e3),
-        "enter + exit + sweep".into(),
-    ]);
-
-    // Identical marshalled workload across backends.
-    let payload: Vec<u8> = vec![7u8; 64];
-    let mut direct = Sandbox::direct();
-    let payload_ref = &payload;
-    let direct_time = measure(2_000, || {
-        let n: usize = direct
-            .invoke("echo_len", payload_ref, |v: Vec<u8>| v.len())
-            .unwrap();
-        std::hint::black_box(n);
-    });
-    measured.row(&[
-        "direct (marshal only)".into(),
-        format!("{:.2} µs", direct_time.as_nanos() as f64 / 1e3),
-        "no isolation".into(),
-    ]);
-
-    let mut in_process = Sandbox::in_process().unwrap();
-    let in_process_time = measure(2_000, || {
-        let n: usize = in_process
-            .invoke("echo_len", payload_ref, |v: Vec<u8>| v.len())
-            .unwrap();
-        std::hint::black_box(n);
-    });
-    measured.row(&[
-        "sdrad domain".into(),
-        format!("{:.2} µs", in_process_time.as_nanos() as f64 / 1e3),
-        format!(
-            "{:.1}x direct",
-            in_process_time.as_secs_f64() / direct_time.as_secs_f64()
-        ),
-    ]);
-
-    match worker_binary() {
-        Some(path) => {
-            let mut process = Sandbox::process(Command::new(path)).unwrap();
-            // The worker's `echo` returns the payload; measure the RTT.
-            let process_time = measure(500, || {
-                let v: Vec<u8> = process.invoke("echo", payload_ref, |v: Vec<u8>| v).unwrap();
-                std::hint::black_box(v);
-            });
-            measured.row(&[
-                "subprocess (Sandcrust-style)".into(),
-                format!("{:.2} µs", process_time.as_nanos() as f64 / 1e3),
-                format!(
-                    "{:.0}x sdrad domain",
-                    process_time.as_secs_f64() / in_process_time.as_secs_f64()
-                ),
-            ]);
-        }
-        None => {
-            measured.row(&[
-                "subprocess (Sandcrust-style)".into(),
-                "n/a".into(),
-                "worker binary not built; run `cargo build -p sdrad-ffi` first".into(),
-            ]);
-        }
-    }
-    println!("{measured}");
-    println!(
-        "shape check: sdrad-domain calls sit within a small factor of the \
-         marshalling-only baseline, while real subprocess round-trips cost \
-         orders of magnitude more — the paper's case for in-process isolation."
-    );
+    sdrad_bench::scenarios::run_full("e8");
 }

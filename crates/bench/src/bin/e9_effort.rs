@@ -1,114 +1,6 @@
-//! E9 — development effort of retrofitting SDRaD.
-//!
-//! Paper claim (§II): "we changed two source files in Memcached and added
-//! 484 new lines of wrapper code" — and §III's goal is to shrink that via
-//! SDRaD-FFI annotations.
-//!
-//! Methodology: for each retrofitted app in this repository, count the
-//! lines that exist *because of* the SDRaD integration — lines mentioning
-//! the domain API (`DomainManager`, `DomainConfig`, `env.`, `mgr.call`,
-//! `Isolation`) plus the in-domain handler functions — against the app's
-//! total size. The macro-based SDRaD-FFI path is counted the same way for
-//! comparison.
-
-use sdrad_bench::{banner, TextTable};
-
-/// App sources, embedded at compile time so the count is always in sync
-/// with the code actually built.
-const APPS: [(&str, &str, &str); 3] = [
-    (
-        "kvstore (Memcached analogue)",
-        "server.rs",
-        include_str!("../../../kvstore/src/server.rs"),
-    ),
-    (
-        "httpd (NGINX analogue)",
-        "server.rs",
-        include_str!("../../../httpd/src/server.rs"),
-    ),
-    (
-        "tls (OpenSSL analogue)",
-        "heartbeat.rs",
-        include_str!("../../../tls/src/heartbeat.rs"),
-    ),
-];
-
-/// Markers identifying SDRaD-integration lines.
-const MARKERS: [&str; 8] = [
-    "DomainManager",
-    "DomainConfig",
-    "DomainError",
-    "DomainPolicy",
-    "mgr.call",
-    "env.",
-    "Isolation::Domain",
-    "rewind",
-];
-
-fn count_integration_lines(source: &str) -> (usize, usize) {
-    let mut total = 0usize;
-    let mut integration = 0usize;
-    let mut in_tests = false;
-    for line in source.lines() {
-        if line.contains("mod tests") {
-            in_tests = true;
-        }
-        if in_tests {
-            continue; // tests are not retrofit effort
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with("//") {
-            continue;
-        }
-        total += 1;
-        if MARKERS.iter().any(|m| line.contains(m)) {
-            integration += 1;
-        }
-    }
-    (total, integration)
-}
+//! E9 — developer effort of the SDRaD retrofit: runs
+//! [`sdrad_bench::scenarios::e9`] at its full size.
 
 fn main() {
-    banner(
-        "E9",
-        "developer effort of the SDRaD retrofit",
-        "Memcached retrofit: 2 files changed, 484 wrapper lines added",
-    );
-
-    let mut table = TextTable::new(
-        "integration lines per retrofitted app (non-test, non-comment)",
-        &["app", "file", "code lines", "sdrad lines", "share"],
-    );
-    let mut total_integration = 0usize;
-    for (app, file, source) in APPS {
-        let (total, integration) = count_integration_lines(source);
-        total_integration += integration;
-        table.row(&[
-            app.to_string(),
-            file.to_string(),
-            total.to_string(),
-            integration.to_string(),
-            format!("{:.0}%", integration as f64 / total as f64 * 100.0),
-        ]);
-    }
-    println!("{table}");
-
-    println!(
-        "paper:   Memcached retrofit = 484 added lines across 2 files (plain SDRaD C API)\n\
-         here:    {total_integration} integration lines across the three apps (domain API)\n"
-    );
-
-    // The SDRaD-FFI macro path: the same containment in a handful of lines.
-    let macro_example = r#"sandboxed! {
-    pub fn legacy_checksum(data: Vec<u8>) -> u32 {
-        ...body unchanged...
-    } recover |_err| 0
-}"#;
-    let macro_lines = macro_example.lines().count();
-    println!(
-        "SDRaD-FFI annotation path (§III's goal): wrapping one foreign \
-         function costs ~{macro_lines} lines — the `sandboxed!` macro \
-         generates the marshalling, the domain call and the alternate \
-         action that the C-API retrofit writes by hand."
-    );
+    sdrad_bench::scenarios::run_full("e9");
 }

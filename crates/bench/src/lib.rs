@@ -1,13 +1,11 @@
 //! # sdrad-bench — experiment harnesses
 //!
-//! One binary per experiment (`e1_overhead` … `e24_streaming_telemetry`;
-//! e17 has none), each regenerating one table or figure from the paper
-//! — or one of the paper's §IV proposals (E10–E14) — and printing
-//! paper-vs-measured rows. See `DESIGN.md` §5 for the experiment index.
-//!
-//! The experiments on the serving runtime (e15–e24) are library
-//! functions registered in [`scenarios`], built from the shared
-//! [`cells`]; their binaries are one-call `main`s, and the
+//! Every experiment (e1–e24) is one library function registered in
+//! [`scenarios`], each regenerating one table or figure from the paper —
+//! or one of the paper's §IV proposals (E10–E14) — as paper-vs-measured
+//! rows; the runtime experiments (e15–e24) are built from the shared
+//! [`cells`]. See `DESIGN.md` §5 for the experiment index. Each
+//! `eN_*` binary (e17 has none) is a one-call `main`, and the
 //! `bench_report` binary loops the same registry at its smaller
 //! trajectory sizes, writes the metrics to the committed
 //! `BENCH_runtime.json` and `--check`s it in CI. Every harness routes
@@ -29,15 +27,6 @@ use std::time::{Duration, Instant};
 
 pub use report::{Metric, MetricClass, Report, BENCH_SCHEMA_VERSION};
 pub use sdrad_energy::report::{fmt_bytes, fmt_duration};
-pub use sdrad_energy::TextTable;
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, title: &str, paper_claim: &str) {
-    println!("================================================================");
-    println!("{id}: {title}");
-    println!("paper: {paper_claim}");
-    println!("================================================================");
-}
 
 /// Times `iters` runs of `f`, returning the mean per-iteration duration.
 /// Runs a small warm-up first.

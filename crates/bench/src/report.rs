@@ -25,9 +25,8 @@
 //! the baseline in the same change (the check refuses to compare across
 //! versions rather than guessing).
 
+use sdrad_energy::TextTable;
 use sdrad_telemetry::Json;
-
-use crate::TextTable;
 
 /// Version of the `BENCH_runtime.json` schema this build writes and
 /// reads. Comparing across versions is an error, not a best effort.

@@ -1,12 +1,12 @@
-//! The runtime-scenario registry: every experiment on the serving
-//! runtime (e15–e24 plus the hot-path micro-timings) is exactly one
-//! library function `fn(size) -> Report`, listed once in [`ALL`].
+//! The scenario registry: every experiment (e1–e24 plus the hot-path
+//! micro-timings) is exactly one library function `fn(size) -> Report`,
+//! listed once in [`ALL`].
 //!
 //! A scenario owns its cells, **all** of its hard assertions and its
 //! metric rows; nothing else re-implements it. It runs at one of two
 //! sizes, both constants of its table row:
 //!
-//! * [`full`](Scenario::full) — what the `eNN_*` binary runs
+//! * [`full`](Scenario::full) — what the `eN_*` binary runs
 //!   ([`run_full`]): the paper-vs-measured tables at a size worth
 //!   reading.
 //! * [`trajectory`](Scenario::trajectory) — what `bench_report` runs on
@@ -15,29 +15,43 @@
 //!
 //! Because the assertions live in the scenario, `bench_report --check`
 //! is the one CI gate: a scenario that would have failed its binary's
-//! smoke run fails the check run. What the committed
-//! `BENCH_runtime.json` gates on top of that is deliberately narrow —
-//! `exact` rows (invariants) and count-type `guarded` rows (allocs per
-//! request, recall). Timing contrasts are asserted inside the scenario
-//! against a wide documented band and otherwise reported; tracking them
-//! tightly across commits belongs to `benchmark/`, which measures them
-//! as paired runs.
+//! run fails the check run. What the committed `BENCH_runtime.json`
+//! gates on top of that is deliberately narrow — `exact` rows
+//! (invariants, closed forms at the paper's constants, seeded Monte
+//! Carlo) and count-type `guarded` rows (allocs per request, recall).
+//! Timing contrasts are asserted inside the scenario against a wide
+//! documented band and otherwise reported; tracking them tightly across
+//! commits belongs to `benchmark/`, which measures them as paired runs.
 
+pub mod e1;
+pub mod e10;
+pub mod e11;
+pub mod e12;
+pub mod e13;
+pub mod e14;
 pub mod e15;
 pub mod e16;
 pub mod e17;
 pub mod e18;
 pub mod e19;
+pub mod e2;
 pub mod e20;
 pub mod e21;
 pub mod e22;
 pub mod e23;
 pub mod e24;
+pub mod e3;
+pub mod e4;
+pub mod e5;
+pub mod e6;
+pub mod e7;
+pub mod e8;
+pub mod e9;
 pub mod micro;
 
 use sdrad_energy::FleetReport;
 
-use crate::{banner, Report};
+use crate::Report;
 
 /// One row of the registry.
 pub struct Scenario {
@@ -59,15 +73,130 @@ impl Scenario {
     /// Prints the banner, runs the scenario at `size`, prints and
     /// returns its report.
     pub fn run_at(&self, size: usize) -> Report {
-        banner(self.id, self.title, self.claim);
+        let (rule, id, title, claim) = ("=".repeat(64), self.id, self.title, self.claim);
+        println!("{rule}\n{id}: {title}\npaper: {claim}\n{rule}");
         let report = (self.run)(size);
         report.print();
         report
     }
 }
 
-/// Every runtime scenario, in the order `bench_report` runs them.
+/// Every scenario, in the order `bench_report` runs them.
 pub const ALL: &[Scenario] = &[
+    Scenario {
+        id: "e1",
+        title: "runtime overhead of per-request domain isolation",
+        claim: "2%-4% overhead on Memcached / NGINX / OpenSSL workloads",
+        full: 2_000,
+        trajectory: 1_000,
+        run: e1::run,
+    },
+    Scenario {
+        id: "e2",
+        title: "recovery latency: process/container restart vs SDRaD rewind",
+        claim: "10 GB restart ~2 min; rewind 3.5 us",
+        full: 100_000,
+        trajectory: 20_000,
+        run: e2::run,
+    },
+    Scenario {
+        id: "e3",
+        title: "recovery-time scaling with dataset size",
+        claim: "restart linear in state, rewind constant",
+        full: 64_000,
+        trajectory: 16_000,
+        run: e3::run,
+    },
+    Scenario {
+        id: "e4",
+        title: "availability achieved per recovery mechanism",
+        claim: "3 faults/yr x 2 min violates five nines; 3.5 us rewind allows >9e7 recoveries",
+        full: 300,
+        trajectory: 300,
+        run: e4::run,
+    },
+    Scenario {
+        id: "e5",
+        title: "annual energy & carbon per availability strategy",
+        claim: "redundancy-based availability over-provisions; SDRaD avoids it at 2-4% overhead",
+        full: 300,
+        trajectory: 300,
+        run: e5::run,
+    },
+    Scenario {
+        id: "e6",
+        title: "cross-domain argument serialization: format comparison",
+        claim: "SDRaD-FFI supports arbitrary argument passing via serialization crates",
+        full: 500,
+        trajectory: 100,
+        run: e6::run,
+    },
+    Scenario {
+        id: "e7",
+        title: "malicious-client impact on benign clients",
+        claim: "SDRaD limits malicious clients' impact on other clients without disrupting service",
+        full: 400,
+        trajectory: 160,
+        run: e7::run,
+    },
+    Scenario {
+        id: "e8",
+        title: "isolation-mechanism round-trip costs",
+        claim: "MPK domain switches are lightweight; process isolation pays context switches",
+        full: 5_000,
+        trajectory: 1_000,
+        run: e8::run,
+    },
+    Scenario {
+        id: "e9",
+        title: "developer effort of the SDRaD retrofit",
+        claim: "Memcached retrofit: 2 files changed, 484 wrapper lines added",
+        full: 1,
+        trajectory: 1,
+        run: e9::run,
+    },
+    Scenario {
+        id: "e10",
+        title: "life-cycle assessment over an 8-year horizon",
+        claim: "SIV: LCA with energy efficiency + rebound effects (proposed future work)",
+        full: 1,
+        trajectory: 1,
+        run: e10::run,
+    },
+    Scenario {
+        id: "e11",
+        title: "isolation-mechanism ablation (MPK / CHERI / SFI / process)",
+        claim:
+            "\"MPK and CHERI … provide lightweight isolation\" vs process context switches (§IV)",
+        full: 5_000,
+        trajectory: 1_000,
+        run: e11::run,
+    },
+    Scenario {
+        id: "e12",
+        title: "simulated availability vs the closed-form model",
+        claim: "3 faults/yr x 2 min restart violates five nines; SDRaD rewind holds it",
+        full: 96,
+        trajectory: 96,
+        run: e12::run,
+    },
+    Scenario {
+        id: "e13",
+        title: "empirical cluster energy + the diversification ablation",
+        claim: "redundancy over-provisions hardware; SDRaD avoids it; diversification is the \
+                costly alternative",
+        full: 1,
+        trajectory: 1,
+        run: e13::run,
+    },
+    Scenario {
+        id: "e14",
+        title: "telecom & smart-grid fleet case study (environmental + economic + social)",
+        claim: "\"a comprehensive case study from the above domains\" — §IV's proposed future work",
+        full: 1,
+        trajectory: 1,
+        run: e14::run,
+    },
     Scenario {
         id: "e15",
         title: "concurrent throughput under attack (sharded multi-worker runtime)",
@@ -204,6 +333,13 @@ fn fleet_table(report: &mut Report, context: &str, lineup: &[FleetReport]) -> f6
     sdrad.expect("lineup includes sdrad").servers
 }
 
+/// `value` rounded to two decimals: how exact rows record the closed
+/// forms and simulations they print, so a last-bit difference in a libm
+/// function cannot fail the check.
+fn hundredths(value: f64) -> f64 {
+    (value * 100.0).round() / 100.0
+}
+
 fn find(id: &str) -> Option<&'static Scenario> {
     ALL.iter().find(|s| s.id == id)
 }
@@ -263,6 +399,46 @@ mod tests {
                 owner(&metric.name).is_some(),
                 "{}: orphan baseline row — no registered scenario owns its prefix",
                 metric.name
+            );
+        }
+    }
+
+    /// Every experiment binary is the one-call `main` of a registered
+    /// scenario, and every scenario but e17 (retired) and `micro` (no
+    /// table of its own) has its binary.
+    #[test]
+    fn every_binary_runs_a_registered_scenario_and_every_scenario_has_one() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut with_binary = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("src/bin lists") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8");
+            if name == "bench_report.rs" {
+                continue;
+            }
+            let id = name.split('_').next().expect("an eN_ prefix");
+            assert!(find(id).is_some(), "{name}: {id} is not in ALL");
+            let source = std::fs::read_to_string(&path).expect("binary source");
+            let (_, body) = source
+                .split_once("fn main() {")
+                .unwrap_or_else(|| panic!("{name}: no main"));
+            assert_eq!(
+                body.trim(),
+                format!("sdrad_bench::scenarios::run_full(\"{id}\");\n}}"),
+                "{name}: main must be the one call run_full(\"{id}\")"
+            );
+            for banned in ["println!", "TextTable", "banner", "fn "] {
+                let code = source.replace("fn main()", "");
+                assert!(!code.contains(banned), "{name}: contains {banned}");
+            }
+            with_binary.push(id.to_string());
+        }
+        for scenario in ALL {
+            assert!(
+                ["e17", "micro"].contains(&scenario.id)
+                    != with_binary.iter().any(|b| b == scenario.id),
+                "{}: every scenario but e17 and micro has a binary, and they have none",
+                scenario.id
             );
         }
     }
