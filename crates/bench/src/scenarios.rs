@@ -25,7 +25,6 @@
 
 pub mod e1;
 pub mod e10;
-pub mod e11;
 pub mod e12;
 pub mod e13;
 pub mod e14;
@@ -142,7 +141,8 @@ pub const ALL: &[Scenario] = &[
     Scenario {
         id: "e8",
         title: "isolation-mechanism round-trip costs",
-        claim: "MPK domain switches are lightweight; process isolation pays context switches",
+        claim:
+            "\"MPK and CHERI … provide lightweight isolation\" vs process context switches (§IV)",
         full: 5_000,
         trajectory: 1_000,
         run: e8::run,
@@ -162,15 +162,6 @@ pub const ALL: &[Scenario] = &[
         full: 1,
         trajectory: 1,
         run: e10::run,
-    },
-    Scenario {
-        id: "e11",
-        title: "isolation-mechanism ablation (MPK / CHERI / SFI / process)",
-        claim:
-            "\"MPK and CHERI … provide lightweight isolation\" vs process context switches (§IV)",
-        full: 5_000,
-        trajectory: 1_000,
-        run: e11::run,
     },
     Scenario {
         id: "e12",

@@ -1,6 +1,12 @@
 //! E8 — the cost of isolation mechanisms: §IV's case that process
 //! isolation pays context switches where MPK domains are lightweight.
 //!
+//! This is the one table that prices an MPK domain against a process
+//! boundary. §IV names CHERI beside MPK as the other lightweight
+//! mechanism but prices neither side by side; measured CHERI trade-offs
+//! are cited from *Software Compartmentalization Trade-Offs with
+//! Hardware Capabilities* rather than simulated here.
+//!
 //! Measures the same sandboxed call (identical marshalling) under three
 //! real backends — direct, SDRaD domain, worker subprocess — plus the
 //! calibrated hardware cost model for reference. The model's ratio is

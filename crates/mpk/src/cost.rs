@@ -47,7 +47,6 @@ impl Default for CpuProfile {
 /// Sources:
 /// * `WRPKRU` ≈ 28 cycles — Park et al., "libmpk: Software Abstraction for
 ///   Intel MPK" (USENIX ATC'19) measure 23–28 cycles round-trip.
-/// * `RDPKRU` ≈ 0.5 ns — same source.
 /// * `pkey_mprotect` ≈ 1 µs — syscall + TLB shootdown-free page-table walk
 ///   (libmpk Fig. 3 reports ~1 µs for small ranges).
 /// * Process context switch ≈ 3–5 µs direct cost — classic lmbench numbers
@@ -58,13 +57,11 @@ impl Default for CpuProfile {
 pub struct CostModel {
     /// Cycles charged per `WRPKRU` (domain rights switch).
     pub wrpkru_cycles: u64,
-    /// Cycles charged per `RDPKRU`.
-    pub rdpkru_cycles: u64,
     /// Cycles charged per `pkey_mprotect` call (region retag).
     pub pkey_mprotect_cycles: u64,
-    /// Cycles charged per OS process context switch (baseline).
+    /// Cycles of one OS process context switch (the process baseline).
     pub process_switch_cycles: u64,
-    /// Cycles charged per process spawn (Sandcrust-style baseline).
+    /// Cycles of one process spawn (Sandcrust-style baseline).
     pub process_spawn_cycles: u64,
     /// CPU profile for time conversion.
     pub cpu: CpuProfile,
@@ -78,7 +75,6 @@ impl CostModel {
         let us = |micros: f64| (micros * 1000.0 * cpu.ghz) as u64;
         CostModel {
             wrpkru_cycles: 28,
-            rdpkru_cycles: 2,
             pkey_mprotect_cycles: us(1.0),
             process_switch_cycles: us(4.0),
             process_spawn_cycles: us(500.0),
@@ -107,10 +103,7 @@ impl CostModel {
     /// Starts an empty account against this model.
     #[must_use]
     pub fn account(&self) -> CostReport {
-        CostReport {
-            model: *self,
-            ..CostReport::new(*self)
-        }
+        CostReport::new(*self)
     }
 }
 
@@ -123,22 +116,15 @@ impl Default for CostModel {
 /// Accumulated isolation-primitive costs for a run.
 ///
 /// SDRaD's domain engine charges this account on every simulated `WRPKRU`
-/// and `pkey_mprotect`; baselines charge context switches and spawns. The
-/// bench harnesses read totals out to report modeled overhead next to
-/// measured wall-clock numbers.
+/// and `pkey_mprotect`. The bench harnesses read totals out to report
+/// modeled overhead next to measured wall-clock numbers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     model: CostModel,
     /// Number of `WRPKRU` executions charged.
     pub wrpkru_count: u64,
-    /// Number of `RDPKRU` executions charged.
-    pub rdpkru_count: u64,
     /// Number of `pkey_mprotect` calls charged.
     pub pkey_mprotect_count: u64,
-    /// Number of process context switches charged.
-    pub process_switch_count: u64,
-    /// Number of process spawns charged.
-    pub process_spawn_count: u64,
 }
 
 impl CostReport {
@@ -148,10 +134,7 @@ impl CostReport {
         CostReport {
             model,
             wrpkru_count: 0,
-            rdpkru_count: 0,
             pkey_mprotect_count: 0,
-            process_switch_count: 0,
-            process_spawn_count: 0,
         }
     }
 
@@ -160,34 +143,16 @@ impl CostReport {
         self.wrpkru_count += 1;
     }
 
-    /// Charges one `RDPKRU`.
-    pub fn charge_rdpkru(&mut self) {
-        self.rdpkru_count += 1;
-    }
-
     /// Charges one `pkey_mprotect`.
     pub fn charge_pkey_mprotect(&mut self) {
         self.pkey_mprotect_count += 1;
-    }
-
-    /// Charges one process context switch.
-    pub fn charge_process_switch(&mut self) {
-        self.process_switch_count += 1;
-    }
-
-    /// Charges one process spawn.
-    pub fn charge_process_spawn(&mut self) {
-        self.process_spawn_count += 1;
     }
 
     /// Total modeled cycles across all charged operations.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
         self.wrpkru_count * self.model.wrpkru_cycles
-            + self.rdpkru_count * self.model.rdpkru_cycles
             + self.pkey_mprotect_count * self.model.pkey_mprotect_cycles
-            + self.process_switch_count * self.model.process_switch_cycles
-            + self.process_spawn_count * self.model.process_spawn_cycles
     }
 
     /// Total modeled time in nanoseconds.
@@ -205,10 +170,7 @@ impl CostReport {
     /// Merges another account (same model assumed) into this one.
     pub fn merge(&mut self, other: &CostReport) {
         self.wrpkru_count += other.wrpkru_count;
-        self.rdpkru_count += other.rdpkru_count;
         self.pkey_mprotect_count += other.pkey_mprotect_count;
-        self.process_switch_count += other.process_switch_count;
-        self.process_spawn_count += other.process_spawn_count;
     }
 
     /// Resets all counters to zero.
@@ -221,12 +183,9 @@ impl fmt::Display for CostReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "wrpkru={} rdpkru={} pkey_mprotect={} proc_switch={} proc_spawn={} total={:.1}ns",
+            "wrpkru={} pkey_mprotect={} total={:.1}ns",
             self.wrpkru_count,
-            self.rdpkru_count,
             self.pkey_mprotect_count,
-            self.process_switch_count,
-            self.process_spawn_count,
             self.total_ns()
         )
     }
@@ -261,11 +220,11 @@ mod tests {
         let mut account = model.account();
         account.charge_wrpkru();
         account.charge_wrpkru();
-        account.charge_process_switch();
+        account.charge_pkey_mprotect();
         assert_eq!(account.wrpkru_count, 2);
         assert_eq!(
             account.total_cycles(),
-            2 * model.wrpkru_cycles + model.process_switch_cycles
+            2 * model.wrpkru_cycles + model.pkey_mprotect_cycles
         );
     }
 
@@ -276,10 +235,10 @@ mod tests {
         a.charge_wrpkru();
         let mut b = model.account();
         b.charge_wrpkru();
-        b.charge_process_spawn();
+        b.charge_pkey_mprotect();
         a.merge(&b);
         assert_eq!(a.wrpkru_count, 2);
-        assert_eq!(a.process_spawn_count, 1);
+        assert_eq!(a.pkey_mprotect_count, 1);
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! | [`tls`] | `sdrad-tls` | OpenSSL-like workload (Heartbleed demo) |
 //! | [`faultsim`] | `sdrad-faultsim` | attack injection, workload generators |
 //! | [`runtime`] | `sdrad-runtime` | sharded multi-worker serving runtime: readiness-driven scheduling (park/wake, work stealing, read budgets), connection-level serving over `sdrad-net`, all three workloads, latency percentiles |
+//! | [`control`] | `sdrad-control` | adaptive control plane: admission, reputation, recovery ladder |
 //! | [`energy`] | `sdrad-energy` | availability, energy and carbon models |
-//! | [`cheri`] | `sdrad-cheri` | simulated CHERI capability machine (E11 ablation) |
-//! | [`sfi`] | `sdrad-sfi` | software fault isolation: linear memory + sandboxed VM |
 //! | [`cluster`] | `sdrad-cluster` | discrete-event replication-cluster simulator (E12/E13) |
 //!
 //! Start with the [`core`] docs, the `examples/` directory
@@ -31,7 +30,6 @@
 
 pub use sdrad as core;
 pub use sdrad_alloc as alloc;
-pub use sdrad_cheri as cheri;
 pub use sdrad_cluster as cluster;
 pub use sdrad_control as control;
 pub use sdrad_energy as energy;
@@ -43,7 +41,6 @@ pub use sdrad_mpk as mpk;
 pub use sdrad_net as net;
 pub use sdrad_runtime as runtime;
 pub use sdrad_serial as serial;
-pub use sdrad_sfi as sfi;
 pub use sdrad_tls as tls;
 
 // The most-used items at the top level for convenience.

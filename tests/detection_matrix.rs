@@ -1,5 +1,7 @@
 //! The detection matrix: every attack class × every policy, with fault
-//! history and cost accounting checked.
+//! history and cost accounting checked, plus the boundary's own
+//! guarantees: escapes contained with the domain still serving, a
+//! sibling's heap unreadable, and a rewound domain's bytes discarded.
 
 use sdrad_repro::core::{DomainConfig, DomainManager, DomainPolicy, Fault};
 use sdrad_repro::faultsim::{inject, Attack, StackFrame};
@@ -131,4 +133,93 @@ fn fifteen_domain_limit_is_enforced_and_recyclable() {
     // Destroying any domain frees its key for a new one.
     mgr.destroy_domain(domains[7]).unwrap();
     assert!(mgr.create_domain(DomainConfig::new("replacement")).is_ok());
+}
+
+/// The escape classes an isolation boundary must contain: a write past
+/// the end of the domain heap, a read past it, and a runaway request the
+/// watchdog aborts (MPK has no fuel meter, so the abort is the model).
+#[derive(Debug, Clone, Copy)]
+enum Escape {
+    LinearOverflow,
+    OverRead,
+    RunawayLoop,
+}
+
+#[test]
+fn mpk_contains_every_attack_class_and_keeps_serving() {
+    let mut mgr = DomainManager::new();
+    let domain = mgr
+        .create_domain(DomainConfig::new("victim").heap_capacity(64 * 1024))
+        .unwrap();
+
+    let escapes = [
+        Escape::LinearOverflow,
+        Escape::OverRead,
+        Escape::RunawayLoop,
+    ];
+    for escape in escapes {
+        let result = mgr.try_call(domain, |env| match escape {
+            Escape::LinearOverflow => {
+                let buf = env.try_alloc(16)?;
+                env.try_write(buf.offset(env.heap_region().len()), &[0x41])
+            }
+            Escape::OverRead => {
+                let buf = env.try_push_bytes(b"rec")?;
+                env.try_read_bytes(buf, env.heap_region().len() + 64)
+                    .map(drop)
+            }
+            Escape::RunawayLoop => Err(Fault::ExplicitAbort {
+                reason: "watchdog: request deadline exceeded".into(),
+            }),
+        });
+        assert!(result.is_err(), "{escape:?} must be contained");
+        // Service continues after every containment.
+        let ok = mgr
+            .try_call(domain, |env| {
+                let buf = env.try_push_bytes(b"alive")?;
+                env.try_read_bytes(buf, 5)
+            })
+            .unwrap();
+        assert_eq!(ok, b"alive");
+    }
+    assert_eq!(mgr.total_rewinds() as usize, escapes.len());
+}
+
+#[test]
+fn confidential_sibling_heap_is_unreadable_from_another_domain() {
+    let mut mgr = DomainManager::new();
+    let secrets = mgr
+        .create_domain(DomainConfig::new("secrets").policy(DomainPolicy::Confidential))
+        .unwrap();
+    let attacker = mgr.create_domain(DomainConfig::new("attacker")).unwrap();
+    let secret = mgr
+        .try_call(secrets, |env| env.try_push_bytes(b"tls-master-key"))
+        .unwrap();
+
+    let theft = mgr.try_call(attacker, |env| env.try_read_bytes(secret, 14));
+    assert!(theft.is_err(), "cross-domain read must fault");
+    // The attacker's rewind discards the attacker only.
+    let kept = mgr
+        .try_call(secrets, |env| env.try_read_bytes(secret, 14))
+        .unwrap();
+    assert_eq!(kept, b"tls-master-key");
+}
+
+#[test]
+fn rewind_discards_the_pre_fault_bytes() {
+    let mut mgr = DomainManager::new();
+    let domain = mgr.create_domain(DomainConfig::new("victim")).unwrap();
+    let addr = mgr
+        .try_call(domain, |env| env.try_push_bytes(b"pre-fault-secret"))
+        .unwrap();
+    let wild = mgr.try_call(domain, |env| {
+        env.try_write(env.heap_region().base().offset(1 << 30), &[1])
+    });
+    assert!(wild.is_err(), "a wild write must fault");
+
+    // Either the address is gone (fresh heap) or its contents are wiped;
+    // both prove the discard. It must NOT return the secret.
+    if let Ok(bytes) = mgr.try_call(domain, |env| env.try_read_bytes(addr, 16)) {
+        assert_ne!(bytes, b"pre-fault-secret");
+    }
 }
