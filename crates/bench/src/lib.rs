@@ -4,16 +4,13 @@
 //! [`scenarios`], each regenerating one table or figure from the paper —
 //! or one of the paper's §IV proposals (E10–E14) — as paper-vs-measured
 //! rows; the runtime experiments (e15–e24) are built from the shared
-//! [`cells`]. See `DESIGN.md` §5 for the experiment index. Each
-//! `eN_*` binary (e17 has none) is a one-call `main`, and the
-//! `bench_report` binary loops the same registry at its smaller
-//! trajectory sizes, writes the metrics to the committed
-//! `BENCH_runtime.json` and `--check`s it in CI. Every harness routes
-//! its summary through [`report::Report`], so the human tables and the
-//! machine-readable metrics are one data structure.
-//!
-//! Criterion microbenches (`cargo bench -p sdrad-bench`) cover the hot
-//! paths behind the same experiments.
+//! [`cells`]. See `DESIGN.md` §5 for the experiment index. The one
+//! binary, `bench_report`, runs one scenario at its full size when
+//! given its id (`bench_report -- e1`); with no id it loops the
+//! registry at the smaller trajectory sizes, writes the metrics to the
+//! committed `BENCH_runtime.json` and `--check`s it in CI. Every
+//! scenario routes its summary through [`report::Report`], so the human
+//! tables and the machine-readable metrics are one data structure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

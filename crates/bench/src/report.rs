@@ -335,12 +335,23 @@ fn metrics_json(metrics: &[Metric]) -> Json {
 
 /// Assembles the committed `BENCH_runtime.json` tree from all reports'
 /// metrics: `{schema_version, metrics: {name: {class, unit, value}}}`.
-#[must_use]
-pub fn bench_json(metrics: &[Metric]) -> Json {
+///
+/// # Errors
+///
+/// Names the first NaN or infinite metric: JSON has no such number, so
+/// it would be written as `null` and [`metrics_from_json`] would refuse
+/// the file.
+pub fn bench_json(metrics: &[Metric]) -> Result<Json, String> {
+    if let Some(bad) = metrics.iter().find(|m| !m.value.is_finite()) {
+        return Err(format!(
+            "{}: non-finite value {} cannot be written",
+            bad.name, bad.value
+        ));
+    }
     let mut doc = Json::object();
     doc.set("schema_version", Json::U64(BENCH_SCHEMA_VERSION))
         .set("metrics", metrics_json(metrics));
-    doc
+    Ok(doc)
 }
 
 /// Parses a committed baseline back into metrics. Refuses a schema
@@ -416,6 +427,8 @@ impl CheckOutcome {
 ///   baseline's fails: gating follows the baseline, so a demotion or a
 ///   flipped direction in code would otherwise silently drop or invert
 ///   a guard.
+/// * A NaN or infinite `exact` or `guarded` value fails: it compares
+///   false against every bound, so no tolerance test could catch it.
 /// * `exact` metrics must match the baseline bit-for-bit.
 /// * `guarded` metrics fail on a relative degradation beyond
 ///   `tolerance` (direction given by `higher_is_better`); improvements
@@ -448,6 +461,12 @@ pub fn check(current: &[Metric], baseline: &[Metric], tolerance: f64) -> CheckOu
                 base.class.as_str(),
                 base.higher_is_better
             ));
+            continue;
+        }
+        if base.class != MetricClass::Info && !cur.value.is_finite() {
+            outcome
+                .failures
+                .push(format!("{}: non-finite value {}", base.name, cur.value));
             continue;
         }
         match base.class {
@@ -562,7 +581,7 @@ mod tests {
             metric("e1.speedup", 1.5, MetricClass::Guarded, true),
             metric("e1.p99_ns", 12345.0, MetricClass::Info, false),
         ];
-        let doc = bench_json(&metrics);
+        let doc = bench_json(&metrics).unwrap();
         let text = doc.pretty();
         let back = metrics_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.len(), 3);
@@ -575,8 +594,32 @@ mod tests {
     }
 
     #[test]
+    fn regeneration_refuses_a_non_finite_metric_by_name() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let metrics = vec![
+                metric("e1.crashes", 0.0, MetricClass::Exact, false),
+                metric("e1.p99_ns", value, MetricClass::Info, false),
+            ];
+            let err = bench_json(&metrics).unwrap_err();
+            assert!(err.contains("e1.p99_ns"), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_exact_or_guarded_values_fail_the_check() {
+        for class in [MetricClass::Exact, MetricClass::Guarded] {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let base = vec![metric("a.speedup", 2.0, class, true)];
+                let outcome = check(&[metric("a.speedup", value, class, true)], &base, 0.10);
+                assert_eq!(outcome.failures.len(), 1, "{class:?} {value}");
+                assert!(outcome.failures[0].contains("non-finite"));
+            }
+        }
+    }
+
+    #[test]
     fn schema_version_mismatch_is_refused() {
-        let mut doc = bench_json(&[]);
+        let mut doc = bench_json(&[]).unwrap();
         doc.set("schema_version", Json::U64(BENCH_SCHEMA_VERSION + 1));
         assert!(metrics_from_json(&doc).is_err());
     }

@@ -6,15 +6,14 @@
 //! metric rows; nothing else re-implements it. It runs at one of two
 //! sizes, both constants of its table row:
 //!
-//! * [`full`](Scenario::full) — what the `eN_*` binary runs
-//!   ([`run_full`]): the paper-vs-measured tables at a size worth
-//!   reading.
+//! * [`full`](Scenario::full) — what `bench_report <id>` runs
+//!   ([`find`]): the paper-vs-measured tables at a size worth reading.
 //! * [`trajectory`](Scenario::trajectory) — what `bench_report` runs on
 //!   every push: the smallest size at which the scenario's statistical
 //!   assertions are not noise-bound.
 //!
 //! Because the assertions live in the scenario, `bench_report --check`
-//! is the one CI gate: a scenario that would have failed its binary's
+//! is the one CI gate: a scenario that would have failed its full-size
 //! run fails the check run. What the committed `BENCH_runtime.json`
 //! gates on top of that is deliberately narrow — `exact` rows
 //! (invariants, closed forms at the paper's constants, seeded Monte
@@ -60,9 +59,9 @@ pub struct Scenario {
     pub title: &'static str,
     /// The paper claim (or §IV proposal) the scenario tests.
     pub claim: &'static str,
-    /// Size the experiment binary runs.
+    /// Size `bench_report <id>` runs.
     pub full: usize,
-    /// Size `bench_report` runs.
+    /// Size `bench_report` and `bench_report --check` run.
     pub trajectory: usize,
     /// The scenario itself; the meaning of `size` is in its rustdoc.
     pub run: fn(usize) -> Report,
@@ -331,19 +330,11 @@ fn hundredths(value: f64) -> f64 {
     (value * 100.0).round() / 100.0
 }
 
-fn find(id: &str) -> Option<&'static Scenario> {
+/// The registered scenario `id`, if any: what `bench_report <id>` runs
+/// at its full size.
+#[must_use]
+pub fn find(id: &str) -> Option<&'static Scenario> {
     ALL.iter().find(|s| s.id == id)
-}
-
-/// The whole `main` of an experiment binary: runs scenario `id` at its
-/// full size.
-///
-/// # Panics
-///
-/// If `id` is not registered, or the scenario's own assertions fail.
-pub fn run_full(id: &str) {
-    let scenario = find(id).unwrap_or_else(|| panic!("no scenario {id} in the registry"));
-    scenario.run_at(scenario.full);
 }
 
 #[cfg(test)]
@@ -390,46 +381,6 @@ mod tests {
                 owner(&metric.name).is_some(),
                 "{}: orphan baseline row — no registered scenario owns its prefix",
                 metric.name
-            );
-        }
-    }
-
-    /// Every experiment binary is the one-call `main` of a registered
-    /// scenario, and every scenario but e17 (retired) and `micro` (no
-    /// table of its own) has its binary.
-    #[test]
-    fn every_binary_runs_a_registered_scenario_and_every_scenario_has_one() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
-        let mut with_binary = Vec::new();
-        for entry in std::fs::read_dir(dir).expect("src/bin lists") {
-            let path = entry.expect("directory entry").path();
-            let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8");
-            if name == "bench_report.rs" {
-                continue;
-            }
-            let id = name.split('_').next().expect("an eN_ prefix");
-            assert!(find(id).is_some(), "{name}: {id} is not in ALL");
-            let source = std::fs::read_to_string(&path).expect("binary source");
-            let (_, body) = source
-                .split_once("fn main() {")
-                .unwrap_or_else(|| panic!("{name}: no main"));
-            assert_eq!(
-                body.trim(),
-                format!("sdrad_bench::scenarios::run_full(\"{id}\");\n}}"),
-                "{name}: main must be the one call run_full(\"{id}\")"
-            );
-            for banned in ["println!", "TextTable", "banner", "fn "] {
-                let code = source.replace("fn main()", "");
-                assert!(!code.contains(banned), "{name}: contains {banned}");
-            }
-            with_binary.push(id.to_string());
-        }
-        for scenario in ALL {
-            assert!(
-                ["e17", "micro"].contains(&scenario.id)
-                    != with_binary.iter().any(|b| b == scenario.id),
-                "{}: every scenario but e17 and micro has a binary, and they have none",
-                scenario.id
             );
         }
     }

@@ -49,7 +49,7 @@ impl Drop for DepthGuard {
 /// panic raised while executing inside a domain (both are contained by
 /// [`DomainManager::try_call`]); every other panic still reaches the
 /// previously installed hook. Code on the `try_*` path raises no panic
-/// and needs no hook. Call once at program start (binaries, benches);
+/// and needs no hook. Call once at program start (binaries, examples);
 /// safe to call multiple times.
 pub fn quiet_fault_traps() {
     use std::sync::Once;

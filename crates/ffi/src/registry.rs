@@ -108,7 +108,7 @@ impl std::fmt::Debug for Registry {
 }
 
 /// Registers the built-in demonstration functions used by the bundled
-/// worker binary, the tests and the benches:
+/// worker binary, the tests and the experiments:
 ///
 /// * `echo(Vec<u8>) -> Vec<u8>` — identity, measures pure boundary cost,
 /// * `sum(Vec<u64>) -> u64` — wrapping sum,

@@ -24,7 +24,7 @@
 //!   fault a real CPU would deliver.
 //! * [`CostModel`] — calibrated cycle/nanosecond constants for `WRPKRU`,
 //!   `pkey_mprotect`, process context switches and process spawns, so that
-//!   benches can report paper-comparable *relative* costs.
+//!   experiments can report paper-comparable *relative* costs.
 //!
 //! ## Example
 //!

@@ -29,9 +29,9 @@
 //! The module also carries the measurement harness for the discipline
 //! itself: [`CountingAlloc`], a `#[global_allocator]` wrapper around
 //! [`System`] that counts heap allocations made by explicitly opted-in
-//! threads ([`count_allocs_on_this_thread`]) — what the
-//! `e22_alloc_discipline` experiment uses to report allocs-per-request
-//! with and without pooling.
+//! threads ([`count_allocs_on_this_thread`]) — what the e22 experiment
+//! (`bench_report -- e22`) uses to report allocs-per-request with and
+//! without pooling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};

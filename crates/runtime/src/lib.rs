@@ -60,12 +60,12 @@
 //!   substituting *measured* p99 rewind latency and isolation overhead
 //!   into `sdrad-energy`'s fleet models.
 //!
-//! The experiment harnesses `e15_concurrent_throughput` (pre-framed
-//! submits), `e16_connection_serving` (full connection path, all three
-//! workloads, `sdrad-faultsim`-scheduled attacks) and `e18_deep_steal`
-//! (no stealing vs deep stealing under a hot-shard skew: steal depth,
-//! state confinement, stranded stalls, fleet energy of stranded
-//! capacity) sweep this runtime baseline vs isolated.
+//! The experiments e15 (pre-framed submits), e16 (full connection
+//! path, all three workloads, `sdrad-faultsim`-scheduled attacks) and
+//! e18 (no stealing vs deep stealing under a hot-shard skew: steal
+//! depth, state confinement, stranded stalls, fleet energy of stranded
+//! capacity) sweep this runtime baseline vs isolated; run one with
+//! `cargo run --release -p sdrad-bench --bin bench_report -- e15`.
 //!
 //! ## Example
 //!

@@ -14,7 +14,7 @@
 //! | [`Format::Compact`] | LEB128 varint + zigzag | `postcard` | smallest payloads, a little more CPU |
 //! | [`Format::Tagged`] | type-tag byte per value, fixed ints | JSON/CBOR-class | self-validating, largest/slowest |
 //!
-//! The experiment harness `e6_serialization` measures all three across
+//! The experiment e6 (`bench_report -- e6`) measures all three across
 //! payload sizes (paper experiment E6).
 //!
 //! ## Example
@@ -72,7 +72,7 @@ impl Format {
     /// All formats, in comparison order.
     pub const ALL: [Format; 3] = [Format::Wire, Format::Compact, Format::Tagged];
 
-    /// Stable lowercase name used in benches and reports.
+    /// Stable lowercase name used in reports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -183,7 +183,7 @@ pub fn is_overread_fault(fault: &Fault) -> bool {
 const HB_REQUEST: u8 = 1;
 const HB_RESPONSE: u8 = 2;
 
-/// Builds a heartbeat request payload (client side, for tests/benches).
+/// Builds a heartbeat request payload (client side, for tests and experiments).
 #[must_use]
 pub fn heartbeat_request(declared: u16, data: &[u8]) -> Vec<u8> {
     let mut payload = vec![HB_REQUEST];

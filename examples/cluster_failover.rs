@@ -68,6 +68,6 @@ fn main() {
     println!(
         "\na correlated exploit takes down every replica running the same binary;\n\
          diversification fixes that at twice the engineering, SDRaD at 2-4% runtime overhead.\n\
-         see `cargo run -p sdrad-bench --bin e13_cluster_energy` for the full ablation."
+         see `cargo run --release -p sdrad-bench --bin bench_report -- e13` for the full ablation."
     );
 }
