@@ -1,7 +1,8 @@
 //! E6 — serialization formats for SDRaD-FFI argument passing: the
 //! crate evaluation the paper plans (§III), over the three formats
-//! `sdrad-serial` implements (bincode-like `wire`, postcard-like
-//! `compact`, JSON/CBOR-class `tagged`).
+//! `sdrad_ffi::serial` implements (bincode-like `wire`, postcard-like
+//! `compact`, JSON/CBOR-class `tagged`), one serde engine with one codec
+//! each.
 //!
 //! Encoded sizes are deterministic: the size ordering (`compact` ≤
 //! `wire` ≤ `tagged` at every payload) is asserted and the 4 KiB sizes
@@ -9,8 +10,8 @@
 
 use std::hint::black_box;
 
+use sdrad_ffi::serial::{from_bytes, to_bytes, Format};
 use sdrad_ffi::Sandbox;
-use sdrad_serial::{from_bytes, to_bytes, Format};
 use serde::{Deserialize, Serialize};
 
 use crate::{fmt_bytes, fmt_duration, measure, Report};

@@ -210,13 +210,6 @@ impl ClusterSim {
         }
     }
 
-    /// Replaces the power model (for PUE sensitivity sweeps).
-    #[must_use]
-    pub fn with_power_model(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
     /// Runs the simulation to completion and reports what happened.
     #[must_use]
     pub fn run(mut self) -> RunMetrics {

@@ -27,12 +27,6 @@ impl SimTime {
         SimTime(micros)
     }
 
-    /// Builds a time from a [`Duration`] (truncating below 1 µs).
-    #[must_use]
-    pub fn from_duration(d: Duration) -> Self {
-        SimTime(d.as_micros().min(u128::from(u64::MAX)) as u64)
-    }
-
     /// Builds a time from fractional seconds.
     #[must_use]
     pub fn from_secs_f64(secs: f64) -> Self {

@@ -7,7 +7,7 @@ use std::time::Instant;
 use sdrad_alloc::{DomainHeap, HeapConfig};
 use sdrad_mpk::{
     AccessRights, CostModel, CostReport, Fault, MemorySpace, Pkru, PkruGuard, ProtectionKey,
-    Region, SpaceStats, VirtAddr,
+    Region, VirtAddr,
 };
 
 use crate::{Domain, DomainConfig, DomainError, DomainId, DomainInfo, DomainState};
@@ -363,12 +363,6 @@ impl DomainManager {
     #[must_use]
     pub fn cost(&self) -> CostReport {
         self.cost
-    }
-
-    /// Statistics of the underlying memory space.
-    #[must_use]
-    pub fn space_stats(&self) -> SpaceStats {
-        self.space.stats()
     }
 
     /// Total rewinds performed across all domains.

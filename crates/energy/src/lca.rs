@@ -9,7 +9,6 @@
 //! old hardware useful longer), and an explicit rebound-effect parameter
 //! (efficiency gains partially re-spent on more load, per Gossart \[4\]).
 
-use crate::carbon::CarbonModel;
 use crate::redundancy::{evaluate, Scenario, Strategy};
 
 /// Parameters of a life-cycle sweep.
@@ -119,12 +118,6 @@ pub fn assess_lineup(lca: &LcaScenario) -> Vec<LcaReport> {
 pub fn embodied_share(report: &LcaReport) -> f64 {
     report.embodied_kgco2 / report.total_kgco2()
 }
-
-/// Re-export for harness convenience.
-pub use crate::carbon::CarbonModel as Model;
-
-#[allow(unused)]
-fn _doc_anchor(_: CarbonModel) {}
 
 #[cfg(test)]
 mod tests {

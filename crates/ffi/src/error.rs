@@ -4,7 +4,8 @@ use std::error::Error;
 use std::fmt;
 
 use sdrad::DomainError;
-use sdrad_serial::SerialError;
+
+use crate::serial::SerialError;
 
 /// Errors surfaced by a sandboxed foreign-function invocation.
 #[derive(Debug, Clone, PartialEq)]

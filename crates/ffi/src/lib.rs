@@ -20,7 +20,8 @@
 //!
 //! The [`sandboxed!`] macro provides the annotation-style front end; the
 //! [`Registry`]/[`run_worker`] pair implements the worker side of the
-//! process backend.
+//! process backend; [`serial`] holds the three formats arguments cross
+//! the boundary in.
 //!
 //! ## Example
 //!
@@ -51,16 +52,14 @@ mod error;
 mod macros;
 mod registry;
 mod sandbox;
+pub mod serial;
 mod worker;
 
 pub use error::FfiError;
 pub use registry::{register_builtins, Registry};
 pub use sandbox::{Sandbox, SandboxStats};
-pub use worker::{
-    format_from_id, format_id, read_frame, run_worker, write_frame, ProcessWorker, WireRequest,
-    WireResponse,
-};
+pub use worker::{read_frame, run_worker, write_frame, ProcessWorker, WireRequest, WireResponse};
 
 // Re-exports used by macro expansions and downstream code.
 pub use sdrad::{DomainConfig, DomainPolicy};
-pub use sdrad_serial::Format;
+pub use serial::Format;

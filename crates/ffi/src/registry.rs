@@ -8,9 +8,10 @@
 
 use std::collections::HashMap;
 
-use sdrad_serial::{from_bytes, to_bytes, Format};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
+
+use crate::serial::{from_bytes, to_bytes, Format};
 
 /// Type-erased sandboxed function: raw argument bytes in, raw result bytes
 /// out, error as text (it crosses a process boundary).

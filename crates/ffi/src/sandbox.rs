@@ -4,10 +4,10 @@
 use std::process::Command;
 
 use sdrad::{DomainConfig, DomainId, DomainInfo, DomainManager, DomainPolicy};
-use sdrad_serial::{from_bytes, to_bytes, Format};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use crate::serial::{from_bytes, to_bytes, Format};
 use crate::{FfiError, ProcessWorker};
 
 /// Counters of a sandbox's activity.

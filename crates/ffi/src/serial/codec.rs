@@ -1,12 +1,37 @@
-//! Integer codecs: the only difference between the `wire` and `compact`
-//! binary formats.
+//! Per-format codecs: the only difference between the three formats.
 
-use crate::SerialError;
+use super::SerialError;
 
-/// Encoding of integers and length prefixes within a binary format.
+/// Type tags the `tagged` format writes before each value.
+pub(super) mod tag {
+    pub const BOOL: u8 = 0x01;
+    pub const I8: u8 = 0x02;
+    pub const I16: u8 = 0x03;
+    pub const I32: u8 = 0x04;
+    pub const I64: u8 = 0x05;
+    pub const U8: u8 = 0x06;
+    pub const U16: u8 = 0x07;
+    pub const U32: u8 = 0x08;
+    pub const U64: u8 = 0x09;
+    pub const F32: u8 = 0x0A;
+    pub const F64: u8 = 0x0B;
+    pub const CHAR: u8 = 0x0C;
+    pub const STR: u8 = 0x0D;
+    pub const BYTES: u8 = 0x0E;
+    pub const NONE: u8 = 0x0F;
+    pub const SOME: u8 = 0x10;
+    pub const UNIT: u8 = 0x11;
+    pub const SEQ: u8 = 0x12;
+    pub const MAP: u8 = 0x13;
+    pub const TUPLE: u8 = 0x14;
+    pub const VARIANT: u8 = 0x15;
+}
+
+/// Encoding of integers, length prefixes, type tags and option markers
+/// within a binary format.
 ///
-/// The generic binary (de)serializer funnels every integer through this
-/// trait, so a format is defined entirely by its codec:
+/// The one serde (de)serializer funnels all of these through this trait,
+/// so a format is defined entirely by its codec:
 ///
 /// * [`FixedCodec`] — little-endian fixed width ("wire"): fastest to
 ///   encode/decode, larger payloads; the strategy of `bincode` with
@@ -14,10 +39,11 @@ use crate::SerialError;
 /// * [`VarintCodec`] — LEB128 varints with zigzag for signed values
 ///   ("compact"): smallest payloads, slightly more CPU; the strategy of
 ///   `postcard`.
-pub trait IntCodec {
-    /// Human-readable codec name.
-    const NAME: &'static str;
-
+/// * [`TaggedCodec`] — fixed width plus a type tag before every value
+///   ("tagged"): largest and slowest, but decoding *verifies* the type
+///   structure, so a corrupted or mismatched payload fails with
+///   [`SerialError::TagMismatch`] instead of being misinterpreted.
+pub(super) trait IntCodec {
     /// Appends a `u16`.
     fn put_u16(out: &mut Vec<u8>, v: u16);
     /// Appends a `u32`.
@@ -90,10 +116,40 @@ pub trait IntCodec {
         }
         Ok(usize::try_from(declared).expect("checked against remaining"))
     }
+
+    /// Writes the type tag of the value that follows (`tagged` only).
+    fn put_tag(_out: &mut Vec<u8>, _tag: u8) {}
+
+    /// Reads the type tag of the value that follows and checks it.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError::TagMismatch`] plus [`SerialError::UnexpectedEof`].
+    fn expect_tag(_input: &mut &[u8], _tag: u8) -> Result<(), SerialError> {
+        Ok(())
+    }
+
+    /// Writes an option's marker: `0`/`1` for `None`/`Some`.
+    fn put_option(out: &mut Vec<u8>, some: bool) {
+        out.push(u8::from(some));
+    }
+
+    /// Reads an option's marker; `true` means `Some`.
+    ///
+    /// # Errors
+    ///
+    /// [`SerialError::InvalidOption`] plus [`SerialError::UnexpectedEof`].
+    fn get_option(input: &mut &[u8]) -> Result<bool, SerialError> {
+        match take_byte(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(SerialError::InvalidOption(other)),
+        }
+    }
 }
 
 /// Takes `n` bytes off the front of the input.
-pub(crate) fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], SerialError> {
+pub(super) fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], SerialError> {
     if input.len() < n {
         return Err(SerialError::UnexpectedEof);
     }
@@ -103,13 +159,12 @@ pub(crate) fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], Seria
 }
 
 /// Reads a single byte.
-pub(crate) fn take_byte(input: &mut &[u8]) -> Result<u8, SerialError> {
+pub(super) fn take_byte(input: &mut &[u8]) -> Result<u8, SerialError> {
     Ok(take(input, 1)?[0])
 }
 
 /// Little-endian fixed-width integers (the `wire` format's codec).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FixedCodec;
+pub(super) struct FixedCodec;
 
 macro_rules! fixed_impl {
     ($put:ident, $get:ident, $ty:ty, $n:expr) => {
@@ -126,8 +181,6 @@ macro_rules! fixed_impl {
 }
 
 impl IntCodec for FixedCodec {
-    const NAME: &'static str = "fixed-le";
-
     fixed_impl!(put_u16, get_u16, u16, 2);
     fixed_impl!(put_u32, get_u32, u32, 4);
     fixed_impl!(put_u64, get_u64, u64, 8);
@@ -137,11 +190,10 @@ impl IntCodec for FixedCodec {
 }
 
 /// LEB128 varints with zigzag signed mapping (the `compact` codec).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VarintCodec;
+pub(super) struct VarintCodec;
 
 /// Appends an unsigned LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -158,7 +210,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// # Errors
 ///
 /// [`SerialError::UnexpectedEof`] or [`SerialError::VarintOverflow`].
-pub fn get_varint(input: &mut &[u8]) -> Result<u64, SerialError> {
+fn get_varint(input: &mut &[u8]) -> Result<u64, SerialError> {
     let mut value = 0u64;
     for shift in (0..64).step_by(7) {
         let byte = take_byte(input)?;
@@ -176,14 +228,12 @@ pub fn get_varint(input: &mut &[u8]) -> Result<u64, SerialError> {
 }
 
 /// Zigzag-encodes a signed value.
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Reverses [`zigzag`].
-#[must_use]
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -210,8 +260,6 @@ macro_rules! varint_signed_impl {
 }
 
 impl IntCodec for VarintCodec {
-    const NAME: &'static str = "varint-zigzag";
-
     varint_unsigned_impl!(put_u16, get_u16, u16);
     varint_unsigned_impl!(put_u32, get_u32, u32);
 
@@ -230,6 +278,46 @@ impl IntCodec for VarintCodec {
     }
     fn get_i64(input: &mut &[u8]) -> Result<i64, SerialError> {
         Ok(unzigzag(get_varint(input)?))
+    }
+}
+
+/// Fixed-width integers behind a type tag per value (the `tagged` codec).
+pub(super) struct TaggedCodec;
+
+impl IntCodec for TaggedCodec {
+    fixed_impl!(put_u16, get_u16, u16, 2);
+    fixed_impl!(put_u32, get_u32, u32, 4);
+    fixed_impl!(put_u64, get_u64, u64, 8);
+    fixed_impl!(put_i16, get_i16, i16, 2);
+    fixed_impl!(put_i32, get_i32, i32, 4);
+    fixed_impl!(put_i64, get_i64, i64, 8);
+
+    fn put_tag(out: &mut Vec<u8>, tag: u8) {
+        out.push(tag);
+    }
+
+    fn expect_tag(input: &mut &[u8], expected: u8) -> Result<(), SerialError> {
+        let found = take_byte(input)?;
+        if found == expected {
+            Ok(())
+        } else {
+            Err(SerialError::TagMismatch { expected, found })
+        }
+    }
+
+    fn put_option(out: &mut Vec<u8>, some: bool) {
+        out.push(if some { tag::SOME } else { tag::NONE });
+    }
+
+    fn get_option(input: &mut &[u8]) -> Result<bool, SerialError> {
+        match take_byte(input)? {
+            tag::NONE => Ok(false),
+            tag::SOME => Ok(true),
+            found => Err(SerialError::TagMismatch {
+                expected: tag::SOME,
+                found,
+            }),
+        }
     }
 }
 

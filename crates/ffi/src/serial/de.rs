@@ -1,18 +1,20 @@
-//! The generic binary deserializer (shared by `wire` and `compact`).
+//! The one binary deserializer: all three formats, told apart by their codec.
 
 use std::marker::PhantomData;
 
 use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
 
-use crate::codec::{take, take_byte, IntCodec};
-use crate::SerialError;
+use super::codec::{tag, take, take_byte, IntCodec};
+use super::SerialError;
 
 /// Deserializes a value of type `T` from `bytes` using codec `C`.
 ///
 /// # Errors
 ///
 /// [`SerialError`] on malformed, truncated, or trailing input.
-pub fn from_bytes_with<C: IntCodec, T: DeserializeOwned>(bytes: &[u8]) -> Result<T, SerialError> {
+pub(super) fn from_bytes_with<C: IntCodec, T: DeserializeOwned>(
+    bytes: &[u8],
+) -> Result<T, SerialError> {
     let mut deserializer = BinDeserializer::<C> {
         input: bytes,
         _codec: PhantomData,
@@ -26,12 +28,12 @@ pub fn from_bytes_with<C: IntCodec, T: DeserializeOwned>(bytes: &[u8]) -> Result
     Ok(value)
 }
 
-/// A serde deserializer reading the non-self-describing binary encoding.
+/// A serde deserializer reading the binary encoding of codec `C`.
 ///
-/// Because the format carries no type information, the driving type must
-/// match the one that serialized the bytes — the same contract `bincode`
-/// and `postcard` have.
-pub struct BinDeserializer<'de, C> {
+/// Field names and the driving type's shape are not in the bytes (at most
+/// type tags are), so the driving type must match the one that serialized
+/// them — the same contract `bincode` and `postcard` have.
+struct BinDeserializer<'de, C> {
     input: &'de [u8],
     _codec: PhantomData<C>,
 }
@@ -57,6 +59,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
     }
 
     fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::BOOL)?;
         match take_byte(&mut self.input)? {
             0 => visitor.visit_bool(false),
             1 => visitor.visit_bool(true),
@@ -65,53 +68,65 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
     }
 
     fn deserialize_i8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::I8)?;
         visitor.visit_i8(take_byte(&mut self.input)? as i8)
     }
 
     fn deserialize_i16<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::I16)?;
         visitor.visit_i16(C::get_i16(&mut self.input)?)
     }
 
     fn deserialize_i32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::I32)?;
         visitor.visit_i32(C::get_i32(&mut self.input)?)
     }
 
     fn deserialize_i64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::I64)?;
         visitor.visit_i64(C::get_i64(&mut self.input)?)
     }
 
     fn deserialize_u8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::U8)?;
         visitor.visit_u8(take_byte(&mut self.input)?)
     }
 
     fn deserialize_u16<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::U16)?;
         visitor.visit_u16(C::get_u16(&mut self.input)?)
     }
 
     fn deserialize_u32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::U32)?;
         visitor.visit_u32(C::get_u32(&mut self.input)?)
     }
 
     fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::U64)?;
         visitor.visit_u64(C::get_u64(&mut self.input)?)
     }
 
     fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::F32)?;
         let bytes = take(&mut self.input, 4)?;
         visitor.visit_f32(f32::from_le_bytes(bytes.try_into().expect("len 4")))
     }
 
     fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::F64)?;
         let bytes = take(&mut self.input, 8)?;
         visitor.visit_f64(f64::from_le_bytes(bytes.try_into().expect("len 8")))
     }
 
     fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::CHAR)?;
         let code = C::get_u32(&mut self.input)?;
         visitor.visit_char(char::from_u32(code).ok_or(SerialError::InvalidChar(code))?)
     }
 
     fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::STR)?;
         visitor.visit_borrowed_str(self.get_str()?)
     }
 
@@ -120,6 +135,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
     }
 
     fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::BYTES)?;
         visitor.visit_borrowed_bytes(self.get_bytes()?)
     }
 
@@ -128,14 +144,15 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
     }
 
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
-        match take_byte(&mut self.input)? {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
-            other => Err(SerialError::InvalidOption(other)),
+        if C::get_option(&mut self.input)? {
+            visitor.visit_some(self)
+        } else {
+            visitor.visit_none()
         }
     }
 
     fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::UNIT)?;
         visitor.visit_unit()
     }
 
@@ -144,7 +161,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
         _name: &'static str,
         visitor: V,
     ) -> Result<V::Value, SerialError> {
-        visitor.visit_unit()
+        self.deserialize_unit(visitor)
     }
 
     fn deserialize_newtype_struct<V: Visitor<'de>>(
@@ -156,6 +173,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
     }
 
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::SEQ)?;
         let len = C::get_len(&mut self.input)?;
         visitor.visit_seq(CountedAccess {
             de: self,
@@ -168,6 +186,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
         len: usize,
         visitor: V,
     ) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::TUPLE)?;
         visitor.visit_seq(CountedAccess {
             de: self,
             left: len,
@@ -180,13 +199,11 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
         len: usize,
         visitor: V,
     ) -> Result<V::Value, SerialError> {
-        visitor.visit_seq(CountedAccess {
-            de: self,
-            left: len,
-        })
+        self.deserialize_tuple(len, visitor)
     }
 
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::MAP)?;
         let len = C::get_len(&mut self.input)?;
         visitor.visit_map(CountedAccess {
             de: self,
@@ -200,10 +217,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
         fields: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value, SerialError> {
-        visitor.visit_seq(CountedAccess {
-            de: self,
-            left: fields.len(),
-        })
+        self.deserialize_tuple(fields.len(), visitor)
     }
 
     fn deserialize_enum<V: Visitor<'de>>(
@@ -212,6 +226,7 @@ impl<'de, C: IntCodec> de::Deserializer<'de> for &mut BinDeserializer<'de, C> {
         _variants: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value, SerialError> {
+        C::expect_tag(&mut self.input, tag::VARIANT)?;
         visitor.visit_enum(EnumAccess { de: self })
     }
 
@@ -307,7 +322,7 @@ impl<'de, C: IntCodec> de::VariantAccess<'de> for EnumAccess<'_, 'de, C> {
     type Error = SerialError;
 
     fn unit_variant(self) -> Result<(), SerialError> {
-        Ok(())
+        C::expect_tag(&mut self.de.input, tag::UNIT)
     }
 
     fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
@@ -322,10 +337,7 @@ impl<'de, C: IntCodec> de::VariantAccess<'de> for EnumAccess<'_, 'de, C> {
         len: usize,
         visitor: V,
     ) -> Result<V::Value, SerialError> {
-        visitor.visit_seq(CountedAccess {
-            de: self.de,
-            left: len,
-        })
+        de::Deserializer::deserialize_tuple(self.de, len, visitor)
     }
 
     fn struct_variant<V: Visitor<'de>>(
@@ -333,9 +345,6 @@ impl<'de, C: IntCodec> de::VariantAccess<'de> for EnumAccess<'_, 'de, C> {
         fields: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value, SerialError> {
-        visitor.visit_seq(CountedAccess {
-            de: self.de,
-            left: fields.len(),
-        })
+        de::Deserializer::deserialize_tuple(self.de, fields.len(), visitor)
     }
 }

@@ -1,12 +1,14 @@
-//! # sdrad-serial — cross-domain argument serialization
+//! Cross-domain argument serialization.
 //!
 //! SDRaD-FFI passes arguments and return values between isolated domains
 //! **by value**: the caller serializes into the callee's heap, and the
 //! callee serializes its result back. (Passing references would defeat the
 //! isolation — the callee would dereference memory its protection key does
 //! not cover.) The paper announces an evaluation of "different Rust
-//! serialization crates" for this boundary; this crate provides three
-//! self-contained formats spanning that design space, all driven by serde:
+//! serialization crates" for this boundary; this module provides three
+//! self-contained formats spanning that design space. One serde
+//! serializer and one deserializer serve all three; a format is only the
+//! codec they write integers, lengths, type tags and option markers with:
 //!
 //! | format | encoding | analogue | trade-off |
 //! |---|---|---|---|
@@ -20,10 +22,10 @@
 //! ## Example
 //!
 //! ```
-//! use sdrad_serial::{to_bytes, from_bytes, Format};
+//! use sdrad_ffi::serial::{to_bytes, from_bytes, Format};
 //! use serde::{Serialize, Deserialize};
 //!
-//! # fn main() -> Result<(), sdrad_serial::SerialError> {
+//! # fn main() -> Result<(), sdrad_ffi::serial::SerialError> {
 //! #[derive(Serialize, Deserialize, Debug, PartialEq)]
 //! struct Request { id: u64, payload: Vec<u8> }
 //!
@@ -37,28 +39,21 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod codec;
 mod de;
 mod error;
 mod ser;
-mod tagged;
 
 use std::fmt;
 
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-pub use codec::{get_varint, put_varint, unzigzag, zigzag, FixedCodec, IntCodec, VarintCodec};
-pub use de::from_bytes_with;
+use codec::{FixedCodec, TaggedCodec, VarintCodec};
 pub use error::SerialError;
-pub use ser::to_bytes_with;
-pub use tagged::{from_bytes_tagged, to_bytes_tagged};
 
 /// The serialization formats available for crossing a domain boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Format {
     /// Fixed-width little-endian binary (`bincode`-style).
     Wire,
@@ -97,9 +92,9 @@ impl fmt::Display for Format {
 /// sequences) or failing custom `Serialize` impls.
 pub fn to_bytes<T: Serialize + ?Sized>(format: Format, value: &T) -> Result<Vec<u8>, SerialError> {
     match format {
-        Format::Wire => to_bytes_with::<FixedCodec, T>(value),
-        Format::Compact => to_bytes_with::<VarintCodec, T>(value),
-        Format::Tagged => to_bytes_tagged(value),
+        Format::Wire => ser::to_bytes_with::<FixedCodec, T>(value),
+        Format::Compact => ser::to_bytes_with::<VarintCodec, T>(value),
+        Format::Tagged => ser::to_bytes_with::<TaggedCodec, T>(value),
     }
 }
 
@@ -110,16 +105,15 @@ pub fn to_bytes<T: Serialize + ?Sized>(format: Format, value: &T) -> Result<Vec<
 /// [`SerialError`] on malformed, truncated, mismatched or trailing input.
 pub fn from_bytes<T: DeserializeOwned>(format: Format, bytes: &[u8]) -> Result<T, SerialError> {
     match format {
-        Format::Wire => from_bytes_with::<FixedCodec, T>(bytes),
-        Format::Compact => from_bytes_with::<VarintCodec, T>(bytes),
-        Format::Tagged => from_bytes_tagged(bytes),
+        Format::Wire => de::from_bytes_with::<FixedCodec, T>(bytes),
+        Format::Compact => de::from_bytes_with::<VarintCodec, T>(bytes),
+        Format::Tagged => de::from_bytes_with::<TaggedCodec, T>(bytes),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
     use std::collections::BTreeMap;
 
     #[derive(Serialize, Deserialize, Debug, PartialEq, Clone)]

@@ -13,9 +13,9 @@
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::{Child, Command, Stdio};
 
-use sdrad_serial::{from_bytes, to_bytes, Format};
 use serde::{Deserialize, Serialize};
 
+use crate::serial::{from_bytes, to_bytes, Format};
 use crate::{FfiError, Registry};
 
 /// Maximum accepted frame length (16 MiB): a corrupt or malicious length
@@ -29,8 +29,8 @@ pub struct WireRequest {
     pub name: String,
     /// Serialized arguments (in the sandbox's payload format).
     pub args: Vec<u8>,
-    /// Numeric id of the payload format (see [`format_id`]).
-    pub format: u8,
+    /// Format of `args` and of the result.
+    pub format: Format,
 }
 
 /// A response from the worker.
@@ -42,27 +42,6 @@ pub enum WireResponse {
     Unknown,
     /// The function failed (decode error or panic); message attached.
     Failed(String),
-}
-
-/// Maps a [`Format`] to its wire id.
-#[must_use]
-pub fn format_id(format: Format) -> u8 {
-    match format {
-        Format::Wire => 0,
-        Format::Compact => 1,
-        Format::Tagged => 2,
-    }
-}
-
-/// Reverses [`format_id`], defaulting to `Wire` for unknown ids (the
-/// worker must never crash on malformed input).
-#[must_use]
-pub fn format_from_id(id: u8) -> Format {
-    match id {
-        1 => Format::Compact,
-        2 => Format::Tagged,
-        _ => Format::Wire,
-    }
 }
 
 /// Writes one length-prefixed frame.
@@ -125,8 +104,7 @@ pub fn run_worker<R: Read, W: Write>(registry: &Registry, input: R, output: W) -
     while let Some(frame) = read_frame(&mut reader)? {
         let response = match from_bytes::<WireRequest>(Format::Wire, &frame) {
             Ok(request) => {
-                let format = format_from_id(request.format);
-                match registry.invoke_raw(&request.name, &request.args, format) {
+                match registry.invoke_raw(&request.name, &request.args, request.format) {
                     Ok(result) => WireResponse::Ok(result),
                     Err(None) => WireResponse::Unknown,
                     Err(Some(msg)) => WireResponse::Failed(msg),
@@ -187,7 +165,7 @@ impl ProcessWorker {
         let request = WireRequest {
             name: name.to_string(),
             args,
-            format: format_id(format),
+            format,
         };
         let bytes = to_bytes(Format::Wire, &request)?;
 
@@ -264,13 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn format_ids_round_trip() {
-        for format in Format::ALL {
-            assert_eq!(format_from_id(format_id(format)), format);
-        }
-    }
-
-    #[test]
     fn worker_loop_serves_requests_in_memory() {
         let mut registry = Registry::new();
         register_builtins(&mut registry);
@@ -280,13 +251,13 @@ mod tests {
         let req1 = WireRequest {
             name: "sum".into(),
             args: to_bytes(Format::Wire, &vec![1u64, 2, 3]).unwrap(),
-            format: format_id(Format::Wire),
+            format: Format::Wire,
         };
         write_frame(&mut input, &to_bytes(Format::Wire, &req1).unwrap()).unwrap();
         let req2 = WireRequest {
             name: "missing".into(),
             args: vec![],
-            format: 0,
+            format: Format::Wire,
         };
         write_frame(&mut input, &to_bytes(Format::Wire, &req2).unwrap()).unwrap();
 
@@ -316,14 +287,14 @@ mod tests {
         let req = WireRequest {
             name: "boom".into(),
             args: to_bytes(Format::Wire, &"bang".to_string()).unwrap(),
-            format: format_id(Format::Wire),
+            format: Format::Wire,
         };
         write_frame(&mut input, &to_bytes(Format::Wire, &req).unwrap()).unwrap();
         // A second request after the panic must still be served.
         let req2 = WireRequest {
             name: "echo".into(),
             args: to_bytes(Format::Wire, &vec![9u8]).unwrap(),
-            format: format_id(Format::Wire),
+            format: Format::Wire,
         };
         write_frame(&mut input, &to_bytes(Format::Wire, &req2).unwrap()).unwrap();
 
@@ -333,6 +304,41 @@ mod tests {
         let resp1: WireResponse =
             from_bytes(Format::Wire, &read_frame(&mut cursor).unwrap().unwrap()).unwrap();
         assert!(matches!(resp1, WireResponse::Failed(msg) if msg.contains("bang")));
+        let resp2: WireResponse =
+            from_bytes(Format::Wire, &read_frame(&mut cursor).unwrap().unwrap()).unwrap();
+        assert!(matches!(resp2, WireResponse::Ok(_)));
+    }
+
+    #[test]
+    fn unknown_format_index_gets_failed_response() {
+        let mut registry = Registry::new();
+        register_builtins(&mut registry);
+        // A hand-built `echo` request whose format is the variant index
+        // `index`: name, empty args, then the index as a `u32`.
+        let frame = |index: u32| {
+            let mut bytes = to_bytes(Format::Wire, "echo").unwrap();
+            bytes.extend(to_bytes(Format::Wire, &Vec::<u8>::new()).unwrap());
+            bytes.extend(index.to_le_bytes());
+            bytes
+        };
+        let tagged: WireRequest = from_bytes(Format::Wire, &frame(2)).unwrap();
+        assert_eq!(tagged.format, Format::Tagged);
+
+        let mut input = Vec::new();
+        write_frame(&mut input, &frame(3)).unwrap();
+        let next = WireRequest {
+            name: "echo".into(),
+            args: to_bytes(Format::Wire, &vec![9u8]).unwrap(),
+            format: Format::Wire,
+        };
+        write_frame(&mut input, &to_bytes(Format::Wire, &next).unwrap()).unwrap();
+
+        let mut output = Vec::new();
+        run_worker(&registry, io::Cursor::new(input), &mut output).unwrap();
+        let mut cursor = io::Cursor::new(output);
+        let resp1: WireResponse =
+            from_bytes(Format::Wire, &read_frame(&mut cursor).unwrap().unwrap()).unwrap();
+        assert!(matches!(resp1, WireResponse::Failed(msg) if msg.starts_with("malformed request")));
         let resp2: WireResponse =
             from_bytes(Format::Wire, &read_frame(&mut cursor).unwrap().unwrap()).unwrap();
         assert!(matches!(resp2, WireResponse::Ok(_)));

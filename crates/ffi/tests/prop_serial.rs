@@ -1,7 +1,7 @@
 //! Property tests: round-trip fidelity and robustness to corrupt input.
 
 use proptest::prelude::*;
-use sdrad_serial::{from_bytes, to_bytes, Format};
+use sdrad_ffi::serial::{from_bytes, to_bytes, Format};
 use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize, Debug, Clone, PartialEq)]

@@ -319,20 +319,6 @@ impl MemorySpace {
         self.regions.get_mut(&base).filter(|r| r.live)
     }
 
-    /// Looks up the live region containing `addr`.
-    fn resolve(&self, addr: VirtAddr) -> Result<&RegionData, Fault> {
-        match self.regions.range(..=addr.raw()).next_back() {
-            Some((_, r)) if addr.raw() < r.end() => {
-                if r.live {
-                    Ok(r)
-                } else {
-                    Err(Fault::UseAfterFree { addr })
-                }
-            }
-            _ => Err(Fault::Unmapped { addr }),
-        }
-    }
-
     /// The region an access of `len` bytes at `addr` may touch under the
     /// current PKRU, with the offset of `addr` in it: one probe of the
     /// region map serves both the check and the access. Faults in
@@ -443,12 +429,6 @@ impl MemorySpace {
     /// Same as [`write`](Self::write).
     pub fn write_u64(&mut self, addr: VirtAddr, value: u64) -> Result<(), Fault> {
         self.write(addr, &value.to_le_bytes())
-    }
-
-    /// The handle of the live region containing `addr`, if any.
-    #[must_use]
-    pub fn region_at(&self, addr: VirtAddr) -> Option<Region> {
-        self.resolve(addr).ok().map(RegionData::handle)
     }
 
     /// Handles of all live regions, in address order.

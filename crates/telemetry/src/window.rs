@@ -73,18 +73,6 @@ impl WindowRollup {
         }
     }
 
-    /// A client's event rate over the window, events per second.
-    #[must_use]
-    pub fn client_events_per_sec(&self, client: u64) -> f64 {
-        self.per_sec(self.events_by_client.get(&client).copied().unwrap_or(0))
-    }
-
-    /// A shard's contained-fault rate over the window, faults/second.
-    #[must_use]
-    pub fn shard_faults_per_sec(&self, shard: u16) -> f64 {
-        self.per_sec(self.faults_by_shard.get(&shard).copied().unwrap_or(0))
-    }
-
     /// The shed rate for one [`ShedReason`] class, sheds per second.
     #[must_use]
     pub fn shed_rate(&self, reason: ShedReason) -> f64 {

@@ -10,8 +10,8 @@
 //! | [`core`] | `sdrad` | domains, rewind & discard, policies |
 //! | [`mpk`] | `sdrad-mpk` | simulated protection keys, PKRU, memory space, cost model |
 //! | [`alloc`] | `sdrad-alloc` | per-domain heaps with canaries |
-//! | [`serial`] | `sdrad-serial` | cross-domain serialization formats |
 //! | [`ffi`] | `sdrad-ffi` | SDRaD-FFI sandboxing (macro, backends, worker) |
+//! | [`serial`] | `sdrad-ffi` | cross-domain serialization formats (`sdrad_ffi::serial`) |
 //! | [`net`] | `sdrad-net` | the runtime's in-memory transport (readiness callbacks for event-driven serving) |
 //! | [`kvstore`] | `sdrad-kvstore` | Memcached-like workload |
 //! | [`httpd`] | `sdrad-httpd` | NGINX-like workload |
@@ -35,12 +35,12 @@ pub use sdrad_control as control;
 pub use sdrad_energy as energy;
 pub use sdrad_faultsim as faultsim;
 pub use sdrad_ffi as ffi;
+pub use sdrad_ffi::serial;
 pub use sdrad_httpd as httpd;
 pub use sdrad_kvstore as kvstore;
 pub use sdrad_mpk as mpk;
 pub use sdrad_net as net;
 pub use sdrad_runtime as runtime;
-pub use sdrad_serial as serial;
 pub use sdrad_tls as tls;
 
 // The most-used items at the top level for convenience.
