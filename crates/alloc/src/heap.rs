@@ -42,36 +42,6 @@ impl Block {
     }
 }
 
-/// Configuration of a [`DomainHeap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeapConfig {
-    /// Region capacity in bytes (the domain's allocation quota).
-    pub capacity: usize,
-    /// Whether to write and verify per-block canaries.
-    pub canaries: bool,
-    /// Whether to poison payloads on free.
-    pub poison_on_free: bool,
-}
-
-impl HeapConfig {
-    /// A standard configuration (canaries and poisoning on) with the given
-    /// capacity.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapConfig {
-            capacity,
-            canaries: true,
-            poison_on_free: true,
-        }
-    }
-}
-
-impl Default for HeapConfig {
-    fn default() -> Self {
-        Self::with_capacity(1 << 20)
-    }
-}
-
 /// A first-fit free-list heap inside a single key-tagged region.
 ///
 /// All payload bytes live in the domain's [`MemorySpace`] region (so they
@@ -81,7 +51,6 @@ impl Default for HeapConfig {
 #[derive(Debug)]
 pub struct DomainHeap {
     region: Region,
-    config: HeapConfig,
     /// Live blocks keyed by payload address.
     blocks: BTreeMap<u64, Block>,
     /// Free spans keyed by span start address → footprint length.
@@ -92,7 +61,8 @@ pub struct DomainHeap {
 }
 
 impl DomainHeap {
-    /// Maps a fresh region tagged `key` and builds an empty heap over it.
+    /// Maps a fresh region of `capacity` bytes (the domain's allocation
+    /// quota) tagged `key` and builds an empty heap over it.
     ///
     /// # Errors
     ///
@@ -100,12 +70,11 @@ impl DomainHeap {
     pub fn new(
         space: &mut MemorySpace,
         key: ProtectionKey,
-        config: HeapConfig,
+        capacity: usize,
     ) -> Result<Self, Fault> {
-        let region = space.map(config.capacity, key)?;
+        let region = space.map(capacity, key)?;
         Ok(DomainHeap {
             region,
-            config,
             blocks: BTreeMap::new(),
             free: BTreeMap::new(),
             watermark: 0,
@@ -119,39 +88,16 @@ impl DomainHeap {
         self.region
     }
 
-    /// The protection key of the backing region.
-    #[must_use]
-    pub fn key(&self) -> ProtectionKey {
-        self.region.key()
-    }
-
     /// Current statistics.
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         self.stats
     }
 
-    /// Payload bytes currently live.
-    #[must_use]
-    pub fn live_bytes(&self) -> u64 {
-        self.stats.live_bytes
-    }
-
-    /// Whether `addr` is the payload address of a live block.
-    #[must_use]
-    pub fn contains(&self, addr: VirtAddr) -> bool {
-        self.blocks.contains_key(&addr.raw())
-    }
-
     /// Requested size of the live block at `addr`, if any.
     #[must_use]
     pub fn block_size(&self, addr: VirtAddr) -> Option<usize> {
         self.blocks.get(&addr.raw()).map(|b| b.requested)
-    }
-
-    /// Payload addresses of all live blocks, in address order.
-    pub fn live_blocks(&self) -> impl Iterator<Item = VirtAddr> + '_ {
-        self.blocks.keys().map(|&a| VirtAddr::new(a))
     }
 
     /// Allocates `len` payload bytes, returning the payload address.
@@ -172,11 +118,11 @@ impl DomainHeap {
         let start = match self.take_free_span(need) {
             Some(start) => start,
             None => {
-                if self.watermark + need > self.config.capacity {
+                if self.watermark + need > self.region.len() {
                     self.stats.faults_detected += 1;
                     return Err(Fault::QuotaExceeded {
-                        requested: self.stats.live_bytes as usize + len,
-                        quota: self.config.capacity,
+                        requested: self.watermark + need,
+                        quota: self.region.len(),
                     });
                 }
                 let start = self.watermark;
@@ -187,11 +133,9 @@ impl DomainHeap {
 
         let front = self.region.base().offset(start);
         let payload = front.offset(CANARY_LEN);
-        if self.config.canaries {
-            space.write(front, &canary_for(front).to_le_bytes())?;
-            let back = payload.offset(rounded);
-            space.write(back, &canary_for(back).to_le_bytes())?;
-        }
+        space.write(front, &canary_for(front).to_le_bytes())?;
+        let back = payload.offset(rounded);
+        space.write(back, &canary_for(back).to_le_bytes())?;
         self.blocks.insert(payload.raw(), block);
         self.stats.on_alloc(len);
         Ok(payload)
@@ -212,12 +156,8 @@ impl DomainHeap {
                 return Err(Fault::DoubleFree { addr });
             }
         };
-        if self.config.canaries {
-            self.verify_block(space, addr, block)?;
-        }
-        if self.config.poison_on_free {
-            space.fill(addr, block.rounded, FREE_POISON)?;
-        }
+        self.verify_block(space, addr, block)?;
+        space.fill(addr, block.rounded, FREE_POISON)?;
         self.blocks.remove(&addr.raw());
         let span_start = addr.raw() - CANARY_LEN as u64;
         self.insert_free_span(
@@ -228,27 +168,6 @@ impl DomainHeap {
         Ok(())
     }
 
-    /// Reallocates the block at `addr` to `new_len` bytes, copying the
-    /// overlapping prefix.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`alloc`](Self::alloc) and [`free`](Self::free).
-    pub fn realloc(
-        &mut self,
-        space: &mut MemorySpace,
-        addr: VirtAddr,
-        new_len: usize,
-    ) -> Result<VirtAddr, Fault> {
-        let old_len = self.block_size(addr).ok_or(Fault::DoubleFree { addr })?;
-        let new_addr = self.alloc(space, new_len)?;
-        let mut buf = vec![0u8; old_len.min(new_len)];
-        space.read(addr, &mut buf)?;
-        space.write(new_addr, &buf)?;
-        self.free(space, addr)?;
-        Ok(new_addr)
-    }
-
     /// Verifies the canaries of every live block — the "heap canary"
     /// detection mechanism run by SDRaD on domain exit.
     ///
@@ -256,9 +175,6 @@ impl DomainHeap {
     ///
     /// [`Fault::CanaryCorruption`] for the first corrupted block found.
     pub fn sweep(&mut self, space: &mut MemorySpace) -> Result<(), Fault> {
-        if !self.config.canaries {
-            return Ok(());
-        }
         let blocks: Vec<(u64, Block)> = self.blocks.iter().map(|(a, b)| (*a, *b)).collect();
         for (addr, block) in blocks {
             self.verify_block(space, VirtAddr::new(addr), block)?;
@@ -363,7 +279,7 @@ mod tests {
         let mut space = MemorySpace::new();
         let key = space.pkey_alloc().unwrap();
         let guard = PkruGuard::enter(Pkru::root_only().with_rights(key, AccessRights::ReadWrite));
-        let heap = DomainHeap::new(&mut space, key, HeapConfig::with_capacity(capacity)).unwrap();
+        let heap = DomainHeap::new(&mut space, key, capacity).unwrap();
         (space, heap, guard)
     }
 
@@ -376,7 +292,7 @@ mod tests {
         space.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 64]);
         heap.free(&mut space, addr).unwrap();
-        assert!(!heap.contains(addr));
+        assert!(heap.block_size(addr).is_none());
     }
 
     #[test]
@@ -460,6 +376,28 @@ mod tests {
     }
 
     #[test]
+    fn quota_faults_report_more_than_the_quota() {
+        // Canaries and 16-byte rounding count toward the quota, so the
+        // payload bytes alone can stay under it when the check fails.
+        let (mut space, mut heap, _g) = setup(4096);
+        let first = heap.alloc(&mut space, 2000).unwrap();
+        heap.alloc(&mut space, 2000).unwrap();
+        let full = heap.alloc(&mut space, 64).unwrap_err();
+        // A freed hole too small for the next block still refuses it.
+        heap.free(&mut space, first).unwrap();
+        let fragmented = heap.alloc(&mut space, 2020).unwrap_err();
+        for fault in [full, fragmented] {
+            match fault {
+                Fault::QuotaExceeded { requested, quota } => {
+                    assert_eq!(quota, 4096);
+                    assert!(requested > quota, "{fault}");
+                }
+                other => panic!("expected a quota fault, got {other}"),
+            }
+        }
+    }
+
+    #[test]
     fn freed_memory_is_reused() {
         let (mut space, mut heap, _g) = setup(2048);
         let a = heap.alloc(&mut space, 256).unwrap();
@@ -494,25 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn realloc_preserves_prefix() {
-        let (mut space, mut heap, _g) = setup(4096);
-        let addr = heap.alloc(&mut space, 8).unwrap();
-        space.write(addr, b"abcdefgh").unwrap();
-        let bigger = heap.realloc(&mut space, addr, 64).unwrap();
-        let mut buf = [0u8; 8];
-        space.read(bigger, &mut buf).unwrap();
-        assert_eq!(&buf, b"abcdefgh");
-        assert!(!heap.contains(addr));
-    }
-
-    #[test]
     fn discard_resets_everything() {
         let (mut space, mut heap, _g) = setup(4096);
         let addr = heap.alloc(&mut space, 128).unwrap();
         space.write(addr, &[9u8; 128]).unwrap();
         heap.discard(&mut space).unwrap();
         assert_eq!(heap.stats().live_blocks, 0);
-        assert!(!heap.contains(addr));
+        assert!(heap.block_size(addr).is_none());
         // The heap is immediately reusable and hands out fresh memory.
         let addr2 = heap.alloc(&mut space, 128).unwrap();
         let mut buf = [0u8; 128];
@@ -537,7 +463,7 @@ mod tests {
         let key = space.pkey_alloc().unwrap();
         let mut heap = {
             let _g = PkruGuard::enter(Pkru::root_only().with_rights(key, AccessRights::ReadWrite));
-            DomainHeap::new(&mut space, key, HeapConfig::with_capacity(4096)).unwrap()
+            DomainHeap::new(&mut space, key, 4096).unwrap()
         };
         // No rights now: the canary write inside alloc must fault.
         let _g = PkruGuard::enter(Pkru::root_only());

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use sdrad_mpk::{MemorySpace, Pkru, AccessRights, PkruGuard};
-//! use sdrad_alloc::{DomainHeap, HeapConfig};
+//! use sdrad_alloc::DomainHeap;
 //!
 //! # fn main() -> Result<(), sdrad_mpk::Fault> {
 //! let mut space = MemorySpace::new();
@@ -33,7 +33,7 @@
 //!     Pkru::root_only().with_rights(key, AccessRights::ReadWrite),
 //! );
 //!
-//! let mut heap = DomainHeap::new(&mut space, key, HeapConfig::with_capacity(64 * 1024))?;
+//! let mut heap = DomainHeap::new(&mut space, key, 64 * 1024)?;
 //! let block = heap.alloc(&mut space, 100)?;
 //! space.write(block, b"domain-private data")?;
 //! heap.free(&mut space, block)?;   // canaries verified here
@@ -48,5 +48,5 @@
 mod heap;
 mod stats;
 
-pub use heap::{DomainHeap, HeapConfig, MIN_ALIGN};
+pub use heap::{DomainHeap, MIN_ALIGN};
 pub use stats::HeapStats;

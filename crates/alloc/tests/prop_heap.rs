@@ -2,7 +2,7 @@
 //! arbitrary workloads.
 
 use proptest::prelude::*;
-use sdrad_alloc::{DomainHeap, HeapConfig};
+use sdrad_alloc::DomainHeap;
 use sdrad_mpk::{AccessRights, MemorySpace, Pkru, PkruGuard, VirtAddr};
 
 /// One step of a synthetic heap workload.
@@ -33,7 +33,7 @@ proptest! {
         let mut space = MemorySpace::new();
         let key = space.pkey_alloc().unwrap();
         let _g = PkruGuard::enter(Pkru::root_only().with_rights(key, AccessRights::ReadWrite));
-        let mut heap = DomainHeap::new(&mut space, key, HeapConfig::with_capacity(256 * 1024)).unwrap();
+        let mut heap = DomainHeap::new(&mut space, key, 256 * 1024).unwrap();
         let mut live: Vec<(VirtAddr, usize)> = Vec::new();
 
         for op in ops {
@@ -91,7 +91,7 @@ proptest! {
         let mut space = MemorySpace::new();
         let key = space.pkey_alloc().unwrap();
         let _g = PkruGuard::enter(Pkru::root_only().with_rights(key, AccessRights::ReadWrite));
-        let mut heap = DomainHeap::new(&mut space, key, HeapConfig::with_capacity(64 * 1024)).unwrap();
+        let mut heap = DomainHeap::new(&mut space, key, 64 * 1024).unwrap();
 
         prop_assume!(victim < lens.len());
         let blocks: Vec<_> = lens.iter().map(|&l| heap.alloc(&mut space, l).unwrap()).collect();
@@ -120,7 +120,7 @@ proptest! {
         let mut space = MemorySpace::new();
         let key = space.pkey_alloc().unwrap();
         let _g = PkruGuard::enter(Pkru::root_only().with_rights(key, AccessRights::ReadWrite));
-        let mut heap = DomainHeap::new(&mut space, key, HeapConfig::with_capacity(64 * 1024)).unwrap();
+        let mut heap = DomainHeap::new(&mut space, key, 64 * 1024).unwrap();
         for &len in &lens {
             let _ = heap.alloc(&mut space, len);
         }

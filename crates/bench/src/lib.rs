@@ -111,9 +111,8 @@ pub fn attack_slots(
 /// [`FaultSchedule`]: sdrad_faultsim::FaultSchedule
 #[must_use]
 pub fn attack_rate_per_year(attacks_per_10k: u64, requests: u64, horizon_seconds: f64) -> f64 {
-    const SECONDS_PER_YEAR: f64 = 365.0 * 24.0 * 3600.0;
     let expected = requests as f64 * attacks_per_10k as f64 / 10_000.0;
-    expected * SECONDS_PER_YEAR / horizon_seconds
+    expected * sdrad_energy::availability::SECONDS_PER_YEAR / horizon_seconds
 }
 
 /// Measures this build's SDRaD rewind latency: the mean wall clock of a

@@ -11,6 +11,7 @@
 
 use crate::node::{Node, NodeId, NodeState, Role, VariantId};
 use crate::sim::{EventQueue, SimRng, SimTime};
+use sdrad_energy::availability::SECONDS_PER_YEAR;
 use sdrad_energy::power::PowerModel;
 use sdrad_energy::redundancy::Strategy;
 use sdrad_energy::restart::RestartModel;
@@ -367,9 +368,6 @@ impl ClusterSim {
         &self.nodes
     }
 }
-
-/// Seconds per accounting year.
-pub const SECONDS_PER_YEAR: f64 = 365.0 * 24.0 * 3600.0;
 
 #[cfg(test)]
 mod tests {

@@ -47,7 +47,8 @@ mod montecarlo;
 mod node;
 mod sim;
 
-pub use cluster::{ClusterConfig, ClusterSim, RunMetrics, SECONDS_PER_YEAR};
+pub use cluster::{ClusterConfig, ClusterSim, RunMetrics};
 pub use montecarlo::{run_trials, Stat, TrialSummary};
 pub use node::{Node, NodeId, NodeState, Role, VariantId};
+pub use sdrad_energy::availability::SECONDS_PER_YEAR;
 pub use sim::{EventQueue, SimRng, SimTime};

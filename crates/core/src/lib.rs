@@ -80,4 +80,4 @@ pub use pool::{ClientId, DomainPool};
 
 // Re-export the substrate types users need at the API boundary.
 pub use sdrad_alloc::HeapStats;
-pub use sdrad_mpk::{CostModel, CostReport, Fault, Region, VirtAddr};
+pub use sdrad_mpk::{CostModel, Fault, Region, VirtAddr};

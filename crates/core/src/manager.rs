@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use sdrad_alloc::{DomainHeap, HeapConfig};
+use sdrad_alloc::DomainHeap;
 use sdrad_mpk::{
-    AccessRights, CostModel, CostReport, Fault, MemorySpace, Pkru, PkruGuard, ProtectionKey,
-    Region, VirtAddr,
+    AccessRights, Fault, MemorySpace, Pkru, PkruGuard, ProtectionKey, Region, VirtAddr,
 };
 
 use crate::{Domain, DomainConfig, DomainError, DomainId, DomainInfo, DomainState};
@@ -108,26 +107,18 @@ pub struct DomainManager {
     domains: BTreeMap<DomainId, Domain>,
     stack: Vec<DomainId>,
     next_id: u64,
-    cost: CostReport,
     rewinds: u64,
 }
 
 impl DomainManager {
-    /// Creates a manager with the calibrated cost model.
+    /// Creates a manager with no domains.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_cost_model(CostModel::calibrated())
-    }
-
-    /// Creates a manager charging isolation costs against `model`.
-    #[must_use]
-    pub fn with_cost_model(model: CostModel) -> Self {
         DomainManager {
             space: MemorySpace::new(),
             domains: BTreeMap::new(),
             stack: Vec::new(),
             next_id: 1,
-            cost: CostReport::new(model),
             rewinds: 0,
         }
     }
@@ -140,12 +131,7 @@ impl DomainManager {
     /// the heap cannot be mapped.
     pub fn create_domain(&mut self, config: DomainConfig) -> Result<DomainId, DomainError> {
         let key = self.space.pkey_alloc()?;
-        self.cost.charge_pkey_mprotect();
-        let heap = DomainHeap::new(
-            &mut self.space,
-            key,
-            HeapConfig::with_capacity(config.heap_capacity),
-        )?;
+        let heap = DomainHeap::new(&mut self.space, key, config.heap_capacity)?;
         let id = DomainId::new(self.next_id);
         self.next_id += 1;
         self.domains.insert(
@@ -244,7 +230,6 @@ impl DomainManager {
         let pkru = Pkru::deny_all()
             .with_rights(ProtectionKey::DEFAULT, policy.root_rights())
             .with_rights(key, AccessRights::ReadWrite);
-        self.cost.charge_wrpkru();
         let guard = PkruGuard::enter(pkru);
 
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -258,7 +243,6 @@ impl DomainManager {
             Ok(Ok(value)) => match self.sweep_domain(id) {
                 Ok(()) => {
                     drop(guard);
-                    self.cost.charge_wrpkru();
                     self.stack.pop();
                     let domain = self.domains.get_mut(&id).expect("domain exists");
                     domain.state = DomainState::Ready;
@@ -284,7 +268,6 @@ impl DomainManager {
                 .expect("discard under domain rights cannot fault");
         }
         drop(guard);
-        self.cost.charge_wrpkru();
         let rewind_ns = u64::try_from(received.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.stack.pop();
         self.rewinds += 1;
@@ -357,12 +340,6 @@ impl DomainManager {
     #[must_use]
     pub fn domains(&self) -> Vec<DomainInfo> {
         self.domains.values().map(Domain::info).collect()
-    }
-
-    /// Accumulated isolation-primitive cost account.
-    #[must_use]
-    pub fn cost(&self) -> CostReport {
-        self.cost
     }
 
     /// Total rewinds performed across all domains.
@@ -943,14 +920,6 @@ mod tests {
         let info = mgr.domain_info(id).unwrap();
         assert_eq!((info.calls, info.violations), (3, 2));
         assert_eq!(mgr.total_rewinds(), 2);
-    }
-
-    #[test]
-    fn cost_account_charges_wrpkru_per_call() {
-        let (mut mgr, id) = manager_with_domain();
-        let before = mgr.cost().wrpkru_count;
-        mgr.call(id, |_| ()).unwrap();
-        assert_eq!(mgr.cost().wrpkru_count, before + 2, "entry + exit");
     }
 
     #[test]

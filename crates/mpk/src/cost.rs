@@ -7,8 +7,10 @@
 //! three orders of magnitude cheaper than an OS process context switch,
 //! which in turn is orders of magnitude cheaper than restarting a stateful
 //! process.
-
-use std::fmt;
+//!
+//! The model holds constants only and keeps no account of a run. A run's
+//! modelled switch cost is its switch count — two `WRPKRU`s per domain
+//! call, `2 × DomainInfo::calls` — times [`CostModel::wrpkru_ns`].
 
 /// Cycles per nanosecond at 1 GHz (definitionally 1; named for clarity in
 /// conversions).
@@ -55,9 +57,9 @@ impl Default for CpuProfile {
 /// * Process spawn (fork + exec of a small helper) ≈ 500 µs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Cycles charged per `WRPKRU` (domain rights switch).
+    /// Cycles of one `WRPKRU` (domain rights switch).
     pub wrpkru_cycles: u64,
-    /// Cycles charged per `pkey_mprotect` call (region retag).
+    /// Cycles of one `pkey_mprotect` call (region retag).
     pub pkey_mprotect_cycles: u64,
     /// Cycles of one OS process context switch (the process baseline).
     pub process_switch_cycles: u64,
@@ -99,95 +101,11 @@ impl CostModel {
     pub fn process_spawn_ns(&self) -> f64 {
         self.cpu.cycles_to_ns(self.process_spawn_cycles)
     }
-
-    /// Starts an empty account against this model.
-    #[must_use]
-    pub fn account(&self) -> CostReport {
-        CostReport::new(*self)
-    }
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         Self::calibrated()
-    }
-}
-
-/// Accumulated isolation-primitive costs for a run.
-///
-/// SDRaD's domain engine charges this account on every simulated `WRPKRU`
-/// and `pkey_mprotect`. The bench harnesses read totals out to report
-/// modeled overhead next to measured wall-clock numbers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostReport {
-    model: CostModel,
-    /// Number of `WRPKRU` executions charged.
-    pub wrpkru_count: u64,
-    /// Number of `pkey_mprotect` calls charged.
-    pub pkey_mprotect_count: u64,
-}
-
-impl CostReport {
-    /// Creates an empty account for `model`.
-    #[must_use]
-    pub fn new(model: CostModel) -> Self {
-        CostReport {
-            model,
-            wrpkru_count: 0,
-            pkey_mprotect_count: 0,
-        }
-    }
-
-    /// Charges one `WRPKRU`.
-    pub fn charge_wrpkru(&mut self) {
-        self.wrpkru_count += 1;
-    }
-
-    /// Charges one `pkey_mprotect`.
-    pub fn charge_pkey_mprotect(&mut self) {
-        self.pkey_mprotect_count += 1;
-    }
-
-    /// Total modeled cycles across all charged operations.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.wrpkru_count * self.model.wrpkru_cycles
-            + self.pkey_mprotect_count * self.model.pkey_mprotect_cycles
-    }
-
-    /// Total modeled time in nanoseconds.
-    #[must_use]
-    pub fn total_ns(&self) -> f64 {
-        self.model.cpu.cycles_to_ns(self.total_cycles())
-    }
-
-    /// The model this account charges against.
-    #[must_use]
-    pub fn model(&self) -> CostModel {
-        self.model
-    }
-
-    /// Merges another account (same model assumed) into this one.
-    pub fn merge(&mut self, other: &CostReport) {
-        self.wrpkru_count += other.wrpkru_count;
-        self.pkey_mprotect_count += other.pkey_mprotect_count;
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = CostReport::new(self.model);
-    }
-}
-
-impl fmt::Display for CostReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "wrpkru={} pkey_mprotect={} total={:.1}ns",
-            self.wrpkru_count,
-            self.pkey_mprotect_count,
-            self.total_ns()
-        )
     }
 }
 
@@ -212,48 +130,5 @@ mod tests {
     fn cycles_convert_to_time() {
         let cpu = CpuProfile { ghz: 2.0 };
         assert!((cpu.cycles_to_ns(2000) - 1000.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn account_accumulates_charges() {
-        let model = CostModel::calibrated();
-        let mut account = model.account();
-        account.charge_wrpkru();
-        account.charge_wrpkru();
-        account.charge_pkey_mprotect();
-        assert_eq!(account.wrpkru_count, 2);
-        assert_eq!(
-            account.total_cycles(),
-            2 * model.wrpkru_cycles + model.pkey_mprotect_cycles
-        );
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let model = CostModel::calibrated();
-        let mut a = model.account();
-        a.charge_wrpkru();
-        let mut b = model.account();
-        b.charge_wrpkru();
-        b.charge_pkey_mprotect();
-        a.merge(&b);
-        assert_eq!(a.wrpkru_count, 2);
-        assert_eq!(a.pkey_mprotect_count, 1);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut account = CostModel::calibrated().account();
-        account.charge_pkey_mprotect();
-        account.reset();
-        assert_eq!(account.total_cycles(), 0);
-    }
-
-    #[test]
-    fn display_includes_totals() {
-        let mut account = CostModel::calibrated().account();
-        account.charge_wrpkru();
-        let text = account.to_string();
-        assert!(text.contains("wrpkru=1"), "{text}");
     }
 }

@@ -64,7 +64,8 @@ pub enum Fault {
     },
     /// A domain exceeded its allocation quota.
     QuotaExceeded {
-        /// Bytes the allocation would have brought the domain to.
+        /// Bytes of its region the allocation would have brought the
+        /// domain to, canaries and rounding included.
         requested: usize,
         /// The configured quota in bytes.
         quota: usize,
@@ -85,25 +86,6 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Whether this fault indicates a *security-relevant* memory-safety
-    /// violation (as opposed to a resource/usage error).
-    ///
-    /// SDRaD rewinds on every fault, but the distinction matters for
-    /// reporting: the paper's resilience argument is about exactly these.
-    #[must_use]
-    pub fn is_memory_safety_violation(&self) -> bool {
-        matches!(
-            self,
-            Fault::PkuViolation { .. }
-                | Fault::Unmapped { .. }
-                | Fault::OutOfBounds { .. }
-                | Fault::UseAfterFree { .. }
-                | Fault::DoubleFree { .. }
-                | Fault::CanaryCorruption { .. }
-                | Fault::StackSmash { .. }
-        )
-    }
-
     /// Short machine-friendly name of the fault class (stable across
     /// versions; used in event logs and bench output).
     #[must_use]
@@ -172,24 +154,6 @@ mod tests {
 
     fn addr(a: u64) -> VirtAddr {
         VirtAddr::new(a)
-    }
-
-    #[test]
-    fn safety_classification() {
-        let pku = Fault::PkuViolation {
-            addr: addr(0x1000),
-            key: ProtectionKey::new(3).unwrap(),
-            access: Access::Write,
-            pkru: Pkru::root_only(),
-        };
-        assert!(pku.is_memory_safety_violation());
-        assert!(!Fault::KeysExhausted.is_memory_safety_violation());
-        assert!(!Fault::QuotaExceeded {
-            requested: 10,
-            quota: 5
-        }
-        .is_memory_safety_violation());
-        assert!(Fault::StackSmash { frame: "f" }.is_memory_safety_violation());
     }
 
     #[test]

@@ -63,8 +63,8 @@ mod pkru;
 mod space;
 
 pub use access::{Access, AccessRights};
-pub use cost::{CostModel, CostReport, CpuProfile, CYCLES_PER_GHZ_NS};
+pub use cost::{CostModel, CpuProfile, CYCLES_PER_GHZ_NS};
 pub use fault::Fault;
 pub use pkey::{PkeyAllocator, ProtectionKey, MAX_KEYS};
 pub use pkru::{current_pkru, set_current_pkru, Pkru, PkruGuard};
-pub use space::{MemorySpace, Region, RegionId, SpaceStats, VirtAddr};
+pub use space::{MemorySpace, Region, RegionId, VirtAddr};

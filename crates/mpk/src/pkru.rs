@@ -134,9 +134,8 @@ pub fn current_pkru() -> Pkru {
 /// Writes the current thread's PKRU (the `WRPKRU` instruction) and returns
 /// the previous value.
 ///
-/// Cost accounting is the caller's job: charge
-/// [`CostModel::wrpkru_cycles`](crate::CostModel::wrpkru_cycles) wherever a real domain
-/// switch would execute the instruction.
+/// Nothing counts these writes: a domain call makes two, and one is priced
+/// at [`CostModel::wrpkru_cycles`](crate::CostModel::wrpkru_cycles).
 pub fn set_current_pkru(pkru: Pkru) -> Pkru {
     Pkru(CURRENT_PKRU.with(|c| c.replace(pkru.to_raw())))
 }

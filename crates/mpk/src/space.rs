@@ -154,25 +154,6 @@ impl RegionData {
     }
 }
 
-/// Access statistics of a [`MemorySpace`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpaceStats {
-    /// Number of checked read accesses performed.
-    pub reads: u64,
-    /// Number of checked write accesses performed.
-    pub writes: u64,
-    /// Total bytes read through checked accesses.
-    pub bytes_read: u64,
-    /// Total bytes written through checked accesses.
-    pub bytes_written: u64,
-    /// Number of faults raised by access checks.
-    pub faults: u64,
-    /// Number of regions currently mapped (live).
-    pub live_regions: u64,
-    /// Bytes currently mapped in live regions.
-    pub live_bytes: u64,
-}
-
 /// A software memory space of protection-key-tagged regions.
 ///
 /// This is the reproduction's stand-in for the MMU + PKU hardware: regions
@@ -193,7 +174,6 @@ pub struct MemorySpace {
     keys: PkeyAllocator,
     next_base: u64,
     next_id: u64,
-    stats: SpaceStats,
 }
 
 impl MemorySpace {
@@ -208,7 +188,6 @@ impl MemorySpace {
             // always unmapped, like the real zero page.
             next_base: 0x1_0000,
             next_id: 1,
-            stats: SpaceStats::default(),
         }
     }
 
@@ -246,7 +225,7 @@ impl MemorySpace {
     /// nor currently allocated.
     pub fn map(&mut self, len: usize, key: ProtectionKey) -> Result<Region, Fault> {
         if !self.keys.is_allocated(key) {
-            return Err(self.fault(Fault::InvalidKey { index: key.index() }));
+            return Err(Fault::InvalidKey { index: key.index() });
         }
         let base = VirtAddr::new(self.next_base);
         let pages = (len as u64).div_ceil(PAGE_SIZE).max(1);
@@ -264,8 +243,6 @@ impl MemorySpace {
         let handle = data.handle();
         self.regions.insert(base.raw(), data);
         self.bases.push(base.raw());
-        self.stats.live_regions += 1;
-        self.stats.live_bytes += len as u64;
         Ok(handle)
     }
 
@@ -280,14 +257,11 @@ impl MemorySpace {
             Some(r) => {
                 r.live = false;
                 r.data = Vec::new();
-                let len = r.len as u64;
-                self.stats.live_regions -= 1;
-                self.stats.live_bytes -= len;
                 Ok(())
             }
-            None => Err(self.fault(Fault::UseAfterFree {
+            None => Err(Fault::UseAfterFree {
                 addr: VirtAddr::new(0),
-            })),
+            }),
         }
     }
 
@@ -299,16 +273,16 @@ impl MemorySpace {
     /// [`Fault::UseAfterFree`] if the region is gone.
     pub fn pkey_mprotect(&mut self, region: RegionId, key: ProtectionKey) -> Result<(), Fault> {
         if !self.keys.is_allocated(key) {
-            return Err(self.fault(Fault::InvalidKey { index: key.index() }));
+            return Err(Fault::InvalidKey { index: key.index() });
         }
         match self.live_region_mut(region) {
             Some(r) => {
                 r.key = key;
                 Ok(())
             }
-            None => Err(self.fault(Fault::UseAfterFree {
+            None => Err(Fault::UseAfterFree {
                 addr: VirtAddr::new(0),
-            })),
+            }),
         }
     }
 
@@ -323,7 +297,7 @@ impl MemorySpace {
     /// current PKRU, with the offset of `addr` in it: one probe of the
     /// region map serves both the check and the access. Faults in
     /// precedence order — [`Fault::Unmapped`], [`Fault::UseAfterFree`],
-    /// [`Fault::OutOfBounds`], [`Fault::PkuViolation`] — and counted.
+    /// [`Fault::OutOfBounds`], [`Fault::PkuViolation`].
     fn checked(
         &mut self,
         addr: VirtAddr,
@@ -331,8 +305,7 @@ impl MemorySpace {
         access: Access,
     ) -> Result<(&mut RegionData, usize), Fault> {
         let pkru = current_pkru();
-        let Self { regions, stats, .. } = self;
-        let fault = match regions.range_mut(..=addr.raw()).next_back() {
+        let fault = match self.regions.range_mut(..=addr.raw()).next_back() {
             Some((_, r)) if addr.raw() < r.end() => {
                 if !r.live {
                     Fault::UseAfterFree { addr }
@@ -356,7 +329,6 @@ impl MemorySpace {
             }
             _ => Fault::Unmapped { addr },
         };
-        stats.faults += 1;
         Err(fault)
     }
 
@@ -379,8 +351,6 @@ impl MemorySpace {
     pub fn read(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Fault> {
         let (region, start) = self.checked(addr, buf.len(), Access::Read)?;
         buf.copy_from_slice(&region.data[start..start + buf.len()]);
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
         Ok(())
     }
 
@@ -393,8 +363,6 @@ impl MemorySpace {
     pub fn write(&mut self, addr: VirtAddr, buf: &[u8]) -> Result<(), Fault> {
         let (region, start) = self.checked(addr, buf.len(), Access::Write)?;
         region.data[start..start + buf.len()].copy_from_slice(buf);
-        self.stats.writes += 1;
-        self.stats.bytes_written += buf.len() as u64;
         Ok(())
     }
 
@@ -406,8 +374,6 @@ impl MemorySpace {
     pub fn fill(&mut self, addr: VirtAddr, len: usize, byte: u8) -> Result<(), Fault> {
         let (region, start) = self.checked(addr, len, Access::Write)?;
         region.data[start..start + len].fill(byte);
-        self.stats.writes += 1;
-        self.stats.bytes_written += len as u64;
         Ok(())
     }
 
@@ -429,27 +395,6 @@ impl MemorySpace {
     /// Same as [`write`](Self::write).
     pub fn write_u64(&mut self, addr: VirtAddr, value: u64) -> Result<(), Fault> {
         self.write(addr, &value.to_le_bytes())
-    }
-
-    /// Handles of all live regions, in address order.
-    pub fn live_regions(&self) -> impl Iterator<Item = Region> + '_ {
-        self.regions
-            .values()
-            .filter(|r| r.live)
-            .map(RegionData::handle)
-    }
-
-    /// Current access statistics.
-    #[must_use]
-    pub fn stats(&self) -> SpaceStats {
-        self.stats
-    }
-
-    /// Records a fault in the statistics and passes it through, so call
-    /// sites can `return Err(self.fault(f))`.
-    fn fault(&mut self, fault: Fault) -> Fault {
-        self.stats.faults += 1;
-        fault
     }
 }
 
@@ -547,7 +492,6 @@ mod tests {
         assert!(!tombstone.live);
         assert_eq!(tombstone.len, 4096, "the extent survives");
         assert_eq!(tombstone.data.capacity(), 0, "the bytes do not");
-        assert_eq!(space.stats().live_bytes, 0);
         for offset in [0, 2048, 4095] {
             let err = space.read(region.base().offset(offset), &mut [0u8; 1]);
             assert!(
@@ -632,32 +576,6 @@ mod tests {
         let mut buf = [0u8; 32];
         space.read(region.base(), &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0xAB));
-    }
-
-    #[test]
-    fn stats_track_accesses_and_faults() {
-        let (mut space, region, _g) = rw_space_with_region(32);
-        space.write(region.base(), &[0u8; 8]).unwrap();
-        space.read(region.base(), &mut [0u8; 4]).unwrap();
-        let _ = space.read(VirtAddr::new(1), &mut [0u8; 1]);
-        let stats = space.stats();
-        assert_eq!(stats.writes, 1);
-        assert_eq!(stats.reads, 1);
-        assert_eq!(stats.bytes_written, 8);
-        assert_eq!(stats.bytes_read, 4);
-        assert_eq!(stats.faults, 1);
-        assert_eq!(stats.live_regions, 1);
-    }
-
-    #[test]
-    fn live_regions_iterates_in_address_order() {
-        let mut space = MemorySpace::new();
-        let key = space.pkey_alloc().unwrap();
-        let a = space.map(16, key).unwrap();
-        let b = space.map(16, key).unwrap();
-        space.unmap(a.id()).unwrap();
-        let live: Vec<_> = space.live_regions().map(|r| r.id()).collect();
-        assert_eq!(live, vec![b.id()]);
     }
 
     #[test]

@@ -55,5 +55,4 @@ fn main() {
          never restarted.",
         peers.len()
     );
-    println!("isolation cost account: {}", mgr.cost());
 }

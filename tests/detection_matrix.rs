@@ -1,10 +1,12 @@
 //! The detection matrix: every attack class × every policy, with fault
-//! history and cost accounting checked, plus the boundary's own
-//! guarantees: escapes contained with the domain still serving, a
-//! sibling's heap unreadable, and a rewound domain's bytes discarded.
+//! history checked, plus the boundary's own guarantees: the caller's
+//! rights restored after every call, escapes contained with the domain
+//! still serving, a sibling's heap unreadable, and a rewound domain's
+//! bytes discarded.
 
 use sdrad_repro::core::{DomainConfig, DomainManager, DomainPolicy, Fault};
 use sdrad_repro::faultsim::{inject, Attack, StackFrame};
+use sdrad_repro::mpk::current_pkru;
 
 #[test]
 fn every_attack_is_contained_under_every_policy() {
@@ -64,24 +66,25 @@ fn event_log_reconstructs_the_attack_history() {
 }
 
 #[test]
-fn cost_accounting_scales_with_calls_not_faults() {
+fn every_call_restores_the_callers_rights_whatever_its_outcome() {
     sdrad_repro::quiet_fault_traps();
     let mut mgr = DomainManager::new();
     let domain = mgr.create_domain(DomainConfig::new("counted")).unwrap();
-    let base = mgr.cost().wrpkru_count;
+    let caller = current_pkru();
     for i in 0..10 {
         let _ = mgr.call(domain, move |env| {
             let block = env.push_bytes(b"data");
+            env.free(block);
             if i % 2 == 0 {
-                env.free(block);
                 env.free(block); // fault on even calls
-            } else {
-                env.free(block);
             }
         });
+        assert_eq!(current_pkru(), caller, "call {i} left the domain's rights");
     }
-    // Two WRPKRUs per call regardless of outcome.
-    assert_eq!(mgr.cost().wrpkru_count - base, 20);
+    // Each call is one switch in and one out, so the switch count is
+    // twice `calls`, faulting or not.
+    let info = mgr.domain_info(domain).unwrap();
+    assert_eq!((info.calls, info.violations), (10, 5));
 }
 
 #[test]
