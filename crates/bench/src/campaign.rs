@@ -107,7 +107,7 @@ pub fn cell_config(control: Option<ControlConfig>, telemetry: TelemetryConfig) -
     // Small domain heaps: the xstat exploit (declared 64 KB) still
     // faults at the region edge, while the pool-rebuild rung tears
     // down kilobytes instead of megabytes — the rebuild cost the
-    // energy ledger bills is the cost the latency tail actually pays.
+    // energy models price is the cost the latency tail actually pays.
     config.domain_heap = 32 * 1024;
     config.control = control;
     config.telemetry = telemetry;

@@ -47,7 +47,13 @@ pub mod e8;
 pub mod e9;
 pub mod micro;
 
-use sdrad_energy::FleetReport;
+use std::time::Duration;
+
+use sdrad_energy::{
+    fleet_lineup, price, FleetReport, FleetScenario, PowerModel, RecoveryBill, RecoveryCounts,
+    RungModels,
+};
+use sdrad_runtime::RuntimeStats;
 
 use crate::Report;
 
@@ -323,6 +329,79 @@ fn fleet_table(report: &mut Report, context: &str, lineup: &[FleetReport]) -> f6
     sdrad.expect("lineup includes sdrad").servers
 }
 
+/// Builds the fleet-level sustainability lineup from **measured** runs:
+/// the attacked isolated run contributes the measured rewind latency,
+/// and a **clean** (attack-free) baseline/isolated pair contributes the
+/// measured SDRaD overhead. Both are substituted into `fleet`'s service
+/// scenario before evaluating every deployment strategy, so the energy
+/// report rests on this machine's numbers rather than the paper's
+/// constants.
+///
+/// The rewind substituted is the **p99** of the measured rewind
+/// histogram when one is available (availability models should not be
+/// propped up by the mean of a tail-heavy distribution), falling back to
+/// the mean for synthetic stats without histograms.
+///
+/// The overhead pair must come from attack-free runs: under attack the
+/// baseline's wall clock includes real crash-handling work (snapshot +
+/// restore per crash), which would contaminate the per-request isolation
+/// cost the model wants.
+#[must_use]
+pub fn fleet_lineup_from_runs(
+    attacked_isolated: &RuntimeStats,
+    clean_isolated: &RuntimeStats,
+    clean_baseline: &RuntimeStats,
+    mut fleet: FleetScenario,
+) -> Vec<FleetReport> {
+    let rewind_hist = attacked_isolated.rewind_latency();
+    let measured_rewind = if rewind_hist.is_empty() {
+        attacked_isolated.mean_rewind()
+    } else {
+        rewind_hist.p99()
+    };
+    if measured_rewind > Duration::ZERO {
+        fleet.service.rewind = measured_rewind;
+    }
+    // Measured isolation overhead: how much slower the isolated workers
+    // process the identical benign request mix (clamped to the model's
+    // [0, 1) sanity range).
+    let isolated_rps = clean_isolated.throughput_rps();
+    let baseline_rps = clean_baseline.throughput_rps();
+    if isolated_rps > 0.0 && baseline_rps > 0.0 {
+        let overhead = (baseline_rps / isolated_rps - 1.0).clamp(0.0, 0.99);
+        fleet.service.sdrad_overhead = overhead;
+    }
+    fleet_lineup(&fleet)
+}
+
+/// Prices a finished run's recovery: every worker's rung counts and
+/// state-byte sums through the calibrated rung models at a rack
+/// server's peak draw, with `domains_per_worker` domains torn down per
+/// pool rebuild.
+#[must_use]
+pub fn recovery_bill(stats: &RuntimeStats, domains_per_worker: usize) -> RecoveryBill {
+    let workers: Vec<RecoveryCounts> = stats
+        .workers
+        .iter()
+        .map(|w| RecoveryCounts {
+            served: w.served,
+            rewinds: w.ladder_rewinds,
+            pool_rebuilds: w.pool_rebuilds,
+            worker_restarts: w.worker_restarts,
+            crashes: w.crashes,
+            restart_state_bytes: w.restart_state_bytes,
+            judged_state_bytes: w.judged_state_bytes,
+        })
+        .collect();
+    price(
+        &workers,
+        stats.wall,
+        u32::try_from(domains_per_worker).unwrap_or(u32::MAX),
+        &RungModels::calibrated(),
+        &PowerModel::rack_server(),
+    )
+}
+
 /// `value` rounded to two decimals: how exact rows record the closed
 /// forms and simulations they print, so a last-bit difference in a libm
 /// function cannot fail the check.
@@ -341,6 +420,7 @@ pub fn find(id: &str) -> Option<&'static Scenario> {
 mod tests {
     use super::*;
     use crate::report;
+    use sdrad_runtime::{LatencyHistogram, WorkerStats};
     use sdrad_telemetry::Json;
 
     #[test]
@@ -383,5 +463,84 @@ mod tests {
                 metric.name
             );
         }
+    }
+
+    fn worker(served: u64, faults: u64) -> WorkerStats {
+        let mut worker = WorkerStats {
+            served,
+            ..WorkerStats::default()
+        };
+        for _ in 0..faults {
+            worker.rewind_latency.record(2_000);
+            worker.rewind_ns += 2_000;
+            worker.contained_faults += 1;
+        }
+        worker
+    }
+
+    fn run(workers: Vec<WorkerStats>) -> RuntimeStats {
+        RuntimeStats {
+            workers,
+            shed: 0,
+            submitted: 0,
+            stolen_submits: 0,
+            conn_stolen: 0,
+            shed_latency: LatencyHistogram::new(),
+            control: None,
+            hazard: None,
+            telemetry: None,
+            wall: Duration::from_secs(2),
+        }
+    }
+
+    #[test]
+    fn fleet_lineup_uses_measured_rewind_and_clean_overhead() {
+        let attacked = run(vec![worker(900, 10)]);
+        let clean_isolated = run(vec![worker(1000, 0)]);
+        let clean_baseline = run(vec![worker(1100, 0)]);
+        let lineup = fleet_lineup_from_runs(
+            &attacked,
+            &clean_isolated,
+            &clean_baseline,
+            FleetScenario::telecom_ran(),
+        );
+        assert_eq!(lineup.len(), 5);
+        let sdrad = lineup.iter().find(|r| r.strategy == "1N-sdrad").unwrap();
+        assert!(sdrad.meets_target, "microsecond rewinds keep five nines");
+    }
+
+    #[test]
+    fn fleet_lineup_prefers_the_rewind_histogram_p99() {
+        // Tail-heavy rewinds: mean ~ 7 µs but p99 ~ 100 µs. The lineup
+        // must consume the tail, not the mean.
+        let mut w = worker(100, 0);
+        for _ in 0..95 {
+            w.rewind_latency.record(2_000);
+            w.contained_latency.record(2_500);
+            w.rewind_ns += 2_000;
+            w.contained_faults += 1;
+            w.manager_rewinds += 1;
+        }
+        for _ in 0..5 {
+            w.rewind_latency.record(100_000);
+            w.contained_latency.record(100_500);
+            w.rewind_ns += 100_000;
+            w.contained_faults += 1;
+            w.manager_rewinds += 1;
+        }
+        let attacked = run(vec![w]);
+        let hist_p99 = attacked.rewind_latency().p99();
+        assert!(hist_p99 >= Duration::from_nanos(90_000));
+        assert!(attacked.mean_rewind() < Duration::from_nanos(10_000));
+        // The lineup still meets five nines — 100 µs is still five
+        // orders below a restart — but consumed the honest number.
+        let lineup = fleet_lineup_from_runs(
+            &attacked,
+            &run(vec![worker(1000, 0)]),
+            &run(vec![worker(1100, 0)]),
+            FleetScenario::telecom_ran(),
+        );
+        let sdrad = lineup.iter().find(|r| r.strategy == "1N-sdrad").unwrap();
+        assert!(sdrad.meets_target);
     }
 }

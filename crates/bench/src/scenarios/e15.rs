@@ -31,10 +31,9 @@
 
 use sdrad::ClientId;
 use sdrad_energy::FleetScenario;
-use sdrad_runtime::{
-    fleet_lineup_from_runs, IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats,
-};
+use sdrad_runtime::{IsolationMode, KvHandler, Runtime, RuntimeConfig, RuntimeStats};
 
+use super::{fleet_lineup_from_runs, recovery_bill};
 use crate::cells::{benign, KV_ATTACK};
 use crate::Report;
 
@@ -99,6 +98,8 @@ pub fn run(size: usize) -> Report {
     let mut isolated_crashes = 0u64;
     let mut contained_all = true;
     let mut report = Report::new("e15", "concurrent throughput under attack");
+    // Every cell runs the default pool size.
+    let domains = RuntimeConfig::new(1, IsolationMode::Baseline).domains_per_worker;
 
     for (attack_per_10k, attack_label) in attack_rates {
         report.begin_table(
@@ -123,14 +124,15 @@ pub fn run(size: usize) -> Report {
             );
             let (baseline, _) = run_cell(size, workers, attack_per_10k, IsolationMode::Baseline);
             for (label, stats) in [("sdrad", &isolated), ("baseline", &baseline)] {
+                let bill = recovery_bill(stats, domains);
                 report.row(&[
                     workers.to_string(),
                     label.into(),
                     format!("{:.0}", stats.throughput_rps()),
-                    format!("{:.0}", stats.effective_throughput_rps()),
+                    format!("{:.0}", bill.effective_throughput_rps),
                     stats.contained_faults().to_string(),
                     stats.crashes().to_string(),
-                    format!("{:.1?}", stats.modeled_downtime()),
+                    format!("{:.1?}", bill.restart_time),
                     if stats.reconciles() { "yes" } else { "NO" }.into(),
                 ]);
             }
@@ -150,7 +152,11 @@ pub fn run(size: usize) -> Report {
     assert!(contained_all, "every exploit sent must be contained");
 
     let (isolated, baseline) = acceptance.expect("the 4-worker/1% cell ran");
-    let collapse = baseline.effective_throughput_rps() / isolated.effective_throughput_rps();
+    let (isolated_bill, baseline_bill) = (
+        recovery_bill(&isolated, domains),
+        recovery_bill(&baseline, domains),
+    );
+    let collapse = baseline_bill.effective_throughput_rps / isolated_bill.effective_throughput_rps;
     report.note(format!(
         "acceptance cell (4 workers, 1% attack): sdrad crashes = {} (zero required), \
          contained faults = {}, mean rewind = {:?}; baseline crashes = {} costing {:.1?} of \
@@ -160,9 +166,9 @@ pub fn run(size: usize) -> Report {
         isolated.contained_faults(),
         isolated.mean_rewind(),
         baseline.crashes(),
-        baseline.modeled_downtime(),
-        isolated.effective_throughput_rps(),
-        baseline.effective_throughput_rps(),
+        baseline_bill.restart_time,
+        isolated_bill.effective_throughput_rps,
+        baseline_bill.effective_throughput_rps,
         1.0 / collapse.max(f64::EPSILON),
     ));
 

@@ -33,11 +33,12 @@ use sdrad_energy::FleetScenario;
 use sdrad_faultsim::FaultSchedule;
 use sdrad_net::Endpoint;
 use sdrad_runtime::{
-    fleet_lineup_from_runs, ConnectionServer, HttpHandler, IsolationMode, KvHandler, RuntimeConfig,
-    RuntimeStats, TlsHandler,
+    ConnectionServer, HttpHandler, IsolationMode, KvHandler, RuntimeConfig, RuntimeStats,
+    TlsHandler,
 };
 use sdrad_tls::{heartbeat_request, ContentType, Record};
 
+use super::fleet_lineup_from_runs;
 use crate::cells::{self, fmt_us, KV_ATTACK};
 use crate::{attack_rate_per_year, attack_slots, Report};
 

@@ -18,7 +18,7 @@
 //!   (throttle → quarantine to a sacrificial blast-pit shard → ban,
 //!   all reversible by decay), CoDel-style latency-target shedding per
 //!   traffic class, and the recovery-escalation ladder (rewind → pool
-//!   discard/rebuild → worker restart) with every decision billed
+//!   discard/rebuild → worker restart), its rungs priced after the run
 //!   through the calibrated `sdrad-energy` models.
 //!
 //! The campaign itself (seed, traffic mix, control parameters, pacing)
@@ -37,7 +37,7 @@
 //! served-benign throughput strictly better under the adaptive
 //! controller; **zero** benign clients banned (quarantine precision
 //! 1.0, recall 1.0); all three ladder rungs engaged, rewind-first;
-//! energy delta positive; and every book reconciles (decisions billed
+//! energy delta positive; and every book reconciles (decisions logged
 //! == decisions counted, admission enforcement == admission decisions,
 //! rungs executed == rungs decided). The strict p50 and recall
 //! assertions are statistical: below ~6 000 events (~600 benign latency
@@ -56,6 +56,7 @@
 
 use sdrad_runtime::TelemetryConfig;
 
+use super::recovery_bill;
 use crate::campaign::{self, campaign_config, control_config, Cell, QUEUE_CAPACITY, WORKERS};
 use crate::cells::{self, fmt_us};
 use crate::Report;
@@ -179,7 +180,10 @@ pub fn run(size: usize) -> Report {
 
     // --- the adaptive cell's acceptance criteria -------------------------
     let ctl = adaptive.stats.control.as_ref().expect("control books");
-    assert!(ctl.reconciles(), "decisions billed == decisions counted");
+    assert!(ctl.reconciles(), "decisions logged == decisions counted");
+    let domains =
+        campaign::cell_config(Some(control_config()), TelemetryConfig::Off).domains_per_worker;
+    let bill = recovery_bill(&adaptive.stats, domains);
 
     // Benign outcomes strictly better.
     assert!(
@@ -246,10 +250,10 @@ pub fn run(size: usize) -> Report {
         adaptive.stats.worker_restarts(),
     );
 
-    // The energy books: choosing the cheap rung first beats restart-only
-    // recovery on the identical fault sequence.
+    // The energy books, priced after the run: choosing the cheap rung
+    // first beats restart-only recovery on the identical fault sequence.
     assert!(
-        ctl.energy_saved_j() > 0.0,
+        bill.energy_saved_j() > 0.0,
         "the ladder must save recovery energy vs restart-only"
     );
 
@@ -265,15 +269,15 @@ pub fn run(size: usize) -> Report {
         ctl.counts.refused(),
     ));
     report.note(format!(
-        "escalation ladder: {} rewinds, {} pool rebuilds, {} worker restarts — billed {:?} \
+        "escalation ladder: {} rewinds, {} pool rebuilds, {} worker restarts — priced at {:?} \
          of modeled recovery vs {:?} under restart-only recovery ({:.1} J saved, {:.1}% less)",
         adaptive.stats.ladder_rewinds(),
         adaptive.stats.pool_rebuilds(),
         adaptive.stats.worker_restarts(),
-        ctl.bill.ladder_time(),
-        ctl.bill.restart_only_time,
-        ctl.energy_saved_j(),
-        100.0 * ctl.energy_saved_j() / ctl.restart_only_energy_j.max(f64::MIN_POSITIVE),
+        bill.ladder_time(),
+        bill.restart_only_time,
+        bill.energy_saved_j(),
+        100.0 * bill.energy_saved_j() / bill.restart_only_energy_j.max(f64::MIN_POSITIVE),
     ));
     report.note(format!(
         "benign clients: {} served in both campaigns; adaptive p50 {} vs static {} (p99 {} vs \
@@ -291,8 +295,8 @@ pub fn run(size: usize) -> Report {
          and recovery energy {:.2} J -> {:.2} J. Choosing the cheap rung first is the point.",
         fmt_us(benign_p50(&static_cell)),
         fmt_us(benign_p50(&adaptive)),
-        ctl.restart_only_energy_j,
-        ctl.ladder_energy_j,
+        bill.restart_only_energy_j,
+        bill.ladder_energy_j,
     ));
     report
         .exact(
@@ -304,7 +308,7 @@ pub fn run(size: usize) -> Report {
         .exact("precision", precision, "ratio")
         .exact(
             "energy_saved_ok",
-            f64::from(u8::from(ctl.energy_saved_j() > 0.0)),
+            f64::from(u8::from(bill.energy_saved_j() > 0.0)),
             "bool",
         )
         .guarded("recall", recall, "ratio", true)

@@ -35,19 +35,20 @@
 //!   reconcile, zero crashes, zero thief mutations, the reclamation
 //!   ledger balances (`retired == reclaimed + pending` with pending
 //!   drained to zero), the shared-view hazard domain conserves, and the
-//!   energy bill prices the lifecycle the runtime ran (publish +
-//!   amortized reclamation time, no pause time).
+//!   recovery bill, priced after the run, prices the lifecycle the
+//!   runtime ran (publish + amortized reclamation time, no pause time).
 
 use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
-use sdrad_energy::decisions::RungModels;
+use sdrad_energy::{RecoveryBill, RungModels};
 use sdrad_runtime::{
-    ControlConfig, Framing, KvHandler, LadderParams, LatencyHistogram, ReadView, RecoveryRung,
-    Reply, ReputationParams, Runtime, RuntimeConfig, RuntimeStats, SessionHandler, ShedParams,
-    StealClass, StealPolicy, SubmitOutcome, WorkerIsolation,
+    ControlConfig, Framing, KvHandler, LadderParams, LatencyHistogram, ReadView, Reply,
+    ReputationParams, Runtime, RuntimeConfig, RuntimeStats, SessionHandler, ShedParams, StealClass,
+    StealPolicy, SubmitOutcome, WorkerIsolation,
 };
 
+use super::recovery_bill;
 use crate::cells::{self, fmt_us};
 use crate::{fmt_duration, Report};
 
@@ -139,7 +140,7 @@ impl<H> StopTheWorld<H> {
         let domains = u32::try_from(domains).unwrap_or(u32::MAX);
         StopTheWorld {
             inner,
-            pause: RungModels::calibrated().time_of(RecoveryRung::PoolRebuild, 0, domains),
+            pause: RungModels::calibrated().pool_domain_rebuild * domains.max(1),
             seen_generation: 0,
         }
     }
@@ -207,6 +208,8 @@ pub fn cell_config() -> RuntimeConfig {
 pub struct RebuildCell {
     /// The runtime's reconciled books.
     pub stats: RuntimeStats,
+    /// The books' recovery, priced after the run.
+    pub bill: RecoveryBill,
     /// Benign probe RTT p99 against the quiet runtime.
     pub steady_p99: Duration,
     /// Benign probe RTT p99 with the rebuild storm running.
@@ -314,14 +317,16 @@ pub fn run_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
     );
     assert!(stats.views_published() > 0, "owners published read views");
     let ctl = stats.control.as_ref().expect("control books");
-    assert!(ctl.reconciles(), "decisions counted == billed == executed");
+    assert!(ctl.reconciles(), "decisions counted == logged == executed");
+    let bill = recovery_bill(&stats, config.domains_per_worker);
     assert!(
-        ctl.bill.reclaim_time > Duration::ZERO,
+        bill.reclaim_time > Duration::ZERO,
         "deferral moves the teardown joules, it does not delete them"
     );
 
     RebuildCell {
         stats,
+        bill,
         steady_p99: steady.p99(),
         storm_p99: storm.p99(),
     }
@@ -340,7 +345,6 @@ pub fn best_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
 }
 
 fn cell_row(r: &mut Report, label: &str, cell: &RebuildCell) {
-    let ctl = cell.stats.control.as_ref().expect("control books");
     r.row(&[
         label.into(),
         fmt_us(cell.steady_p99),
@@ -348,8 +352,8 @@ fn cell_row(r: &mut Report, label: &str, cell: &RebuildCell) {
         format!("{:.2}x", cell.storm_ratio()),
         cell.stats.pool_rebuilds().to_string(),
         cell.stats.domains_retired().to_string(),
-        fmt_duration(ctl.bill.publish_time),
-        fmt_duration(ctl.bill.reclaim_time),
+        fmt_duration(cell.bill.publish_time),
+        fmt_duration(cell.bill.reclaim_time),
     ]);
 }
 
@@ -406,13 +410,6 @@ pub fn run(size: usize) -> Report {
     cell_row(&mut r, "deferred (publish+retire)", &deferred);
     cell_row(&mut r, "stop-the-world (bench shim)", &synchronous);
 
-    let reclaim_time = deferred
-        .stats
-        .control
-        .as_ref()
-        .expect("control books")
-        .bill
-        .reclaim_time;
     r.exact("reclaim_conserves", f64::from(u8::from(conserves)), "bool")
         .exact(
             "crashes",
@@ -430,7 +427,7 @@ pub fn run(size: usize) -> Report {
             "deferred rebuilds hold the benign storm p99 at {deferred_ratio:.2}x steady state \
              while a stop-the-world rebuild spikes to {sync_ratio:.2}x; the same teardown work \
              is billed as {} of amortized reclamation instead of a serving-path pause",
-            fmt_duration(reclaim_time)
+            fmt_duration(deferred.bill.reclaim_time)
         ))
         .note(format!(
             "reclamation books reconcile exactly in both cells: {} domains retired == \

@@ -16,7 +16,20 @@
 
 use std::collections::BTreeMap;
 
-pub use sdrad_energy::decisions::RecoveryRung;
+/// One rung of the ladder, cheapest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RecoveryRung {
+    /// Rewind the faulting domain in-process (microseconds, constant in
+    /// state size).
+    Rewind,
+    /// Discard and rebuild the worker's whole domain pool — every
+    /// pooled domain is torn down and re-created, but application state
+    /// outside the domains survives.
+    PoolRebuild,
+    /// Restart the worker outright: fixed startup cost plus the state
+    /// reload, exactly the baseline's crash.
+    WorkerRestart,
+}
 
 /// Ladder thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,12 +24,11 @@
 //!   cannot tell a healthy deep queue from a sick shallow one;
 //! * **A recovery-escalation ladder** ([`EscalationLadder`]) —
 //!   consecutive faults in the same domain escalate domain rewind →
-//!   pool discard/rebuild → worker restart, with each rung billed at
-//!   decision time through `sdrad-energy`'s calibrated models
-//!   ([`RungModels`]), so the final [`ControlReport`] can state the
-//!   energy delta of choosing the cheap rung first versus restart-only
-//!   recovery — and prove its books balance (`decisions billed ==
-//!   decisions counted`, [`ControlReport::reconciles`]).
+//!   pool discard/rebuild → worker restart. The plane only counts the
+//!   rungs; the final [`ControlReport`] proves its books balance
+//!   (every decision counted is logged, [`ControlReport::reconciles`]),
+//!   and `sdrad-energy` prices the counted rungs after the run, beside
+//!   restart-only recovery of the same faults.
 //!
 //! Everything is **deterministic**: methods take logical nanoseconds,
 //! the plane never reads a clock, and internal maps iterate in client
@@ -40,7 +39,6 @@
 //!
 //! ```
 //! use sdrad_control::{Admission, ControlConfig, ControlPlane};
-//! use sdrad_energy::PowerModel;
 //!
 //! let mut plane = ControlPlane::new(ControlConfig::default());
 //! let ms = 1_000_000u64;
@@ -52,17 +50,17 @@
 //!     match plane.admit(666, now) {
 //!         Admission::Deny => break, // …until it is banned.
 //!         Admission::Admit | Admission::Quarantine => {
-//!             let rung = plane.observe_fault(0, 666, 200_000, now, 1 << 20, 8);
+//!             let rung = plane.observe_fault(0, 666, 200_000, now, 0, 0);
 //!             let _ = rung; // rewind first, then pool rebuild, then restart
 //!         }
 //!         _ => {}
 //!     }
 //! }
 //!
-//! let report = plane.report(&PowerModel::rack_server());
+//! let report = plane.report();
 //! assert_eq!(report.banned_clients, vec![666]);
-//! assert!(report.energy_saved_j() > 0.0, "cheap rungs first saves energy");
-//! assert!(report.reconciles(), "decisions billed == decisions counted");
+//! assert!(report.counts.rewinds > report.counts.worker_restarts, "cheap rungs first");
+//! assert!(report.reconciles(), "every decision counted is logged");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,10 +71,9 @@ mod plane;
 mod reputation;
 mod shedding;
 
-pub use ladder::{EscalationLadder, LadderParams};
+pub use ladder::{EscalationLadder, LadderParams, RecoveryRung};
 pub use plane::{
     Admission, ControlConfig, ControlPlane, ControlReport, Decision, DecisionCounts, DecisionRecord,
 };
 pub use reputation::{ReputationBook, ReputationParams, Standing};
-pub use sdrad_energy::decisions::{RecoveryBill, RecoveryRung, RungModels};
 pub use shedding::{CodelShedder, LatencyWindow, ShedParams};

@@ -1,14 +1,11 @@
 //! The closed control loop: reputation-gated admission, per-class
 //! latency-target shedding, and the recovery-escalation ladder — every
-//! decision logged, counted and billed at the moment it is made.
+//! decision logged and counted at the moment it is made. Pricing the
+//! rungs is left to report time (`sdrad_energy::decisions`).
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
-use sdrad_energy::decisions::{RecoveryBill, RecoveryRung, RungModels};
-use sdrad_energy::power::PowerModel;
-
-use crate::ladder::{EscalationLadder, LadderParams};
+use crate::ladder::{EscalationLadder, LadderParams, RecoveryRung};
 use crate::reputation::{ReputationBook, ReputationParams, Standing};
 use crate::shedding::{CodelShedder, ShedParams};
 
@@ -85,7 +82,7 @@ pub enum Decision {
     Evidence(u64),
 }
 
-/// Decision counts per family — the "counted" side of the books.
+/// Decision counts per family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecisionCounts {
     /// Requests admitted normally.
@@ -141,8 +138,6 @@ pub struct ControlPlane {
     benign: CodelShedder,
     suspect: CodelShedder,
     ladder: EscalationLadder,
-    models: RungModels,
-    bill: RecoveryBill,
     counts: DecisionCounts,
     /// The retained tail of the decision log (a ring bounded at
     /// [`LOG_RETAIN`]; `logged` keeps the total so the books still
@@ -156,29 +151,20 @@ pub struct ControlPlane {
 
 /// Decision-log records retained in memory. The log is an audit tail
 /// and a determinism oracle, not an accounting structure — the counts
-/// and bills are the books — so a long-lived plane keeps only the most
+/// are the books — so a long-lived plane keeps only the most
 /// recent window instead of one record per request forever.
 const LOG_RETAIN: usize = 65_536;
 
 impl ControlPlane {
-    /// A plane with the paper-calibrated rung models.
+    /// A fresh plane: no client tracked, no decision made.
     #[must_use]
     pub fn new(config: ControlConfig) -> Self {
-        Self::with_models(config, RungModels::calibrated())
-    }
-
-    /// A plane billing rungs through the given models (e.g. a measured
-    /// rewind latency).
-    #[must_use]
-    pub fn with_models(config: ControlConfig, models: RungModels) -> Self {
         ControlPlane {
             config,
             book: ReputationBook::new(config.reputation),
             benign: CodelShedder::new(config.benign_shed),
             suspect: CodelShedder::new(config.suspect_shed),
             ladder: EscalationLadder::new(config.ladder),
-            models,
-            bill: RecoveryBill::default(),
             counts: DecisionCounts::default(),
             log: VecDeque::new(),
             logged: 0,
@@ -259,17 +245,20 @@ impl ControlPlane {
     /// One fault attributed to `client` on `shard` (contained fault,
     /// secret leak, or crash): bumps the reputation score, feeds the
     /// suspect latency window, and climbs the escalation ladder.
-    /// Returns the rung the caller must execute — [`RecoveryRung`]
-    /// escalations are billed here, at decision time, with the caller's
-    /// `state_bytes`/`domains` sizing the restart and rebuild bills.
+    /// Returns the rung the caller must execute.
+    ///
+    /// The last two arguments are ignored: the plane counts rungs and
+    /// prices nothing, and the caller keeps the state bytes recovery is
+    /// priced from. They stay only because the standalone `benchmark/`
+    /// package still passes them.
     pub fn observe_fault(
         &mut self,
         shard: usize,
         client: u64,
         latency_ns: u64,
         now_ns: u64,
-        state_bytes: u64,
-        domains: u32,
+        _state_bytes: u64,
+        _domains: u32,
     ) -> RecoveryRung {
         self.book.observe_fault(client, now_ns);
         self.suspect.record(latency_ns);
@@ -279,7 +268,6 @@ impl ControlPlane {
             RecoveryRung::PoolRebuild => self.counts.pool_rebuilds += 1,
             RecoveryRung::WorkerRestart => self.counts.worker_restarts += 1,
         }
-        self.bill.bill(&self.models, rung, state_bytes, domains);
         self.log(now_ns, client, Decision::Ladder(rung));
         rung
     }
@@ -340,32 +328,25 @@ impl ControlPlane {
         self.log.iter().copied().collect()
     }
 
-    /// Closes the books: counts, bill, quarantine/ban history and the
-    /// modeled energy delta versus restart-only recovery.
+    /// Closes the books: counts and quarantine/ban history.
     #[must_use]
-    pub fn report(&self, power: &PowerModel) -> ControlReport {
+    pub fn report(&self) -> ControlReport {
         ControlReport {
             counts: self.counts,
-            bill: self.bill,
             log_len: self.logged,
             quarantined_clients: self.book.ever_quarantined(),
             banned_clients: self.book.ever_banned(),
             benign_p99_ns: self.benign.p99(),
             suspect_p99_ns: self.suspect.p99(),
-            ladder_energy_j: self.bill.energy_joules(power),
-            restart_only_energy_j: self.bill.restart_only_energy_joules(power),
         }
     }
 }
 
-/// Everything a finished run's control plane decided, counted and
-/// billed.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything a finished run's control plane decided and counted.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlReport {
-    /// Decision counts per family (the "counted" side).
+    /// Decision counts per family.
     pub counts: DecisionCounts,
-    /// The per-rung recovery bill (the "billed" side).
-    pub bill: RecoveryBill,
     /// Decisions logged over the run (every count above was logged;
     /// the in-memory log retains only the most recent window).
     pub log_len: u64,
@@ -377,42 +358,23 @@ pub struct ControlReport {
     pub benign_p99_ns: Option<u64>,
     /// Final suspect-class window p99.
     pub suspect_p99_ns: Option<u64>,
-    /// Modeled recovery energy of the ladder policy, joules.
-    pub ladder_energy_j: f64,
-    /// Modeled recovery energy of restart-only recovery on the same
-    /// faults, joules.
-    pub restart_only_energy_j: f64,
 }
 
 impl ControlReport {
-    /// The books-balance invariant: every ladder decision counted was
-    /// billed exactly once (per rung), and every decision of any family
+    /// The books-balance invariant: every decision of any family
     /// appears in the log exactly once.
     #[must_use]
     pub fn reconciles(&self) -> bool {
-        self.bill.rewinds == self.counts.rewinds
-            && self.bill.pool_rebuilds == self.counts.pool_rebuilds
-            && self.bill.worker_restarts == self.counts.worker_restarts
-            && self.log_len == self.counts.total()
-    }
-
-    /// Modeled recovery energy saved versus restart-only recovery,
-    /// joules (positive whenever any fault stopped below the restart
-    /// rung).
-    #[must_use]
-    pub fn energy_saved_j(&self) -> f64 {
-        self.restart_only_energy_j - self.ladder_energy_j
-    }
-
-    /// Modeled recovery time saved versus restart-only recovery.
-    #[must_use]
-    pub fn time_saved(&self) -> Duration {
-        self.bill.time_saved()
+        self.log_len == self.counts.total()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use sdrad_energy::RecoveryCounts;
+
     use super::*;
 
     const MS: u64 = 1_000_000;
@@ -430,12 +392,15 @@ mod tests {
             assert_eq!(plane.admit(client, now), Admission::Admit);
             plane.observe_ok((client % 4) as usize, client, 50_000, now);
         }
-        let report = plane.report(&PowerModel::rack_server());
+        let report = plane.report();
         assert_eq!(report.counts.admits, 5_000);
         assert_eq!(report.counts.refused(), 0);
         assert!(report.banned_clients.is_empty());
         assert!(report.quarantined_clients.is_empty());
-        assert_eq!(report.bill.decisions(), 0);
+        assert_eq!(
+            report.counts.rewinds + report.counts.pool_rebuilds + report.counts.worker_restarts,
+            0
+        );
         assert!(report.reconciles());
     }
 
@@ -454,12 +419,12 @@ mod tests {
                 Admission::ShedThrottle | Admission::ShedOverload => {}
                 Admission::Admit | Admission::Quarantine => {
                     // Every admitted request faults (a pure attacker).
-                    plane.observe_fault(0, 666, 200_000, now, 1 << 20, 8);
+                    plane.observe_fault(0, 666, 200_000, now, 0, 0);
                 }
             }
         }
         assert!(denied, "a pure attacker must eventually be banned");
-        let report = plane.report(&PowerModel::rack_server());
+        let report = plane.report();
         assert_eq!(report.banned_clients, vec![666]);
         assert_eq!(report.quarantined_clients, vec![666]);
         assert!(report.counts.rewinds > 0, "rewind rung engaged");
@@ -469,7 +434,26 @@ mod tests {
             report.counts.rewinds > report.counts.pool_rebuilds,
             "cheapest rung fires most"
         );
-        assert!(report.energy_saved_j() > 0.0);
+        // Priced after the fact, through the calibrated rung models at
+        // a rack server's draw (both defaults): every fault held 1 MiB
+        // of state.
+        let counts = report.counts;
+        let judged = counts.rewinds + counts.pool_rebuilds + counts.worker_restarts;
+        let bill = sdrad_energy::price(
+            &[RecoveryCounts {
+                rewinds: counts.rewinds,
+                pool_rebuilds: counts.pool_rebuilds,
+                worker_restarts: counts.worker_restarts,
+                restart_state_bytes: counts.worker_restarts << 20,
+                judged_state_bytes: judged << 20,
+                ..RecoveryCounts::default()
+            }],
+            Duration::ZERO,
+            8,
+            &Default::default(),
+            &Default::default(),
+        );
+        assert!(bill.energy_saved_j() > 0.0);
         assert!(report.reconciles());
     }
 
@@ -483,7 +467,7 @@ mod tests {
                 match plane.admit(client, now) {
                     Admission::Admit | Admission::Quarantine => {
                         if client == 3 {
-                            plane.observe_fault(0, client, 150_000, now, 1 << 16, 4);
+                            plane.observe_fault(0, client, 150_000, now, 0, 0);
                         } else {
                             plane.observe_ok(0, client, 80_000, now);
                         }
@@ -511,7 +495,7 @@ mod tests {
                 match plane.admit(666, now) {
                     Admission::Deny => break,
                     Admission::Admit | Admission::Quarantine => {
-                        plane.observe_fault(0, 666, 200_000, now, 1 << 20, 8);
+                        plane.observe_fault(0, 666, 200_000, now, 0, 0);
                         faults_before_deny += 1;
                         pending_spike += 1;
                         // The collector reports windowed spikes of 4.
@@ -523,7 +507,7 @@ mod tests {
                     Admission::ShedThrottle | Admission::ShedOverload => {}
                 }
             }
-            let report = plane.report(&PowerModel::rack_server());
+            let report = plane.report();
             assert!(report.reconciles(), "evidence is counted and logged");
             (faults_before_deny, report)
         };
@@ -539,7 +523,7 @@ mod tests {
         // Zero-fault evidence is not a decision.
         let mut plane = plane();
         plane.observe_evidence(1, 0, MS);
-        assert_eq!(plane.report(&PowerModel::rack_server()).counts.total(), 0);
+        assert_eq!(plane.report().counts.total(), 0);
     }
 
     #[test]
@@ -547,10 +531,10 @@ mod tests {
         let mut plane = plane();
         let now = MS;
         let _ = plane.admit(1, now);
-        plane.observe_fault(0, 1, 100_000, now, 1 << 16, 4);
-        let mut report = plane.report(&PowerModel::rack_server());
+        plane.observe_fault(0, 1, 100_000, now, 0, 0);
+        let mut report = plane.report();
         assert!(report.reconciles());
-        report.counts.rewinds += 1; // a counted-but-unbilled decision
+        report.counts.rewinds += 1; // a counted-but-unlogged decision
         assert!(!report.reconciles());
     }
 
@@ -568,12 +552,12 @@ mod tests {
         for _ in 0..10 {
             now += MS / 10;
             let _ = plane.admit(5, now);
-            plane.observe_fault(0, 5, 100_000, now, 1 << 16, 4);
+            plane.observe_fault(0, 5, 100_000, now, 0, 0);
         }
         assert_eq!(plane.standing(5, now), Standing::Quarantined);
         now += 200 * MS; // 20 half-lives
         assert_eq!(plane.standing(5, now), Standing::Good);
-        let report = plane.report(&PowerModel::rack_server());
+        let report = plane.report();
         assert_eq!(report.quarantined_clients, vec![5]);
     }
 }

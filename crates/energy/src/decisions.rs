@@ -1,59 +1,33 @@
-//! Per-decision billing for recovery actions: the bridge a control
-//! plane uses to price every rung of a recovery-escalation ladder.
+//! Recovery pricing after the fact: what a run's recovery-escalation
+//! ladder cost, computed at report time from what the serving path
+//! counted.
 //!
 //! The paper's argument is that *which* recovery mechanism a fleet
 //! reaches for dominates the resilience energy bill: an in-process
 //! rewind costs microseconds, a process restart costs seconds plus a
-//! state reload. A control plane that chooses between them needs each
-//! decision **billed** at the moment it is made, so that at the end of
-//! a run the books can show (a) how much recovery time/energy the run
-//! actually spent and (b) how much a restart-only policy would have
-//! spent on the identical fault sequence — the delta the whole ladder
-//! exists to bank.
-//!
-//! [`RungModels`] calibrates the three rungs, [`RecoveryBill`]
-//! accumulates per-rung counts and time, and
-//! [`RecoveryBill::energy_joules`] converts recovery time into energy
-//! through a [`PowerModel`] (recovery runs the machine at peak draw:
-//! rebuilding state is not idle time).
+//! state reload. The serving path does not price anything. It counts
+//! the rungs it executed ([`RecoveryCounts`]) and sums the state bytes
+//! the restart model is affine in (`fixed + bytes / rate`). [`price`]
+//! turns those counts, through the calibrated [`RungModels`] and a
+//! [`PowerModel`], into a [`RecoveryBill`]: (a) how much recovery
+//! time and energy the run spent, (b) how much a restart-only policy
+//! would have spent on the identical fault sequence (the delta the
+//! ladder exists to bank), and (c) what the restarts cost each
+//! worker's availability and delivered throughput. Recovery runs the
+//! machine at peak draw: rebuilding state is not idle time.
 
 use std::time::Duration;
 
 use crate::power::PowerModel;
 use crate::restart::RestartModel;
 
-/// One rung of the recovery-escalation ladder, cheapest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RecoveryRung {
-    /// Rewind the faulting domain in-process (microseconds, constant in
-    /// state size).
-    Rewind,
-    /// Discard and rebuild the worker's whole domain pool — every
-    /// pooled domain is torn down and re-created, but application state
-    /// outside the domains survives.
-    PoolRebuild,
-    /// Restart the worker outright: fixed startup cost plus the state
-    /// reload, exactly the baseline's crash bill.
-    WorkerRestart,
-}
-
-impl RecoveryRung {
-    /// All rungs, escalation order.
-    pub const ALL: [RecoveryRung; 3] = [
-        RecoveryRung::Rewind,
-        RecoveryRung::PoolRebuild,
-        RecoveryRung::WorkerRestart,
-    ];
-}
-
 /// Calibrated cost models for the three rungs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RungModels {
-    /// The rewind rung (paper constant, or this machine's measurement
-    /// via [`RestartModel::sdrad_rewind_measured`]).
+    /// The rewind rung: a constant, whatever the state size.
     pub rewind: RestartModel,
     /// Per-domain teardown + re-create cost of a pool rebuild (the pool
-    /// rung bills `domains ×` this as amortized reclamation).
+    /// rung costs `domains ×` this as amortized reclamation).
     pub pool_domain_rebuild: Duration,
     /// Serving-visible pause of a pool rebuild: swap the pool pointer,
     /// push the old pool onto the retire list. Pointer-scale work,
@@ -79,26 +53,15 @@ impl RungModels {
         }
     }
 
-    /// Calibrated models with this machine's measured rewind latency
-    /// substituted for the paper's constant.
-    #[must_use]
-    pub fn with_measured_rewind(measured: Duration) -> Self {
-        RungModels {
-            rewind: RestartModel::sdrad_rewind_measured(measured),
-            ..Self::calibrated()
+    /// `restarts` restarts that reloaded `state_bytes` between them:
+    /// the restart model is affine in the bytes, so the sum prices the
+    /// same as the restarts one by one.
+    fn restarts(&self, restarts: u64, state_bytes: u64) -> Duration {
+        if restarts == 0 {
+            return Duration::ZERO;
         }
-    }
-
-    /// The modeled recovery time of one decision at `rung`, for a
-    /// worker holding `state_bytes` of reloadable state and `domains`
-    /// pooled domains.
-    #[must_use]
-    pub fn time_of(&self, rung: RecoveryRung, state_bytes: u64, domains: u32) -> Duration {
-        match rung {
-            RecoveryRung::Rewind => self.rewind.recovery_time(0),
-            RecoveryRung::PoolRebuild => self.pool_domain_rebuild * domains.max(1),
-            RecoveryRung::WorkerRestart => self.restart.recovery_time(state_bytes),
-        }
+        let fixed = self.restart.recovery_time(0);
+        times(fixed, restarts) + (self.restart.recovery_time(state_bytes) - fixed)
     }
 }
 
@@ -108,143 +71,173 @@ impl Default for RungModels {
     }
 }
 
-/// The accumulated bill of a run's recovery decisions: one count and
-/// one time total per rung, appended to at the moment each decision is
-/// made (so `billed == counted` is checkable after the run).
+/// `count` back-to-back spans of `each`.
+fn times(each: Duration, count: u64) -> Duration {
+    let nanos = u64::try_from(each.as_nanos()).unwrap_or(u64::MAX);
+    Duration::from_nanos(nanos.saturating_mul(count))
+}
+
+/// One worker's recovery events, as the serving path counted them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryCounts {
+    /// Requests the worker completed, any disposition.
+    pub served: u64,
+    /// Ladder decisions that stopped at the rewind rung.
+    pub rewinds: u64,
+    /// Pool-rebuild rungs executed.
+    pub pool_rebuilds: u64,
+    /// Worker-restart rungs executed.
+    pub worker_restarts: u64,
+    /// Restarts forced by crashes of an unprotected worker.
+    pub crashes: u64,
+    /// State bytes held at each crash and restart rung, summed: what
+    /// the restarts reloaded.
+    pub restart_state_bytes: u64,
+    /// State bytes held at each fault the ladder judged, summed: what a
+    /// restart-only policy would have reloaded.
+    pub judged_state_bytes: u64,
+}
+
+/// A run's recovery, priced: the value [`price`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RecoveryBill {
-    /// Rewind decisions billed.
-    pub rewinds: u64,
-    /// Pool-rebuild decisions billed.
-    pub pool_rebuilds: u64,
-    /// Worker-restart decisions billed.
-    pub worker_restarts: u64,
     /// Modeled time spent in the rewind rung.
     pub rewind_time: Duration,
-    /// Modeled time spent in the restart rung.
-    pub restart_time: Duration,
     /// Serving-visible pause of the pool rung: the pointer swap that
     /// publishes the fresh pool and retires the old one.
     pub publish_time: Duration,
     /// Amortized reclamation cost of the pool rung: the retired pool's
     /// domains torn down off the serving path, `domains ×` the
-    /// per-domain model — deferral moves the joules, it does not
-    /// delete them.
+    /// per-domain model. Deferral moves the joules, it does not delete
+    /// them.
     pub reclaim_time: Duration,
+    /// Modeled downtime of every restart the workers performed, crash
+    /// restarts and restart rungs alike, summed over workers.
+    pub restart_time: Duration,
     /// What a restart-only policy would have spent on the same faults:
-    /// one full worker restart per billed decision, any rung.
+    /// one full worker restart per ladder decision, any rung.
     pub restart_only_time: Duration,
+    /// Recovery energy of the ladder policy, joules.
+    pub ladder_energy_j: f64,
+    /// Recovery energy of the restart-only counterfactual, joules.
+    pub restart_only_energy_j: f64,
+    /// Fraction of wall time the mean worker was serving: 1.0 without
+    /// restarts, collapsing as restart downtime accumulates.
+    pub availability: f64,
+    /// Throughput with each worker's restart downtime charged: a worker
+    /// that restarted owes its clients the restart window, during which
+    /// it serves nothing. This is the number the paper's "restarts
+    /// collapse throughput" claim is about.
+    pub effective_throughput_rps: f64,
 }
 
 impl RecoveryBill {
-    /// Bills one decision at `rung`, and in parallel bills the
-    /// restart-only counterfactual for the same fault.
-    pub fn bill(
-        &mut self,
-        models: &RungModels,
-        rung: RecoveryRung,
-        state_bytes: u64,
-        domains: u32,
-    ) {
-        let time = models.time_of(rung, state_bytes, domains);
-        match rung {
-            RecoveryRung::Rewind => {
-                self.rewinds += 1;
-                self.rewind_time += time;
-            }
-            RecoveryRung::PoolRebuild => {
-                // The publish-and-retire lifecycle splits the rung's
-                // work: a pointer-swap pause now, the per-domain
-                // teardown amortized behind it.
-                self.pool_rebuilds += 1;
-                self.publish_time += models.pool_publish;
-                self.reclaim_time += time;
-            }
-            RecoveryRung::WorkerRestart => {
-                self.worker_restarts += 1;
-                self.restart_time += time;
-            }
-        }
-        self.restart_only_time += models.time_of(RecoveryRung::WorkerRestart, state_bytes, domains);
-    }
-
-    /// Decisions billed across all rungs.
-    #[must_use]
-    pub fn decisions(&self) -> u64 {
-        self.rewinds + self.pool_rebuilds + self.worker_restarts
-    }
-
-    /// Count billed at one rung.
-    #[must_use]
-    pub fn count_of(&self, rung: RecoveryRung) -> u64 {
-        match rung {
-            RecoveryRung::Rewind => self.rewinds,
-            RecoveryRung::PoolRebuild => self.pool_rebuilds,
-            RecoveryRung::WorkerRestart => self.worker_restarts,
-        }
-    }
-
-    /// Total modeled recovery time of the ladder policy — pool
-    /// rebuilds included in full (pause plus amortized reclamation).
+    /// Total modeled recovery time of the ladder policy, pool rebuilds
+    /// included in full (pause plus amortized reclamation).
     #[must_use]
     pub fn ladder_time(&self) -> Duration {
-        self.rewind_time + self.restart_time + self.publish_time + self.reclaim_time
+        self.rewind_time + self.publish_time + self.reclaim_time + self.restart_time
     }
 
-    /// Modeled recovery time the ladder saved versus restart-only
-    /// recovery (never negative: no rung costs more than a restart).
+    /// Energy the ladder saved versus restart-only recovery, joules
+    /// (positive whenever a fault stopped below the restart rung).
     #[must_use]
-    pub fn time_saved(&self) -> Duration {
-        self.restart_only_time.saturating_sub(self.ladder_time())
+    pub fn energy_saved_j(&self) -> f64 {
+        self.restart_only_energy_j - self.ladder_energy_j
     }
+}
 
-    /// Recovery energy of the ladder policy in joules: recovery time at
-    /// the model's peak draw (rebuilding state is not idle time).
-    #[must_use]
-    pub fn energy_joules(&self, power: &PowerModel) -> f64 {
-        power.watts_at(1.0) * self.ladder_time().as_secs_f64()
+/// Prices a run: `workers` are the per-worker counts, `wall` the run's
+/// wall clock, and every pool rebuild tears down `domains_per_worker`
+/// domains (at least one).
+#[must_use]
+pub fn price(
+    workers: &[RecoveryCounts],
+    wall: Duration,
+    domains_per_worker: u32,
+    models: &RungModels,
+    power: &PowerModel,
+) -> RecoveryBill {
+    let total = |field: fn(&RecoveryCounts) -> u64| workers.iter().map(field).sum::<u64>();
+    let downtime: Vec<Duration> = workers
+        .iter()
+        .map(|w| models.restarts(w.worker_restarts + w.crashes, w.restart_state_bytes))
+        .collect();
+    let pool_rebuilds = total(|w| w.pool_rebuilds);
+    let per_rebuild = times(
+        models.pool_domain_rebuild,
+        u64::from(domains_per_worker.max(1)),
+    );
+    let mut bill = RecoveryBill {
+        rewind_time: times(models.rewind.recovery_time(0), total(|w| w.rewinds)),
+        publish_time: times(models.pool_publish, pool_rebuilds),
+        reclaim_time: times(per_rebuild, pool_rebuilds),
+        restart_time: downtime.iter().sum(),
+        restart_only_time: models.restarts(
+            total(|w| w.rewinds + w.pool_rebuilds + w.worker_restarts),
+            total(|w| w.judged_state_bytes),
+        ),
+        availability: 1.0,
+        ..RecoveryBill::default()
+    };
+    let watts = power.watts_at(1.0);
+    bill.ladder_energy_j = watts * bill.ladder_time().as_secs_f64();
+    bill.restart_only_energy_j = watts * bill.restart_only_time.as_secs_f64();
+    if wall.is_zero() || workers.is_empty() {
+        return bill;
     }
-
-    /// Recovery energy of the restart-only counterfactual, joules.
-    #[must_use]
-    pub fn restart_only_energy_joules(&self, power: &PowerModel) -> f64 {
-        power.watts_at(1.0) * self.restart_only_time.as_secs_f64()
+    let wall = wall.as_secs_f64();
+    let mut available = 0.0;
+    for (worker, down) in workers.iter().zip(&downtime) {
+        let span = wall + down.as_secs_f64();
+        available += wall / span;
+        bill.effective_throughput_rps += worker.served as f64 / span;
     }
-
-    /// Energy the ladder saved versus restart-only recovery, joules.
-    #[must_use]
-    pub fn energy_saved_joules(&self, power: &PowerModel) -> f64 {
-        power.watts_at(1.0) * self.time_saved().as_secs_f64()
-    }
+    bill.availability = available / workers.len() as f64;
+    bill
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn one(counts: RecoveryCounts) -> RecoveryBill {
+        price(
+            &[counts],
+            Duration::ZERO,
+            8,
+            &RungModels::calibrated(),
+            &PowerModel::rack_server(),
+        )
+    }
+
     #[test]
     fn rung_times_are_ordered_cheapest_first() {
-        let models = RungModels::calibrated();
-        let rewind = models.time_of(RecoveryRung::Rewind, 1 << 30, 8);
-        let pool = models.time_of(RecoveryRung::PoolRebuild, 1 << 30, 8);
-        let restart = models.time_of(RecoveryRung::WorkerRestart, 1 << 30, 8);
+        let rung = |rewinds, pool_rebuilds, worker_restarts| {
+            one(RecoveryCounts {
+                rewinds,
+                pool_rebuilds,
+                worker_restarts,
+                restart_state_bytes: worker_restarts << 30,
+                ..RecoveryCounts::default()
+            })
+            .ladder_time()
+        };
+        let (rewind, pool, restart) = (rung(1, 0, 0), rung(0, 1, 0), rung(0, 0, 1));
         assert!(rewind < pool, "{rewind:?} !< {pool:?}");
         assert!(pool < restart, "{pool:?} !< {restart:?}");
     }
 
     #[test]
-    fn billing_counts_and_times_accumulate_per_rung() {
-        let models = RungModels::calibrated();
-        let mut bill = RecoveryBill::default();
-        for _ in 0..10 {
-            bill.bill(&models, RecoveryRung::Rewind, 1 << 20, 8);
-        }
-        bill.bill(&models, RecoveryRung::PoolRebuild, 1 << 20, 8);
-        bill.bill(&models, RecoveryRung::WorkerRestart, 1 << 20, 8);
-        assert_eq!(bill.decisions(), 12);
-        assert_eq!(bill.rewinds, 10);
-        assert_eq!(bill.pool_rebuilds, 1);
-        assert_eq!(bill.worker_restarts, 1);
+    fn counts_price_per_rung() {
+        let bill = one(RecoveryCounts {
+            rewinds: 10,
+            pool_rebuilds: 1,
+            worker_restarts: 1,
+            restart_state_bytes: 1 << 20,
+            judged_state_bytes: 12 << 20,
+            ..RecoveryCounts::default()
+        });
         assert_eq!(bill.rewind_time, Duration::from_nanos(3_500) * 10);
         assert_eq!(bill.reclaim_time, Duration::from_micros(160));
         assert_eq!(
@@ -253,55 +246,66 @@ mod tests {
             "the pause is the pointer swap, not the teardown"
         );
         assert!(bill.restart_time >= Duration::from_secs(1));
+        assert!(bill.restart_only_time >= Duration::from_secs(12));
     }
 
     #[test]
     fn ladder_beats_restart_only_whenever_a_cheap_rung_fires() {
-        let models = RungModels::calibrated();
-        let mut bill = RecoveryBill::default();
-        for _ in 0..100 {
-            bill.bill(&models, RecoveryRung::Rewind, 10 << 20, 8);
-        }
-        bill.bill(&models, RecoveryRung::WorkerRestart, 10 << 20, 8);
-        assert!(bill.time_saved() > Duration::from_secs(90));
-        let power = PowerModel::rack_server();
-        let saved = bill.energy_saved_joules(&power);
+        let bill = one(RecoveryCounts {
+            rewinds: 100,
+            worker_restarts: 1,
+            restart_state_bytes: 10 << 20,
+            judged_state_bytes: 101 * (10 << 20),
+            ..RecoveryCounts::default()
+        });
+        assert!(bill.restart_only_time - bill.ladder_time() > Duration::from_secs(90));
+        let saved = bill.energy_saved_j();
         assert!(saved > 0.0);
-        assert!(
-            (bill.restart_only_energy_joules(&power) - bill.energy_joules(&power) - saved).abs()
-                < 1e-6
-        );
+        let watts = PowerModel::rack_server().watts_at(1.0);
+        let saved_time = (bill.restart_only_time - bill.ladder_time()).as_secs_f64();
+        assert!((saved - watts * saved_time).abs() < 1e-6);
     }
 
     #[test]
     fn restart_only_policy_saves_nothing() {
-        let models = RungModels::calibrated();
-        let mut bill = RecoveryBill::default();
-        for _ in 0..5 {
-            bill.bill(&models, RecoveryRung::WorkerRestart, 1 << 20, 4);
-        }
-        assert_eq!(bill.time_saved(), Duration::ZERO);
+        let bill = one(RecoveryCounts {
+            worker_restarts: 5,
+            restart_state_bytes: 5 << 20,
+            judged_state_bytes: 5 << 20,
+            ..RecoveryCounts::default()
+        });
         assert_eq!(bill.ladder_time(), bill.restart_only_time);
+        assert_eq!(bill.energy_saved_j(), 0.0);
     }
 
     #[test]
-    fn split_pool_billing_preserves_counted_equals_billed() {
-        let models = RungModels::calibrated();
-        let mut bill = RecoveryBill::default();
-        bill.bill(&models, RecoveryRung::Rewind, 1 << 20, 8);
-        bill.bill(&models, RecoveryRung::PoolRebuild, 1 << 20, 8);
-        bill.bill(&models, RecoveryRung::WorkerRestart, 1 << 20, 8);
-        assert_eq!(bill.decisions(), 3);
-        assert_eq!(bill.count_of(RecoveryRung::PoolRebuild), 1);
-        assert!(bill.time_saved() > Duration::ZERO);
-    }
-
-    #[test]
-    fn measured_rewind_substitutes() {
-        let models = RungModels::with_measured_rewind(Duration::from_micros(7));
+    fn restarts_collapse_availability_and_effective_throughput() {
+        let healthy = RecoveryCounts {
+            served: 1_000,
+            ..RecoveryCounts::default()
+        };
+        let crashing = RecoveryCounts {
+            crashes: 8,
+            ..healthy
+        };
+        let run = |worker| {
+            price(
+                &[worker],
+                Duration::from_secs(2),
+                8,
+                &RungModels::calibrated(),
+                &PowerModel::rack_server(),
+            )
+        };
+        let (healthy, crashing) = (run(healthy), run(crashing));
+        assert!(healthy.effective_throughput_rps > crashing.effective_throughput_rps * 3.0);
+        assert!(crashing.availability < 0.5);
+        assert!((healthy.availability - 1.0).abs() < 1e-12);
+        assert_eq!(crashing.restart_time, Duration::from_secs(8));
         assert_eq!(
-            models.time_of(RecoveryRung::Rewind, 1 << 30, 8),
-            Duration::from_micros(7)
+            crashing.restart_only_time,
+            Duration::ZERO,
+            "a crash is not a ladder decision"
         );
     }
 }

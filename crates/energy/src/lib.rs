@@ -11,10 +11,11 @@
 //! * [`restart`] — calibrated recovery-time models (process restart,
 //!   container restart, SDRaD rewind) whose state-reload term reproduces
 //!   the "10 GB ≈ 2 minutes" measurement,
-//! * [`decisions`] — per-decision billing for recovery actions: rung
-//!   cost models and the accumulated bill a control plane's
-//!   recovery-escalation ladder reconciles against restart-only
-//!   recovery,
+//! * [`decisions`] — recovery priced after the fact: the rung cost
+//!   models and the one function that turns a run's rung counts and
+//!   state-byte sums into recovery time, energy, availability and
+//!   delivered throughput, beside restart-only recovery of the same
+//!   faults,
 //! * [`power`] — server power as a function of utilization, with PUE,
 //! * [`redundancy`] — deployment strategies (single, 2N active-passive,
 //!   N+1) and what they cost in energy for the availability they buy,
@@ -55,7 +56,7 @@ pub use carbon::CarbonModel;
 pub use casestudy::{
     assess_diversified_pair, assess_fleet, fleet_lineup, EconomicModel, FleetReport, FleetScenario,
 };
-pub use decisions::{RecoveryBill, RecoveryRung, RungModels};
+pub use decisions::{price, RecoveryBill, RecoveryCounts, RungModels};
 pub use power::{PowerModel, PUE_TYPICAL};
 pub use redundancy::{DeploymentReport, Strategy};
 pub use report::TextTable;

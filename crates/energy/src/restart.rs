@@ -42,23 +42,14 @@ impl RestartModel {
 
     /// SDRaD in-process rewind: a constant — the domain heap is discarded,
     /// not reloaded; surviving state lives in the untouched root domain.
-    /// The default constant is the paper's measured 3.5 µs; experiment
-    /// harnesses override it with this repository's own measurement.
+    /// The constant is the paper's measured 3.5 µs; the fleet models
+    /// take this build's own measurement through their scenario's
+    /// `rewind` field instead.
     #[must_use]
     pub fn sdrad_rewind() -> Self {
         RestartModel {
             name: "sdrad-rewind",
             fixed: Duration::from_nanos(3_500),
-            reload_bytes_per_sec: f64::INFINITY,
-        }
-    }
-
-    /// A rewind model using a measured constant instead of the paper's.
-    #[must_use]
-    pub fn sdrad_rewind_measured(measured: Duration) -> Self {
-        RestartModel {
-            name: "sdrad-rewind",
-            fixed: measured,
             reload_bytes_per_sec: f64::INFINITY,
         }
     }
@@ -162,12 +153,6 @@ mod tests {
             .recovery_time(10_000_000_000)
             .as_secs_f64();
         assert!(restart / rewind > 1.0e7, "ratio = {:.1e}", restart / rewind);
-    }
-
-    #[test]
-    fn measured_override_is_used() {
-        let model = RestartModel::sdrad_rewind_measured(Duration::from_micros(10));
-        assert_eq!(model.recovery_time(1 << 30), Duration::from_micros(10));
     }
 
     #[test]

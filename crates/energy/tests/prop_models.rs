@@ -1,12 +1,15 @@
 //! Property tests for the sustainability models: the availability math,
 //! the redundancy lineup, and the fleet case study must behave physically
-//! for *every* parameterization, not just the paper's.
+//! for *every* parameterization, not just the paper's; and recovery
+//! priced after the fact from counts must match pricing each decision
+//! as it is made.
 
 use proptest::prelude::*;
 use sdrad_energy::redundancy::{evaluate, Scenario};
 use sdrad_energy::{
     assess_diversified_pair, assess_fleet, availability, downtime_budget, fleet_lineup,
-    max_recoveries_in_budget, nines, EconomicModel, FleetScenario, Strategy as Deploy,
+    max_recoveries_in_budget, nines, price, EconomicModel, FleetScenario, PowerModel,
+    RecoveryCounts, RungModels, Strategy as Deploy,
 };
 use std::time::Duration;
 
@@ -41,7 +44,99 @@ fn fleet() -> impl Strategy<Value = FleetScenario> {
     )
 }
 
+/// A ladder rung, cheapest first: 0 rewind, 1 pool rebuild, 2 worker
+/// restart.
+type Rung = u8;
+
+/// The reference: every decision billed the moment it is made, one
+/// rung at a time, with the state size it was made at.
+#[derive(Debug, Default)]
+struct PerDecision {
+    rewind_time: Duration,
+    publish_time: Duration,
+    reclaim_time: Duration,
+    restart_time: Duration,
+    restart_only_time: Duration,
+}
+
+impl PerDecision {
+    fn time_of(models: &RungModels, rung: Rung, state_bytes: u64, domains: u32) -> Duration {
+        match rung {
+            0 => models.rewind.recovery_time(0),
+            1 => models.pool_domain_rebuild * domains.max(1),
+            _ => models.restart.recovery_time(state_bytes),
+        }
+    }
+
+    fn bill(&mut self, models: &RungModels, rung: Rung, state_bytes: u64, domains: u32) {
+        let time = Self::time_of(models, rung, state_bytes, domains);
+        match rung {
+            0 => self.rewind_time += time,
+            1 => {
+                self.publish_time += models.pool_publish;
+                self.reclaim_time += time;
+            }
+            _ => self.restart_time += time,
+        }
+        self.restart_only_time += Self::time_of(models, 2, state_bytes, domains);
+    }
+}
+
+/// One decision of a script: its rung and the state the worker held.
+fn decision() -> impl Strategy<Value = (Rung, u64)> {
+    (0u8..3, 0u64..=16 << 30)
+}
+
 proptest! {
+    /// Pricing the counts and byte sums after the run matches billing
+    /// every decision as it was made, to within 1 ns per decision (the
+    /// reload term rounds once per sum instead of once per restart),
+    /// however the script is split across workers; and the ladder saves
+    /// energy exactly when some rung below restart fired. Every worker
+    /// pools the same number of domains, so one pool size per script.
+    #[test]
+    fn report_time_pricing_matches_per_decision_billing(
+        script in prop::collection::vec(decision(), 0..64),
+        domains in 1u32..=64,
+        workers in 1usize..=4,
+    ) {
+        let models = RungModels::calibrated();
+        let mut reference = PerDecision::default();
+        let mut counts = vec![RecoveryCounts::default(); workers];
+        for (i, &(rung, state_bytes)) in script.iter().enumerate() {
+            reference.bill(&models, rung, state_bytes, domains);
+            let worker = &mut counts[i % workers];
+            match rung {
+                0 => worker.rewinds += 1,
+                1 => worker.pool_rebuilds += 1,
+                _ => {
+                    worker.worker_restarts += 1;
+                    worker.restart_state_bytes += state_bytes;
+                }
+            }
+            worker.judged_state_bytes += state_bytes;
+        }
+        let bill = price(&counts, Duration::ZERO, domains, &models, &PowerModel::rack_server());
+        let tolerance = script.len() as u128;
+        for (priced, billed) in [
+            (bill.rewind_time, reference.rewind_time),
+            (bill.publish_time, reference.publish_time),
+            (bill.reclaim_time, reference.reclaim_time),
+            (bill.restart_time, reference.restart_time),
+            (bill.restart_only_time, reference.restart_only_time),
+        ] {
+            prop_assert!(
+                priced.as_nanos().abs_diff(billed.as_nanos()) <= tolerance,
+                "priced {:?} vs billed {:?} over {} decisions",
+                priced,
+                billed,
+                script.len()
+            );
+        }
+        let cheap_rung_fired = script.iter().any(|&(rung, _)| rung < 2);
+        prop_assert_eq!(bill.energy_saved_j() > 0.0, cheap_rung_fired);
+    }
+
     /// Availability is a probability, monotonically worse in fault rate
     /// and in recovery time.
     #[test]

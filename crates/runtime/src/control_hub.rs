@@ -29,8 +29,6 @@ use sdrad::ClientId;
 use sdrad_control::{
     Admission, ControlConfig, ControlPlane, ControlReport, RecoveryRung, Standing,
 };
-use sdrad_energy::decisions::RungModels;
-use sdrad_energy::power::PowerModel;
 use sdrad_telemetry::{EventKind, Recorder, ShedReason};
 
 use crate::queue::Disposition;
@@ -67,14 +65,9 @@ pub(crate) enum Routing {
 }
 
 impl ControlHub {
-    pub(crate) fn new(
-        config: ControlConfig,
-        models: RungModels,
-        blast_pit: usize,
-        recorder: Recorder,
-    ) -> Self {
+    pub(crate) fn new(config: ControlConfig, blast_pit: usize, recorder: Recorder) -> Self {
         ControlHub {
-            plane: Mutex::new(ControlPlane::with_models(config, models)),
+            plane: Mutex::new(ControlPlane::new(config)),
             started: Instant::now(),
             blast_pit,
             recorder,
@@ -135,8 +128,6 @@ impl ControlHub {
         client: ClientId,
         disposition: &Disposition,
         latency_ns: u64,
-        state_bytes: u64,
-        domains: u32,
     ) -> Option<RecoveryRung> {
         let now = self.now_ns();
         let mut plane = self.plane.lock().expect("control lock");
@@ -151,8 +142,7 @@ impl ControlHub {
                 // compare under the plane mutex catches every upward
                 // transition exactly once.
                 let before = plane.standing(client.0, now);
-                let rung =
-                    plane.observe_fault(shard, client.0, latency_ns, now, state_bytes, domains);
+                let rung = plane.observe_fault(shard, client.0, latency_ns, now, 0, 0);
                 let after = plane.standing(client.0, now);
                 if self.recorder.is_on() && after != before {
                     self.emit_crossing(shard, client, before, after);
@@ -222,11 +212,7 @@ impl ControlHub {
     /// equal the plane's own decision counts — drift between them means
     /// a decision was made but not enforced (or vice versa).
     pub(crate) fn report(&self) -> ControlReport {
-        let report = self
-            .plane
-            .lock()
-            .expect("control lock")
-            .report(&PowerModel::rack_server());
+        let report = self.plane.lock().expect("control lock").report();
         debug_assert_eq!(
             report.counts.admits,
             self.admitted.load(Ordering::Relaxed),

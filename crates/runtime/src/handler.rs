@@ -165,7 +165,7 @@ pub trait SessionHandler {
     }
 
     /// Bytes of state a full restart of this shard would reload — the
-    /// input to the baseline's modeled restart cost.
+    /// input to the restart model. Read on faults and restarts only.
     fn state_bytes(&self) -> u64;
 
     /// Brings the shard back up after a fatal crash (baseline) or on the
@@ -378,8 +378,9 @@ impl SessionHandler for KvHandler {
     fn restart(&mut self) {
         // The restart's state effect: the store `restore` would rebuild
         // from this shard's snapshot, reached in place. The *time* cost
-        // is charged by the worker from the calibrated restart model, so
-        // copying every entry twice here would only burn CPU on top of it.
+        // is priced after the run from the state bytes the worker
+        // records, so copying every entry twice here would only burn
+        // CPU on top of it.
         self.store.reload();
     }
 }

@@ -56,9 +56,9 @@
 //!   invariant (protocol-level fault counts must equal each worker's
 //!   `DomainManager` rewinds, histograms must carry one sample per
 //!   counted request, stolen work must balance between the queues' and
-//!   the thieves' books) and a bridge ([`fleet_lineup_from_runs`])
-//!   substituting *measured* p99 rewind latency and isolation overhead
-//!   into `sdrad-energy`'s fleet models.
+//!   the thieves' books). The books are counts and measurements only:
+//!   restarts record the state bytes they reloaded, and `sdrad-bench`
+//!   prices recovery through `sdrad-energy` after the run.
 //!
 //! The experiments e15 (pre-framed submits), e16 (full connection
 //! path, all three workloads, `sdrad-faultsim`-scheduled attacks) and
@@ -134,7 +134,7 @@ pub use sdrad_control::{
     ShedParams, Standing,
 };
 pub use server::ConnectionServer;
-pub use stats::{fleet_lineup_from_runs, RuntimeStats, StatsSnapshot, TelemetryReport};
+pub use stats::{RuntimeStats, StatsSnapshot, TelemetryReport};
 // Observability vocabulary, re-exported for the same reason — the
 // histogram moved to `sdrad-telemetry` but stays available under its
 // historical `sdrad_runtime` path. The

@@ -91,7 +91,7 @@ pub enum Disposition {
         rewind_ns: u64,
     },
     /// The request crashed the unprotected server; the worker restarted
-    /// it, charging the modeled restart downtime.
+    /// it, recording the state the restart reloaded.
     Crashed,
     /// The request was answered, but the response carried secret bytes
     /// past the protocol boundary — the unprotected TLS baseline under a

@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
 use sdrad_control::ControlConfig;
-use sdrad_energy::decisions::RungModels;
 use sdrad_net::Endpoint;
 use sdrad_nolock::{HazardDomain, Shared};
 use sdrad_telemetry::{
@@ -100,8 +99,8 @@ pub struct RuntimeConfig {
     /// client reputation, CoDel latency-target shedding per traffic
     /// class) at [`Runtime::submit`]/[`Runtime::attach`], the
     /// recovery-escalation ladder (rewind → pool rebuild → worker
-    /// restart) into every worker's fault path, and per-decision energy
-    /// billing into the final [`RuntimeStats::control`] report.
+    /// restart) into every worker's fault path, and the decision counts
+    /// into the final [`RuntimeStats::control`] report.
     ///
     /// [`RuntimeStats::control`]: crate::RuntimeStats::control
     pub control: Option<ControlConfig>,
@@ -404,17 +403,9 @@ impl Runtime {
             (Some(streaming), true) => Some(Arc::new(Collector::new(streaming))),
             _ => None,
         };
-        // The ladder bills the publish-and-retire rebuild the workers
-        // run: a pointer-scale publish (pause) plus amortized
-        // reclamation.
-        let hub = config.control.map(|control| {
-            Arc::new(ControlHub::new(
-                control,
-                RungModels::calibrated(),
-                workers - 1,
-                control_recorder,
-            ))
-        });
+        let hub = config
+            .control
+            .map(|control| Arc::new(ControlHub::new(control, workers - 1, control_recorder)));
         // One hazard domain for the whole runtime (deep stealing only):
         // every shard's published read view retires through it, and
         // shutdown reconciles its retire/reclaim books exactly.

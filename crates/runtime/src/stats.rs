@@ -1,11 +1,10 @@
-//! Aggregated runtime statistics and their bridge into the
-//! `sdrad-energy` fleet models.
+//! Aggregated runtime statistics: what a finished run counted and
+//! measured, and the laws that say its books balance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use sdrad_control::ControlReport;
-use sdrad_energy::casestudy::{fleet_lineup, FleetReport, FleetScenario};
 use sdrad_telemetry::{LatencyHistogram, LiveTotals, StreamingReport, TelemetrySnapshot, TraceLog};
 
 use crate::worker::WorkerStats;
@@ -101,7 +100,7 @@ pub struct RuntimeStats {
     /// rejection path answers — the p99 a shed client experiences).
     pub shed_latency: LatencyHistogram,
     /// The adaptive control plane's closed books (admission decisions,
-    /// escalation rungs, per-decision energy bill) — `None` when the
+    /// escalation rungs) — `None` when the
     /// runtime ran with the static reflexes
     /// ([`RuntimeConfig::control`](crate::RuntimeConfig::control) unset).
     pub control: Option<ControlReport>,
@@ -340,12 +339,6 @@ impl RuntimeStats {
         merged
     }
 
-    /// Modeled restart downtime summed over workers.
-    #[must_use]
-    pub fn modeled_downtime(&self) -> Duration {
-        self.workers.iter().map(WorkerStats::modeled_downtime).sum()
-    }
-
     /// The global invariant: per-worker protocol-level fault counts match
     /// the rewinds each worker's own `DomainManager` performed (and the
     /// per-disposition latency histograms carry exactly one sample per
@@ -383,9 +376,8 @@ impl RuntimeStats {
             // The hazard domain's books, when deep stealing ran: after
             // the shutdown drain every retired view was reclaimed.
             && self.hazard.as_ref().is_none_or(|h| h.conserves() && h.pending == 0)
-            // The control plane's books, when it ran: its own
-            // billed-vs-counted invariant holds, and the rungs the
-            // plane decided are exactly the rungs the workers executed
+            // The control plane's books, when it ran: every decision it
+            // counted was logged, and the rungs the plane decided are exactly the rungs the workers executed
             // — a decided-but-unexecuted (or executed-but-undecided)
             // escalation breaks one of the equalities.
             && self.control.as_ref().is_none_or(|report| {
@@ -425,103 +417,19 @@ impl RuntimeStats {
         }
         self.served() as f64 / self.wall.as_secs_f64()
     }
-
-    /// Throughput with each worker's modeled restart downtime charged:
-    /// a worker that crashed owes its clients the restart window, during
-    /// which it serves nothing. This is the number the paper's
-    /// "restarts collapse throughput" claim is about.
-    #[must_use]
-    pub fn effective_throughput_rps(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 0.0;
-        }
-        self.workers
-            .iter()
-            .map(|w| {
-                let span = self.wall.as_secs_f64() + w.modeled_downtime().as_secs_f64();
-                if span > 0.0 {
-                    w.served as f64 / span
-                } else {
-                    0.0
-                }
-            })
-            .sum()
-    }
-
-    /// Fraction of wall time the mean worker was serving (1.0 with no
-    /// crashes; collapses as modeled restart downtime accumulates).
-    #[must_use]
-    pub fn availability(&self) -> f64 {
-        if self.workers.is_empty() || self.wall.is_zero() {
-            return 1.0;
-        }
-        let wall = self.wall.as_secs_f64();
-        self.workers
-            .iter()
-            .map(|w| wall / (wall + w.modeled_downtime().as_secs_f64()))
-            .sum::<f64>()
-            / self.workers.len() as f64
-    }
-}
-
-/// Builds the fleet-level sustainability lineup from **measured** runs:
-/// the attacked isolated run contributes the measured rewind latency,
-/// and a **clean** (attack-free) baseline/isolated pair contributes the
-/// measured SDRaD overhead. Both are substituted into `fleet`'s service
-/// scenario before evaluating every deployment strategy, so the energy
-/// report rests on this machine's numbers rather than the paper's
-/// constants.
-///
-/// The rewind substituted is the **p99** of the measured rewind
-/// histogram when one is available (availability models should not be
-/// propped up by the mean of a tail-heavy distribution), falling back to
-/// the mean for synthetic stats without histograms.
-///
-/// The overhead pair must come from attack-free runs: under attack the
-/// baseline's wall clock includes real crash-handling work (snapshot +
-/// restore per crash), which would contaminate the per-request isolation
-/// cost the model wants.
-#[must_use]
-pub fn fleet_lineup_from_runs(
-    attacked_isolated: &RuntimeStats,
-    clean_isolated: &RuntimeStats,
-    clean_baseline: &RuntimeStats,
-    mut fleet: FleetScenario,
-) -> Vec<FleetReport> {
-    let rewind_hist = attacked_isolated.rewind_latency();
-    let measured_rewind = if rewind_hist.is_empty() {
-        attacked_isolated.mean_rewind()
-    } else {
-        rewind_hist.p99()
-    };
-    if measured_rewind > Duration::ZERO {
-        fleet.service.rewind = measured_rewind;
-    }
-    // Measured isolation overhead: how much slower the isolated workers
-    // process the identical benign request mix (clamped to the model's
-    // [0, 1) sanity range).
-    let isolated_rps = clean_isolated.throughput_rps();
-    let baseline_rps = clean_baseline.throughput_rps();
-    if isolated_rps > 0.0 && baseline_rps > 0.0 {
-        let overhead = (baseline_rps / isolated_rps - 1.0).clamp(0.0, 0.99);
-        fleet.service.sdrad_overhead = overhead;
-    }
-    fleet_lineup(&fleet)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn worker(served: u64, faults: u64, crashes: u64) -> WorkerStats {
+    fn worker(served: u64, faults: u64) -> WorkerStats {
         let mut stats = WorkerStats {
             served,
             ok: served - faults,
             contained_faults: faults,
             rewind_ns: faults * 2_000,
             manager_rewinds: faults,
-            crashes,
-            modeled_downtime_ns: crashes * 2_000_000_000,
             ..WorkerStats::default()
         };
         // Histograms must carry one sample per counted request for the
@@ -554,7 +462,7 @@ mod tests {
 
     #[test]
     fn totals_sum_over_workers() {
-        let s = stats(vec![worker(100, 3, 0), worker(50, 1, 0)]);
+        let s = stats(vec![worker(100, 3), worker(50, 1)]);
         assert_eq!(s.served(), 150);
         assert_eq!(s.contained_faults(), 4);
         assert_eq!(s.mean_rewind(), Duration::from_nanos(2_000));
@@ -564,7 +472,7 @@ mod tests {
 
     #[test]
     fn merged_latency_histograms_cover_every_request() {
-        let s = stats(vec![worker(100, 3, 0), worker(50, 1, 0)]);
+        let s = stats(vec![worker(100, 3), worker(50, 1)]);
         assert_eq!(s.ok_latency().len(), 146);
         assert_eq!(s.contained_latency().len(), 4);
         assert_eq!(s.rewind_latency().len(), 4);
@@ -574,22 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn crashes_collapse_effective_throughput() {
-        let healthy = stats(vec![worker(1000, 0, 0)]);
-        let crashing = stats(vec![worker(1000, 0, 4)]);
-        assert!(healthy.effective_throughput_rps() > crashing.effective_throughput_rps() * 3.0);
-        assert!(crashing.availability() < 0.5);
-        assert!((healthy.availability() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn reconciliation_detects_drift() {
-        let mut broken = worker(10, 2, 0);
+        let mut broken = worker(10, 2);
         broken.manager_rewinds = 1; // a lost rewind
         assert!(!stats(vec![broken]).reconciles());
 
         // A fault whose latency was never recorded is drift too.
-        let mut unrecorded = worker(10, 2, 0);
+        let mut unrecorded = worker(10, 2);
         unrecorded.contained_latency = LatencyHistogram::new();
         assert!(!stats(vec![unrecorded]).reconciles());
     }
@@ -597,7 +496,7 @@ mod tests {
     #[test]
     fn reconciliation_covers_stolen_work() {
         // Balanced: the queue saw 4 requests stolen, a thief served 4.
-        let mut thief = worker(10, 0, 0);
+        let mut thief = worker(10, 0);
         thief.steals = 4;
         let mut balanced = stats(vec![thief]);
         balanced.stolen_submits = 4;
@@ -605,14 +504,14 @@ mod tests {
 
         // A thief claiming more steals than any queue handed out is
         // drift (a double-processed or invented request).
-        let mut phantom = worker(10, 0, 0);
+        let mut phantom = worker(10, 0);
         phantom.steals = 5;
         let mut broken = stats(vec![phantom]);
         broken.stolen_submits = 4;
         assert!(!broken.reconciles());
 
         // And a queue that lost track of a theft is drift too.
-        let mut queue_view = stats(vec![worker(10, 0, 0)]);
+        let mut queue_view = stats(vec![worker(10, 0)]);
         queue_view.stolen_submits = 1;
         assert!(!queue_view.reconciles());
     }
@@ -621,7 +520,7 @@ mod tests {
     fn reconciliation_covers_conn_steals() {
         // Balanced: the registries saw 3 frames lifted, the thief
         // served 3 — all as connection work.
-        let mut thief = worker(10, 0, 0);
+        let mut thief = worker(10, 0);
         thief.conn_steals = 3;
         thief.conn_served = 3;
         let mut balanced = stats(vec![thief]);
@@ -638,56 +537,5 @@ mod tests {
         let mut phantom = balanced.clone();
         phantom.conn_stolen = 2;
         assert!(!phantom.reconciles());
-    }
-
-    #[test]
-    fn fleet_lineup_uses_measured_rewind_and_clean_overhead() {
-        let attacked = stats(vec![worker(900, 10, 0)]);
-        let clean_isolated = stats(vec![worker(1000, 0, 0)]);
-        let clean_baseline = stats(vec![worker(1100, 0, 0)]);
-        let lineup = fleet_lineup_from_runs(
-            &attacked,
-            &clean_isolated,
-            &clean_baseline,
-            sdrad_energy::FleetScenario::telecom_ran(),
-        );
-        assert_eq!(lineup.len(), 5);
-        let sdrad = lineup.iter().find(|r| r.strategy == "1N-sdrad").unwrap();
-        assert!(sdrad.meets_target, "microsecond rewinds keep five nines");
-    }
-
-    #[test]
-    fn fleet_lineup_prefers_the_rewind_histogram_p99() {
-        // Tail-heavy rewinds: mean ~ 7 µs but p99 ~ 100 µs. The lineup
-        // must consume the tail, not the mean.
-        let mut w = worker(100, 0, 0);
-        for _ in 0..95 {
-            w.rewind_latency.record(2_000);
-            w.contained_latency.record(2_500);
-            w.rewind_ns += 2_000;
-            w.contained_faults += 1;
-            w.manager_rewinds += 1;
-        }
-        for _ in 0..5 {
-            w.rewind_latency.record(100_000);
-            w.contained_latency.record(100_500);
-            w.rewind_ns += 100_000;
-            w.contained_faults += 1;
-            w.manager_rewinds += 1;
-        }
-        let attacked = stats(vec![w]);
-        let hist_p99 = attacked.rewind_latency().p99();
-        assert!(hist_p99 >= Duration::from_nanos(90_000));
-        assert!(attacked.mean_rewind() < Duration::from_nanos(10_000));
-        // The lineup still meets five nines — 100 µs is still five
-        // orders below a restart — but consumed the honest number.
-        let lineup = fleet_lineup_from_runs(
-            &attacked,
-            &stats(vec![worker(1000, 0, 0)]),
-            &stats(vec![worker(1100, 0, 0)]),
-            sdrad_energy::FleetScenario::telecom_ran(),
-        );
-        let sdrad = lineup.iter().find(|r| r.strategy == "1N-sdrad").unwrap();
-        assert!(sdrad.meets_target);
     }
 }

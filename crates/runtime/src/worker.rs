@@ -48,10 +48,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sdrad_control::RecoveryRung;
-use sdrad_energy::decisions::RungModels;
 use sdrad_nolock::{FrameBuf, HazardDomain, Shared};
 use sdrad_telemetry::{
     Collector, DeltaFrame, EventKind, LatencyHistogram, LiveTotals, Recorder, Source,
@@ -87,8 +86,15 @@ pub struct WorkerStats {
     pub leaks: u64,
     /// Internal isolation errors.
     pub internal_errors: u64,
-    /// Modeled restart downtime accumulated by crashes (nanoseconds).
-    pub modeled_downtime_ns: u64,
+    /// State bytes the handler held at each restart (a crash, or the
+    /// ladder's restart rung), summed: what the restarts reloaded. The
+    /// restart model is affine in these bytes, so restart downtime is
+    /// priced from the sum after the run.
+    pub restart_state_bytes: u64,
+    /// State bytes the handler held at each fault the ladder judged,
+    /// summed: what restart-only recovery of the same faults would have
+    /// reloaded.
+    pub judged_state_bytes: u64,
     /// Wall-clock time spent processing requests (nanoseconds).
     pub busy_ns: u64,
     /// Requests shed at this worker's queue (filled in at shutdown).
@@ -160,8 +166,7 @@ pub struct WorkerStats {
     /// plane): the whole domain pool torn down and re-created.
     pub pool_rebuilds: u64,
     /// Worker-restart rungs this worker executed (control plane):
-    /// isolation context and handler state rebuilt, the modeled
-    /// restart downtime charged to this worker's account.
+    /// isolation context and handler state rebuilt in place.
     pub worker_restarts: u64,
     /// Frame buffers this worker's thread acquired from its arena
     /// (every payload extraction and response render on the hot path).
@@ -188,12 +193,6 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
-    /// Modeled restart downtime as a `Duration`.
-    #[must_use]
-    pub fn modeled_downtime(&self) -> Duration {
-        Duration::from_nanos(self.modeled_downtime_ns)
-    }
-
     /// The per-worker invariant: the fault count the worker observed at
     /// the protocol level must equal the rewinds its manager performed.
     #[must_use]
@@ -323,9 +322,6 @@ pub struct Worker<H: SessionHandler> {
     batch: usize,
     conn_budget: usize,
     idle_reap_after: Option<u64>,
-    /// Pooled domains per worker (sizes the control plane's
-    /// pool-rebuild bills).
-    domains_per_worker: u32,
     /// Runtime generation at the start of the current pass — the
     /// stall-accounting witness.
     pass_generation: u64,
@@ -364,7 +360,6 @@ impl<H: SessionHandler> Worker<H> {
             batch: config.batch.max(1),
             conn_budget: config.conn_read_budget.max(1),
             idle_reap_after: config.idle_reap_after,
-            domains_per_worker: u32::try_from(config.domains_per_worker).unwrap_or(u32::MAX),
             pass_generation: 0,
             next_bell: 0,
             pass: 0,
@@ -1222,9 +1217,8 @@ impl<H: SessionHandler> Worker<H> {
                 );
             }
             Disposition::Crashed => {
-                // The baseline pays for its crash: the shard is down for
-                // the calibrated restart duration (state reload included)
-                // before the handler serves again.
+                // The baseline pays for its crash with a restart (state
+                // reload included) before the handler serves again.
                 self.stats.crashes += 1;
                 self.restart_handler();
             }
@@ -1234,23 +1228,16 @@ impl<H: SessionHandler> Worker<H> {
         self.observe_control(client, disposition, latency_ns);
     }
 
-    /// Brings the handler's state back up and charges the calibrated
-    /// restart downtime for the state it held to this worker's account,
-    /// instead of actually sleeping — keeping the harness fast and
-    /// deterministic. The baseline's crash and the ladder's restart rung
-    /// both pay here.
+    /// Brings the handler's state back up in place and records the
+    /// state it held, instead of sleeping out a restart — keeping the
+    /// harness fast and deterministic. The downtime is priced from
+    /// [`WorkerStats::restart_state_bytes`] after the run. The baseline's
+    /// crash and the ladder's restart rung both restart here.
     fn restart_handler(&mut self) {
-        // The ladder's own restart model, so the worker's charge and
-        // the control plane's bill are one definition.
-        let downtime = RungModels::calibrated().time_of(
-            RecoveryRung::WorkerRestart,
-            self.handler.state_bytes(),
-            self.domains_per_worker,
-        );
-        self.stats.modeled_downtime_ns = self
+        self.stats.restart_state_bytes = self
             .stats
-            .modeled_downtime_ns
-            .saturating_add(u64::try_from(downtime.as_nanos()).unwrap_or(u64::MAX));
+            .restart_state_bytes
+            .saturating_add(self.handler.state_bytes());
         self.handler.restart();
     }
 
@@ -1268,47 +1255,41 @@ impl<H: SessionHandler> Worker<H> {
         let Some(hub) = &self.channels.control else {
             return;
         };
-        let rung = hub.observe(
-            self.index,
-            client,
-            disposition,
-            latency_ns,
-            self.handler.state_bytes(),
-            self.domains_per_worker,
-        );
-        if let Some(step) = &rung {
-            let detail = match step {
-                RecoveryRung::Rewind => 0,
-                RecoveryRung::PoolRebuild => 1,
-                RecoveryRung::WorkerRestart => 2,
-            };
-            self.channels
-                .recorder
-                .emit(EventKind::Rung, self.shard_u16, client.0, detail);
-        }
+        let Some(rung) = hub.observe(self.index, client, disposition, latency_ns) else {
+            return;
+        };
+        self.stats.judged_state_bytes = self
+            .stats
+            .judged_state_bytes
+            .saturating_add(self.handler.state_bytes());
+        let detail = match rung {
+            RecoveryRung::Rewind => 0,
+            RecoveryRung::PoolRebuild => 1,
+            RecoveryRung::WorkerRestart => 2,
+        };
+        self.channels
+            .recorder
+            .emit(EventKind::Rung, self.shard_u16, client.0, detail);
         match rung {
-            None => {}
-            Some(RecoveryRung::Rewind) => {
+            RecoveryRung::Rewind => {
                 // The substrate already rewound the domain; the ladder
                 // chose to stop there. Counted so e19 can show the
                 // cheap rung firing most.
                 self.stats.ladder_rewinds += 1;
             }
-            Some(RecoveryRung::PoolRebuild) => {
+            RecoveryRung::PoolRebuild => {
                 // Zero-pause rung: publish a fresh pool, retire the old
                 // one; teardown is amortized over later passes by
-                // `reclaim_step` and billed as reclamation time by the
-                // rung models.
+                // `reclaim_step`.
                 self.iso.rebuild_pool_deferred();
                 self.stats.pool_rebuilds += 1;
             }
-            Some(RecoveryRung::WorkerRestart) => {
+            RecoveryRung::WorkerRestart => {
                 // The restart rung: isolation context and handler state
                 // are rebuilt in place on this thread (a logical
                 // restart — the OS thread survives, everything the
-                // process restart would discard is discarded), and the
-                // calibrated restart downtime is charged to this
-                // worker's account exactly like a baseline crash.
+                // process restart would discard is discarded), recorded
+                // exactly like a baseline crash.
                 self.iso.restart_worker();
                 self.restart_handler();
                 self.stats.worker_restarts += 1;

@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use sdrad::ClientId;
+use sdrad_bench::scenarios::recovery_bill;
 use sdrad_runtime::{
     Disposition, HttpHandler, IsolationMode, KvHandler, Reply, Runtime, RuntimeConfig,
     SessionHandler, SubmitOutcome, Ticket, WorkerIsolation,
@@ -141,23 +142,28 @@ fn baseline_crashes_where_isolation_contains() {
 
     let isolated = run(IsolationMode::PerClientDomain);
     let baseline = run(IsolationMode::Baseline);
+    let domains = RuntimeConfig::new(2, IsolationMode::Baseline).domains_per_worker;
+    let (isolated_bill, baseline_bill) = (
+        recovery_bill(&isolated, domains),
+        recovery_bill(&baseline, domains),
+    );
 
     assert_eq!(isolated.crashes(), 0);
     assert_eq!(isolated.contained_faults(), 4);
-    assert!(isolated.modeled_downtime().is_zero());
+    assert!(isolated_bill.restart_time.is_zero());
 
     assert_eq!(baseline.crashes(), 4);
     assert_eq!(baseline.contained_faults(), 0);
     assert!(
-        baseline.modeled_downtime() > Duration::from_secs(1),
+        baseline_bill.restart_time > Duration::from_secs(1),
         "each crash pays a calibrated restart: {:?}",
-        baseline.modeled_downtime()
+        baseline_bill.restart_time
     );
     assert!(
-        baseline.effective_throughput_rps() < isolated.effective_throughput_rps() / 10.0,
+        baseline_bill.effective_throughput_rps < isolated_bill.effective_throughput_rps / 10.0,
         "restart downtime collapses delivered throughput: baseline {:.0} vs sdrad {:.0}",
-        baseline.effective_throughput_rps(),
-        isolated.effective_throughput_rps()
+        baseline_bill.effective_throughput_rps,
+        isolated_bill.effective_throughput_rps
     );
     assert!(isolated.reconciles() && baseline.reconciles());
 }

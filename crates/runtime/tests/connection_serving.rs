@@ -2,6 +2,7 @@
 //! the sharded runtime, `sdrad-faultsim`-scheduled attack arrivals, and
 //! the latency percentiles the stats layer now reports.
 
+use sdrad_bench::scenarios::recovery_bill;
 use sdrad_faultsim::FaultSchedule;
 use sdrad_runtime::{ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, RuntimeStats};
 
@@ -87,8 +88,10 @@ fn baseline_crashes_under_the_same_schedule() {
     assert_eq!(isolated.contained_faults(), attacks);
     assert_eq!(baseline.contained_faults(), 0);
     assert_eq!(baseline.crashes(), attacks, "every exploit kills a shard");
+    let domains = RuntimeConfig::new(3, IsolationMode::Baseline).domains_per_worker;
     assert!(
-        baseline.modeled_downtime() > isolated.modeled_downtime(),
+        recovery_bill(&baseline, domains).restart_time
+            > recovery_bill(&isolated, domains).restart_time,
         "restarts charge downtime; rewinds do not"
     );
     assert!(isolated.reconciles() && baseline.reconciles());

@@ -3,6 +3,7 @@
 //! workers, and the closed books reconciling across both.
 
 use sdrad::ClientId;
+use sdrad_bench::scenarios::recovery_bill;
 use sdrad_net::duplex;
 use sdrad_runtime::{
     ControlConfig, IsolationMode, LadderParams, ReputationParams, Runtime, RuntimeConfig, Standing,
@@ -119,7 +120,7 @@ fn repeat_offenders_are_quarantined_then_banned_benign_stay_served() {
     assert!(stats.ladder_rewinds() > stats.pool_rebuilds());
     assert!(stats.pool_rebuilds() >= stats.worker_restarts());
     assert!(
-        report.energy_saved_j() > 0.0,
+        recovery_bill(&stats, config().domains_per_worker).energy_saved_j() > 0.0,
         "cheap rungs first saved energy"
     );
     assert!(stats.reconciles(), "books balance: {stats:?}");
@@ -187,9 +188,9 @@ fn standing_is_observable_through_the_report_types() {
     let mut plane = sdrad_control::ControlPlane::new(config);
     for i in 0..20 {
         let _ = plane.admit(9, i * 1_000_000);
-        let _ = plane.observe_fault(0, 9, 100_000, i * 1_000_000, 1 << 16, 4);
+        let _ = plane.observe_fault(0, 9, 100_000, i * 1_000_000, 0, 0);
     }
     assert_eq!(plane.standing(9, 20_000_000), Standing::Banned);
-    let report: ControlReport = plane.report(&sdrad_energy::PowerModel::rack_server());
+    let report: ControlReport = plane.report();
     assert!(report.reconciles());
 }

@@ -2,11 +2,11 @@
 //! kvstore workload under concurrent attack, and its measurements feed
 //! the fleet-level energy models.
 
+use sdrad_bench::scenarios::{fleet_lineup_from_runs, recovery_bill};
 use sdrad_repro::core::ClientId;
 use sdrad_repro::energy::FleetScenario;
 use sdrad_repro::runtime::{
-    fleet_lineup_from_runs, Disposition, IsolationMode, KvHandler, Runtime, RuntimeConfig,
-    SubmitOutcome,
+    Disposition, IsolationMode, KvHandler, Runtime, RuntimeConfig, SubmitOutcome,
 };
 
 fn run(mode: IsolationMode, with_attacks: bool) -> sdrad_repro::runtime::RuntimeStats {
@@ -70,7 +70,11 @@ fn concurrent_attack_contained_and_fed_into_fleet_models() {
     assert_eq!(isolated.contained_faults(), 10);
     assert!(isolated.reconciles());
     assert_eq!(baseline.crashes(), 10);
-    assert!(baseline.availability() < isolated.availability());
+    let domains = RuntimeConfig::new(4, IsolationMode::Baseline).domains_per_worker;
+    assert!(
+        recovery_bill(&baseline, domains).availability
+            < recovery_bill(&isolated, domains).availability
+    );
 
     // The measured runs drive the paper's fleet-level energy argument:
     // rewind latency from the attacked isolated run, isolation overhead
