@@ -4,7 +4,7 @@
 //! binaries and again in `bench_report`'s private cut-down cells. A
 //! scenario in [`crate::scenarios`] composes these instead of carrying
 //! its own, so two experiments that say "the e17 benign mix" or "the
-//! hot-shard skew" provably drive the same bytes through the same
+//! hot shard" provably drive the same bytes through the same
 //! configuration.
 
 use std::time::{Duration, Instant};
@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use sdrad::ClientId;
 use sdrad_nolock::arena;
 use sdrad_runtime::{
-    ConnectionServer, Disposition, IsolationMode, KvHandler, LatencyHistogram, Runtime,
-    RuntimeConfig, RuntimeStats, SessionHandler, StealPolicy, SubmitOutcome,
+    ConnectionServer, Disposition, KvHandler, LatencyHistogram, Runtime, RuntimeConfig,
+    RuntimeStats, SessionHandler, SubmitOutcome,
 };
 
 /// The kvstore exploit: a declared 64 KB `xstat` whose write lands past
@@ -75,8 +75,8 @@ pub fn hot_clients(runtime: &Runtime, count: usize) -> Vec<ClientId> {
         .collect()
 }
 
-/// One ticket round trip (submit → worker → completion ring → notify)
-/// of a byte-exact `get` miss, its wall-clock RTT recorded.
+/// One ticket round trip (submit → worker → ticket latch → notify) of a
+/// byte-exact `get` miss, its wall-clock RTT recorded.
 pub fn probe_rtt(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHistogram) {
     let sent = Instant::now();
     match runtime.submit(client, b"get probe\r\n".to_vec()) {
@@ -93,10 +93,9 @@ pub fn probe_rtt(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHis
 /// Measures with `run`, and re-measures up to twice more while the
 /// outcome is not `settled`; returns the last measurement. For outcomes
 /// that are statistical rather than structural on a small shared host
-/// (did a thief engage before the owner drained the skew, did a noise
-/// burst land in one cell's tail): `run` asserts the books on every
-/// attempt, the caller asserts `settled` on what comes back, so only
-/// the racy bit ever gets a second look.
+/// (did a noise burst land in one cell's tail): `run` asserts the books
+/// on every attempt, the caller asserts `settled` on what comes back,
+/// so only the racy bit ever gets a second look.
 pub fn retry_racy<T>(mut run: impl FnMut() -> T, settled: impl Fn(&T) -> bool) -> T {
     let mut outcome = run();
     for _ in 0..2 {
@@ -106,47 +105,6 @@ pub fn retry_racy<T>(mut run: impl FnMut() -> T, settled: impl Fn(&T) -> bool) -
         outcome = run();
     }
     outcome
-}
-
-/// The hot-shard skew runtime of e18, e21 and e23: `workers` shards under
-/// `policy`, a per-connection read budget small enough that the hot
-/// owner defers frames every rotation (the stranding deep stealing
-/// rescues), and queues deep enough that a `burst` never sheds.
-#[must_use]
-pub fn hot_shard_config(workers: usize, policy: StealPolicy, burst: usize) -> RuntimeConfig {
-    let mut config = RuntimeConfig::new(workers, IsolationMode::PerClientDomain);
-    config.work_stealing = policy;
-    config.conn_read_budget = 8;
-    config.batch = 16;
-    config.queue_capacity = burst.max(4096);
-    config
-}
-
-/// The books every hot-shard cell must close, whatever its policy or
-/// width: reconciliation, exact conservation (zero lost, zero
-/// double-processed), nothing shed at this depth, no crash, no
-/// mutation off its owner shard, and — stolen frames carry pooled
-/// storage to thief threads and their buffers flow home over the MPSC
-/// return channel — balanced arena books.
-pub fn assert_skew_books(label: &str, stats: &RuntimeStats, offered: u64) {
-    assert!(stats.reconciles(), "{label}: books must balance");
-    assert_eq!(
-        stats.served() + stats.shed,
-        offered,
-        "{label}: zero lost, zero double-processed — conservation is exact"
-    );
-    assert_eq!(stats.shed, 0, "{label}: nothing sheds at this depth");
-    assert_eq!(stats.crashes(), 0, "{label}: no crashes");
-    assert_eq!(
-        stats.thief_mutations(),
-        0,
-        "{label}: stealing never mutates state on a thief shard"
-    );
-    assert_eq!(
-        stats.arena_acquires(),
-        stats.arena_reuses() + stats.arena_fresh_allocs(),
-        "{label}: arena books must balance under cross-thread returns"
-    );
 }
 
 /// The closed-loop connection cell (the e17 kv hot path): an

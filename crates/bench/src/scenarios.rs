@@ -30,11 +30,9 @@ pub mod e14;
 pub mod e15;
 pub mod e16;
 pub mod e17;
-pub mod e18;
 pub mod e19;
 pub mod e2;
 pub mod e20;
-pub mod e21;
 pub mod e22;
 pub mod e23;
 pub mod e24;
@@ -220,16 +218,6 @@ pub const ALL: &[Scenario] = &[
         run: e17::run,
     },
     Scenario {
-        id: "e18",
-        title: "connection-buffer work stealing under a hot-shard skew, mutations left to their \
-                owner",
-        claim: "capacity stranded behind a hot shard is energy spent serving nobody; stealing it \
-                back must not let state mutate off its owner shard",
-        full: 4_000,
-        trajectory: 1_500,
-        run: e18::run,
-    },
-    Scenario {
         id: "e19",
         title: "adaptive control plane (reputation + latency-target shedding + escalation \
                 ladder) vs static reflexes under a mixed hostile/benign campaign",
@@ -248,15 +236,6 @@ pub const ALL: &[Scenario] = &[
         full: 12_000,
         trajectory: 6_000,
         run: e20::run,
-    },
-    Scenario {
-        id: "e21",
-        title: "lock-free hand-off latency vs worker count under the hot-shard skew",
-        claim: "a steal plane that convoys producers behind a lock turns added workers into \
-                added tail latency; the lock-free hand-off must keep p99 flat as workers double",
-        full: 6_000,
-        trajectory: 2_000,
-        run: e21::run,
     },
     Scenario {
         id: "e22",
@@ -483,11 +462,8 @@ mod tests {
             workers,
             shed: 0,
             submitted: 0,
-            stolen_submits: 0,
-            conn_stolen: 0,
             shed_latency: LatencyHistogram::new(),
             control: None,
-            hazard: None,
             telemetry: None,
             wall: Duration::from_secs(2),
         }

@@ -72,9 +72,9 @@ pub fn run(size: usize) -> Report {
     // the campaign ends is a race between the producer's pacing and
     // the workers' fault observations, and a p50 over a few hundred
     // benign samples still moves with the host scheduler —
-    // statistical, not structural. Same idiom as the runtime's
-    // steal-engagement tests: books are asserted on every attempt,
-    // only the racy outcomes earn the pair a retry (`cells::retry_racy`).
+    // statistical, not structural. Books are asserted on every
+    // attempt; only the racy outcomes earn the pair a retry
+    // (`cells::retry_racy`).
     let racy_outcomes_hold = |(static_cell, adaptive): &(Cell, Cell)| {
         let ctl = adaptive.stats.control.as_ref().expect("control books");
         offenders

@@ -18,7 +18,7 @@
 //! install `CountingAlloc` as its global allocator.
 //!
 //! Each arm runs three times. Allocation counts are near-deterministic,
-//! but a background steal or amortized growth spike in one run must not
+//! but an amortized growth spike in one run must not
 //! become the number, so the alloc rows come from the run with the
 //! fewest allocations; the tail comparison takes each arm's least-noise
 //! p99 across the same three runs.
@@ -28,9 +28,9 @@
 //! served from recycled storage, balanced arena books in every run
 //! (`acquires == reuses + fresh`), pooling off never recycles, and a
 //! pooled p99 inside a generous band of the unpooled tail (allocation
-//! discipline must not buy its savings with latency). The arena's books
-//! under deep-steal cross-thread returns are closed by every e18/e21
-//! cell ([`cells::assert_skew_books`]).
+//! discipline must not buy its savings with latency). The arena's
+//! cross-thread return channel is covered by the runtime's
+//! `lockfree_queue.rs` no-alias property.
 //!
 //! [`CountingAlloc`]: sdrad_nolock::CountingAlloc
 

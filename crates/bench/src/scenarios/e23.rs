@@ -1,4 +1,4 @@
-//! E23 — zero-pause pool rebuilds: publish-and-retire vs
+//! E23 — zero-pause pool rebuilds: deferred teardown vs
 //! stop-the-world.
 //!
 //! A stop-the-world pool-rebuild rung tears down the faulting worker's
@@ -6,9 +6,9 @@
 //! behind the fault waits out the modeled teardown window (20 µs per
 //! pooled domain — 160 µs per rebuild at the default pool size). The
 //! runtime's one rebuild path is publish-and-retire instead: a fresh
-//! pool is published in pointer-scale time, the old one is retired
-//! into a deferred queue behind hazard pointers, and its domains are
-//! torn down a couple per pump pass, off the serving path.
+//! pool is published in pointer-scale time, the old one is handed to
+//! the worker's deferred teardown queue, and its domains are torn down
+//! a couple per pump pass, off the serving path.
 //!
 //! This scenario prices the difference where it matters — the benign
 //! neighbour's tail. One cell runs the same campaign under a chosen
@@ -32,20 +32,20 @@
 //! * the stop-the-world storm p99 shows the physical pause — at least
 //!   `PAUSE_VISIBLE`, and above the deferred storm tail;
 //! * every run closes its books before returning: runtime stats
-//!   reconcile, zero crashes, zero thief mutations, the reclamation
-//!   ledger balances (`retired == reclaimed + pending` with pending
-//!   drained to zero), the shared-view hazard domain conserves, and the
-//!   recovery bill, priced after the run, prices the lifecycle the
-//!   runtime ran (publish + amortized reclamation time, no pause time).
+//!   reconcile, zero crashes, the reclamation ledger balances
+//!   (`retired == reclaimed + pending` with pending drained to zero),
+//!   and the recovery bill, priced after the run, prices the lifecycle
+//!   the runtime ran (publish + amortized reclamation time, no pause
+//!   time).
 
 use std::time::{Duration, Instant};
 
 use sdrad::ClientId;
 use sdrad_energy::{RecoveryBill, RungModels};
 use sdrad_runtime::{
-    ControlConfig, Framing, KvHandler, LadderParams, LatencyHistogram, ReadView, Reply,
-    ReputationParams, Runtime, RuntimeConfig, RuntimeStats, SessionHandler, ShedParams, StealClass,
-    StealPolicy, SubmitOutcome, WorkerIsolation,
+    ControlConfig, Framing, IsolationMode, KvHandler, LadderParams, LatencyHistogram, Reply,
+    ReputationParams, Runtime, RuntimeConfig, RuntimeStats, SessionHandler, ShedParams,
+    SubmitOutcome, WorkerIsolation,
 };
 
 use super::recovery_bill;
@@ -160,20 +160,8 @@ impl<H: SessionHandler> SessionHandler for StopTheWorld<H> {
         self.inner.handle(iso, client, request)
     }
 
-    fn steal_class(&self, request: &[u8]) -> StealClass {
-        self.inner.steal_class(request)
-    }
-
     fn frame(&self, buffer: &[u8]) -> Framing {
         self.inner.frame(buffer)
-    }
-
-    fn state_version(&self) -> u64 {
-        self.inner.state_version()
-    }
-
-    fn read_view(&self) -> Option<Box<dyn ReadView>> {
-        self.inner.read_view()
     }
 
     fn state_bytes(&self) -> u64 {
@@ -185,12 +173,14 @@ impl<H: SessionHandler> SessionHandler for StopTheWorld<H> {
     }
 }
 
-/// The cell's runtime: the hot-shard skew config at two deep-stealing
-/// workers (no connection attaches, so its read budget is moot) plus
+/// The cell's runtime: two sticky workers with the probe and offender
+/// on the same (hot) shard, queues deep enough that nothing sheds, plus
 /// the rebuild-happy control plane.
 #[must_use]
 pub fn cell_config() -> RuntimeConfig {
-    let mut config = cells::hot_shard_config(2, StealPolicy::Deep, 4096);
+    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
+    config.batch = 16;
+    config.queue_capacity = 4096;
     config.control = Some(rebuild_happy_control());
     // Small domain heaps so the per-domain *byte* costs the storm pays
     // either way (rewind restores, zeroed re-creation after a rebuild)
@@ -220,16 +210,10 @@ impl RebuildCell {
     /// The reclamation conservation law, reconciled exactly: every
     /// domain the rebuild rungs retired was reclaimed by shutdown
     /// (`retired == reclaimed + pending` with pending drained to
-    /// zero), and the shared-view hazard domain's books close the same
-    /// way.
+    /// zero).
     #[must_use]
     pub fn reclaim_conserves(&self) -> bool {
         self.stats.domains_retired() == self.stats.domains_reclaimed()
-            && self
-                .stats
-                .hazard
-                .as_ref()
-                .is_some_and(|h| h.conserves() && h.pending == 0)
     }
 
     /// Storm p99 over steady p99, both floored at [`TAIL_FLOOR`].
@@ -244,9 +228,8 @@ impl RebuildCell {
 ///
 /// # Panics
 ///
-/// On any broken invariant: unbalanced runtime/reclamation/hazard/
-/// energy books, a crash, a thief-side mutation, or a storm that never
-/// reached the pool-rebuild rung.
+/// On any broken invariant: unbalanced runtime/reclamation/energy
+/// books, a crash, or a storm that never reached the pool-rebuild rung.
 #[must_use]
 pub fn run_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
     let config = cell_config();
@@ -263,7 +246,7 @@ pub fn run_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
     let shard0 = cells::hot_clients(&runtime, 2);
     let (probe, offender) = (shard0[0], shard0[1]);
 
-    // Seed live state so published read views carry real entries.
+    // Seed live state so the storm runs against real entries.
     let SubmitOutcome::Enqueued(seed) = runtime.submit(probe, b"set warm 5\r\nhello\r\n".to_vec())
     else {
         panic!("empty runtime shed the seed");
@@ -293,7 +276,6 @@ pub fn run_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
 
     assert!(stats.reconciles(), "books must balance: {stats:?}");
     assert_eq!(stats.crashes(), 0, "every planted fault is contained");
-    assert_eq!(stats.thief_mutations(), 0, "no mutation ran on a thief");
     assert!(
         stats.pool_rebuilds() > 0,
         "the storm must climb to the pool rung: {stats:?}"
@@ -307,15 +289,6 @@ pub fn run_cell(lifecycle: Lifecycle, probes: usize) -> RebuildCell {
         stats.domains_reclaimed(),
         "retired == reclaimed + pending with pending drained to zero"
     );
-    let hazard = stats
-        .hazard
-        .as_ref()
-        .expect("deep stealing runs a hazard domain");
-    assert!(
-        hazard.conserves() && hazard.pending == 0,
-        "hazard books: {hazard:?}"
-    );
-    assert!(stats.views_published() > 0, "owners published read views");
     let ctl = stats.control.as_ref().expect("control books");
     assert!(ctl.reconciles(), "decisions counted == logged == executed");
     let bill = recovery_bill(&stats, config.domains_per_worker);
@@ -394,7 +367,7 @@ pub fn run(size: usize) -> Report {
     r.begin_table(
         format!(
             "{size} closed-loop probes per phase, one attack ahead of each storm probe \
-             (a pool rebuild every 3rd), 2 deep-steal workers, best of {RUNS} runs per cell"
+             (a pool rebuild every 3rd), 2 sticky workers, best of {RUNS} runs per cell"
         ),
         &[
             "rebuild",
@@ -416,11 +389,6 @@ pub fn run(size: usize) -> Report {
             (deferred.stats.crashes() + synchronous.stats.crashes()) as f64,
             "count",
         )
-        .exact(
-            "thief_mutations",
-            (deferred.stats.thief_mutations() + synchronous.stats.thief_mutations()) as f64,
-            "count",
-        )
         .info("sync_p99_ratio", sync_ratio, "ratio")
         .info("storm_p99_ns", deferred.storm_p99.as_nanos() as f64, "ns")
         .note(format!(
@@ -431,7 +399,7 @@ pub fn run(size: usize) -> Report {
         ))
         .note(format!(
             "reclamation books reconcile exactly in both cells: {} domains retired == \
-             reclaimed, nothing pending past shutdown, hazard domain conserved",
+             reclaimed, nothing pending past shutdown",
             deferred.stats.domains_retired() + synchronous.stats.domains_retired()
         ));
     r

@@ -79,88 +79,6 @@ pub struct NetStats {
     pub reads: u64,
 }
 
-/// A cloneable, thread-safe handle on one endpoint's byte streams.
-///
-/// Obtained from [`Endpoint::stream_handle`], this is the cooperation
-/// surface work stealing needs: a sibling thread can drain the bytes
-/// pending on the endpoint ([`drain_pending`](Self::drain_pending)) and
-/// write responses back ([`write`](Self::write)) **without taking the
-/// endpoint over** — ownership, readiness-callback registration,
-/// lifecycle (`close`) and transfer statistics all stay with the
-/// endpoint's owner. Writes through a handle fire the peer's registered
-/// waker exactly like [`Endpoint::write`] does.
-///
-/// Handle operations are **not** reflected in the owning endpoint's
-/// [`NetStats`] (those count the owner's own calls); byte-level framing
-/// and response ordering are the caller's responsibility — callers
-/// serialise access with their own per-connection lock.
-#[derive(Debug, Clone)]
-pub struct StreamHandle {
-    /// Pipe the owner endpoint reads from (we drain it).
-    incoming: Arc<Mutex<Pipe>>,
-    /// Pipe the owner endpoint writes into (we respond through it).
-    outgoing: Arc<Mutex<Pipe>>,
-}
-
-impl StreamHandle {
-    /// Takes and returns every byte currently pending on the endpoint,
-    /// in arrival order. Returns an empty vector when nothing is
-    /// pending.
-    #[must_use]
-    pub fn drain_pending(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.drain_pending_into(&mut out);
-        out
-    }
-
-    /// Appends every byte currently pending on the endpoint to `out`,
-    /// in arrival order; returns how many were appended. The allocation-
-    /// free sibling of [`drain_pending`](Self::drain_pending) for
-    /// callers that stage into a reused buffer.
-    pub fn drain_pending_into(&self, out: &mut Vec<u8>) -> usize {
-        let mut pipe = self.incoming.lock();
-        let n = pipe.buffer.len();
-        pipe.take_front_into(n, out);
-        n
-    }
-
-    /// Bytes currently pending on the endpoint.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.incoming.lock().buffer.len()
-    }
-
-    /// Writes `data` towards the endpoint's peer, firing the peer's
-    /// registered waker once the bytes are observable — identical
-    /// semantics to [`Endpoint::write`], including the silent drop after
-    /// the peer closed.
-    pub fn write(&self, data: &[u8]) {
-        let waker = {
-            let mut pipe = self.outgoing.lock();
-            if pipe.closed {
-                return;
-            }
-            pipe.buffer.extend(data);
-            if data.is_empty() {
-                None
-            } else {
-                pipe.waker.clone()
-            }
-        };
-        // Fired outside the pipe lock: wakers take scheduler locks.
-        if let Some(waker) = waker {
-            waker();
-        }
-    }
-
-    /// Whether the peer can still send to the endpoint (false once the
-    /// peer closed its sending side) — mirrors [`Endpoint::is_open`].
-    #[must_use]
-    pub fn is_open(&self) -> bool {
-        !self.incoming.lock().closed
-    }
-}
-
 /// One end of a bidirectional in-memory connection.
 ///
 /// Reads are non-blocking: they return what is available (possibly
@@ -339,18 +257,6 @@ impl Endpoint {
         !self.incoming.lock().closed
     }
 
-    /// A cloneable, thread-safe [`StreamHandle`] on this endpoint's byte
-    /// streams, for a cooperating thread (e.g. a work-stealing sibling)
-    /// that drains pending bytes and writes responses without taking
-    /// the endpoint over. See [`StreamHandle`] for the contract.
-    #[must_use]
-    pub fn stream_handle(&self) -> StreamHandle {
-        StreamHandle {
-            incoming: Arc::clone(&self.incoming),
-            outgoing: Arc::clone(&self.outgoing),
-        }
-    }
-
     /// Transfer statistics of this endpoint.
     #[must_use]
     pub fn stats(&self) -> NetStats {
@@ -520,51 +426,6 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(b.read_available(), b"wake up");
-    }
-
-    #[test]
-    fn stream_handle_drains_and_responds_without_taking_over() {
-        let (mut client, server) = duplex();
-        let handle = server.stream_handle();
-        client.write(b"request");
-        assert_eq!(handle.pending(), 7);
-        assert_eq!(handle.drain_pending(), b"request");
-        assert_eq!(handle.pending(), 0, "drained through the handle");
-        handle.write(b"response");
-        assert_eq!(client.read_available(), b"response");
-        assert!(handle.is_open());
-        client.close();
-        assert!(!handle.is_open(), "handle observes the peer close");
-        // The owner endpoint still owns lifecycle and stats: handle
-        // traffic is not charged to the owner's counters.
-        assert_eq!(server.stats().bytes_received, 0);
-        assert_eq!(server.stats().bytes_sent, 0);
-    }
-
-    #[test]
-    fn stream_handle_writes_fire_the_peer_waker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let (mut client, server) = duplex();
-        let handle = server.stream_handle();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&fired);
-        client.set_ready_callback(Arc::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        }));
-        handle.write(b"stolen frame response");
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "handle write signals");
-        assert_eq!(client.read_available(), b"stolen frame response");
-    }
-
-    #[test]
-    fn stream_handle_and_owner_reads_interleave_in_arrival_order() {
-        let (mut client, mut server) = duplex();
-        let handle = server.stream_handle();
-        client.write(b"first ");
-        assert_eq!(handle.drain_pending(), b"first ");
-        client.write(b"second");
-        assert_eq!(server.read_available(), b"second");
-        assert!(handle.drain_pending().is_empty());
     }
 
     #[test]

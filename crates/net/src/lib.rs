@@ -46,5 +46,5 @@
 mod conn;
 mod listener;
 
-pub use conn::{duplex, Endpoint, NetStats, ReadyCallback, StreamHandle};
+pub use conn::{duplex, Endpoint, NetStats, ReadyCallback};
 pub use listener::Listener;

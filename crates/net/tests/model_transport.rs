@@ -54,7 +54,6 @@ impl Model {
 fn run(seed: u64, steps: usize) {
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let (mut writer, mut reader) = duplex();
-    let handle = reader.stream_handle();
     let edges = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&edges);
     reader.set_ready_callback(Arc::new(move || {
@@ -132,18 +131,6 @@ fn run(seed: u64, steps: usize) {
                 }
                 assert_eq!(staged, staged_model, "{context}: staged bytes");
             }
-            61 => {
-                // Through the stream handle: same bytes, but not charged
-                // to the owning endpoint's stats.
-                let n = model.pending.len();
-                assert_eq!(
-                    handle.drain_pending_into(&mut staged),
-                    n,
-                    "{context}: drain_pending_into count"
-                );
-                staged_model.append(&mut model.pending);
-                assert_eq!(staged, staged_model, "{context}: drained bytes");
-            }
             _ => {
                 staged.clear();
                 staged_model.clear();
@@ -154,7 +141,6 @@ fn run(seed: u64, steps: usize) {
             model.pending.len(),
             "{context}: pending bytes"
         );
-        assert_eq!(handle.pending(), model.pending.len());
         assert_eq!(writer.stats(), model.writer, "{context}: writer stats");
         assert_eq!(reader.stats(), model.reader, "{context}: reader stats");
         assert_eq!(

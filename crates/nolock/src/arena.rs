@@ -2,7 +2,7 @@
 //! layer under the serving hot path.
 //!
 //! Every served request used to materialise as a fresh heap `Vec<u8>`
-//! (frame extraction, handler response, steal hand-off), so allocator
+//! (frame extraction, handler response), so allocator
 //! traffic dominated the per-request cost once the hand-off itself went
 //! lock-free. A [`FrameBuf`] is a `Vec<u8>` that remembers the worker
 //! pool it was acquired from and, on `Drop`, returns its storage there:
@@ -10,9 +10,10 @@
 //! * **same thread** — the storage goes straight back onto the owning
 //!   thread's size-classed free list. No atomics beyond a counter, no
 //!   allocation.
-//! * **cross thread** — a buffer handed to a thief or parked in a
-//!   completion ring still finds its way home through a lock-free MPSC
-//!   *return channel* ([`MpscQueue`]); the owner drains the channel
+//! * **cross thread** — a buffer dropped on another thread (a request
+//!   payload claimed by a shard's worker, a response handed back
+//!   through a ticket) still finds its way home through a lock-free
+//!   MPSC *return channel* ([`MpscQueue`]); the owner drains the channel
 //!   into its free lists on the next acquire.
 //!
 //! Pooling is opt-in *per thread* ([`set_thread_pooling`]) so a

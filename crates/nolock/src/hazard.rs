@@ -1,11 +1,8 @@
 //! Hazard-pointer deferred reclamation for shared read-mostly state.
 //!
-//! The serving runtime wants to publish a pointer that many threads
-//! read while one thread occasionally replaces it — domain-pool
-//! snapshots read by thieves, swapped out by their owner on a rebuild
-//! rung. Freeing the old value synchronously would require proving no
-//! reader still holds it, which is exactly the stop-the-world pause
-//! this module exists to remove. Instead:
+//! For a pointer that many threads read while one thread occasionally
+//! replaces it. Freeing the old value synchronously would require
+//! proving no reader still holds it, a stop-the-world pause. Instead:
 //!
 //! * a reader **guards** the pointer it is about to dereference by
 //!   publishing it into a slot every thread can see ([`Guard`]),
@@ -44,7 +41,7 @@
 //!
 //! # Books
 //!
-//! [`DomainStats`] carries the conservation law the runtime reconciles:
+//! [`DomainStats`] carries the domain's conservation law:
 //! `retired == reclaimed + pending`. `retired` and `reclaimed` are
 //! monotone counters; `pending` is counted by walking the live retire
 //! list, so the law is exact whenever no retire/reclaim is in flight

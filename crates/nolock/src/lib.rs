@@ -1,19 +1,18 @@
 //! Lock-free building blocks for the SDRaD data plane.
 //!
-//! The serving core hands requests between threads on three distinct
-//! paths, each with its own contention shape, and each gets a purpose-
-//! built structure here:
+//! The serving runtime uses two of the structures here: the
+//! [`MpscQueue`] inbox and the [`FrameBuf`] arena. The others have no
+//! runtime user; they stay, with their tests, because the standalone
+//! `benchmark/` package (`benchmark/src/layers.rs`) still times them,
+//! and ROADMAP B1 part 2 removes them with those rows.
 //!
 //! * [`MpscQueue`] — an intrusive node-based multi-producer /
 //!   single-consumer queue (Vyukov's design) for shard submission
 //!   inboxes and connection hand-offs. Producers pay one `XCHG` per
 //!   push.
 //! * [`Bounded`] — a bounded MPMC ring (per-slot sequence numbers,
-//!   CAS claim) used as the steal buffer: the owner publishes surplus
-//!   work into it and thieves pop from it, so thieves never touch the
-//!   owner's pump loop.
-//! * [`SpscRing`] — a bounded single-producer / single-consumer ring
-//!   for the worker→server completion path.
+//!   CAS claim).
+//! * [`SpscRing`] — a bounded single-producer / single-consumer ring.
 //! * [`WaitSlot`] — a park/unpark cell for the cold blocking path.
 //!   Parks are always time-sliced, so a lost notification degrades to
 //!   one bounded stall instead of a hang.
@@ -25,8 +24,7 @@
 //!   deferred reclamation for read-mostly shared state: readers guard
 //!   the pointer they dereference, writers retire what they replace,
 //!   and an amortized reclaimer frees retirees only when no guard
-//!   covers them. This is what turns pool rebuilds from a
-//!   stop-the-world pause into publish-new/retire-old.
+//!   covers them.
 //!
 //! # Safety model
 //!

@@ -7,8 +7,8 @@
 //! release-store of the slot sequence — so a claim that loses the race
 //! retries on a fresh cursor instead of spinning on a lock.
 //!
-//! The runtime uses this as the steal buffer: the shard owner pushes
-//! surplus requests, thieves (and the owner, reclaiming) pop them.
+//! No runtime path uses it; `benchmark/src/layers.rs` times it as
+//! `nolock.mpmc_push_pop_ns`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

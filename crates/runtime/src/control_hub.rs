@@ -18,7 +18,7 @@
 //!
 //! Lock discipline: the hub's mutex is leaf-level — nothing is called
 //! while holding it, and it is never taken while holding a queue,
-//! inbox, tray or wakeset lock. (The recorder's `emit` is lock-free, so
+//! inbox or wakeset lock. (The recorder's `emit` is lock-free, so
 //! emitting under the plane mutex adds no ordering edge.)
 
 use std::sync::atomic::{AtomicU64, Ordering};

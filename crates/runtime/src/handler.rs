@@ -75,39 +75,19 @@ pub enum Framing {
     },
 }
 
-/// How a request may execute when a work-stealing sibling lifts it off
-/// its owner shard (see [`SessionHandler::steal_class`]).
+/// Whether a request mutates shard state
+/// ([`SessionHandler::steal_class`]).
+///
+/// The runtime no longer reads it: every request runs on its client's
+/// sticky shard. It stays only because `benchmark/src/layers.rs` times
+/// [`KvHandler`]'s classification as `runtime.steal_class_ns`; ROADMAP
+/// B1 part 2 removes it with that row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StealClass {
-    /// Safe to execute on any shard: the request mutates no shard state.
-    /// A thief serves it against its *own* shard (its own handler, its
-    /// own domains) — for a sharded cache this has cache-miss semantics
-    /// (a `get` served off-shard may miss where the owner would hit),
-    /// which is an honest answer; a mutation landing off-shard would be
-    /// silent state divergence, which is not.
+    /// The request mutates no shard state.
     ReadOnly,
-    /// Mutates shard state: must only ever execute on the shard that
-    /// owns the state. Under [`StealPolicy::Deep`](crate::StealPolicy)
-    /// a thief that meets one on a stolen connection buffer **stops
-    /// there**: the mutation and every frame behind it stay in the
-    /// buffer for the owner's own pump.
+    /// The request mutates shard state.
     Mutation,
-}
-
-/// An immutable snapshot of one shard's read-servable state, published
-/// by the owner worker through a hazard-protected cell so **thieves can
-/// answer reads against the owner's live data** instead of their own
-/// (different) shard.
-///
-/// A view is a value frozen at publish time: it crosses threads
-/// (`Send + Sync`), never mutates, and is reclaimed through the hazard
-/// domain once every reader guard has moved on — the worker never
-/// blocks on readers to republish.
-pub trait ReadView: Send + Sync {
-    /// Serves one complete request against the snapshot, or `None` when
-    /// the request is not answerable from this view (the thief then
-    /// falls back to its own handler, the pre-view behaviour).
-    fn serve_read(&self, client: ClientId, request: &[u8]) -> Option<Reply>;
 }
 
 /// A protocol workload served by runtime workers.
@@ -119,15 +99,10 @@ pub trait SessionHandler {
     /// Processes one complete request for `client`.
     fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply;
 
-    /// Classifies one complete request for work stealing: may it run on
-    /// a thief shard ([`StealClass::ReadOnly`]) or must it stay on the
-    /// shard whose state it touches ([`StealClass::Mutation`])?
+    /// Classifies one complete request as read-only or a mutation. The
+    /// runtime never calls it; see [`StealClass`] for why it stays.
     ///
-    /// The default classifies **everything** as a mutation — the safe
-    /// answer for a handler that never opted in: deep stealing then
-    /// leaves every connection frame to its owner and thieves execute
-    /// nothing foreign. Protocol adapters override it with their
-    /// parser's knowledge.
+    /// The default classifies **everything** as a mutation.
     fn steal_class(&self, request: &[u8]) -> StealClass {
         let _ = request;
         StealClass::Mutation
@@ -146,24 +121,6 @@ pub trait SessionHandler {
         }
     }
 
-    /// Monotonic counter bumped whenever shard state changes in a way
-    /// that invalidates a published [`ReadView`]. The worker republishes
-    /// a view only when this (or the pool generation) moved, so a
-    /// read-heavy shard publishes once and serves thieves for free.
-    ///
-    /// The default never changes — correct for handlers that publish no
-    /// views.
-    fn state_version(&self) -> u64 {
-        0
-    }
-
-    /// Freezes the shard's current read-servable state into a
-    /// [`ReadView`], or `None` when the handler does not support shared
-    /// reads (the default — thieves then keep the own-shard fallback).
-    fn read_view(&self) -> Option<Box<dyn ReadView>> {
-        None
-    }
-
     /// Bytes of state a full restart of this shard would reload — the
     /// input to the restart model. Read on faults and restarts only.
     fn state_bytes(&self) -> u64;
@@ -180,9 +137,6 @@ pub trait SessionHandler {
 #[derive(Debug)]
 pub struct KvHandler {
     store: sdrad_kvstore::Store,
-    /// Bumped on every request that can mutate the store — the
-    /// staleness stamp for published [`KvReadView`]s.
-    version: u64,
 }
 
 impl KvHandler {
@@ -191,7 +145,6 @@ impl KvHandler {
     pub fn new(config: sdrad_kvstore::StoreConfig) -> Self {
         KvHandler {
             store: sdrad_kvstore::Store::new(config),
-            version: 0,
         }
     }
 
@@ -201,31 +154,9 @@ impl KvHandler {
         &self.store
     }
 
-    /// Write access for bulk setup before load starts. Conservatively
-    /// counts as a state change — any view published before the caller's
-    /// edits must go stale.
+    /// Write access for bulk setup before load starts.
     pub fn store_mut(&mut self) -> &mut sdrad_kvstore::Store {
-        self.version += 1;
         &mut self.store
-    }
-}
-
-/// [`ReadView`] over a frozen snapshot of one `KvHandler` shard: `get`s
-/// are answered from a plain `HashMap` copy, everything else returns
-/// `None` so the thief's own-shard fallback (and its accounting)
-/// handles it.
-struct KvReadView {
-    entries: std::collections::HashMap<String, Vec<u8>>,
-}
-
-impl ReadView for KvReadView {
-    fn serve_read(&self, _client: ClientId, request: &[u8]) -> Option<Reply> {
-        use sdrad_kvstore::{parse_command, Command};
-        let (Command::Get(key), _) = parse_command(request).ok()? else {
-            return None;
-        };
-        let value = self.entries.get(key).map(Vec::as_slice);
-        Some(Reply::ok(render_get(key, value)))
     }
 }
 
@@ -272,7 +203,7 @@ impl Default for KvHandler {
 impl SessionHandler for KvHandler {
     fn handle(&mut self, iso: &mut WorkerIsolation, client: ClientId, request: &[u8]) -> Reply {
         use sdrad_kvstore::{
-            parse_command, process_unprotected_command, try_stage_command, Command, Response,
+            parse_command, process_unprotected_command, try_stage_command, Response,
         };
 
         let cmd = match parse_command(request) {
@@ -284,12 +215,6 @@ impl SessionHandler for KvHandler {
                 }
             }
         };
-        // Anything that can mutate the store goes stale-stamps any
-        // published read view. Conservative: a mutation that faults and
-        // rewinds bumps too, costing at worst one spare republish.
-        if !matches!(cmd, Command::Get(_) | Command::Stats) {
-            self.version += 1;
-        }
         self.store.advance(1);
 
         if iso.is_isolated() {
@@ -347,28 +272,13 @@ impl SessionHandler for KvHandler {
     fn steal_class(&self, request: &[u8]) -> StealClass {
         use sdrad_kvstore::{parse_command, Command};
         match parse_command(request) {
-            // Lookups and counter reads touch nothing a sibling shard
-            // could corrupt; a thief answering a `get` from its own
-            // (different) store shard is a cache miss, not divergence.
+            // Lookups and counter reads leave the store as it was;
+            // `set`/`delete`/`flush_all` change it, `xstat` is the
+            // planted bug, and anything unparseable counts as a
+            // mutation too.
             Ok((Command::Get(_) | Command::Stats, _)) => StealClass::ReadOnly,
-            // `set`/`delete`/`flush_all` mutate the owner's store;
-            // `xstat` (the planted bug) must fault inside the owner's
-            // accounting; anything unparseable is the owner's problem.
             _ => StealClass::Mutation,
         }
-    }
-
-    fn state_version(&self) -> u64 {
-        self.version
-    }
-
-    fn read_view(&self) -> Option<Box<dyn ReadView>> {
-        let entries = self
-            .store
-            .entries()
-            .map(|(key, value)| (key.to_owned(), value.to_vec()))
-            .collect();
-        Some(Box::new(KvReadView { entries }))
     }
 
     fn state_bytes(&self) -> u64 {
@@ -520,18 +430,6 @@ impl SessionHandler for HttpHandler {
                     response: HttpResponse::text(Status::BadRequest, "bad request").to_bytes(),
                 }
             }
-        }
-    }
-
-    fn steal_class(&self, request: &[u8]) -> StealClass {
-        use sdrad_httpd::{scan_request, Method};
-        match scan_request(request) {
-            // Static content is published identically on every shard by
-            // the factory, so a GET answers the same bytes anywhere.
-            Ok((parsed, _consumed)) if parsed.method == Method::Get => StealClass::ReadOnly,
-            // POSTs include the vulnerable chunked decoder: keep them —
-            // and their contained faults — on the owner's books.
-            _ => StealClass::Mutation,
         }
     }
 
@@ -751,26 +649,6 @@ impl SessionHandler for TlsHandler {
         }
     }
 
-    fn steal_class(&self, request: &[u8]) -> StealClass {
-        use sdrad_tls::{ContentType, Record};
-        match Record::parse(request) {
-            // Echo and handshake-ack records are stateless.
-            Ok((record, _consumed))
-                if matches!(
-                    record.content_type,
-                    ContentType::ApplicationData | ContentType::Handshake | ContentType::Alert
-                ) =>
-            {
-                StealClass::ReadOnly
-            }
-            // Heartbeats touch the shard's counter and (baseline) its
-            // secret-bearing arena — owner-only, which also keeps every
-            // Heartbleed probe aimed at the shard whose secret it
-            // targets.
-            _ => StealClass::Mutation,
-        }
-    }
-
     fn state_bytes(&self) -> u64 {
         self.secret.len() as u64
     }
@@ -805,52 +683,6 @@ mod tests {
         let got = handler.handle(&mut iso, client, b"get k\r\n");
         assert_eq!(got.response, b"VALUE k 3\r\nabc\r\nEND\r\n");
         assert_eq!(got.disposition, Disposition::Ok);
-    }
-
-    #[test]
-    fn kv_read_view_serves_gets_byte_identical_to_the_owner() {
-        let mut handler = KvHandler::default();
-        let mut iso = iso(IsolationMode::PerClientDomain);
-        let client = ClientId(3);
-        handler.handle(&mut iso, client, b"set k 3\r\nabc\r\n");
-
-        let view = handler.read_view().expect("kv shards publish views");
-        let shared = view
-            .serve_read(ClientId(99), b"get k\r\n")
-            .expect("gets are view-servable");
-        let owner = handler.handle(&mut iso, client, b"get k\r\n");
-        assert_eq!(shared.response, owner.response, "byte-identical answers");
-        assert_eq!(shared.disposition, Disposition::Ok);
-
-        let miss = view.serve_read(ClientId(99), b"get absent\r\n").unwrap();
-        assert_eq!(miss.response, b"END\r\n");
-        assert!(
-            view.serve_read(ClientId(99), b"stats\r\n").is_none(),
-            "stats falls back to the thief's own handler"
-        );
-        assert!(
-            view.serve_read(ClientId(99), b"set k 1\r\nx\r\n").is_none(),
-            "mutations are never view-servable"
-        );
-    }
-
-    #[test]
-    fn kv_state_version_moves_only_on_mutations() {
-        let mut handler = KvHandler::default();
-        let mut iso = iso(IsolationMode::PerClientDomain);
-        let v0 = handler.state_version();
-        handler.handle(&mut iso, ClientId(1), b"get k\r\n");
-        handler.handle(&mut iso, ClientId(1), b"stats\r\n");
-        assert_eq!(handler.state_version(), v0, "reads leave views fresh");
-        handler.handle(&mut iso, ClientId(1), b"set k 1\r\nv\r\n");
-        assert!(handler.state_version() > v0, "writes stale-stamp views");
-
-        // A view frozen before a write answers from the old state —
-        // stale but consistent — until republished.
-        let view = handler.read_view().unwrap();
-        handler.handle(&mut iso, ClientId(1), b"set k 1\r\nw\r\n");
-        let old = view.serve_read(ClientId(9), b"get k\r\n").unwrap();
-        assert_eq!(old.response, b"VALUE k 1\r\nv\r\nEND\r\n");
     }
 
     #[test]
@@ -1030,31 +862,6 @@ mod tests {
             "the planted bug must fault on the owner"
         );
         assert_eq!(handler.steal_class(b"garbage\r\n"), StealClass::Mutation);
-    }
-
-    #[test]
-    fn http_and_tls_steal_classes() {
-        use sdrad_tls::{heartbeat_request, ContentType, Record};
-        let http = HttpHandler::new();
-        assert_eq!(
-            http.steal_class(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"),
-            StealClass::ReadOnly
-        );
-        assert_eq!(
-            http.steal_class(
-                b"POST /upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"
-            ),
-            StealClass::Mutation
-        );
-        let tls = TlsHandler::default();
-        let echo = Record::new(ContentType::ApplicationData, b"hi".to_vec())
-            .unwrap()
-            .to_bytes();
-        assert_eq!(tls.steal_class(&echo), StealClass::ReadOnly);
-        let heartbeat = Record::new(ContentType::Heartbeat, heartbeat_request(2, b"hb"))
-            .unwrap()
-            .to_bytes();
-        assert_eq!(tls.steal_class(&heartbeat), StealClass::Mutation);
     }
 
     #[test]

@@ -11,29 +11,22 @@
 //!   hot path takes no locks), draining its shard's queue **and pumping
 //!   the connections assigned to its shard**. Scheduling is
 //!   **readiness-driven**: the worker parks indefinitely on a per-shard
-//!   wake set fed by queue pushes, `sdrad-net` readiness callbacks and
-//!   sibling steal hints — an idle runtime performs **zero** periodic
-//!   connection polls. Pump passes are bounded by a per-connection
-//!   **read budget** (fairness against noisy pipeliners), silent
-//!   connections can be **reaped** (`RuntimeConfig::idle_reap_after`),
-//!   and [`RuntimeConfig::work_stealing`] selects a [`StealPolicy`]:
-//!   under [`Deep`](StealPolicy::Deep) an idle worker steals pre-framed
-//!   requests off the most-loaded sibling queue and lifts
-//!   framing-complete requests off sibling **connection buffers** —
-//!   read-only frames (per [`SessionHandler::steal_class`]) execute on
-//!   the thief, a shard-state **mutation stops the thief** and stays in
-//!   the buffer for the owner's own pump, and responses keep frame
-//!   order, so stealing is safe for shard-stateful handlers.
-//!   Connections themselves never move: they stay sticky for domain
-//!   affinity;
+//!   wake set fed by queue pushes and `sdrad-net` readiness callbacks —
+//!   an idle runtime performs **zero** periodic connection polls. Pump
+//!   passes are bounded by a per-connection **read budget** (fairness
+//!   against noisy pipeliners), and silent connections can be
+//!   **reaped** (`RuntimeConfig::idle_reap_after`). A client's requests
+//!   and its connection never leave its shard: the owning worker alone
+//!   touches that shard's state and its client domains (*Unlimited
+//!   Lives*' owner-domain rule);
 //! * [`Runtime`] — a shard-by-[`ClientId`] dispatcher with **bounded**
 //!   per-worker queues and backpressure: a saturated shard sheds
 //!   requests instead of growing without bound. [`Runtime::quiesce`]
 //!   is a **generation-counted barrier**: it observes every shard's
 //!   park state and proves (via a runtime-wide signal generation
 //!   counter) that the observations were simultaneous — exact even
-//!   under concurrent producers and in-flight steals, with no
-//!   stream-looks-quiet heuristics;
+//!   under concurrent producers, with no stream-looks-quiet
+//!   heuristics;
 //! * the server layer — **connection-level serving**: [`ConnectionServer`]
 //!   runs an accept loop over an `sdrad-net` [`Listener`], hands each
 //!   accepted connection to its sticky shard, and the shard's worker
@@ -50,21 +43,18 @@
 //!   [`Disposition::SecretLeak`] in the baseline);
 //! * [`RuntimeStats`] — per-worker and aggregate throughput, contained
 //!   faults, rewind time, crashes, leaks, shed counts, park/wakeup
-//!   counters, steal and reap counts, plus **streaming latency
+//!   counters and reap counts, plus **streaming latency
 //!   histograms** ([`LatencyHistogram`]) giving p50/p99/p999 per
 //!   disposition (ok / contained / shed), with a reconciliation
 //!   invariant (protocol-level fault counts must equal each worker's
 //!   `DomainManager` rewinds, histograms must carry one sample per
-//!   counted request, stolen work must balance between the queues' and
-//!   the thieves' books). The books are counts and measurements only:
+//!   counted request). The books are counts and measurements only:
 //!   restarts record the state bytes they reloaded, and `sdrad-bench`
 //!   prices recovery through `sdrad-energy` after the run.
 //!
-//! The experiments e15 (pre-framed submits), e16 (full connection
-//! path, all three workloads, `sdrad-faultsim`-scheduled attacks) and
-//! e18 (no stealing vs deep stealing under a hot-shard skew: steal
-//! depth, state confinement, stranded stalls, fleet energy of stranded
-//! capacity) sweep this runtime baseline vs isolated; run one with
+//! The experiments e15 (pre-framed submits) and e16 (full connection
+//! path, all three workloads, `sdrad-faultsim`-scheduled attacks) sweep
+//! this runtime baseline vs isolated; run one with
 //! `cargo run --release -p sdrad-bench --bin bench_report -- e15`.
 //!
 //! ## Example
@@ -120,12 +110,10 @@ mod stats;
 mod wake;
 mod worker;
 
-pub use handler::{
-    Framing, HttpHandler, KvHandler, ReadView, Reply, SessionHandler, StealClass, TlsHandler,
-};
+pub use handler::{Framing, HttpHandler, KvHandler, Reply, SessionHandler, StealClass, TlsHandler};
 pub use isolation::{IsolationMode, WorkerIsolation};
 pub use queue::{Completion, Disposition, Request, ShardQueue, Ticket};
-pub use runtime::{Dispatcher, Runtime, RuntimeConfig, StealPolicy, SubmitOutcome};
+pub use runtime::{Dispatcher, Runtime, RuntimeConfig, SubmitOutcome};
 // The control-plane vocabulary a runtime embedder needs, re-exported so
 // harnesses configure admission control and read the closed books
 // without a direct `sdrad-control` dependency.

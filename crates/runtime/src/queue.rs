@@ -9,20 +9,11 @@
 //!
 //! ## Data plane
 //!
-//! The queue is built from two lock-free structures (see
-//! [`sdrad_nolock`]):
-//!
-//! * an intrusive **MPSC inbox** (Vyukov) that producers push into with
-//!   one `XCHG`;
-//! * a bounded **MPMC steal buffer** the owner *publishes* surplus work
-//!   into. Thieves pop the buffer and never touch the owner's pump
-//!   loop, which is what makes a steal storm unable to stall the
-//!   owner's drain: [`steal_where`](ShardQueue::steal_where) reads
-//!   only the buffer.
-//!
-//! Capacity admission is a CAS on a depth counter, **reserved before**
-//! the push and released when a worker claims the request, so the bound
-//! is exact without any lock.
+//! The queue is an intrusive **MPSC inbox** (Vyukov, see
+//! [`sdrad_nolock`]) that producers push into with one `XCHG`, plus
+//! admission: a CAS on a depth counter, **reserved before** the push and
+//! released when the owner claims the request, so the bound is exact
+//! without any lock.
 //!
 //! Each queue owns its shard's [`WakeSet`](crate::wake::WakeSet), the
 //! one place anything in the runtime blocks: pushes, kicks and stop
@@ -30,20 +21,14 @@
 //! parks on that set; a standalone consumer parks on it inside
 //! [`pop_batch`](ShardQueue::pop_batch). [`ShardQueue::kick`] rouses the
 //! worker without enqueueing anything (used when a new connection is
-//! assigned to the shard). When work stealing is enabled the
-//! queue rings sibling *steal bells* whenever its backlog crosses the
-//! high-water mark and again whenever the owner publishes surplus, and
-//! the steal-at-most-half policy is enforced twice: the owner publishes
-//! at most half its backlog, and one steal call takes at most half the
-//! published buffer. The `stolen` counter feeds the reconciliation
-//! invariant that cross-checks against the thieves' own accounting.
+//! assigned to the shard).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use sdrad::ClientId;
-use sdrad_nolock::{Bounded, FrameBuf, MpscQueue};
+use sdrad_nolock::{FrameBuf, MpscQueue};
 
 use crate::wake::WakeSet;
 use sdrad_telemetry::LatencyHistogram;
@@ -206,89 +191,44 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// A bounded MPSC queue feeding exactly one worker, with a lock-free
-/// steal buffer idle siblings [steal](Self::steal_where) from.
+/// A bounded MPSC queue feeding exactly one worker.
 pub struct ShardQueue {
     /// Lock-free submission inbox.
     inbox: MpscQueue<Request>,
-    /// The steal buffer: surplus the owner published for thieves.
-    buffer: Bounded<Request>,
     capacity: usize,
-    /// External requests currently admitted (inbox + buffer). Reserved
-    /// by CAS **before** the push, released when a worker claims the
-    /// request — the exact capacity bound, without a lock.
+    /// External requests currently admitted. Reserved by CAS **before**
+    /// the push, released when the worker claims the request — the
+    /// exact capacity bound, without a lock.
     admitted: AtomicUsize,
     stopped: AtomicBool,
     shed: AtomicU64,
     submitted: AtomicU64,
-    stolen: AtomicU64,
     shed_latency: Mutex<LatencyHistogram>,
     /// The shard's wake set: signalled by every push, kick and stop;
     /// the one thing this queue's consumer parks on.
     wakes: Arc<WakeSet>,
-    /// Sibling wake sets to ring when the backlog crosses
-    /// `steal_watermark` or surplus is published; wired only when work
-    /// stealing is enabled.
-    steal_bells: OnceLock<Vec<Arc<WakeSet>>>,
-    steal_watermark: AtomicUsize,
-    next_bell: AtomicUsize,
 }
 
 impl ShardQueue {
     /// A queue holding at most `capacity` pending requests.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         ShardQueue {
             inbox: MpscQueue::new(),
-            buffer: Bounded::new(capacity.next_power_of_two().clamp(8, 1024)),
-            capacity,
+            capacity: capacity.max(1),
             admitted: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             shed_latency: Mutex::new(LatencyHistogram::new()),
             wakes: Arc::new(WakeSet::new()),
-            steal_bells: OnceLock::new(),
-            steal_watermark: AtomicUsize::new(usize::MAX),
-            next_bell: AtomicUsize::new(0),
         }
     }
 
     /// The shard's wake set this queue signals: the runtime hands it to
-    /// the shard's worker, its connections and its siblings' bells.
+    /// the shard's worker and its connections.
     pub(crate) fn wakes(&self) -> &Arc<WakeSet> {
         &self.wakes
-    }
-
-    /// Wires the sibling wake sets this queue rings when its backlog
-    /// reaches `watermark` pending requests (steal hints). Called once,
-    /// before the runtime starts accepting.
-    pub(crate) fn set_steal_bells(&self, bells: Vec<Arc<WakeSet>>, watermark: usize) {
-        self.steal_watermark
-            .store(watermark.max(1), Ordering::Relaxed);
-        assert!(self.steal_bells.set(bells).is_ok(), "bells wired once");
-    }
-
-    /// Rings the next sibling's steal bell, round-robin.
-    fn ring_steal_bell(&self) {
-        if let Some(bells) = self.steal_bells.get() {
-            if bells.is_empty() {
-                return;
-            }
-            let pick = self.next_bell.fetch_add(1, Ordering::Relaxed) % bells.len();
-            bells[pick].hint_steal();
-        }
-    }
-
-    /// Rings a sibling's steal bell when the backlog is at or past the
-    /// high-water mark (the early hint; published surplus rings again).
-    fn maybe_ring_steal_bell(&self, backlog: usize) {
-        if backlog < self.steal_watermark.load(Ordering::Relaxed) {
-            return;
-        }
-        self.ring_steal_bell();
     }
 
     fn shed_request(&self, request: &Request) -> bool {
@@ -344,9 +284,7 @@ impl ShardQueue {
         let request = match self.inbox.push(request) {
             Ok(()) => {
                 self.submitted.fetch_add(1, Ordering::Relaxed);
-                let backlog = self.len();
                 self.wakes.signal_queue();
-                self.maybe_ring_steal_bell(backlog);
                 return true;
             }
             Err(request) => request,
@@ -356,143 +294,17 @@ impl ShardQueue {
         self.shed_request(&request)
     }
 
-    /// Takes up to `max` published requests passing `stealable` for an
-    /// **idle sibling** worker — at most half the steal buffer per
-    /// call, so concurrent thieves (and the owner's reclaim) share the
-    /// surplus. Thieves never touch the owner's inbox: only work the
-    /// owner explicitly [published](Self::drain_publishing) is
-    /// reachable, which is what makes a steal storm unable to stall the
-    /// owner's drain. The count is recorded in [`stolen`](Self::stolen)
-    /// for reconciliation.
-    ///
-    /// The publisher applies the same classification when it publishes,
-    /// so in steady state every buffered request passes; a request that
-    /// does not is returned to the shard — to the inbox when it is
-    /// open, else back into the buffer — never dropped.
-    pub fn steal_where(&self, max: usize, stealable: impl Fn(&Request) -> bool) -> Vec<Request> {
-        let occupancy = self.buffer.len();
-        if occupancy == 0 {
-            return Vec::new();
-        }
-        let quota = occupancy.div_ceil(2).min(max.max(1));
-        let mut batch = Vec::new();
-        let mut rejected = Vec::new();
-        while batch.len() < quota {
-            match self.buffer.pop() {
-                Some(request) if stealable(&request) => batch.push(request),
-                Some(request) => rejected.push(request),
-                None => break,
-            }
-        }
-        for _ in &batch {
-            self.release_claim();
-        }
-        self.stolen.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if !rejected.is_empty() {
-            // Conservation over ordering: a rejected request must land
-            // somewhere the owner can still claim it.
-            for mut request in rejected {
-                loop {
-                    request = match self.inbox.push(request) {
-                        Ok(()) => break,
-                        Err(back) => back,
-                    };
-                    request = match self.buffer.push(request) {
-                        Ok(()) => break,
-                        Err(back) => back,
-                    };
-                    std::thread::yield_now();
-                }
-            }
-            self.wakes.signal_queue();
-        }
-        batch
-    }
-
-    /// Requests taken off this queue by sibling workers.
-    #[must_use]
-    pub fn stolen(&self) -> u64 {
-        self.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Pops inbox requests into `batch` up to `max`, releasing their
-    /// depth reservations; once the inbox is exhausted, reclaims
-    /// published-but-unstolen work from the steal buffer (the owner
-    /// taking its surplus back — not counted as stolen).
-    fn fill(&self, batch: &mut Vec<Request>, max: usize) {
-        while batch.len() < max {
-            match self.inbox.pop() {
-                Some(request) => {
-                    self.release_claim();
-                    batch.push(request);
-                }
-                None => break,
-            }
-        }
-        if batch.len() < max && self.inbox.is_empty() {
-            while batch.len() < max {
-                match self.buffer.pop() {
-                    Some(request) => {
-                        self.release_claim();
-                        batch.push(request);
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-
-    /// The owner's drain: pops up to `max` requests for its own batch,
-    /// then **publishes** up to half the remaining inbox backlog into
-    /// the steal buffer — only requests passing `publishable` (the
-    /// shard's steal classification); mutations stay in the owner's
-    /// batch (which may therefore exceed `max` by a bounded amount
-    /// rather than head-block publication). Rings a
-    /// sibling steal bell when anything was published. Reclaims the
-    /// buffer when the inbox runs dry, so published work is never
-    /// stranded.
-    pub fn drain_publishing(
-        &self,
-        max: usize,
-        publishable: impl Fn(&Request) -> bool,
-    ) -> Vec<Request> {
-        let max = max.max(1);
-        let mut batch = Vec::new();
-        self.fill(&mut batch, max);
-        let surplus = self.inbox.len();
-        let space = self.buffer.capacity().saturating_sub(self.buffer.len());
-        let quota = (surplus / 2).min(space);
-        let mut published = 0usize;
-        while published < quota && batch.len() < max.saturating_mul(2) {
-            match self.inbox.pop() {
-                Some(request) => {
-                    if publishable(&request) {
-                        match self.buffer.push(request) {
-                            Ok(()) => published += 1,
-                            Err(request) => {
-                                self.release_claim();
-                                batch.push(request);
-                                break;
-                            }
-                        }
-                    } else {
-                        self.release_claim();
-                        batch.push(request);
-                    }
-                }
-                None => break,
-            }
-        }
-        if published > 0 {
-            self.ring_steal_bell();
-        }
-        batch
-    }
-
-    /// Pops up to `max` pending requests without blocking.
+    /// Pops up to `max` pending requests without blocking, releasing
+    /// their depth reservations.
     pub fn try_drain(&self, max: usize) -> Vec<Request> {
         let mut requests = Vec::new();
-        self.fill(&mut requests, max.max(1));
+        while requests.len() < max.max(1) {
+            let Some(request) = self.inbox.pop() else {
+                break;
+            };
+            self.release_claim();
+            requests.push(request);
+        }
         requests
     }
 
@@ -518,7 +330,7 @@ impl ShardQueue {
             } else if self.is_stopped() {
                 return None;
             } else {
-                // Kicks and steal hints wake this too; the loop re-checks.
+                // Kicks wake this too; the loop re-checks.
                 let signals = self.wakes.wait();
                 self.wakes.recycle_conns(signals.conns);
             }
@@ -566,8 +378,7 @@ impl ShardQueue {
         self.submitted.load(Ordering::Relaxed)
     }
 
-    /// Pending (accepted, not yet claimed by a worker) requests,
-    /// including published-but-unstolen work in the steal buffer.
+    /// Pending (accepted, not yet claimed by the worker) requests.
     #[must_use]
     pub fn len(&self) -> usize {
         self.admitted.load(Ordering::SeqCst)
@@ -585,7 +396,6 @@ impl std::fmt::Debug for ShardQueue {
         f.debug_struct("ShardQueue")
             .field("capacity", &self.capacity)
             .field("pending", &self.len())
-            .field("published", &self.buffer.len())
             .field("shed", &self.shed())
             .finish()
     }
@@ -665,86 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_publishes_at_most_half_and_thieves_split_the_buffer() {
-        let queue = ShardQueue::new(16);
-        for i in 0..10 {
-            queue.try_push(request(i));
-        }
-        // The owner drains its batch and publishes half the surplus.
-        let own = queue.drain_publishing(2, |_| true);
-        let owners: Vec<u64> = own.iter().map(|r| r.client.0).collect();
-        assert_eq!(owners, vec![0, 1], "owner serves the oldest first");
-
-        // Surplus was 8 → at most 4 published; a thief takes at most
-        // half the buffer per call.
-        let first = queue.steal_where(64, |_| true);
-        let clients: Vec<u64> = first.iter().map(|r| r.client.0).collect();
-        assert_eq!(clients, vec![2, 3], "half of the published surplus");
-        assert_eq!(queue.steal_where(64, |_| true).len(), 1, "ceil(2/2)");
-        assert_eq!(queue.steal_where(64, |_| true).len(), 1);
-        assert!(
-            queue.steal_where(64, |_| true).is_empty(),
-            "buffer exhausted"
-        );
-        assert_eq!(queue.stolen(), 4);
-
-        // What was never published stays with the owner, in order.
-        let rest = queue.pop_batch(16).unwrap();
-        let clients: Vec<u64> = rest.iter().map(|r| r.client.0).collect();
-        assert_eq!(clients, vec![6, 7, 8, 9]);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn owner_reclaims_published_work_nobody_stole() {
-        let queue = ShardQueue::new(16);
-        for i in 0..4 {
-            queue.try_push(request(i));
-        }
-        let own = queue.drain_publishing(1, |_| true);
-        assert_eq!(own.len(), 1);
-        assert_eq!(queue.len(), 3, "published work still counts as pending");
-        // No thief showed up: the owner's next drain takes everything,
-        // and none of it counts as stolen.
-        let rest = queue.try_drain(8);
-        assert_eq!(rest.len(), 3);
-        assert_eq!(queue.stolen(), 0);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn publication_respects_the_steal_classification() {
-        let queue = ShardQueue::new(16);
-        for i in 0..10 {
-            queue.try_push(request(i));
-        }
-        // Only even clients are "read-only" in this toy classification:
-        // odd ones must stay in the owner's batch, never the buffer.
-        let own = queue.drain_publishing(2, |r| r.client.0 % 2 == 0);
-        let stolen = queue.steal_where(64, |_| true);
-        assert!(stolen.iter().all(|r| r.client.0 % 2 == 0));
-        assert!(own.iter().chain(stolen.iter()).count() <= 10);
-        // Everything is eventually claimed exactly once.
-        let mut seen: Vec<u64> = own
-            .iter()
-            .chain(stolen.iter())
-            .map(|r| r.client.0)
-            .collect();
-        while let Some(batch) = {
-            let b = queue.try_drain(16);
-            if b.is_empty() {
-                None
-            } else {
-                Some(b)
-            }
-        } {
-            seen.extend(batch.iter().map(|r| r.client.0));
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn owned_wakeset_sees_push_kick_and_stop() {
         let queue = ShardQueue::new(4);
         let wakes = queue.wakes();
@@ -755,35 +485,6 @@ mod tests {
         assert!(wakes.wait().queue, "kick signals");
         queue.stop();
         assert!(wakes.wait().stopped, "stop signals");
-    }
-
-    #[test]
-    fn crossing_the_watermark_rings_a_sibling_bell() {
-        use crate::wake::WakeSet;
-        let queue = ShardQueue::new(16);
-        let bell = Arc::new(WakeSet::new());
-        queue.set_steal_bells(vec![Arc::clone(&bell)], 3);
-
-        queue.try_push(request(0));
-        queue.try_push(request(1));
-        queue.try_push(request(2)); // backlog reaches the watermark
-        let signals = bell.wait();
-        assert!(signals.steal, "watermark rings the bell");
-        assert!(!signals.queue, "a hint is not the sibling's own queue");
-    }
-
-    #[test]
-    fn publishing_surplus_rings_a_sibling_bell() {
-        use crate::wake::WakeSet;
-        let queue = ShardQueue::new(16);
-        let bell = Arc::new(WakeSet::new());
-        queue.set_steal_bells(vec![Arc::clone(&bell)], usize::MAX);
-
-        for i in 0..8 {
-            queue.try_push(request(i));
-        }
-        let _ = queue.drain_publishing(2, |_| true);
-        assert!(bell.wait().steal, "publication rings the bell");
     }
 
     #[test]

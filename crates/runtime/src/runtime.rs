@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 use sdrad::ClientId;
 use sdrad_control::ControlConfig;
 use sdrad_net::Endpoint;
-use sdrad_nolock::{HazardDomain, Shared};
 use sdrad_telemetry::{
     Collector, EventKind, LatencyHistogram, LiveTotals, LogicalClock, Recorder, ShedReason, Source,
     StreamingConfig, TelemetryConfig, TelemetrySnapshot, TraceLog, TraceRing,
@@ -18,45 +17,9 @@ use crate::control_hub::{ControlHub, Routing};
 use crate::handler::SessionHandler;
 use crate::isolation::{IsolationMode, WorkerIsolation};
 use crate::queue::{Request, ShardQueue, Ticket};
-use crate::server::{ConnInbox, ConnRegistry, Connection};
+use crate::server::{ConnInbox, Connection};
 use crate::stats::{LiveCounters, RuntimeStats, StatsSnapshot, TelemetryReport};
-use crate::wake::WakeSet;
-use crate::worker::{ShardView, Worker};
-
-/// Whether — and how deep — an idle worker steals work from loaded
-/// siblings ([`RuntimeConfig::work_stealing`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// No stealing (the default): every request runs on its client's
-    /// sticky shard. The safe choice for any workload.
-    #[default]
-    Disabled,
-    /// The deep policy: an idle worker takes pre-framed requests off
-    /// the most-loaded sibling queue **plus** framing-complete
-    /// requests lifted directly off sibling *connection buffers*
-    /// (through each connection's shared tray; the endpoint — readiness
-    /// callbacks, lifecycle, stats — never moves), made safe for
-    /// shard-stateful handlers by classification
-    /// ([`SessionHandler::steal_class`]): read-only requests execute on
-    /// the thief, while a **mutation stops the thief** — it and every
-    /// frame behind it stay in the connection buffer for the owner's
-    /// own pump, which answers in frame order. Queue steals are
-    /// classification-filtered too, so state never mutates off its
-    /// owner shard; a stateless handler that classifies everything
-    /// [`ReadOnly`](crate::StealClass::ReadOnly) gets every queued
-    /// request stolen freely.
-    ///
-    /// [`SessionHandler::steal_class`]: crate::SessionHandler::steal_class
-    Deep,
-}
-
-impl StealPolicy {
-    /// Whether any stealing happens under this policy.
-    #[must_use]
-    pub fn is_enabled(self) -> bool {
-        self != StealPolicy::Disabled
-    }
-}
+use crate::worker::Worker;
 
 /// Configuration of one runtime instance.
 #[derive(Debug, Clone, Copy)]
@@ -78,14 +41,6 @@ pub struct RuntimeConfig {
     /// worker moves on — one noisy pipelining client cannot monopolise
     /// a worker.
     pub conn_read_budget: usize,
-    /// Whether — and how deep — an idle worker steals work from loaded
-    /// siblings. Connections always stay sticky to their owner shard
-    /// (domain affinity); what moves depends on the policy: nothing
-    /// ([`StealPolicy::Disabled`], the default), or read-only queue
-    /// items plus framing-complete read-only requests off sibling
-    /// connection buffers, with mutations left to their owner
-    /// ([`StealPolicy::Deep`]).
-    pub work_stealing: StealPolicy,
     /// Close connections that made no progress for this many pump
     /// passes (`None` disables the reaper). Passes advance once per
     /// wake, so a fully idle runtime — which by design never ticks —
@@ -143,7 +98,6 @@ impl RuntimeConfig {
             domains_per_worker: 8,
             domain_heap: 1 << 20,
             conn_read_budget: 32,
-            work_stealing: StealPolicy::Disabled,
             idle_reap_after: None,
             control: None,
             telemetry: TelemetryConfig::Off,
@@ -182,10 +136,6 @@ pub enum SubmitOutcome {
 pub struct Dispatcher {
     queues: Vec<Arc<ShardQueue>>,
     inboxes: Vec<Arc<ConnInbox>>,
-    /// Per-shard live-connection trays, published for deep-steal
-    /// siblings (and the source of the `conn_stolen` reconciliation
-    /// counter).
-    registries: Vec<Arc<ConnRegistry>>,
     /// Shards regular clients hash over — excludes the blast-pit shard
     /// (when a control plane is enabled), which only quarantined
     /// clients are routed to.
@@ -281,12 +231,7 @@ impl Dispatcher {
             self.attached.fetch_add(1, Ordering::SeqCst);
             return;
         };
-        let conn = Connection::new(client, endpoint);
-        // Published before the inbox push: a deep-steal thief may start
-        // draining the tray even before the owner adopts the
-        // connection (the kick below guarantees adoption regardless).
-        self.registries[shard].register(Arc::clone(&conn.tray));
-        self.inboxes[shard].push(conn);
+        self.inboxes[shard].push(Connection::new(client, endpoint));
         self.queues[shard].kick();
         self.attached.fetch_add(1, Ordering::SeqCst);
     }
@@ -348,13 +293,6 @@ pub struct Runtime {
     /// [`TraceLog`] and closes its delivery books into
     /// [`TelemetryReport::streaming`].
     collector: Option<Arc<Collector>>,
-    /// The shared-read hazard domain (deep stealing only): shutdown
-    /// drains it after the final views retire and closes its books
-    /// into [`RuntimeStats::hazard`](crate::RuntimeStats::hazard).
-    hazard: Option<Arc<HazardDomain>>,
-    /// Every shard's published read-view cell, dropped at shutdown so
-    /// the final views retire through the domain before it is drained.
-    view_cells: Vec<Arc<Shared<ShardView>>>,
     handles: Vec<JoinHandle<crate::worker::WorkerStats>>,
     started: Instant,
 }
@@ -406,21 +344,6 @@ impl Runtime {
         let hub = config
             .control
             .map(|control| Arc::new(ControlHub::new(control, workers - 1, control_recorder)));
-        // One hazard domain for the whole runtime (deep stealing only):
-        // every shard's published read view retires through it, and
-        // shutdown reconciles its retire/reclaim books exactly.
-        let hazard = config
-            .work_stealing
-            .is_enabled()
-            .then(|| Arc::new(HazardDomain::new()));
-        let view_cells: Vec<Arc<Shared<ShardView>>> = hazard
-            .as_ref()
-            .map(|domain| {
-                (0..workers)
-                    .map(|_| Arc::new(Shared::new(Box::new(ShardView::empty()), domain)))
-                    .collect()
-            })
-            .unwrap_or_default();
         let live: Vec<Arc<LiveCounters>> = (0..workers)
             .map(|_| Arc::new(LiveCounters::default()))
             .collect();
@@ -431,54 +354,22 @@ impl Runtime {
         let inboxes: Vec<Arc<ConnInbox>> = (0..workers)
             .map(|_| Arc::new(ConnInbox::default()))
             .collect();
-        let registries: Vec<Arc<ConnRegistry>> = (0..workers)
-            .map(|_| Arc::new(ConnRegistry::default()))
-            .collect();
-        // Each queue owns its shard's wake set.
-        let wakesets: Vec<Arc<WakeSet>> = queues.iter().map(|q| Arc::clone(q.wakes())).collect();
+        // Each queue owns its shard's wake set; every set bumps the
+        // runtime-wide generation the quiesce barrier reads, wired
+        // before any work can arrive.
         let generation = Arc::new(AtomicU64::new(0));
-        // Wire every wake source *before* any work can arrive: with
-        // stealing on, a queue also rings sibling bells once its backlog
-        // reaches one batch; and every set bumps the runtime-wide
-        // generation the quiesce barrier reads.
-        for (index, queue) in queues.iter().enumerate() {
-            wakesets[index].bind_generation(Arc::clone(&generation));
-            if config.work_stealing.is_enabled() && workers > 1 {
-                let bells: Vec<Arc<WakeSet>> = (0..workers)
-                    .filter(|&peer| peer != index)
-                    .map(|peer| Arc::clone(&wakesets[peer]))
-                    .collect();
-                queue.set_steal_bells(bells, config.batch.max(1));
-            }
+        for queue in &queues {
+            queue.wakes().bind_generation(Arc::clone(&generation));
         }
         let handles = (0..workers)
             .map(|index| {
                 let queue = Arc::clone(&queues[index]);
                 let inbox = Arc::clone(&inboxes[index]);
-                let wakes = Arc::clone(&wakesets[index]);
-                let registry = Arc::clone(&registries[index]);
-                // Steal victims and bells: every shard's queue and
-                // connection registry (self included, skipped by index)
-                // and the sibling wake sets. Empty without stealing.
-                let (peers, peer_registries, peer_wakes) = if config.work_stealing.is_enabled() {
-                    (
-                        queues.clone(),
-                        registries.clone(),
-                        (0..workers)
-                            .filter(|&peer| peer != index)
-                            .map(|peer| Arc::clone(&wakesets[peer]))
-                            .collect(),
-                    )
-                } else {
-                    (Vec::new(), Vec::new(), Vec::new())
-                };
+                let wakes = Arc::clone(queue.wakes());
                 let factory = Arc::clone(&factory);
                 let hub = hub.clone();
-                let shared_generation = Arc::clone(&generation);
                 let recorder = worker_recorders[index].clone();
                 let live = Arc::clone(&live[index]);
-                let hazard = hazard.clone();
-                let view_cells = view_cells.clone();
                 let collector = collector.clone();
                 std::thread::Builder::new()
                     .name(format!("sdrad-worker-{index}"))
@@ -497,16 +388,9 @@ impl Runtime {
                             queue,
                             inbox,
                             wakes,
-                            registry,
-                            peers,
-                            peer_registries,
-                            peer_wakes,
-                            generation: shared_generation,
                             control: hub,
                             recorder,
                             live,
-                            hazard,
-                            view_cells,
                             collector,
                         };
                         Worker::new(index, channels, iso, handler, &config).run()
@@ -518,7 +402,6 @@ impl Runtime {
             dispatcher: Dispatcher {
                 queues,
                 inboxes,
-                registries,
                 hash_shards,
                 control: hub,
                 recorder: dispatcher_recorder,
@@ -528,8 +411,6 @@ impl Runtime {
             live,
             rings,
             collector,
-            hazard,
-            view_cells,
             handles,
             started: Instant::now(),
         }
@@ -543,12 +424,10 @@ impl Runtime {
     }
 
     /// Blocks until the runtime has been observed **quiescent** — a
-    /// generation-counted barrier, exact under concurrent producers and
-    /// in-flight steals:
+    /// generation-counted barrier, exact under concurrent producers:
     ///
     /// 1. snapshot the runtime-wide generation counter (bumped by every
-    ///    wake signal anywhere: queue pushes, readiness edges, steal
-    ///    hints, a thief handing a tray back to its owner);
+    ///    wake signal anywhere: queue pushes, kicks, readiness edges);
     /// 2. observe every shard idle — worker parked on its wake set with
     ///    an empty queue, an empty connection inbox and no pending
     ///    readiness signals;
@@ -556,14 +435,13 @@ impl Runtime {
     ///    anywhere** while the shards were being walked, so the
     ///    per-shard idle observations were simultaneous, not merely
     ///    sequential — without this, a shard checked early could be
-    ///    re-busied by a sibling (a thief releasing a tray gate with
-    ///    frames left behind it, a steal bell) behind the walker's
-    ///    back. Changed means retry.
+    ///    re-busied (a producer's push, a budget-deferred connection
+    ///    re-marking itself) behind the walker's back. Changed means
+    ///    retry.
     ///
     /// On success, every connection byte written before the call has
-    /// been fully served and every steal in flight at the time has
-    /// landed. Returns `false` only on the (defensive) failsafe
-    /// timeout.
+    /// been fully served. Returns `false` only on the (defensive)
+    /// failsafe timeout.
     pub fn quiesce(&self) -> bool {
         // Each shard observation keeps the same per-shard failsafe the
         // one-by-one walk had; the whole barrier (walks plus generation
@@ -707,26 +585,10 @@ impl Runtime {
             }
         }
         let submitted = self.dispatcher.queues.iter().map(|q| q.submitted()).sum();
-        let stolen_submits = self.dispatcher.queues.iter().map(|q| q.stolen()).sum();
-        let conn_stolen = self
-            .dispatcher
-            .registries
-            .iter()
-            .map(|r| r.stolen_frames())
-            .sum();
         let mut shed_latency = LatencyHistogram::new();
         for queue in &self.dispatcher.queues {
             shed_latency.merge(&queue.shed_latency());
         }
-        // Close the shared-read books: dropping the cells retires the
-        // final published views, and with every worker joined no guard
-        // can be live, so the drain completes and the domain's
-        // `retired == reclaimed + pending` law must balance exactly.
-        drop(self.view_cells);
-        let hazard = self.hazard.map(|domain| {
-            while domain.reclaim() > 0 {}
-            domain.stats()
-        });
         // The aggregate shed count derives from the merged histogram, so
         // the two can never disagree even if a racing submitter sheds
         // between per-queue reads.
@@ -734,11 +596,8 @@ impl Runtime {
             shed: shed_latency.len(),
             workers,
             submitted,
-            stolen_submits,
-            conn_stolen,
             shed_latency,
             control: self.dispatcher.control.as_ref().map(|hub| hub.report()),
-            hazard,
             telemetry: None,
             wall: self.started.elapsed(),
         };

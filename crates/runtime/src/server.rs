@@ -23,49 +23,32 @@
 //! arrived before exiting, so a client that wrote its requests before
 //! [`ConnectionServer::shutdown`] always gets its responses.
 //!
-//! ## Connection trays and deep stealing
-//!
-//! Since the deep steal policy ([`StealPolicy::Deep`]), a connection's
-//! staging buffer — bytes received but not yet served — lives in a
-//! shared, lockable [`ConnTray`] rather than worker-private state, and
-//! every shard publishes its live trays in a [`ConnRegistry`] siblings
-//! can scan. An idle thief locks a tray, drains the endpoint's pending
-//! bytes through its [`StreamHandle`] (the endpoint itself — readiness
-//! callbacks, lifecycle, stats — never moves), and lifts the run of
-//! complete read-only frames at the head, stopping at the first
-//! mutation: that frame and everything behind it stay in the tray for
-//! the owner's pump. Response order is preserved by construction: a
-//! thief's extracted run gates the tray (`inflight`) until its last
-//! response is written, and nobody serves frames behind the gate.
+//! A connection never leaves its owner: the worker that adopted it owns
+//! the endpoint *and* its staging buffer ([`Staged`]), and pumps both
+//! without a lock, so responses keep frame order by construction.
 //!
 //! [`Runtime::submit`]: crate::Runtime::submit
-//! [`StealPolicy::Deep`]: crate::StealPolicy::Deep
-//! [`StreamHandle`]: sdrad_net::StreamHandle
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use sdrad::ClientId;
-use sdrad_net::{Endpoint, Listener, StreamHandle};
+use sdrad_net::{Endpoint, Listener};
 use sdrad_nolock::{FrameBuf, MpscQueue};
 
 use crate::handler::SessionHandler;
 use crate::runtime::{Runtime, RuntimeConfig};
 use crate::stats::RuntimeStats;
-use crate::wake::WakeSet;
 
 /// One accepted connection owned by a worker: the server-side endpoint
-/// plus the shared [`ConnTray`] holding the bytes received so far that
-/// have not yet been served.
+/// plus the bytes received so far that have not yet been served.
 #[derive(Debug)]
 pub(crate) struct Connection {
     pub(crate) client: ClientId,
     pub(crate) endpoint: Endpoint,
-    /// The shared staging buffer; also registered in the shard's
-    /// [`ConnRegistry`] so deep-steal siblings can reach it.
-    pub(crate) tray: Arc<ConnTray>,
+    /// Bytes received (off the endpoint) but not yet served. The head
+    /// is always a frame boundary.
+    pub(crate) staged: Staged,
     /// Pump pass (worker-local counter) in which this connection last
     /// made progress — the idle-reaper's clock.
     pub(crate) last_progress_pass: u64,
@@ -73,15 +56,10 @@ pub(crate) struct Connection {
 
 impl Connection {
     pub(crate) fn new(client: ClientId, endpoint: Endpoint) -> Self {
-        let tray = Arc::new(ConnTray {
-            client,
-            stream: endpoint.stream_handle(),
-            state: Mutex::new(TrayState::default()),
-        });
         Connection {
             client,
             endpoint,
-            tray,
+            staged: Staged::default(),
             last_progress_pass: 0,
         }
     }
@@ -91,8 +69,7 @@ impl Connection {
 /// cursor. Taking a frame off the front moves the cursor — O(1), however
 /// much is pipelined behind it — and the consumed prefix is reclaimed
 /// once per refill (or for free when the buffer runs empty), not once
-/// per frame. The owner's pump and a deep-steal thief share this one
-/// type, so both see the same head.
+/// per frame.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     bytes: Vec<u8>,
@@ -146,127 +123,6 @@ impl Staged {
         frame.extend_from_slice(&self.pending()[..n]);
         self.consume(n);
         frame
-    }
-}
-
-/// The lockable inside of a [`ConnTray`].
-#[derive(Debug, Default)]
-pub(crate) struct TrayState {
-    /// Bytes received (off the endpoint) but not yet served. The head
-    /// is always a frame boundary.
-    pub(crate) staged: Staged,
-    /// Read-only frames a thief extracted and is serving lock-free,
-    /// whose responses are not yet written. While non-zero,
-    /// **nobody** serves further frames from this connection — that is
-    /// what keeps pipelined responses in order.
-    pub(crate) inflight: u32,
-    /// Set when the owner retires the connection; thieves skip it.
-    pub(crate) retired: bool,
-    /// Set by a thief that served frames, consumed by the owner's
-    /// idle-reaper so rescued connections do not read as idle.
-    pub(crate) thief_progress: bool,
-    /// The owning worker's wake set and connection token, bound at
-    /// adoption — how a thief re-wakes the owner when it leaves
-    /// actionable bytes behind.
-    owner: Option<(Arc<WakeSet>, usize)>,
-}
-
-/// A connection's shared staging buffer: the *framed-but-unserved*
-/// window of its byte stream, exposed so a work-stealing sibling can
-/// drain completed frames without taking over the endpoint. All serving
-/// of one connection is serialised by this tray's lock (owner and thief
-/// alike), so responses keep frame order.
-#[derive(Debug)]
-pub(crate) struct ConnTray {
-    client: ClientId,
-    /// Thread-safe byte-stream access (drain pending, write responses);
-    /// the endpoint itself stays with the owner.
-    stream: StreamHandle,
-    state: Mutex<TrayState>,
-}
-
-impl ConnTray {
-    pub(crate) fn client(&self) -> ClientId {
-        self.client
-    }
-
-    pub(crate) fn stream(&self) -> &StreamHandle {
-        &self.stream
-    }
-
-    /// Blocking lock — the owner's pump path (a thief holds the lock
-    /// only for microsecond-scale serve bursts).
-    pub(crate) fn lock(&self) -> MutexGuard<'_, TrayState> {
-        self.state.lock().expect("tray lock")
-    }
-
-    /// Non-blocking lock — the thief's path: if the owner (or another
-    /// thief) is mid-serve, stealing from this connection is pointless.
-    pub(crate) fn try_lock(&self) -> Option<MutexGuard<'_, TrayState>> {
-        self.state.try_lock().ok()
-    }
-
-    /// Records which worker owns this connection (wake set + token).
-    pub(crate) fn bind_owner(&self, wakes: Arc<WakeSet>, token: usize) {
-        self.lock().owner = Some((wakes, token));
-    }
-
-    /// Wakes the owning worker to look at this connection again — used
-    /// by thieves that staged bytes they did not serve or released the
-    /// gate. A no-op before adoption (the adoption kick is still
-    /// pending then).
-    pub(crate) fn wake_owner(&self) {
-        let owner = self.lock().owner.clone();
-        if let Some((wakes, token)) = owner {
-            wakes.mark_conn(token);
-        }
-    }
-
-    /// Bytes currently staged (received but unserved) — a load
-    /// heuristic for victim ranking. Non-blocking: reports 0 while the
-    /// tray is being worked, which is fine (a worked tray is not
-    /// stranded).
-    pub(crate) fn staged_len(&self) -> usize {
-        self.try_lock().map_or(0, |st| st.staged.len())
-    }
-}
-
-/// One shard's live connection trays, published for deep-steal
-/// siblings, plus the shard-side count of frames thieves lifted (the
-/// reconciliation counterpart of [`WorkerStats::conn_steals`]).
-///
-/// [`WorkerStats::conn_steals`]: crate::WorkerStats::conn_steals
-#[derive(Debug, Default)]
-pub(crate) struct ConnRegistry {
-    trays: Mutex<Vec<Arc<ConnTray>>>,
-    stolen_frames: AtomicU64,
-}
-
-impl ConnRegistry {
-    pub(crate) fn register(&self, tray: Arc<ConnTray>) {
-        self.trays.lock().expect("registry lock").push(tray);
-    }
-
-    pub(crate) fn deregister(&self, tray: &Arc<ConnTray>) {
-        self.trays
-            .lock()
-            .expect("registry lock")
-            .retain(|t| !Arc::ptr_eq(t, tray));
-    }
-
-    /// Snapshot of the live trays (cheap Arc clones).
-    pub(crate) fn snapshot(&self) -> Vec<Arc<ConnTray>> {
-        self.trays.lock().expect("registry lock").clone()
-    }
-
-    /// Counts `n` frames lifted off this shard's connection buffers.
-    pub(crate) fn note_stolen(&self, n: u64) {
-        self.stolen_frames.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Frames lifted off this shard's connection buffers by thieves.
-    pub(crate) fn stolen_frames(&self) -> u64 {
-        self.stolen_frames.load(Ordering::Relaxed)
     }
 }
 

@@ -39,8 +39,8 @@ pub struct TelemetryReport {
 /// counters may lag the live truth by up to one in-flight pass per
 /// worker, different counters may be from *different* passes (e.g.
 /// `served` from worker 0's newest pass but worker 1's previous one),
-/// and no cross-counter invariant (`ok + faults ≤ served`, steal
-/// conservation) is guaranteed to hold on any single snapshot. The
+/// and no cross-counter invariant (`ok + faults ≤ served`) is
+/// guaranteed to hold on any single snapshot. The
 /// final [`RuntimeStats`] from `shutdown()` is the exact, reconciled
 /// record; this type exists for dashboards and progress probes that
 /// must not perturb the measurement by quiescing it.
@@ -88,14 +88,6 @@ pub struct RuntimeStats {
     pub shed: u64,
     /// Requests accepted across all shards.
     pub submitted: u64,
-    /// Requests taken off shard queues by sibling workers (the queues'
-    /// own count — reconciled against the thieves'
-    /// [`WorkerStats::steals`]).
-    pub stolen_submits: u64,
-    /// Framing-complete requests lifted off connection buffers by
-    /// sibling workers (the shard registries' own count — reconciled
-    /// against the thieves' [`WorkerStats::conn_steals`]).
-    pub conn_stolen: u64,
     /// Time-to-shed histogram across all shards (how fast the fast-fail
     /// rejection path answers — the p99 a shed client experiences).
     pub shed_latency: LatencyHistogram,
@@ -104,13 +96,6 @@ pub struct RuntimeStats {
     /// runtime ran with the static reflexes
     /// ([`RuntimeConfig::control`](crate::RuntimeConfig::control) unset).
     pub control: Option<ControlReport>,
-    /// The shared-read hazard domain's closed books (view objects
-    /// retired, reclaimed and pending) — `None` unless the runtime ran
-    /// with [`StealPolicy::Deep`](crate::StealPolicy::Deep). After a
-    /// clean shutdown the conservation law `retired == reclaimed`
-    /// (pending zero) must hold: the runtime drained the domain with
-    /// no guards left alive.
-    pub hazard: Option<sdrad_nolock::HazardStats>,
     /// The telemetry layer's closed books — ring books plus drained
     /// flight-recorder log — `None` when the runtime ran with
     /// [`TelemetryConfig::Off`](crate::TelemetryConfig).
@@ -182,54 +167,19 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.wakeups).sum()
     }
 
-    /// Requests served by a worker other than their shard's (work
-    /// stealing).
+    /// Always `0`: every request runs on its client's sticky shard.
+    /// Kept only because `benchmark/src/main.rs` reads it as
+    /// `runtime.steals_per_req`; ROADMAP B1 part 2 removes it with that
+    /// read.
     #[must_use]
     pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Framing-complete requests lifted off connection buffers and
-    /// served by thieves ([`StealPolicy::Deep`](crate::StealPolicy)).
-    #[must_use]
-    pub fn conn_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.conn_steals).sum()
-    }
-
-    /// Stolen shard-state mutations executed on a thief —
-    /// state-confinement violations; zero unless a steal
-    /// classification filter failed.
-    #[must_use]
-    pub fn thief_mutations(&self) -> u64 {
-        self.workers.iter().map(|w| w.thief_mutations).sum()
-    }
-
-    /// Stranded-request stalls across all workers: budget deferrals
-    /// that left framing-complete requests waiting in a connection
-    /// buffer while at least one sibling sat parked.
-    #[must_use]
-    pub fn stranded_stalls(&self) -> u64 {
-        self.workers.iter().map(|w| w.stranded_stalls).sum()
+        0
     }
 
     /// Idle connections reaped across all workers.
     #[must_use]
     pub fn reaped(&self) -> u64 {
         self.workers.iter().map(|w| w.reaped).sum()
-    }
-
-    /// Stolen reads served against a victim's hazard-protected read
-    /// view (the owner's live shard state) across all thieves — a
-    /// subset of `conn_steals`.
-    #[must_use]
-    pub fn shared_reads(&self) -> u64 {
-        self.workers.iter().map(|w| w.shared_reads).sum()
-    }
-
-    /// Read views published (and republished) across all workers.
-    #[must_use]
-    pub fn views_published(&self) -> u64 {
-        self.workers.iter().map(|w| w.views_published).sum()
     }
 
     /// Domains handed to teardown by rebuild/restart rungs across all
@@ -342,10 +292,7 @@ impl RuntimeStats {
     /// The global invariant: per-worker protocol-level fault counts match
     /// the rewinds each worker's own `DomainManager` performed (and the
     /// per-disposition latency histograms carry exactly one sample per
-    /// counted request), and the totals add up across the fleet —
-    /// including stolen work, which must balance between the queues'
-    /// view (requests taken by thieves) and the thieves' view (stolen
-    /// requests served).
+    /// counted request), and the totals add up across the fleet.
     #[must_use]
     pub fn reconciles(&self) -> bool {
         self.workers.iter().all(WorkerStats::reconciles)
@@ -357,25 +304,9 @@ impl RuntimeStats {
             // Queue-path completions cannot exceed accepted submits
             // (connection-pumped requests are accounted separately).
             && self.served().saturating_sub(self.conn_served()) <= self.submitted
-            // Stolen work is conserved: what the queues say was taken is
-            // exactly what the thieves say they served, and no stolen
-            // request can outnumber the queue-path total.
-            && self.steals() == self.stolen_submits
-            && self.steals() <= self.served().saturating_sub(self.conn_served())
-            // Connection-buffer steals balance between the shard
-            // registries' books and the thieves'.
-            && self.conn_steals() == self.conn_stolen
-            // Every conn-stolen frame is connection work.
-            && self.conn_steals() <= self.conn_served()
             // Arena books balance: every acquire was satisfied either by
             // recycled storage or by a fresh heap allocation.
             && self.arena_acquires() == self.arena_reuses() + self.arena_fresh_allocs()
-            // Shared reads are a subset of connection-buffer steals
-            // (every one travelled the deep-steal path).
-            && self.shared_reads() <= self.conn_steals()
-            // The hazard domain's books, when deep stealing ran: after
-            // the shutdown drain every retired view was reclaimed.
-            && self.hazard.as_ref().is_none_or(|h| h.conserves() && h.pending == 0)
             // The control plane's books, when it ran: every decision it
             // counted was logged, and the rungs the plane decided are exactly the rungs the workers executed
             // — a decided-but-unexecuted (or executed-but-undecided)
@@ -450,11 +381,8 @@ mod tests {
             workers,
             shed: 0,
             submitted,
-            stolen_submits: 0,
-            conn_stolen: 0,
             shed_latency: LatencyHistogram::new(),
             control: None,
-            hazard: None,
             telemetry: None,
             wall: Duration::from_secs(2),
         }
@@ -491,51 +419,5 @@ mod tests {
         let mut unrecorded = worker(10, 2);
         unrecorded.contained_latency = LatencyHistogram::new();
         assert!(!stats(vec![unrecorded]).reconciles());
-    }
-
-    #[test]
-    fn reconciliation_covers_stolen_work() {
-        // Balanced: the queue saw 4 requests stolen, a thief served 4.
-        let mut thief = worker(10, 0);
-        thief.steals = 4;
-        let mut balanced = stats(vec![thief]);
-        balanced.stolen_submits = 4;
-        assert!(balanced.reconciles());
-
-        // A thief claiming more steals than any queue handed out is
-        // drift (a double-processed or invented request).
-        let mut phantom = worker(10, 0);
-        phantom.steals = 5;
-        let mut broken = stats(vec![phantom]);
-        broken.stolen_submits = 4;
-        assert!(!broken.reconciles());
-
-        // And a queue that lost track of a theft is drift too.
-        let mut queue_view = stats(vec![worker(10, 0)]);
-        queue_view.stolen_submits = 1;
-        assert!(!queue_view.reconciles());
-    }
-
-    #[test]
-    fn reconciliation_covers_conn_steals() {
-        // Balanced: the registries saw 3 frames lifted, the thief
-        // served 3 — all as connection work.
-        let mut thief = worker(10, 0);
-        thief.conn_steals = 3;
-        thief.conn_served = 3;
-        let mut balanced = stats(vec![thief]);
-        balanced.conn_stolen = 3;
-        assert!(balanced.reconciles());
-        assert_eq!(balanced.conn_steals(), 3);
-
-        // A conn steal served outside connection work is drift.
-        let mut uncounted = balanced.clone();
-        uncounted.workers[0].conn_served = 2;
-        assert!(!uncounted.reconciles());
-
-        // A conn steal the registries never booked is drift too.
-        let mut phantom = balanced.clone();
-        phantom.conn_stolen = 2;
-        assert!(!phantom.reconciles());
     }
 }

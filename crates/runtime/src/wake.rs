@@ -6,9 +6,7 @@
 //!
 //! * the queue itself (pushes, kicks, stop),
 //! * readiness callbacks of the connections the worker pumps
-//!   ([`sdrad_net::Endpoint::set_ready_callback`]),
-//! * steal hints rung by *sibling* queues whose backlog crossed the
-//!   high-water mark.
+//!   ([`sdrad_net::Endpoint::set_ready_callback`]).
 //!
 //! The worker parks **indefinitely** in [`WakeSet::wait`]; there is no
 //! timeout and therefore no periodic poll. Every mutation that creates
@@ -49,15 +47,14 @@
 //!
 //! ## The generation counter
 //!
-//! Observing shards one by one is not enough once work can *move
-//! between* shards: a shard observed idle can be re-busied by a sibling
-//! (a thief handing a tray back, a steal hint) while later shards are
-//! still being checked. Every wake set can therefore be bound to a
-//! runtime-wide **generation counter** bumped on *every* signal; the
-//! quiesce barrier snapshots it, observes every shard idle, and
-//! re-reads it — an unchanged generation proves no work was created
-//! anywhere during the whole observation window, so the idle
-//! observations were simultaneous, not merely sequential. See
+//! Observing shards one by one is not enough while producers run: a
+//! shard observed idle can be re-busied (a push, a readiness edge)
+//! while later shards are still being checked. Every wake set can
+//! therefore be bound to a runtime-wide **generation counter** bumped
+//! on *every* signal; the quiesce barrier snapshots it, observes every
+//! shard idle, and re-reads it — an unchanged generation proves no work
+//! was created anywhere during the whole observation window, so the
+//! idle observations were simultaneous, not merely sequential. See
 //! [`Runtime::quiesce`].
 //!
 //! [`Runtime::quiesce`]: crate::Runtime::quiesce
@@ -72,9 +69,6 @@ pub(crate) struct WakeSignals {
     /// A push or a kick reached the shard queue: drain it and adopt
     /// inbox connections.
     pub queue: bool,
-    /// A sibling shard crossed its backlog high-water mark: try to
-    /// steal.
-    pub steal: bool,
     /// Shutdown began.
     pub stopped: bool,
     /// Connection tokens with observable new state (bytes or close),
@@ -85,7 +79,6 @@ pub(crate) struct WakeSignals {
 #[derive(Debug, Default)]
 struct WakeState {
     queue: bool,
-    steal: bool,
     stopped: bool,
     /// Pending connection tokens, kept sorted and deduplicated on
     /// insert (a plain `Vec` beats a `BTreeSet` here: no node
@@ -103,10 +96,6 @@ struct WakeState {
     /// [`WakeSet::wait_idle`]: while nonzero, signals and park
     /// transitions notify even when the worker is awake.
     watchers: usize,
-    /// Runtime generation at the moment the worker parked (0 when no
-    /// generation counter is bound) — the witness
-    /// [`WakeSet::parked_since`] exposes for exact stall accounting.
-    parked_generation: u64,
     parks: u64,
     wakeups: u64,
     notifies: u64,
@@ -114,13 +103,12 @@ struct WakeState {
 
 impl WakeState {
     fn pending(&self) -> bool {
-        self.queue || self.steal || self.stopped || !self.conns.is_empty()
+        self.queue || self.stopped || !self.conns.is_empty()
     }
 
     fn take(&mut self) -> WakeSignals {
         WakeSignals {
             queue: std::mem::take(&mut self.queue),
-            steal: std::mem::take(&mut self.steal),
             // `stopped` stays latched: once shutdown begins every
             // subsequent wait must still report it.
             stopped: self.stopped,
@@ -134,12 +122,10 @@ impl WakeState {
 /// One shard's condvar-backed signal register: the unified wake source
 /// behind the runtime's readiness-driven scheduling.
 ///
-/// Workers park on their shard's set; queue pushes, connection
-/// readiness callbacks and sibling steal hints wake them. The public
-/// surface is observational — [`parks`](Self::parks),
-/// [`wakeups`](Self::wakeups), [`parked_since`](Self::parked_since) —
-/// the counters [`WorkerStats`](crate::WorkerStats) snapshots and the
-/// park witness stall accounting reads, plus
+/// Workers park on their shard's set; queue pushes and connection
+/// readiness callbacks wake them. The public surface is observational —
+/// [`parks`](Self::parks) and [`wakeups`](Self::wakeups), the counters
+/// [`WorkerStats`](crate::WorkerStats) snapshots, plus
 /// [`notifies`](Self::notifies), the condvar notifies actually paid;
 /// only the runtime itself posts signals.
 #[derive(Debug, Default)]
@@ -195,12 +181,6 @@ impl WakeSet {
         self.signal(|s| s.queue = true);
     }
 
-    /// A sibling shard is overloaded; an idle worker should try to
-    /// steal.
-    pub(crate) fn hint_steal(&self) {
-        self.signal(|s| s.steal = true);
-    }
-
     /// Connection `token` has observable new state.
     pub(crate) fn mark_conn(&self, token: usize) {
         self.signal(|s| {
@@ -242,10 +222,6 @@ impl WakeSet {
         }
         state.parked = true;
         state.parks += 1;
-        state.parked_generation = self
-            .generation
-            .get()
-            .map_or(0, |generation| generation.load(Ordering::SeqCst));
         if state.watchers > 0 {
             // The park transition is what a quiescer waits for.
             state.notifies += 1;
@@ -278,18 +254,6 @@ impl WakeSet {
     #[must_use]
     pub fn notifies(&self) -> u64 {
         self.state.lock().expect("wakeset lock").notifies
-    }
-
-    /// The runtime generation at which the worker parked, while it is
-    /// parked with nothing pending (`None` otherwise). An observer that
-    /// snapshotted the generation counter at `g` and later reads
-    /// `parked_since() <= g` has a proof — not a racy instant — that
-    /// the worker sat parked across its whole observation window: the
-    /// park predates the snapshot and has not ended since.
-    #[must_use]
-    pub fn parked_since(&self) -> Option<u64> {
-        let state = self.state.lock().expect("wakeset lock");
-        (state.parked && !state.pending()).then_some(state.parked_generation)
     }
 
     /// Blocks until the worker is parked with no pending signals **and**
@@ -339,7 +303,6 @@ mod tests {
         wakes.mark_conn(3);
         let signals = wakes.wait();
         assert!(signals.queue);
-        assert!(!signals.steal);
         assert!(!signals.stopped);
         assert_eq!(signals.conns, vec![1, 3], "tokens dedup and sort");
         assert_eq!(wakes.parks(), 0, "no park needed");
@@ -397,42 +360,10 @@ mod tests {
         wakes.bind_generation(Arc::clone(&generation));
         wakes.signal_queue();
         wakes.mark_conn(1);
-        wakes.hint_steal();
         wakes.stop();
-        assert_eq!(generation.load(Ordering::SeqCst), 4);
+        assert_eq!(generation.load(Ordering::SeqCst), 3);
         let _ = wakes.wait(); // consuming signals is not activity
-        assert_eq!(generation.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn parked_since_witnesses_the_park_generation() {
-        use std::sync::atomic::AtomicU64;
-        let wakes = Arc::new(WakeSet::new());
-        let generation = Arc::new(AtomicU64::new(0));
-        wakes.bind_generation(Arc::clone(&generation));
-        assert_eq!(wakes.parked_since(), None, "never parked");
-
-        // Signals raise the generation; the next park records it.
-        wakes.signal_queue();
-        let _ = wakes.wait(); // consume, no park needed
-        let remote = Arc::clone(&wakes);
-        let worker = std::thread::spawn(move || remote.wait());
-        while wakes.parked_since().is_none() {
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            wakes.parked_since(),
-            Some(1),
-            "parked at the generation the signal left behind"
-        );
-        // An observer that snapshotted the generation *after* the park
-        // (g = 1) can conclude the worker sat parked since ≤ g.
-        let snapshot = generation.load(Ordering::SeqCst);
-        assert!(wakes.parked_since().unwrap() <= snapshot);
-        // A posted signal ends the witness before the worker even runs.
-        wakes.signal_queue();
-        assert_eq!(wakes.parked_since(), None, "pending signal = not idle");
-        worker.join().unwrap();
+        assert_eq!(generation.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -453,10 +384,9 @@ mod tests {
         let wakes = WakeSet::new();
         wakes.signal_queue();
         wakes.mark_conn(2);
-        wakes.hint_steal();
         assert_eq!(wakes.notifies(), 0, "nobody parked, nobody watching");
         let signals = wakes.wait();
-        assert!(signals.queue && signals.steal);
+        assert!(signals.queue);
         wakes.recycle_conns(signals.conns);
         wakes.stop();
         assert_eq!(wakes.notifies(), 0);
@@ -481,7 +411,7 @@ mod tests {
         // Whether or not the woken worker has run yet, it is no longer
         // parked: these latch without a second notify.
         wakes.mark_conn(4);
-        wakes.hint_steal();
+        wakes.signal_queue();
         assert_eq!(wakes.notifies(), 1, "one notify per park");
         assert!(worker.join().unwrap().queue);
     }

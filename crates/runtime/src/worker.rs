@@ -16,52 +16,36 @@
 //! ## Scheduling
 //!
 //! The worker parks indefinitely on its shard's [`WakeSet`]; queue
-//! pushes, connection readiness callbacks and sibling steal hints wake
-//! it. An idle worker burns **zero** CPU — no periodic connection
-//! polls — which is the whole point of judging resilience mechanisms by
-//! their energy footprint.
+//! pushes and connection readiness callbacks wake it. An idle worker
+//! burns **zero** CPU — no periodic connection polls — which is the
+//! whole point of judging resilience mechanisms by their energy
+//! footprint.
 //!
 //! Each pump pass is bounded by the per-connection **read budget**
 //! (`RuntimeConfig::conn_read_budget`): one noisy pipelining client
 //! gets at most that many framed requests served per rotation before
 //! the worker moves to the next ready connection.
 //!
-//! ## Work stealing
-//!
-//! With [`StealPolicy::Deep`] an otherwise-idle worker takes read-only
-//! pre-framed requests off the most-loaded sibling queue, then lifts
-//! **framing-complete requests off sibling connection buffers**
-//! (through the shared [`ConnTray`], never the endpoint itself — a
-//! connection stays sticky for domain affinity), serving read-only
-//! frames with its own handler and **leaving shard-state mutations in
-//! the tray** for the owner's pump — the state-confinement rule that
-//! makes stealing safe for shard-stateful handlers. Response order per
-//! connection is preserved by the tray lock plus the in-flight gate.
-//! Every budget deferral that
-//! leaves complete frames behind while a sibling sits parked is counted
-//! as a **stranded-request stall** ([`WorkerStats::stranded_stalls`]),
-//! the capacity waste deep stealing exists to eliminate.
+//! A connection is served only by the worker that adopted it: the
+//! worker owns the endpoint and its staging buffer, and pumps them
+//! without a lock.
 //!
 //! [`WakeSet`]: crate::wake::WakeSet
-//! [`StealPolicy::Deep`]: crate::StealPolicy::Deep
-//! [`ConnTray`]: crate::server::ConnTray
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use sdrad_control::RecoveryRung;
-use sdrad_nolock::{FrameBuf, HazardDomain, Shared};
 use sdrad_telemetry::{
     Collector, DeltaFrame, EventKind, LatencyHistogram, LiveTotals, Recorder, Source,
 };
 
 use crate::control_hub::ControlHub;
-use crate::handler::{Framing, ReadView, Reply, SessionHandler, StealClass};
+use crate::handler::{Framing, SessionHandler};
 use crate::isolation::WorkerIsolation;
 use crate::queue::{Completion, Disposition, Request, ShardQueue};
 use crate::runtime::RuntimeConfig;
-use crate::server::{ConnInbox, ConnRegistry, ConnTray, Connection};
+use crate::server::{ConnInbox, Connection};
 use crate::stats::LiveCounters;
 use crate::wake::WakeSet;
 
@@ -112,28 +96,6 @@ pub struct WorkerStats {
     pub parks: u64,
     /// Times a parked worker was woken by a signal.
     pub wakeups: u64,
-    /// Pre-framed requests this worker stole from sibling queues.
-    pub steals: u64,
-    /// Framing-complete requests this worker lifted off sibling
-    /// **connection buffers** and served itself
-    /// ([`StealPolicy::Deep`](crate::StealPolicy::Deep) only).
-    pub conn_steals: u64,
-    /// Stolen requests classified as shard-state mutations that this
-    /// worker executed anyway — a state-confinement violation. The
-    /// classification filters on publication and on stealing keep it
-    /// at zero; a nonzero count means one of them let a mutation
-    /// through.
-    pub thief_mutations: u64,
-    /// Stolen reads this worker (as a thief) answered from a victim's
-    /// hazard-protected read view — i.e. against the **owner's live
-    /// shard state** — instead of its own shard. A subset of
-    /// `conn_steals`; the remainder fell back to own-shard serving
-    /// (nothing published yet, or a frame the view cannot answer).
-    pub shared_reads: u64,
-    /// Read views this worker published: the first publish plus every
-    /// republish after a state change or pool rebuild moved the
-    /// `(pool generation, state version)` stamp.
-    pub views_published: u64,
     /// Domains this worker's rebuild/restart rungs handed to teardown —
     /// the retire side of the reclamation books.
     pub domains_retired: u64,
@@ -143,18 +105,6 @@ pub struct WorkerStats {
     /// Domains still awaiting reclaim steps when the worker exited
     /// (zero after a clean shutdown drain).
     pub domains_pending: u64,
-    /// Stranded-request stalls: budget deferrals that left
-    /// framing-complete requests waiting in a connection buffer while
-    /// at least one sibling worker sat parked — capacity wasted by a
-    /// steal policy that cannot reach connection buffers.
-    ///
-    /// The accounting is **exact**, not a racy instantaneous read: a
-    /// sibling counts as parked only if it parked at a runtime
-    /// generation no later than the one this worker's pass started at
-    /// *and* is still parked at the deferral — witnessed through the
-    /// monotonic generation counter, so the sibling provably sat idle
-    /// for the whole pass that stranded the frames.
-    pub stranded_stalls: u64,
     /// Idle connections reaped (no bytes for the configured number of
     /// pump passes).
     pub reaped: u64,
@@ -202,7 +152,6 @@ impl WorkerStats {
             && self.contained_faults == self.rewind_latency.len()
             && self.ok == self.ok_latency.len()
             && self.domains_retired == self.domains_reclaimed + self.domains_pending
-            && self.shared_reads <= self.conn_steals
     }
 }
 
@@ -218,77 +167,23 @@ struct PumpOutcome {
     more: bool,
 }
 
-/// What one shard publishes for hazard-protected shared reads: the
-/// handler's frozen [`ReadView`] stamped with the pool generation and
-/// state version it was frozen at. Thieves read the whole value under
-/// one hazard guard, so a stamp never mismatches its view.
-pub(crate) struct ShardView {
-    /// `WorkerIsolation::pool_generation` at publish time.
-    pub(crate) pool_generation: u64,
-    /// `SessionHandler::state_version` at publish time.
-    pub(crate) version: u64,
-    /// The frozen view (`None` before the first publish, or for
-    /// handlers that publish none).
-    pub(crate) view: Option<Box<dyn ReadView>>,
-}
-
-impl ShardView {
-    /// The pre-publish placeholder every cell starts from.
-    pub(crate) fn empty() -> Self {
-        ShardView {
-            pool_generation: 0,
-            version: 0,
-            view: None,
-        }
-    }
-}
-
-/// The channels one worker serves: its own queue, connection inbox,
-/// wake set and connection registry, plus (with stealing enabled) the
-/// sibling queues, registries and wake sets it may steal from and
-/// observe.
+/// The channels one worker serves: its own queue, connection inbox and
+/// wake set, plus the runtime-wide sinks it reports to.
 pub(crate) struct ShardChannels {
     pub(crate) queue: Arc<ShardQueue>,
     pub(crate) inbox: Arc<ConnInbox>,
     pub(crate) wakes: Arc<WakeSet>,
-    /// This shard's own connection registry (trays registered at
-    /// attach, deregistered at retire).
-    pub(crate) registry: Arc<ConnRegistry>,
-    /// All shard queues (self included, skipped by index) — the steal
-    /// victims. Empty when stealing is disabled.
-    pub(crate) peers: Vec<Arc<ShardQueue>>,
-    /// All shard connection registries (self included, skipped by
-    /// index) — the deep-steal victims. Empty unless the policy is
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep).
-    pub(crate) peer_registries: Vec<Arc<ConnRegistry>>,
-    /// Sibling wake sets (self excluded): parked-state observation for
-    /// the stall counter, and the bells a deferring owner rings so deep
-    /// thieves come help. Empty when stealing is disabled.
-    pub(crate) peer_wakes: Vec<Arc<WakeSet>>,
-    /// The runtime-wide signal generation counter — the witness the
-    /// exact stranded-stall accounting reads (a sibling "sat parked"
-    /// only if it parked at a generation ≤ the pass start).
-    pub(crate) generation: Arc<AtomicU64>,
     /// The adaptive control plane, when enabled: the worker reports
     /// every disposition and executes the escalation rungs it returns.
     pub(crate) control: Option<Arc<ControlHub>>,
     /// This worker's flight-recorder handle, bound to its own SPSC
     /// ring ([`Recorder::Off`] when telemetry is disabled). Emission is
     /// deliberately economical on the hot path: no per-ok-request
-    /// events — park/wake per pass, rewind/rung per fault, steal per
-    /// batch (the `detail` word carries the count).
+    /// events — park/wake per pass, rewind/rung per fault.
     pub(crate) recorder: Recorder,
     /// The live-counter mailbox `Runtime::stats_snapshot` reads; the
     /// worker flushes its counters here once per pump pass.
     pub(crate) live: Arc<LiveCounters>,
-    /// The runtime-wide hazard domain published read views retire
-    /// through (`Some` only under
-    /// [`StealPolicy::Deep`](crate::StealPolicy::Deep)).
-    pub(crate) hazard: Option<Arc<HazardDomain>>,
-    /// Every shard's published read view, **self included**, indexed by
-    /// shard — hazard-protected so thieves read a victim's live shard
-    /// state without locks. Empty unless the policy is deep.
-    pub(crate) view_cells: Vec<Arc<Shared<ShardView>>>,
     /// The streaming collector this worker ships delta frames to
     /// (`None` unless [`RuntimeConfig::streaming`] and the flight
     /// recorder are both enabled). Frames ride the pump passes, one
@@ -304,14 +199,6 @@ pub struct Worker<H: SessionHandler> {
     /// This worker's monotonic frame sequence (the collector's
     /// loss-detection key).
     flush_seq: u64,
-    /// The `(pool generation, state version)` stamp of the view this
-    /// worker last published — republish only when it moves.
-    published: Option<(u64, u64)>,
-    /// Highest view stamp observed per victim shard. Publishes only
-    /// move stamps forward, so a backwards step would mean a shared
-    /// read landed on a retired (reclaimed-and-stale) view — the
-    /// use-after-free the hazard protocol exists to prevent.
-    view_stamps: Vec<(u64, u64)>,
     /// This worker's shard index as the event-field width.
     shard_u16: u16,
     /// Token-addressed connection slab; `None` slots are free.
@@ -322,11 +209,6 @@ pub struct Worker<H: SessionHandler> {
     batch: usize,
     conn_budget: usize,
     idle_reap_after: Option<u64>,
-    /// Runtime generation at the start of the current pass — the
-    /// stall-accounting witness.
-    pass_generation: u64,
-    /// Round-robin cursor over `peer_wakes` for deferred-frame bells.
-    next_bell: usize,
     /// Monotonic pump-pass counter (one per wake); the reaper measures
     /// connection idleness in these.
     pass: u64,
@@ -348,10 +230,8 @@ impl<H: SessionHandler> Worker<H> {
     ) -> Self {
         Worker {
             index,
-            view_stamps: vec![(0, 0); channels.view_cells.len()],
             channels,
             flush_seq: 0,
-            published: None,
             shard_u16: u16::try_from(index).unwrap_or(u16::MAX),
             conns: Vec::new(),
             free_tokens: Vec::new(),
@@ -360,8 +240,6 @@ impl<H: SessionHandler> Worker<H> {
             batch: config.batch.max(1),
             conn_budget: config.conn_read_budget.max(1),
             idle_reap_after: config.idle_reap_after,
-            pass_generation: 0,
-            next_bell: 0,
             pass: 0,
             stats: WorkerStats {
                 worker: index,
@@ -411,11 +289,6 @@ impl<H: SessionHandler> Worker<H> {
             self.channels
                 .recorder
                 .emit(EventKind::Wake, self.shard_u16, 0, self.pass);
-            // The stall-accounting witness: any sibling still parked at
-            // a generation ≤ this snapshot has provably sat idle for
-            // the whole pass (its park predates everything the pass
-            // serves or defers).
-            self.pass_generation = self.channels.generation.load(Ordering::SeqCst);
             if let Some(hub) = &self.channels.control {
                 // The control loop's tick rides the wake machinery: one
                 // tick per pass, zero ticks while the shard is idle.
@@ -428,19 +301,17 @@ impl<H: SessionHandler> Worker<H> {
             // pass, so a deferred rebuild's cost never lands on one
             // request. Cheap no-op when nothing is pending.
             self.iso.reclaim_step(2);
-            self.maybe_publish_view();
             let mut ready = signals.conns;
             ready.extend(self.adopt_connections());
 
             // Only a queue signal can mean queue work (pushes latch it
             // until consumed), so conn-only wakes skip the queue drain.
             let requests = if signals.queue {
-                self.drain_own_queue()
+                self.channels.queue.try_drain(self.batch)
             } else {
                 Vec::new()
             };
-            let had_queue_work = !requests.is_empty();
-            if had_queue_work {
+            if !requests.is_empty() {
                 let started = Instant::now();
                 for request in requests {
                     self.serve(request);
@@ -453,18 +324,11 @@ impl<H: SessionHandler> Worker<H> {
                 }
             }
 
-            let mut pumped = false;
             let mut deferred = false;
             for &token in &ready {
-                let outcome = self.pump_token(token);
-                pumped |= outcome.progressed;
-                if outcome.more {
+                if self.pump_token(token).more {
                     // Budget exhausted: requeue the token behind the
-                    // other ready connections (per-connection fairness),
-                    // and note the deferral — complete frames are now
-                    // stranded in this buffer, which an idle sibling
-                    // could be serving.
-                    self.note_deferred_frames();
+                    // other ready connections (per-connection fairness).
                     self.channels.wakes.mark_conn(token);
                     deferred = true;
                 }
@@ -484,9 +348,6 @@ impl<H: SessionHandler> Worker<H> {
             self.channels.wakes.recycle_conns(ready);
             self.reap_idle();
 
-            if signals.steal || (!had_queue_work && !pumped && !signals.stopped) {
-                self.try_steal();
-            }
             if signals.stopped {
                 break;
             }
@@ -518,33 +379,9 @@ impl<H: SessionHandler> Worker<H> {
                 && self.channels.queue.is_empty()
                 && self.channels.inbox.is_empty()
             {
-                if self.any_tray_gated() {
-                    // A thief is still serving an extracted run: the
-                    // frames behind the gate are ours to serve — wait
-                    // it out.
-                    std::thread::yield_now();
-                    continue;
-                }
                 break;
             }
         }
-    }
-
-    /// Whether any of this worker's connections is gated on in-flight
-    /// stolen frames — or holds actionable frames a thief staged
-    /// *after* this pass's pump (a thief that meets a mutation at the
-    /// head drains the endpoint into the tray and leaves, so the only
-    /// way to observe those frames here is to look).
-    fn any_tray_gated(&self) -> bool {
-        self.conns.iter().flatten().any(|conn| {
-            let tray = conn.tray.lock();
-            tray.inflight > 0
-                || (!tray.staged.is_empty()
-                    && !matches!(
-                        self.handler.frame(tray.staged.pending()),
-                        Framing::Incomplete
-                    ))
-        })
     }
 
     /// Moves connections newly assigned to this shard into the pump
@@ -565,10 +402,6 @@ impl<H: SessionHandler> Worker<H> {
                     self.conns.len() - 1
                 }
             };
-            // Thieves re-wake this worker through the tray once the
-            // owner is known.
-            conn.tray
-                .bind_owner(Arc::clone(&self.channels.wakes), token);
             let wakes = Arc::clone(&self.channels.wakes);
             conn.endpoint
                 .set_ready_callback(Arc::new(move || wakes.mark_conn(token)));
@@ -623,18 +456,10 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Drops a connection: unregisters its waker (so a stale token is
-    /// never signalled), marks the tray retired (so a thief never locks
-    /// onto a dead buffer), deregisters it from the shard's registry,
-    /// and counts a half-received request as aborted.
+    /// never signalled) and counts a half-received request as aborted.
     fn retire(&mut self, token: usize, mut conn: Connection) {
         conn.endpoint.clear_ready_callback();
-        let half_request = {
-            let mut tray = conn.tray.lock();
-            tray.retired = true;
-            !tray.staged.is_empty()
-        };
-        self.channels.registry.deregister(&conn.tray);
-        if half_request {
+        if !conn.staged.is_empty() {
             // Mid-request disconnect: the half-request is discarded.
             self.stats.aborted_requests += 1;
         }
@@ -642,26 +467,16 @@ impl<H: SessionHandler> Worker<H> {
     }
 
     /// Closes and retires connections that made no progress for the
-    /// configured number of pump passes. Progress a thief made on the
-    /// worker's behalf counts (rescued connections are not idle), and a
-    /// connection gated on a thief's in-flight run is never reaped —
-    /// its answers are still owed.
+    /// configured number of pump passes.
     fn reap_idle(&mut self) {
         let Some(reap_after) = self.idle_reap_after else {
             return;
         };
         for token in 0..self.conns.len() {
-            let idle_for = match &mut self.conns[token] {
-                Some(conn) => {
-                    let mut tray = conn.tray.lock();
-                    if std::mem::take(&mut tray.thief_progress) || tray.inflight > 0 {
-                        conn.last_progress_pass = self.pass;
-                    }
-                    drop(tray);
-                    self.pass.saturating_sub(conn.last_progress_pass)
-                }
-                None => continue,
+            let Some(conn) = &self.conns[token] else {
+                continue;
             };
+            let idle_for = self.pass.saturating_sub(conn.last_progress_pass);
             if idle_for >= reap_after.max(1) {
                 let mut conn = self.conns[token].take().expect("slot checked");
                 conn.endpoint.close();
@@ -671,372 +486,28 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// Drains up to one batch from the owned queue, publishing surplus
-    /// read-only requests into the shard's steal buffer when stealing
-    /// is enabled (there are peers) — the same classification
-    /// `steal_where` enforces — so thieves popping the buffer never
-    /// race the owner's inbox cursor.
-    fn drain_own_queue(&mut self) -> Vec<Request> {
-        if self.channels.peers.is_empty() {
-            return self.channels.queue.try_drain(self.batch);
-        }
-        let handler = &self.handler;
-        self.channels.queue.drain_publishing(self.batch, |request| {
-            handler.steal_class(&request.payload) == StealClass::ReadOnly
-        })
-    }
-
-    /// Steals work from loaded siblings: first a batch of read-only
-    /// pre-framed requests off the most-loaded sibling queue, then
-    /// framing-complete requests directly off sibling connection
-    /// buffers. Connections never move, and only read-only requests
-    /// leave their owner, so shard-state mutations stay with the state
-    /// they touch.
-    fn try_steal(&mut self) {
-        if self.channels.peers.is_empty() {
-            return;
-        }
-        self.steal_queue_items();
-        self.steal_conn_buffers();
-    }
-
-    /// The queue half of stealing.
-    fn steal_queue_items(&mut self) {
-        let victim = self
-            .channels
-            .peers
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != self.index)
-            .map(|(i, q)| (q.len(), i, Arc::clone(q)))
-            .max_by_key(|&(len, _, _)| len);
-        let Some((backlog, victim_index, victim)) = victim else {
-            return;
-        };
-        if backlog == 0 {
-            return;
-        }
-        // Classification-aware: only read-only requests leave the
-        // owner; mutations keep their queue positions.
-        let handler = &self.handler;
-        let stolen = victim.steal_where(self.batch, |request| {
-            handler.steal_class(&request.payload) == StealClass::ReadOnly
-        });
-        if stolen.is_empty() {
-            return;
-        }
-        self.stats.steals += stolen.len() as u64;
-        // One event per stolen batch (not per request): the shard field
-        // names the victim, the detail word carries the count.
-        self.channels.recorder.emit(
-            EventKind::Steal,
-            u16::try_from(victim_index).unwrap_or(u16::MAX),
-            0,
-            stolen.len() as u64,
-        );
-        let started = Instant::now();
-        for request in stolen {
-            if self.handler.steal_class(&request.payload) == StealClass::Mutation {
-                // The filter above should make this unreachable; the
-                // counter is how e18/e21/e23 would see it fail.
-                self.stats.thief_mutations += 1;
-            }
-            self.serve(request);
-        }
-        self.note_busy(started);
-        // The victim may still be loaded; keep helping without letting
-        // our own queue and connections starve in between.
-        if !victim.is_empty() {
-            self.channels.wakes.hint_steal();
-        }
-    }
-
-    /// The connection half of deep stealing: scan sibling registries
-    /// (most loaded first) and lift framing-complete requests off their
-    /// trays — deepest-staged tray first — up to one batch per wake.
-    /// Concurrent thieves aiming at the same deep tray fan out through
-    /// the `try_lock` skip in [`steal_from_tray`](Self::steal_from_tray)
-    /// rather than convoying on it.
-    fn steal_conn_buffers(&mut self) {
-        // One registry snapshot per shard, ranked by how many bytes sit
-        // unserved: staged bytes (already read off the endpoint — where
-        // stranded framing-complete requests actually live) plus bytes
-        // still pending on the endpoint.
-        let mut victims: Vec<(usize, usize, Vec<Arc<ConnTray>>)> =
-            (0..self.channels.peer_registries.len())
-                .filter(|&shard| shard != self.index)
-                .map(|shard| {
-                    let trays = self.channels.peer_registries[shard].snapshot();
-                    let unserved: usize = trays
-                        .iter()
-                        .map(|tray| tray.staged_len() + tray.stream().pending())
-                        .sum();
-                    (unserved, shard, trays)
-                })
-                .collect();
-        victims.sort_unstable_by_key(|&(unserved, _, _)| std::cmp::Reverse(unserved));
-        let started = Instant::now();
-        let mut lifted = 0usize;
-        for (_unserved, shard, trays) in victims {
-            if lifted >= self.batch {
-                break;
-            }
-            // Within a shard, work the **deepest** trays first: staged
-            // depth is how long a stranded frame has waited, so depth
-            // order is the same tail-latency-first rule queue stealing
-            // applies (oldest first) — not registry order, which is
-            // merely attach order. Ties keep registry order (stable
-            // sort); concurrent thieves aiming at the same deep tray
-            // fan out naturally through the `try_lock` skip.
-            for tray in rank_trays_by_depth(trays) {
-                if lifted >= self.batch {
-                    break;
-                }
-                let per_tray = self.conn_budget.min(self.batch - lifted);
-                lifted += self.steal_from_tray(shard, &tray, per_tray);
-            }
-        }
-        if lifted > 0 {
-            self.note_busy(started);
-        }
-        if lifted >= self.batch {
-            // A full batch rarely exhausts a hot buffer: come back for
-            // more after giving our own shard a turn. A partial lift
-            // means the buffers are down to a trickle — park instead of
-            // spinning (on an oversubscribed host a spinning thief
-            // steals *CPU time* from the owner it meant to help); the
-            // owner's next deferral bell re-recruits us.
-            self.channels.wakes.hint_steal();
-        }
-    }
-
-    /// Works one sibling tray in three phases, so the tray lock is only
-    /// ever held for memcpy-scale critical sections and the owner's
-    /// pump never waits behind a thief's serving:
-    ///
-    /// 1. **Extract** (under the tray lock): stage pending bytes, split
-    ///    the run of complete read-only frames off the head into a
-    ///    local batch, stopping at the first mutation — it and
-    ///    everything behind it stay in the tray for the owner's pump.
-    ///    The gate (`inflight`) is raised by everything extracted, so
-    ///    nobody serves frames *behind* the run while it is in flight.
-    /// 2. **Serve** (no locks): execute the batch in order with this
-    ///    worker's own handler and domains, writing each response
-    ///    through the stream handle — the gate guarantees we are the
-    ///    only writer, so responses keep frame order.
-    /// 3. **Release**: drop the gate and re-wake the owner for whatever
-    ///    remains.
-    ///
-    /// Returns the number of frames served here.
-    fn steal_from_tray(&mut self, victim: usize, tray: &Arc<ConnTray>, limit: usize) -> usize {
-        let client = tray.client();
-        // The latency clock for every frame in this steal starts when
-        // the thief picks the buffer up — the same pass-scoped clock
-        // the owner's pump uses, so thief-served frames queue behind
-        // each other within the run exactly as owner-served frames
-        // queue within a pump pass.
-        let arrived = Instant::now();
-        // -- phase 1: extract a run under the lock ------------------------
-        // Extracted frames ride in pooled buffers from the *thief's*
-        // arena.
-        let mut batch: Vec<FrameBuf> = Vec::new();
-        let mut leftovers = false;
-        {
-            let Some(mut st) = tray.try_lock() else {
-                // Owner (or another thief) is mid-serve: nothing
-                // stranded here.
-                return 0;
-            };
-            if st.retired || st.inflight > 0 {
-                return 0;
-            }
-            st.staged
-                .refill(|bytes| tray.stream().drain_pending_into(bytes));
-            while batch.len() < limit {
-                // Incomplete, malformed or fatal heads are the owner's
-                // business (only the owner may close the endpoint), and
-                // so is a mutation: state never changes off its shard.
-                let Framing::Complete(n) = self.handler.frame(st.staged.pending()) else {
-                    break;
-                };
-                let n = n.clamp(1, st.staged.len());
-                if self.handler.steal_class(&st.staged.pending()[..n]) == StealClass::Mutation {
-                    break;
-                }
-                batch.push(st.staged.take_frame(n));
-            }
-            if batch.is_empty() {
-                leftovers = !st.staged.is_empty();
-            } else {
-                st.inflight += u32::try_from(batch.len()).unwrap_or(u32::MAX);
-                st.thief_progress = true;
-            }
-        }
-        if batch.is_empty() {
-            if leftovers {
-                // Bytes we staged (or frames we could not take) must
-                // not wait for a readiness edge that already fired:
-                // point the owner at them.
-                tray.wake_owner();
-            }
-            return 0;
-        }
-        // -- phase 2: serve the run, lock-free ----------------------------
-        let served = batch.len();
-        for payload in batch {
-            let reply = match self.shared_read(victim, client, &payload) {
-                Some(reply) => reply,
-                None => self.handler.handle(&mut self.iso, client, &payload),
-            };
-            tray.stream().write(&reply.response);
-            self.account(client, &reply.disposition, elapsed_ns(arrived));
-            self.stats.conn_served += 1;
-            self.stats.conn_steals += 1;
-        }
-        self.channels.peer_registries[victim].note_stolen(served as u64);
-        // Conn-buffer steals are batched into one event too — same
-        // shape as queue steals, distinguished by a nonzero client.
-        self.channels.recorder.emit(
-            EventKind::Steal,
-            u16::try_from(victim).unwrap_or(u16::MAX),
-            client.0,
-            served as u64,
-        );
-        // -- phase 3: release the gate, hand the stream back --------------
-        {
-            let mut st = tray.lock();
-            st.inflight = st
-                .inflight
-                .saturating_sub(u32::try_from(served).unwrap_or(u32::MAX));
-        }
-        tray.wake_owner();
-        served
-    }
-
-    /// Publishes (or republishes) this shard's read view when the
-    /// `(pool generation, state version)` stamp moved since the last
-    /// publish. Readers are never waited on: the old view is *retired*
-    /// through the hazard domain and freed once the last reader guard
-    /// moves on. Called once per pump pass, so a read-heavy shard
-    /// publishes once and serves thieves for free; no-op without deep
-    /// stealing (no cells exist).
-    fn maybe_publish_view(&mut self) {
-        let Some(cell) = self.channels.view_cells.get(self.index) else {
-            return;
-        };
-        let stamp = (self.iso.pool_generation(), self.handler.state_version());
-        if self.published == Some(stamp) {
-            return;
-        }
-        let view = self.handler.read_view();
-        cell.store(Box::new(ShardView {
-            pool_generation: stamp.0,
-            version: stamp.1,
-            view,
-        }));
-        self.published = Some(stamp);
-        self.stats.views_published += 1;
-    }
-
-    /// Tries to serve one stolen read against the victim's published
-    /// read view — the **owner's live shard state** — instead of this
-    /// worker's own shard. `None` (no deep-steal cells, nothing
-    /// published yet, or a frame the view cannot answer) falls back to
-    /// the thief's own handler: the pre-view behaviour with its honest
-    /// cache-miss semantics.
-    fn shared_read(
-        &mut self,
-        victim: usize,
-        client: sdrad::ClientId,
-        request: &[u8],
-    ) -> Option<Reply> {
-        let cell = self.channels.view_cells.get(victim)?;
-        let domain = self.channels.hazard.as_ref()?;
-        let mut guard = domain.guard();
-        let view = cell.load(&mut guard);
-        // Publishes only move a shard's stamp forward; observing a
-        // rollback would mean this read landed on a retired view.
-        let stamp = (view.pool_generation, view.version);
-        debug_assert!(
-            stamp >= self.view_stamps[victim],
-            "shared read observed a rolled-back view stamp"
-        );
-        self.view_stamps[victim] = stamp;
-        let reply = view.view.as_ref()?.serve_read(client, request)?;
-        // The reply is owned, so the guard — and with it the borrow of
-        // the protected view — drops before the books are touched.
-        drop(guard);
-        self.stats.shared_reads += 1;
-        Some(reply)
-    }
-
-    /// Counts a budget deferral that stranded complete frames while a
-    /// sibling sat parked, and rings a sibling's bell so the stranded
-    /// frames get stolen instead of waiting for this worker to come
-    /// back around. No-op without stealing (no sibling wake sets).
-    ///
-    /// The stall accounting is exact: a sibling counts only if
-    /// [`WakeSet::parked_since`] proves it parked at a generation no
-    /// later than this pass's start snapshot and is still parked now —
-    /// i.e. it provably sat idle across the entire pass that deferred
-    /// the frames. A sibling that woke (or was signalled) anywhere in
-    /// the pass is not stranded capacity, and an instantaneous
-    /// parked-or-not read could both over- and under-count such
-    /// windows.
-    fn note_deferred_frames(&mut self) {
-        if self.channels.peer_wakes.is_empty() {
-            return;
-        }
-        if self.channels.peer_wakes.iter().any(|wakes| {
-            wakes
-                .parked_since()
-                .is_some_and(|g| g <= self.pass_generation)
-        }) {
-            self.stats.stranded_stalls += 1;
-        }
-        let pick = self.next_bell % self.channels.peer_wakes.len();
-        self.next_bell = self.next_bell.wrapping_add(1);
-        self.channels.peer_wakes[pick].hint_steal();
-    }
-
-    /// Pumps one connection: reads pending bytes into the shared tray,
-    /// serves complete frames up to the read budget, answers malformed
-    /// ones. All staging and serving happens under the tray lock — a
-    /// deep-steal thief may be working the same stream — which is also
-    /// what keeps pipelined responses in frame order.
+    /// Pumps one connection: reads pending bytes into its staging
+    /// buffer, serves complete frames up to the read budget, answers
+    /// malformed ones. Frames are served one after another on this
+    /// thread, so pipelined responses keep frame order.
     fn pump_one(&mut self, conn: &mut Connection) -> PumpOutcome {
         // The latency clock for every frame completed in this pass
         // starts here, when its final bytes were read off the wire:
         // pipelined requests queue behind each other within the pass,
         // exactly as queue-path requests start at `accepted_at`.
         let arrived = Instant::now();
-        let mut tray = conn.tray.lock();
-        // Stage straight into the tray buffer — no intermediate Vec.
-        let fresh = tray
+        // Stage straight into the connection's buffer — no intermediate
+        // Vec.
+        let fresh = conn
             .staged
             .refill(|bytes| conn.endpoint.read_available_into(bytes));
         let mut progressed = fresh > 0;
-        if std::mem::take(&mut tray.thief_progress) {
-            // A thief served frames since our last pass: this
-            // connection is live, not idle.
-            progressed = true;
-        }
 
         let mut served_this_pass = 0usize;
         loop {
-            if tray.inflight > 0 {
-                // Order gate: a thief's extracted run has not been
-                // fully answered yet; frames behind it must wait. The
-                // thief re-marks this token when it releases the gate.
-                return PumpOutcome {
-                    progressed,
-                    keep: true,
-                    more: false,
-                };
-            }
             // The one framing scan of this head: it decides what is
             // served next and, at the budget, what is reported.
-            let framing = self.handler.frame(tray.staged.pending());
+            let framing = self.handler.frame(conn.staged.pending());
             if served_this_pass >= self.conn_budget {
                 // Budget exhausted: report whether *any* actionable
                 // frame is still buffered — complete, malformed or
@@ -1053,12 +524,12 @@ impl<H: SessionHandler> Worker<H> {
             match framing {
                 Framing::Complete(n) => {
                     let serve_started = Instant::now();
-                    let n = n.clamp(1, tray.staged.len());
+                    let n = n.clamp(1, conn.staged.len());
                     // Recycled extraction: the frame rides in a pooled
                     // buffer that returns to this thread's pool when
                     // the reply is written; the staged bytes behind it
                     // stay where they are.
-                    let payload = tray.staged.take_frame(n);
+                    let payload = conn.staged.take_frame(n);
                     let reply = self.handler.handle(&mut self.iso, conn.client, &payload);
                     conn.endpoint.write(&reply.response);
                     self.account(conn.client, &reply.disposition, elapsed_ns(arrived));
@@ -1071,8 +542,8 @@ impl<H: SessionHandler> Worker<H> {
                 Framing::Malformed { consumed, response } => {
                     // Guard against a zero-consumption parser bug looping
                     // forever: always make progress.
-                    let consumed = consumed.clamp(1, tray.staged.len());
-                    tray.staged.consume(consumed);
+                    let consumed = consumed.clamp(1, conn.staged.len());
+                    conn.staged.consume(consumed);
                     conn.endpoint.write(&response);
                     self.account(
                         conn.client,
@@ -1086,7 +557,7 @@ impl<H: SessionHandler> Worker<H> {
                 Framing::Fatal { response } => {
                     conn.endpoint.write(&response);
                     conn.endpoint.close();
-                    tray.staged.clear();
+                    conn.staged.clear();
                     self.account(
                         conn.client,
                         &Disposition::ProtocolError,
@@ -1119,8 +590,7 @@ impl<H: SessionHandler> Worker<H> {
         }
     }
 
-    /// Serves one pre-framed request from a shard queue (own or
-    /// stolen).
+    /// Serves one pre-framed request from the shard queue.
     fn serve(&mut self, request: Request) {
         let reply = self
             .handler
@@ -1190,7 +660,6 @@ impl<H: SessionHandler> Worker<H> {
             contained_faults: self.stats.contained_faults,
             crashes: self.stats.crashes,
             conn_served: self.stats.conn_served,
-            steals: self.stats.steals,
         };
         self.channels.live.store(totals);
         totals
@@ -1306,70 +775,4 @@ impl<H: SessionHandler> Worker<H> {
 
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Orders a shard's trays **deepest first**: staged bytes (framed-but-
-/// unserved work, where stranded requests actually wait) plus bytes
-/// still pending on the endpoint. Stable, so equal depths keep registry
-/// order. Depth is sampled once up front — a tray being worked reports
-/// 0 (its `staged_len` try-lock fails), which is correct: a worked tray
-/// is not stranded.
-fn rank_trays_by_depth(trays: Vec<Arc<ConnTray>>) -> Vec<Arc<ConnTray>> {
-    let mut ranked: Vec<(usize, Arc<ConnTray>)> = trays
-        .into_iter()
-        .map(|tray| (tray.staged_len() + tray.stream().pending(), tray))
-        .collect();
-    ranked.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
-    ranked.into_iter().map(|(_, tray)| tray).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sdrad_net::duplex;
-
-    #[test]
-    fn tray_walks_lift_the_deepest_tray_first() {
-        // Three connections with 1, 3 and 2 staged frames: the ranking
-        // a deep-steal thief walks must put the deepest (most-stranded)
-        // tray first, not the registry (attach) order.
-        let mut conns = Vec::new();
-        for frames in [1usize, 3, 2] {
-            let (mut client, server) = duplex();
-            let conn = Connection::new(sdrad::ClientId(frames as u64), server);
-            for i in 0..frames {
-                client.write(format!("get k{i}\r\n").as_bytes());
-            }
-            // Stage the pending bytes, as a pump or steal pass would.
-            {
-                let mut st = conn.tray.lock();
-                st.staged
-                    .refill(|bytes| conn.tray.stream().drain_pending_into(bytes));
-            }
-            conns.push(conn);
-        }
-        let registry_order: Vec<Arc<ConnTray>> =
-            conns.iter().map(|c| Arc::clone(&c.tray)).collect();
-        let ranked = rank_trays_by_depth(registry_order);
-        let depths: Vec<usize> = ranked.iter().map(|t| t.staged_len()).collect();
-        assert_eq!(
-            depths,
-            vec![3 * 8, 2 * 8, 8],
-            "deepest tray first, registry order only breaks ties"
-        );
-        assert_eq!(ranked[0].client(), sdrad::ClientId(3));
-    }
-
-    #[test]
-    fn rank_breaks_ties_by_registry_order() {
-        let trays: Vec<Arc<ConnTray>> = (0..3)
-            .map(|i| {
-                let (_client, server) = duplex();
-                Connection::new(sdrad::ClientId(i), server).tray
-            })
-            .collect();
-        let ranked = rank_trays_by_depth(trays);
-        let clients: Vec<u64> = ranked.iter().map(|t| t.client().0).collect();
-        assert_eq!(clients, vec![0, 1, 2], "stable for equal depths");
-    }
 }

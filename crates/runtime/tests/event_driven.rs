@@ -1,21 +1,13 @@
 //! Readiness-driven scheduling, observed from the outside: an idle
 //! runtime performs **zero** periodic connection polls (workers park;
-//! wake counters stay bounded by real events, not by time), idle
-//! workers steal queued requests from a loaded sibling, and the
-//! idle-connection reaper closes silent connections.
+//! wake counters stay bounded by real events, not by time), a hot
+//! client's work stays on its sticky shard, and the idle-connection
+//! reaper closes silent connections.
 
-mod common;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use common::{await_flag, ClaimGate};
 use sdrad::ClientId;
-use sdrad_runtime::{
-    ConnectionServer, Disposition, IsolationMode, KvHandler, Reply, Runtime, RuntimeConfig,
-    RuntimeStats, SessionHandler, StealClass, StealPolicy, WorkerIsolation,
-};
+use sdrad_runtime::{ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig};
 
 #[test]
 fn idle_event_driven_runtime_performs_zero_connection_polls() {
@@ -44,108 +36,8 @@ fn idle_event_driven_runtime_performs_zero_connection_polls() {
     assert!(stats.reconciles());
 }
 
-const OFFERED: u64 = 4000;
-
-/// Offers `OFFERED` copies of `payload` to one client pinned to shard 0
-/// of a two-worker deep-stealing runtime and returns the books, in
-/// which the idle sibling has stolen. Engagement is made certain, not
-/// raced: shard 0's worker starts only once the whole burst is queued,
-/// so its first drain publishes surplus, and [`ClaimGate`] holds its
-/// first request until the sibling has claimed a published one.
-fn hot_shard_burst<H: SessionHandler + 'static>(
-    queue_capacity: usize,
-    factory: fn(usize) -> H,
-    payload: &[u8],
-) -> RuntimeStats {
-    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
-    config.queue_capacity = queue_capacity;
-    config.batch = 16;
-    let offered = Arc::new(AtomicBool::new(false));
-    let claimed = Arc::new(AtomicBool::new(false));
-    let runtime = {
-        let (offered, claimed) = (Arc::clone(&offered), Arc::clone(&claimed));
-        // The factory runs on the worker thread, before its first wait.
-        Runtime::start(config, move |shard| {
-            if shard == 0 {
-                await_flag(&offered, "the burst was never offered");
-            }
-            ClaimGate::new(factory(shard), shard, Arc::clone(&claimed))
-        })
-    };
-    let hot = (0u64..)
-        .map(ClientId)
-        .find(|c| runtime.shard_of(*c) == 0)
-        .expect("some client maps to shard 0");
-    for _ in 0..OFFERED {
-        let _ = runtime.submit_detached(hot, payload.to_vec());
-    }
-    offered.store(true, Ordering::SeqCst);
-    // Stopping first could retire the thief with the steal still ahead.
-    await_flag(&claimed, "the idle sibling never claimed a request");
-    let stats = runtime.shutdown();
-    assert_eq!(stats.served() + stats.shed, OFFERED, "nothing lost");
-    assert_eq!(stats.thief_mutations(), 0);
-    assert!(stats.reconciles(), "stolen work must balance: {stats:?}");
-    let thief = &stats.workers[1];
-    assert!(thief.steals > 0, "the claimed request was stolen");
-    assert_eq!(
-        stats.steals(),
-        stats.stolen_submits,
-        "thief and queue agree"
-    );
-    assert!(
-        thief.served >= thief.steals,
-        "stolen requests are served by the thief"
-    );
-    stats
-}
-
 #[test]
-fn idle_workers_steal_queued_requests_from_a_loaded_sibling() {
-    // All load lands on one shard; the other worker must take part of
-    // it, and with room for the whole burst none of it may shed.
-    let capacity = usize::try_from(OFFERED).unwrap();
-    let stats = hot_shard_burst(capacity, |_| KvHandler::default(), b"get missing\r\n");
-    assert_eq!(stats.served(), OFFERED, "steals must not lose requests");
-}
-
-/// A stateless handler: every request is an echo, so every request is
-/// safe on any shard and it says so.
-struct Echo;
-
-impl SessionHandler for Echo {
-    fn handle(&mut self, _iso: &mut WorkerIsolation, _client: ClientId, request: &[u8]) -> Reply {
-        Reply {
-            response: request.to_vec().into(),
-            disposition: Disposition::Ok,
-        }
-    }
-
-    fn steal_class(&self, _request: &[u8]) -> StealClass {
-        StealClass::ReadOnly
-    }
-
-    fn state_bytes(&self) -> u64 {
-        0
-    }
-
-    fn restart(&mut self) {}
-}
-
-#[test]
-fn stateless_handlers_get_blind_stealing_through_classification() {
-    // Classification-blind queue stealing is not a policy of its own: a
-    // handler whose every request is `ReadOnly` gets it from the deep
-    // policy — here with a payload a kv parser would call a mutation,
-    // because only the handler's own classification matters. The burst
-    // overruns the hot shard's queue, so the books close on served +
-    // shed; the helper panics unless the sibling stole.
-    hot_shard_burst(1024, |_| Echo, b"set k 1\r\nv\r\n");
-}
-
-#[test]
-fn stealing_disabled_keeps_every_request_on_its_sticky_shard() {
+fn a_hot_client_stays_on_its_sticky_shard() {
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
     config.queue_capacity = 2048;
     let runtime = Runtime::start(config, |_| KvHandler::default());
@@ -157,8 +49,6 @@ fn stealing_disabled_keeps_every_request_on_its_sticky_shard() {
         assert!(runtime.submit_detached(hot, b"get missing\r\n".to_vec()));
     }
     let stats = runtime.shutdown();
-    assert_eq!(stats.steals(), 0);
-    assert_eq!(stats.stolen_submits, 0);
     assert_eq!(stats.workers[0].served, 1000, "all work stayed on shard 0");
     assert!(stats.reconciles());
 }

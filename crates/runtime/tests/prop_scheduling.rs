@@ -1,31 +1,19 @@
-//! Property: readiness scheduling, work stealing (off sibling queues
-//! *and* connection buffers) and read budgets never bend the
+//! Property: readiness scheduling and read budgets never bend the
 //! conservation laws.
 //!
-//! For **any** client mix, queue bound, worker count, steal policy and
-//! per-connection read budget:
+//! For **any** client mix, queue bound, worker count and per-connection
+//! read budget:
 //!
 //! * every offered request is either served or shed — `served + shed ==
 //!   offered`, over both the submit path and the connection path;
 //! * no request is processed twice: every `Enqueued` ticket completes
-//!   exactly once, and the stolen-work books balance both ways (queue
-//!   steals vs thief serves, connection-buffer lifts vs registry
-//!   counts — a double-served steal breaks one of them);
+//!   exactly once;
 //! * connection traffic is fully answered **in frame order** regardless
-//!   of how small the read budget slices the pump passes or which
-//!   worker (owner or thief) serves each frame — stolen reads and the
-//!   mutations left to the owner must interleave back into the exact
-//!   pipelined response sequence;
-//! * under [`StealPolicy::Deep`] no shard-state mutation ever executes
-//!   on a thief (`thief_mutations == 0`).
-//!
-//! [`StealPolicy::Deep`]: sdrad_runtime::StealPolicy::Deep
+//!   of how small the read budget slices the pump passes.
 
 use proptest::prelude::*;
 use sdrad::ClientId;
-use sdrad_runtime::{
-    ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, StealPolicy, SubmitOutcome,
-};
+use sdrad_runtime::{ConnectionServer, IsolationMode, KvHandler, RuntimeConfig, SubmitOutcome};
 
 /// One offered request: which client, and whether it is an exploit
 /// (~10% of traffic).
@@ -33,32 +21,26 @@ fn arb_offer() -> impl Strategy<Value = (u64, bool)> {
     (0u64..24, 0u32..10).prop_map(|(client, roll)| (client, roll == 0))
 }
 
-fn arb_policy() -> impl Strategy<Value = StealPolicy> {
-    prop_oneof![Just(StealPolicy::Disabled), Just(StealPolicy::Deep)]
-}
-
 proptest! {
     #[test]
-    fn conservation_holds_under_stealing_budgets_and_wakeups(
+    fn conservation_holds_under_budgets_and_wakeups(
         offers in proptest::collection::vec(arb_offer(), 1..250),
         conn_loads in proptest::collection::vec(1usize..6, 0..4),
         capacity in 1usize..48,
         workers in 1usize..5,
-        policy in arb_policy(),
         budget in 1usize..8,
     ) {
         let mut config = RuntimeConfig::new(workers, IsolationMode::PerClientDomain);
         config.queue_capacity = capacity;
-        config.work_stealing = policy;
         config.conn_read_budget = budget;
         let server = ConnectionServer::start(config, |_| KvHandler::default());
         let runtime = server.runtime();
 
         // Connection path: each connection pipelines its whole load in
-        // one write (the budget must slice it without losing any, and
-        // deep stealing must not reorder it). Reads hit keys nothing
-        // ever sets, writes use keys unique per connection, so the
-        // expected response bytes are exact whoever serves each frame.
+        // one write (the budget must slice it without losing any or
+        // reordering it). Reads hit keys nothing ever sets, writes use
+        // keys unique per connection, so the expected response bytes
+        // are exact.
         let mut conns = Vec::new();
         let mut conn_requests = 0u64;
         for (c, &load) in conn_loads.iter().enumerate() {
@@ -80,8 +62,7 @@ proptest! {
         }
 
         // Submit path: accepted ⇒ ticketed, saturated ⇒ shed. Mixed
-        // reads and mutations so queue stealing has both classes to
-        // meet under every policy.
+        // reads and mutations.
         let mut tickets = Vec::new();
         let mut shed_at_submit = 0u64;
         for (i, (client, attack)) in offers.iter().enumerate() {
@@ -116,8 +97,7 @@ proptest! {
         }
 
         // Every connection byte was answered in frame order — exact
-        // response bytes, even when some frames were served by a thief
-        // and the rest by the owner.
+        // response bytes.
         for (client, expected) in &mut conns {
             prop_assert_eq!(
                 client.read_available(),
@@ -126,20 +106,7 @@ proptest! {
             );
         }
 
-        // Policy-specific books.
-        match policy {
-            StealPolicy::Disabled => {
-                prop_assert_eq!(stats.steals(), 0);
-                prop_assert_eq!(stats.conn_steals(), 0);
-            }
-            StealPolicy::Deep => {
-                // The whole point: stealing, however deep, never runs a
-                // mutation off its owner shard.
-                prop_assert_eq!(stats.thief_mutations(), 0);
-            }
-        }
-
-        // Stolen work balanced, histograms per-request, managers agree.
+        // Histograms per-request, managers agree.
         prop_assert!(stats.reconciles());
     }
 }

@@ -17,13 +17,12 @@ pub enum EventKind {
     /// A request was refused: queue backpressure or admission control
     /// (detail: a [`ShedReason`] discriminant).
     Shed = 1,
-    /// A thief took pre-framed requests off a sibling queue or lifted
-    /// framing-complete requests off a sibling connection buffer
-    /// (detail = count; shard = the victim).
+    /// No longer emitted: every request runs on its client's sticky
+    /// shard, so nothing is stolen. Kept because the discriminants are
+    /// the wire encoding.
     Steal = 2,
-    /// No longer emitted: deep-steal thieves leave mutation frames in
-    /// the connection buffer for their owner instead of handing them
-    /// over. Kept because the discriminants are the wire encoding.
+    /// No longer emitted, for the same reason as [`Steal`](Self::Steal).
+    /// Kept because the discriminants are the wire encoding.
     OwnerRoute = 3,
     /// A contained fault was rewound (detail = rewind nanoseconds).
     Rewind = 4,
@@ -68,7 +67,7 @@ impl EventKind {
     /// True for the high-volume kinds the overload-adaptive sampler may
     /// head-sample under ring pressure (submits and park/wake chatter).
     /// Control-relevant evidence — rewinds, rung decisions, standing
-    /// crossings, sheds, steal traffic — is **never** sampled: losing it
+    /// crossings, sheds — is **never** sampled: losing it
     /// would blind exactly the post-mortems and the admission evidence
     /// channel the recorder exists to feed.
     #[must_use]
@@ -177,8 +176,8 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Who emitted it.
     pub source: Source,
-    /// The shard the event concerns (the victim for steals, the owner
-    /// for routes, the serving shard otherwise).
+    /// The shard the event concerns (the serving shard, or for a shed
+    /// the shard the request would have landed on).
     pub shard: u16,
     /// The client the event concerns (0 when not client-attributed).
     pub client: u64,

@@ -11,7 +11,7 @@
 //!
 //! * **Flight recorder** ([`TraceRing`], [`Recorder`], [`TraceEvent`]) —
 //!   fixed-capacity lock-free rings of structured events (submits,
-//!   sheds, steals, rewinds, standing crossings, parks/wakes), stamped
+//!   sheds, rewinds, standing crossings, parks/wakes), stamped
 //!   by one injected [`LogicalClock`] so merged drains have a total
 //!   order. Overflow sheds and counts; a drain is checked against the
 //!   conservation law `emitted == drained + dropped + in_ring`.

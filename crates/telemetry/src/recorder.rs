@@ -71,7 +71,7 @@ impl TelemetryConfig {
 /// Overload-adaptive head sampler sitting in front of a ring.
 ///
 /// Control-relevant evidence (rewinds, rung decisions, standing
-/// crossings, sheds, steals) is **always** kept. High-volume chatter
+/// crossings, sheds) is **always** kept. High-volume chatter
 /// ([`EventKind::is_sampleable`]: submits and park/wake) is thinned by
 /// a stride driven by the ring's current occupancy: keep-all below half
 /// full, then 1-in-2, 1-in-4 and 1-in-8 as the ring approaches

@@ -65,7 +65,7 @@ impl StreamingConfig {
     }
 }
 
-/// The six counters a worker publishes once per pump pass, declared
+/// The five counters a worker publishes once per pump pass, declared
 /// once: the runtime's live-counter mailbox, its `StatsSnapshot` and
 /// the [`DeltaFrame`] all carry this struct, so the three views cannot
 /// name different sets.
@@ -81,13 +81,11 @@ pub struct LiveTotals {
     pub crashes: u64,
     /// Requests served off connection streams.
     pub conn_served: u64,
-    /// Requests stolen from sibling queues.
-    pub steals: u64,
 }
 
 impl LiveTotals {
     /// How many counters the struct carries.
-    pub const COUNTERS: usize = 6;
+    pub const COUNTERS: usize = 5;
 
     /// The counters in declaration order — the one place per-counter
     /// arithmetic (diffing, summing, atomic mailboxes) loops over.
@@ -99,21 +97,19 @@ impl LiveTotals {
             self.contained_faults,
             self.crashes,
             self.conn_served,
-            self.steals,
         ]
     }
 
     /// The inverse of [`to_array`](Self::to_array).
     #[must_use]
     pub fn from_array(counters: [u64; Self::COUNTERS]) -> Self {
-        let [served, ok, contained_faults, crashes, conn_served, steals] = counters;
+        let [served, ok, contained_faults, crashes, conn_served] = counters;
         LiveTotals {
             served,
             ok,
             contained_faults,
             crashes,
             conn_served,
-            steals,
         }
     }
 }

@@ -1,13 +1,11 @@
 //! Readiness-driven scheduling in one screen: workers park on per-shard
 //! wake sets instead of polling connections, an idle runtime costs
-//! nothing, a loaded shard's queue is rescued by work stealing, and a
-//! silent connection is reaped like a TCP idle timeout.
+//! nothing, and a silent connection is reaped like a TCP idle timeout.
 //!
 //! Run with: `cargo run --example event_driven`
 
 use sdrad_bench::Report;
-use sdrad_repro::core::ClientId;
-use sdrad_repro::runtime::{ConnectionServer, IsolationMode, KvHandler, Runtime, RuntimeConfig};
+use sdrad_repro::runtime::{ConnectionServer, IsolationMode, KvHandler, RuntimeConfig};
 
 fn main() {
     // --- park/wake instead of poll --------------------------------------
@@ -57,38 +55,6 @@ fn main() {
     assert!(stats.parks() > 0);
     assert_eq!(stats.reaped(), 1, "the silent connection was reaped");
     assert!(!idler.is_open(), "the reaped peer observes the close");
-    assert!(stats.reconciles());
-
-    // --- work stealing off a hot shard ----------------------------------
-    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = sdrad_runtime::StealPolicy::Deep;
-    config.queue_capacity = 4096;
-    config.batch = 16;
-    let runtime = Runtime::start(config, |_| KvHandler::default());
-    let hot = (0u64..)
-        .map(ClientId)
-        .find(|c| runtime.shard_of(*c) == 0)
-        .expect("some client maps to shard 0");
-    for _ in 0..4000 {
-        let _ = runtime.submit_detached(hot, b"get hot-key\r\n".to_vec());
-    }
-    let stats = runtime.shutdown();
-    report.begin_table(
-        "work stealing off a hot shard",
-        &[
-            "owner served",
-            "sibling stole",
-            "queues agree",
-            "reconciles",
-        ],
-    );
-    report.row(&[
-        stats.workers[0].served.to_string(),
-        stats.workers[1].steals.to_string(),
-        stats.stolen_submits.to_string(),
-        if stats.reconciles() { "yes" } else { "NO" }.into(),
-    ]);
     report.print();
-    assert_eq!(stats.served(), 4000, "stealing never loses a request");
     assert!(stats.reconciles());
 }

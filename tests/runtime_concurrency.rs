@@ -100,29 +100,25 @@ fn concurrent_attack_contained_and_fed_into_fleet_models() {
 }
 
 #[test]
-fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
-    // The cross-case the hazard protocol exists for: an offender climbs
-    // the escalation ladder to repeated *deferred* pool rebuilds on the
-    // hot shard while an idle sibling deep-steals read frames off that
-    // same shard's connection buffers. Whatever interleaving the race
-    // produces, responses stay complete and in frame order, mutations
-    // stay on the owner, and the reclamation books reconcile exactly.
+fn pool_rebuilds_under_hostile_traffic_and_every_ledger_closes() {
+    // An offender climbs the escalation ladder to repeated *deferred*
+    // pool rebuilds on the hot shard while read pipelines arrive on
+    // that same shard's connections. Whatever interleaving the worker
+    // sees, responses stay complete and in frame order, and the
+    // reclamation books reconcile exactly.
     use sdrad_repro::net::{duplex, Endpoint};
-    use sdrad_repro::runtime::{
-        ControlConfig, LadderParams, ReputationParams, ShedParams, StealPolicy,
-    };
+    use sdrad_repro::runtime::{ControlConfig, LadderParams, ReputationParams, ShedParams};
 
     let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
-    config.work_stealing = StealPolicy::Deep;
     config.queue_capacity = 4096;
     config.batch = 16;
     config.conn_read_budget = 4;
     // Scores the offender can never reach: it is neither quarantined
     // nor banned, so every third consecutive fault rebuilds the pool
-    // right on the shard the thief is stealing from. The benign CoDel
-    // target is parked at 1 s: this test is about rebuild x steal, and
-    // the default 50 ms target sheds the 1500-deep backlog below on a
-    // CPU-starved host.
+    // right on the shard the connections live on. The benign CoDel
+    // target is parked at 1 s: this test is about the rebuild storm,
+    // and the default 50 ms target sheds the 1500-deep backlog below on
+    // a CPU-starved host.
     config.control = Some(ControlConfig {
         benign_shed: ShedParams {
             target_ns: 1_000_000_000,
@@ -150,8 +146,8 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
         .collect();
     let (pin, offender) = (shard0[0], shard0[1]);
 
-    // A mutation backlog pins the owner, with an attack every 50 frames
-    // climbing the ladder while the backlog drains.
+    // A mutation backlog keeps the hot shard busy, with an attack every
+    // 50 frames climbing the ladder while the backlog drains.
     for i in 0..1500 {
         if i % 50 == 0 {
             assert!(runtime.submit_detached(offender, b"xstat 65536 4\r\nboom\r\n".to_vec()));
@@ -159,8 +155,8 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
         assert!(runtime.submit_detached(pin, b"set pin 2\r\nok\r\n".to_vec()));
     }
 
-    // Get-only pipelines sit in the hot shard's connection buffers for
-    // the idle sibling to lift mid-rebuild.
+    // Get-only pipelines arrive on the hot shard's connections while
+    // its pool is being rebuilt.
     let mut conns: Vec<(Endpoint, Vec<u8>)> = Vec::new();
     for &client_id in &shard0[2..] {
         let (mut client, server) = duplex();
@@ -180,13 +176,12 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
         assert_eq!(
             client.read_available(),
             *expected,
-            "stolen reads answer completely through the rebuild race"
+            "reads answer completely through the rebuild storm"
         );
     }
     let stats = runtime.shutdown();
 
     assert!(stats.pool_rebuilds() > 0, "pool rung engaged: {stats:?}");
-    assert_eq!(stats.thief_mutations(), 0, "no mutation ran on a thief");
     assert!(
         stats.domains_retired() > 0,
         "deferred rebuilds retired live domains"
@@ -196,11 +191,5 @@ fn pool_rebuilds_race_deep_steals_and_every_ledger_closes() {
         stats.domains_reclaimed(),
         "every retired domain was reclaimed by shutdown"
     );
-    let hazard = stats
-        .hazard
-        .as_ref()
-        .expect("deep stealing runs a hazard domain");
-    assert!(hazard.conserves(), "hazard books: {hazard:?}");
-    assert_eq!(hazard.pending, 0, "no view outlived the runtime");
     assert!(stats.reconciles(), "books balance: {stats:?}");
 }
