@@ -7,12 +7,12 @@
 //! paper's hardware measurement: the software MMU adds per-byte checks
 //! real PKU does not pay (DESIGN.md §5). Every row is a timing (`info`).
 
+use sdrad::CostModel;
 use sdrad_faultsim::workload::{
     http_get_request, http_upload_request, kv_preload_request, KvWorkload,
 };
 use sdrad_httpd::{HttpServer, Isolation as HttpIsolation};
 use sdrad_kvstore::{Isolation as KvIsolation, Server, ServerConfig};
-use sdrad_mpk::CostModel;
 use sdrad_tls::{HeartbeatEngine, HeartbeatOutcome};
 
 use crate::{measure, ops_per_sec, overhead_pct, Report};

@@ -19,9 +19,8 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Duration;
 
-use sdrad::{DomainConfig, DomainManager};
+use sdrad::{CostModel, DomainConfig, DomainManager};
 use sdrad_ffi::Sandbox;
-use sdrad_mpk::CostModel;
 
 use crate::{fmt_duration, measure, worker_binary, Report};
 
@@ -32,7 +31,7 @@ pub fn run(size: usize) -> Report {
     let model = CostModel::calibrated();
     let mut r = Report::new("e8", "isolation-mechanism round-trip costs");
     r.begin_table(
-        "modeled hardware costs (calibrated; see sdrad-mpk::cost for sources)",
+        "modeled hardware costs (calibrated; see sdrad::CostModel for sources)",
         &["primitive", "cycles", "time @3GHz"],
     );
     for (primitive, cycles) in [

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use sdrad_alloc::{DomainHeap, HeapStats};
-use sdrad_mpk::{AccessRights, Fault, ProtectionKey};
+use crate::heap::{DomainHeap, HeapStats};
+use crate::mpk::{AccessRights, Fault, ProtectionKey};
 
 /// Identifier of a domain within one [`DomainManager`](crate::DomainManager).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -3,8 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use sdrad_mpk::Fault;
-
+use crate::mpk::Fault;
 use crate::DomainId;
 
 /// Errors returned by [`DomainManager`](crate::DomainManager) operations.

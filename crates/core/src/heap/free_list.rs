@@ -2,12 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use sdrad_mpk::{Fault, MemorySpace, ProtectionKey, Region, VirtAddr};
-
-use crate::HeapStats;
+use super::HeapStats;
+use crate::mpk::{Fault, MemorySpace, ProtectionKey, Region, VirtAddr};
 
 /// Minimum alignment (and granule) of payload allocations, in bytes.
-pub const MIN_ALIGN: usize = 16;
+pub(crate) const MIN_ALIGN: usize = 16;
 
 /// Width of each heap canary, in bytes.
 const CANARY_LEN: usize = 8;
@@ -46,10 +45,10 @@ impl Block {
 ///
 /// All payload bytes live in the domain's [`MemorySpace`] region (so they
 /// are subject to PKRU checks); all metadata lives in this struct (so it is
-/// immune to domain-internal corruption). See the crate docs for the role
+/// immune to domain-internal corruption). See the module docs for the role
 /// this plays in SDRaD.
 #[derive(Debug)]
-pub struct DomainHeap {
+pub(crate) struct DomainHeap {
     region: Region,
     /// Live blocks keyed by payload address.
     blocks: BTreeMap<u64, Block>,
@@ -273,7 +272,7 @@ fn round_up(value: usize, align: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdrad_mpk::{AccessRights, Pkru, PkruGuard};
+    use crate::mpk::{AccessRights, Pkru, PkruGuard};
 
     fn setup(capacity: usize) -> (MemorySpace, DomainHeap, PkruGuard) {
         let mut space = MemorySpace::new();

@@ -1,9 +1,9 @@
 //! Property tests for the domain heap: allocation invariants under
 //! arbitrary workloads.
 
+use super::DomainHeap;
+use crate::mpk::{AccessRights, MemorySpace, Pkru, PkruGuard, VirtAddr};
 use proptest::prelude::*;
-use sdrad_alloc::DomainHeap;
-use sdrad_mpk::{AccessRights, MemorySpace, Pkru, PkruGuard, VirtAddr};
 
 /// One step of a synthetic heap workload.
 #[derive(Debug, Clone)]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Counters describing the lifetime activity and current occupancy of a
-/// [`DomainHeap`](crate::DomainHeap).
+/// domain's private heap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
     /// Successful allocations over the heap's lifetime.

@@ -9,8 +9,7 @@
 //! attacks but respond by terminating the process, so service operators buy
 //! availability with replication — environmentally costly
 //! over-provisioning. SDRaD instead partitions a process into *domains*
-//! backed by hardware protection keys (simulated here by
-//! [`sdrad_mpk`]), each with a private heap ([`sdrad_alloc`]). When a
+//! backed by hardware protection keys, each with a private heap. When a
 //! fault is detected inside a domain:
 //!
 //! 1. execution **rewinds** to the point where the domain was entered
@@ -63,21 +62,54 @@
 //! `Err` of a `DomainEnv::try_*` method up with `?`; or as a trap, when
 //! a plain [`DomainEnv`] method unwinds to [`DomainManager::call`]. Both
 //! end in the same rewind; the value form costs no unwind.
+//!
+//! ## The substrate
+//!
+//! The protection keys and the domain heaps are private modules of this
+//! crate. The keys are a software model of Intel PKU that, for now, runs
+//! on every host, hardware PKU or not (ROADMAP G1 will detect the hardware).
+//! Each domain's heap lives in a region tagged with its key and carries
+//! canaries around every block. Callers see the value types the domain
+//! API speaks in — [`Fault`], [`Region`], [`VirtAddr`], [`Pkru`],
+//! [`ProtectionKey`], [`HeapStats`] — and [`CostModel`], the calibrated
+//! price of each primitive.
+//!
+//! The thread's rights register can be read with [`current_pkru`], but
+//! only the call gate in [`DomainManager::try_call`] writes it, as ERIM's
+//! argument requires: no code outside the gate can change PKRU. Nothing
+//! outside this crate can reach the writer:
+//!
+//! ```compile_fail,E0425
+//! use sdrad::*;
+//! let before = current_pkru();
+//! set_current_pkru(Pkru::allow_all());
+//! assert_eq!(current_pkru(), before);
+//! ```
+//!
+//! nor the scoped guard built on it:
+//!
+//! ```compile_fail,E0433
+//! use sdrad::*;
+//! let _open = PkruGuard::enter(Pkru::allow_all());
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod domain;
 mod error;
+mod heap;
 mod manager;
+mod mpk;
 mod pool;
 
 pub(crate) use domain::Domain;
 pub use domain::{DomainConfig, DomainId, DomainInfo, DomainPolicy, DomainState};
 pub use error::DomainError;
+pub use heap::HeapStats;
 pub use manager::{quiet_fault_traps, DomainEnv, DomainManager};
+pub use mpk::{
+    current_pkru, Access, AccessRights, CostModel, CpuProfile, Fault, Pkru, ProtectionKey, Region,
+    VirtAddr,
+};
 pub use pool::{ClientId, DomainPool};
-
-// Re-export the substrate types users need at the API boundary.
-pub use sdrad_alloc::HeapStats;
-pub use sdrad_mpk::{CostModel, Fault, Region, VirtAddr};

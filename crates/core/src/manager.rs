@@ -4,11 +4,10 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use sdrad_alloc::DomainHeap;
-use sdrad_mpk::{
+use crate::heap::DomainHeap;
+use crate::mpk::{
     AccessRights, Fault, MemorySpace, Pkru, PkruGuard, ProtectionKey, Region, VirtAddr,
 };
-
 use crate::{Domain, DomainConfig, DomainError, DomainId, DomainInfo, DomainState};
 
 /// Panic payload used to carry a [`Fault`] from the fault site to the
@@ -589,8 +588,8 @@ impl DomainEnv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mpk::Access;
     use crate::DomainPolicy;
-    use sdrad_mpk::Access;
 
     fn manager_with_domain() -> (DomainManager, DomainId) {
         let mut mgr = DomainManager::new();

@@ -12,10 +12,6 @@
 //! modelled switch cost is its switch count — two `WRPKRU`s per domain
 //! call, `2 × DomainInfo::calls` — times [`CostModel::wrpkru_ns`].
 
-/// Cycles per nanosecond at 1 GHz (definitionally 1; named for clarity in
-/// conversions).
-pub const CYCLES_PER_GHZ_NS: f64 = 1.0;
-
 /// CPU frequency profile used to convert cycles to wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuProfile {
@@ -34,7 +30,7 @@ impl CpuProfile {
     /// Converts a cycle count to nanoseconds under this profile.
     #[must_use]
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.ghz * CYCLES_PER_GHZ_NS)
+        cycles as f64 / self.ghz
     }
 }
 

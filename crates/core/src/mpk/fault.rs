@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{Access, Pkru, ProtectionKey, VirtAddr};
+use super::{Access, Pkru, ProtectionKey, VirtAddr};
 
 /// A memory fault detected by the simulated MMU or an allocator above it.
 ///

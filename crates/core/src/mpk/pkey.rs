@@ -2,19 +2,19 @@
 
 use std::fmt;
 
-use crate::Fault;
+use super::Fault;
 
 /// Number of protection keys supported by x86-64 PKU hardware.
 ///
 /// PKRU is a 32-bit register with two bits per key, so exactly 16 keys
 /// exist. Key 0 is the process-default key that all memory carries unless
 /// retagged.
-pub const MAX_KEYS: usize = 16;
+pub(crate) const MAX_KEYS: usize = 16;
 
 /// A protection key (`pkey`), in the range `0..16`.
 ///
-/// Key 0 is the default key; the remaining 15 are available to
-/// [`PkeyAllocator::pkey_alloc`], matching the budget a real SDRaD process
+/// Key 0 is the default key; the remaining 15 are handed out by
+/// `pkey_alloc`, one per domain, matching the budget a real SDRaD process
 /// has for distinct domains per address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProtectionKey(u8);
@@ -62,7 +62,7 @@ impl fmt::Display for ProtectionKey {
 /// explicit error (a real constraint SDRaD has to engineer around when an
 /// application wants more than 15 concurrent domains).
 #[derive(Debug, Clone)]
-pub struct PkeyAllocator {
+pub(crate) struct PkeyAllocator {
     /// Bit `i` set means key `i` is currently allocated.
     allocated: u16,
 }

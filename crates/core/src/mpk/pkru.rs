@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::fmt;
 
-use crate::{Access, AccessRights, ProtectionKey, MAX_KEYS};
+use super::{Access, AccessRights, ProtectionKey, MAX_KEYS};
 
 /// The 32-bit PKRU register: two bits per protection key.
 ///
@@ -136,7 +136,7 @@ pub fn current_pkru() -> Pkru {
 ///
 /// Nothing counts these writes: a domain call makes two, and one is priced
 /// at [`CostModel::wrpkru_cycles`](crate::CostModel::wrpkru_cycles).
-pub fn set_current_pkru(pkru: Pkru) -> Pkru {
+pub(crate) fn set_current_pkru(pkru: Pkru) -> Pkru {
     Pkru(CURRENT_PKRU.with(|c| c.replace(pkru.to_raw())))
 }
 
@@ -147,7 +147,7 @@ pub fn set_current_pkru(pkru: Pkru) -> Pkru {
 /// unwinds through the guard and the parent's rights come back
 /// automatically.
 #[derive(Debug)]
-pub struct PkruGuard {
+pub(crate) struct PkruGuard {
     previous: Pkru,
 }
 
@@ -158,12 +158,6 @@ impl PkruGuard {
         PkruGuard {
             previous: set_current_pkru(pkru),
         }
-    }
-
-    /// The PKRU value that will be restored on drop.
-    #[must_use]
-    pub fn previous(&self) -> Pkru {
-        self.previous
     }
 }
 

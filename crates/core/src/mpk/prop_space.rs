@@ -1,7 +1,7 @@
 //! Property tests for the simulated memory space and PKRU semantics.
 
+use super::{Access, AccessRights, MemorySpace, Pkru, PkruGuard, ProtectionKey, VirtAddr};
 use proptest::prelude::*;
-use sdrad_mpk::{Access, AccessRights, MemorySpace, Pkru, PkruGuard, ProtectionKey, VirtAddr};
 
 fn arb_rights() -> impl Strategy<Value = AccessRights> {
     prop_oneof![

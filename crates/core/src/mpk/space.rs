@@ -3,12 +3,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::{current_pkru, Access, Fault, PkeyAllocator, ProtectionKey};
+use super::{current_pkru, Access, Fault, PkeyAllocator, ProtectionKey};
 
 /// Page size used for region alignment, matching x86-64.
 pub(crate) const PAGE_SIZE: u64 = 4096;
 
-/// A virtual address inside a [`MemorySpace`].
+/// A virtual address in the simulated memory space a domain manager owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct VirtAddr(u64);
 
@@ -61,21 +61,7 @@ impl fmt::Display for VirtAddr {
 /// Identifier of a mapped region, unique for the lifetime of the space
 /// (never reused, which is what makes use-after-free detection reliable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RegionId(u64);
-
-impl RegionId {
-    /// The raw identifier value.
-    #[must_use]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for RegionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "region#{}", self.0)
-    }
-}
+pub(crate) struct RegionId(u64);
 
 /// A lightweight, copyable handle describing a mapped region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +75,7 @@ pub struct Region {
 impl Region {
     /// The region's unique id.
     #[must_use]
-    pub fn id(self) -> RegionId {
+    pub(crate) fn id(self) -> RegionId {
         self.id
     }
 
@@ -166,7 +152,7 @@ impl RegionData {
 /// pointers into unmapped regions deterministically fault with
 /// [`Fault::UseAfterFree`] instead of aliasing new data.
 #[derive(Debug)]
-pub struct MemorySpace {
+pub(crate) struct MemorySpace {
     regions: BTreeMap<u64, RegionData>,
     /// Base address of every region ever mapped, indexed by id − 1 (ids
     /// are dense from 1), so lookups by id need no scan.
@@ -265,27 +251,6 @@ impl MemorySpace {
         }
     }
 
-    /// Retags a live region with a different key (`pkey_mprotect(2)`).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::InvalidKey`] if the key is not allocated;
-    /// [`Fault::UseAfterFree`] if the region is gone.
-    pub fn pkey_mprotect(&mut self, region: RegionId, key: ProtectionKey) -> Result<(), Fault> {
-        if !self.keys.is_allocated(key) {
-            return Err(Fault::InvalidKey { index: key.index() });
-        }
-        match self.live_region_mut(region) {
-            Some(r) => {
-                r.key = key;
-                Ok(())
-            }
-            None => Err(Fault::UseAfterFree {
-                addr: VirtAddr::new(0),
-            }),
-        }
-    }
-
     /// The live region with id `region`, found through `bases`.
     fn live_region_mut(&mut self, region: RegionId) -> Option<&mut RegionData> {
         let index = usize::try_from(region.0.checked_sub(1)?).ok()?;
@@ -332,16 +297,6 @@ impl MemorySpace {
         Err(fault)
     }
 
-    /// Checks that an access of `len` bytes at `addr` is permitted under
-    /// the current PKRU, without performing it.
-    ///
-    /// # Errors
-    ///
-    /// The same faults [`read`](Self::read)/[`write`](Self::write) raise.
-    pub fn check(&mut self, addr: VirtAddr, len: usize, access: Access) -> Result<Region, Fault> {
-        self.checked(addr, len, access).map(|(r, _)| r.handle())
-    }
-
     /// Reads `buf.len()` bytes starting at `addr` under the current PKRU.
     ///
     /// # Errors
@@ -376,26 +331,6 @@ impl MemorySpace {
         region.data[start..start + len].fill(byte);
         Ok(())
     }
-
-    /// Reads a little-endian `u64` at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`read`](Self::read).
-    pub fn read_u64(&mut self, addr: VirtAddr) -> Result<u64, Fault> {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`write`](Self::write).
-    pub fn write_u64(&mut self, addr: VirtAddr, value: u64) -> Result<(), Fault> {
-        self.write(addr, &value.to_le_bytes())
-    }
 }
 
 impl Default for MemorySpace {
@@ -407,7 +342,7 @@ impl Default for MemorySpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessRights, Pkru, PkruGuard};
+    use crate::mpk::{AccessRights, Pkru, PkruGuard};
 
     fn rw_space_with_region(len: usize) -> (MemorySpace, Region, PkruGuard) {
         let mut space = MemorySpace::new();
@@ -511,22 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn pkey_mprotect_retags_region() {
-        let mut space = MemorySpace::new();
-        let key_a = space.pkey_alloc().unwrap();
-        let key_b = space.pkey_alloc().unwrap();
-        let region = space.map(32, key_a).unwrap();
-        space.pkey_mprotect(region.id(), key_b).unwrap();
-
-        // Rights for the old key no longer grant access.
-        let _g = PkruGuard::enter(Pkru::root_only().with_rights(key_a, AccessRights::ReadWrite));
-        assert!(matches!(
-            space.read(region.base(), &mut [0u8; 1]),
-            Err(Fault::PkuViolation { key, .. }) if key == key_b
-        ));
-    }
-
-    #[test]
     fn map_with_unallocated_key_is_invalid() {
         let mut space = MemorySpace::new();
         let key = ProtectionKey::new(9).unwrap();
@@ -555,18 +474,6 @@ mod tests {
         let region = space.map(16, ProtectionKey::DEFAULT).unwrap();
         let _g = PkruGuard::enter(Pkru::root_only());
         assert!(space.write(region.base(), &[42]).is_ok());
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let (mut space, region, _g) = rw_space_with_region(32);
-        space
-            .write_u64(region.base().offset(8), 0xDEAD_BEEF_CAFE)
-            .unwrap();
-        assert_eq!(
-            space.read_u64(region.base().offset(8)).unwrap(),
-            0xDEAD_BEEF_CAFE
-        );
     }
 
     #[test]

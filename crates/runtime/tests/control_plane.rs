@@ -128,9 +128,19 @@ fn repeat_offenders_are_quarantined_then_banned_benign_stay_served() {
 
 #[test]
 fn banned_clients_are_refused_at_accept() {
-    let runtime = Runtime::start(config(), |_| sdrad_runtime::KvHandler::default());
+    // Both latency targets parked: on a slow host the suspect class's
+    // 2 ms target would shed an attack before the ban, so the climb's
+    // first `Shed` could be overload rather than refusal.
+    let mut control = fast_control();
+    for shed in [&mut control.benign_shed, &mut control.suspect_shed] {
+        shed.target_ns = u64::MAX;
+    }
+    let mut config = RuntimeConfig::new(2, IsolationMode::PerClientDomain);
+    config.control = Some(control);
+    let runtime = Runtime::start(config, |_| sdrad_runtime::KvHandler::default());
     let offender = ClientId(13);
-    // Climb to a ban via the submit path.
+    // Climb to a ban via the submit path: with shedding parked, the
+    // first `Shed` is the ban.
     while let SubmitOutcome::Enqueued(ticket) = runtime.submit(offender, ATTACK.to_vec()) {
         let _ = ticket.wait();
     }
@@ -144,6 +154,12 @@ fn banned_clients_are_refused_at_accept() {
     ok_client.write(b"get k\r\n");
     let stats = runtime.shutdown();
     assert_eq!(ok_client.read_available(), b"END\r\n");
+    let report = stats.control.as_ref().unwrap();
+    assert!(
+        report.banned_clients.contains(&offender.0),
+        "the climb ended in a ban: {:?}",
+        report.banned_clients
+    );
     assert!(stats.reconciles());
 }
 

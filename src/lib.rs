@@ -7,9 +7,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `sdrad` | domains, rewind & discard, policies |
-//! | [`mpk`] | `sdrad-mpk` | simulated protection keys, PKRU, memory space, cost model |
-//! | [`alloc`] | `sdrad-alloc` | per-domain heaps with canaries |
+//! | [`core`] | `sdrad` | domains, rewind & discard, policies, over simulated protection keys and per-domain heaps with canaries |
 //! | [`ffi`] | `sdrad-ffi` | SDRaD-FFI sandboxing (macro, backends, worker) |
 //! | [`serial`] | `sdrad-ffi` | cross-domain serialization formats (`sdrad_ffi::serial`) |
 //! | [`net`] | `sdrad-net` | the runtime's in-memory transport (readiness callbacks for event-driven serving) |
@@ -17,7 +15,7 @@
 //! | [`httpd`] | `sdrad-httpd` | NGINX-like workload |
 //! | [`tls`] | `sdrad-tls` | OpenSSL-like workload (Heartbleed demo) |
 //! | [`faultsim`] | `sdrad-faultsim` | attack injection, workload generators |
-//! | [`runtime`] | `sdrad-runtime` | sharded multi-worker serving runtime: readiness-driven scheduling (park/wake, work stealing, read budgets), connection-level serving over `sdrad-net`, all three workloads, latency percentiles |
+//! | [`runtime`] | `sdrad-runtime` | sharded multi-worker serving runtime: readiness-driven scheduling (park/wake, read budgets), connection-level serving over `sdrad-net`, all three workloads, latency percentiles |
 //! | [`control`] | `sdrad-control` | adaptive control plane: admission, reputation, recovery ladder |
 //! | [`energy`] | `sdrad-energy` | availability, energy and carbon models |
 //! | [`cluster`] | `sdrad-cluster` | discrete-event replication-cluster simulator (E12/E13) |
@@ -29,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub use sdrad as core;
-pub use sdrad_alloc as alloc;
 pub use sdrad_cluster as cluster;
 pub use sdrad_control as control;
 pub use sdrad_energy as energy;
@@ -38,7 +35,6 @@ pub use sdrad_ffi as ffi;
 pub use sdrad_ffi::serial;
 pub use sdrad_httpd as httpd;
 pub use sdrad_kvstore as kvstore;
-pub use sdrad_mpk as mpk;
 pub use sdrad_net as net;
 pub use sdrad_runtime as runtime;
 pub use sdrad_tls as tls;

@@ -4,9 +4,8 @@
 //! still serving, a sibling's heap unreadable, and a rewound domain's
 //! bytes discarded.
 
-use sdrad_repro::core::{DomainConfig, DomainManager, DomainPolicy, Fault};
+use sdrad_repro::core::{current_pkru, DomainConfig, DomainManager, DomainPolicy, Fault};
 use sdrad_repro::faultsim::{inject, Attack, StackFrame};
-use sdrad_repro::mpk::current_pkru;
 
 #[test]
 fn every_attack_is_contained_under_every_policy() {
