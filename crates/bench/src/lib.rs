@@ -115,23 +115,27 @@ pub fn attack_rate_per_year(attacks_per_10k: u64, requests: u64, horizon_seconds
     expected * sdrad_energy::availability::SECONDS_PER_YEAR / horizon_seconds
 }
 
+/// Heap capacity of the scratch domain [`measured_rewind_latency`] faults.
+pub(crate) const REWIND_PROBE_HEAP: usize = 64 * 1024;
+
 /// Measures this build's SDRaD rewind latency: the mean wall clock of a
 /// whole faulting `try_call` — stage a block, free it twice, rewind —
 /// over `iters` contained faults in a scratch domain.
 #[must_use]
 pub fn measured_rewind_latency(iters: u32) -> Duration {
-    rewind_latencies(iters).0
+    rewind_latencies(iters, REWIND_PROBE_HEAP).0
 }
 
-/// [`measured_rewind_latency`] beside the manager's own figure for the
-/// same faults: the mean `rewind_ns`, from the boundary receiving the
-/// fault to the caller's rights restored.
+/// [`measured_rewind_latency`] in a scratch domain of `heap_capacity`
+/// bytes, beside the manager's own figure for the same faults: the mean
+/// `rewind_ns`, from the boundary receiving the fault to the caller's
+/// rights restored.
 #[must_use]
-pub fn rewind_latencies(iters: u32) -> (Duration, Duration) {
+pub fn rewind_latencies(iters: u32, heap_capacity: usize) -> (Duration, Duration) {
     use sdrad::{DomainConfig, DomainManager};
     let mut mgr = DomainManager::new();
     let domain = mgr
-        .create_domain(DomainConfig::new("rewind-probe").heap_capacity(64 * 1024))
+        .create_domain(DomainConfig::new("rewind-probe").heap_capacity(heap_capacity))
         .expect("fresh manager has keys");
     let iters = iters.max(1);
     let started = Instant::now();
@@ -206,7 +210,7 @@ mod tests {
 
     #[test]
     fn rewind_probe_runs_and_is_fast() {
-        let (wall, manager) = rewind_latencies(50);
+        let (wall, manager) = rewind_latencies(50, REWIND_PROBE_HEAP);
         assert!(manager.as_nanos() > 0);
         assert!(wall >= manager, "the wall clock spans the manager's figure");
         assert!(wall.as_millis() < 10, "rewind {wall:?} implausibly slow");

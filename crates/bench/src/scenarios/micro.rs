@@ -7,7 +7,13 @@ use sdrad_control::{ControlConfig, ControlPlane};
 use sdrad_kvstore::{Store, StoreConfig};
 use sdrad_runtime::{KvHandler, SessionHandler};
 
-use crate::{rewind_latencies, Report};
+use crate::{rewind_latencies, Report, REWIND_PROBE_HEAP};
+
+/// Heap capacities [`rewind_by_capacity`] sweeps: 4 KiB, 64 KiB, 1 MiB.
+const REWIND_CAPACITIES: [usize; 3] = [4 << 10, 64 << 10, 1 << 20];
+/// Flatness band, as e2's: the slowest capacity's rewind stays within
+/// this multiple of the fastest's (each the least of five means).
+const REWIND_SPREAD: f64 = 3.0;
 
 /// Admissions timed by [`admit_warm_ns`].
 const ADMITS: u64 = 100_000;
@@ -96,12 +102,25 @@ fn get_hit_ns() -> f64 {
     spent.as_nanos() as f64 / GETS as f64
 }
 
-/// Times `size` contained-fault rewinds in a scratch domain, one
-/// admission on a warm control plane, one kv shard restart and one
-/// store `get` hit.
+/// The same faulting call at each of [`REWIND_CAPACITIES`], the least of
+/// five means of `faults` rewinds each. A discard that costs what the
+/// call touched stays flat across capacities; one sized by the capacity
+/// grows with it.
+fn rewind_by_capacity(faults: u32) -> [Duration; 3] {
+    REWIND_CAPACITIES.map(|capacity| {
+        (0..5)
+            .map(|_| rewind_latencies(faults, capacity).0)
+            .min()
+            .expect("five means")
+    })
+}
+
+/// Times `size` contained-fault rewinds in a scratch domain, the same
+/// rewind across heap capacities, one admission on a warm control plane,
+/// one kv shard restart and one store `get` hit.
 #[must_use]
 pub fn run(size: usize) -> Report {
-    let (wall, manager) = rewind_latencies(size as u32);
+    let (wall, manager) = rewind_latencies(size as u32, REWIND_PROBE_HEAP);
     let rewind_ns = wall.as_nanos() as f64;
     let mut r = Report::new("micro", "hot-path micro-timings");
     r.info("rewind_ns", rewind_ns, "ns").note(format!(
@@ -110,6 +129,20 @@ pub fn run(size: usize) -> Report {
         rewind_ns / 1e3,
         manager.as_nanos() as f64 / 1e3
     ));
+    let by_capacity = rewind_by_capacity(size as u32);
+    let fastest = by_capacity.iter().min().expect("capacities");
+    let slowest = by_capacity.iter().max().expect("capacities");
+    let spread = slowest.as_secs_f64() / fastest.as_secs_f64();
+    assert!(
+        spread <= REWIND_SPREAD,
+        "rewind not flat across heap capacity: {spread:.1}x ({by_capacity:?})"
+    );
+    let [small, mid, large] = by_capacity.map(|d| d.as_nanos());
+    r.info("rewind_capacity_spread", spread, "ratio")
+        .note(format!(
+            "faulting try_call, 4 KiB / 64 KiB / 1 MiB heaps: {small} / {mid} / {large} ns \
+         (least of five means of {size} faults each)"
+        ));
     let admit_ns = admit_warm_ns();
     r.info("admit_warm_ns", admit_ns, "ns").note(format!(
         "mean admission on a warm plane (full benign window, 16384 tracked offenders): \

@@ -1,21 +1,16 @@
-//! The per-domain free-list heap.
-
-use std::collections::BTreeMap;
+//! The per-domain bump heap.
 
 use super::HeapStats;
 use crate::mpk::{Fault, MemorySpace, ProtectionKey, Region, VirtAddr};
 
 /// Minimum alignment (and granule) of payload allocations, in bytes.
-pub(crate) const MIN_ALIGN: usize = 16;
+pub(super) const MIN_ALIGN: usize = 16;
 
 /// Width of each heap canary, in bytes.
-const CANARY_LEN: usize = 8;
+pub(super) const CANARY_LEN: usize = 8;
 
 /// Byte written over freed payloads so stale reads are recognisable.
-const FREE_POISON: u8 = 0xDF;
-
-/// Minimum leftover footprint worth splitting off as a new free block.
-const MIN_SPLIT: usize = 2 * CANARY_LEN + 2 * MIN_ALIGN;
+pub(super) const FREE_POISON: u8 = 0xDF;
 
 /// Seed mixed into per-address canary values, so a fixed byte pattern
 /// sprayed by an overflow cannot reproduce a valid canary at a new address.
@@ -28,20 +23,23 @@ const CANARY_SEED: u64 = 0x5D8A_D000_C0FF_EE00;
 /// clobber canaries and payloads but never the size/state records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Block {
+    /// Region offset of the payload.
+    offset: usize,
     /// Rounded payload size in bytes (multiple of [`MIN_ALIGN`]).
     rounded: usize,
     /// Requested payload size in bytes.
     requested: usize,
+    /// Whether the block is allocated. A freed block below a live one
+    /// stays as a dead record until every block above it is freed.
+    live: bool,
 }
 
-impl Block {
-    /// Total bytes of region the block occupies, canaries included.
-    fn footprint(&self) -> usize {
-        self.rounded + 2 * CANARY_LEN
-    }
-}
-
-/// A first-fit free-list heap inside a single key-tagged region.
+/// A bump heap inside a single key-tagged region.
+///
+/// `alloc` takes the bytes at the watermark; `free` marks its block dead
+/// and pops dead blocks off the top, so a call that frees what it
+/// allocated leaves the watermark where the call found it. A hole below
+/// a live block is not reused until everything above it is freed.
 ///
 /// All payload bytes live in the domain's [`MemorySpace`] region (so they
 /// are subject to PKRU checks); all metadata lives in this struct (so it is
@@ -50,11 +48,9 @@ impl Block {
 #[derive(Debug)]
 pub(crate) struct DomainHeap {
     region: Region,
-    /// Live blocks keyed by payload address.
-    blocks: BTreeMap<u64, Block>,
-    /// Free spans keyed by span start address → footprint length.
-    free: BTreeMap<u64, usize>,
-    /// Bump watermark: offset of the first never-used byte in the region.
+    /// Block records in address order, dead ones below the top included.
+    blocks: Vec<Block>,
+    /// Bump watermark: offset of the first byte past the top block.
     watermark: usize,
     stats: HeapStats,
 }
@@ -74,8 +70,7 @@ impl DomainHeap {
         let region = space.map(capacity, key)?;
         Ok(DomainHeap {
             region,
-            blocks: BTreeMap::new(),
-            free: BTreeMap::new(),
+            blocks: Vec::new(),
             watermark: 0,
             stats: HeapStats::default(),
         })
@@ -96,10 +91,11 @@ impl DomainHeap {
     /// Requested size of the live block at `addr`, if any.
     #[must_use]
     pub fn block_size(&self, addr: VirtAddr) -> Option<usize> {
-        self.blocks.get(&addr.raw()).map(|b| b.requested)
+        self.live_index(addr).map(|i| self.blocks[i].requested)
     }
 
-    /// Allocates `len` payload bytes, returning the payload address.
+    /// Allocates `len` payload bytes at the watermark, returning the
+    /// payload address.
     ///
     /// # Errors
     ///
@@ -108,39 +104,32 @@ impl DomainHeap {
     /// the heap's key (the canary write performs a real checked store).
     pub fn alloc(&mut self, space: &mut MemorySpace, len: usize) -> Result<VirtAddr, Fault> {
         let rounded = round_up(len.max(1), MIN_ALIGN);
-        let block = Block {
+        let end = self.watermark + rounded + 2 * CANARY_LEN;
+        if end > self.region.len() {
+            self.stats.faults_detected += 1;
+            return Err(Fault::QuotaExceeded {
+                requested: end,
+                quota: self.region.len(),
+            });
+        }
+        let front = self.region.base().offset(self.watermark);
+        let payload = front.offset(CANARY_LEN);
+        let back = payload.offset(rounded);
+        space.write(front, &canary_for(front).to_le_bytes())?;
+        space.write(back, &canary_for(back).to_le_bytes())?;
+        self.blocks.push(Block {
+            offset: self.watermark + CANARY_LEN,
             rounded,
             requested: len,
-        };
-        let need = block.footprint();
-
-        let start = match self.take_free_span(need) {
-            Some(start) => start,
-            None => {
-                if self.watermark + need > self.region.len() {
-                    self.stats.faults_detected += 1;
-                    return Err(Fault::QuotaExceeded {
-                        requested: self.watermark + need,
-                        quota: self.region.len(),
-                    });
-                }
-                let start = self.watermark;
-                self.watermark += need;
-                start
-            }
-        };
-
-        let front = self.region.base().offset(start);
-        let payload = front.offset(CANARY_LEN);
-        space.write(front, &canary_for(front).to_le_bytes())?;
-        let back = payload.offset(rounded);
-        space.write(back, &canary_for(back).to_le_bytes())?;
-        self.blocks.insert(payload.raw(), block);
+            live: true,
+        });
+        self.watermark = end;
         self.stats.on_alloc(len);
         Ok(payload)
     }
 
-    /// Frees the block at payload address `addr`, verifying its canaries.
+    /// Frees the block at payload address `addr`, verifying its canaries
+    /// and poisoning its payload.
     ///
     /// # Errors
     ///
@@ -148,21 +137,18 @@ impl DomainHeap {
     /// [`Fault::CanaryCorruption`] if an overflow damaged a canary (the
     /// block stays allocated — the caller is expected to rewind).
     pub fn free(&mut self, space: &mut MemorySpace, addr: VirtAddr) -> Result<(), Fault> {
-        let block = match self.blocks.get(&addr.raw()) {
-            Some(b) => *b,
-            None => {
-                self.stats.faults_detected += 1;
-                return Err(Fault::DoubleFree { addr });
-            }
+        let Some(index) = self.live_index(addr) else {
+            self.stats.faults_detected += 1;
+            return Err(Fault::DoubleFree { addr });
         };
-        self.verify_block(space, addr, block)?;
+        let block = self.blocks[index];
+        verify_block(space, self.region, block, &mut self.stats)?;
         space.fill(addr, block.rounded, FREE_POISON)?;
-        self.blocks.remove(&addr.raw());
-        let span_start = addr.raw() - CANARY_LEN as u64;
-        self.insert_free_span(
-            usize::try_from(span_start - self.region.base().raw()).expect("offset fits usize"),
-            block.footprint(),
-        );
+        self.blocks[index].live = false;
+        while let Some(top) = self.blocks.last().filter(|b| !b.live) {
+            self.watermark = top.offset - CANARY_LEN;
+            self.blocks.pop();
+        }
         self.stats.on_free(block.requested);
         Ok(())
     }
@@ -174,98 +160,73 @@ impl DomainHeap {
     ///
     /// [`Fault::CanaryCorruption`] for the first corrupted block found.
     pub fn sweep(&mut self, space: &mut MemorySpace) -> Result<(), Fault> {
-        let blocks: Vec<(u64, Block)> = self.blocks.iter().map(|(a, b)| (*a, *b)).collect();
-        for (addr, block) in blocks {
-            self.verify_block(space, VirtAddr::new(addr), block)?;
+        for block in self.blocks.iter().filter(|b| b.live) {
+            verify_block(space, self.region, *block, &mut self.stats)?;
         }
         Ok(())
     }
 
-    /// Discards the entire heap: poisons the region, drops all metadata,
-    /// and resets the watermark. This is the O(1)-per-block "discard" a
-    /// rewind performs; the heap is immediately reusable.
+    /// Discards the entire heap: drops the bytes the domain touched since
+    /// the last discard, all block records, and the watermark. This is
+    /// the discard a rewind performs; it costs the bytes touched, not the
+    /// capacity, and the heap is immediately reusable.
     ///
     /// # Errors
     ///
     /// Write faults if the current PKRU forbids access to the heap's key.
     pub fn discard(&mut self, space: &mut MemorySpace) -> Result<(), Fault> {
-        space.fill(self.region.base(), self.region.len(), FREE_POISON)?;
+        space.discard(self.region)?;
         self.blocks.clear();
-        self.free.clear();
         self.watermark = 0;
         self.stats.on_discard();
         Ok(())
     }
 
-    /// Checks both canaries of one block.
-    fn verify_block(
-        &mut self,
-        space: &mut MemorySpace,
-        payload: VirtAddr,
-        block: Block,
-    ) -> Result<(), Fault> {
-        let front = VirtAddr::new(payload.raw() - CANARY_LEN as u64);
-        let back = payload.offset(block.rounded);
-        for (pos, overflow) in [(front, false), (back, true)] {
-            let mut buf = [0u8; CANARY_LEN];
-            space.read(pos, &mut buf)?;
-            self.stats.canary_checks += 1;
-            if u64::from_le_bytes(buf) != canary_for(pos) {
-                self.stats.faults_detected += 1;
-                return Err(Fault::CanaryCorruption {
-                    addr: payload,
-                    overflow,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// First-fit search of the free list; splits oversized spans.
-    fn take_free_span(&mut self, need: usize) -> Option<usize> {
-        let (&start, &size) = self.free.iter().find(|(_, &size)| size >= need)?;
-        self.free.remove(&start);
-        if size - need >= MIN_SPLIT {
-            self.free.insert(start + need as u64, size - need);
-        }
-        Some(usize::try_from(start).expect("offset fits usize"))
-    }
-
-    /// Inserts a freed span (given as region offset + length), coalescing
-    /// with adjacent free spans and with the watermark.
-    fn insert_free_span(&mut self, offset: usize, mut len: usize) {
-        let mut start = offset as u64;
-        // Coalesce with the span immediately after.
-        if let Some(&after_len) = self.free.get(&(start + len as u64)) {
-            self.free.remove(&(start + len as u64));
-            len += after_len;
-        }
-        // Coalesce with the span immediately before.
-        if let Some((&before_start, &before_len)) = self.free.range(..start).next_back() {
-            if before_start + before_len as u64 == start {
-                self.free.remove(&before_start);
-                start = before_start;
-                len += before_len;
-            }
-        }
-        // If the span touches the watermark, give it back to the bump zone.
-        if start as usize + len == self.watermark {
-            self.watermark = start as usize;
-        } else {
-            self.free.insert(start, len);
-        }
+    /// Index of the live block whose payload starts at `addr`.
+    fn live_index(&self, addr: VirtAddr) -> Option<usize> {
+        let offset = usize::try_from(addr.raw().checked_sub(self.region.base().raw())?).ok()?;
+        let index = self
+            .blocks
+            .binary_search_by_key(&offset, |b| b.offset)
+            .ok()?;
+        self.blocks[index].live.then_some(index)
     }
 }
 
+/// Checks both canaries of one block of the heap over `region`.
+fn verify_block(
+    space: &mut MemorySpace,
+    region: Region,
+    block: Block,
+    stats: &mut HeapStats,
+) -> Result<(), Fault> {
+    let payload = region.base().offset(block.offset);
+    let front = region.base().offset(block.offset - CANARY_LEN);
+    let back = payload.offset(block.rounded);
+    for (pos, overflow) in [(front, false), (back, true)] {
+        let mut buf = [0u8; CANARY_LEN];
+        space.read(pos, &mut buf)?;
+        stats.canary_checks += 1;
+        if u64::from_le_bytes(buf) != canary_for(pos) {
+            stats.faults_detected += 1;
+            return Err(Fault::CanaryCorruption {
+                addr: payload,
+                overflow,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Per-address canary value (splitmix64 finaliser over the address).
-fn canary_for(addr: VirtAddr) -> u64 {
+pub(super) fn canary_for(addr: VirtAddr) -> u64 {
     let mut z = addr.raw().wrapping_add(CANARY_SEED);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
-fn round_up(value: usize, align: usize) -> usize {
+pub(super) fn round_up(value: usize, align: usize) -> usize {
     value.div_ceil(align) * align
 }
 
@@ -402,7 +363,7 @@ mod tests {
         let a = heap.alloc(&mut space, 256).unwrap();
         heap.free(&mut space, a).unwrap();
         let b = heap.alloc(&mut space, 256).unwrap();
-        assert_eq!(a, b, "free list should hand back the same span");
+        assert_eq!(a, b, "freeing the top block hands its span back");
     }
 
     #[test]

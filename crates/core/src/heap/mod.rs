@@ -6,25 +6,32 @@
 //!
 //! * a memory-safety bug inside the domain can only corrupt the domain's
 //!   own heap (the protection key stops cross-domain writes), and
-//! * recovering from the bug is a constant-time operation — drop the whole
-//!   heap and reinitialise it — instead of a crash-and-restart of the
-//!   entire process.
+//! * recovering from the bug means dropping the whole heap and starting it
+//!   empty, instead of a crash-and-restart of the entire process.
 //!
-//! [`DomainHeap`] implements that heap on top of a
+//! [`DomainHeap`] implements that heap on top of a demand-backed
 //! [`MemorySpace`](crate::mpk::MemorySpace) region:
 //!
-//! * first-fit free-list allocation with block splitting and coalescing,
+//! * bump allocation: a block is taken at the watermark, and freeing the
+//!   top blocks lowers it again, so a call that frees its staging leaves
+//!   the heap as it found it,
 //! * **heap canaries** before and after every payload, verified on free and
 //!   on demand by [`DomainHeap::sweep`] — the detection mechanism the paper
 //!   lists alongside stack canaries and domain violations,
 //! * poisoning of freed payloads plus double-free detection,
-//! * [`DomainHeap::discard`], the O(metadata) wipe used by a rewind.
+//! * [`DomainHeap::discard`], the wipe a rewind performs: it drops the bytes
+//!   touched since the last discard, so its cost follows what the domain
+//!   wrote, not the heap's capacity.
 
-mod free_list;
+mod bump;
 mod stats;
 
-pub(crate) use free_list::DomainHeap;
+pub(crate) use bump::DomainHeap;
 pub use stats::HeapStats;
 
+#[cfg(test)]
+mod free_list_oracle;
+#[cfg(test)]
+mod prop_bump;
 #[cfg(test)]
 mod prop_heap;

@@ -69,7 +69,9 @@
 //! crate. The keys are a software model of Intel PKU that, for now, runs
 //! on every host, hardware PKU or not (ROADMAP G1 will detect the hardware).
 //! Each domain's heap lives in a region tagged with its key and carries
-//! canaries around every block. Callers see the value types the domain
+//! canaries around every block. The region is backed on demand, like
+//! `mmap` pages, so a domain holds only the memory it wrote and a
+//! discard costs the bytes touched since the last one. Callers see the value types the domain
 //! API speaks in — [`Fault`], [`Region`], [`VirtAddr`], [`Pkru`],
 //! [`ProtectionKey`], [`HeapStats`] — and [`CostModel`], the calibrated
 //! price of each primitive.

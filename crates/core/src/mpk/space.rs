@@ -1,6 +1,5 @@
 //! The software memory space: key-tagged regions with checked access.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use super::{current_pkru, Access, Fault, PkeyAllocator, ProtectionKey};
@@ -106,37 +105,41 @@ impl Region {
     /// Whether `addr` falls inside the region.
     #[must_use]
     pub fn contains(self, addr: VirtAddr) -> bool {
-        addr >= self.base && addr.raw() < self.base.raw() + self.len as u64
+        addr >= self.base && addr.raw() < self.end()
+    }
+
+    /// One past the region's last address.
+    fn end(self) -> u64 {
+        self.base.raw() + self.len as u64
     }
 }
 
-/// Backing storage and metadata of a region. An unmapped region stays
-/// as a *tombstone* — its extent, so later accesses inside it fault
+/// A region and its backing. An unmapped region stays as a *tombstone*
+/// — its extent, so later accesses inside it fault
 /// [`Fault::UseAfterFree`] rather than [`Fault::Unmapped`], but no bytes.
 #[derive(Debug)]
 struct RegionData {
-    id: RegionId,
-    base: VirtAddr,
-    /// The mapped length; kept apart from `data`, which a tombstone drops.
-    len: usize,
-    key: ProtectionKey,
+    region: Region,
     live: bool,
+    /// Bytes `[0, data.len())` of the region, zero-filled up to the
+    /// highest byte written; the bytes past it read as zero.
     data: Vec<u8>,
 }
 
 impl RegionData {
-    fn handle(&self) -> Region {
-        Region {
-            id: self.id,
-            base: self.base,
-            len: self.len,
-            key: self.key,
+    /// The backing through offset `end`, extended with zeros as a first
+    /// store faults a page in. The allocation grows by at least a page
+    /// and at least doubles, but never past the region length.
+    fn backing_to(&mut self, end: usize) -> &mut [u8] {
+        if end > self.data.len() {
+            let page = PAGE_SIZE as usize;
+            let target = (end.div_ceil(page) * page)
+                .max(2 * self.data.capacity())
+                .min(self.region.len);
+            self.data.reserve_exact(target - self.data.len());
+            self.data.resize(end, 0);
         }
-    }
-
-    /// One past the region's last address.
-    fn end(&self) -> u64 {
-        self.base.raw() + self.len as u64
+        &mut self.data[..end]
     }
 }
 
@@ -148,18 +151,23 @@ impl RegionData {
 /// [`write`](MemorySpace::write) performs the check the CPU would perform
 /// against the current thread's PKRU ([`current_pkru`]).
 ///
+/// Regions are demand-backed like `mmap` pages: mapping allocates
+/// nothing, a write backs the region with zeros up to the byte it
+/// touched, and untouched bytes read as zero. [`discard`](Self::discard)
+/// drops the touched bytes again (`madvise(MADV_DONTNEED)`), so what a
+/// region costs follows what was written to it, not its length.
+///
 /// Addresses are allocated monotonically and never reused, so stale
 /// pointers into unmapped regions deterministically fault with
 /// [`Fault::UseAfterFree`] instead of aliasing new data.
 #[derive(Debug)]
 pub(crate) struct MemorySpace {
-    regions: BTreeMap<u64, RegionData>,
-    /// Base address of every region ever mapped, indexed by id − 1 (ids
-    /// are dense from 1), so lookups by id need no scan.
-    bases: Vec<u64>,
+    /// Every region ever mapped, tombstones included. Ids are dense from
+    /// 1 and bases grow with them, so the vector is indexed by id − 1
+    /// and is in address order at once.
+    regions: Vec<RegionData>,
     keys: PkeyAllocator,
     next_base: u64,
-    next_id: u64,
 }
 
 impl MemorySpace {
@@ -167,13 +175,11 @@ impl MemorySpace {
     #[must_use]
     pub fn new() -> Self {
         MemorySpace {
-            regions: BTreeMap::new(),
-            bases: Vec::new(),
+            regions: Vec::new(),
             keys: PkeyAllocator::new(),
             // Start well above zero so that "small integer" addresses are
             // always unmapped, like the real zero page.
             next_base: 0x1_0000,
-            next_id: 1,
         }
     }
 
@@ -202,8 +208,9 @@ impl MemorySpace {
         self.keys.available()
     }
 
-    /// Maps a zero-initialised region of `len` bytes tagged with `key`
-    /// (`mmap` + `pkey_mprotect`). The base is page-aligned.
+    /// Maps a region of `len` bytes tagged with `key` (`mmap` +
+    /// `pkey_mprotect`), reading as zeros and backed by nothing until it
+    /// is written. The base is page-aligned.
     ///
     /// # Errors
     ///
@@ -216,20 +223,18 @@ impl MemorySpace {
         let base = VirtAddr::new(self.next_base);
         let pages = (len as u64).div_ceil(PAGE_SIZE).max(1);
         self.next_base += pages * PAGE_SIZE + PAGE_SIZE; // guard page gap
-        let id = RegionId(self.next_id);
-        self.next_id += 1;
-        let data = RegionData {
-            id,
+        let region = Region {
+            id: RegionId(self.regions.len() as u64 + 1),
             base,
             len,
             key,
-            live: true,
-            data: vec![0u8; len],
         };
-        let handle = data.handle();
-        self.regions.insert(base.raw(), data);
-        self.bases.push(base.raw());
-        Ok(handle)
+        self.regions.push(RegionData {
+            region,
+            live: true,
+            data: Vec::new(),
+        });
+        Ok(region)
     }
 
     /// Unmaps a region and releases its bytes, leaving a tombstone: later
@@ -239,28 +244,21 @@ impl MemorySpace {
     ///
     /// Returns [`Fault::UseAfterFree`] if the region was already unmapped.
     pub fn unmap(&mut self, region: RegionId) -> Result<(), Fault> {
-        match self.live_region_mut(region) {
-            Some(r) => {
+        match self.regions.get_mut(region.0 as usize - 1) {
+            Some(r) if r.live => {
                 r.live = false;
                 r.data = Vec::new();
                 Ok(())
             }
-            None => Err(Fault::UseAfterFree {
+            _ => Err(Fault::UseAfterFree {
                 addr: VirtAddr::new(0),
             }),
         }
     }
 
-    /// The live region with id `region`, found through `bases`.
-    fn live_region_mut(&mut self, region: RegionId) -> Option<&mut RegionData> {
-        let index = usize::try_from(region.0.checked_sub(1)?).ok()?;
-        let base = *self.bases.get(index)?;
-        self.regions.get_mut(&base).filter(|r| r.live)
-    }
-
     /// The region an access of `len` bytes at `addr` may touch under the
     /// current PKRU, with the offset of `addr` in it: one probe of the
-    /// region map serves both the check and the access. Faults in
+    /// region table serves both the check and the access. Faults in
     /// precedence order — [`Fault::Unmapped`], [`Fault::UseAfterFree`],
     /// [`Fault::OutOfBounds`], [`Fault::PkuViolation`].
     fn checked(
@@ -270,26 +268,27 @@ impl MemorySpace {
         access: Access,
     ) -> Result<(&mut RegionData, usize), Fault> {
         let pkru = current_pkru();
-        let fault = match self.regions.range_mut(..=addr.raw()).next_back() {
-            Some((_, r)) if addr.raw() < r.end() => {
+        let below = self.regions.partition_point(|r| r.region.base <= addr);
+        let fault = match self.regions[..below].last_mut() {
+            Some(r) if r.region.contains(addr) => {
+                let region = r.region;
                 if !r.live {
                     Fault::UseAfterFree { addr }
-                } else if addr.raw() + len as u64 > r.end() {
+                } else if addr.raw().saturating_add(len as u64) > region.end() {
                     Fault::OutOfBounds {
-                        addr: VirtAddr::new(r.end()),
-                        region_base: r.base,
-                        region_len: r.len,
+                        addr: VirtAddr::new(region.end()),
+                        region_base: region.base,
+                        region_len: region.len,
                     }
-                } else if !pkru.permits(r.key, access) {
+                } else if !pkru.permits(region.key, access) {
                     Fault::PkuViolation {
                         addr,
-                        key: r.key,
+                        key: region.key,
                         access,
                         pkru,
                     }
                 } else {
-                    let start = addr.offset_from(r.base);
-                    return Ok((r, start));
+                    return Ok((r, addr.offset_from(region.base)));
                 }
             }
             _ => Fault::Unmapped { addr },
@@ -305,7 +304,10 @@ impl MemorySpace {
     /// [`Fault::OutOfBounds`], or [`Fault::PkuViolation`].
     pub fn read(&mut self, addr: VirtAddr, buf: &mut [u8]) -> Result<(), Fault> {
         let (region, start) = self.checked(addr, buf.len(), Access::Read)?;
-        buf.copy_from_slice(&region.data[start..start + buf.len()]);
+        let backed = region.data.get(start..).unwrap_or_default();
+        let (touched, untouched) = buf.split_at_mut(backed.len().min(buf.len()));
+        touched.copy_from_slice(&backed[..touched.len()]);
+        untouched.fill(0);
         Ok(())
     }
 
@@ -317,7 +319,7 @@ impl MemorySpace {
     /// [`Fault::OutOfBounds`], or [`Fault::PkuViolation`].
     pub fn write(&mut self, addr: VirtAddr, buf: &[u8]) -> Result<(), Fault> {
         let (region, start) = self.checked(addr, buf.len(), Access::Write)?;
-        region.data[start..start + buf.len()].copy_from_slice(buf);
+        region.backing_to(start + buf.len())[start..].copy_from_slice(buf);
         Ok(())
     }
 
@@ -328,7 +330,21 @@ impl MemorySpace {
     /// Same as [`write`](Self::write).
     pub fn fill(&mut self, addr: VirtAddr, len: usize, byte: u8) -> Result<(), Fault> {
         let (region, start) = self.checked(addr, len, Access::Write)?;
-        region.data[start..start + len].fill(byte);
+        region.backing_to(start + len)[start..].fill(byte);
+        Ok(())
+    }
+
+    /// Drops every byte written to `region` (`madvise(MADV_DONTNEED)`):
+    /// the region reads as zeros again, and the backing keeps its
+    /// allocation, so the next writes pay only to zero what they touch.
+    /// Checked as a write of the whole region.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`write`](Self::write) of `region.len()` bytes at its base.
+    pub fn discard(&mut self, region: Region) -> Result<(), Fault> {
+        let (region, _) = self.checked(region.base(), region.len(), Access::Write)?;
+        region.data.clear();
         Ok(())
     }
 }
@@ -343,6 +359,11 @@ impl Default for MemorySpace {
 mod tests {
     use super::*;
     use crate::mpk::{AccessRights, Pkru, PkruGuard};
+
+    /// Bytes of backing allocated for `region`.
+    fn backing(space: &MemorySpace, region: Region) -> usize {
+        space.regions[region.id().0 as usize - 1].data.capacity()
+    }
 
     fn rw_space_with_region(len: usize) -> (MemorySpace, Region, PkruGuard) {
         let mut space = MemorySpace::new();
@@ -409,6 +430,10 @@ mod tests {
             .write(region.base().offset(10), &[0u8; 10])
             .unwrap_err();
         assert!(matches!(err, Fault::OutOfBounds { region_len: 16, .. }));
+        // A length near the top of the address space, as a declared
+        // length read from input can be, does not wrap past the check.
+        let err = space.fill(region.base(), usize::MAX, 0).unwrap_err();
+        assert!(matches!(err, Fault::OutOfBounds { region_len: 16, .. }));
     }
 
     #[test]
@@ -423,9 +448,9 @@ mod tests {
     fn unmapped_region_is_a_tombstone_without_bytes() {
         let (mut space, region, _g) = rw_space_with_region(4096);
         space.unmap(region.id()).unwrap();
-        let tombstone = &space.regions[&region.base().raw()];
+        let tombstone = &space.regions[0];
         assert!(!tombstone.live);
-        assert_eq!(tombstone.len, 4096, "the extent survives");
+        assert_eq!(tombstone.region.len, 4096, "the extent survives");
         assert_eq!(tombstone.data.capacity(), 0, "the bytes do not");
         for offset in [0, 2048, 4095] {
             let err = space.read(region.base().offset(offset), &mut [0u8; 1]);
@@ -483,6 +508,44 @@ mod tests {
         let mut buf = [0u8; 32];
         space.read(region.base(), &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0xAB));
+    }
+
+    #[test]
+    fn backing_grows_only_with_writes() {
+        let (mut space, region, _g) = rw_space_with_region(1 << 20);
+        assert_eq!(backing(&space, region), 0, "mapping backs nothing");
+        space.write(region.base(), &[0x5A; 100]).unwrap();
+        assert!(backing(&space, region) <= PAGE_SIZE as usize);
+        let mut last = [0xFFu8; 1];
+        space
+            .read(region.base().offset((1 << 20) - 1), &mut last)
+            .unwrap();
+        assert_eq!(last, [0], "an untouched byte reads zero");
+        assert!(
+            backing(&space, region) <= PAGE_SIZE as usize,
+            "reads back nothing"
+        );
+        space
+            .fill(region.base().offset((1 << 20) - 8), 8, 1)
+            .unwrap();
+        assert_eq!(backing(&space, region), 1 << 20, "capped at the region");
+    }
+
+    #[test]
+    fn discard_drops_touched_bytes_and_keeps_the_allocation() {
+        let (mut space, region, _g) = rw_space_with_region(64 * 1024);
+        space.fill(region.base().offset(100), 5000, 0xEE).unwrap();
+        let touched = backing(&space, region);
+        space.discard(region).unwrap();
+        let mut buf = vec![0xFFu8; 64 * 1024];
+        space.read(region.base(), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0), "no touched byte survives");
+        assert_eq!(backing(&space, region), touched);
+        let _none = PkruGuard::enter(Pkru::root_only());
+        assert!(matches!(
+            space.discard(region),
+            Err(Fault::PkuViolation { .. })
+        ));
     }
 
     #[test]
