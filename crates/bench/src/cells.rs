@@ -7,14 +7,10 @@
 //! hot shard" provably drive the same bytes through the same
 //! configuration.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use sdrad::ClientId;
 use sdrad_nolock::arena;
-use sdrad_runtime::{
-    ConnectionServer, Disposition, KvHandler, LatencyHistogram, Runtime, RuntimeConfig,
-    RuntimeStats, SessionHandler, SubmitOutcome,
-};
+use sdrad_runtime::{ConnectionServer, KvHandler, RuntimeConfig, RuntimeStats, SessionHandler};
 
 /// The kvstore exploit: a declared 64 KB `xstat` whose write lands past
 /// its allocation — contained by a rewind when isolated, a crash when
@@ -42,51 +38,6 @@ pub fn benign(i: usize) -> Vec<u8> {
         format!("set key-{} 8\r\nabcdefgh\r\n", i % 512).into_bytes()
     } else {
         format!("get key-{}\r\n", i % 512).into_bytes()
-    }
-}
-
-/// Serves one round trip on every regular shard (domain-pool setup is
-/// serialized), so each worker is provisioned and its siblings are
-/// genuinely parked before a skew arrives. Returns the requests served.
-pub fn warm_every_shard(runtime: &Runtime) -> u64 {
-    let mut served = 0;
-    for shard in (0..runtime.workers()).filter(|s| Some(*s) != runtime.blast_pit()) {
-        let client = (0u64..)
-            .map(ClientId)
-            .find(|c| runtime.shard_of(*c) == shard)
-            .expect("some id maps to every shard");
-        if let SubmitOutcome::Enqueued(ticket) = runtime.submit(client, b"get warm-up\r\n".to_vec())
-        {
-            let _ = ticket.wait();
-            served += 1;
-        }
-    }
-    served
-}
-
-/// The first `count` client ids that hash to shard 0 — the hot shard of
-/// every skewed cell.
-#[must_use]
-pub fn hot_clients(runtime: &Runtime, count: usize) -> Vec<ClientId> {
-    (0u64..)
-        .map(ClientId)
-        .filter(|c| runtime.shard_of(*c) == 0)
-        .take(count)
-        .collect()
-}
-
-/// One ticket round trip (submit → worker → ticket latch → notify) of a
-/// byte-exact `get` miss, its wall-clock RTT recorded.
-pub fn probe_rtt(runtime: &Runtime, client: ClientId, histogram: &mut LatencyHistogram) {
-    let sent = Instant::now();
-    match runtime.submit(client, b"get probe\r\n".to_vec()) {
-        SubmitOutcome::Enqueued(ticket) => {
-            let reply = ticket.wait();
-            histogram.record_duration(sent.elapsed());
-            assert_eq!(reply.response, b"END\r\n", "a probe miss is byte-exact");
-            assert_eq!(reply.disposition, Disposition::Ok, "a probe serves cleanly");
-        }
-        SubmitOutcome::Shed => unreachable!("a closed-loop probe never fills the queue"),
     }
 }
 

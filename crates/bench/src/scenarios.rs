@@ -34,7 +34,6 @@ pub mod e19;
 pub mod e2;
 pub mod e20;
 pub mod e22;
-pub mod e23;
 pub mod e24;
 pub mod e3;
 pub mod e4;
@@ -245,15 +244,6 @@ pub const ALL: &[Scenario] = &[
         full: 4_000,
         trajectory: 2_000,
         run: e22::run,
-    },
-    Scenario {
-        id: "e23",
-        title: "zero-pause pool rebuilds: publish-and-retire vs stop-the-world",
-        claim: "recovery only stays cheaper than a restart if escalation rungs stop billing \
-                their cost to the benign traffic queued behind the fault",
-        full: 768,
-        trajectory: 384,
-        run: e23::run,
     },
     Scenario {
         id: "e24",

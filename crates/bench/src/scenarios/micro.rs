@@ -9,8 +9,9 @@ use sdrad_runtime::{KvHandler, SessionHandler};
 
 use crate::{rewind_latencies, Report, REWIND_PROBE_HEAP};
 
-/// Heap capacities [`rewind_by_capacity`] sweeps: 4 KiB, 64 KiB, 1 MiB.
-const REWIND_CAPACITIES: [usize; 3] = [4 << 10, 64 << 10, 1 << 20];
+/// Heap capacities [`rewind_by_capacity`] sweeps: 4 KiB, 64 KiB (the
+/// probe heap `rewind_ns` reports), 1 MiB.
+const REWIND_CAPACITIES: [usize; 3] = [4 << 10, REWIND_PROBE_HEAP, 1 << 20];
 /// Flatness band, as e2's: the slowest capacity's rewind stays within
 /// this multiple of the fastest's (each the least of five means).
 const REWIND_SPREAD: f64 = 3.0;
@@ -103,33 +104,36 @@ fn get_hit_ns() -> f64 {
 }
 
 /// The same faulting call at each of [`REWIND_CAPACITIES`], the least of
-/// five means of `faults` rewinds each. A discard that costs what the
-/// call touched stays flat across capacities; one sized by the capacity
+/// five wall-clock means of `faults` rewinds each, beside the manager's
+/// own mean from that same run. A discard that costs what the call
+/// touched stays flat across capacities; one sized by the capacity
 /// grows with it.
-fn rewind_by_capacity(faults: u32) -> [Duration; 3] {
+fn rewind_by_capacity(faults: u32) -> [(Duration, Duration); 3] {
     REWIND_CAPACITIES.map(|capacity| {
         (0..5)
-            .map(|_| rewind_latencies(faults, capacity).0)
+            .map(|_| rewind_latencies(faults, capacity))
             .min()
             .expect("five means")
     })
 }
 
-/// Times `size` contained-fault rewinds in a scratch domain, the same
-/// rewind across heap capacities, one admission on a warm control plane,
-/// one kv shard restart and one store `get` hit.
+/// Times `size` contained-fault rewinds in a scratch domain at each heap
+/// capacity (the 64 KiB column is `rewind_ns`), one admission on a warm
+/// control plane, one kv shard restart and one store `get` hit.
 #[must_use]
 pub fn run(size: usize) -> Report {
-    let (wall, manager) = rewind_latencies(size as u32, REWIND_PROBE_HEAP);
+    let by_capacity = rewind_by_capacity(size as u32);
+    let (wall, manager) = by_capacity[1];
     let rewind_ns = wall.as_nanos() as f64;
     let mut r = Report::new("micro", "hot-path micro-timings");
     r.info("rewind_ns", rewind_ns, "ns").note(format!(
-        "mean faulting try_call, wall clock: {:.2}us over {size} faults (the manager's own \
-         rewind_ns, fault received to rights restored: {:.2}us)",
+        "mean faulting try_call at 64 KiB, wall clock: {:.2}us, least of five means of {size} \
+         faults (the manager's own rewind_ns in that run, fault received to rights restored: \
+         {:.2}us)",
         rewind_ns / 1e3,
         manager.as_nanos() as f64 / 1e3
     ));
-    let by_capacity = rewind_by_capacity(size as u32);
+    let by_capacity = by_capacity.map(|(wall, _)| wall);
     let fastest = by_capacity.iter().min().expect("capacities");
     let slowest = by_capacity.iter().max().expect("capacities");
     let spread = slowest.as_secs_f64() / fastest.as_secs_f64();

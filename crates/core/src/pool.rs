@@ -107,7 +107,8 @@ impl DomainPool {
         self.assignments.remove(&client);
     }
 
-    /// Destroys all pooled domains (application shutdown).
+    /// Destroys all pooled domains (application shutdown, or a rebuild
+    /// that replaces the pool).
     ///
     /// # Errors
     ///
@@ -118,29 +119,6 @@ impl DomainPool {
             mgr.destroy_domain(domain)?;
         }
         Ok(())
-    }
-
-    /// Tears down up to `budget` pooled domains and returns how many
-    /// actually went (their keys return to `mgr`). The incremental half
-    /// of the deferred pool-rebuild lifecycle: a *retired* pool is
-    /// drained a few domains per call, off the serving path, instead of
-    /// all at once inside it. Client assignments are dropped first — a
-    /// retired pool never serves again, so no assignment may outlive
-    /// the domain it points at.
-    pub fn teardown_some(&mut self, mgr: &mut DomainManager, budget: usize) -> usize {
-        self.assignments.clear();
-        let mut torn_down = 0;
-        while torn_down < budget {
-            let Some(domain) = self.domains.pop() else {
-                break;
-            };
-            // A failed destroy still counts: the domain has left the
-            // pool either way, and counting it keeps the retire/reclaim
-            // books conserving.
-            let _ = mgr.destroy_domain(domain);
-            torn_down += 1;
-        }
-        torn_down
     }
 
     /// Deterministic multiplexing for clients beyond the domain budget.
@@ -243,23 +221,6 @@ mod tests {
         }
         assert_eq!(mgr.keys_available(), before - 5);
         pool.shutdown(&mut mgr).unwrap();
-        assert_eq!(mgr.keys_available(), before);
-    }
-
-    #[test]
-    fn teardown_some_is_incremental_and_returns_keys() {
-        let (mut mgr, mut pool) = pool_and_mgr(5);
-        let before = mgr.keys_available();
-        for i in 0..5 {
-            pool.domain_for(&mut mgr, ClientId(i)).unwrap();
-        }
-        assert_eq!(mgr.keys_available(), before - 5);
-        assert_eq!(pool.teardown_some(&mut mgr, 2), 2);
-        assert_eq!(pool.domains_created(), 3);
-        assert_eq!(pool.clients_assigned(), 0, "assignments dropped first");
-        assert_eq!(mgr.keys_available(), before - 3);
-        assert_eq!(pool.teardown_some(&mut mgr, 100), 3, "drains what is left");
-        assert_eq!(pool.teardown_some(&mut mgr, 100), 0, "then reports empty");
         assert_eq!(mgr.keys_available(), before);
     }
 

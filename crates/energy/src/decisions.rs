@@ -27,12 +27,9 @@ pub struct RungModels {
     /// The rewind rung: a constant, whatever the state size.
     pub rewind: RestartModel,
     /// Per-domain teardown + re-create cost of a pool rebuild (the pool
-    /// rung costs `domains ×` this as amortized reclamation).
+    /// rung costs `domains ×` this, paid inline by the rebuilding
+    /// worker).
     pub pool_domain_rebuild: Duration,
-    /// Serving-visible pause of a pool rebuild: swap the pool pointer,
-    /// push the old pool onto the retire list. Pointer-scale work,
-    /// independent of how many domains the old pool held.
-    pub pool_publish: Duration,
     /// The restart rung (and the cost a restart-only policy pays for
     /// *every* fault).
     pub restart: RestartModel,
@@ -41,14 +38,12 @@ pub struct RungModels {
 impl RungModels {
     /// Paper-calibrated defaults: 3.5 µs rewinds, 20 µs per re-created
     /// domain (allocation + key assignment, the `e10` lifecycle scale),
-    /// a 2 µs publish pause, and the Memcached-calibrated process
-    /// restart.
+    /// and the Memcached-calibrated process restart.
     #[must_use]
     pub fn calibrated() -> Self {
         RungModels {
             rewind: RestartModel::sdrad_rewind(),
             pool_domain_rebuild: Duration::from_micros(20),
-            pool_publish: Duration::from_micros(2),
             restart: RestartModel::process_restart(),
         }
     }
@@ -103,14 +98,10 @@ pub struct RecoveryCounts {
 pub struct RecoveryBill {
     /// Modeled time spent in the rewind rung.
     pub rewind_time: Duration,
-    /// Serving-visible pause of the pool rung: the pointer swap that
-    /// publishes the fresh pool and retires the old one.
-    pub publish_time: Duration,
-    /// Amortized reclamation cost of the pool rung: the retired pool's
-    /// domains torn down off the serving path, `domains ×` the
-    /// per-domain model. Deferral moves the joules, it does not delete
-    /// them.
-    pub reclaim_time: Duration,
+    /// Modeled time spent in the pool rung: every rebuild tears down
+    /// and re-creates the pool's domains, `domains ×` the per-domain
+    /// model.
+    pub pool_rebuild_time: Duration,
     /// Modeled downtime of every restart the workers performed, crash
     /// restarts and restart rungs alike, summed over workers.
     pub restart_time: Duration,
@@ -132,11 +123,10 @@ pub struct RecoveryBill {
 }
 
 impl RecoveryBill {
-    /// Total modeled recovery time of the ladder policy, pool rebuilds
-    /// included in full (pause plus amortized reclamation).
+    /// Total modeled recovery time of the ladder policy.
     #[must_use]
     pub fn ladder_time(&self) -> Duration {
-        self.rewind_time + self.publish_time + self.reclaim_time + self.restart_time
+        self.rewind_time + self.pool_rebuild_time + self.restart_time
     }
 
     /// Energy the ladder saved versus restart-only recovery, joules
@@ -163,15 +153,13 @@ pub fn price(
         .iter()
         .map(|w| models.restarts(w.worker_restarts + w.crashes, w.restart_state_bytes))
         .collect();
-    let pool_rebuilds = total(|w| w.pool_rebuilds);
     let per_rebuild = times(
         models.pool_domain_rebuild,
         u64::from(domains_per_worker.max(1)),
     );
     let mut bill = RecoveryBill {
         rewind_time: times(models.rewind.recovery_time(0), total(|w| w.rewinds)),
-        publish_time: times(models.pool_publish, pool_rebuilds),
-        reclaim_time: times(per_rebuild, pool_rebuilds),
+        pool_rebuild_time: times(per_rebuild, total(|w| w.pool_rebuilds)),
         restart_time: downtime.iter().sum(),
         restart_only_time: models.restarts(
             total(|w| w.rewinds + w.pool_rebuilds + w.worker_restarts),
@@ -239,12 +227,7 @@ mod tests {
             ..RecoveryCounts::default()
         });
         assert_eq!(bill.rewind_time, Duration::from_nanos(3_500) * 10);
-        assert_eq!(bill.reclaim_time, Duration::from_micros(160));
-        assert_eq!(
-            bill.publish_time,
-            Duration::from_micros(2),
-            "the pause is the pointer swap, not the teardown"
-        );
+        assert_eq!(bill.pool_rebuild_time, Duration::from_micros(160));
         assert!(bill.restart_time >= Duration::from_secs(1));
         assert!(bill.restart_only_time >= Duration::from_secs(12));
     }

@@ -53,8 +53,7 @@ type Rung = u8;
 #[derive(Debug, Default)]
 struct PerDecision {
     rewind_time: Duration,
-    publish_time: Duration,
-    reclaim_time: Duration,
+    pool_rebuild_time: Duration,
     restart_time: Duration,
     restart_only_time: Duration,
 }
@@ -72,10 +71,7 @@ impl PerDecision {
         let time = Self::time_of(models, rung, state_bytes, domains);
         match rung {
             0 => self.rewind_time += time,
-            1 => {
-                self.publish_time += models.pool_publish;
-                self.reclaim_time += time;
-            }
+            1 => self.pool_rebuild_time += time,
             _ => self.restart_time += time,
         }
         self.restart_only_time += Self::time_of(models, 2, state_bytes, domains);
@@ -120,8 +116,7 @@ proptest! {
         let tolerance = script.len() as u128;
         for (priced, billed) in [
             (bill.rewind_time, reference.rewind_time),
-            (bill.publish_time, reference.publish_time),
-            (bill.reclaim_time, reference.reclaim_time),
+            (bill.pool_rebuild_time, reference.pool_rebuild_time),
             (bill.restart_time, reference.restart_time),
             (bill.restart_only_time, reference.restart_only_time),
         ] {

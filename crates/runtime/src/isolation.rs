@@ -6,8 +6,6 @@
 //! of sharing one behind a lock: the request hot path takes no locks, and
 //! a worker's rewinds never serialize against another worker's traffic.
 
-use std::collections::VecDeque;
-
 use sdrad::{
     ClientId, DomainConfig, DomainEnv, DomainError, DomainManager, DomainPolicy, DomainPool, Fault,
 };
@@ -41,23 +39,6 @@ pub struct WorkerIsolation {
     retired_rewinds: u64,
     /// Domains created by pools retired by rebuild/restart rungs.
     retired_domains: usize,
-    /// Pools replaced by [`rebuild_pool_deferred`] whose domains are
-    /// still being torn down incrementally by [`reclaim_step`]. Oldest
-    /// first — reclamation drains in retirement order.
-    ///
-    /// [`rebuild_pool_deferred`]: Self::rebuild_pool_deferred
-    /// [`reclaim_step`]: Self::reclaim_step
-    deferred: VecDeque<DomainPool>,
-    /// Monotonic pool identity: bumped by every rebuild and every
-    /// restart. A published read view stamped with an older
-    /// generation is stale and must be republished.
-    pool_generation: u64,
-    /// Domains handed to teardown by rebuild/restart rungs — the
-    /// retire side of the `retired == reclaimed + pending` law.
-    hz_retired: u64,
-    /// Domains actually torn down (by reclaim steps, or with their
-    /// manager on a restart).
-    hz_reclaimed: u64,
 }
 
 impl WorkerIsolation {
@@ -77,78 +58,32 @@ impl WorkerIsolation {
             max_domains: domains,
             retired_rewinds: 0,
             retired_domains: 0,
-            deferred: VecDeque::new(),
-            pool_generation: 0,
-            hz_retired: 0,
-            hz_reclaimed: 0,
         }
     }
 
-    /// The pool-rebuild rung of the recovery-escalation ladder, zero
-    /// pause: publish a fresh (empty) pool, *retire* the old one onto
-    /// the deferred list, and tear its domains down incrementally via
-    /// [`reclaim_step`](Self::reclaim_step) instead of inside the
-    /// serving path. Client → domain assignments are forgotten; the
-    /// manager — and its rewind book — survives. The publish itself is
-    /// pointer-scale work; one domain is reclaimed eagerly so the fresh
-    /// pool always has key headroom (hardware keys are the scarce
-    /// resource the old pool is still holding).
-    pub fn rebuild_pool_deferred(&mut self) {
-        let retired = self.pool.domains_created();
-        self.retired_domains += retired;
-        self.hz_retired += retired as u64;
-        let fresh = DomainPool::new(self.template.clone(), self.max_domains);
-        let old = std::mem::replace(&mut self.pool, fresh);
-        if old.domains_created() > 0 {
-            self.deferred.push_back(old);
-        }
-        self.pool_generation += 1;
-        // Eager first step: free one key now, so the fresh pool can
-        // create its first domain even when the retired pools hold the
-        // rest (DomainPool degrades to multiplexing from one domain).
-        self.reclaim_step(1);
-    }
-
-    /// Tears down up to `budget` domains from the retired pools (oldest
-    /// pool first) and returns how many went. The amortized half of
-    /// [`rebuild_pool_deferred`](Self::rebuild_pool_deferred): workers
-    /// call this once per pump pass, so a rebuild's teardown cost is
-    /// spread across passes instead of spiking one request's latency.
-    /// Cheap no-op when nothing is pending.
-    pub fn reclaim_step(&mut self, budget: usize) -> usize {
-        let mut torn_down = 0;
-        while torn_down < budget {
-            let Some(pool) = self.deferred.front_mut() else {
-                break;
-            };
-            let went = pool.teardown_some(&mut self.mgr, budget - torn_down);
-            torn_down += went;
-            if pool.domains_created() == 0 {
-                self.deferred.pop_front();
-            } else if went == 0 {
-                break;
-            }
-        }
-        self.hz_reclaimed += torn_down as u64;
-        torn_down
+    /// The pool-rebuild rung of the recovery-escalation ladder: the old
+    /// pool's domains are destroyed on the spot (their keys return to
+    /// the manager) and a fresh, empty pool takes their place. Client →
+    /// domain assignments are forgotten; the manager — and its rewind
+    /// book — survives. A real 8-domain rebuild costs a few µs, so it
+    /// runs inline on the worker that decided it.
+    pub fn rebuild_pool(&mut self) {
+        self.retired_domains += self.pool.domains_created();
+        // The rung runs between calls: every pooled domain belongs to
+        // this manager and none is active, so no destroy fails.
+        let _ = self.pool.shutdown(&mut self.mgr);
+        self.pool = DomainPool::new(self.template.clone(), self.max_domains);
     }
 
     /// The worker-restart rung: the whole isolation context — manager,
     /// keys, pool — is discarded and rebuilt, exactly what a process
     /// restart would do. The retired manager's rewind count is retained
     /// so the reconciliation invariant keeps holding across restarts.
-    /// Deferred pools die with the manager that owns their domains, so
-    /// their pending teardowns are booked as reclaimed here.
     pub fn restart_worker(&mut self) {
         self.retired_rewinds += self.mgr.total_rewinds();
         self.retired_domains += self.pool.domains_created();
-        let torn_down = self.pool.domains_created() + self.pending_domains();
-        self.hz_retired += self.pool.domains_created() as u64;
-        self.hz_reclaimed += torn_down as u64;
-        self.deferred.clear();
         self.mgr = DomainManager::new();
         self.pool = DomainPool::new(self.template.clone(), self.max_domains);
-        self.pool_generation += 1;
     }
 
     /// The configured mode.
@@ -215,41 +150,6 @@ impl WorkerIsolation {
         self.pool.clients_assigned()
     }
 
-    /// Monotonic pool identity (bumped by every rebuild and restart) —
-    /// the staleness stamp a published read view carries.
-    #[must_use]
-    pub fn pool_generation(&self) -> u64 {
-        self.pool_generation
-    }
-
-    /// Domains handed to teardown by rebuild/restart rungs.
-    #[must_use]
-    pub fn domains_retired(&self) -> u64 {
-        self.hz_retired
-    }
-
-    /// Domains actually torn down (reclaim steps, plus restarts that
-    /// discard the manager owning them).
-    #[must_use]
-    pub fn domains_reclaimed(&self) -> u64 {
-        self.hz_reclaimed
-    }
-
-    /// Domains still alive inside retired pools, awaiting reclaim
-    /// steps.
-    #[must_use]
-    pub fn pending_domains(&self) -> usize {
-        self.deferred.iter().map(DomainPool::domains_created).sum()
-    }
-
-    /// The deferred lifecycle's conservation law: every retired domain
-    /// is either reclaimed or still pending — nothing lost, nothing
-    /// double-counted.
-    #[must_use]
-    pub fn reclaim_conserves(&self) -> bool {
-        self.hz_retired == self.hz_reclaimed + self.pending_domains() as u64
-    }
-
     /// Read access to the manager (violation counters, domain status).
     #[must_use]
     pub fn manager(&self) -> &DomainManager {
@@ -303,7 +203,7 @@ mod tests {
         assert_eq!(iso.domains_created(), 2);
 
         // The pool rung forgets assignments but keeps the rewind book.
-        iso.rebuild_pool_deferred();
+        iso.rebuild_pool();
         assert_eq!(iso.clients_assigned(), 0, "assignments forgotten");
         assert_eq!(iso.rewinds(), 2, "rewind book survives");
         fault(&mut iso, 1);
@@ -321,69 +221,25 @@ mod tests {
     }
 
     #[test]
-    fn deferred_rebuild_keeps_serving_and_conserves() {
-        let mut iso = WorkerIsolation::new(IsolationMode::PerClientDomain, 4, 16 * 1024);
-        for i in 0..4 {
-            iso.call_for(ClientId(i), |_| ()).unwrap();
-        }
-        assert_eq!(iso.pool_generation(), 0);
-
-        iso.rebuild_pool_deferred();
-        assert_eq!(iso.pool_generation(), 1);
-        // The eager step reclaimed one domain; the rest stay pending.
-        assert_eq!(iso.domains_retired(), 4);
-        assert_eq!(iso.domains_reclaimed(), 1);
-        assert_eq!(iso.pending_domains(), 3);
-        assert!(iso.reclaim_conserves());
-
-        // The fresh pool serves immediately — the freed key is its
-        // headroom even while retired pools hold the others.
-        iso.call_for(ClientId(77), |_| ()).unwrap();
-
-        // Amortized steps drain the rest; the law holds at every step.
-        while iso.reclaim_step(2) > 0 {
-            assert!(iso.reclaim_conserves());
-        }
-        assert_eq!(iso.pending_domains(), 0);
-        assert_eq!(iso.domains_reclaimed(), 4);
-        assert!(iso.reclaim_conserves());
-    }
-
-    #[test]
-    fn restart_closes_the_deferred_books() {
-        let mut iso = WorkerIsolation::new(IsolationMode::PerClientDomain, 3, 16 * 1024);
-        for i in 0..3 {
-            iso.call_for(ClientId(i), |_| ()).unwrap();
-        }
-        iso.rebuild_pool_deferred();
-        iso.call_for(ClientId(9), |_| ()).unwrap();
-        assert!(iso.pending_domains() > 0);
-
-        iso.restart_worker();
-        assert_eq!(
-            iso.pending_domains(),
-            0,
-            "deferred pools die with the manager that owns their domains"
-        );
-        assert_eq!(iso.domains_retired(), iso.domains_reclaimed());
-        assert!(iso.reclaim_conserves());
-    }
-
-    #[test]
-    fn back_to_back_deferred_rebuilds_queue_in_retirement_order() {
-        let mut iso = WorkerIsolation::new(IsolationMode::PerClientDomain, 2, 16 * 1024);
-        iso.call_for(ClientId(1), |_| ()).unwrap();
-        iso.rebuild_pool_deferred();
-        iso.call_for(ClientId(2), |_| ()).unwrap();
-        iso.call_for(ClientId(3), |_| ()).unwrap();
-        iso.rebuild_pool_deferred();
-        assert_eq!(iso.pool_generation(), 2);
-        assert!(iso.reclaim_conserves());
-
-        while iso.reclaim_step(1) > 0 {}
-        assert_eq!(iso.pending_domains(), 0);
-        assert!(iso.reclaim_conserves());
-        assert_eq!(iso.domains_retired(), iso.domains_reclaimed());
+    fn back_to_back_rebuilds_keep_a_domain_per_client() {
+        // Two rebuilds of a full pool in a row, then as many new clients
+        // as the pool holds: each gets its own domain, because every
+        // rebuild returned its keys before the next client arrived (two
+        // full 8-domain pools alone would need 16 of the 15 keys).
+        let mut iso = WorkerIsolation::new(IsolationMode::PerClientDomain, 8, 16 * 1024);
+        let serve = |iso: &mut WorkerIsolation, clients: std::ops::Range<u64>| {
+            for i in clients {
+                iso.call_for(ClientId(i), |_| ()).unwrap();
+            }
+        };
+        serve(&mut iso, 0..8);
+        iso.rebuild_pool();
+        serve(&mut iso, 8..16);
+        iso.rebuild_pool();
+        serve(&mut iso, 16..24);
+        assert_eq!(iso.domains_created(), 24, "8 dedicated domains per pool");
+        assert_eq!(iso.manager().domains().len(), 8);
+        assert_eq!(iso.clients_assigned(), 8);
     }
 
     #[test]

@@ -182,20 +182,6 @@ impl RuntimeStats {
         self.workers.iter().map(|w| w.reaped).sum()
     }
 
-    /// Domains handed to teardown by rebuild/restart rungs across all
-    /// workers.
-    #[must_use]
-    pub fn domains_retired(&self) -> u64 {
-        self.workers.iter().map(|w| w.domains_retired).sum()
-    }
-
-    /// Domains actually torn down (by amortized reclaim steps, or
-    /// with their manager on a worker restart) across all workers.
-    #[must_use]
-    pub fn domains_reclaimed(&self) -> u64 {
-        self.workers.iter().map(|w| w.domains_reclaimed).sum()
-    }
-
     /// Escalation-ladder decisions that stopped at the rewind rung,
     /// across all workers (control plane enabled).
     #[must_use]

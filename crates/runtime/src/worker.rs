@@ -96,15 +96,6 @@ pub struct WorkerStats {
     pub parks: u64,
     /// Times a parked worker was woken by a signal.
     pub wakeups: u64,
-    /// Domains this worker's rebuild/restart rungs handed to teardown —
-    /// the retire side of the reclamation books.
-    pub domains_retired: u64,
-    /// Domains actually torn down: by amortized reclaim steps, or with
-    /// their manager on a worker restart.
-    pub domains_reclaimed: u64,
-    /// Domains still awaiting reclaim steps when the worker exited
-    /// (zero after a clean shutdown drain).
-    pub domains_pending: u64,
     /// Idle connections reaped (no bytes for the configured number of
     /// pump passes).
     pub reaped: u64,
@@ -151,7 +142,6 @@ impl WorkerStats {
             && self.contained_faults == self.contained_latency.len()
             && self.contained_faults == self.rewind_latency.len()
             && self.ok == self.ok_latency.len()
-            && self.domains_retired == self.domains_reclaimed + self.domains_pending
     }
 }
 
@@ -253,15 +243,9 @@ impl<H: SessionHandler> Worker<H> {
     pub fn run(mut self) -> WorkerStats {
         self.run_event();
         self.drain();
-        // Close the reclamation books: drain the deferred teardown
-        // queue so a clean exit leaves nothing pending.
-        while self.iso.reclaim_step(16) > 0 {}
         self.stats.shed = self.channels.queue.shed();
         self.stats.domains_created = self.iso.domains_created();
         self.stats.manager_rewinds = self.iso.rewinds();
-        self.stats.domains_retired = self.iso.domains_retired();
-        self.stats.domains_reclaimed = self.iso.domains_reclaimed();
-        self.stats.domains_pending = self.iso.pending_domains() as u64;
         self.stats.parks = self.channels.wakes.parks();
         self.stats.wakeups = self.channels.wakes.wakeups();
         let arena = sdrad_nolock::arena::thread_stats();
@@ -297,10 +281,6 @@ impl<H: SessionHandler> Worker<H> {
             // The streaming flush rides the same machinery: one delta
             // frame per pass, zero while idle.
             self.flush_telemetry(totals);
-            // Amortized teardown: a couple of retired domains go per
-            // pass, so a deferred rebuild's cost never lands on one
-            // request. Cheap no-op when nothing is pending.
-            self.iso.reclaim_step(2);
             let mut ready = signals.conns;
             ready.extend(self.adopt_connections());
 
@@ -362,7 +342,6 @@ impl<H: SessionHandler> Worker<H> {
         loop {
             self.flush_live();
             self.pass += 1;
-            self.iso.reclaim_step(2);
             self.adopt_connections();
             let queued = self.channels.queue.try_drain(self.batch);
             let drained_queue = !queued.is_empty();
@@ -747,10 +726,9 @@ impl<H: SessionHandler> Worker<H> {
                 self.stats.ladder_rewinds += 1;
             }
             RecoveryRung::PoolRebuild => {
-                // Zero-pause rung: publish a fresh pool, retire the old
-                // one; teardown is amortized over later passes by
-                // `reclaim_step`.
-                self.iso.rebuild_pool_deferred();
+                // The old pool's domains are destroyed here, before the
+                // next request: a few µs for a whole pool.
+                self.iso.rebuild_pool();
                 self.stats.pool_rebuilds += 1;
             }
             RecoveryRung::WorkerRestart => {

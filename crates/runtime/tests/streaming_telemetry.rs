@@ -13,9 +13,11 @@ use sdrad_runtime::{
 
 /// Control parameters tuned for fast tests: scores climb in a handful
 /// of faults and barely decay within a test's lifetime (same shape as
-/// the control-plane suite next door).
+/// the control-plane suite next door). Both latency targets are parked:
+/// each test's climb stops at its first `Shed`, which on a slow host
+/// could otherwise be an overload shed rather than the ban.
 fn fast_control() -> ControlConfig {
-    ControlConfig {
+    let mut control = ControlConfig {
         reputation: ReputationParams {
             half_life_ns: 60_000_000_000,
             throttle_score: 3.0,
@@ -29,7 +31,11 @@ fn fast_control() -> ControlConfig {
             restart_after_rebuilds: 2,
         },
         ..ControlConfig::default()
+    };
+    for shed in [&mut control.benign_shed, &mut control.suspect_shed] {
+        shed.target_ns = u64::MAX;
     }
+    control
 }
 
 fn streaming_config() -> RuntimeConfig {
