@@ -30,7 +30,7 @@ const STORE_KEYS: usize = 10_000;
 /// Hits timed by [`get_hit_ns`]: twenty passes over the key space.
 const GETS: usize = 200_000;
 /// Step between consecutive keys, coprime with [`STORE_KEYS`]: every
-/// pass visits each key once, and neighbours land far apart in the map
+/// pass visits each key once, and neighbours land far apart in the slab
 /// and the recency list.
 const STRIDE: usize = 7_919;
 

@@ -128,15 +128,18 @@ struct RegionData {
 
 impl RegionData {
     /// The backing through offset `end`, extended with zeros as a first
-    /// store faults a page in. The allocation grows by at least a page
-    /// and at least doubles, but never past the region length.
+    /// store faults a page in. Past its capacity the allocation grows by
+    /// at least a page and at least doubles, but never past the region
+    /// length; within it (after a discard, say) nothing is reallocated.
     fn backing_to(&mut self, end: usize) -> &mut [u8] {
-        if end > self.data.len() {
+        if end > self.data.capacity() {
             let page = PAGE_SIZE as usize;
             let target = (end.div_ceil(page) * page)
                 .max(2 * self.data.capacity())
                 .min(self.region.len);
             self.data.reserve_exact(target - self.data.len());
+        }
+        if end > self.data.len() {
             self.data.resize(end, 0);
         }
         &mut self.data[..end]
@@ -546,6 +549,22 @@ mod tests {
             space.discard(region),
             Err(Fault::PkuViolation { .. })
         ));
+    }
+
+    #[test]
+    fn a_touch_after_a_discard_reuses_the_backing() {
+        let (mut space, region, _g) = rw_space_with_region(1 << 20);
+        space.write(region.base(), &[0x5A; 100]).unwrap();
+        let touched = backing(&space, region);
+        for _ in 0..16 {
+            space.discard(region).unwrap();
+            space.write(region.base(), &[0x5A; 100]).unwrap();
+        }
+        assert_eq!(
+            backing(&space, region),
+            touched,
+            "the same touch after each discard needs no more backing"
+        );
     }
 
     #[test]

@@ -1,7 +1,18 @@
 //! The sharded LRU store, its snapshot/restore (restart) path and the
 //! in-place equivalent, [`Store::reload`].
+//!
+//! A shard keeps its items in a slab of 48-byte [`Slot`]s, one heap
+//! allocation per item: a boxed slice holding the key's bytes and then
+//! the value's. The slot also carries the item's tick and TTL deadline,
+//! its links in the shard's recency list and its link to the next slot
+//! whose key has the same hash. An index maps a key's 64-bit hash to the
+//! first slot of that chain. The hash is keyed by one std `RandomState`
+//! per store, so an attacker can no more aim keys at one chain than at
+//! one bucket of a `HashMap<String, _>`. A hit hashes the key once,
+//! walks its chain and relinks the slot at the recency list's tail.
 
-use std::collections::hash_map::{self, HashMap};
+use std::collections::hash_map::{self, HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Configuration of a [`Store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,166 +53,181 @@ pub struct StoreStats {
     pub bytes: u64,
 }
 
-/// The end of a recency list: no slot.
-const NIL: usize = usize::MAX;
+/// The end of a list: no slot.
+const NIL: u32 = u32::MAX;
 
-/// One node of a shard's recency list: the key it names and the slots
-/// of its neighbours.
+/// The `key_len` of a vacant slot.
+const VACANT: u32 = u32::MAX;
+
+/// One item of a shard, or a vacant place for one.
 #[derive(Debug)]
-struct Node {
-    key: String,
-    prev: usize,
-    next: usize,
+struct Slot {
+    /// The key's bytes, then the value's; empty while vacant.
+    data: Box<[u8]>,
+    tick: u64,
+    /// Logical-clock deadline after which the item is expired
+    /// (`u64::MAX` = no TTL). Expiry is lazy, like memcached's.
+    expires_at: u64,
+    /// The less recently used neighbour.
+    prev: u32,
+    /// The more recently used neighbour; while vacant, the next vacant
+    /// slot.
+    next: u32,
+    /// The next slot whose key has the same hash.
+    chain: u32,
+    /// How many bytes of `data` are the key; [`VACANT`] while vacant.
+    key_len: u32,
 }
 
-/// A shard's recency order, Memcached-style: a doubly-linked list
-/// threaded by slot index through a slab of nodes, `head` the least and
-/// `tail` the most recently used. Refreshing an entry relinks a node —
-/// no hashing, no allocation. Freed slots wait on `vacant` and keep
-/// their key's storage for the next insert.
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
+
+impl Slot {
+    fn is_vacant(&self) -> bool {
+        self.key_len == VACANT
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.data[..self.key_len as usize]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.data[self.key_len as usize..]
+    }
+
+    /// The key as stored: it came in as a `&str`.
+    fn key_str(&self) -> &str {
+        std::str::from_utf8(self.key()).expect("keys are stored from `&str`")
+    }
+}
+
+/// The key, then the value, in one allocation of exactly their length.
+fn join(key: &[u8], value: &[u8]) -> Box<[u8]> {
+    let mut data = Vec::with_capacity(key.len() + value.len());
+    data.extend_from_slice(key);
+    data.extend_from_slice(value);
+    data.into_boxed_slice()
+}
+
+/// The keyed hash a store files its keys under, shared by its shards.
+#[derive(Debug, Clone)]
+struct KeyHash {
+    state: RandomState,
+    /// Test builds only: every key hashes alike, so each shard's items
+    /// share one chain.
+    #[cfg(test)]
+    one_hash: bool,
+}
+
+impl KeyHash {
+    fn new() -> Self {
+        KeyHash {
+            state: RandomState::new(),
+            #[cfg(test)]
+            one_hash: tests::ONE_HASH.get(),
+        }
+    }
+
+    fn of(&self, key: &[u8]) -> u64 {
+        #[cfg(test)]
+        if self.one_hash {
+            return 0;
+        }
+        self.state.hash_one(key)
+    }
+}
+
+/// The index's hasher: its keys are [`KeyHash`] outputs already, so it
+/// passes them through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// One LRU shard: a slab of slots, the hash index into it and a
+/// Memcached-style recency list threaded through the slots by index,
+/// `head` the least and `tail` the most recently used. Refreshing an
+/// item relinks its slot: no hashing beyond the lookup, no allocation.
+/// Freed slots wait on the vacant list for the next insert.
 #[derive(Debug)]
-struct Recency {
-    nodes: Vec<Node>,
-    vacant: Vec<usize>,
-    head: usize,
-    tail: usize,
-}
-
-impl Default for Recency {
-    fn default() -> Self {
-        Recency {
-            nodes: Vec::new(),
-            vacant: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-}
-
-impl Recency {
-    /// Links a node naming `key` as the most recently used, returning
-    /// its slot.
-    fn push_back(&mut self, key: &str) -> usize {
-        let slot = if let Some(slot) = self.vacant.pop() {
-            let node = &mut self.nodes[slot];
-            node.key.clear();
-            node.key.push_str(key);
-            slot
-        } else {
-            self.nodes.push(Node {
-                key: key.to_owned(),
-                prev: NIL,
-                next: NIL,
-            });
-            self.nodes.len() - 1
-        };
-        self.link_back(slot);
-        slot
-    }
-
-    /// Links an unlinked `slot` as the most recently used.
-    fn link_back(&mut self, slot: usize) {
-        let tail = self.tail;
-        let node = &mut self.nodes[slot];
-        node.prev = tail;
-        node.next = NIL;
-        if tail == NIL {
-            self.head = slot;
-        } else {
-            self.nodes[tail].next = slot;
-        }
-        self.tail = slot;
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
-        }
-    }
-
-    /// Marks `slot` the most recently used.
-    fn touch(&mut self, slot: usize) {
-        self.unlink(slot);
-        self.link_back(slot);
-    }
-
-    /// Unlinks `slot` and files it vacant.
-    fn release(&mut self, slot: usize) {
-        self.unlink(slot);
-        self.vacant.push(slot);
-    }
-
-    /// The least recently used slot.
-    fn lru(&self) -> Option<usize> {
-        (self.head != NIL).then_some(self.head)
-    }
-
-    fn key(&self, slot: usize) -> &str {
-        &self.nodes[slot].key
-    }
-
-    /// Forgets the order; every node keeps its slot and key, ready to
-    /// be relinked.
-    fn unlink_all(&mut self) {
-        self.head = NIL;
-        self.tail = NIL;
-    }
-}
-
-/// One LRU shard: value map plus a recency list.
-#[derive(Debug, Default)]
 struct Shard {
-    entries: HashMap<String, Entry>,
-    /// Recency list, in tick order: head = least recently used.
-    order: Recency,
+    slots: Vec<Slot>,
+    /// Key hash → first slot of the chain of keys with that hash.
+    index: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    hash: KeyHash,
+    /// First vacant slot; the rest follow through `next`.
+    vacant: u32,
+    head: u32,
+    tail: u32,
     bytes: usize,
     next_tick: u64,
 }
 
-#[derive(Debug)]
-struct Entry {
-    value: Vec<u8>,
-    tick: u64,
-    /// Logical-clock deadline after which the entry is expired
-    /// (`u64::MAX` = no TTL). Expiry is lazy, like memcached's.
-    expires_at: u64,
-    /// This entry's node in the recency list.
-    slot: usize,
-}
-
 impl Shard {
+    fn new(hash: KeyHash) -> Self {
+        Shard {
+            slots: Vec::new(),
+            index: HashMap::default(),
+            hash,
+            vacant: NIL,
+            head: NIL,
+            tail: NIL,
+            bytes: 0,
+            next_tick: 0,
+        }
+    }
+
+    /// The occupied slots, in slab order.
+    fn live(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().filter(|slot| !slot.is_vacant())
+    }
+
+    /// The slot holding `key`, through the chain of its `hash`.
+    fn find(&self, hash: u64, key: &[u8]) -> Option<u32> {
+        let mut at = *self.index.get(&hash)?;
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            if slot.key() == key {
+                return Some(at);
+            }
+            at = slot.chain;
+        }
+        None
+    }
+
     fn get(&mut self, key: &str, now: u64, stats: &mut StoreStats) -> Option<&[u8]> {
-        // Two lookups on a hit: a borrow returned from one `get_mut`
-        // would stay live across the expiry branch's removal too, which
-        // the borrow checker refuses (NLL problem case 3).
-        let expires_at = self.entries.get(key)?.expires_at;
-        if expires_at != u64::MAX && expires_at <= now {
+        let hash = self.hash.of(key.as_bytes());
+        let at = self.find(hash, key.as_bytes())?;
+        let slot = &mut self.slots[at as usize];
+        if slot.expires_at != u64::MAX && slot.expires_at <= now {
             // Lazy expiry, memcached-style: reap on access.
-            let value = self.remove(key).expect("entry exists");
+            let freed = self.unfile(at, hash);
             stats.entries -= 1;
-            stats.bytes -= (key.len() + value.len()) as u64;
+            stats.bytes -= freed as u64;
             stats.expired += 1;
             return None;
         }
-        let entry = self.entries.get_mut(key).expect("entry exists");
-        entry.tick = self.next_tick;
+        slot.tick = self.next_tick;
         self.next_tick += 1;
-        self.order.touch(entry.slot);
-        Some(&entry.value)
+        self.touch(at);
+        Some(self.slots[at as usize].value())
     }
 
     fn insert(
         &mut self,
-        key: String,
-        value: Vec<u8>,
+        key: &[u8],
+        value: &[u8],
         expires_at: u64,
         capacity: usize,
         stats: &mut StoreStats,
@@ -209,29 +235,38 @@ impl Shard {
         let size = key.len() + value.len();
         let tick = self.next_tick;
         self.next_tick += 1;
-        match self.entries.entry(key) {
-            hash_map::Entry::Occupied(mut occupied) => {
-                // A replacement: the old value's bytes go, the node
-                // moves to the most recent end.
-                let old = occupied.key().len() + occupied.get().value.len();
-                self.bytes -= old;
-                stats.bytes -= old as u64;
-                let entry = occupied.get_mut();
-                entry.value = value;
-                entry.tick = tick;
-                entry.expires_at = expires_at;
-                self.order.touch(entry.slot);
+        let hash = self.hash.of(key);
+        if let Some(at) = self.find(hash, key) {
+            // A replacement: the old value's bytes go, the slot moves to
+            // the most recent end. A value of the same length is copied
+            // over the old one.
+            let slot = &mut self.slots[at as usize];
+            let old = slot.data.len();
+            self.bytes -= old;
+            stats.bytes -= old as u64;
+            if old == size {
+                slot.data[key.len()..].copy_from_slice(value);
+            } else {
+                slot.data = join(key, value);
             }
-            hash_map::Entry::Vacant(vacant) => {
-                let slot = self.order.push_back(vacant.key());
-                vacant.insert(Entry {
-                    value,
-                    tick,
-                    expires_at,
-                    slot,
-                });
-                stats.entries += 1;
+            slot.tick = tick;
+            slot.expires_at = expires_at;
+            self.touch(at);
+        } else {
+            let at = self.claim(Slot {
+                data: join(key, value),
+                tick,
+                expires_at,
+                prev: NIL,
+                next: NIL,
+                chain: NIL,
+                key_len: u32::try_from(key.len()).expect("a key shorter than 4 GiB"),
+            });
+            if let Some(first) = self.index.insert(hash, at) {
+                self.slots[at as usize].chain = first;
             }
+            self.link_back(at);
+            stats.entries += 1;
         }
         self.bytes += size;
         stats.bytes += size as u64;
@@ -239,40 +274,128 @@ impl Shard {
         // Evict least-recently-used entries until within budget (never the
         // entry just inserted, which is the list's tail — unless it alone
         // exceeds the budget, in which case it goes too).
-        while self.bytes > capacity {
-            let Some(lru) = self.order.lru() else {
-                break;
-            };
-            let key = self.order.key(lru);
-            let entry = self.entries.remove(key).expect("entry exists");
-            let freed = key.len() + entry.value.len();
-            self.order.release(lru);
-            self.bytes -= freed;
+        while self.bytes > capacity && self.head != NIL {
+            let lru = self.head;
+            let hash = self.hash.of(self.slots[lru as usize].key());
+            let freed = self.unfile(lru, hash);
             stats.entries -= 1;
             stats.bytes -= freed as u64;
             stats.evictions += 1;
         }
     }
 
-    fn remove(&mut self, key: &str) -> Option<Vec<u8>> {
-        let entry = self.entries.remove(key)?;
-        self.order.release(entry.slot);
-        self.bytes -= key.len() + entry.value.len();
-        Some(entry.value)
+    /// Removes `key`, returning the bytes it freed.
+    fn remove(&mut self, key: &str) -> Option<usize> {
+        let hash = self.hash.of(key.as_bytes());
+        let at = self.find(hash, key.as_bytes())?;
+        Some(self.unfile(at, hash))
     }
 
-    /// Renumbers the shard as re-inserting its entries in map order
-    /// would: ticks `0..n` in iteration order, every TTL dropped, the
-    /// recency list relinked in that order. Nothing is sorted, copied
-    /// or re-hashed.
-    fn reload(&mut self) {
-        self.order.unlink_all();
-        for (tick, entry) in (0u64..).zip(self.entries.values_mut()) {
-            entry.tick = tick;
-            entry.expires_at = u64::MAX;
-            self.order.link_back(entry.slot);
+    /// Files `slot` in a vacant place, or at the slab's end.
+    fn claim(&mut self, slot: Slot) -> u32 {
+        if self.vacant == NIL {
+            let at = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&at| at != NIL)
+                .expect("a shard holds fewer than 2^32 - 1 items");
+            self.slots.push(slot);
+            at
+        } else {
+            let at = self.vacant;
+            self.vacant = self.slots[at as usize].next;
+            self.slots[at as usize] = slot;
+            at
         }
-        self.next_tick = self.entries.len() as u64;
+    }
+
+    /// Takes the item at `at` out of its `hash` chain and the recency
+    /// list, frees its bytes and files the slot vacant. Returns the
+    /// bytes freed.
+    fn unfile(&mut self, at: u32, hash: u64) -> usize {
+        let chain = self.slots[at as usize].chain;
+        let hash_map::Entry::Occupied(mut first) = self.index.entry(hash) else {
+            unreachable!("a stored key's hash is indexed");
+        };
+        if *first.get() == at {
+            if chain == NIL {
+                first.remove();
+            } else {
+                *first.get_mut() = chain;
+            }
+        } else {
+            let mut before = *first.get();
+            while self.slots[before as usize].chain != at {
+                before = self.slots[before as usize].chain;
+            }
+            self.slots[before as usize].chain = chain;
+        }
+        self.unlink(at);
+        let slot = &mut self.slots[at as usize];
+        let freed = std::mem::take(&mut slot.data).len();
+        slot.key_len = VACANT;
+        slot.chain = NIL;
+        slot.next = self.vacant;
+        self.vacant = at;
+        self.bytes -= freed;
+        freed
+    }
+
+    /// Links an unlinked slot as the most recently used.
+    fn link_back(&mut self, at: u32) {
+        let tail = self.tail;
+        let slot = &mut self.slots[at as usize];
+        slot.prev = tail;
+        slot.next = NIL;
+        if tail == NIL {
+            self.head = at;
+        } else {
+            self.slots[tail as usize].next = at;
+        }
+        self.tail = at;
+    }
+
+    fn unlink(&mut self, at: u32) {
+        let (prev, next) = {
+            let slot = &self.slots[at as usize];
+            (slot.prev, slot.next)
+        };
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Marks the slot the most recently used.
+    fn touch(&mut self, at: u32) {
+        self.unlink(at);
+        self.link_back(at);
+    }
+
+    /// Renumbers the shard as re-inserting its entries in slab order
+    /// would: ticks `0..n` in that order, every TTL dropped, the recency
+    /// list relinked in that order. Nothing is sorted, copied or
+    /// re-hashed.
+    fn reload(&mut self) {
+        self.head = NIL;
+        self.tail = NIL;
+        let mut tick = 0;
+        for at in 0..self.slots.len() as u32 {
+            let slot = &mut self.slots[at as usize];
+            if slot.is_vacant() {
+                continue;
+            }
+            slot.tick = tick;
+            slot.expires_at = u64::MAX;
+            tick += 1;
+            self.link_back(at);
+        }
+        self.next_tick = tick;
     }
 }
 
@@ -338,8 +461,11 @@ impl Store {
     #[must_use]
     pub fn new(config: StoreConfig) -> Self {
         assert!(config.shards > 0, "at least one shard required");
+        let hash = KeyHash::new();
         Store {
-            shards: (0..config.shards).map(|_| Shard::default()).collect(),
+            shards: (0..config.shards)
+                .map(|_| Shard::new(hash.clone()))
+                .collect(),
             config,
             stats: StoreStats::default(),
             now: 0,
@@ -352,7 +478,8 @@ impl Store {
 
     /// Looks up `key`, refreshing its recency, and lends out its value.
     /// Entries whose TTL passed are reaped lazily and reported as
-    /// misses. A hit costs two hash lookups and no allocation.
+    /// misses. A hit hashes the key once, makes one index lookup and
+    /// allocates nothing.
     pub fn get(&mut self, key: &str) -> Option<&[u8]> {
         let shard = self.shard_for(key);
         let now = self.now;
@@ -373,16 +500,23 @@ impl Store {
 
     /// Inserts or replaces `key`; `ttl` is a logical-clock lifetime (see
     /// [`advance`](Self::advance)), `None` for immortal entries.
+    /// A replacement by a value of the same length is copied over the
+    /// old one and allocates nothing.
     pub fn set_with_ttl(&mut self, key: impl Into<String>, value: Vec<u8>, ttl: Option<u64>) {
-        let key = key.into();
-        let shard = self.shard_for(&key);
+        self.insert(&key.into(), &value, ttl);
+    }
+
+    /// [`set_with_ttl`](Self::set_with_ttl) from borrowed bytes: the
+    /// item's one allocation is the only copy made.
+    fn insert(&mut self, key: &str, value: &[u8], ttl: Option<u64>) {
+        let shard = self.shard_for(key);
         let capacity = self.config.shard_capacity;
         let expires_at = match ttl {
             Some(ticks) => self.now.saturating_add(ticks),
             None => u64::MAX,
         };
         let stats = &mut self.stats;
-        self.shards[shard].insert(key, value, expires_at, capacity, stats);
+        self.shards[shard].insert(key.as_bytes(), value, expires_at, capacity, stats);
         self.stats.sets += 1;
     }
 
@@ -402,9 +536,9 @@ impl Store {
     /// Removes `key`, returning whether it existed.
     pub fn delete(&mut self, key: &str) -> bool {
         let shard = self.shard_for(key);
-        if let Some(value) = self.shards[shard].remove(key) {
+        if let Some(freed) = self.shards[shard].remove(key) {
             self.stats.entries -= 1;
-            self.stats.bytes -= (key.len() + value.len()) as u64;
+            self.stats.bytes -= freed as u64;
             self.stats.deletes += 1;
             true
         } else {
@@ -415,7 +549,7 @@ impl Store {
     /// Drops every entry.
     pub fn flush(&mut self) {
         for shard in &mut self.shards {
-            *shard = Shard::default();
+            *shard = Shard::new(shard.hash.clone());
         }
         self.stats.entries = 0;
         self.stats.bytes = 0;
@@ -439,7 +573,7 @@ impl Store {
         self.stats.entries == 0
     }
 
-    /// Captures the full contents (ordered by shard, then arbitrarily).
+    /// Captures the full contents (ordered by shard, then by slot).
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let mut entries = Vec::with_capacity(self.len());
@@ -453,12 +587,9 @@ impl Store {
     /// Every entry, borrowed, in the order [`snapshot`](Self::snapshot)
     /// copies them. Reading does not refresh recency.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.shards.iter().flat_map(|shard| {
-            shard
-                .entries
-                .iter()
-                .map(|(key, entry)| (key.as_str(), entry.value.as_slice()))
-        })
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.live().map(|slot| (slot.key_str(), slot.value())))
     }
 
     /// The restart path: rebuilds a fresh store from a snapshot. The cost
@@ -468,7 +599,7 @@ impl Store {
     pub fn restore(config: StoreConfig, snapshot: &Snapshot) -> Self {
         let mut store = Store::new(config);
         for (key, value) in &snapshot.entries {
-            store.set(key.clone(), value.clone());
+            store.insert(key, value, None);
         }
         store.reset_activity();
         store
@@ -501,7 +632,15 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Whether stores built on this thread file every key under one
+        /// hash: a keyed 64-bit hash never chains two of a test's keys
+        /// by accident, so the chain paths run only under this switch.
+        pub(super) static ONE_HASH: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn small_store(shard_capacity: usize) -> Store {
         Store::new(StoreConfig {
@@ -667,11 +806,7 @@ mod tests {
         for i in 0..1000 {
             store.set(format!("key-{i}"), vec![0u8; 4]);
         }
-        let populated = store
-            .shards
-            .iter()
-            .filter(|s| !s.entries.is_empty())
-            .count();
+        let populated = store.shards.iter().filter(|s| !s.index.is_empty()).count();
         assert!(populated >= 6, "only {populated}/8 shards used");
     }
 
@@ -742,9 +877,13 @@ mod tests {
                 .iter()
                 .map(|shard| {
                     let entries = shard
-                        .entries
-                        .iter()
-                        .map(|(k, e)| (k.clone(), (e.value.clone(), e.tick, e.expires_at)))
+                        .live()
+                        .map(|e| {
+                            (
+                                e.key_str().to_owned(),
+                                (e.value().to_vec(), e.tick, e.expires_at),
+                            )
+                        })
                         .collect();
                     (entries, shard.bytes, shard.next_tick)
                 })
@@ -752,34 +891,73 @@ mod tests {
             (shards, store.stats, store.now)
         }
 
+        /// The entry in slot `at`, which must be occupied.
+        fn entry(shard: &Shard, at: u32) -> &Slot {
+            let slot = &shard.slots[at as usize];
+            assert!(!slot.is_vacant(), "slot {at} holds an entry");
+            slot
+        }
+
+        /// Every slot the index reaches, chain by chain; each holds an
+        /// entry, and each entry sits in the chain of its key's hash.
+        fn indexed(shard: &Shard) -> Vec<u32> {
+            let mut reached = Vec::new();
+            for (&hash, &first) in &shard.index {
+                let mut at = first;
+                while at != NIL {
+                    assert!(reached.len() < shard.slots.len(), "a chain loops");
+                    let slot = entry(shard, at);
+                    assert_eq!(
+                        shard.hash.of(slot.key()),
+                        hash,
+                        "slot {at} is chained by its hash"
+                    );
+                    reached.push(at);
+                    at = slot.chain;
+                }
+            }
+            assert_eq!(
+                reached.len(),
+                shard.live().count(),
+                "the index reaches every entry"
+            );
+            reached
+        }
+
+        /// The tick of `key`'s entry.
+        pub(super) fn tick_of(shard: &Shard, key: &str) -> u64 {
+            let at = shard
+                .find(shard.hash.of(key.as_bytes()), key.as_bytes())
+                .expect("entry exists");
+            entry(shard, at).tick
+        }
+
         /// The recency list, walked head to tail, names every entry once
         /// in strictly increasing tick order, and every entry's slot
         /// names its own key.
         pub(super) fn assert_index_consistent(store: &Store) {
             for shard in &store.shards {
-                let order = &shard.order;
+                let entries = indexed(shard);
                 let (mut walked, mut prev, mut last_tick) = (0, NIL, None);
-                let mut slot = order.head;
+                let mut slot = shard.head;
                 while slot != NIL {
-                    assert!(
-                        walked < shard.entries.len(),
-                        "the list is longer than the map"
-                    );
-                    let node = &order.nodes[slot];
+                    assert!(walked < entries.len(), "the list is longer than the map");
+                    let node = entry(shard, slot);
                     assert_eq!(node.prev, prev, "slot {slot} links back to its predecessor");
-                    let tick = shard.entries[&node.key].tick;
+                    let tick = node.tick;
                     assert!(
                         last_tick < Some(tick),
                         "ticks increase head to tail at {}",
-                        node.key
+                        node.key_str()
                     );
                     (walked, prev, last_tick) = (walked + 1, slot, Some(tick));
                     slot = node.next;
                 }
-                assert_eq!(order.tail, prev, "the walk ends at the tail");
-                assert_eq!(walked, shard.entries.len());
-                for (key, entry) in &shard.entries {
-                    assert_eq!(&order.nodes[entry.slot].key, key, "slot {}", entry.slot);
+                assert_eq!(shard.tail, prev, "the walk ends at the tail");
+                assert_eq!(walked, entries.len());
+                for at in entries {
+                    let key = entry(shard, at).key();
+                    assert_eq!(shard.find(shard.hash.of(key), key), Some(at), "slot {at}");
                 }
             }
         }
@@ -788,9 +966,45 @@ mod tests {
     /// `reload` is `restore` of the store's own snapshot, checked on the
     /// private state both leave behind and on how that state behaves.
     mod reload_equals_restore {
-        use super::tape::{apply, arb_op, assert_index_consistent, state};
+        use super::tape::{apply, arb_op, assert_index_consistent, state, Op};
         use super::*;
         use proptest::prelude::*;
+        use proptest::TestCaseError;
+
+        fn check(
+            one_hash: bool,
+            config: StoreConfig,
+            tape: &[Op],
+            follow_up: &[Op],
+        ) -> Result<(), TestCaseError> {
+            ONE_HASH.set(one_hash);
+            let mut reloaded = Store::new(config);
+            for op in tape {
+                apply(&mut reloaded, op);
+            }
+            let mut restored = Store::restore(config, &reloaded.snapshot());
+            reloaded.reload();
+
+            prop_assert_eq!(state(&reloaded), state(&restored));
+            assert_index_consistent(&reloaded);
+            assert_index_consistent(&restored);
+            for shard in &reloaded.shards {
+                let n = shard.live().count() as u64;
+                prop_assert!(
+                    shard.live().map(|e| e.tick).eq(0..n),
+                    "ticks run 0..n in slab order"
+                );
+            }
+
+            // Same state, same behaviour: the follow-up tape evicts,
+            // expires and misses the same keys in both.
+            for op in follow_up {
+                apply(&mut reloaded, op);
+                apply(&mut restored, op);
+            }
+            prop_assert_eq!(state(&reloaded), state(&restored));
+            Ok(())
+        }
 
         proptest! {
             #[test]
@@ -800,32 +1014,17 @@ mod tests {
                 tape in proptest::collection::vec(arb_op(20), 0..160),
                 follow_up in proptest::collection::vec(arb_op(20), 0..80),
             ) {
-                let config = StoreConfig { shards, shard_capacity };
-                let mut reloaded = Store::new(config);
-                for op in &tape {
-                    apply(&mut reloaded, op);
-                }
-                let mut restored = Store::restore(config, &reloaded.snapshot());
-                reloaded.reload();
+                check(false, StoreConfig { shards, shard_capacity }, &tape, &follow_up)?;
+            }
 
-                prop_assert_eq!(state(&reloaded), state(&restored));
-                assert_index_consistent(&reloaded);
-                assert_index_consistent(&restored);
-                for shard in &reloaded.shards {
-                    let n = shard.entries.len() as u64;
-                    prop_assert!(
-                        shard.entries.values().map(|e| e.tick).eq(0..n),
-                        "ticks run 0..n in the map's iteration order"
-                    );
-                }
-
-                // Same state, same behaviour: the follow-up tape evicts,
-                // expires and misses the same keys in both.
-                for op in &follow_up {
-                    apply(&mut reloaded, op);
-                    apply(&mut restored, op);
-                }
-                prop_assert_eq!(state(&reloaded), state(&restored));
+            #[test]
+            fn reload_equals_restore_with_every_key_on_one_chain(
+                shards in 1usize..=4,
+                shard_capacity in 16usize..96,
+                tape in proptest::collection::vec(arb_op(20), 0..160),
+                follow_up in proptest::collection::vec(arb_op(20), 0..80),
+            ) {
+                check(true, StoreConfig { shards, shard_capacity }, &tape, &follow_up)?;
             }
         }
     }
@@ -834,9 +1033,10 @@ mod tests {
     /// from tick to key per shard, re-keyed on every hit. Same gets,
     /// same counters, same per-key state after every op.
     mod lru_oracle {
-        use super::tape::{apply, arb_op, assert_index_consistent, state, Op, ShardState};
+        use super::tape::{apply, arb_op, assert_index_consistent, state, tick_of, Op, ShardState};
         use super::*;
         use proptest::prelude::*;
+        use proptest::TestCaseError;
 
         #[derive(Default)]
         struct RefShard {
@@ -955,7 +1155,7 @@ mod tests {
                 for (shard, theirs) in self.shards.iter_mut().zip(&store.shards) {
                     shard.order.clear();
                     for (key, (_, tick, expires_at)) in &mut shard.entries {
-                        *tick = theirs.entries[key].tick;
+                        *tick = tick_of(theirs, key);
                         *expires_at = u64::MAX;
                         shard.order.insert(*tick, key.clone());
                     }
@@ -1004,6 +1204,20 @@ mod tests {
             }
         }
 
+        fn check(one_hash: bool, config: StoreConfig, tape: &[Op]) -> Result<(), TestCaseError> {
+            ONE_HASH.set(one_hash);
+            let mut store = Store::new(config);
+            let mut reference = RefStore::new(config);
+            for (step, op) in tape.iter().enumerate() {
+                let got = apply(&mut store, op);
+                let expected = reference.apply(op, &store);
+                prop_assert_eq!(got, expected, "step {}: {:?}", step, op);
+                prop_assert_eq!(state(&store), reference.state(), "step {}: {:?}", step, op);
+                assert_index_consistent(&store);
+            }
+            Ok(())
+        }
+
         proptest! {
             #[test]
             fn the_recency_list_evicts_and_expires_like_the_btree_it_replaced(
@@ -1011,16 +1225,18 @@ mod tests {
                 shard_capacity in 16usize..96,
                 tape in proptest::collection::vec(arb_op(21), 0..240),
             ) {
-                let config = StoreConfig { shards, shard_capacity };
-                let mut store = Store::new(config);
-                let mut reference = RefStore::new(config);
-                for (step, op) in tape.iter().enumerate() {
-                    let got = apply(&mut store, op);
-                    let expected = reference.apply(op, &store);
-                    prop_assert_eq!(got, expected, "step {}: {:?}", step, op);
-                    prop_assert_eq!(state(&store), reference.state(), "step {}: {:?}", step, op);
-                    assert_index_consistent(&store);
-                }
+                check(false, StoreConfig { shards, shard_capacity }, &tape)?;
+            }
+
+            /// The same tape with every key on one hash chain: chained
+            /// get, replace, remove, eviction, expiry and reload.
+            #[test]
+            fn one_chain_evicts_and_expires_like_the_btree(
+                shards in 1usize..=4,
+                shard_capacity in 16usize..96,
+                tape in proptest::collection::vec(arb_op(21), 0..240),
+            ) {
+                check(true, StoreConfig { shards, shard_capacity }, &tape)?;
             }
         }
     }
